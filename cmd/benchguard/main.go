@@ -33,7 +33,7 @@ import (
 // the guard will later compare against.
 var benchArgs = []string{
 	"test", "-bench=.", "-benchtime=1x", "-benchmem", "-run", "^$",
-	".", "./internal/lifetime/", "./internal/nand/", "./internal/server/",
+	".", "./internal/host/", "./internal/lifetime/", "./internal/nand/", "./internal/server/",
 }
 
 // update reruns the smoke benchmarks and rewrites the baseline file. The

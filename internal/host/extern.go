@@ -45,7 +45,6 @@ type ExtSubmission struct {
 	Complete Completion
 }
 
-
 // RunExternal services submissions from sub until the channel is closed
 // and every accepted command has completed, returning the run's report.
 // The gate paces the virtual clock against the wall clock: completions
@@ -138,8 +137,9 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 			s.now = ev.at
 		}
 		c := ev.cmd
+		host := c.Class != ClassBackground // complete recycles (and clears) a background tick
 		s.complete(c)
-		if c.Class != ClassBackground {
+		if host {
 			if c.comp != nil {
 				c.comp.Complete(c)
 				s.freeCmd(c)

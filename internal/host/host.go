@@ -32,13 +32,27 @@
 // is never dispatched before an earlier-submitted command whose sector
 // range overlaps it when either is a write or trim. This is the ordering
 // barrier that makes a read submitted after a write to the same LPN
-// observe that write at any queue depth and under any arbiter.
+// observe that write at any queue depth and under any arbiter. A flush
+// is a barrier against every earlier and later command.
+//
+// The barrier is answered from an index of the undispatched commands, not
+// by scanning the queues (hazard.go): each sector a queued command covers
+// has a record with a submission-ordered list of its pending readers and
+// one of its pending writers and trims, and a command is linked into them
+// from submission until it leaves its chip queue for dispatch. A read is
+// blocked iff some covered sector's earliest pending writer was submitted
+// before it, a write or trim iff the earliest pending reader or writer
+// was. Submission, dispatch and the test cost O(sectors of the command),
+// completion and the queue pop O(1) — nothing grows with the backlog, so
+// an open-loop run with tens of thousands of queued commands schedules as
+// cheaply as queue depth 1.
 //
 // # Determinism
 //
 // Everything is deterministic: the event heap breaks time ties on
 // submission sequence, arbitration scans fixed-order slices, and no map
-// iteration or wall-clock input exists anywhere on the path. The same
+// iteration (the hazard index's map is only ever looked up) or wall-clock
+// input exists anywhere on the path. The same
 // seed and configuration produce the identical event order, stats, and
 // latency histograms. At queue depth 1 with the FIFO arbiter the
 // scheduler degenerates to exactly the classic serial replay: the same
@@ -122,6 +136,12 @@ type Command struct {
 	// instead of done and the record returns to the scheduler freelist
 	// as soon as Complete returns.
 	comp Completion
+
+	// out links the command into the scheduler's list of incomplete host
+	// commands; wr, fl and haz link it into the hazard index for as long
+	// as it is undispatched (see hazards).
+	out, wr, fl node
+	haz         *secNode
 }
 
 // latency is the command's completion minus arrival; by construction it

@@ -1,0 +1,195 @@
+package host
+
+import (
+	"testing"
+
+	"espftl/internal/workload"
+)
+
+// This file keeps the scheduler's original linear scans as reference
+// implementations and attaches them to a live Scheduler, so the tests in
+// differential_test.go can assert at every single decision that the hazard
+// index, the pending-write list and the outstanding list answer exactly
+// what the scans over the live queues answer.
+
+// at returns the i-th queued command, oldest first.
+func (q *cmdQueue) at(i int) *Command { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// conflicts reports a data hazard between two host commands: overlapping
+// sector ranges where at least one side mutates (write or trim). A flush
+// is a full barrier both ways — it must observe every earlier write and
+// later writes must not be reordered ahead of the durability point it
+// acknowledges.
+func conflicts(a, b *Command) bool {
+	if a.Class == ClassRead && b.Class == ClassRead {
+		return false
+	}
+	if a.Req.Op == workload.OpFlush || b.Req.Op == workload.OpFlush {
+		return true
+	}
+	aEnd := a.Req.LSN + int64(a.Req.Sectors)
+	bEnd := b.Req.LSN + int64(b.Req.Sectors)
+	return a.Req.LSN < bEnd && b.Req.LSN < aEnd
+}
+
+// older calls fn for every undispatched command submitted before seq,
+// queue by queue, until fn returns true; it reports whether one did.
+func (s *Scheduler) older(seq int64, fn func(*Command) bool) bool {
+	for i := range s.cq {
+		q := &s.cq[i]
+		for j := 0; j < q.n; j++ {
+			o := q.at(j)
+			if o.Seq >= seq {
+				break // queues are seq-ordered
+			}
+			if fn(o) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (s *Scheduler) refDispatchable(c *Command) bool {
+	if c.Chip < s.chips && s.chipBusy[c.Chip] {
+		return false
+	}
+	return !s.older(c.Seq, func(o *Command) bool { return conflicts(o, c) })
+}
+
+func (s *Scheduler) refOlderWritePending(seq int64) bool {
+	return s.older(seq, func(o *Command) bool { return o.Class == ClassWrite })
+}
+
+// refOutOfOrder scans every incomplete host command — the queued ones and
+// the dispatched ones waiting in the event heap — for one submitted
+// before the command that just retired.
+func (s *Scheduler) refOutOfOrder(c *Command) bool {
+	if s.older(c.Seq, func(*Command) bool { return true }) {
+		return true
+	}
+	for _, ev := range s.events {
+		if ev.cmd != nil && ev.cmd.Class != ClassBackground && ev.cmd.Seq < c.Seq {
+			return true
+		}
+	}
+	return false
+}
+
+// Oracle is the differential checker AttachOracle installs. Its counters
+// say how much of the decision space a run exercised.
+type Oracle struct {
+	t     testing.TB
+	s     *Scheduler
+	inner Arbiter
+
+	promoted, outOfOrder int64 // report counters at the last observation
+
+	// Barrier counts dispatchable calls, Blocked those a hazard (not a
+	// busy chip) refused, Promoted and OutOfOrder the positive answers of
+	// the other two decisions.
+	Barrier, Blocked, Promoted, OutOfOrder int
+	// MaxBacklog is the most undispatched host commands seen at once, and
+	// MaxContended the most commands of the scarcer kind (readers against
+	// writers) seen pending on a single sector.
+	MaxBacklog, MaxContended int
+}
+
+// AttachOracle wraps the scheduler's arbiter and hooks so that every
+// barrier, read-promotion and out-of-order decision of the coming run is
+// compared with its reference scan; a mismatch fails t at once.
+func AttachOracle(t testing.TB, s *Scheduler) *Oracle {
+	o := &Oracle{t: t, s: s, inner: s.cfg.Arbiter}
+	s.cfg.Arbiter = o
+	s.onDispatch = o.dispatched
+	s.onRetire = o.retired
+	return o
+}
+
+// Name implements Arbiter.
+func (o *Oracle) Name() string { return o.inner.Name() }
+
+// Pick implements Arbiter: the wrapped policy decides, over a barrier
+// predicate that is checked on every call.
+func (o *Oracle) Pick(heads []*Command, dispatchable func(*Command) bool) int {
+	o.MaxBacklog = max(o.MaxBacklog, o.s.pendingHost)
+	return o.inner.Pick(heads, func(c *Command) bool {
+		got, want := dispatchable(c), o.s.refDispatchable(c)
+		if got != want {
+			o.t.Fatalf("dispatchable(seq %d %v) = %v, reference scan says %v", c.Seq, c.Req, got, want)
+		}
+		o.Barrier++
+		if !got && !(c.Chip < o.s.chips && o.s.chipBusy[c.Chip]) {
+			o.Blocked++
+		}
+		for n := c.haz; n != nil; n = n.sib {
+			o.MaxContended = max(o.MaxContended, min(n.sec.readers.len(), n.sec.writers.len()))
+		}
+		return got
+	})
+}
+
+func (l *list) len() (n int) {
+	for e := l.head; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
+// dispatched runs as the dispatch hook: the command has left its queue
+// and the index, exactly the state olderWritePending was asked in.
+func (o *Oracle) dispatched(c *Command) {
+	got := o.s.rep.ReadsPromoted != o.promoted
+	o.promoted = o.s.rep.ReadsPromoted
+	want := c.Class == ClassRead && o.s.refOlderWritePending(c.Seq)
+	if got != want {
+		o.t.Fatalf("%s seq %d counted as promoted read: %v, reference scan says %v", c.Class, c.Seq, got, want)
+	}
+	if got {
+		o.Promoted++
+	}
+}
+
+func (o *Oracle) retired(c *Command) {
+	got := o.s.rep.OutOfOrder != o.outOfOrder
+	o.outOfOrder = o.s.rep.OutOfOrder
+	if want := o.s.refOutOfOrder(c); got != want {
+		o.t.Fatalf("seq %d retired out of order: %v, reference scan says %v", c.Seq, got, want)
+	}
+	if got {
+		o.OutOfOrder++
+	}
+}
+
+// Retained counts the ways a finished scheduler still reaches commands it
+// has retired: non-nil slots anywhere in a chip queue's, the event heap's
+// or the freelist's backing array beyond the live elements, links left in
+// the hazard index, and parked records that were not cleared.
+func (s *Scheduler) Retained() (n int) {
+	for i := range s.cq {
+		for _, c := range s.cq[i].buf[:cap(s.cq[i].buf)] {
+			if c != nil {
+				n++
+			}
+		}
+	}
+	for _, ev := range s.events[:cap(s.events)] {
+		if ev.cmd != nil {
+			n++
+		}
+	}
+	for _, c := range s.cmdFree[len(s.cmdFree):cap(s.cmdFree)] {
+		if c != nil {
+			n++
+		}
+	}
+	for _, c := range s.cmdFree {
+		if c.done != nil || c.comp != nil || c.Err != nil || c.haz != nil {
+			n++
+		}
+	}
+	if s.outstanding.head != nil || s.hz.writes.head != nil || s.hz.flushes.head != nil {
+		n++
+	}
+	return n + len(s.hz.sectors)
+}

@@ -64,10 +64,10 @@ func (c Config) withDefaults() (Config, error) {
 // event is one entry of the central event loop: a command completion or
 // an open-loop arrival.
 type event struct {
-	at  sim.Time
-	ord int64 // deterministic tie-break: push order
-	cmd *Command // nil for arrival events
-	arrive int64 // arrival index when cmd is nil
+	at     sim.Time
+	ord    int64    // deterministic tie-break: push order
+	cmd    *Command // nil for arrival events
+	arrive int64    // arrival index when cmd is nil
 }
 
 // eventHeap is a min-heap on (at, ord). It deliberately does not
@@ -101,6 +101,7 @@ func (h *eventHeap) pop() event {
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
+	s[n] = event{} // the vacated slot must not keep its command reachable
 	s = s[:n]
 	*h = s
 	for i := 0; ; {
@@ -140,15 +141,16 @@ type Scheduler struct {
 	events eventHeap
 
 	chips    int
-	cq       [][]*Command // per-chip FIFO queues; index chips = unrouted
+	cq       []cmdQueue // per-chip FIFO queues; index chips = unrouted
 	chipBusy []bool
 	heads    []*Command
 	bg       *Command // at most one pending background command
+	hz       hazards  // the undispatched host commands, indexed for the barrier
 
-	outstanding []*Command // submitted, incomplete host commands
-	pendingHost int        // undispatched host commands
-	pendingReads int       // undispatched host reads
-	inflight    int        // dispatched, incomplete host commands
+	outstanding  list // submitted, incomplete host commands, in Seq order
+	pendingHost  int  // undispatched host commands
+	pendingReads int  // undispatched host reads
+	inflight     int  // dispatched, incomplete host commands
 
 	hostDispatched int64
 	wrRR           int
@@ -161,16 +163,21 @@ type Scheduler struct {
 	ran        bool
 	external   bool // RunExternal: per-command error delivery, byte attribution
 	onDispatch func(*Command)
+	// onRetire is the package tests' seam into complete: it observes every
+	// host command just after its retirement was accounted.
+	onRetire func(*Command)
 
 	// cmdFree recycles Command records for submitters that opted into
 	// recycling (ExtSubmission.Complete) and for background ticks; see
 	// freeCmd for the retention rules.
 	cmdFree []*Command
-	// issueErr and issueCB are the reusable Submit callback: allocating a
+	// issueErr and issueCB are the reusable Submit callback, and barrier
+	// the dispatchable method value handed to the arbiter: allocating a
 	// fresh closure per dispatch would put one heap object on every
 	// command's hot path.
 	issueErr error
 	issueCB  ftl.CompletionFunc
+	barrier  func(*Command) bool
 }
 
 // SetDispatchHook installs a callback observing every command at the
@@ -197,11 +204,13 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	}
 	s.sub, _ = f.(ftl.Submitter)
 	s.probe, _ = f.(ftl.ChipProbe)
-	s.cq = make([][]*Command, s.chips+1)
+	s.cq = make([]cmdQueue, s.chips+1)
+	s.hz.sectors = make(map[int64]*sector)
 	s.chipBusy = make([]bool, s.chips)
 	s.heads = make([]*Command, s.chips+1)
 	s.now = s.clock.Now()
 	s.issueCB = func(e error) { s.issueErr = e }
+	s.barrier = s.dispatchable
 	return s, nil
 }
 
@@ -209,8 +218,8 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 func (s *Scheduler) newCmd() *Command {
 	if n := len(s.cmdFree); n > 0 {
 		c := s.cmdFree[n-1]
+		s.cmdFree[n-1] = nil
 		s.cmdFree = s.cmdFree[:n-1]
-		*c = Command{}
 		return c
 	}
 	return &Command{}
@@ -221,8 +230,13 @@ func (s *Scheduler) newCmd() *Command {
 // (which promises not to retain the pointer) and internally generated
 // background ticks come back here — commands delivered through the
 // legacy ExtSubmission.Done func, or run by the closed/open-loop
-// drivers, stay live because callers historically retain them.
-func (s *Scheduler) freeCmd(c *Command) { s.cmdFree = append(s.cmdFree, c) }
+// drivers, stay live because callers historically retain them. The
+// record is cleared here, not on reuse, so a parked record keeps nothing
+// alive (the submitter's completion closure, the request's error).
+func (s *Scheduler) freeCmd(c *Command) {
+	*c = Command{}
+	s.cmdFree = append(s.cmdFree, c)
+}
 
 // RunClosedLoop drives n generated requests at a fixed queue depth: depth
 // requests are outstanding at all times (until the stream drains), and
@@ -382,8 +396,10 @@ func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
 		c.Class = ClassWrite
 	}
 	c.Chip = s.route(c)
-	s.cq[c.Chip] = append(s.cq[c.Chip], c)
-	s.outstanding = append(s.outstanding, c)
+	s.cq[c.Chip].push(c)
+	s.hz.add(c)
+	c.out.seq = c.Seq
+	s.outstanding.pushBack(&c.out)
 	s.pendingHost++
 	s.rep.Submitted++
 	s.rep.PerQueue[c.Queue]++
@@ -413,38 +429,26 @@ func (s *Scheduler) route(c *Command) int {
 	return ch
 }
 
-// conflicts reports a data hazard between two host commands: overlapping
-// sector ranges where at least one side mutates (write or trim). A flush
-// is a full barrier both ways — it must observe every earlier write and
-// later writes must not be reordered ahead of the durability point it
-// acknowledges.
-func conflicts(a, b *Command) bool {
-	if a.Class == ClassRead && b.Class == ClassRead {
-		return false
-	}
-	if a.Req.Op == workload.OpFlush || b.Req.Op == workload.OpFlush {
-		return true
-	}
-	aEnd := a.Req.LSN + int64(a.Req.Sectors)
-	bEnd := b.Req.LSN + int64(b.Req.Sectors)
-	return a.Req.LSN < bEnd && b.Req.LSN < aEnd
-}
-
 // dispatchable applies the scheduler's structural constraints to a
 // command-queue head: its chip must be idle and no earlier-submitted
-// undispatched command may conflict with it (the ordering barrier).
+// undispatched command may conflict with it (the ordering barrier). Two
+// commands conflict when their sector ranges overlap and at least one of
+// them mutates (write or trim); the hazard index answers that. A flush is
+// a full barrier both ways: it must observe every earlier write, and later
+// writes must not be reordered ahead of the durability point it
+// acknowledges. So it conflicts with every earlier command and waits for
+// the oldest undispatched one of all — the chip queues are Seq-ordered,
+// so that command is one of their heads.
 func (s *Scheduler) dispatchable(c *Command) bool {
 	if c.Chip < s.chips && s.chipBusy[c.Chip] {
 		return false
 	}
-	for _, q := range s.cq {
-		for _, o := range q {
-			if o.Seq >= c.Seq {
-				break // queues are seq-ordered
-			}
-			if conflicts(o, c) {
-				return false
-			}
+	if c.Req.Op != workload.OpFlush {
+		return !s.hz.blocked(c)
+	}
+	for i := range s.cq {
+		if h := s.cq[i].front(); h != nil && h.Seq < c.Seq {
+			return false
 		}
 	}
 	return true
@@ -457,21 +461,11 @@ func (s *Scheduler) dispatchable(c *Command) bool {
 func (s *Scheduler) dispatchRound() error {
 	for {
 		for i := range s.cq {
-			if len(s.cq[i]) > 0 {
-				s.heads[i] = s.cq[i][0]
-			} else {
-				s.heads[i] = nil
-			}
+			s.heads[i] = s.cq[i].front()
 		}
-		if i := s.cfg.Arbiter.Pick(s.heads, s.dispatchable); i >= 0 {
-			c := s.cq[i][0]
-			// Shift instead of re-slicing so the queue keeps its backing
-			// array: q = q[1:] strands capacity and forces the next append
-			// to reallocate. Queues are short (bounded by queue depth), so
-			// the copy is cheaper than the churn.
-			q := s.cq[i]
-			copy(q, q[1:])
-			s.cq[i] = q[:len(q)-1]
+		if i := s.cfg.Arbiter.Pick(s.heads, s.barrier); i >= 0 {
+			c := s.cq[i].pop()
+			s.hz.remove(c)
 			if err := s.dispatchHost(c); err != nil {
 				return err
 			}
@@ -526,19 +520,7 @@ func (s *Scheduler) dispatchHost(c *Command) error {
 
 // olderWritePending reports whether an undispatched write or trim with a
 // smaller sequence number exists — i.e. dispatching seq now overtakes it.
-func (s *Scheduler) olderWritePending(seq int64) bool {
-	for _, q := range s.cq {
-		for _, o := range q {
-			if o.Seq >= seq {
-				break
-			}
-			if o.Class == ClassWrite {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (s *Scheduler) olderWritePending(seq int64) bool { return s.hz.writes.before(seq) }
 
 // dispatch issues a command to the FTL and derives its completion time
 // from the device's per-resource FreeAt deltas: the command completes
@@ -648,17 +630,9 @@ func (s *Scheduler) complete(c *Command) {
 		s.chipBusy[c.Chip] = false
 	}
 	s.inflight--
-	for i, o := range s.outstanding {
-		if o == c {
-			s.outstanding = append(s.outstanding[:i], s.outstanding[i+1:]...)
-			break
-		}
-	}
-	for _, o := range s.outstanding {
-		if o.Seq < c.Seq {
-			s.rep.OutOfOrder++
-			break
-		}
+	s.outstanding.remove(&c.out)
+	if s.outstanding.before(c.Seq) {
+		s.rep.OutOfOrder++
 	}
 	s.rep.Completed++
 	if c.Err != nil {
@@ -670,6 +644,9 @@ func (s *Scheduler) complete(c *Command) {
 		s.rep.ReadLat.Record(lat)
 	} else {
 		s.rep.WriteLat.Record(lat)
+	}
+	if s.onRetire != nil {
+		s.onRetire(c)
 	}
 }
 
