@@ -52,7 +52,7 @@ func main() {
 	gcPolicy := flag.String("gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
 	gcStep := flag.Int("gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
 	gcBg := flag.Int("gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
-	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = legacy full-depth erases)")
+	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
 	lifetimeOn := flag.Bool("lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-flush reply deadline before a client is declared dead")
 	admitTimeout := flag.Duration("admit-timeout", 0, "admission wait before a command is refused RETRYABLE (0 = wait forever)")

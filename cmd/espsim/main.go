@@ -56,7 +56,7 @@ func main() {
 	gcPolicy := flag.String("gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
 	gcStep := flag.Int("gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
 	gcBg := flag.Int("gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
-	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = legacy full-depth erases)")
+	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
 	lifetimeOn := flag.Bool("lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
 	qd := flag.Int("qd", 0, "closed-loop queue depth; > 0 runs the host scheduler (1 = serial-equivalent)")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in req/s; > 0 runs the host scheduler (overrides -qd)")

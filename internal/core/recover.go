@@ -158,11 +158,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	if sum.MaxSeq > rep.MaxSeq {
 		rep.MaxSeq = sum.MaxSeq
 	}
-	if f.pred != nil {
-		// Prediction tables are RAM-only and restart cold, like the
-		// hot/cold bits above.
-		f.pred.Reset()
-	}
+	f.lt.Reset() // RAM-only, like the hot/cold bits above
 	rep.Duration = f.dev.DrainTime().Sub(d0)
 	return rep, nil
 }

@@ -61,12 +61,11 @@ type Config struct {
 	// injection tests that demonstrate why it must exist.
 	DisableRetention bool
 	// GC selects the victim policy, step budget and background slack for
-	// both regions' collectors. The zero value (greedy, whole-block, no
-	// background) is the legacy behaviour.
+	// both regions' collectors. The zero value is greedy, whole-block, no
+	// background.
 	GC gc.Options
 	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil keeps the legacy
-	// full-depth erases, bit-identical to a build without the subsystem.
+	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-page
 	// update-interval predictor steers predicted-cold small writes away
@@ -151,13 +150,11 @@ type FTL struct {
 	pageSecs  int
 	lastScrub sim.Time
 
-	// pred and policyName are the lifetime subsystem's hooks: the
-	// longevity predictor steering small writes between the regions (nil
-	// when Config.Lifetime is off) and the erase-depth policy label for
-	// stats. steerBuf/steerSlots are the steering path's reusable
+	// lt is the lifetime subsystem's wiring: its predictor steers small
+	// writes between the regions and feeds the full-page store's cold
+	// placement. steerBuf/steerSlots are the steering path's reusable
 	// partition scratch.
-	pred       *lifetime.Predictor
-	policyName string
+	lt         ftl.Lifetime
 	steerBuf   []int64
 	steerSlots []int
 
@@ -261,31 +258,25 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	for i := range f.rmapSub {
 		f.rmapSub[i] = mapping.None
 	}
+	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
+		return nil, err
+	}
 	// The full-page region is uncapped: block roles are assigned at
 	// program time (paper §4.2), so full-page data may spread over idle
 	// subpage-region capacity — the reclaim hook converts empty subpage
 	// blocks back whenever the pool runs low.
-	store, err := fullpage.New(dev, f.man, f.ver, &f.stats, ftl.RoleFull, cfg.LogicalSectors/ps, cfg.GCReserveBlocks, 0)
+	f.full, err = fullpage.New(dev, f.man, f.ver, &f.stats, fullpage.Config{
+		LogicalPages: cfg.LogicalSectors / ps,
+		Reserve:      cfg.GCReserveBlocks,
+		GC:           cfg.GC,
+		Reclaim:      f.reclaimEmptySubBlock,
+		Predictor:    f.lt.Pred,
+	})
 	if err != nil {
 		return nil, err
 	}
-	f.full = store
-	if err := store.SetGC(cfg.GC); err != nil {
-		return nil, err
-	}
-	store.SetReclaim(f.reclaimEmptySubBlock)
 	floorExtra := 0
-	if cfg.ErasePolicy != nil {
-		f.man.SetEraseDepth(lifetime.DepthFn(dev, cfg.ErasePolicy))
-		f.policyName = cfg.ErasePolicy.Name()
-	}
 	if cfg.Lifetime {
-		pred, err := lifetime.NewPredictor(cfg.LogicalSectors/ps, lifetime.PredictorConfig{})
-		if err != nil {
-			return nil, err
-		}
-		f.pred = pred
-		store.SetColdClassifier(f.classifyCold)
 		floorExtra = 2 // the cold append stripe's open blocks
 	}
 	// Degrade to read-only once grown-bad blocks eat the spare capacity
@@ -296,22 +287,6 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	dataBlocks := int((cfg.LogicalSectors + secPerBlock - 1) / secPerBlock)
 	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + len(f.actives) + 3 + floorExtra)
 	return f, nil
-}
-
-// classifyCold is the full-page store's longevity hook: it tallies the
-// predictor's verdict on every host-side full-page program and routes
-// predicted-cold pages to the segregated stripe.
-func (f *FTL) classifyCold(lpn int64) bool {
-	switch f.pred.Class(lpn) {
-	case lifetime.ClassCold:
-		f.stats.LifetimeColdWrites++
-		return true
-	case lifetime.ClassHot:
-		f.stats.LifetimeHotWrites++
-	default:
-		f.stats.LifetimeUnknownWrites++
-	}
-	return false
 }
 
 // reclaimEmptySubBlock erases one subpage-region block that holds no live
@@ -446,15 +421,9 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 	for _, l := range lsns {
 		f.ver.Bump(l, small)
 	}
-	if f.pred != nil {
-		// One observation per logical page the request touches, before any
-		// placement decision (observe-then-classify): the classifiers below
-		// must see the freshest prediction state.
-		ps := int64(f.pageSecs)
-		for lpn, last := lsn/ps, (lsn+int64(sectors)-1)/ps; lpn <= last; lpn++ {
-			f.pred.Observe(lpn)
-		}
-	}
+	// Observe before any placement decision (observe-then-classify): the
+	// classifiers below must see the freshest prediction state.
+	f.lt.Observe(lsn, sectors, f.pageSecs)
 
 	if !small {
 		// Large request: bypass the buffer entirely.
@@ -510,7 +479,7 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 // its GC and retention eviction paths later), the rest take the normal
 // erase-free subpage path. With the predictor off it is subWriteRun.
 func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
-	if f.pred == nil {
+	if f.lt.Pred == nil {
 		return f.subWriteRun(lsns, attrPerSector)
 	}
 	g := f.dev.Geometry()
@@ -522,7 +491,7 @@ func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
 		for j < len(lsns) && lsns[j]/ps == lpn {
 			j++
 		}
-		if f.pred.Class(lpn) != lifetime.ClassCold {
+		if f.lt.Pred.Class(lpn) != lifetime.ClassCold {
 			keep = append(keep, lsns[i:j]...)
 			i = j
 			continue
@@ -661,8 +630,8 @@ func (f *FTL) Flush() error {
 // advanceable rounds, which flickers with every host overwrite), so its
 // debt is paced by consumption instead: at quota, every subpage written
 // eventually costs one GC visit, and the tax keeps collection that far
-// ahead. Legacy (unbudgeted) configurations pay nothing here and keep
-// their whole-block foreground drains bit-for-bit.
+// ahead. Unbudgeted configurations pay nothing here: their collection is
+// whole-block foreground drains only.
 func (f *FTL) payGC() error {
 	if !f.subCol.Budgeted() {
 		return nil
@@ -742,21 +711,8 @@ func (f *FTL) stepSubGC() error {
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.stats
-	col := f.full.Collector()
-	s.GCSteps = col.Steps() + f.subCol.Steps()
-	s.GCPagesCopied = col.PagesCopied() + f.subCol.PagesCopied()
-	s.GCPreemptions = col.Preemptions() + f.subCol.Preemptions()
-	s.GCPolicy = col.PolicyName()
+	s := f.man.Snapshot(f.stats, &f.lt, f.full.Collector(), f.subCol)
 	s.MappingBytes = f.full.MappingBytes() + f.hash.MemoryBytes()
-	s.SectorBytes = int64(f.dev.Geometry().SubpageBytes)
-	s.GrownBadBlocks = int64(f.man.BadCount())
-	s.ErasePolicy = f.policyName
-	if f.pred != nil {
-		s.LifetimeObserves = f.pred.Observes()
-	}
-	s.Wear = f.man.WearDist()
-	s.Device = f.dev.Counters()
 	return s
 }
 

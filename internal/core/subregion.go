@@ -10,11 +10,6 @@ import (
 	"espftl/internal/nand"
 )
 
-// maxProgramReplays bounds how many fresh blocks a single pass may burn
-// through on consecutive injected program failures before the error is
-// surfaced instead of retried.
-const maxProgramReplays = 8
-
 // initSubBlock prepares bookkeeping for a block entering the subpage
 // region at round 0.
 func (f *FTL) initSubBlock(b nand.BlockID) {
@@ -375,7 +370,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= maxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
 			return 0, err
 		}
 		// The pass aborted: its fresh copies and the shifted survivors'
@@ -588,7 +583,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= maxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
 			return err
 		}
 		// The source copies on the victim are untouched; retire the

@@ -287,7 +287,7 @@ type gcCell struct {
 }
 
 // AblationGCPolicy sweeps the GC policy engine's operating points: the
-// legacy whole-block greedy collector against incremental collection
+// whole-block greedy collector against incremental collection
 // (bounded step budget, background stepping through Tick) under each
 // victim policy, at queue depth {1,8,32} on a sustained-write mixed Zipf
 // workload over subFTL. Incremental collection splits a victim drain
@@ -311,7 +311,7 @@ func AblationGCPolicy(o Options) (*Table, error) {
 		Zipf:       0.8,
 	}
 	cells := []gcCell{
-		{"greedy", "greedy", 0, 0}, // whole-block, foreground-only: the legacy baseline
+		{"greedy", "greedy", 0, 0}, // whole-block, foreground-only: the baseline
 		{"greedy", "greedy", 8, 8},
 		{"cost-benefit", "cost-benefit", 8, 8},
 		{"windowed", "windowed", 8, 8},

@@ -97,7 +97,7 @@ type RunConfig struct {
 	// empty = greedy), GCStepPages bounds the pages copied per collection
 	// step (0 = whole-block drains), and GCBackgroundSlack lets Tick run
 	// collection steps while the free pool is within that many blocks of
-	// the reserve (0 = foreground-only, the legacy behaviour).
+	// the reserve (0 = foreground-only).
 	GCPolicy          string
 	GCStepPages       int
 	GCBackgroundSlack int
@@ -108,9 +108,8 @@ type RunConfig struct {
 	BGDeferLimit int
 
 	// Lifetime-subsystem knobs, shared by every FTL. ErasePolicy selects
-	// the adaptive erase-depth policy ("fixed-deep", "aero"; empty keeps
-	// the legacy full-depth erases, bit-identical to runs before the
-	// subsystem existed). Lifetime enables the longevity predictor and
+	// the adaptive erase-depth policy ("fixed-deep", "aero"; empty =
+	// full-depth erases). Lifetime enables the longevity predictor and
 	// hot/cold placement steering.
 	ErasePolicy string
 	Lifetime    bool

@@ -4,7 +4,6 @@
 package cgm
 
 import (
-	"errors"
 	"fmt"
 
 	"espftl/internal/ftl"
@@ -23,12 +22,10 @@ type Config struct {
 	// GCReserveBlocks is the free-pool floor that triggers GC.
 	GCReserveBlocks int
 	// GC selects the victim policy, step budget and background slack.
-	// The zero value (greedy, whole-block, no background) is the legacy
-	// behaviour.
+	// The zero value is greedy, whole-block, no background.
 	GC gc.Options
 	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil keeps the legacy
-	// full-depth erases, bit-identical to a build without the subsystem.
+	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-LPN
 	// update-interval predictor classifies host writes and predicted-cold
@@ -45,15 +42,11 @@ type FTL struct {
 	stats ftl.Stats
 	store *fullpage.Store
 
-	// pred and policyName are the lifetime subsystem's hooks: the
-	// longevity predictor feeding the store's cold classifier (nil when
-	// Config.Lifetime is off) and the erase-depth policy label for stats.
-	pred       *lifetime.Predictor
-	policyName string
+	// lt is the lifetime subsystem's wiring; its predictor also feeds the
+	// store's cold placement.
+	lt ftl.Lifetime
 
 	pageSecs int
-	gcSlack  int
-	reserve  int
 
 	// slotsBuf is forEachPage's reusable slot scratch. forEachPage never
 	// nests (Write/Read/Trim each run one traversal at a time and the
@@ -79,30 +72,23 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		man:      ftl.NewManager(dev),
 		ver:      ftl.NewVersions(cfg.LogicalSectors),
 		pageSecs: g.SubpagesPerPage,
-		gcSlack:  cfg.GC.BackgroundSlack,
-		reserve:  cfg.GCReserveBlocks,
 		slotsBuf: make([]int, g.SubpagesPerPage),
 	}
-	store, err := fullpage.New(dev, f.man, f.ver, &f.stats, ftl.RoleFull, cfg.LogicalSectors/ps, cfg.GCReserveBlocks, 0)
+	var err error
+	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
+		return nil, err
+	}
+	f.store, err = fullpage.New(dev, f.man, f.ver, &f.stats, fullpage.Config{
+		LogicalPages: cfg.LogicalSectors / ps,
+		Reserve:      cfg.GCReserveBlocks,
+		GC:           cfg.GC,
+		Predictor:    f.lt.Pred,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := store.SetGC(cfg.GC); err != nil {
-		return nil, err
-	}
-	f.store = store
 	floorExtra := 0
-	if cfg.ErasePolicy != nil {
-		f.man.SetEraseDepth(lifetime.DepthFn(dev, cfg.ErasePolicy))
-		f.policyName = cfg.ErasePolicy.Name()
-	}
 	if cfg.Lifetime {
-		pred, err := lifetime.NewPredictor(cfg.LogicalSectors/ps, lifetime.PredictorConfig{})
-		if err != nil {
-			return nil, err
-		}
-		f.pred = pred
-		f.store.SetColdClassifier(f.classifyCold)
 		floorExtra = 2 // the cold append stripe's open blocks
 	}
 	// Degrade to read-only once grown-bad blocks eat the spare capacity
@@ -111,22 +97,6 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	dataBlocks := int((cfg.LogicalSectors/ps + int64(g.PagesPerBlock) - 1) / int64(g.PagesPerBlock))
 	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + 2*g.Chips() + floorExtra)
 	return f, nil
-}
-
-// classifyCold is the store's longevity hook: it tallies the predictor's
-// verdict on every host page program and routes predicted-cold pages to
-// the segregated stripe.
-func (f *FTL) classifyCold(lpn int64) bool {
-	switch f.pred.Class(lpn) {
-	case lifetime.ClassCold:
-		f.stats.LifetimeColdWrites++
-		return true
-	case lifetime.ClassHot:
-		f.stats.LifetimeHotWrites++
-	default:
-		f.stats.LifetimeUnknownWrites++
-	}
-	return false
 }
 
 // Name implements ftl.FTL.
@@ -183,8 +153,8 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 		f.ver.Bump(lsn+int64(i), small)
 	}
 	if err := f.forEachPage(lsn, sectors, func(lpn int64, slots []int) error {
-		if f.pred != nil {
-			f.pred.Observe(lpn)
+		if f.lt.Pred != nil {
+			f.lt.Pred.Observe(lpn)
 		}
 		// Attribution: a small request is charged the full pages it
 		// forces flash to program (w(r) = S_full/s for a lone sector).
@@ -229,47 +199,13 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 // Flush implements ftl.FTL; cgmFTL is unbuffered.
 func (f *FTL) Flush() error { return nil }
 
-// Tick implements ftl.FTL: with background GC slack configured, run one
-// bounded collection step whenever the free pool is within the slack of
-// the out-of-space reserve (or a preempted victim is pending). Ticks
-// are background-class commands in the host scheduler, so these steps
-// yield to pending host reads via the BackgroundDeferLimit machinery.
-func (f *FTL) Tick() error {
-	if f.gcSlack <= 0 {
-		return nil
-	}
-	col := f.store.Collector()
-	if !col.Active() && f.man.FreeCount() > f.reserve+f.gcSlack {
-		return nil
-	}
-	if _, err := f.store.StepOnce(); err != nil {
-		// Nothing collectable yet (all blocks open or already clean) is
-		// not an error for opportunistic background work.
-		if errors.Is(err, gc.ErrNoVictim) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
+// Tick implements ftl.FTL: the log's background collection step.
+func (f *FTL) Tick() error { return f.store.Tick() }
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.stats
-	col := f.store.Collector()
-	s.GCSteps = col.Steps()
-	s.GCPagesCopied = col.PagesCopied()
-	s.GCPreemptions = col.Preemptions()
-	s.GCPolicy = col.PolicyName()
+	s := f.man.Snapshot(f.stats, &f.lt, f.store.Collector())
 	s.MappingBytes = f.store.MappingBytes()
-	s.SectorBytes = int64(f.dev.Geometry().SubpageBytes)
-	s.GrownBadBlocks = int64(f.man.BadCount())
-	s.ErasePolicy = f.policyName
-	if f.pred != nil {
-		s.LifetimeObserves = f.pred.Observes()
-	}
-	s.Wear = f.man.WearDist()
-	s.Device = f.dev.Counters()
 	return s
 }
 
@@ -294,10 +230,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	if err != nil {
 		return ftl.MountReport{}, err
 	}
-	if f.pred != nil {
-		// Prediction tables are RAM-only and restart cold.
-		f.pred.Reset()
-	}
+	f.lt.Reset()
 	return ftl.MountReport{
 		PagesScanned:  pages,
 		BlocksAdopted: sum.BlocksAdopted,

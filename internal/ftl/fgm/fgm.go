@@ -7,7 +7,6 @@
 package fgm
 
 import (
-	"errors"
 	"fmt"
 
 	"espftl/internal/buffer"
@@ -18,11 +17,6 @@ import (
 	"espftl/internal/nand"
 	"espftl/internal/workload"
 )
-
-// maxProgramReplays bounds how many fresh blocks a single write may burn
-// through on consecutive injected program failures before the error is
-// surfaced instead of retried.
-const maxProgramReplays = 8
 
 // Config parameterizes fgmFTL.
 type Config struct {
@@ -36,12 +30,10 @@ type Config struct {
 	// evaluates; the ablation benches quantify the difference.
 	OpportunisticFill bool
 	// GC selects the victim policy, step budget and background slack.
-	// The zero value (greedy, whole-block, no background) is the legacy
-	// behaviour.
+	// The zero value is greedy, whole-block, no background.
 	GC gc.Options
 	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil keeps the legacy
-	// full-depth erases, bit-identical to a build without the subsystem.
+	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-page
 	// update-interval predictor classifies each flush chunk by majority
@@ -61,48 +53,31 @@ type FTL struct {
 	buf   *buffer.Buffer
 
 	pageSecs int
-	reserve  int
 	oppFill  bool
 
-	// Append points striped across chips for channel/way parallelism,
-	// one stripe for host writes and one for GC relocations. With the
-	// lifetime subsystem on, a third stripe segregates predicted-cold
-	// flush chunks from hot host traffic.
-	host stripe
-	gc   stripe
-	cold stripe
+	// log is the page-append log: allocation, program-failure replay and
+	// collection. fgm keeps the sector mapping and packs the pages.
+	log *ftl.Log
+	// lt is the lifetime subsystem's wiring: its predictor votes on
+	// flush-chunk placement.
+	lt ftl.Lifetime
 
-	// pred and policyName are the lifetime subsystem's hooks: the
-	// longevity predictor voting on flush-chunk placement (nil when
-	// Config.Lifetime is off) and the erase-depth policy label for stats.
-	pred       *lifetime.Predictor
-	policyName string
-
-	// col drives victim selection and incremental draining. gcCursor is
-	// the scan-phase page cursor, gcStaged the live sectors awaiting
-	// repack (gcHead indexes the next entry so draining never re-slices
-	// the buffer off its backing array), gcChunk a reusable chunk buffer
-	// — together the per-victim checkpoint the collector resumes across
-	// steps.
-	col      *gc.Collector
-	gcSlack  int
+	// gcCursor is the scan-phase page cursor, gcStaged the live sectors
+	// awaiting repack (gcHead indexes the next entry so draining never
+	// re-slices the buffer off its backing array), gcChunk a reusable chunk
+	// buffer — together the per-victim checkpoint the collector resumes
+	// across steps.
 	gcCursor int
 	gcStaged []gcStage
 	gcHead   int
 	gcChunk  []int64
-	// gcView caches the manager view handed to the collector; rebuilding
-	// it per step would put an allocation in every Tick.
-	gcView gc.View
 
 	// Reusable steady-state scratch. lsnsBuf expands host requests into
 	// sector lists (Write and Trim never nest, so they share it; the
 	// buffer copies what it stages). liveBuf is the GC scan phase's
-	// per-page live-slot list. stampsFree recycles programPacked's stamp
-	// scratch — a freelist because a host program can trigger GC whose
-	// repack programs pages while the outer call's stamps are live.
-	lsnsBuf    []int64
-	liveBuf    []int
-	stampsFree [][]nand.Stamp
+	// per-page live-slot list.
+	lsnsBuf []int64
+	liveBuf []int
 }
 
 // sectorRun expands [lsn, lsn+sectors) into the reusable scratch list.
@@ -117,64 +92,11 @@ func (f *FTL) sectorRun(lsn int64, sectors int) []int64 {
 	return lsns
 }
 
-func (f *FTL) getStamps() []nand.Stamp {
-	if n := len(f.stampsFree); n > 0 {
-		buf := f.stampsFree[n-1]
-		f.stampsFree = f.stampsFree[:n-1]
-		return buf
-	}
-	return make([]nand.Stamp, f.pageSecs)
-}
-
-func (f *FTL) putStamps(buf []nand.Stamp) {
-	f.stampsFree = append(f.stampsFree, buf)
-}
-
 // gcStage records one live sector found during the GC scan phase: the
 // logical sector and the physical subpage it was staged from, so the
 // repack phase can drop entries whose mapping moved between steps.
 type gcStage struct {
 	lsn, spn int64
-}
-
-// appendPoint is one open block being filled sequentially, pinned to a
-// preferred chip so the stripe covers the device's parallelism.
-type appendPoint struct {
-	block  nand.BlockID
-	cursor int
-	set    bool
-	chip   int
-}
-
-// stripe is a rotating set of append points.
-type stripe struct {
-	points []appendPoint
-	next   int
-}
-
-func newStripe(width, chips int) stripe {
-	if width < 1 {
-		width = 1
-	}
-	s := stripe{points: make([]appendPoint, width)}
-	for i := range s.points {
-		s.points[i].chip = i * chips / width
-	}
-	return s
-}
-
-// borrow returns a set append point with page capacity left, if any. When
-// the free pool is at its margin, a GC destination refill reuses another
-// point's open block instead of allocating: chip parallelism degrades but
-// one fresh destination block always covers a whole drain (a victim has at
-// most PagesPerBlock live pages), so collection never exhausts the pool.
-func (s *stripe) borrow(pagesPerBlock int) *appendPoint {
-	for i := range s.points {
-		if s.points[i].set && s.points[i].cursor < pagesPerBlock {
-			return &s.points[i]
-		}
-	}
-	return nil
 }
 
 var _ ftl.FTL = (*FTL)(nil)
@@ -196,39 +118,32 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		rmap:     make([]int64, g.TotalSubpages()),
 		buf:      buffer.New(g.SubpagesPerPage),
 		pageSecs: g.SubpagesPerPage,
-		reserve:  cfg.GCReserveBlocks,
 		oppFill:  cfg.OpportunisticFill,
-		host:     newStripe(g.Chips(), g.Chips()),
-		gc:       newStripe(min(g.Chips(), max(1, cfg.GCReserveBlocks-4)), g.Chips()),
-		gcSlack:  cfg.GC.BackgroundSlack,
 	}
-	pol, err := gc.NewPolicy(cfg.GC)
-	if err != nil {
-		return nil, err
-	}
-	f.col = gc.NewCollector(pol, cfg.GC.StepPages)
 	for i := range f.rmap {
 		f.rmap[i] = mapping.None
 	}
-	if cfg.ErasePolicy != nil {
-		f.man.SetEraseDepth(lifetime.DepthFn(dev, cfg.ErasePolicy))
-		f.policyName = cfg.ErasePolicy.Name()
+	var err error
+	f.log, err = ftl.NewLog(dev, f.man, &f.stats, ftl.LogConfig{
+		Reserve:       cfg.GCReserveBlocks,
+		GC:            cfg.GC,
+		UnitsPerBlock: g.SubpagesPerBlock(),
+		Tag:           ftl.TagFine,
+		Cold:          cfg.Lifetime,
+	}, (*fgmOwner)(f))
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Lifetime {
-		ps := int64(g.SubpagesPerPage)
-		pred, err := lifetime.NewPredictor((cfg.LogicalSectors+ps-1)/ps, lifetime.PredictorConfig{})
-		if err != nil {
-			return nil, err
-		}
-		f.pred = pred
-		f.cold = newStripe(min(2, g.Chips()), g.Chips())
+	ps := int64(g.SubpagesPerPage)
+	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, (cfg.LogicalSectors+ps-1)/ps); err != nil {
+		return nil, err
 	}
 	// Degrade to read-only once grown-bad blocks eat the spare capacity
 	// down to the minimum the FTL needs to keep writing: enough blocks for
 	// the logical space, the GC reserve, and the open append points.
 	secPerBlock := int64(g.SubpagesPerPage * g.PagesPerBlock)
 	dataBlocks := int((cfg.LogicalSectors + secPerBlock - 1) / secPerBlock)
-	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + len(f.host.points) + len(f.gc.points) + len(f.cold.points))
+	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + f.log.OpenBlocks())
 	return f, nil
 }
 
@@ -239,132 +154,49 @@ func (f *FTL) Name() string { return "fgmFTL" }
 // spare capacity down to the floor.
 func (f *FTL) ReadOnly() bool { return f.man.ReadOnly() }
 
-func (f *FTL) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
-	g := f.dev.Geometry()
-	ap := &st.points[st.next]
-	st.next = (st.next + 1) % len(st.points)
-	if ap.set && ap.cursor >= g.PagesPerBlock {
-		f.man.MarkFull(ap.block)
-		ap.set = false
-	}
-	if !ap.set {
-		if !forGC {
-			// With a budgeted collector the reserve becomes a cushion:
-			// allocate through it while the write tax repays the debt in
-			// bounded steps, holding back only a hard floor — a failure
-			// recovery margin plus the one destination refill a drain may
-			// need (past the margin, refills borrow open destination
-			// blocks; see stripe.borrow).
-			floor := f.reserve
-			if f.col.Budgeted() {
-				if floor = 8; floor > f.reserve {
-					floor = f.reserve
-				}
-			}
-			for f.man.FreeCount() <= floor {
-				if err := f.collectOnce(); err != nil {
-					return 0, err
-				}
-			}
-		} else if f.col.Budgeted() && f.man.FreeCount() <= 4 {
-			// The pool is at its recovery margin: reuse an open destination
-			// block rather than allocate. Legacy mode never gets here — its
-			// reserve covers a full-stripe rollover.
-			if bp := st.borrow(g.PagesPerBlock); bp != nil {
-				ap = bp
-			}
-		}
-	}
-	if !ap.set {
-		b, ok := f.man.AllocOnChip(ftl.RoleFull, ap.chip)
-		if !ok {
-			return 0, fmt.Errorf("fgm: free pool exhausted")
-		}
-		ap.block, ap.set, ap.cursor = b, true, 0
-	}
-	p := g.PageOf(ap.block, ap.cursor)
-	ap.cursor++
-	return p, nil
-}
-
 // programPacked writes the given sectors into one physical page (padding
 // unfilled slots) and remaps them. Packing arbitrary sectors into one
 // page is what fine-grained mapping buys.
-func (f *FTL) programPacked(lsns []int64, forGC bool) error {
+func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 	if len(lsns) == 0 || len(lsns) > f.pageSecs {
 		return fmt.Errorf("fgm: packing %d sectors into a %d-sector page", len(lsns), f.pageSecs)
 	}
 	g := f.dev.Geometry()
-	stamps := f.getStamps()
-	defer f.putStamps(stamps)
+	stamps := f.log.Stamps()
 	for slot := range stamps {
 		stamps[slot] = nand.Padding
 	}
 	for slot, lsn := range lsns {
 		stamps[slot] = nand.Stamp{LSN: lsn, Version: f.ver.Current(lsn)}
 	}
-	st := &f.host
-	if forGC {
-		st = &f.gc
-	} else if f.classifyCold(lsns) {
-		st = &f.cold
-		f.stats.LifetimeSegregated++
+	if stream == ftl.StreamHost && f.lt.Pred != nil && f.stats.TallyClass(f.vote(lsns)) {
+		stream = ftl.StreamCold
 	}
-	for attempt := 0; ; attempt++ {
-		p, err := f.allocPage(st, forGC)
-		if err != nil {
-			return err
-		}
-		if _, err := f.dev.ProgramPageTag(p, stamps, ftl.TagFine); err != nil {
-			// A program failure destroys only the fresh copy; the mapping
-			// still points at the old one, so replay on a new block and
-			// retire the failed one (grown bad).
-			if errors.Is(err, nand.ErrProgramFail) && attempt < maxProgramReplays {
-				f.retireFailed(g.BlockOfPage(p), st)
-				f.stats.ProgramFailMoves++
-				continue
-			}
-			return err
-		}
-		blk := g.BlockOfPage(p)
-		for slot, lsn := range lsns {
-			spn := int64(g.SubpageOf(p, slot))
-			old := f.table.Update(lsn, spn)
-			f.rmap[spn] = lsn
-			f.man.AddValid(blk, 1)
-			if old != mapping.None {
-				f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
-			}
-		}
-		return nil
+	p, err := f.log.Append(stream, stamps)
+	if err != nil {
+		return err
 	}
+	blk := g.BlockOfPage(p)
+	for slot, lsn := range lsns {
+		spn := int64(g.SubpageOf(p, slot))
+		old := f.table.Update(lsn, spn)
+		f.rmap[spn] = lsn
+		f.man.AddValid(blk, 1)
+		if old != mapping.None {
+			f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+		}
+	}
+	return nil
 }
 
-// retireFailed retires the append block a program failure hit and drops it
-// from its stripe so the replay allocates a fresh block. The block's state
-// moves to full; GC later drains whatever live sectors it already held and
-// parks it in StateBad.
-func (f *FTL) retireFailed(b nand.BlockID, st *stripe) {
-	f.man.Retire(b)
-	for i := range st.points {
-		if st.points[i].set && st.points[i].block == b {
-			st.points[i].set = false
-		}
-	}
-}
-
-// classifyCold is the longevity vote on one host flush chunk: each sector's
-// logical page gets the predictor's verdict, and the chunk routes to the
-// cold stripe when cold votes hold a strict majority. One verdict per chunk
-// feeds the hot/cold/unknown tallies (fgm places chunks, not pages).
-func (f *FTL) classifyCold(lsns []int64) bool {
-	if f.pred == nil {
-		return false
-	}
+// vote is the longevity verdict on one host flush chunk: each sector's
+// logical page gets the predictor's class, and the chunk takes whichever of
+// cold and hot holds a strict majority (fgm places chunks, not pages).
+func (f *FTL) vote(lsns []int64) lifetime.Class {
 	ps := int64(f.pageSecs)
 	coldVotes, hotVotes := 0, 0
 	for _, lsn := range lsns {
-		switch f.pred.Class(lsn / ps) {
+		switch f.lt.Pred.Class(lsn / ps) {
 		case lifetime.ClassCold:
 			coldVotes++
 		case lifetime.ClassHot:
@@ -373,14 +205,11 @@ func (f *FTL) classifyCold(lsns []int64) bool {
 	}
 	switch {
 	case coldVotes > len(lsns)/2:
-		f.stats.LifetimeColdWrites++
-		return true
+		return lifetime.ClassCold
 	case hotVotes > len(lsns)/2:
-		f.stats.LifetimeHotWrites++
-	default:
-		f.stats.LifetimeUnknownWrites++
+		return lifetime.ClassHot
 	}
-	return false
+	return lifetime.ClassUnknown
 }
 
 // flushGroup writes one buffer flush group to flash, splitting it into
@@ -399,7 +228,7 @@ func (f *FTL) flushGroup(lsns []int64) error {
 			chunk = append(append([]int64{}, chunk...), fill...)
 			n = len(chunk)
 		}
-		if err := f.programPacked(chunk, false); err != nil {
+		if err := f.programPacked(chunk, ftl.StreamHost); err != nil {
 			return err
 		}
 		// Each sector's share of the program is PageBytes/len(chunk);
@@ -433,15 +262,7 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 	for i := range lsns {
 		f.ver.Bump(lsns[i], small)
 	}
-	if f.pred != nil {
-		// One observation per logical page the request touches, at write
-		// time (not flush time): the predictor models host update
-		// intervals, and buffering must not distort them.
-		ps := int64(f.pageSecs)
-		for lpn, last := lsn/ps, (lsn+int64(sectors)-1)/ps; lpn <= last; lpn++ {
-			f.pred.Observe(lpn)
-		}
-	}
+	f.lt.Observe(lsn, sectors, f.pageSecs)
 	before := f.buf.Absorbed()
 	groups := f.buf.Write(lsns, sync)
 	f.stats.BufferAbsorbed += f.buf.Absorbed() - before
@@ -450,19 +271,9 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 			return err
 		}
 	}
-	return f.pay()
-}
-
-// pay is the incremental write tax: one bounded collection step while
-// the free pool is at or below the reserve (no-op when unbudgeted).
-func (f *FTL) pay() error {
-	if !f.col.Budgeted() || f.man.FreeCount() > f.reserve {
-		return nil
-	}
-	if _, err := f.col.Step((*fgmTarget)(f)); err != nil && !errors.Is(err, gc.ErrNoVictim) {
-		return err
-	}
-	return nil
+	// Incremental write tax: one bounded collection step while the pool
+	// is in debt (no-op for an unbudgeted collector).
+	return f.log.Pay()
 }
 
 // Read implements ftl.FTL. Sectors resident in the write buffer are
@@ -524,80 +335,32 @@ func (f *FTL) Flush() error {
 	return nil
 }
 
-// Tick implements ftl.FTL: with background GC slack configured, run one
-// bounded collection step whenever the free pool is within the slack of
-// the out-of-space reserve (or a preempted victim is pending). Ticks
-// are background-class commands in the host scheduler, so these steps
-// yield to pending host reads via the BackgroundDeferLimit machinery.
-func (f *FTL) Tick() error {
-	if f.gcSlack <= 0 {
-		return nil
-	}
-	if !f.col.Active() && f.man.FreeCount() > f.reserve+f.gcSlack {
-		return nil
-	}
-	if _, err := f.col.Step((*fgmTarget)(f)); err != nil {
-		// Nothing collectable yet is not an error for opportunistic
-		// background work.
-		if errors.Is(err, gc.ErrNoVictim) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
+// Tick implements ftl.FTL: the log's background collection step.
+func (f *FTL) Tick() error { return f.log.Tick() }
 
-// collectOnce drains one whole victim through the collector: the legacy
-// foreground (out-of-space) contract of freeing exactly one block per
-// call. A victim a background step left checkpointed mid-drain is
-// finished first.
-func (f *FTL) collectOnce() error {
-	if err := f.col.Collect((*fgmTarget)(f)); err != nil {
-		if errors.Is(err, gc.ErrNoVictim) {
-			return fmt.Errorf("fgm: GC has no victim (%d free)", f.man.FreeCount())
-		}
-		return err
-	}
-	return nil
-}
-
-// fgmTarget is fgmFTL's gc.Target face. Collection runs in two phases
+// fgmOwner is fgmFTL's ftl.LogOwner face. Collection runs in two phases
 // riding one checkpoint: first the victim is scanned page by page
 // (live sectors staged, dead pages skipped free of budget), then the
 // staged sectors are repacked one physical page per Work call. The
 // repack drops entries whose mapping moved between steps — an
 // overwrite made the staged copy stale, or a trim cleared it, and
 // reprogramming a trimmed sector would resurrect it.
-type fgmTarget FTL
+type fgmOwner FTL
 
-func (t *fgmTarget) ftl() *FTL { return (*FTL)(t) }
+// Refill implements ftl.LogOwner: fgm pays its write tax once per host
+// request (end of Write), never mid-allocation.
+func (o *fgmOwner) Refill() error { return nil }
 
-// View implements gc.Target: full-role blocks, valid counted in
-// subpage sectors, the in-flight victim excluded.
-func (t *fgmTarget) View() gc.View {
-	f := t.ftl()
-	if f.gcView == nil {
-		g := f.dev.Geometry()
-		f.gcView = f.man.GCView(ftl.RoleFull, g.SubpagesPerBlock(), f.col.InFlight)
-	}
-	return f.gcView
+// Begin implements ftl.LogOwner: reset the two-phase checkpoint.
+func (o *fgmOwner) Begin(nand.BlockID) {
+	o.gcCursor = 0
+	o.gcStaged = o.gcStaged[:0]
+	o.gcHead = 0
 }
 
-// Fallback implements gc.Target; fgm has no secondary victim source.
-func (t *fgmTarget) Fallback() (nand.BlockID, bool) { return 0, false }
-
-// Begin implements gc.Target: reset the two-phase checkpoint.
-func (t *fgmTarget) Begin(b nand.BlockID) {
-	f := t.ftl()
-	f.stats.GCInvocations++
-	f.gcCursor = 0
-	f.gcStaged = f.gcStaged[:0]
-	f.gcHead = 0
-}
-
-// Work implements gc.Target.
-func (t *fgmTarget) Work(victim nand.BlockID) (int, bool, error) {
-	f := t.ftl()
+// Work implements ftl.LogOwner.
+func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
+	f := (*FTL)(o)
 	g := f.dev.Geometry()
 	// Phase 1: scan the victim, staging live sectors. One page read per
 	// Work call; pages with nothing live cost no device work and are
@@ -645,7 +408,7 @@ func (t *fgmTarget) Work(victim nand.BlockID) (int, bool, error) {
 	if len(chunk) == 0 {
 		return 0, true, nil
 	}
-	if err := f.programPacked(chunk, true); err != nil {
+	if err := f.programPacked(chunk, ftl.StreamGC); err != nil {
 		return 0, false, err
 	}
 	for _, lsn := range chunk {
@@ -657,27 +420,10 @@ func (t *fgmTarget) Work(victim nand.BlockID) (int, bool, error) {
 	return 1, f.gcHead == len(f.gcStaged), nil
 }
 
-// Release implements gc.Target: recycle the drained victim.
-func (t *fgmTarget) Release(victim nand.BlockID) error {
-	return t.ftl().man.Recycle(victim)
-}
-
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.stats
-	s.GCSteps = f.col.Steps()
-	s.GCPagesCopied = f.col.PagesCopied()
-	s.GCPreemptions = f.col.Preemptions()
-	s.GCPolicy = f.col.PolicyName()
+	s := f.man.Snapshot(f.stats, &f.lt, f.log.Collector())
 	s.MappingBytes = f.table.MemoryBytes()
-	s.SectorBytes = int64(f.dev.Geometry().SubpageBytes)
-	s.GrownBadBlocks = int64(f.man.BadCount())
-	s.ErasePolicy = f.policyName
-	if f.pred != nil {
-		s.LifetimeObserves = f.pred.Observes()
-	}
-	s.Wear = f.man.WearDist()
-	s.Device = f.dev.Counters()
 	return s
 }
 
@@ -777,10 +523,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 		}
 		rep.BlocksAdopted++
 	}
-	if f.pred != nil {
-		// Prediction tables are RAM-only and restart cold.
-		f.pred.Reset()
-	}
+	f.lt.Reset()
 	rep.Duration = f.dev.DrainTime().Sub(d0)
 	return rep, nil
 }

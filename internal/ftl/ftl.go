@@ -1,9 +1,9 @@
 // Package ftl defines the flash translation layer interface shared by the
 // three FTLs the paper compares (cgmFTL, fgmFTL, subFTL), plus the
 // building blocks they share: block lifecycle management with wear-aware
-// allocation, greedy victim selection, and the per-sector version/origin
-// tracker that powers both data-integrity checking and the paper's
-// request-WAF metric.
+// allocation, the page-append log under the page-programming FTLs, and the
+// per-sector version/origin tracker that powers both data-integrity
+// checking and the paper's request-WAF metric.
 package ftl
 
 import (
@@ -102,7 +102,7 @@ type VersionProber interface {
 // dispatch a block to the mapping table that owns it. A round-0 subpage
 // pass is otherwise indistinguishable from a full-page program.
 const (
-	// TagNone marks legacy/untagged programs (direct device-level tests).
+	// TagNone marks untagged programs (direct device-level tests).
 	TagNone uint8 = 0
 	// TagFull marks the page-mapped full-page region (cgmFTL's whole
 	// space; subFTL's full-page region).
@@ -203,7 +203,7 @@ type Stats struct {
 
 	// Lifetime subsystem (all zero unless internal/lifetime is wired in).
 	// ErasePolicy labels the erase-depth policy ("fixed-deep", "aero");
-	// empty means no policy installed (legacy full-depth erases).
+	// empty means no policy installed (full-depth erases).
 	ErasePolicy string
 	// LifetimeObserves counts predictor updates (one per observed page
 	// write); the Hot/Cold/Unknown counters tally the classification of

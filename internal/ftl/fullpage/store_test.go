@@ -26,7 +26,7 @@ func testStore(t *testing.T) (*Store, *nand.Device, *ftl.Stats) {
 	}
 	stats := &ftl.Stats{}
 	ver := ftl.NewVersions(256)
-	s, err := New(dev, ftl.NewManager(dev), ver, stats, ftl.RoleFull, 64, 2, 0)
+	s, err := New(dev, ftl.NewManager(dev), ver, stats, Config{LogicalPages: 64, Reserve: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func bump(s *Store, lpn int64, slots []int) {
 func TestNewValidation(t *testing.T) {
 	_, dev, _ := func() (*Store, *nand.Device, *ftl.Stats) { s, d, st := testStore(t); return s, d, st }()
 	stats := &ftl.Stats{}
-	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(4), stats, ftl.RoleFull, 64, 2, 0); err == nil {
+	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(4), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("undersized version tracker accepted")
 	}
-	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(256), stats, ftl.RoleFull, 0, 2, 0); err == nil {
+	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(256), stats, Config{Reserve: 2}); err == nil {
 		t.Error("zero logical pages accepted")
 	}
 	big := nand.DefaultConfig()
@@ -56,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(bigDev, ftl.NewManager(bigDev), ftl.NewVersions(1<<20), stats, ftl.RoleFull, 64, 2, 0); err == nil {
+	if _, err := New(bigDev, ftl.NewManager(bigDev), ftl.NewVersions(1<<20), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("128-subpage geometry accepted despite 64-bit mask")
 	}
 }
@@ -205,36 +205,6 @@ func TestGCPreservesColdPagesAndAttributes(t *testing.T) {
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuotaEnforced(t *testing.T) {
-	cfg := nand.DefaultConfig()
-	cfg.Geometry = nand.Geometry{
-		Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 4,
-		PagesPerBlock: 8, SubpagesPerPage: 4, SubpageBytes: 4096,
-	}
-	dev, err := nand.NewDevice(cfg, sim.NewClock(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := &ftl.Stats{}
-	ver := ftl.NewVersions(256)
-	s, err := New(dev, ftl.NewManager(dev), ver, stats, ftl.RoleFull, 64, 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		lpn := int64(i % 16)
-		for _, slot := range []int{0, 1, 2, 3} {
-			ver.Bump(lpn*4+int64(slot), false)
-		}
-		if err := s.WriteSectors(lpn, []int{0, 1, 2, 3}, 0); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		if s.Blocks() > 6+1 {
-			t.Fatalf("store holds %d blocks, quota 6", s.Blocks())
-		}
 	}
 }
 

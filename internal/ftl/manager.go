@@ -70,7 +70,8 @@ type blockMeta struct {
 // one min-heap per chip (least worn block allocated first — dynamic wear
 // leveling — while allocation can target a chip, which is how the FTLs'
 // append stripes spread load over every channel and way), per-block
-// validity accounting, and greedy victim selection.
+// validity accounting, and the read-only view GC policies select victims
+// from.
 type Manager struct {
 	dev  *nand.Device
 	meta []blockMeta
@@ -87,8 +88,7 @@ type Manager struct {
 	bad   int
 	floor int
 	// depthFn, when set, chooses the erase depth of every Recycle
-	// (adaptive erase; see internal/lifetime). Nil keeps the legacy
-	// full-depth erase path, bit-identical to a manager without the hook.
+	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
 	depthFn func(nand.BlockID) nand.EraseDepth
 }
 
@@ -279,8 +279,8 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 // SetEraseDepth installs the erase-depth hook consulted on every Recycle:
 // given the block about to be erased, it returns the depth to erase at.
 // The hook is how an adaptive erase policy (internal/lifetime) plugs into
-// the block lifecycle without the manager knowing the policy; nil restores
-// the legacy full-depth behaviour.
+// the block lifecycle without the manager knowing the policy; nil erases
+// at full depth.
 func (m *Manager) SetEraseDepth(fn func(nand.BlockID) nand.EraseDepth) { m.depthFn = fn }
 
 // Retire marks b grown-bad: it leaves the free pool permanently and is
@@ -363,28 +363,6 @@ func (m *Manager) AddValid(b nand.BlockID, delta int) {
 // LastInvalidate returns the virtual time b last lost a valid unit (or
 // was sealed, for blocks untouched since MarkFull/Adopt).
 func (m *Manager) LastInvalidate(b nand.BlockID) sim.Time { return m.meta[b].lastInval }
-
-// Victim returns the full block of the given role with the fewest valid
-// units (greedy GC policy; subFTL's §4.2 policy is the same selection).
-// Blocks in exclude are skipped. The second result is false when no full
-// block of that role exists.
-func (m *Manager) Victim(role Role, exclude map[nand.BlockID]bool) (nand.BlockID, bool) {
-	best := nand.BlockID(-1)
-	bestValid := int(^uint(0) >> 1)
-	for b := range m.meta {
-		id := nand.BlockID(b)
-		if m.meta[b].state != StateFull || m.meta[b].role != role || exclude[id] {
-			continue
-		}
-		if m.meta[b].valid < bestValid {
-			best, bestValid = id, m.meta[b].valid
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
 
 // CountByRole returns how many non-free blocks currently carry each role,
 // for region-occupancy accounting.
@@ -485,8 +463,7 @@ type gcView struct {
 // unitsPerBlock is the valid-count denominator in the owning FTL's
 // units; exclude (optional) vetoes individual candidates — every FTL
 // passes its collector's InFlight so the block being drained can never
-// be selected again, the unified replacement for the ad-hoc nil/guard
-// exclude arguments the FTLs used to thread into Victim.
+// be selected again.
 func (m *Manager) GCView(role Role, unitsPerBlock int, exclude func(nand.BlockID) bool) gc.View {
 	return &gcView{m: m, role: role, units: unitsPerBlock, exclude: exclude}
 }

@@ -102,42 +102,6 @@ func TestManagerWearAwareAlloc(t *testing.T) {
 	}
 }
 
-func TestManagerVictimSelection(t *testing.T) {
-	dev := testDevice(t)
-	m := NewManager(dev)
-	b1, _ := m.Alloc(RoleFull)
-	b2, _ := m.Alloc(RoleFull)
-	b3, _ := m.Alloc(RoleSub)
-	m.AddValid(b1, 5)
-	m.AddValid(b2, 2)
-	m.AddValid(b3, 1)
-	m.MarkFull(b1)
-	m.MarkFull(b2)
-	m.MarkFull(b3)
-
-	v, ok := m.Victim(RoleFull, nil)
-	if !ok || v != b2 {
-		t.Fatalf("Victim(full) = %d,%v, want %d", v, ok, b2)
-	}
-	v, ok = m.Victim(RoleFull, map[nand.BlockID]bool{b2: true})
-	if !ok || v != b1 {
-		t.Fatalf("Victim(full, excl b2) = %d,%v, want %d", v, ok, b1)
-	}
-	v, ok = m.Victim(RoleSub, nil)
-	if !ok || v != b3 {
-		t.Fatalf("Victim(sub) = %d,%v, want %d", v, ok, b3)
-	}
-	if _, ok := m.Victim(RoleSub, map[nand.BlockID]bool{b3: true}); ok {
-		t.Fatal("Victim found a block despite exclusion")
-	}
-	// Open blocks are never victims.
-	b4, _ := m.Alloc(RoleSub)
-	m.AddValid(b4, 0)
-	if v, ok := m.Victim(RoleSub, map[nand.BlockID]bool{b3: true}); ok {
-		t.Fatalf("open block %d selected as victim", v)
-	}
-}
-
 func TestManagerCountByRoleAndTotalValid(t *testing.T) {
 	dev := testDevice(t)
 	m := NewManager(dev)

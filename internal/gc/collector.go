@@ -69,7 +69,7 @@ func NewCollector(p Policy, stepPages int) *Collector {
 
 // Budgeted reports whether steps run with a bounded page budget — the
 // switch FTL write paths use to choose incremental (pay-as-you-go) over
-// legacy whole-block foreground collection.
+// whole-block foreground collection.
 func (c *Collector) Budgeted() bool { return c.budget > 0 }
 
 // PolicyName names the configured policy.
@@ -97,8 +97,8 @@ func (c *Collector) Preemptions() int64 { return c.preempts }
 // Collect drains one whole victim: it resumes the checkpointed victim
 // if one is active (finishing a preempted background collection before
 // starting another block), otherwise selects a fresh one, and works it
-// to completion. This is the foreground out-of-space path — the legacy
-// collectOnce contract of freeing exactly one block per call.
+// to completion. This is the foreground out-of-space path: exactly one
+// block freed per call.
 func (c *Collector) Collect(t Target) error {
 	for {
 		freed, err := c.step(t, 0)

@@ -61,9 +61,7 @@ type Policy interface {
 }
 
 // Greedy is classic min-valid selection: the candidate with the fewest
-// live units wins, lowest block ID on ties. This replicates the
-// hardcoded selection the FTLs shipped with (ftl.Manager.Victim), so a
-// greedy-configured collector is bit-identical to the legacy path.
+// live units wins, lowest block ID on ties.
 type Greedy struct{}
 
 // Name implements Policy.
@@ -243,8 +241,7 @@ type Options struct {
 	Window int
 }
 
-// NewPolicy resolves a policy name. The empty string is greedy — the
-// legacy behaviour — so zero-valued Options change nothing.
+// NewPolicy resolves a policy name. The empty string is greedy.
 func NewPolicy(opts Options) (Policy, error) {
 	switch opts.Policy {
 	case "", "greedy":

@@ -53,6 +53,18 @@ type ExtSubmission struct {
 // device latencies shape the latencies external clients observe. A nil
 // or non-pacing gate runs as fast as possible (tests, batch replays).
 //
+// Determinism: the loop polls sub without blocking whenever it has events
+// of its own, so what a run does is a function of what each poll finds.
+// That is fixed — and with a non-pacing gate the whole run, Report
+// included, repeats bit for bit — when every submission is already in the
+// (buffered) channel at the poll that admits it: sent before RunExternal
+// starts, or from a Done/Complete callback, which runs on this goroutine.
+// With concurrent producers, whether a send lands before a poll is
+// goroutine timing: each producer's submissions are still admitted in its
+// send order and every accepted command completes exactly once, but which
+// commands the scheduler sees queued together, and so dispatch order,
+// Report.OutOfOrder and latencies, may differ between runs.
+//
 // Unlike the loop drivers, a command's FTL error does not abort the run:
 // the command completes carrying the error (Command.Err), because one
 // tenant's failure — or even a dead device, which fails every

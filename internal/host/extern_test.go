@@ -12,27 +12,36 @@ import (
 	"espftl/internal/workload"
 )
 
-// pump feeds n generated requests through an external scheduler run,
-// keeping up to window submissions outstanding, and returns every
-// completed command in completion order.
+// pump feeds n generated requests through an external scheduler run as a
+// closed loop of the given window and returns every completed command in
+// completion order. The loop runs on the scheduler goroutine alone: the
+// first window submissions are queued before the run starts and each
+// completion callback queues the next, so what the scheduler finds in the
+// channel at every poll is fixed by the run itself (RunExternal's
+// determinism contract). The buffer is the window: a completing command
+// has left the channel, so the callback's send never blocks.
 func pump(t *testing.T, s *host.Scheduler, gen workload.Generator, n, window int, gate *sim.Gate) ([]*host.Command, *host.Report) {
 	t.Helper()
-	sub := make(chan host.ExtSubmission)
-	var mu sync.Mutex
+	sub := make(chan host.ExtSubmission, window)
 	var done []*host.Command
-	slots := make(chan struct{}, window)
-	go func() {
-		for i := 0; i < n; i++ {
-			slots <- struct{}{}
-			sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
-				mu.Lock()
-				done = append(done, c)
-				mu.Unlock()
-				<-slots
-			}}
+	sent := 0
+	var submit func()
+	submit = func() {
+		if sent == n {
+			return
 		}
-		close(sub)
-	}()
+		sent++
+		sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
+			done = append(done, c)
+			submit()
+		}}
+		if sent == n {
+			close(sub)
+		}
+	}
+	for i := 0; i < window; i++ {
+		submit()
+	}
 	rep, err := s.RunExternal(sub, gate)
 	if err != nil {
 		t.Fatalf("RunExternal: %v", err)
@@ -76,8 +85,10 @@ func TestRunExternalCompletesAll(t *testing.T) {
 	}
 }
 
-// TestRunExternalDeterministic: the channel path stays deterministic
-// when arrival order is fixed — two identical runs agree bit-for-bit.
+// TestRunExternalDeterministic: with every submission entering from the
+// scheduler goroutine (see pump), two identical runs agree bit-for-bit —
+// FTL counters, drain time and the out-of-order completion count, which is
+// the first thing goroutine timing would move.
 func TestRunExternalDeterministic(t *testing.T) {
 	run := func() (ftl.Stats, sim.Time, int64) {
 		dev, f, fill := newRig(t, "subFTL")

@@ -29,10 +29,10 @@ type Config struct {
 	// submission receive, RunExternal greedily drains up to ExtBatch-1
 	// further queued submissions before the next dispatch round, so a
 	// burst is arbitrated as one batch. The default (1) admits one
-	// submission per wake — the legacy behaviour, and the only
-	// deterministic one when producers race the event loop, so batching
-	// is strictly opt-in (the network service opts in; single-threaded
-	// replay tests must not).
+	// submission per wake. Batching makes what a dispatch round arbitrates
+	// depend on how many racing sends have landed, so it is strictly
+	// opt-in (the network service opts in; single-threaded replay tests
+	// must not).
 	ExtBatch int
 }
 
@@ -229,8 +229,8 @@ func (s *Scheduler) newCmd() *Command {
 // opt-in: only commands whose submitter used the Completion interface
 // (which promises not to retain the pointer) and internally generated
 // background ticks come back here — commands delivered through the
-// legacy ExtSubmission.Done func, or run by the closed/open-loop
-// drivers, stay live because callers historically retain them. The
+// ExtSubmission.Done func, or run by the closed/open-loop drivers, stay
+// live because those callers may retain them. The
 // record is cleared here, not on reuse, so a parked record keeps nothing
 // alive (the submitter's completion closure, the request's error).
 func (s *Scheduler) freeCmd(c *Command) {

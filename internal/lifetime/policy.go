@@ -138,7 +138,7 @@ func NewErasePolicy(name string, model nand.RetentionModel) (ErasePolicy, error)
 }
 
 // DepthFn adapts an erase policy to the block manager's erase-depth hook
-// for the given device. A nil policy yields a nil hook (legacy full-depth
+// for the given device. A nil policy yields a nil hook (full-depth
 // erases).
 func DepthFn(dev *nand.Device, p ErasePolicy) func(nand.BlockID) nand.EraseDepth {
 	if p == nil {

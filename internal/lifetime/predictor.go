@@ -7,8 +7,8 @@ type Class uint8
 
 const (
 	// ClassUnknown: not enough history to predict (cold-start, or a page
-	// between the hot and cold thresholds). Callers fall back to their
-	// legacy size-based routing.
+	// between the hot and cold thresholds). Callers fall back to
+	// size-based routing.
 	ClassUnknown Class = iota
 	// ClassHot: the page is predicted to be rewritten soon; its data is
 	// short-lived.

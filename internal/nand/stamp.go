@@ -60,7 +60,7 @@ type OOB struct {
 	// ProgrammedAt is the virtual time of the program operation.
 	ProgrammedAt sim.Time
 	// Tag identifies the FTL region that owns the block (ftl.TagFull,
-	// ftl.TagFine, ftl.TagSub); 0 for legacy/untagged programs.
+	// ftl.TagFine, ftl.TagSub); 0 for untagged programs.
 	Tag uint8
 }
 

@@ -30,21 +30,16 @@ func (s *Server) handle(c net.Conn) {
 	if err != nil {
 		return
 	}
-	// ReadHello already rejected versions above ours, so the client's
-	// version is the negotiated one; replies are downgraded to its
-	// status vocabulary at the writer.
-	version := hello.Version
 	ns := s.lookup(hello.NS)
 	if ns == nil {
-		wire.WriteWelcome(c, wire.Welcome{Version: version, Status: wire.StatusErr, Err: "unknown namespace " + hello.NS})
+		wire.WriteWelcome(c, wire.Welcome{Status: wire.StatusErr, Err: "unknown namespace " + hello.NS})
 		return
 	}
 	if s.draining.Load() {
-		wire.WriteWelcome(c, wire.Welcome{Version: version, Status: wire.StatusShutdown, Err: "server draining"})
+		wire.WriteWelcome(c, wire.Welcome{Status: wire.StatusShutdown, Err: "server draining"})
 		return
 	}
 	err = wire.WriteWelcome(c, wire.Welcome{
-		Version:     version,
 		SectorBytes: uint32(s.sectorBytes),
 		PageSectors: uint32(s.pageSectors),
 		MaxInflight: uint32(s.cfg.PerConnInflight),
@@ -57,7 +52,7 @@ func (s *Server) handle(c net.Conn) {
 	ioCh := make(chan wire.Reply, s.cfg.PerConnInflight)
 	auxCh := make(chan wire.Reply, 4)
 	writerDone := make(chan struct{})
-	go s.connWriter(c, version, ioCh, auxCh, writerDone)
+	go s.connWriter(c, ioCh, auxCh, writerDone)
 
 	connSlots := make(chan struct{}, s.cfg.PerConnInflight)
 	var reqWG sync.WaitGroup
@@ -343,10 +338,8 @@ func (advanceError) Error() string {
 // connWriter streams replies to the socket, batching frames between
 // channel stalls. A connection that cannot absorb its replies within
 // the write timeout is declared dead; remaining replies are drained and
-// discarded so completion callbacks never back up. The writer is the
-// one place every reply passes through, so it owns the downgrade to the
-// connection's negotiated status vocabulary.
-func (s *Server) connWriter(c net.Conn, version uint8, ioCh, auxCh <-chan wire.Reply, done chan<- struct{}) {
+// discarded so completion callbacks never back up.
+func (s *Server) connWriter(c net.Conn, ioCh, auxCh <-chan wire.Reply, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriter(c)
 	dead := false
@@ -359,7 +352,6 @@ func (s *Server) connWriter(c net.Conn, version uint8, ioCh, auxCh <-chan wire.R
 		if dead {
 			return
 		}
-		r.Status = wire.DowngradeStatus(version, r.Status)
 		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		wbuf = wire.AppendReply(wbuf[:0], r)
 		if _, err := bw.Write(wbuf); err != nil {

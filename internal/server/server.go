@@ -115,7 +115,7 @@ type Config struct {
 	GCBackgroundSlack int
 
 	// ErasePolicy selects each shard's adaptive erase-depth policy
-	// ("fixed-deep", "aero"; empty = legacy full-depth erases) and
+	// ("fixed-deep", "aero"; empty = full-depth erases) and
 	// Lifetime enables the longevity predictor and hot/cold placement
 	// steering. Ignored when Stacks or the Device hook supplies
 	// pre-built FTLs.

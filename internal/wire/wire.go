@@ -27,15 +27,10 @@ import (
 	"espftl/internal/workload"
 )
 
-// Version is the newest protocol version this package speaks. Version 2
-// added the typed degraded-mode reply statuses (READ_ONLY, UNCORRECTABLE,
-// NAMESPACE_FENCED, RETRYABLE); the frame layouts are unchanged, so the
-// handshake negotiates down to MinVersion and the server downgrades
-// status codes a version-1 peer would not recognize.
+// Version is the protocol version this package speaks, the only one either
+// end of the handshake accepts. Version 2 added the typed degraded-mode
+// reply statuses (READ_ONLY, UNCORRECTABLE, NAMESPACE_FENCED, RETRYABLE).
 const Version = 2
-
-// MinVersion is the oldest handshake version still accepted.
-const MinVersion = 1
 
 // MaxFrame bounds any frame body; larger lengths indicate a corrupt or
 // hostile stream and are rejected before allocation.
@@ -145,17 +140,6 @@ func KnownStatus(s uint8) bool { return int(s) < len(statusNames) }
 // Retryable reports whether a status invites the client to back off and
 // resend the same command.
 func Retryable(s uint8) bool { return s == StatusRetryable }
-
-// DowngradeStatus maps a status onto the vocabulary of the negotiated
-// handshake version: a version-1 peer receives the nearest status it
-// understands (SHUTTING_DOWN survives; every other degraded-mode status
-// collapses to ERROR, with the payload text still carrying the detail).
-func DowngradeStatus(version uint8, s uint8) uint8 {
-	if version >= 2 || s <= StatusShutdown {
-		return s
-	}
-	return StatusErr
-}
 
 // Cmd is one decoded command frame. Arg is the namespace-relative LSN for
 // I/O commands and the idle gap in nanoseconds for ADVANCE.
@@ -410,9 +394,8 @@ func WriteHello(w io.Writer, h Hello) error {
 	return writeFrame(w, body)
 }
 
-// ReadHello reads and validates the client handshake, accepting any
-// version in [MinVersion, Version]; the caller serves the connection at
-// the returned version.
+// ReadHello reads and validates the client handshake; any version byte
+// other than Version is refused.
 func ReadHello(r io.Reader) (Hello, error) {
 	body, err := readFrame(r)
 	if err != nil {
@@ -421,8 +404,8 @@ func ReadHello(r io.Reader) (Hello, error) {
 	if len(body) < 6 || [4]byte(body[:4]) != helloMagic {
 		return Hello{}, fmt.Errorf("wire: not an espserved handshake")
 	}
-	if body[4] < MinVersion || body[4] > Version {
-		return Hello{}, fmt.Errorf("wire: protocol version %d (want %d..%d)", body[4], MinVersion, Version)
+	if body[4] != Version {
+		return Hello{}, fmt.Errorf("wire: protocol version %d (want %d)", body[4], Version)
 	}
 	n := int(body[5])
 	if len(body) != 6+n {
@@ -433,10 +416,8 @@ func ReadHello(r io.Reader) (Hello, error) {
 
 // Welcome is the server's handshake reply: the namespace geometry and the
 // connection's admission limits. A non-zero Status refuses the
-// connection with Err as the reason. Version echoes the negotiated
-// protocol version (the minimum of the client's Hello and the server's
-// Version; zero on write means the current Version), so an old client
-// sees its own version byte and decodes the reply unchanged.
+// connection with Err as the reason. Version is the protocol version
+// (zero on write means the current Version).
 type Welcome struct {
 	Status      uint8
 	Version     uint8
@@ -477,8 +458,8 @@ func ReadWelcome(r io.Reader) (Welcome, error) {
 	if len(body) < 27 || [4]byte(body[:4]) != helloMagic {
 		return Welcome{}, fmt.Errorf("wire: not an espserved handshake reply")
 	}
-	if body[4] < MinVersion || body[4] > Version {
-		return Welcome{}, fmt.Errorf("wire: protocol version %d (want %d..%d)", body[4], MinVersion, Version)
+	if body[4] != Version {
+		return Welcome{}, fmt.Errorf("wire: protocol version %d (want %d)", body[4], Version)
 	}
 	wl := Welcome{
 		Version:     body[4],

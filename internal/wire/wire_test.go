@@ -125,46 +125,29 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionNegotiation: a version-1 Hello still decodes (the
-// server serves the connection at version 1), a Welcome echoing version 1
-// round-trips, and a version from the future is refused.
+// TestHandshakeVersionNegotiation: there is one protocol version; a Hello
+// or Welcome carrying any other version byte, older or newer, is refused.
 func TestHandshakeVersionNegotiation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHello(&buf, Hello{NS: "old", Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadHello(&buf)
-	if err != nil {
-		t.Fatalf("version-1 hello refused: %v", err)
-	}
-	if h.Version != 1 || h.NS != "old" {
-		t.Fatalf("version-1 hello: got %+v", h)
-	}
-
-	buf.Reset()
-	wl := Welcome{Version: 1, SectorBytes: 4096, PageSectors: 4, MaxInflight: 8, Sectors: 4096}
-	if err := WriteWelcome(&buf, wl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWelcome(&buf)
-	if err != nil {
-		t.Fatalf("version-1 welcome refused: %v", err)
-	}
-	if got != wl {
-		t.Fatalf("version-1 welcome: sent %+v, got %+v", wl, got)
-	}
-
-	buf.Reset()
-	if err := WriteHello(&buf, Hello{NS: "future", Version: Version + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHello(&buf); err == nil {
-		t.Fatal("hello from the future accepted")
+	for _, v := range []uint8{Version - 1, Version + 1} {
+		var buf bytes.Buffer
+		if err := WriteHello(&buf, Hello{NS: "other", Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadHello(&buf); err == nil {
+			t.Errorf("version-%d hello accepted", v)
+		}
+		buf.Reset()
+		if err := WriteWelcome(&buf, Welcome{Version: v, SectorBytes: 4096, PageSectors: 4, MaxInflight: 8, Sectors: 4096}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadWelcome(&buf); err == nil {
+			t.Errorf("version-%d welcome accepted", v)
+		}
 	}
 }
 
-// TestStatusVocabulary pins the typed status surface: names, the known
-// set, and the downgrade map an old connection sees.
+// TestStatusVocabulary pins the typed status surface: names and the known
+// set.
 func TestStatusVocabulary(t *testing.T) {
 	all := []uint8{StatusOK, StatusErr, StatusShutdown, StatusReadOnly,
 		StatusUncorrectable, StatusFenced, StatusRetryable}
@@ -190,21 +173,6 @@ func TestStatusVocabulary(t *testing.T) {
 	}
 	if !Retryable(StatusRetryable) || Retryable(StatusReadOnly) {
 		t.Error("Retryable misclassifies")
-	}
-
-	// Version 2 passes everything through; version 1 keeps the original
-	// vocabulary and collapses the rest to ERROR.
-	for _, s := range all {
-		if got := DowngradeStatus(2, s); got != s {
-			t.Errorf("v2 downgrade changed %s to %s", StatusName(s), StatusName(got))
-		}
-		want := s
-		if s > StatusShutdown {
-			want = StatusErr
-		}
-		if got := DowngradeStatus(1, s); got != want {
-			t.Errorf("v1 downgrade of %s = %s, want %s", StatusName(s), StatusName(got), StatusName(want))
-		}
 	}
 }
 
