@@ -38,8 +38,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9750", "TCP listen address for the block protocol")
 	httpAddr := flag.String("http", "", "HTTP listen address for /stats and /metrics (empty = off)")
 	pprofFlag := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on the -http listener")
-	ftlName := flag.String("ftl", "subFTL", "FTL to serve: cgmFTL, fgmFTL or subFTL")
-	full := flag.Bool("full", false, "use the full-size device geometry")
+	policy := experiment.BindPolicyFlags(flag.CommandLine, "FTL to serve: cgmFTL, fgmFTL or subFTL", "use the full-size device geometry")
 	logicalFrac := flag.Float64("logical-frac", 0.70, "exported fraction of raw capacity")
 	precondition := flag.Float64("precondition", 0, "sequentially prefill this fraction of the logical space before serving")
 	speedup := flag.Float64("speedup", 0, "virtual nanoseconds per wall nanosecond (0 = as fast as possible)")
@@ -48,12 +47,6 @@ func main() {
 	connInflight := flag.Int("conn-inflight", 32, "per-connection in-flight command cap")
 	maxInflight := flag.Int("max-inflight", 256, "global in-flight budget across connections")
 	tick := flag.Int("tick", 64, "host-scheduler event-loop tick granularity")
-	arb := flag.String("arb", "fifo", "host-scheduler arbitration: fifo or read-priority")
-	gcPolicy := flag.String("gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
-	gcStep := flag.Int("gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
-	gcBg := flag.Int("gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
-	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
-	lifetimeOn := flag.Bool("lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-flush reply deadline before a client is declared dead")
 	admitTimeout := flag.Duration("admit-timeout", 0, "admission wait before a command is refused RETRYABLE (0 = wait forever)")
 	watchdog := flag.Duration("watchdog", time.Second, "engine watchdog sampling interval (negative = off)")
@@ -72,7 +65,8 @@ func main() {
 		HTTPAddr:          *httpAddr,
 		EnablePprof:       *pprofFlag,
 		Shards:            *shards,
-		FTLKind:           *ftlName,
+		FTLKind:           string(policy.Kind),
+		Geometry:          policy.Geometry,
 		LogicalFrac:       *logicalFrac,
 		PreconditionFrac:  *precondition,
 		Speedup:           *speedup,
@@ -80,19 +74,16 @@ func main() {
 		PerConnInflight:   *connInflight,
 		MaxInflight:       *maxInflight,
 		TickEvery:         *tick,
-		Arbitration:       *arb,
-		GCPolicy:          *gcPolicy,
-		GCStepPages:       *gcStep,
-		GCBackgroundSlack: *gcBg,
-		ErasePolicy:       *erasePolicy,
-		Lifetime:          *lifetimeOn,
+		Arbitration:       policy.Arbitration,
+		GCPolicy:          policy.GCPolicy,
+		GCStepPages:       policy.GCStepPages,
+		GCBackgroundSlack: policy.GCBackgroundSlack,
+		ErasePolicy:       policy.ErasePolicy,
+		Lifetime:          policy.Lifetime,
 		WriteTimeout:      *writeTimeout,
 		AdmitTimeout:      *admitTimeout,
 		WatchdogInterval:  *watchdog,
 		WatchdogStalls:    *watchdogStalls,
-	}
-	if *full {
-		cfg.Geometry = experiment.ExperimentGeometry
 	}
 
 	srv, err := server.New(cfg)
@@ -104,7 +95,7 @@ func main() {
 	}
 	g := srv.Device().Geometry()
 	fmt.Printf("espserved: %s x%d shards on %s (%d-sector pages, %.1f GiB raw per shard)\n",
-		*ftlName, srv.ShardCount(), srv.Addr(), g.SubpagesPerPage,
+		policy.Kind, srv.ShardCount(), srv.Addr(), g.SubpagesPerPage,
 		float64(g.TotalSubpages())*float64(g.SubpageBytes)/(1<<30))
 	if h := srv.HTTPAddr(); h != "" {
 		fmt.Printf("espserved: introspection at http://%s/stats and /metrics\n", h)

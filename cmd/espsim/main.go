@@ -22,6 +22,7 @@ import (
 	"espftl/internal/experiment"
 	"espftl/internal/fault"
 	"espftl/internal/metrics"
+	"espftl/internal/nand"
 	"espftl/internal/perf"
 	"espftl/internal/trace"
 	"espftl/internal/workload"
@@ -37,13 +38,12 @@ func profileByName(name string) (workload.Profile, bool) {
 }
 
 func main() {
-	ftlName := flag.String("ftl", "subFTL", "FTL under test: cgmFTL, fgmFTL or subFTL")
+	policy := experiment.BindPolicyFlags(flag.CommandLine, "FTL under test: cgmFTL, fgmFTL or subFTL", "use the full-size device")
 	profile := flag.String("profile", "varmail", "workload profile: sysbench, varmail, postmark, ycsb, tpc-c")
 	rsmall := flag.Float64("rsmall", -1, "use the synthetic sweep profile with this r_small (overrides -profile)")
 	rsynch := flag.Float64("rsynch", 1.0, "r_synch for the sweep profile")
 	tracePath := flag.String("trace", "", "replay this trace file (binary or text) instead of a profile")
 	requests := flag.Int("requests", 50000, "measured request count (profiles only)")
-	full := flag.Bool("full", false, "use the full-size device")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	subFrac := flag.Float64("subregion", 0.20, "subFTL subpage-region fraction")
 	subread := flag.Bool("subread", false, "enable the subpage-read device extension")
@@ -53,15 +53,9 @@ func main() {
 	faultProgram := flag.Float64("fault-program", -1, "program-failure probability per program op (-1 = profile default)")
 	faultErase := flag.Float64("fault-erase", -1, "erase-failure probability per erase op (-1 = profile default)")
 	faultFactory := flag.Float64("fault-factory", -1, "factory-bad block fraction (-1 = profile default)")
-	gcPolicy := flag.String("gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
-	gcStep := flag.Int("gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
-	gcBg := flag.Int("gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
-	erasePolicy := flag.String("erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
-	lifetimeOn := flag.Bool("lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
 	qd := flag.Int("qd", 0, "closed-loop queue depth; > 0 runs the host scheduler (1 = serial-equivalent)")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in req/s; > 0 runs the host scheduler (overrides -qd)")
 	queues := flag.Int("queues", 1, "submission-queue lanes for the host scheduler")
-	arb := flag.String("arb", "fifo", "host-scheduler arbitration: fifo or read-priority")
 	spo := flag.Int64("spo", -1, "cut power this many device operations into the measured phase, then remount and report recovery (-1 = off)")
 	spoTorn := flag.Bool("spo-torn", false, "make the power cut tear the in-flight program (with -spo)")
 	spoSweep := flag.Int("spo-sweep", 0, "run the SPO experiment once per cut index in [0,N), fanned out over the worker pool, and summarize recovery")
@@ -84,29 +78,18 @@ func main() {
 	}()
 
 	if *abl != "" {
-		runAblation(*abl, *requests, *seed, *full)
+		runAblation(*abl, *requests, *seed, policy.Geometry)
 		return
 	}
 
-	cfg := experiment.RunConfig{
-		Kind:              experiment.Kind(*ftlName),
-		Requests:          *requests,
-		Seed:              *seed,
-		SubRegionFrac:     *subFrac,
-		EnableSubpageRead: *subread,
-		GCPolicy:          *gcPolicy,
-		GCStepPages:       *gcStep,
-		GCBackgroundSlack: *gcBg,
-		ErasePolicy:       *erasePolicy,
-		Lifetime:          *lifetimeOn,
-		QueueDepth:        *qd,
-		ArrivalRate:       *rate,
-		NumQueues:         *queues,
-		Arbitration:       *arb,
-	}
-	if *full {
-		cfg.Geometry = experiment.ExperimentGeometry
-	}
+	cfg := *policy
+	cfg.Requests = *requests
+	cfg.Seed = *seed
+	cfg.SubRegionFrac = *subFrac
+	cfg.EnableSubpageRead = *subread
+	cfg.QueueDepth = *qd
+	cfg.ArrivalRate = *rate
+	cfg.NumQueues = *queues
 	if *faults {
 		p := fault.DefaultProfile(*faultSeed)
 		if *faultRead >= 0 {
@@ -321,11 +304,8 @@ func loopDesc(rate float64, qd int) string {
 
 // runAblation looks up a registered experiment by ID, runs it at the
 // requested scale and prints its table.
-func runAblation(id string, requests int, seed uint64, full bool) {
-	o := experiment.Options{Requests: requests, Seed: seed}
-	if full {
-		o.Geometry = experiment.ExperimentGeometry
-	}
+func runAblation(id string, requests int, seed uint64, geo nand.Geometry) {
+	o := experiment.Options{Requests: requests, Seed: seed, Geometry: geo}
 	var ids []string
 	for _, e := range experiment.All() {
 		if strings.EqualFold(e.ID, id) {

@@ -163,9 +163,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	srv, err := server.New(server.Config{
-		Device:           dev,
-		FTL:              stall,
-		LogicalSectors:   sectors,
+		Stacks:           []server.ShardStack{{Device: dev, FTL: stall, LogicalSectors: sectors}},
 		Namespaces:       []server.NamespaceSpec{{Name: dataNS}, {Name: noiseNS}},
 		WatchdogInterval: 15 * time.Millisecond,
 		WatchdogStalls:   4,
@@ -177,7 +175,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := srv.Serve(); err != nil {
 		return nil, err
 	}
-	guard := srv.FTL()
 
 	// The model mirrors the data namespace; the noise namespace hosts
 	// torn and dead clients whose only contract is typed statuses and
@@ -221,80 +218,33 @@ func Run(cfg Config) (*Result, error) {
 				m.MaybeWrite(r.LSN, r.Sectors)
 			}
 		},
-	}, func(r server.Reply) {
-		if r.Rep.Status != wire.StatusOK {
-			// An errored write is an unacknowledged attempt: the sector's
-			// state is undefined within its reach.
-			if r.Req.Op == workload.OpWrite {
-				m.FailedWrite(r.Req.LSN, r.Req.Sectors)
-			}
-			return
-		}
-		switch r.Req.Op {
-		case workload.OpWrite:
-			m.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
-		case workload.OpFlush:
-			m.Flush()
-		}
-	})
+	}, mirror(m))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: storm phase: %w", err)
 	}
 	<-noiseDone
 	res.StormOps, res.Reconnects, res.Retries = cr.Ops, cr.Reconnects, cr.Retries
-	for st, n := range cr.Statuses {
-		res.Statuses[st] += n
-	}
+	addStatuses(res.Statuses, cr.Statuses)
 	if cr.Ops != int64(len(reqs)) {
 		return nil, fmt.Errorf("chaos: storm phase resolved %d of %d requests", cr.Ops, len(reqs))
 	}
 
 	// ---- Phase 2: engine stall -> watchdog fence -> recover ----------
 	cfg.Logf("phase 2: wedging the engine; expecting the watchdog to fence")
-	if err := stallFenceRecover(srv, stall, c, m, res); err != nil {
+	if err := wedge(srv, stall, 0, c, []string{dataNS, noiseNS}, m, res.Statuses, nil); err != nil {
 		return nil, fmt.Errorf("chaos: stall phase: %w", err)
 	}
 
 	// ---- Phase 3: grown-bad-block storm -> read-only breaker ---------
 	cfg.Logf("phase 3: erase-failure storm until the capacity floor trips")
-	if err := badBlockStorm(guard, inj, c, m, ps, nsSectors, res); err != nil {
+	if err := badBlockStorm(srv.FTL(), inj, c, m, ps, nsSectors, res); err != nil {
 		return nil, fmt.Errorf("chaos: bad-block phase: %w", err)
 	}
 
 	// ---- Drain and differential check --------------------------------
 	cfg.Logf("drain: shutting down and checking the model")
-	var dataBase int64 = -1
-	payload, err := c.Stat()
-	if err == nil {
-		var ns server.NamespaceStats
-		if err := json.Unmarshal(payload, &ns); err == nil {
-			dataBase = ns.BaseSector
-		}
-	}
-	if dataBase < 0 {
-		return nil, fmt.Errorf("chaos: could not resolve data namespace base")
-	}
-	rep, err := srv.Shutdown()
-	if err != nil {
-		return nil, fmt.Errorf("chaos: shutdown: %w", err)
-	}
-	if rep.Submitted != rep.Completed {
-		return nil, fmt.Errorf("chaos: drain dropped commands: submitted %d completed %d", rep.Submitted, rep.Completed)
-	}
-	for lsn := int64(0); lsn < nsSectors; lsn++ {
-		v := guard.VersionOf(dataBase + lsn)
-		if !m.Acceptable(lsn, v) {
-			return nil, fmt.Errorf("chaos: acked write lost: sector %d at version %d, acceptable %s",
-				lsn, v, m.Describe(lsn))
-		}
-	}
-
-	// Typed-status invariant: every status any client saw is in the
-	// wire vocabulary.
-	for st := range res.Statuses {
-		if !wire.KnownStatus(st) {
-			return nil, fmt.Errorf("chaos: untyped status %d surfaced to a client", st)
-		}
+	if err := drainAndCheck(srv, res.Statuses, tenant{dataNS, nsSectors, m}); err != nil {
+		return nil, err
 	}
 
 	// ---- Phase 4: sudden power-off on a fresh stack ------------------
@@ -307,87 +257,123 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// stallFenceRecover wedges the engine with an armed stall, waits for
-// the watchdog fence, checks the fence is client-visible and that
-// recovery is refused while wedged, then releases and recovers.
-func stallFenceRecover(srv *server.Server, stall *ftltest.StallFTL, c *server.Client, m *ftltest.Model, res *Result) error {
+// mirror returns the reply callback that keeps a model in step with what
+// its client was told: an acknowledged write or flush is applied; a refused
+// or errored write is an unacknowledged attempt whose reach is undefined
+// (it may have landed, it may have unmapped the old copy).
+func mirror(m *ftltest.Model) func(server.Reply) {
+	return func(r server.Reply) {
+		if r.Rep.Status != wire.StatusOK {
+			if r.Req.Op == workload.OpWrite {
+				m.FailedWrite(r.Req.LSN, r.Req.Sectors)
+			}
+			return
+		}
+		switch r.Req.Op {
+		case workload.OpWrite:
+			m.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
+		case workload.OpFlush:
+			m.Flush()
+		}
+	}
+}
+
+// wedged is the write both campaigns wedge an engine with and, once the
+// namespace has recovered, write again and read back: after wedge returns,
+// the model holds these sectors as acknowledged.
+var wedged = workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4}
+
+// wedge runs one engine-stall arc on a shard: arm the stall, wedge the
+// engine with a write on a raw connection (the model client c stays quiet;
+// the write's eventual reply is mirrored), wait for the watchdog to fence
+// the shard, check the fence is a typed client-visible status and that
+// recovery is refused while wedged, then release, recover every fenced
+// namespace to healthy and require that c is served again. nss are the
+// namespaces owning an extent on the shard; nss[0] is c's and m's.
+// whileWedged, when non-nil, runs inside the fence window.
+func wedge(srv *server.Server, stall *ftltest.StallFTL, shard int, c *server.Client, nss []string,
+	m *ftltest.Model, statuses map[uint8]int64, whileWedged func() error) error {
 	stall.Arm()
-	// The wedging write goes through a raw second connection so the
-	// model client c stays quiet (its reply will be mirrored on ack).
-	wc, err := rawDial(srv.Addr(), dataNS, 2*time.Second)
+	wc, err := rawDial(srv.Addr(), nss[0], 2*time.Second)
 	if err != nil {
 		return err
 	}
 	defer wc.close()
-	const wedgeLSN, wedgeSectors = 0, 4
-	cmd, err := wire.CmdOf(1, workload.Request{Op: workload.OpWrite, LSN: wedgeLSN, Sectors: wedgeSectors})
-	if err != nil {
-		return err
-	}
-	if err := wire.WriteCmd(wc.conn, cmd); err != nil {
+	if err := wc.send(wedged); err != nil {
 		return err
 	}
 	<-stall.Stalled()
 
 	if err := waitFor(5*time.Second, func() bool {
-		return srv.Stalled() && srv.Health(dataNS) == server.Fenced
+		if !srv.ShardStalled(shard) {
+			return false
+		}
+		for _, ns := range nss {
+			if srv.Health(ns) != server.Fenced {
+				return false
+			}
+		}
+		return true
 	}); err != nil {
-		return fmt.Errorf("watchdog never fenced: %w", err)
+		return fmt.Errorf("watchdog never fenced shard %d's namespaces: %w", shard, err)
 	}
 
 	// The fence must be a typed, client-visible condition.
-	st, err := probe(srv.Addr(), dataNS, workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
+	st, err := probe(srv.Addr(), nss[0], workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
 	if err != nil {
 		return fmt.Errorf("fence probe: %w", err)
 	}
-	res.Statuses[st]++
+	statuses[st]++
 	if st != wire.StatusFenced {
-		return fmt.Errorf("fenced namespace answered %s, want NAMESPACE_FENCED", wire.StatusName(st))
+		return fmt.Errorf("fenced namespace %s answered %s, want NAMESPACE_FENCED", nss[0], wire.StatusName(st))
 	}
-
+	if whileWedged != nil {
+		if err := whileWedged(); err != nil {
+			return err
+		}
+	}
 	// Recovery against a wedged engine must refuse, not hang.
-	if _, err := srv.Recover(dataNS); err == nil {
-		return fmt.Errorf("Recover succeeded while the engine was wedged")
+	if _, err := srv.Recover(nss[0]); err == nil {
+		return fmt.Errorf("Recover(%s) succeeded while shard %d was wedged", nss[0], shard)
 	}
 
 	stall.Release()
-	r, err := wire.ReadReply(wc.conn)
+	r, err := wc.rr.Read()
 	if err != nil {
 		return fmt.Errorf("wedged write reply: %w", err)
 	}
-	res.Statuses[r.Status]++
-	if r.Status == wire.StatusOK {
-		m.Write(wedgeLSN, wedgeSectors, false)
-	} else {
-		m.FailedWrite(wedgeLSN, wedgeSectors)
-	}
+	statuses[r.Status]++
+	mirror(m)(server.Reply{Req: wedged, Rep: r})
 
-	// The stall resolved: both namespaces must recover to healthy.
-	if err := waitFor(5*time.Second, func() bool {
-		h, err := srv.Recover(dataNS)
-		return err == nil && h == server.Healthy
-	}); err != nil {
-		return fmt.Errorf("namespace never recovered: %w", err)
+	// The stall resolved: every fenced namespace must recover to healthy.
+	for _, ns := range nss {
+		if err := waitFor(5*time.Second, func() bool {
+			h, err := srv.Recover(ns)
+			return err == nil && h == server.Healthy
+		}); err != nil {
+			return fmt.Errorf("namespace %s never recovered: %w", ns, err)
+		}
 	}
-	if _, err := srv.Recover(noiseNS); err != nil {
-		return fmt.Errorf("noise namespace recovery: %w", err)
+	if srv.Stalled() {
+		return fmt.Errorf("fleet still reports stalled after recovery")
 	}
 
 	// Recovered means serving: one write, one read, both OK.
-	var statuses []uint8
+	var served []uint8
+	apply := mirror(m)
 	if _, err := c.RunRequests([]workload.Request{
-		{Op: workload.OpWrite, LSN: 0, Sectors: 4},
-		{Op: workload.OpRead, LSN: 0, Sectors: 4},
-	}, 1, func(r server.Reply) { statuses = append(statuses, r.Rep.Status) }); err != nil {
+		wedged,
+		{Op: workload.OpRead, LSN: wedged.LSN, Sectors: wedged.Sectors},
+	}, 1, func(r server.Reply) {
+		served = append(served, r.Rep.Status)
+		statuses[r.Rep.Status]++
+		apply(r)
+	}); err != nil {
 		return fmt.Errorf("post-recovery serve: %w", err)
 	}
-	for _, st := range statuses {
-		res.Statuses[st]++
+	if len(served) != 2 || served[0] != wire.StatusOK || served[1] != wire.StatusOK {
+		return fmt.Errorf("post-recovery serve statuses: %v", served)
 	}
-	if len(statuses) != 2 || statuses[0] != wire.StatusOK || statuses[1] != wire.StatusOK {
-		return fmt.Errorf("post-recovery serve statuses: %v", statuses)
-	}
-	m.Write(0, 4, false)
 	return nil
 }
 
@@ -401,34 +387,39 @@ func badBlockStorm(guard *ftl.Guard, inj *fault.Injector, c *server.Client, m *f
 		inj.Script(fault.Event{Kind: fault.KindErase, Chip: -1, Block: -1, Count: 10000})
 	})
 
-	write := func(lsn int64) (uint8, error) {
+	// one issues a single request, mirrors its reply, and returns its
+	// status. A READ_ONLY refusal changed nothing — the breaker shed it
+	// before the engine, or the FTL refused the one-page write whole — so
+	// the model stays exact across it.
+	apply := mirror(m)
+	one := func(req workload.Request) (uint8, error) {
 		var status uint8
-		_, err := c.RunRequests([]workload.Request{
-			{Op: workload.OpWrite, LSN: lsn, Sectors: ps},
-		}, 1, func(r server.Reply) { status = r.Rep.Status })
+		_, err := c.RunRequests([]workload.Request{req}, 1, func(r server.Reply) {
+			if status = r.Rep.Status; status != wire.StatusReadOnly {
+				apply(r)
+			}
+		})
+		res.Statuses[status]++
 		return status, err
 	}
 
-	lastOK := int64(-1)
+	// The churn leaves page 0 alone: wedge's acknowledged write there is
+	// what the read below must still find. Whether any churn write lands
+	// before the floor trips depends on the device state phase 1's torn
+	// connections left behind, so no fresh acknowledgment is demanded.
 	sawReadOnly := false
 	pages := nsSectors / int64(ps)
 	for i := 0; i < churnCap && !sawReadOnly; i++ {
-		lsn := (int64(i) % pages) * int64(ps)
-		st, err := write(lsn)
+		lsn := (1 + int64(i)%(pages-1)) * int64(ps)
+		st, err := one(workload.Request{Op: workload.OpWrite, LSN: lsn, Sectors: ps})
 		if err != nil {
 			return err
 		}
-		res.Statuses[st]++
 		switch st {
-		case wire.StatusOK:
-			m.Write(lsn, ps, false)
-			lastOK = lsn
+		case wire.StatusOK, wire.StatusErr, wire.StatusUncorrectable:
+			// Landed, or collateral of the storm (mirrored as undefined).
 		case wire.StatusReadOnly:
 			sawReadOnly = true
-		case wire.StatusErr, wire.StatusUncorrectable:
-			// Collateral of the storm: the errored write's reach is
-			// undefined (may have landed, may have unmapped the old copy).
-			m.FailedWrite(lsn, ps)
 		default:
 			return fmt.Errorf("unexpected churn status %s", wire.StatusName(st))
 		}
@@ -436,28 +427,21 @@ func badBlockStorm(guard *ftl.Guard, inj *fault.Injector, c *server.Client, m *f
 	if !sawReadOnly {
 		return fmt.Errorf("device never degraded to read-only in %d writes", churnCap)
 	}
-	if lastOK < 0 {
-		return fmt.Errorf("no write landed before the floor tripped")
-	}
 
 	// Breaker open: writes shed with READ_ONLY, reads still served.
-	st, err := write(lastOK)
+	st, err := one(wedged)
 	if err != nil {
 		return err
 	}
-	res.Statuses[st]++
 	if st != wire.StatusReadOnly {
 		return fmt.Errorf("post-floor write answered %s, want READ_ONLY", wire.StatusName(st))
 	}
-	var readStatus uint8
-	if _, err := c.RunRequests([]workload.Request{
-		{Op: workload.OpRead, LSN: lastOK, Sectors: ps},
-	}, 1, func(r server.Reply) { readStatus = r.Rep.Status }); err != nil {
+	st, err = one(workload.Request{Op: workload.OpRead, LSN: wedged.LSN, Sectors: wedged.Sectors})
+	if err != nil {
 		return err
 	}
-	res.Statuses[readStatus]++
-	if readStatus != wire.StatusOK {
-		return fmt.Errorf("read in read-only mode answered %s", wire.StatusName(readStatus))
+	if st != wire.StatusOK {
+		return fmt.Errorf("read in read-only mode answered %s", wire.StatusName(st))
 	}
 
 	payload, err := c.Stat()
@@ -488,9 +472,7 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 		return none, err
 	}
 	srv, err := server.New(server.Config{
-		Device:           dev,
-		FTL:              stall,
-		LogicalSectors:   sectors,
+		Stacks:           []server.ShardStack{{Device: dev, FTL: stall, LogicalSectors: sectors}},
 		WatchdogInterval: -1, // a dead device errors fast; no stalls here
 	})
 	if err != nil {
@@ -514,6 +496,7 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 	// Depth-1 mirror with the stop-at-the-cut contract of the PR-3
 	// checker: after the first error nothing can reach flash.
 	m := ftltest.NewModel(sectors)
+	apply := mirror(m)
 	dead := false
 	cr, err := c.RunRequests(reqs, 1, func(r server.Reply) {
 		if dead {
@@ -526,12 +509,7 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 			}
 			return
 		}
-		switch r.Req.Op {
-		case workload.OpWrite:
-			m.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
-		case workload.OpFlush:
-			m.Flush()
-		}
+		apply(r)
 	})
 	if err != nil {
 		return none, fmt.Errorf("SPO client run: %w", err)
@@ -562,20 +540,14 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 		return none, err
 	}
 	srv2, err := server.New(server.Config{
-		Device:         dev,
-		FTL:            f2,
-		LogicalSectors: sectors,
+		Stacks: []server.ShardStack{{Device: dev, FTL: f2, LogicalSectors: sectors}},
 	})
 	if err != nil {
 		return none, fmt.Errorf("remount: %w", err)
 	}
 	mount := srv2.MountReport()
-	guard := srv2.FTL()
-	for lsn := int64(0); lsn < sectors; lsn++ {
-		v := guard.VersionOf(lsn)
-		if !m.Acceptable(lsn, v) {
-			return none, fmt.Errorf("post-SPO sector %d at version %d, acceptable %s", lsn, v, m.Describe(lsn))
-		}
+	if err := checkModel(srv2, tenant{"default", sectors, m}); err != nil {
+		return none, fmt.Errorf("post-SPO: %w", err)
 	}
 	if err := srv2.Serve(); err != nil {
 		return none, err
@@ -601,6 +573,60 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 	return mount, nil
 }
 
+// addStatuses folds one client's final-status counts into a campaign's.
+func addStatuses(dst, src map[uint8]int64) {
+	for st, n := range src {
+		dst[st] += n
+	}
+}
+
+// tenant names one namespace's reference model for the differential check.
+type tenant struct {
+	ns      string
+	sectors int64
+	m       *ftltest.Model
+}
+
+// checkModel compares what a tenant's namespace durably holds, sector by
+// sector and wherever placement put it, against the tenant's model.
+func checkModel(srv *server.Server, t tenant) error {
+	for lsn := int64(0); lsn < t.sectors; lsn++ {
+		v, err := srv.NamespaceVersion(t.ns, lsn)
+		if err != nil {
+			return err
+		}
+		if !t.m.Acceptable(lsn, v) {
+			return fmt.Errorf("acked write lost on %s: sector %d at version %d, acceptable %s",
+				t.ns, lsn, v, t.m.Describe(lsn))
+		}
+	}
+	return nil
+}
+
+// drainAndCheck is the tail of every served campaign: shut down with no
+// accepted command dropped, no acknowledged write lost on any tenant, and
+// every status any client saw inside the typed wire vocabulary.
+func drainAndCheck(srv *server.Server, statuses map[uint8]int64, tenants ...tenant) error {
+	rep, err := srv.Shutdown()
+	if err != nil {
+		return fmt.Errorf("chaos: shutdown: %w", err)
+	}
+	if rep.Submitted != rep.Completed {
+		return fmt.Errorf("chaos: drain dropped commands: submitted %d completed %d", rep.Submitted, rep.Completed)
+	}
+	for _, t := range tenants {
+		if err := checkModel(srv, t); err != nil {
+			return fmt.Errorf("chaos: %w", err)
+		}
+	}
+	for st := range statuses {
+		if !wire.KnownStatus(st) {
+			return fmt.Errorf("chaos: untyped status %d surfaced to a client", st)
+		}
+	}
+	return nil
+}
+
 // probe opens one raw connection, issues one request, and returns the
 // reply status.
 func probe(addr, ns string, req workload.Request) (uint8, error) {
@@ -609,15 +635,11 @@ func probe(addr, ns string, req workload.Request) (uint8, error) {
 		return 0, err
 	}
 	defer rc.close()
-	cmd, err := wire.CmdOf(1, req)
-	if err != nil {
-		return 0, err
-	}
-	if err := wire.WriteCmd(rc.conn, cmd); err != nil {
+	if err := rc.send(req); err != nil {
 		return 0, err
 	}
 	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	r, err := wire.ReadReply(rc.conn)
+	r, err := rc.rr.Read()
 	if err != nil {
 		return 0, err
 	}
@@ -628,6 +650,7 @@ func probe(addr, ns string, req workload.Request) (uint8, error) {
 // deliberately misbehave (or probe) below the Client abstraction.
 type rawClient struct {
 	conn net.Conn
+	rr   *wire.ReplyReader
 	wl   wire.Welcome
 }
 
@@ -651,7 +674,17 @@ func rawDial(addr, ns string, timeout time.Duration) (*rawClient, error) {
 		return nil, fmt.Errorf("chaos: handshake refused: %s", wl.Err)
 	}
 	conn.SetDeadline(time.Time{})
-	return &rawClient{conn: conn, wl: wl}, nil
+	return &rawClient{conn: conn, rr: wire.NewReplyReader(conn), wl: wl}, nil
+}
+
+// send writes one request as a command frame. Every frame carries tag 1:
+// a raw client has at most one reply it reads.
+func (r *rawClient) send(req workload.Request) error {
+	cmd, err := wire.CmdOf(1, req)
+	if err != nil {
+		return err
+	}
+	return wire.WriteCmd(r.conn, cmd)
 }
 
 func (r *rawClient) close() { r.conn.Close() }
@@ -673,14 +706,9 @@ func runNoise(addr string, seed uint64) <-chan struct{} {
 				return
 			}
 			nsSectors := int64(rc.wl.Sectors)
-			buf := make([]byte, 0, 64)
 			for i := 0; i < 40; i++ {
 				lsn := rng.Int63n(nsSectors - 8)
-				cmd, err := wire.CmdOf(uint64(i), workload.Request{Op: workload.OpWrite, LSN: lsn, Sectors: 1 + rng.Intn(4)})
-				if err != nil {
-					break
-				}
-				if _, err := rc.conn.Write(wire.AppendCmd(buf[:0], cmd)); err != nil {
+				if rc.send(workload.Request{Op: workload.OpWrite, LSN: lsn, Sectors: 1 + rng.Intn(4)}) != nil {
 					break
 				}
 			}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"espftl/internal/fault"
@@ -93,230 +94,60 @@ func RunSharded(cfg Config) (*ShardedResult, error) {
 	}
 	defer cw.Close()
 	ps := int(ch.Welcome.PageSectors)
-	hotSectors := int64(ch.Welcome.Sectors)
-	coldSectors := int64(cc.Welcome.Sectors)
-	wideSectors := int64(cw.Welcome.Sectors)
-	mHot := ftltest.NewModel(hotSectors)
-	mCold := ftltest.NewModel(coldSectors)
-	mWide := ftltest.NewModel(wideSectors)
+	newTenant := func(ns string, c *server.Client) tenant {
+		n := int64(c.Welcome.Sectors)
+		return tenant{ns, n, ftltest.NewModel(n)}
+	}
+	hot, cold, wide := newTenant(hotNS, ch), newTenant(coldNS, cc), newTenant(wideNS, cw)
 
 	// The sibling and striped tenants run batch loops until the campaign
 	// releases them, so both are live through the whole fence window.
 	// cold must see nothing but OK; wide is allowed exactly the typed
 	// fence refusals.
 	stop := make(chan struct{})
-	coldDone := make(chan error, 1)
-	coldWall := metrics.NewHistogram()
-	// The loop goroutines accumulate into their own counters (coldOps,
-	// coldStatuses, wideStatuses), merged into res only after both have
-	// joined: the main goroutine records probe statuses into res during
-	// the fence window, concurrently with these loops.
-	var coldOps int64
-	coldStatuses := make(map[uint8]int64)
-	go func() {
-		for batch := uint64(0); ; batch++ {
-			select {
-			case <-stop:
-				coldDone <- nil
-				return
-			default:
-			}
-			reqs, err := stream(coldSectors, ps, 200, cfg.Seed^0x636f6c64+batch)
-			if err != nil {
-				coldDone <- err
-				return
-			}
-			cr, err := cc.RunRequests(reqs, 8, func(r server.Reply) {
-				if r.Rep.Status != wire.StatusOK {
-					return
-				}
-				switch r.Req.Op {
-				case workload.OpWrite:
-					mCold.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
-				case workload.OpFlush:
-					mCold.Flush()
-				}
-			})
-			if err != nil {
-				coldDone <- fmt.Errorf("cold batch %d: %w", batch, err)
-				return
-			}
-			coldOps += cr.Ops
-			coldWall.Merge(cr.Wall)
-			for st, n := range cr.Statuses {
-				coldStatuses[st] += n
-			}
-			if cr.Errors != 0 || cr.Rejected != 0 {
-				coldDone <- fmt.Errorf("cold tenant on sibling shard disturbed: %+v", cr)
-				return
-			}
-		}
-	}()
-	wideDone := make(chan error, 1)
-	wideStatuses := make(map[uint8]int64)
-	var wideOps int64
-	go func() {
-		for batch := uint64(0); ; batch++ {
-			select {
-			case <-stop:
-				wideDone <- nil
-				return
-			default:
-			}
-			reqs, err := stream(wideSectors, ps, 200, cfg.Seed^0x77696465+batch)
-			if err != nil {
-				wideDone <- err
-				return
-			}
-			cr, err := cw.RunRequests(reqs, 8, func(r server.Reply) {
-				if r.Rep.Status != wire.StatusOK {
-					// A refused or errored write's reach is undefined.
-					if r.Req.Op == workload.OpWrite {
-						mWide.FailedWrite(r.Req.LSN, r.Req.Sectors)
-					}
-					return
-				}
-				switch r.Req.Op {
-				case workload.OpWrite:
-					mWide.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
-				case workload.OpFlush:
-					mWide.Flush()
-				}
-			})
-			if err != nil {
-				wideDone <- fmt.Errorf("wide batch %d: %w", batch, err)
-				return
-			}
-			wideOps += cr.Ops
-			for st, n := range cr.Statuses {
-				wideStatuses[st] += n
-			}
-		}
-	}()
+	coldLoop := loopTenant(cc, cold, ps, cfg.Seed^0x636f6c64, stop, wire.StatusOK)
+	wideLoop := loopTenant(cw, wide, ps, cfg.Seed^0x77696465, stop, wire.StatusOK, wire.StatusFenced)
 
 	// ---- Phase 1: storm on the hot shard ------------------------------
 	cfg.Logf("sharded phase 1: %d-op storm on the hot shard, siblings looping", cfg.Ops)
-	reqsHot, err := stream(hotSectors, ps, cfg.Ops, cfg.Seed^0x686f74)
+	reqsHot, err := stream(hot.sectors, ps, cfg.Ops, cfg.Seed^0x686f74)
 	if err != nil {
 		return nil, err
 	}
-	crHot, err := ch.RunRequests(reqsHot, 1, func(r server.Reply) {
-		if r.Rep.Status != wire.StatusOK {
-			if r.Req.Op == workload.OpWrite {
-				mHot.FailedWrite(r.Req.LSN, r.Req.Sectors)
-			}
-			return
-		}
-		switch r.Req.Op {
-		case workload.OpWrite:
-			mHot.Write(r.Req.LSN, r.Req.Sectors, r.Req.Sync)
-		case workload.OpFlush:
-			mHot.Flush()
-		}
-	})
+	crHot, err := ch.RunRequests(reqsHot, 1, mirror(hot.m))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: hot storm: %w", err)
 	}
 	res.HotOps = crHot.Ops
-	for st, n := range crHot.Statuses {
-		res.Statuses[st] += n
-	}
+	addStatuses(res.Statuses, crHot.Statuses)
 
-	// ---- Phase 2: wedge shard 0 -> fence -> siblings keep serving -----
-	cfg.Logf("sharded phase 2: wedging shard 0; expecting a shard-scoped fence")
-	stalls[0].Arm()
-	wc, err := rawDial(srv.Addr(), hotNS, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer wc.close()
-	const wedgeLSN, wedgeSectors = 0, 4
-	cmd, err := wire.CmdOf(1, workload.Request{Op: workload.OpWrite, LSN: wedgeLSN, Sectors: wedgeSectors})
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.WriteCmd(wc.conn, cmd); err != nil {
-		return nil, err
-	}
-	<-stalls[0].Stalled()
-
-	if err := waitFor(5*time.Second, func() bool {
-		return srv.ShardStalled(0) &&
-			srv.Health(hotNS) == server.Fenced && srv.Health(wideNS) == server.Fenced
-	}); err != nil {
-		return nil, fmt.Errorf("chaos: watchdog never fenced shard 0's namespaces: %w", err)
-	}
-	// The fence is shard-scoped: the siblings and their tenant are
-	// untouched.
-	if srv.ShardStalled(1) || srv.ShardStalled(2) {
-		return nil, fmt.Errorf("chaos: sibling shard reported stalled during shard 0's wedge")
-	}
-	if h := srv.Health(coldNS); h != server.Healthy {
-		return nil, fmt.Errorf("chaos: cold namespace %v during shard 0's wedge, want healthy", h)
-	}
-	st, err := probe(srv.Addr(), hotNS, workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: fence probe: %w", err)
-	}
-	res.Statuses[st]++
-	if st != wire.StatusFenced {
-		return nil, fmt.Errorf("chaos: fenced hot namespace answered %s, want NAMESPACE_FENCED", wire.StatusName(st))
-	}
-	st, err = probe(srv.Addr(), coldNS, workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: sibling probe during wedge: %w", err)
-	}
-	res.Statuses[st]++
-	if st != wire.StatusOK {
-		return nil, fmt.Errorf("chaos: cold read during shard 0's wedge answered %s, want OK", wire.StatusName(st))
-	}
-	// Recovery against the wedged shard must refuse, not hang.
-	if _, err := srv.Recover(hotNS); err == nil {
-		return nil, fmt.Errorf("chaos: Recover(hot) succeeded while shard 0 was wedged")
-	}
-
-	// ---- Phase 3: release -> recover -> rejoin ------------------------
-	cfg.Logf("sharded phase 3: releasing the wedge; recovering hot and wide")
-	stalls[0].Release()
-	r, err := wire.ReadReply(wc.conn)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: wedged write reply: %w", err)
-	}
-	res.Statuses[r.Status]++
-	if r.Status == wire.StatusOK {
-		mHot.Write(wedgeLSN, wedgeSectors, false)
-	} else {
-		mHot.FailedWrite(wedgeLSN, wedgeSectors)
-	}
-	for _, ns := range []string{hotNS, wideNS} {
-		ns := ns
-		if err := waitFor(5*time.Second, func() bool {
-			h, err := srv.Recover(ns)
-			return err == nil && h == server.Healthy
-		}); err != nil {
-			return nil, fmt.Errorf("chaos: namespace %s never recovered: %w", ns, err)
+	// ---- Phase 2: wedge shard 0 -> fence -> release -> recover --------
+	cfg.Logf("sharded phase 2: wedging shard 0; expecting a shard-scoped fence, then recovery of hot and wide")
+	err = wedge(srv, stalls[0], 0, ch, []string{hotNS, wideNS}, hot.m, res.Statuses, func() error {
+		// The fence is shard-scoped: the siblings and their tenant are
+		// untouched.
+		if srv.ShardStalled(1) || srv.ShardStalled(2) {
+			return fmt.Errorf("sibling shard reported stalled during shard 0's wedge")
 		}
-	}
-	if srv.Stalled() {
-		return nil, fmt.Errorf("chaos: fleet still reports stalled after recovery")
+		if h := srv.Health(coldNS); h != server.Healthy {
+			return fmt.Errorf("cold namespace %v during shard 0's wedge, want healthy", h)
+		}
+		st, err := probe(srv.Addr(), coldNS, workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
+		if err != nil {
+			return fmt.Errorf("sibling probe during wedge: %w", err)
+		}
+		res.Statuses[st]++
+		if st != wire.StatusOK {
+			return fmt.Errorf("cold read during shard 0's wedge answered %s, want OK", wire.StatusName(st))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: stall phase: %w", err)
 	}
 
-	// Recovered means rejoined: the hot tenant serves again, and its
-	// STAT snapshot — aggregated over its owning shard — is healthy.
-	var statuses []uint8
-	if _, err := ch.RunRequests([]workload.Request{
-		{Op: workload.OpWrite, LSN: 0, Sectors: 4},
-		{Op: workload.OpRead, LSN: 0, Sectors: 4},
-	}, 1, func(r server.Reply) { statuses = append(statuses, r.Rep.Status) }); err != nil {
-		return nil, fmt.Errorf("chaos: post-recovery serve: %w", err)
-	}
-	for _, st := range statuses {
-		res.Statuses[st]++
-	}
-	if len(statuses) != 2 || statuses[0] != wire.StatusOK || statuses[1] != wire.StatusOK {
-		return nil, fmt.Errorf("chaos: post-recovery hot serve statuses: %v", statuses)
-	}
-	mHot.Write(0, 4, false)
+	// Recovered means rejoined: the hot tenant's STAT snapshot —
+	// aggregated over its owning shard — is healthy.
 	payload, err := ch.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: post-recovery STAT: %w", err)
@@ -334,24 +165,14 @@ func RunSharded(cfg Config) (*ShardedResult, error) {
 
 	// ---- Wind down the sibling loops and check their invariants -------
 	close(stop)
-	if err := <-coldDone; err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	if err := <-wideDone; err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	res.ColdOps += coldOps
-	res.WideOps += wideOps
-	for st, n := range coldStatuses {
-		res.Statuses[st] += n
-	}
-	for st, n := range wideStatuses {
-		res.Statuses[st] += n
-		if st != wire.StatusOK && st != wire.StatusFenced {
-			return nil, fmt.Errorf("chaos: wide tenant saw %s (%d times); only OK and NAMESPACE_FENCED are legitimate", wire.StatusName(st), n)
+	for _, lt := range []*loopingTenant{coldLoop, wideLoop} {
+		if err := <-lt.done; err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
 		}
+		addStatuses(res.Statuses, lt.statuses)
 	}
-	res.ColdP99 = coldWall.Summary().P99
+	res.ColdOps, res.WideOps = coldLoop.ops, wideLoop.ops
+	res.ColdP99 = coldLoop.wall.Summary().P99
 	// The sibling's latency must be bounded by ordinary service time, not
 	// by the wedge: a cross-shard dependency would park cold commands
 	// behind the stall for the whole fence window.
@@ -361,33 +182,56 @@ func RunSharded(cfg Config) (*ShardedResult, error) {
 
 	// ---- Drain and differential check on every tenant -----------------
 	cfg.Logf("sharded drain: shutting down and checking all three models")
-	rep, err := srv.Shutdown()
-	if err != nil {
-		return nil, fmt.Errorf("chaos: shutdown: %w", err)
-	}
-	if rep.Submitted != rep.Completed {
-		return nil, fmt.Errorf("chaos: drain dropped commands: submitted %d completed %d", rep.Submitted, rep.Completed)
-	}
-	for _, tc := range []struct {
-		name    string
-		sectors int64
-		m       *ftltest.Model
-	}{{hotNS, hotSectors, mHot}, {coldNS, coldSectors, mCold}, {wideNS, wideSectors, mWide}} {
-		for lsn := int64(0); lsn < tc.sectors; lsn++ {
-			v, err := srv.NamespaceVersion(tc.name, lsn)
-			if err != nil {
-				return nil, err
-			}
-			if !tc.m.Acceptable(lsn, v) {
-				return nil, fmt.Errorf("chaos: acked write lost on %s: sector %d at version %d, acceptable %s",
-					tc.name, lsn, v, tc.m.Describe(lsn))
-			}
-		}
-	}
-	for st := range res.Statuses {
-		if !wire.KnownStatus(st) {
-			return nil, fmt.Errorf("chaos: untyped status %d surfaced to a client", st)
-		}
+	if err := drainAndCheck(srv, res.Statuses, hot, cold, wide); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// loopingTenant is a sibling tenant's batch loop: its counters belong to
+// the loop goroutine until done delivers, because the campaign's main
+// goroutine records probe statuses into its own result meanwhile.
+type loopingTenant struct {
+	ops      int64
+	statuses map[uint8]int64
+	wall     *metrics.Histogram
+	done     chan error
+}
+
+// loopTenant runs model-checked 200-request batches at depth 8 on c until
+// stop closes, failing as soon as a batch ends with a final status outside
+// tolerated — the one way the sibling tenants differ.
+func loopTenant(c *server.Client, t tenant, ps int, seed uint64, stop <-chan struct{}, tolerated ...uint8) *loopingTenant {
+	lt := &loopingTenant{statuses: make(map[uint8]int64), wall: metrics.NewHistogram(), done: make(chan error, 1)}
+	go func() {
+		for batch := uint64(0); ; batch++ {
+			select {
+			case <-stop:
+				lt.done <- nil
+				return
+			default:
+			}
+			reqs, err := stream(t.sectors, ps, 200, seed+batch)
+			if err != nil {
+				lt.done <- err
+				return
+			}
+			cr, err := c.RunRequests(reqs, 8, mirror(t.m))
+			if err != nil {
+				lt.done <- fmt.Errorf("%s batch %d: %w", t.ns, batch, err)
+				return
+			}
+			lt.ops += cr.Ops
+			lt.wall.Merge(cr.Wall)
+			for st, n := range cr.Statuses {
+				lt.statuses[st] += n
+				if !slices.Contains(tolerated, st) {
+					lt.done <- fmt.Errorf("%s tenant saw %s (%d times) in batch %d; only %v are legitimate",
+						t.ns, wire.StatusName(st), n, batch, tolerated)
+					return
+				}
+			}
+		}
+	}()
+	return lt
 }

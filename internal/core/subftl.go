@@ -703,7 +703,7 @@ func (f *FTL) Tick() error {
 // remaining rounds — and Tick only steps here when a foreground drain
 // that would pick the same victim is at most gcSlack refills away.
 func (f *FTL) stepSubGC() error {
-	if _, err := f.subCol.Step(&subTarget{f: f, fb: true}); err != nil && !errors.Is(err, gc.ErrNoVictim) {
+	if _, err := f.subCol.Step(&subTarget{f}); err != nil && !errors.Is(err, gc.ErrNoVictim) {
 		return err
 	}
 	return nil

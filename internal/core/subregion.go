@@ -626,7 +626,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 // full-page region; then erase the victim. A background-preempted victim
 // is resumed and finished first.
 func (f *FTL) collectSubOnce() error {
-	if err := f.subCol.Collect(&subTarget{f: f, fb: true}); err != nil {
+	if err := f.subCol.Collect(&subTarget{f}); err != nil {
 		if errors.Is(err, gc.ErrNoVictim) {
 			return fmt.Errorf("core: subpage GC has no victim (%d region blocks, %d free)", f.subBlocks, f.man.FreeCount())
 		}
@@ -637,12 +637,9 @@ func (f *FTL) collectSubOnce() error {
 
 // subTarget adapts the subpage region to the collector's Target: one Work
 // call relocates one victim page's survivors (the collector's page-scale
-// work unit). fb enables the open-block fallback — foreground collection
-// must reclaim something, background stepping must not sacrifice an open
-// block's remaining rounds.
+// work unit).
 type subTarget struct {
-	f  *FTL
-	fb bool
+	f *FTL
 }
 
 // View exposes the full (terminally exhausted) subpage-region blocks to
@@ -653,13 +650,9 @@ func (t *subTarget) View() gc.View {
 }
 
 // Fallback reclaims the fullest-free open block when no block is
-// terminally exhausted (foreground only).
-func (t *subTarget) Fallback() (nand.BlockID, bool) {
-	if !t.fb {
-		return 0, false
-	}
-	return t.f.pickOpenVictim()
-}
+// terminally exhausted. Background stepping takes it too: stepSubGC
+// explains why that is safe.
+func (t *subTarget) Fallback() (nand.BlockID, bool) { return t.f.pickOpenVictim() }
 
 // Begin checkpoints a fresh victim: reset the page cursor and take the
 // pressure-valve verdict once, so preempted steps resume consistently.

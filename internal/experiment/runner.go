@@ -8,7 +8,9 @@
 package experiment
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
 	"time"
 
 	"espftl/internal/core"
@@ -152,6 +154,30 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.SubRegionFrac == 0 {
 		c.SubRegionFrac = 0.20
 	}
+	return c
+}
+
+// BindPolicyFlags registers on fs the device-policy flags espsim and
+// espserved share — -ftl -full -arb -gc-policy -gc-step -gc-bg
+// -erase-policy -lifetime — and returns the RunConfig they fill when fs is
+// parsed. ftlUsage and fullUsage are the help lines of -ftl and -full, the
+// two whose wording names the tool's role (simulate or serve).
+func BindPolicyFlags(fs *flag.FlagSet, ftlUsage, fullUsage string) *RunConfig {
+	c := new(RunConfig)
+	fs.StringVar((*string)(&c.Kind), "ftl", string(KindSub), ftlUsage)
+	fs.BoolFunc("full", fullUsage, func(v string) error {
+		on, err := strconv.ParseBool(v)
+		if on {
+			c.Geometry = ExperimentGeometry
+		}
+		return err
+	})
+	fs.StringVar(&c.Arbitration, "arb", "fifo", "host-scheduler arbitration: fifo or read-priority")
+	fs.StringVar(&c.GCPolicy, "gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
+	fs.IntVar(&c.GCStepPages, "gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
+	fs.IntVar(&c.GCBackgroundSlack, "gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
+	fs.StringVar(&c.ErasePolicy, "erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
+	fs.BoolVar(&c.Lifetime, "lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
 	return c
 }
 
@@ -319,58 +345,29 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.MeasureLatency {
 		res.Latency = metrics.NewHistogram()
 	}
-	if cfg.QueueDepth > 0 || cfg.ArrivalRate > 0 {
-		if cfg.Trace != nil {
+	scheduled := cfg.QueueDepth > 0 || cfg.ArrivalRate > 0
+	if cfg.Trace != nil {
+		if scheduled {
 			return nil, fmt.Errorf("experiment: the host-scheduler path replays generated workloads only (traces carry idle gaps the closed/open-loop drivers redefine)")
 		}
-		gen, err := workload.NewSynthetic(cfg.Profile, fillSectors, g.SubpagesPerPage, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		res.Profile = cfg.Profile.Name
-		arb, err := host.NewArbiter(cfg.Arbitration)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := host.New(dev, f, host.Config{
-			Queues:               cfg.NumQueues,
-			Arbiter:              arb,
-			TickEvery:            cfg.TickEvery,
-			BackgroundDeferLimit: cfg.BGDeferLimit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ArrivalRate > 0 {
-			res.Sched, err = sched.RunOpenLoop(gen, cfg.Requests, cfg.ArrivalRate)
-		} else {
-			res.Sched, err = sched.RunClosedLoop(gen, cfg.Requests, cfg.QueueDepth)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Requests = cfg.Requests
-	} else if cfg.Trace != nil {
-		res.Profile = "trace"
+		res.Profile, res.Requests = "trace", len(cfg.Trace)
 		if err := ReplayTrace(f, clock, cfg.Trace, cfg.TickEvery); err != nil {
 			return nil, err
 		}
-		res.Requests = len(cfg.Trace)
 	} else {
 		gen, err := workload.NewSynthetic(cfg.Profile, fillSectors, g.SubpagesPerPage, cfg.Seed+1)
 		if err != nil {
 			return nil, err
 		}
-		res.Profile = cfg.Profile.Name
-		if res.Latency != nil {
-			err = replayGeneratorMeasured(f, dev, gen, cfg.Requests, cfg.TickEvery, res.Latency)
+		res.Profile, res.Requests = cfg.Profile.Name, cfg.Requests
+		if scheduled {
+			res.Sched, err = runScheduled(dev, f, gen, cfg)
 		} else {
-			err = ReplayGenerator(f, gen, cfg.Requests, cfg.TickEvery)
+			_, err = replayGenerator(f, gen, cfg.Requests, cfg.TickEvery, dev, res.Latency)
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Requests = cfg.Requests
 	}
 	if err := f.Flush(); err != nil {
 		return nil, err
@@ -392,96 +389,95 @@ func Run(cfg RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// apply dispatches one request to the FTL. Idle gaps are advanced in
-// one-day steps with a maintenance tick per step: time-based work such as
-// retention scrubbing runs in the background of a real controller, so a
-// month-long trace gap must not be an atomic jump past every deadline.
-func apply(f ftl.FTL, clock *sim.Clock, r workload.Request) error {
-	switch r.Op {
-	case workload.OpWrite:
-		return f.Write(r.LSN, r.Sectors, r.Sync)
-	case workload.OpRead:
-		return f.Read(r.LSN, r.Sectors)
-	case workload.OpTrim:
-		return f.Trim(r.LSN, r.Sectors)
-	case workload.OpFlush:
-		return f.Flush()
-	case workload.OpAdvance:
-		const step = 24 * time.Hour
-		for remaining := r.Gap; remaining > 0; remaining -= step {
-			d := remaining
-			if d > step {
-				d = step
-			}
-			clock.Advance(d)
-			if err := f.Tick(); err != nil {
-				return err
-			}
-		}
-		return nil
+// runScheduled replays the measured phase through the event-driven host
+// scheduler: open loop when an arrival rate is set, closed loop otherwise.
+func runScheduled(dev *nand.Device, f ftl.FTL, gen workload.Generator, cfg RunConfig) (*host.Report, error) {
+	arb, err := host.NewArbiter(cfg.Arbitration)
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("experiment: unknown op %v", r.Op)
+	sched, err := host.New(dev, f, host.Config{
+		Queues:               cfg.NumQueues,
+		Arbiter:              arb,
+		TickEvery:            cfg.TickEvery,
+		BackgroundDeferLimit: cfg.BGDeferLimit,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ArrivalRate > 0 {
+		return sched.RunOpenLoop(gen, cfg.Requests, cfg.ArrivalRate)
+	}
+	return sched.RunClosedLoop(gen, cfg.Requests, cfg.QueueDepth)
 }
 
 // ReplayGenerator feeds n generated requests to the FTL, ticking
 // maintenance every tickEvery requests.
 func ReplayGenerator(f ftl.FTL, gen workload.Generator, n, tickEvery int) error {
+	_, err := replayGenerator(f, gen, n, tickEvery, nil, nil)
+	return err
+}
+
+// replayGenerator is the serial replay loop; it returns how many requests
+// completed (request and owed tick both) before the first error. With h
+// non-nil it also records, per request, how far the request pushed dev's
+// drain time: under a saturated queue this is the request's marginal
+// service demand, and foreground GC appears as tail spikes. Generators
+// never emit OpAdvance; ftl.Apply refuses one that did.
+func replayGenerator(f ftl.FTL, gen workload.Generator, n, tickEvery int, dev *nand.Device, h *metrics.Histogram) (int, error) {
+	var before sim.Time
+	if h != nil {
+		before = dev.DrainTime()
+	}
 	for i := 0; i < n; i++ {
 		r := gen.Next()
-		if err := applyGen(f, r); err != nil {
-			return fmt.Errorf("experiment: request %d (%v): %w", i, r, err)
+		if err := ftl.Apply(f, r); err != nil {
+			return i, fmt.Errorf("experiment: request %d (%v): %w", i, r, err)
+		}
+		if h != nil {
+			after := dev.DrainTime()
+			h.Record(after.Sub(before))
+			before = after
 		}
 		if tickEvery > 0 && i%tickEvery == 0 {
 			if err := f.Tick(); err != nil {
-				return err
+				return i, err
 			}
+		}
+	}
+	return n, nil
+}
+
+// idle advances the clock across a trace's idle gap in one-day steps with a
+// maintenance tick per step: time-based work such as retention scrubbing
+// runs in the background of a real controller, so a month-long trace gap
+// must not be an atomic jump past every deadline.
+func idle(f ftl.FTL, clock *sim.Clock, gap time.Duration) error {
+	const step = 24 * time.Hour
+	for remaining := gap; remaining > 0; remaining -= step {
+		d := remaining
+		if d > step {
+			d = step
+		}
+		clock.Advance(d)
+		if err := f.Tick(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// applyGen applies a generated request (generators never emit OpAdvance).
-func applyGen(f ftl.FTL, r workload.Request) error {
-	switch r.Op {
-	case workload.OpWrite:
-		return f.Write(r.LSN, r.Sectors, r.Sync)
-	case workload.OpRead:
-		return f.Read(r.LSN, r.Sectors)
-	case workload.OpTrim:
-		return f.Trim(r.LSN, r.Sectors)
-	case workload.OpFlush:
-		return f.Flush()
-	}
-	return fmt.Errorf("experiment: generator emitted %v", r.Op)
-}
-
-// replayGeneratorMeasured is ReplayGenerator plus a per-request histogram
-// of completion-horizon extensions (how far the request pushed the
-// device's drain time). Under a saturated queue this is the request's
-// marginal service demand; foreground GC appears as tail spikes.
-func replayGeneratorMeasured(f ftl.FTL, dev *nand.Device, gen workload.Generator, n, tickEvery int, h *metrics.Histogram) error {
-	before := dev.DrainTime()
-	for i := 0; i < n; i++ {
-		r := gen.Next()
-		if err := applyGen(f, r); err != nil {
-			return fmt.Errorf("experiment: request %d (%v): %w", i, r, err)
-		}
-		after := dev.DrainTime()
-		h.Record(after.Sub(before))
-		before = after
-		if tickEvery > 0 && i%tickEvery == 0 {
-			if err := f.Tick(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ReplayTrace feeds a recorded trace to the FTL.
+// ReplayTrace feeds a recorded trace to the FTL, idling across its
+// OpAdvance gaps.
 func ReplayTrace(f ftl.FTL, clock *sim.Clock, reqs []workload.Request, tickEvery int) error {
 	for i, r := range reqs {
-		if err := apply(f, clock, r); err != nil {
+		var err error
+		if r.Op == workload.OpAdvance {
+			err = idle(f, clock, r.Gap)
+		} else {
+			err = ftl.Apply(f, r)
+		}
+		if err != nil {
 			return fmt.Errorf("experiment: trace request %d (%v): %w", i, r, err)
 		}
 		if tickEvery > 0 && i%tickEvery == 0 {

@@ -86,20 +86,12 @@ func RunSPO(cfg RunConfig, cutAfter int64, torn bool) (*SPOResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Requests; i++ {
-		r := gen.Next()
-		err := applyGen(f, r)
-		if err == nil && cfg.TickEvery > 0 && i%cfg.TickEvery == 0 {
-			err = f.Tick()
+	res.Requests, err = replayGenerator(f, gen, cfg.Requests, cfg.TickEvery, nil, nil)
+	if err != nil {
+		if !errors.Is(err, nand.ErrPowerLoss) {
+			return nil, fmt.Errorf("experiment: SPO run: %w", err)
 		}
-		if err != nil {
-			if !errors.Is(err, nand.ErrPowerLoss) {
-				return nil, fmt.Errorf("experiment: SPO request %d (%v): %w", i, r, err)
-			}
-			res.Crashed = true
-			break
-		}
-		res.Requests++
+		res.Crashed = true
 	}
 	if res.Crashed && dev.Alive() {
 		return nil, fmt.Errorf("experiment: power loss reported but device still alive")

@@ -138,23 +138,31 @@ type ChipProbe interface {
 	ChipOf(lsn int64) int
 }
 
-// SubmitSync adapts an FTL's synchronous interface to the Submit
-// signature: it issues r via Write/Read/Trim and reports the outcome
-// through done. FTLs embed it to implement Submitter in one line.
-func SubmitSync(f FTL, r workload.Request, done CompletionFunc) {
-	var err error
+// Apply issues one host request to the FTL's synchronous interface and
+// returns its outcome. It is the one place a request's op selects an FTL
+// method: the serial replay, SubmitSync and the host scheduler's
+// synchronous fallback all call it, so every driver hands the three FTLs
+// a request the same way. Ops that are not FTL calls (OpAdvance) are an
+// error here; the replay that understands idle gaps handles them first.
+func Apply(f FTL, r workload.Request) error {
 	switch r.Op {
 	case workload.OpWrite:
-		err = f.Write(r.LSN, r.Sectors, r.Sync)
+		return f.Write(r.LSN, r.Sectors, r.Sync)
 	case workload.OpRead:
-		err = f.Read(r.LSN, r.Sectors)
+		return f.Read(r.LSN, r.Sectors)
 	case workload.OpTrim:
-		err = f.Trim(r.LSN, r.Sectors)
+		return f.Trim(r.LSN, r.Sectors)
 	case workload.OpFlush:
-		err = f.Flush()
-	default:
-		err = fmt.Errorf("ftl: cannot submit op %v", r.Op)
+		return f.Flush()
 	}
+	return fmt.Errorf("ftl: cannot apply op %v", r.Op)
+}
+
+// SubmitSync adapts an FTL's synchronous interface to the Submit
+// signature: it issues r via Apply and reports the outcome through done.
+// FTLs embed it to implement Submitter in one line.
+func SubmitSync(f FTL, r workload.Request, done CompletionFunc) {
+	err := Apply(f, r)
 	if done != nil {
 		done(err)
 	}
@@ -236,59 +244,80 @@ type Stats struct {
 	Device nand.Counters
 }
 
+// accumulate adds sign*o's value into every additive counter of s, the
+// mirrored device counters included. It is the one list of those counters:
+// Sub walks it with sign -1 and Add with +1, so the two cannot drift.
+// Labels (GCPolicy, ErasePolicy), SectorBytes and the Stats()-time
+// snapshots (GrownBadBlocks, Wear, MappingBytes) are not in it.
+func (s *Stats) accumulate(o *Stats, sign int64) {
+	s.HostWriteReqs += sign * o.HostWriteReqs
+	s.HostReadReqs += sign * o.HostReadReqs
+	s.HostTrimReqs += sign * o.HostTrimReqs
+	s.HostSectorsWritten += sign * o.HostSectorsWritten
+	s.HostSectorsRead += sign * o.HostSectorsRead
+	s.SmallWriteReqs += sign * o.SmallWriteReqs
+	s.SmallHostBytes += sign * o.SmallHostBytes
+	s.SmallFlashBytes += sign * o.SmallFlashBytes
+	s.RMWOps += sign * o.RMWOps
+	s.GCInvocations += sign * o.GCInvocations
+	s.GCMovedSectors += sign * o.GCMovedSectors
+	s.GCSteps += sign * o.GCSteps
+	s.GCPagesCopied += sign * o.GCPagesCopied
+	s.GCPreemptions += sign * o.GCPreemptions
+	s.RoundAdvances += sign * o.RoundAdvances
+	s.SubShifts += sign * o.SubShifts
+	s.Evictions += sign * o.Evictions
+	s.RetentionMoves += sign * o.RetentionMoves
+	s.RegionReclaims += sign * o.RegionReclaims
+	s.BufferAbsorbed += sign * o.BufferAbsorbed
+	s.ReadBufferHits += sign * o.ReadBufferHits
+	s.ProgramFailMoves += sign * o.ProgramFailMoves
+	s.ScrubRewrites += sign * o.ScrubRewrites
+	s.LifetimeObserves += sign * o.LifetimeObserves
+	s.LifetimeHotWrites += sign * o.LifetimeHotWrites
+	s.LifetimeColdWrites += sign * o.LifetimeColdWrites
+	s.LifetimeUnknownWrites += sign * o.LifetimeUnknownWrites
+	s.LifetimeSteered += sign * o.LifetimeSteered
+	s.LifetimeSegregated += sign * o.LifetimeSegregated
+	d, od := &s.Device, &o.Device
+	d.PageReads += sign * od.PageReads
+	d.SubpageReads += sign * od.SubpageReads
+	d.PagePrograms += sign * od.PagePrograms
+	d.SubPrograms += sign * od.SubPrograms
+	d.Erases += sign * od.Erases
+	d.BytesWritten += sign * od.BytesWritten
+	d.BytesRead += sign * od.BytesRead
+	d.ReadFailures += sign * od.ReadFailures
+	d.RetentionHits += sign * od.RetentionHits
+	d.ReadRetries += sign * od.ReadRetries
+	d.RetriedReads += sign * od.RetriedReads
+	d.RetryFailures += sign * od.RetryFailures
+	d.ProgramFailures += sign * od.ProgramFailures
+	d.EraseFailures += sign * od.EraseFailures
+	d.ShallowErases += sign * od.ShallowErases
+	d.WearUnits += float64(sign) * od.WearUnits
+	d.OOBScans += sign * od.OOBScans
+	d.TornPrograms += sign * od.TornPrograms
+}
+
 // Sub returns the counter-wise difference s - prev, used by the experiment
-// harness to isolate the measured phase from preconditioning. Derived and
-// size fields (MappingBytes, SectorBytes) keep s's values.
+// harness to isolate the measured phase from preconditioning. Labels, size
+// fields and the Stats()-time snapshots keep s's values.
 func (s Stats) Sub(prev Stats) Stats {
-	d := s
-	d.HostWriteReqs -= prev.HostWriteReqs
-	d.HostReadReqs -= prev.HostReadReqs
-	d.HostTrimReqs -= prev.HostTrimReqs
-	d.HostSectorsWritten -= prev.HostSectorsWritten
-	d.HostSectorsRead -= prev.HostSectorsRead
-	d.SmallWriteReqs -= prev.SmallWriteReqs
-	d.SmallHostBytes -= prev.SmallHostBytes
-	d.SmallFlashBytes -= prev.SmallFlashBytes
-	d.RMWOps -= prev.RMWOps
-	d.GCInvocations -= prev.GCInvocations
-	d.GCMovedSectors -= prev.GCMovedSectors
-	d.GCSteps -= prev.GCSteps
-	d.GCPagesCopied -= prev.GCPagesCopied
-	d.GCPreemptions -= prev.GCPreemptions
-	d.RoundAdvances -= prev.RoundAdvances
-	d.SubShifts -= prev.SubShifts
-	d.Evictions -= prev.Evictions
-	d.RetentionMoves -= prev.RetentionMoves
-	d.RegionReclaims -= prev.RegionReclaims
-	d.BufferAbsorbed -= prev.BufferAbsorbed
-	d.ReadBufferHits -= prev.ReadBufferHits
-	d.ProgramFailMoves -= prev.ProgramFailMoves
-	d.ScrubRewrites -= prev.ScrubRewrites
-	d.LifetimeObserves -= prev.LifetimeObserves
-	d.LifetimeHotWrites -= prev.LifetimeHotWrites
-	d.LifetimeColdWrites -= prev.LifetimeColdWrites
-	d.LifetimeUnknownWrites -= prev.LifetimeUnknownWrites
-	d.LifetimeSteered -= prev.LifetimeSteered
-	d.LifetimeSegregated -= prev.LifetimeSegregated
-	d.Device.PageReads -= prev.Device.PageReads
-	d.Device.SubpageReads -= prev.Device.SubpageReads
-	d.Device.PagePrograms -= prev.Device.PagePrograms
-	d.Device.SubPrograms -= prev.Device.SubPrograms
-	d.Device.Erases -= prev.Device.Erases
-	d.Device.BytesWritten -= prev.Device.BytesWritten
-	d.Device.BytesRead -= prev.Device.BytesRead
-	d.Device.ReadFailures -= prev.Device.ReadFailures
-	d.Device.RetentionHits -= prev.Device.RetentionHits
-	d.Device.ReadRetries -= prev.Device.ReadRetries
-	d.Device.RetriedReads -= prev.Device.RetriedReads
-	d.Device.RetryFailures -= prev.Device.RetryFailures
-	d.Device.ProgramFailures -= prev.Device.ProgramFailures
-	d.Device.EraseFailures -= prev.Device.EraseFailures
-	d.Device.ShallowErases -= prev.Device.ShallowErases
-	d.Device.WearUnits -= prev.Device.WearUnits
-	d.Device.OOBScans -= prev.Device.OOBScans
-	d.Device.TornPrograms -= prev.Device.TornPrograms
-	return d
+	s.accumulate(&prev, -1)
+	return s
+}
+
+// Add folds another device's stats into s, for a fleet-level view of
+// independent shards: counters sum, and so do the snapshots that are
+// amounts (GrownBadBlocks, MappingBytes); Wear merges as a distribution
+// (see WearDist.merge). Labels and SectorBytes keep s's values — shards are
+// homogeneously configured.
+func (s *Stats) Add(o Stats) {
+	s.accumulate(&o, 1)
+	s.GrownBadBlocks += o.GrownBadBlocks
+	s.MappingBytes += o.MappingBytes
+	s.Wear.merge(o.Wear)
 }
 
 // WearDist is a snapshot of the per-block wear distribution of a device:
@@ -305,6 +334,31 @@ type WearDist struct {
 	WearMax   float64
 	WearMean  float64
 	WearP99   float64
+}
+
+// merge folds another device's wear distribution into w: block counts
+// sum, extremes take the true min/max, means weight by block count. The
+// P99s take the larger of the two — an upper bound on the merged
+// distribution's p99, the exact value needing the per-block data the
+// snapshots no longer carry.
+func (w *WearDist) merge(o WearDist) {
+	if o.Blocks == 0 {
+		return
+	}
+	if w.Blocks == 0 {
+		*w = o
+		return
+	}
+	n, on := float64(w.Blocks), float64(o.Blocks)
+	w.EraseMean = (w.EraseMean*n + o.EraseMean*on) / (n + on)
+	w.WearMean = (w.WearMean*n + o.WearMean*on) / (n + on)
+	w.Blocks += o.Blocks
+	w.EraseMin = min(w.EraseMin, o.EraseMin)
+	w.EraseMax = max(w.EraseMax, o.EraseMax)
+	w.EraseP99 = max(w.EraseP99, o.EraseP99)
+	w.WearMin = min(w.WearMin, o.WearMin)
+	w.WearMax = max(w.WearMax, o.WearMax)
+	w.WearP99 = max(w.WearP99, o.WearP99)
 }
 
 // AvgRequestWAF returns the paper's "average request WAF" of small writes:

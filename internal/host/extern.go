@@ -11,37 +11,28 @@ import (
 // This file is the scheduler's external-submission mode: instead of a
 // generator-driven closed/open loop, requests arrive on a channel from
 // concurrent producers (the network service's connection readers) and
-// every completion is delivered back through a per-request callback. The
-// scheduler remains single-threaded — the channel is the only
-// synchronization point — so the FTL and device keep their
-// deterministic, single-caller world even with hundreds of concurrent
-// clients upstream.
+// every completion is delivered back through the submission's Completion,
+// the one delivery path. The scheduler remains single-threaded — the
+// channel is the only synchronization point, and its capacity is the
+// admission batch — so the FTL and device keep their deterministic,
+// single-caller world even with hundreds of concurrent clients upstream.
 
-// Completion receives a completed command. It is the recycling-aware
-// alternative to ExtSubmission.Done: a command delivered through a
-// Completion is returned to the scheduler's freelist as soon as
-// Complete returns, so the receiver must copy anything it needs and
-// must not retain the *Command past the call.
+// Completion receives a completed command: Complete is invoked exactly
+// once, on the scheduler goroutine, when the command completes (or is
+// rejected before queueing). The command's Err field carries the FTL
+// error, if any; Arrival/Complete give its virtual-time lifecycle.
+// Complete must not block: it runs inside the event loop, and a slow
+// receiver stalls every tenant. The record returns to the scheduler's
+// freelist as soon as Complete returns, so the receiver must copy anything
+// it needs and must not retain the *Command past the call.
 type Completion interface {
 	Complete(c *Command)
 }
 
-// ExtSubmission is one externally produced request plus its completion
-// callback.
+// ExtSubmission is one externally produced request plus where its
+// completion is delivered; a nil Complete submits fire-and-forget.
 type ExtSubmission struct {
-	Req workload.Request
-	// Done is invoked exactly once on the scheduler goroutine when the
-	// command completes (or is rejected before queueing). The command's
-	// Err field carries the FTL error, if any; Arrival/Complete give its
-	// virtual-time lifecycle. Done must not block: it runs inside the
-	// event loop, and a slow callback stalls every tenant. Commands
-	// delivered through Done are never recycled — the receiver may keep
-	// the pointer.
-	Done func(c *Command)
-	// Complete, when non-nil, takes precedence over Done and opts the
-	// command into record recycling (see Completion). The steady-state
-	// serve path uses it so sustained traffic allocates no Command
-	// records.
+	Req      workload.Request
 	Complete Completion
 }
 
@@ -58,7 +49,7 @@ type ExtSubmission struct {
 // That is fixed — and with a non-pacing gate the whole run, Report
 // included, repeats bit for bit — when every submission is already in the
 // (buffered) channel at the poll that admits it: sent before RunExternal
-// starts, or from a Done/Complete callback, which runs on this goroutine.
+// starts, or from a Complete callback, which runs on this goroutine.
 // With concurrent producers, whether a send lands before a poll is
 // goroutine timing: each producer's submissions are still admitted in its
 // send order and every accepted command completes exactly once, but which
@@ -88,12 +79,7 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 				return s.finish(nil)
 			}
 			r, ok := <-sub
-			if !ok {
-				open = false
-			} else {
-				s.acceptExt(r, gate)
-				s.drainQueued(sub, gate, &open)
-			}
+			open = s.admit(r, ok, sub, gate)
 			continue
 		}
 		next := s.events[0].at
@@ -114,12 +100,7 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 						default:
 						}
 					}
-					if !ok {
-						open = false
-					} else {
-						s.acceptExt(r, gate)
-						s.drainQueued(sub, gate, &open)
-					}
+					open = s.admit(r, ok, sub, gate)
 					continue
 				case <-timer.C:
 				}
@@ -129,12 +110,7 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 				// backlog of ready events.
 				select {
 				case r, ok := <-sub:
-					if !ok {
-						open = false
-					} else {
-						s.acceptExt(r, gate)
-						s.drainQueued(sub, gate, &open)
-					}
+					open = s.admit(r, ok, sub, gate)
 					continue
 				default:
 				}
@@ -151,37 +127,37 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 		c := ev.cmd
 		host := c.Class != ClassBackground // complete recycles (and clears) a background tick
 		s.complete(c)
-		if host {
-			if c.comp != nil {
-				c.comp.Complete(c)
-				s.freeCmd(c)
-			} else if c.done != nil {
-				c.done(c)
-			}
+		if host && c.comp != nil {
+			c.comp.Complete(c)
+			s.freeCmd(c)
 		}
 		s.sampleSeries()
 	}
 }
 
-// drainQueued greedily accepts submissions already sitting in the
-// channel after a blocking receive, so one scheduler wake admits a whole
+// admit takes what a receive on sub returned — a submission, or the
+// channel's close — and then greedily accepts the submissions already
+// sitting in the channel behind it, so one scheduler wake admits a whole
 // burst and the following dispatch round arbitrates over the full batch
-// instead of one command at a time. Bounded by Config.ExtBatch; the
-// default batch of 1 makes this a no-op (see the ExtBatch doc for why
-// batching must be opt-in).
-func (s *Scheduler) drainQueued(sub <-chan ExtSubmission, gate *sim.Gate, open *bool) {
-	for i := 1; i < s.cfg.ExtBatch; i++ {
+// instead of one command at a time. A wake admits at most cap(sub)
+// submissions — what producers can have queued without blocking — so an
+// unbuffered channel admits only the one just received. How many sends have
+// landed by a given poll is goroutine timing unless they come from this
+// goroutine (see RunExternal's determinism contract). It reports whether
+// the channel is still open.
+func (s *Scheduler) admit(r ExtSubmission, ok bool, sub <-chan ExtSubmission, gate *sim.Gate) bool {
+	for n := 1; ok; n++ {
+		s.acceptExt(r, gate)
+		if n >= cap(sub) {
+			return true
+		}
 		select {
-		case r, ok := <-sub:
-			if !ok {
-				*open = false
-				return
-			}
-			s.acceptExt(r, gate)
+		case r, ok = <-sub:
 		default:
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // acceptExt stamps an external arrival onto the virtual axis and queues
@@ -198,22 +174,17 @@ func (s *Scheduler) acceptExt(r ExtSubmission, gate *sim.Gate) {
 	c, err := s.submitCmd(r.Req)
 	if err != nil {
 		s.rep.Rejected++
-		if r.Complete == nil && r.Done == nil {
+		if r.Complete == nil {
 			return
 		}
 		rc := s.newCmd()
 		rc.Req, rc.Err, rc.Chip = r.Req, err, s.chips
 		rc.Arrival, rc.Dispatch, rc.Complete = s.now, s.now, s.now
 		rc.DispatchIdx = -1
-		if r.Complete != nil {
-			r.Complete.Complete(rc)
-			s.freeCmd(rc)
-		} else if r.Done != nil {
-			r.Done(rc)
-		}
+		r.Complete.Complete(rc)
+		s.freeCmd(rc)
 		return
 	}
-	c.done = r.Done
 	c.comp = r.Complete
 }
 

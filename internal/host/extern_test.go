@@ -2,6 +2,7 @@ package host_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,13 @@ import (
 	"espftl/internal/sim"
 	"espftl/internal/workload"
 )
+
+// completeFunc adapts a func to host.Completion. The scheduler recycles
+// the record once Complete returns, so a callback that keeps a command
+// copies it.
+type completeFunc func(*host.Command)
+
+func (f completeFunc) Complete(c *host.Command) { f(c) }
 
 // pump feeds n generated requests through an external scheduler run as a
 // closed loop of the given window and returns every completed command in
@@ -31,10 +39,11 @@ func pump(t *testing.T, s *host.Scheduler, gen workload.Generator, n, window int
 			return
 		}
 		sent++
-		sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
-			done = append(done, c)
+		sub <- host.ExtSubmission{Req: gen.Next(), Complete: completeFunc(func(c *host.Command) {
+			cp := *c
+			done = append(done, &cp)
 			submit()
-		}}
+		})}
 		if sent == n {
 			close(sub)
 		}
@@ -175,13 +184,10 @@ func TestRunExternalRejection(t *testing.T) {
 	var rejected *host.Command
 	go func() {
 		sub <- host.ExtSubmission{
-			Req:  workload.Request{Op: workload.OpAdvance, Gap: 1},
-			Done: func(c *host.Command) { rejected = c },
+			Req:      workload.Request{Op: workload.OpAdvance, Gap: 1},
+			Complete: completeFunc(func(c *host.Command) { cp := *c; rejected = &cp }),
 		}
-		sub <- host.ExtSubmission{
-			Req:  workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4},
-			Done: func(*host.Command) {},
-		}
+		sub <- host.ExtSubmission{Req: workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4}}
 		close(sub)
 	}()
 	rep, err := s.RunExternal(sub, nil)
@@ -263,10 +269,10 @@ func TestRunExternalConcurrentProducers(t *testing.T) {
 			window := make(chan struct{}, 4)
 			for i := 0; i < perProducer; i++ {
 				window <- struct{}{}
-				sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
+				sub <- host.ExtSubmission{Req: gen.Next(), Complete: completeFunc(func(c *host.Command) {
 					completed.Add(1)
 					<-window
-				}}
+				})}
 			}
 			for i := 0; i < cap(window); i++ { // drain: all in-flight done
 				window <- struct{}{}
@@ -286,5 +292,73 @@ func TestRunExternalConcurrentProducers(t *testing.T) {
 	}
 	if err := f.Check(); err != nil {
 		t.Fatalf("post-run invariants: %v", err)
+	}
+}
+
+// TestRunExternalAdmissionBatch: one scheduler wake admits what the
+// submission channel can hold. Submissions already sitting in a buffered
+// channel are arbitrated as one batch — read-priority dispatches the read
+// ahead of the two writes submitted before it — while an unbuffered channel
+// hands over one submission per wake, so each is dispatched before the
+// scheduler has seen the next and nothing can be promoted.
+func TestRunExternalAdmissionBatch(t *testing.T) {
+	run := func(buffered bool) ([]workload.Op, int64) {
+		dev, f, fill := newRig(t, "subFTL")
+		arb, err := host.NewArbiter("read-priority")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := host.New(dev, f, host.Config{Arbiter: arb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The two writes route to chips 0 and 1 (round-robin); read from a
+		// page that lives on neither, so the read heads its own queue.
+		readLSN := int64(-1)
+		for lsn := int64(8); lsn < fill; lsn += 4 {
+			if ch := f.(ftl.ChipProbe).ChipOf(lsn); ch > 1 {
+				readLSN = lsn
+				break
+			}
+		}
+		if readLSN < 0 {
+			t.Fatal("no preconditioned page outside chips 0 and 1")
+		}
+		reqs := []workload.Request{
+			{Op: workload.OpWrite, LSN: 0, Sectors: 4},
+			{Op: workload.OpWrite, LSN: 4, Sectors: 4},
+			{Op: workload.OpRead, LSN: readLSN, Sectors: 4},
+		}
+		var order []workload.Op
+		s.SetDispatchHook(func(c *host.Command) { order = append(order, c.Req.Op) })
+		var sub chan host.ExtSubmission
+		feed := func() {
+			for _, r := range reqs {
+				sub <- host.ExtSubmission{Req: r}
+			}
+			close(sub)
+		}
+		if buffered {
+			sub = make(chan host.ExtSubmission, len(reqs))
+			feed()
+		} else {
+			sub = make(chan host.ExtSubmission)
+			go feed()
+		}
+		rep, err := s.RunExternal(sub, nil)
+		if err != nil {
+			t.Fatalf("RunExternal: %v", err)
+		}
+		if rep.Completed != int64(len(reqs)) {
+			t.Fatalf("completed %d of %d", rep.Completed, len(reqs))
+		}
+		return order, rep.ReadsPromoted
+	}
+	w, r := workload.OpWrite, workload.OpRead
+	if order, promoted := run(true); !reflect.DeepEqual(order, []workload.Op{r, w, w}) || promoted != 1 {
+		t.Errorf("buffered channel: dispatch order %v with %d reads promoted, want the read first and 1 promotion", order, promoted)
+	}
+	if order, promoted := run(false); !reflect.DeepEqual(order, []workload.Op{w, w, r}) || promoted != 0 {
+		t.Errorf("unbuffered channel: dispatch order %v with %d reads promoted, want submission order and none", order, promoted)
 	}
 }

@@ -130,11 +130,8 @@ type Command struct {
 
 	// deferred counts events a background command yielded to host reads.
 	deferred int
-	// done delivers the completed command to an external submitter.
-	done func(*Command)
-	// comp is the recycling-aware delivery path: when set, it is invoked
-	// instead of done and the record returns to the scheduler freelist
-	// as soon as Complete returns.
+	// comp delivers the completed command to its external submitter; the
+	// record returns to the scheduler freelist as soon as Complete returns.
 	comp Completion
 
 	// out links the command into the scheduler's list of incomplete host

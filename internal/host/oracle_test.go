@@ -184,7 +184,7 @@ func (s *Scheduler) Retained() (n int) {
 		}
 	}
 	for _, c := range s.cmdFree {
-		if c.done != nil || c.comp != nil || c.Err != nil || c.haz != nil {
+		if c.comp != nil || c.Err != nil || c.haz != nil {
 			n++
 		}
 	}

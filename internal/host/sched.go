@@ -25,15 +25,6 @@ type Config struct {
 	// may yield to pending host reads before it is dispatched anyway
 	// (default 512). Scrubbing must eventually run even under read load.
 	BackgroundDeferLimit int
-	// ExtBatch is the external-mode admission batch: after a blocking
-	// submission receive, RunExternal greedily drains up to ExtBatch-1
-	// further queued submissions before the next dispatch round, so a
-	// burst is arbitrated as one batch. The default (1) admits one
-	// submission per wake. Batching makes what a dispatch round arbitrates
-	// depend on how many racing sends have landed, so it is strictly
-	// opt-in (the network service opts in; single-threaded replay tests
-	// must not).
-	ExtBatch int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -51,12 +42,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BackgroundDeferLimit == 0 {
 		c.BackgroundDeferLimit = 512
-	}
-	if c.ExtBatch == 0 {
-		c.ExtBatch = 1
-	}
-	if c.ExtBatch < 0 {
-		return c, fmt.Errorf("host: negative external batch %d", c.ExtBatch)
 	}
 	return c, nil
 }
@@ -167,9 +152,8 @@ type Scheduler struct {
 	// host command just after its retirement was accounted.
 	onRetire func(*Command)
 
-	// cmdFree recycles Command records for submitters that opted into
-	// recycling (ExtSubmission.Complete) and for background ticks; see
-	// freeCmd for the retention rules.
+	// cmdFree recycles Command records of external submissions and
+	// background ticks; see freeCmd for the retention rules.
 	cmdFree []*Command
 	// issueErr and issueCB are the reusable Submit callback, and barrier
 	// the dispatchable method value handed to the arbiter: allocating a
@@ -225,14 +209,13 @@ func (s *Scheduler) newCmd() *Command {
 	return &Command{}
 }
 
-// freeCmd returns a command to the freelist. Recycling is strictly
-// opt-in: only commands whose submitter used the Completion interface
-// (which promises not to retain the pointer) and internally generated
-// background ticks come back here — commands delivered through the
-// ExtSubmission.Done func, or run by the closed/open-loop drivers, stay
-// live because those callers may retain them. The
-// record is cleared here, not on reuse, so a parked record keeps nothing
-// alive (the submitter's completion closure, the request's error).
+// freeCmd returns a command to the freelist. Only commands nothing can
+// still hold come back here: those delivered through a Completion (which
+// promises not to retain the pointer) and internally generated background
+// ticks. Commands run by the closed/open-loop drivers stay live because a
+// dispatch hook may retain them. The record is cleared here, not on reuse,
+// so a parked record keeps nothing alive (the submitter's Completion, the
+// request's error).
 func (s *Scheduler) freeCmd(c *Command) {
 	*c = Command{}
 	s.cmdFree = append(s.cmdFree, c)
@@ -601,18 +584,7 @@ func (s *Scheduler) issue(c *Command) error {
 		s.sub.Submit(c.Req, s.issueCB)
 		return s.issueErr
 	}
-	r := c.Req
-	switch r.Op {
-	case workload.OpWrite:
-		return s.f.Write(r.LSN, r.Sectors, r.Sync)
-	case workload.OpRead:
-		return s.f.Read(r.LSN, r.Sectors)
-	case workload.OpTrim:
-		return s.f.Trim(r.LSN, r.Sectors)
-	case workload.OpFlush:
-		return s.f.Flush()
-	}
-	return fmt.Errorf("host: unschedulable op %v", r.Op)
+	return ftl.Apply(s.f, c.Req)
 }
 
 // complete retires a command at the current event time.

@@ -43,9 +43,7 @@ func BenchmarkServeLoopbackQD8(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Device:           dev,
-		FTL:              f,
-		LogicalSectors:   logical,
+		Stacks:           []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: logical}},
 		PreconditionFrac: 0.4,
 	})
 	if err != nil {

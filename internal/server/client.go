@@ -64,9 +64,9 @@ func DialTimeout(addr, ns string, timeout time.Duration) (*Client, error) {
 	// The buffered reader wraps the socket only after the handshake, so
 	// it can never have swallowed handshake bytes.
 	return &Client{
-		conn:    conn,
-		rr:      wire.NewReplyReader(bufio.NewReader(conn)),
-		addr:    addr, ns: ns,
+		conn: conn,
+		rr:   wire.NewReplyReader(bufio.NewReader(conn)),
+		addr: addr, ns: ns,
 		Welcome: wl,
 	}, nil
 }
@@ -91,11 +91,26 @@ type ClientReport struct {
 	Virt, Wall *metrics.Histogram
 }
 
-func (r *ClientReport) count(status uint8) {
+// record accounts one final reply to a request sent at sent and hands it
+// to onReply (when non-nil).
+func (r *ClientReport) record(req workload.Request, rep wire.Reply, sent time.Time, onReply func(Reply)) {
+	r.Ops++
 	if r.Statuses == nil {
 		r.Statuses = make(map[uint8]int64)
 	}
-	r.Statuses[status]++
+	r.Statuses[rep.Status]++
+	switch rep.Status {
+	case wire.StatusOK:
+	case wire.StatusShutdown:
+		r.Rejected++
+	default:
+		r.Errors++
+	}
+	r.Wall.Record(time.Since(sent))
+	r.Virt.Record(time.Duration(rep.LatencyNS))
+	if onReply != nil {
+		onReply(Reply{Req: req, Rep: rep})
+	}
 }
 
 // Reply pairs a completed request with its wire reply, for the Run
@@ -156,20 +171,7 @@ func (c *Client) Run(next func() (workload.Request, bool), depth int, onReply fu
 				readerErr <- fmt.Errorf("client: reply for unknown tag %d", r.Tag)
 				return
 			}
-			rep.Ops++
-			rep.count(r.Status)
-			switch r.Status {
-			case wire.StatusOK:
-			case wire.StatusShutdown:
-				rep.Rejected++
-			default:
-				rep.Errors++
-			}
-			rep.Wall.Record(time.Since(p.sent))
-			rep.Virt.Record(time.Duration(r.LatencyNS))
-			if onReply != nil {
-				onReply(Reply{Req: p.req, Rep: r})
-			}
+			rep.record(p.req, r, p.sent, onReply)
 			<-window
 		}
 	}()

@@ -145,10 +145,9 @@ func (s *Server) handle(c net.Conn) {
 		// order, which is what makes a later FLUSH cover every earlier
 		// write on that shard — the cross-shard barrier is simply that
 		// the join answers only when the slowest shard has settled.
-		// Completions arrive through the join's fragDone records (the
-		// scheduler's recycling-aware path); the records live in a
-		// join-owned slice, so sustained traffic allocates neither
-		// closures nor command records.
+		// Completions arrive through the join's fragDone records; the
+		// records live in a join-owned slice and the scheduler recycles
+		// its command records, so sustained traffic allocates neither.
 		for i, fr := range frags {
 			j.frags[i] = fragDone{j: j, sh: fr.sh, idx: i}
 			es := host.ExtSubmission{Req: fr.req, Complete: &j.frags[i]}
@@ -216,9 +215,9 @@ func (j *join) reset(s *Server, ns *namespace, ioCh chan<- wire.Reply, connSlots
 }
 
 // fragDone delivers one fragment's engine completion into its join. It
-// implements host.Completion, the scheduler's recycling-aware delivery
-// path: Complete only reads the command's fields and never retains the
-// pointer, so the scheduler reuses the record for the next submission.
+// implements host.Completion: Complete only reads the command's fields and
+// never retains the pointer, so the scheduler reuses the record for the
+// next submission.
 type fragDone struct {
 	j   *join
 	sh  *shard
@@ -367,37 +366,30 @@ func (s *Server) connWriter(c net.Conn, ioCh, auxCh <-chan wire.Reply, done chan
 			dead = true
 		}
 	}
+	// take writes a received reply, or retires the channel it came from
+	// once that is closed and drained.
+	take := func(ch *<-chan wire.Reply, r wire.Reply, ok bool) {
+		if ok {
+			write(r)
+		} else {
+			*ch = nil
+		}
+	}
 	for ioCh != nil || auxCh != nil {
 		// Opportunistically drain whatever is ready, then flush once
 		// before blocking: one syscall per burst, not per reply.
 		select {
 		case r, ok := <-ioCh:
-			if !ok {
-				ioCh = nil
-				continue
-			}
-			write(r)
+			take(&ioCh, r, ok)
 		case r, ok := <-auxCh:
-			if !ok {
-				auxCh = nil
-				continue
-			}
-			write(r)
+			take(&auxCh, r, ok)
 		default:
 			flush()
 			select {
 			case r, ok := <-ioCh:
-				if !ok {
-					ioCh = nil
-					continue
-				}
-				write(r)
+				take(&ioCh, r, ok)
 			case r, ok := <-auxCh:
-				if !ok {
-					auxCh = nil
-					continue
-				}
-				write(r)
+				take(&auxCh, r, ok)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func stallServer(t *testing.T, cfg server.Config) (*server.Server, *ftltest.Stal
 		t.Fatal(err)
 	}
 	stall := ftltest.NewStallFTL(inner)
-	cfg.Device, cfg.FTL, cfg.LogicalSectors = dev, stall, sectors
+	cfg.Stacks = []server.ShardStack{{Device: dev, FTL: stall, LogicalSectors: sectors}}
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestWatchdogFencesAndRecovers(t *testing.T) {
 	if err := wire.WriteCmd(conn(c2), rcmd); err != nil {
 		t.Fatal(err)
 	}
-	r, err := wire.ReadReply(conn(c2))
+	r, err := server.ReadReply(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWatchdogFencesAndRecovers(t *testing.T) {
 	// Release the stall: the wedged write completes and reaches its
 	// client, and recovery now returns the namespace to healthy.
 	stall.Release()
-	r, err = wire.ReadReply(conn(c))
+	r, err = server.ReadReply(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAdmitTimeoutRetryable(t *testing.T) {
 	if err := wire.WriteCmd(conn(c2), rcmd); err != nil {
 		t.Fatal(err)
 	}
-	r, err := wire.ReadReply(conn(c2))
+	r, err := server.ReadReply(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAdmitTimeoutRetryable(t *testing.T) {
 	}
 
 	stall.Release()
-	if _, err := wire.ReadReply(conn(c)); err != nil {
+	if _, err := server.ReadReply(c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Shutdown(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"reflect"
 
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
@@ -72,10 +71,10 @@ func (s *Server) nsGC(ns *namespace) GCStats {
 }
 
 // MetricsPage is the /metrics document. The top-level Device and FTL
-// blocks are the merged fleet view — counters summed across shards
-// (labels and size fields, like the GC policy and sector size, come
-// from shard 0; shards are homogeneously configured). Shards carries
-// each shard's own atomically snapshotted counters.
+// blocks are the merged fleet view — ftl.Stats.Add over the shards:
+// counters summed, the wear distribution merged (labels and the sector
+// size come from shard 0; shards are homogeneously configured). Shards
+// carries each shard's own atomically snapshotted counters.
 type MetricsPage struct {
 	Device nand.Counters `json:"device"`
 	FTL    ftl.Stats     `json:"ftl"`
@@ -164,45 +163,16 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			sm.VirtualNowNS = int64(sh.gate.VirtualNow())
 		}
 		if sh.idx == 0 {
-			page.Device, page.FTL, page.VirtualNowNS = sm.Device, sm.FTL, sm.VirtualNowNS
+			page.FTL, page.VirtualNowNS = sm.FTL, sm.VirtualNowNS
 		} else {
-			sumCounters(&page.Device, &sm.Device)
-			sumCounters(&page.FTL, &sm.FTL)
+			page.FTL.Add(sm.FTL)
 		}
 		page.Shards = append(page.Shards, sm)
 	}
+	// Stats mirrors the device counters it was snapshotted with, so the
+	// merged FTL block already carries their fleet sum.
+	page.Device = page.FTL.Device
 	writeJSON(w, page)
-}
-
-// sumCounters adds src's integer counter fields into dst, recursing
-// into nested structs (ftl.Stats mirrors nand.Counters). Labels like
-// GCPolicy and per-shard size constants like SectorBytes keep dst's
-// value, so the merged view inherits them from shard 0. Reflection
-// keeps the merge in lockstep with counter-struct growth.
-func sumCounters(dst, src interface{}) {
-	sumValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
-}
-
-// mergeKeeps are integer fields that are sizes, not counters: summing
-// them across shards would be nonsense.
-var mergeKeeps = map[string]bool{"SectorBytes": true}
-
-func sumValue(dst, src reflect.Value) {
-	t := dst.Type()
-	for i := 0; i < dst.NumField(); i++ {
-		if mergeKeeps[t.Field(i).Name] {
-			continue
-		}
-		d, s := dst.Field(i), src.Field(i)
-		switch d.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			d.SetInt(d.Int() + s.Int())
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			d.SetUint(d.Uint() + s.Uint())
-		case reflect.Struct:
-			sumValue(d, s)
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

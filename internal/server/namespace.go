@@ -92,12 +92,6 @@ type frag struct {
 	req workload.Request
 }
 
-// route maps a namespace-relative request onto shard-local fragments,
-// allocating the fragment slice.
-func (n *namespace) route(r workload.Request) []frag {
-	return n.routeInto(r, nil)
-}
-
 // routeInto maps a namespace-relative request onto shard-local
 // fragments, appending to caller-owned scratch (the connection read loop
 // passes its per-connection buffer so the steady-state route allocates

@@ -37,9 +37,7 @@ func TestReadOnlyPropagation(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv, err := server.New(server.Config{
-				Device:           dev,
-				FTL:              f,
-				LogicalSectors:   logical,
+				Stacks:           []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: logical}},
 				WatchdogInterval: -1,
 			})
 			if err != nil {

@@ -100,6 +100,8 @@ type rpend struct {
 //
 // The loop is single-goroutine: deadlines come from read timeouts, not
 // a reader goroutine, so a reply and a retransmission can never race.
+// Replies are read through the client's decoder, as in Run, so onReply
+// sees Rep.Payload under Run's contract: valid only during the callback.
 func (c *Client) RunResilient(next func() (workload.Request, bool), depth int, policy RetryPolicy, onReply func(Reply)) (*ClientReport, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("client: queue depth %d (want >= 1)", depth)
@@ -175,23 +177,6 @@ func (c *Client) RunResilient(next func() (workload.Request, bool), depth int, p
 		return nil
 	}
 
-	finish := func(p *rpend, r wire.Reply) {
-		rep.Ops++
-		rep.count(r.Status)
-		switch r.Status {
-		case wire.StatusOK:
-		case wire.StatusShutdown:
-			rep.Rejected++
-		default:
-			rep.Errors++
-		}
-		rep.Wall.Record(time.Since(p.sent))
-		rep.Virt.Record(time.Duration(r.LatencyNS))
-		if onReply != nil {
-			onReply(Reply{Req: p.req, Rep: r})
-		}
-	}
-
 	for {
 		// Fill the window: requeued work first (respecting its backoff
 		// gate), then fresh requests from the stream.
@@ -249,7 +234,7 @@ func (c *Client) RunResilient(next func() (workload.Request, bool), depth int, p
 			deadline = sendQ[0].notBefore
 		}
 		c.conn.SetReadDeadline(deadline)
-		r, err := wire.ReadReply(c.conn)
+		r, err := c.rr.Read()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && time.Now().Before(oldest.Add(policy.RequestTimeout)) {
 				continue // backoff gate opened, not a request timeout
@@ -273,7 +258,7 @@ func (c *Client) RunResilient(next func() (workload.Request, bool), depth int, p
 		if wire.Retryable(r.Status) {
 			p.attempts++
 			if p.attempts >= policy.MaxAttempts {
-				finish(p, r)
+				rep.record(p.req, r, p.sent, onReply)
 				continue
 			}
 			rep.Retries++
@@ -281,7 +266,7 @@ func (c *Client) RunResilient(next func() (workload.Request, bool), depth int, p
 			sendQ = append(sendQ, p)
 			continue
 		}
-		finish(p, r)
+		rep.record(p.req, r, p.sent, onReply)
 	}
 }
 

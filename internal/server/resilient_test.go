@@ -105,9 +105,7 @@ func TestResilientSurvivesTornConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Device:           dev,
-		FTL:              f,
-		LogicalSectors:   sectors,
+		Stacks:           []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: sectors}},
 		WatchdogInterval: -1,
 	})
 	if err != nil {
@@ -255,7 +253,7 @@ func TestResilientRetryBackoff(t *testing.T) {
 		t.Fatalf("statuses: %v", cr.Statuses)
 	}
 
-	if _, err := wire.ReadReply(conn(c1)); err != nil {
+	if _, err := server.ReadReply(c1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Shutdown(); err != nil {

@@ -109,7 +109,7 @@ type Config struct {
 	// "windowed"), pages copied per collection step (0 = whole-block),
 	// and how close to the reserve the free pool may fall before Tick
 	// runs background steps (0 = foreground-only GC). Ignored when
-	// Stacks or the Device hook supplies pre-built FTLs.
+	// Stacks supplies pre-built FTLs.
 	GCPolicy          string
 	GCStepPages       int
 	GCBackgroundSlack int
@@ -117,8 +117,7 @@ type Config struct {
 	// ErasePolicy selects each shard's adaptive erase-depth policy
 	// ("fixed-deep", "aero"; empty = full-depth erases) and
 	// Lifetime enables the longevity predictor and hot/cold placement
-	// steering. Ignored when Stacks or the Device hook supplies
-	// pre-built FTLs.
+	// steering. Ignored when Stacks supplies pre-built FTLs.
 	ErasePolicy string
 	Lifetime    bool
 
@@ -143,16 +142,9 @@ type Config struct {
 
 	// Stacks, when non-empty, serves these pre-built device stacks —
 	// one per shard — instead of assembling them; Shards must be unset
-	// or equal to len(Stacks). The hook tests use to serve devices with
-	// armed fault injectors or crash survivors.
+	// or equal to len(Stacks). The one hook for serving devices with
+	// armed fault injectors or crash survivors, single-shard included.
 	Stacks []ShardStack
-
-	// Device, FTL and LogicalSectors are the single-shard form of
-	// Stacks, kept for the existing tests; setting them is equivalent to
-	// Stacks with one entry.
-	Device         *nand.Device
-	FTL            ftl.FTL
-	LogicalSectors int64
 }
 
 func (c Config) withDefaults() Config {
@@ -225,12 +217,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	stacks := cfg.Stacks
-	if cfg.Device != nil {
-		if len(stacks) > 0 {
-			return nil, fmt.Errorf("server: set either Stacks or the Device hook, not both")
-		}
-		stacks = []ShardStack{{Device: cfg.Device, FTL: cfg.FTL, LogicalSectors: cfg.LogicalSectors}}
-	}
 	if len(stacks) > 0 {
 		if cfg.Shards != 1 && cfg.Shards != len(stacks) {
 			return nil, fmt.Errorf("server: Shards=%d but %d stacks supplied", cfg.Shards, len(stacks))
@@ -414,7 +400,7 @@ func (s *Server) Shutdown() (*host.Report, error) {
 	}
 	s.connMu.Lock()
 	for c := range s.conns {
-		// Readers blocked in ReadCmd wake with a deadline error; readers
+		// Readers blocked in CmdReader.Read wake with a deadline error; readers
 		// mid-submission finish their current command first.
 		c.SetReadDeadline(time.Now())
 	}

@@ -116,14 +116,7 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		return nil, err
 	}
 	guard := ftl.NewGuard(f)
-	sched, err := host.New(dev, guard, host.Config{
-		Arbiter:   arb,
-		TickEvery: cfg.TickEvery,
-		// One engine wake may admit up to the shard's whole in-flight
-		// budget, so a burst of submissions is arbitrated as one batch
-		// instead of one command per scheduler round-trip.
-		ExtBatch: cfg.MaxInflight,
-	})
+	sched, err := host.New(dev, guard, host.Config{Arbiter: arb, TickEvery: cfg.TickEvery})
 	if err != nil {
 		return nil, err
 	}
@@ -135,10 +128,12 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		logical: logical,
 		mounted: mounted,
 		// The submission channel is buffered to the admission budget:
-		// readers enqueue without rendezvousing with the engine, and the
-		// engine's batched drain (ExtBatch) sees the backlog. Admission
-		// slots — not the channel — bound in-flight work, so the buffer
-		// can never fill with more than MaxInflight submissions.
+		// readers enqueue without rendezvousing with the engine, and one
+		// engine wake admits up to the channel's capacity, so a burst is
+		// arbitrated as one batch instead of one command per scheduler
+		// round-trip. Admission slots — not the channel — bound in-flight
+		// work, so the buffer can never fill with more than MaxInflight
+		// submissions.
 		sub:        make(chan host.ExtSubmission, cfg.MaxInflight),
 		slots:      make(chan struct{}, cfg.MaxInflight),
 		engineDone: make(chan struct{}),
@@ -175,14 +170,8 @@ func (sh *shard) start(cfg Config) {
 // carrying the typed engine-stopped error through the normal completion
 // path. Cold path only: it runs after the engine goroutine has exited.
 func (sh *shard) refuse(es host.ExtSubmission) {
-	if es.Complete == nil && es.Done == nil {
-		return
-	}
-	c := &host.Command{Req: es.Req, Err: errEngineStopped, DispatchIdx: -1}
 	if es.Complete != nil {
-		es.Complete.Complete(c)
-	} else {
-		es.Done(c)
+		es.Complete.Complete(&host.Command{Req: es.Req, Err: errEngineStopped, DispatchIdx: -1})
 	}
 }
 

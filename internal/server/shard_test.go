@@ -638,3 +638,87 @@ func TestStatsHammerShardedDrain(t *testing.T) {
 		t.Fatal("no scrape ever observed all shards")
 	}
 }
+
+// TestMetricsMergedAcrossShards: the fleet-level /metrics blocks are
+// ftl.Stats.Add over the shards — counters (the float WearUnits included)
+// sum, and the wear distribution merges as a distribution instead of
+// having its extremes added up. The two shards are loaded unevenly so a
+// merge that kept shard 0's value, or summed the extremes, shows.
+func TestMetricsMergedAcrossShards(t *testing.T) {
+	srv, err := server.New(server.Config{
+		Shards:           2,
+		FTLKind:          "fgmFTL",
+		Geometry:         ftltest.TinyGeometry(),
+		LogicalFrac:      0.35, // the tiny device needs the spare blocks
+		PreconditionFrac: 0.9,
+		HTTPAddr:         "127.0.0.1:0",
+		Namespaces: []server.NamespaceSpec{
+			{Name: "busy", Placement: "0"},
+			{Name: "calm", Placement: "1"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"busy": 6000, "calm": 1500} {
+		c, err := server.Dial(srv.Addr(), name)
+		if err != nil {
+			t.Fatalf("dial %s: %v", name, err)
+		}
+		stream := mixedStream(t, int64(c.Welcome.Sectors), int(c.Welcome.PageSectors), n, 7)
+		if cr, err := c.RunRequests(stream, 8, nil); err != nil || cr.Errors != 0 {
+			t.Fatalf("%s load: %+v, %v", name, cr, err)
+		}
+		c.Close()
+	}
+	resp, err := http.Get("http://" + srv.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mp server.MetricsPage
+	err = json.NewDecoder(resp.Body).Decode(&mp)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if len(mp.Shards) != 2 {
+		t.Fatalf("metrics page lists %d shards", len(mp.Shards))
+	}
+	a, b := mp.Shards[0], mp.Shards[1]
+	if b.Device.WearUnits == 0 || a.FTL.Wear.EraseMax == b.FTL.Wear.EraseMax {
+		t.Fatalf("shards not distinguishable (wear units %v / %v, erase max %d / %d); the checks below would be vacuous",
+			a.Device.WearUnits, b.Device.WearUnits, a.FTL.Wear.EraseMax, b.FTL.Wear.EraseMax)
+	}
+	if want := a.Device.WearUnits + b.Device.WearUnits; mp.Device.WearUnits != want || mp.FTL.Device.WearUnits != want {
+		t.Errorf("merged WearUnits %v (FTL block %v), want the shard sum %v", mp.Device.WearUnits, mp.FTL.Device.WearUnits, want)
+	}
+	if want := a.Device.Erases + b.Device.Erases; mp.Device.Erases != want {
+		t.Errorf("merged Erases %d, want %d", mp.Device.Erases, want)
+	}
+	if want := a.FTL.MappingBytes + b.FTL.MappingBytes; mp.FTL.MappingBytes != want {
+		t.Errorf("merged MappingBytes %d, want %d", mp.FTL.MappingBytes, want)
+	}
+	if mp.FTL.SectorBytes != a.FTL.SectorBytes {
+		t.Errorf("merged SectorBytes %d, want shard 0's %d", mp.FTL.SectorBytes, a.FTL.SectorBytes)
+	}
+	wa, wb, w := a.FTL.Wear, b.FTL.Wear, mp.FTL.Wear
+	if w.Blocks != wa.Blocks+wb.Blocks {
+		t.Errorf("merged Wear.Blocks %d, want %d", w.Blocks, wa.Blocks+wb.Blocks)
+	}
+	if w.EraseMax != max(wa.EraseMax, wb.EraseMax) || w.EraseMin != min(wa.EraseMin, wb.EraseMin) {
+		t.Errorf("merged erase range [%d,%d], want [%d,%d]", w.EraseMin, w.EraseMax,
+			min(wa.EraseMin, wb.EraseMin), max(wa.EraseMax, wb.EraseMax))
+	}
+	if w.EraseP99 != max(wa.EraseP99, wb.EraseP99) {
+		t.Errorf("merged EraseP99 %d, want the larger shard p99 %d", w.EraseP99, max(wa.EraseP99, wb.EraseP99))
+	}
+	if lo, hi := min(wa.EraseMean, wb.EraseMean), max(wa.EraseMean, wb.EraseMean); w.EraseMean < lo || w.EraseMean > hi {
+		t.Errorf("merged EraseMean %v outside the shard means [%v,%v]", w.EraseMean, lo, hi)
+	}
+}

@@ -37,9 +37,7 @@ func TestServedCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Device:         dev,
-		FTL:            f,
-		LogicalSectors: sectors,
+		Stacks: []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: sectors}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -219,16 +219,6 @@ func WriteCmd(w io.Writer, c Cmd) error {
 	return err
 }
 
-// ReadCmd reads one framed command. It allocates the frame body per call;
-// steady-state readers use a CmdReader instead.
-func ReadCmd(r io.Reader) (Cmd, error) {
-	body, err := readFrame(r)
-	if err != nil {
-		return Cmd{}, err
-	}
-	return parseCmd(body)
-}
-
 // CmdReader decodes command frames from a stream without allocating: the
 // fixed-size frame is read into an internal buffer reused across calls.
 // Construct one per connection and keep it for the connection's life (the
@@ -261,9 +251,6 @@ func (cr *CmdReader) Read() (Cmd, error) {
 }
 
 func parseCmd(body []byte) (Cmd, error) {
-	if len(body) != cmdBody {
-		return Cmd{}, fmt.Errorf("wire: command body of %d bytes (want %d)", len(body), cmdBody)
-	}
 	c := Cmd{
 		Op:      Op(body[0]),
 		Sync:    body[1]&1 != 0,
@@ -294,30 +281,6 @@ func AppendReply(buf []byte, r Reply) []byte {
 	buf = append(buf, r.Status)
 	buf = binary.BigEndian.AppendUint64(buf, r.LatencyNS)
 	return append(buf, r.Payload...)
-}
-
-// WriteReply writes one framed reply.
-func WriteReply(w io.Writer, r Reply) error {
-	_, err := w.Write(AppendReply(nil, r))
-	return err
-}
-
-// ReadReply reads one framed reply, copying the payload into a fresh
-// slice. Steady-state readers use a ReplyReader, which reuses its buffer
-// instead of copying.
-func ReadReply(r io.Reader) (Reply, error) {
-	body, err := readFrame(r)
-	if err != nil {
-		return Reply{}, err
-	}
-	rep, err := parseReply(body)
-	if err != nil {
-		return Reply{}, err
-	}
-	if rep.Payload != nil {
-		rep.Payload = append([]byte(nil), rep.Payload...)
-	}
-	return rep, nil
 }
 
 func parseReply(body []byte) (Reply, error) {
@@ -539,8 +502,9 @@ func ReadTrace(r io.Reader) ([]workload.Request, error) {
 		return nil, fmt.Errorf("wire: bad trace magic %q", hdr[:])
 	}
 	var reqs []workload.Request
+	cr := NewCmdReader(r)
 	for i := 0; ; i++ {
-		c, err := ReadCmd(r)
+		c, err := cr.Read()
 		if err == io.EOF {
 			return reqs, nil
 		}

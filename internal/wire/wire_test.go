@@ -29,9 +29,9 @@ func TestCmdRoundTrip(t *testing.T) {
 		if err := WriteCmd(&buf, c); err != nil {
 			t.Fatalf("WriteCmd: %v", err)
 		}
-		got, err := ReadCmd(&buf)
+		got, err := NewCmdReader(&buf).Read()
 		if err != nil {
-			t.Fatalf("ReadCmd: %v", err)
+			t.Fatalf("CmdReader.Read: %v", err)
 		}
 		if got != c {
 			t.Fatalf("command round trip: sent %+v, got %+v", c, got)
@@ -52,7 +52,7 @@ func TestCmdTagPreserved(t *testing.T) {
 	if err := WriteCmd(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCmd(&buf)
+	got, err := NewCmdReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,10 @@ func TestReplyRoundTrip(t *testing.T) {
 		{Tag: 1, Status: StatusErr, LatencyNS: 9, Payload: []byte("ftl: boom")},
 		{Tag: 0, Status: StatusShutdown},
 	} {
-		var buf bytes.Buffer
-		if err := WriteReply(&buf, r); err != nil {
-			t.Fatalf("WriteReply: %v", err)
-		}
-		got, err := ReadReply(&buf)
+		buf := bytes.NewBuffer(AppendReply(nil, r))
+		got, err := NewReplyReader(buf).Read()
 		if err != nil {
-			t.Fatalf("ReadReply: %v", err)
+			t.Fatalf("ReplyReader.Read: %v", err)
 		}
 		if got.Tag != r.Tag || got.Status != r.Status || got.LatencyNS != r.LatencyNS ||
 			!bytes.Equal(got.Payload, r.Payload) {
@@ -202,8 +199,21 @@ func TestFrameBounds(t *testing.T) {
 		!strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated frame: err=%v", err)
 	}
-	if _, err := ReadCmd(bytes.NewReader(nil)); err != io.EOF {
-		t.Fatalf("clean EOF between frames: err=%v", err)
+	// The stream decoders enforce the same bounds on their own frames.
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
+	if _, err := NewCmdReader(bytes.NewReader(hdr[:])).Read(); err == nil ||
+		!strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized command frame: err=%v", err)
+	}
+	if _, err := NewReplyReader(bytes.NewReader(hdr[:])).Read(); err == nil ||
+		!strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized reply frame: err=%v", err)
+	}
+	if _, err := NewCmdReader(bytes.NewReader(nil)).Read(); err != io.EOF {
+		t.Fatalf("clean EOF between command frames: err=%v", err)
+	}
+	if _, err := NewReplyReader(bytes.NewReader(nil)).Read(); err != io.EOF {
+		t.Fatalf("clean EOF between reply frames: err=%v", err)
 	}
 }
 
