@@ -1,6 +1,7 @@
-// Benchmarks, one per paper artifact (testing.B drives the same harness
-// functions that cmd/espbench uses, at reduced size so `go test -bench=.`
-// completes in minutes), plus microbenchmarks for the hot substrate paths.
+// Microbenchmarks for the hot substrate paths, for measuring while you
+// work (`go test -bench`). The figure grids are timed by `espbench -run
+// <id>` and reported by benchmark/ (experiment.grid_wall_s_w1,
+// experiment.grid_speedup), the repository's one performance harness.
 package espftl
 
 import (
@@ -17,10 +18,10 @@ import (
 	"espftl/internal/workload"
 )
 
-// benchOpts shrinks the experiments so a full -bench=. pass stays fast.
-// The geometry is the experiment package's quick device: shrinking blocks
-// further over-commits the 62 % logical fraction on the page-mapped FTLs
-// (cgm/fgm run out of spare blocks during preconditioning).
+// benchOpts shrinks an experiment to smoke-test size. The geometry is the
+// experiment package's quick device: shrinking blocks further over-commits
+// the 62 % logical fraction on the page-mapped FTLs (cgm/fgm run out of
+// spare blocks during preconditioning).
 func benchOpts() experiment.Options {
 	return experiment.Options{
 		Geometry: experiment.QuickGeometry,
@@ -28,71 +29,6 @@ func benchOpts() experiment.Options {
 		Seed:     1,
 	}
 }
-
-func benchFigure(b *testing.B, fn func(experiment.Options) (*experiment.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig2aIOPSSweep regenerates Fig. 2(a): CGM & FGM IOPS vs r_small.
-func BenchmarkFig2aIOPSSweep(b *testing.B) { benchFigure(b, experiment.Fig2a) }
-
-// BenchmarkFig2bGCSweep regenerates Fig. 2(b): FGM GC invocations sweep.
-func BenchmarkFig2bGCSweep(b *testing.B) { benchFigure(b, experiment.Fig2b) }
-
-// BenchmarkFig5RetentionModel regenerates Fig. 5: the retention model.
-func BenchmarkFig5RetentionModel(b *testing.B) { benchFigure(b, experiment.Fig5) }
-
-// BenchmarkFig8aIOPS regenerates Fig. 8(a): three FTLs on five benchmarks.
-func BenchmarkFig8aIOPS(b *testing.B) { benchFigure(b, experiment.Fig8a) }
-
-// BenchmarkFig8bGC regenerates Fig. 8(b): GC invocations, fgm vs sub.
-func BenchmarkFig8bGC(b *testing.B) { benchFigure(b, experiment.Fig8b) }
-
-// BenchmarkTable1RequestWAF regenerates Table 1: subFTL request WAF.
-func BenchmarkTable1RequestWAF(b *testing.B) { benchFigure(b, experiment.Table1) }
-
-// BenchmarkAblationRegionRatio sweeps the subpage-region size.
-func BenchmarkAblationRegionRatio(b *testing.B) { benchFigure(b, experiment.AblationRegionRatio) }
-
-// BenchmarkAblationHotCold toggles the hot/cold GC split.
-func BenchmarkAblationHotCold(b *testing.B) { benchFigure(b, experiment.AblationHotCold) }
-
-// BenchmarkAblationRetention exercises the retention-management ablation.
-func BenchmarkAblationRetention(b *testing.B) { benchFigure(b, experiment.AblationRetention) }
-
-// BenchmarkAblationFaultRecovery measures the recovery cost under the
-// default fault profile vs the fault-free device.
-func BenchmarkAblationFaultRecovery(b *testing.B) { benchFigure(b, experiment.AblationFaultRecovery) }
-
-// BenchmarkAblationScheduler sweeps the host scheduler's queue depth and
-// arbitration grid and reports tail latency.
-func BenchmarkAblationScheduler(b *testing.B) { benchFigure(b, experiment.AblationScheduler) }
-
-// BenchmarkAblationGCPolicy sweeps GC victim policy × queue depth and
-// reports read tail latency and WAF under sustained write pressure.
-func BenchmarkAblationGCPolicy(b *testing.B) { benchFigure(b, experiment.AblationGCPolicy) }
-
-// BenchmarkAblationLifetime sweeps erase-depth policy × longevity
-// placement on the hot/cold profile.
-func BenchmarkAblationLifetime(b *testing.B) { benchFigure(b, experiment.AblationLifetime) }
-
-// BenchmarkExtSubpageRead measures the §7 subpage-read extension.
-func BenchmarkExtSubpageRead(b *testing.B) { benchFigure(b, experiment.ExtSubpageRead) }
-
-// BenchmarkExtLifetime regenerates the erase-rate lifetime projection.
-func BenchmarkExtLifetime(b *testing.B) { benchFigure(b, experiment.ExtLifetime) }
-
-// BenchmarkExtLifetime2 measures the lifetime subsystem end to end:
-// adaptive erase depth plus longevity placement on subFTL.
-func BenchmarkExtLifetime2(b *testing.B) { benchFigure(b, experiment.ExtLifetime2) }
-
-// BenchmarkExtLatency regenerates the service-demand percentile table.
-func BenchmarkExtLatency(b *testing.B) { benchFigure(b, experiment.ExtLatency) }
 
 // BenchmarkFTLWrite measures per-request write cost (simulator wall time,
 // not virtual time) for each FTL under a sync-small-heavy stream.
@@ -272,7 +208,7 @@ func BenchmarkRetentionModel(b *testing.B) {
 	}
 }
 
-// Example-style smoke check so `go test` exercises the bench harness too.
+// Smoke check that an experiment runs and renders at benchOpts scale.
 func TestBenchOptionsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

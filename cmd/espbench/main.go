@@ -3,7 +3,7 @@
 // Usage:
 //
 //	espbench [-run id[,id...]] [-full] [-requests N] [-seed S] [-markdown]
-//	         [-workers N] [-json DIR] [-speedup] [-cpuprofile F] [-memprofile F]
+//	         [-workers N] [-cpuprofile F] [-memprofile F]
 //
 // With no -run flag every experiment runs in presentation order. -full
 // switches from the quick device (0.5 GiB) to the full experiment device
@@ -11,18 +11,16 @@
 // minutes of wall time.
 //
 // Independent experiment cells fan out over a worker pool (GOMAXPROCS
-// workers; override with -workers or ESP_WORKERS). Output is byte-identical
-// at any worker count. -json DIR writes one machine-readable BENCH_<id>.json
-// per experiment plus an aggregate BENCH_figures.json (wall-clock, GC
-// counts, allocation deltas); add -speedup to run each experiment twice —
-// one worker, then the full pool — and record the wall-clock speedup.
+// workers; override with -workers). Output is byte-identical at any worker
+// count. The "regenerated in" lines are a progress indication, not a
+// measurement: benchmark/ is the repository's performance harness.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,9 +35,7 @@ func main() {
 	requests := flag.Int("requests", 0, "override the measured request count per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
-	workers := flag.Int("workers", 0, "experiment worker-pool size (0 = ESP_WORKERS env or GOMAXPROCS; 1 = serial)")
-	jsonDir := flag.String("json", "", "write BENCH_<id>.json per experiment and BENCH_figures.json into this directory")
-	speedup := flag.Bool("speedup", false, "with -json: run each experiment serially and in parallel, recording the speedup")
+	workers := flag.Int("workers", 0, "experiment worker-pool size (0 = GOMAXPROCS; 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -50,6 +46,14 @@ func main() {
 			fmt.Printf("%-13s %s\n", e.ID, e.Doc)
 		}
 		return
+	}
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
+	}
+	want, err := selectIDs(*run, ids)
+	if err != nil {
+		fatal(err)
 	}
 
 	experiment.SetWorkers(*workers)
@@ -66,44 +70,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	var report *perf.Report
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fatal(err)
-		}
-		report = perf.NewReport("espbench", experiment.Workers())
-	}
-
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	ran := 0
 	for _, e := range all {
-		if len(want) > 0 && !want[e.ID] {
+		if !want[e.ID] {
 			continue
 		}
-		var serialWall time.Duration
-		if report != nil && *speedup {
-			// Serial reference pass first, so the parallel pass below is
-			// the one whose table gets printed.
-			experiment.SetWorkers(1)
-			start := time.Now()
-			if _, err := e.Fn(opts); err != nil {
-				fatal(fmt.Errorf("%s (serial): %w", e.ID, err))
-			}
-			serialWall = time.Since(start)
-			experiment.SetWorkers(*workers)
-		}
-		var table *experiment.Table
-		rec, err := perf.Measure(e.ID, func() error {
-			var err error
-			table, err = e.Fn(opts)
-			return err
-		})
+		start := time.Now()
+		table, err := e.Fn(opts)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
@@ -112,41 +84,33 @@ func main() {
 		} else {
 			fmt.Println(table.String())
 		}
-		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Duration(rec.WallNS).Round(time.Millisecond))
-		if report != nil {
-			if *speedup {
-				rec.SerialWallNS = serialWall.Nanoseconds()
-				if rec.WallNS > 0 {
-					rec.Speedup = float64(rec.SerialWallNS) / float64(rec.WallNS)
-				}
-			}
-			report.Add(rec)
-			one := perf.NewReport("espbench", experiment.Workers())
-			one.Add(rec)
-			if err := one.WriteJSON(filepath.Join(*jsonDir, "BENCH_"+e.ID+".json")); err != nil {
-				fatal(err)
-			}
-		}
-		ran++
+		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if err := prof.Stop(); err != nil {
 		fatal(err)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "espbench: no experiment matches %q (try -list)\n", *run)
-		os.Exit(1)
-	}
-	if report != nil {
-		path := filepath.Join(*jsonDir, "BENCH_figures.json")
-		if err := report.WriteJSON(path); err != nil {
-			fatal(err)
+}
+
+// selectIDs resolves -run's comma-separated list against the valid
+// experiment ids; an empty list selects them all. One unknown id fails the
+// whole invocation before anything runs — a typo must not silently drop
+// a table from the output.
+func selectIDs(run string, valid []string) (map[string]bool, error) {
+	want := make(map[string]bool, len(valid))
+	if run == "" {
+		for _, id := range valid {
+			want[id] = true
 		}
-		fmt.Printf("bench report: %s (%d cores, %d workers", path, report.Cores, report.Workers)
-		if report.OverallSpeedup > 0 {
-			fmt.Printf(", %.2fx speedup over serial", report.OverallSpeedup)
-		}
-		fmt.Println(")")
+		return want, nil
 	}
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment %q; available: %s", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 func fatal(err error) {

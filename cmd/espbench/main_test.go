@@ -140,3 +140,41 @@ func parseNumeric(s string) (float64, bool) {
 	}
 	return v, true
 }
+
+// TestSelectIDs pins -run's id check: every listed id must be a known
+// experiment, and one typo rejects the whole list (naming it) instead of
+// silently printing the rest.
+func TestSelectIDs(t *testing.T) {
+	valid := []string{"fig1", "table1", "abl-gc"}
+	for _, tc := range []struct {
+		run     string
+		want    []string
+		wantErr string
+	}{
+		{run: "", want: valid},
+		{run: "fig1, abl-gc", want: []string{"fig1", "abl-gc"}},
+		{run: "fig1,tabel1", wantErr: `"tabel1"`},
+		{run: "nope", wantErr: `"nope"`},
+		{run: "fig1,", wantErr: `""`},
+	} {
+		got, err := selectIDs(tc.run, valid)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "fig1, table1, abl-gc") {
+				t.Errorf("selectIDs(%q): err %v, want one naming %s and listing the valid ids", tc.run, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("selectIDs(%q): %v", tc.run, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("selectIDs(%q) = %v, want %v", tc.run, got, tc.want)
+		}
+		for _, id := range tc.want {
+			if !got[id] {
+				t.Errorf("selectIDs(%q) misses %s", tc.run, id)
+			}
+		}
+	}
+}

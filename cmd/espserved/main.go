@@ -39,7 +39,7 @@ func main() {
 	httpAddr := flag.String("http", "", "HTTP listen address for /stats and /metrics (empty = off)")
 	pprofFlag := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on the -http listener")
 	policy := experiment.BindPolicyFlags(flag.CommandLine, "FTL to serve: cgmFTL, fgmFTL or subFTL", "use the full-size device geometry")
-	logicalFrac := flag.Float64("logical-frac", 0.70, "exported fraction of raw capacity")
+	flag.Float64Var(&policy.LogicalFrac, "logical-frac", 0.70, "exported fraction of raw capacity")
 	precondition := flag.Float64("precondition", 0, "sequentially prefill this fraction of the logical space before serving")
 	speedup := flag.Float64("speedup", 0, "virtual nanoseconds per wall nanosecond (0 = as fast as possible)")
 	shards := flag.Int("shards", 1, "independent device shards, each with its own FTL, NAND device and engine goroutine")
@@ -61,29 +61,21 @@ func main() {
 		fatal(fmt.Errorf("-pprof requires -http"))
 	}
 	cfg := server.Config{
-		Addr:              *addr,
-		HTTPAddr:          *httpAddr,
-		EnablePprof:       *pprofFlag,
-		Shards:            *shards,
-		FTLKind:           string(policy.Kind),
-		Geometry:          policy.Geometry,
-		LogicalFrac:       *logicalFrac,
-		PreconditionFrac:  *precondition,
-		Speedup:           *speedup,
-		Namespaces:        specs,
-		PerConnInflight:   *connInflight,
-		MaxInflight:       *maxInflight,
-		TickEvery:         *tick,
-		Arbitration:       policy.Arbitration,
-		GCPolicy:          policy.GCPolicy,
-		GCStepPages:       policy.GCStepPages,
-		GCBackgroundSlack: policy.GCBackgroundSlack,
-		ErasePolicy:       policy.ErasePolicy,
-		Lifetime:          policy.Lifetime,
-		WriteTimeout:      *writeTimeout,
-		AdmitTimeout:      *admitTimeout,
-		WatchdogInterval:  *watchdog,
-		WatchdogStalls:    *watchdogStalls,
+		Addr:             *addr,
+		HTTPAddr:         *httpAddr,
+		EnablePprof:      *pprofFlag,
+		Shards:           *shards,
+		Stack:            *policy,
+		PreconditionFrac: *precondition,
+		Speedup:          *speedup,
+		Namespaces:       specs,
+		PerConnInflight:  *connInflight,
+		MaxInflight:      *maxInflight,
+		TickEvery:        *tick,
+		WriteTimeout:     *writeTimeout,
+		AdmitTimeout:     *admitTimeout,
+		WatchdogInterval: *watchdog,
+		WatchdogStalls:   *watchdogStalls,
 	}
 
 	srv, err := server.New(cfg)
@@ -93,7 +85,7 @@ func main() {
 	if err := srv.Serve(); err != nil {
 		fatal(err)
 	}
-	g := srv.Device().Geometry()
+	g := srv.ShardDevice(0).Geometry()
 	fmt.Printf("espserved: %s x%d shards on %s (%d-sector pages, %.1f GiB raw per shard)\n",
 		policy.Kind, srv.ShardCount(), srv.Addr(), g.SubpagesPerPage,
 		float64(g.TotalSubpages())*float64(g.SubpageBytes)/(1<<30))

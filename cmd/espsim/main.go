@@ -60,10 +60,9 @@ func main() {
 	spoTorn := flag.Bool("spo-torn", false, "make the power cut tear the in-flight program (with -spo)")
 	spoSweep := flag.Int("spo-sweep", 0, "run the SPO experiment once per cut index in [0,N), fanned out over the worker pool, and summarize recovery")
 	abl := flag.String("abl", "", "run this experiment/ablation table (e.g. abl-sched) and exit")
-	workers := flag.Int("workers", 0, "experiment worker-pool size for sweeps/ablations (0 = ESP_WORKERS env or GOMAXPROCS; 1 = serial)")
+	workers := flag.Int("workers", 0, "experiment worker-pool size for sweeps/ablations (0 = GOMAXPROCS; 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	benchjson := flag.String("benchjson", "", "write a machine-readable bench record of this run to this file")
 	flag.Parse()
 
 	experiment.SetWorkers(*workers)
@@ -126,10 +125,11 @@ func main() {
 			}
 		}
 		cfg.Trace = reqs
-		probe := cfg
-		probe.Trace = nil
-		probe.Profile = workload.Varmail() // placeholder; only sizing matters
-		if space := logicalSpace(probe); maxEnd > space {
+		_, _, space, err := experiment.Build(cfg)
+		if err != nil {
+			fatal(err)
+		}
+		if maxEnd > space {
 			fatal(fmt.Errorf("trace addresses %d sectors but the drive exports %d; rerun tracegen with -sectors <= %d or use -full", maxEnd, space, space))
 		}
 	case *rsmall >= 0:
@@ -143,15 +143,12 @@ func main() {
 	}
 
 	if *spoSweep > 0 {
-		var results []*experiment.SPOResult
-		rec, err := perf.Measure("spo-sweep", func() error {
-			var err error
-			results, err = experiment.SweepSPO(cfg, *spoSweep)
-			return err
-		})
+		start := time.Now()
+		results, err := experiment.SweepSPO(cfg, *spoSweep)
 		if err != nil {
 			fatal(err)
 		}
+		wall := time.Since(start)
 		var crashed, torn, live, adopted int64
 		var mountTotal, mountMax time.Duration
 		for _, r := range results {
@@ -171,20 +168,12 @@ func main() {
 		}
 		n := len(results)
 		fmt.Printf("%s SPO sweep: %d cuts (%d crashed, %d torn) in %v wall on %d workers\n",
-			cfg.Kind, n, crashed, torn, time.Duration(rec.WallNS).Round(time.Millisecond), experiment.Workers())
+			cfg.Kind, n, crashed, torn, wall.Round(time.Millisecond), experiment.Workers())
 		fmt.Printf("  recovery          every cut remounted and passed invariants\n")
 		fmt.Printf("  mount time        mean %v, max %v (virtual)\n",
 			(mountTotal / time.Duration(n)).Round(time.Microsecond), mountMax.Round(time.Microsecond))
 		fmt.Printf("  recovered         %.1f live sectors and %.1f adopted blocks per cut (mean)\n",
 			float64(live)/float64(n), float64(adopted)/float64(n))
-		if *benchjson != "" {
-			rec.ThroughputPerSec = float64(n) / (float64(rec.WallNS) / 1e9)
-			rep := perf.NewReport("espsim", experiment.Workers())
-			rep.Add(rec)
-			if err := rep.WriteJSON(*benchjson); err != nil {
-				fatal(err)
-			}
-		}
 		return
 	}
 
@@ -210,22 +199,9 @@ func main() {
 		return
 	}
 
-	var res *experiment.Result
-	rec, err := perf.Measure("run", func() error {
-		var err error
-		res, err = experiment.Run(cfg)
-		return err
-	})
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *benchjson != "" {
-		rec.ThroughputPerSec = float64(res.Requests) / (float64(rec.WallNS) / 1e9)
-		rep := perf.NewReport("espsim", experiment.Workers())
-		rep.Add(rec)
-		if err := rep.WriteJSON(*benchjson); err != nil {
-			fatal(err)
-		}
 	}
 	s := res.Stats
 	fmt.Printf("%s on %s\n", res.Kind, res.Profile)
@@ -319,21 +295,6 @@ func runAblation(id string, requests int, seed uint64, geo nand.Geometry) {
 		ids = append(ids, e.ID)
 	}
 	fatal(fmt.Errorf("unknown experiment %q; available: %s", id, strings.Join(ids, ", ")))
-}
-
-// logicalSpace mirrors the harness's sizing rule for the drive a config
-// would build, for trace validation.
-func logicalSpace(cfg experiment.RunConfig) int64 {
-	geo := cfg.Geometry
-	if geo.Channels == 0 {
-		geo = experiment.QuickGeometry
-	}
-	frac := cfg.LogicalFrac
-	if frac == 0 {
-		frac = 0.70
-	}
-	ps := int64(geo.SubpagesPerPage)
-	return int64(float64(geo.TotalSubpages())*frac) / ps * ps
 }
 
 func fatal(err error) {

@@ -237,7 +237,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// ---- Phase 3: grown-bad-block storm -> read-only breaker ---------
 	cfg.Logf("phase 3: erase-failure storm until the capacity floor trips")
-	if err := badBlockStorm(srv.FTL(), inj, c, m, ps, nsSectors, res); err != nil {
+	if err := badBlockStorm(srv.ShardFTL(0), inj, c, m, ps, nsSectors, res); err != nil {
 		return nil, fmt.Errorf("chaos: bad-block phase: %w", err)
 	}
 
@@ -545,7 +545,7 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 	if err != nil {
 		return none, fmt.Errorf("remount: %w", err)
 	}
-	mount := srv2.MountReport()
+	mount := srv2.ShardMountReport(0)
 	if err := checkModel(srv2, tenant{"default", sectors, m}); err != nil {
 		return none, fmt.Errorf("post-SPO: %w", err)
 	}

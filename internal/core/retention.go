@@ -67,19 +67,6 @@ func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
 	return nand.AgeOf(f.writtenAt[spn], now)+2*f.cfg.ScrubInterval > capability
 }
 
-// OldestSubpageAge reports the age of the oldest live subpage-region data,
-// an observability hook for the retention experiments.
-func (f *FTL) OldestSubpageAge(now sim.Time) (age sim.Duration, ok bool) {
-	f.hash.Range(func(lsn, spn int64) bool {
-		if a := nand.AgeOf(f.writtenAt[spn], now); a > age {
-			age = a
-		}
-		ok = true
-		return true
-	})
-	return age, ok
-}
-
 // Check implements ftl.FTL: it verifies the full-page region's invariants
 // plus the subpage region's.
 func (f *FTL) Check() error {

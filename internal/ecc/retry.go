@@ -43,15 +43,3 @@ func (m RetryModel) Effective(ber float64, step int) float64 {
 	}
 	return ber * math.Pow(1-m.ReliefPerStep, float64(step))
 }
-
-// StepsToCorrect returns the fewest retry steps that bring ber within
-// limit; ok is false when the budget cannot. A ber already within limit
-// needs 0 steps.
-func (m RetryModel) StepsToCorrect(ber, limit float64) (steps int, ok bool) {
-	for s := 0; s <= m.MaxRetries; s++ {
-		if m.Effective(ber, s) <= limit {
-			return s, true
-		}
-	}
-	return m.MaxRetries, false
-}

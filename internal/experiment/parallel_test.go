@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"espftl/internal/workload"
@@ -74,21 +75,21 @@ func TestSweepSPOMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkersOverride checks the precedence chain: explicit SetWorkers
-// beats the environment, which beats the GOMAXPROCS default.
+// TestWorkersOverride checks the precedence chain: an explicit SetWorkers
+// beats the GOMAXPROCS default, and SetWorkers(0) restores it.
 func TestWorkersOverride(t *testing.T) {
-	t.Setenv("ESP_WORKERS", "3")
-	if got := Workers(); got != 3 {
-		t.Fatalf("env override: got %d, want 3", got)
+	def := runtime.GOMAXPROCS(0)
+	if got := Workers(); got != def {
+		t.Fatalf("default: got %d, want GOMAXPROCS %d", got, def)
 	}
-	SetWorkers(5)
+	SetWorkers(def + 4)
 	defer SetWorkers(0)
-	if got := Workers(); got != 5 {
-		t.Fatalf("SetWorkers override: got %d, want 5", got)
+	if got := Workers(); got != def+4 {
+		t.Fatalf("SetWorkers override: got %d, want %d", got, def+4)
 	}
 	SetWorkers(0)
-	if got := Workers(); got != 3 {
-		t.Fatalf("restore env default: got %d, want 3", got)
+	if got := Workers(); got != def {
+		t.Fatalf("restore default: got %d, want GOMAXPROCS %d", got, def)
 	}
 }
 

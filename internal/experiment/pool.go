@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -22,7 +20,7 @@ var workersOverride atomic.Int32
 
 // SetWorkers pins the number of concurrent experiment runs (1 reproduces
 // the serial path's wall-clock behaviour exactly). n <= 0 restores the
-// default: the ESP_WORKERS environment variable if set, else GOMAXPROCS.
+// default, GOMAXPROCS.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -34,11 +32,6 @@ func SetWorkers(n int) {
 func Workers() int {
 	if n := workersOverride.Load(); n > 0 {
 		return int(n)
-	}
-	if s := os.Getenv("ESP_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -291,27 +291,36 @@ func Precondition(f ftl.FTL, pageSectors int, fillSectors int64) error {
 // Run measures through it; the network service mounts through it.
 func Build(cfg RunConfig) (*nand.Device, ftl.FTL, int64, error) {
 	cfg = cfg.withDefaults()
+	var inj *fault.Injector
+	if cfg.FaultProfile != nil {
+		var err error
+		if inj, err = fault.NewInjector(*cfg.FaultProfile); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	return assemble(cfg, inj)
+}
+
+// assemble builds cfg's device around inj (nil = the fault-free device)
+// and a fresh FTL on it; cfg must already carry its defaults. Stepped
+// read-retry is armed only when cfg has a fault profile: RunSPO's bare
+// power-cut injector must leave the read path of a fault-free run as it is.
+func assemble(cfg RunConfig, inj *fault.Injector) (*nand.Device, ftl.FTL, int64, error) {
 	devCfg := nand.DefaultConfig()
 	devCfg.Geometry = cfg.Geometry
 	devCfg.EnableSubpageRead = cfg.EnableSubpageRead
+	devCfg.Fault = inj
 	if cfg.FaultProfile != nil {
-		inj, err := fault.NewInjector(*cfg.FaultProfile)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		devCfg.Fault = inj
 		rm := ecc.DefaultRetry
 		devCfg.Retry = &rm
 	}
-	clock := sim.NewClock(0)
-	dev, err := nand.NewDevice(devCfg, clock)
+	dev, err := nand.NewDevice(devCfg, sim.NewClock(0))
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	g := dev.Geometry()
-	rawSectors := g.TotalSubpages()
 	ps := int64(g.SubpagesPerPage)
-	logicalSectors := int64(float64(rawSectors)*cfg.LogicalFrac) / ps * ps
+	logicalSectors := int64(float64(g.TotalSubpages())*cfg.LogicalFrac) / ps * ps
 	if logicalSectors < ps*4 {
 		return nil, nil, 0, fmt.Errorf("experiment: logical space of %d sectors too small", logicalSectors)
 	}

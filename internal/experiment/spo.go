@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"espftl/internal/ecc"
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
-	"espftl/internal/sim"
 	"espftl/internal/workload"
 )
 
@@ -50,29 +48,12 @@ func RunSPO(cfg RunConfig, cutAfter int64, torn bool) (*SPOResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	devCfg := nand.DefaultConfig()
-	devCfg.Geometry = cfg.Geometry
-	devCfg.EnableSubpageRead = cfg.EnableSubpageRead
-	devCfg.Fault = inj
-	if cfg.FaultProfile != nil {
-		rm := ecc.DefaultRetry
-		devCfg.Retry = &rm
-	}
-	clock := sim.NewClock(0)
-	dev, err := nand.NewDevice(devCfg, clock)
+	dev, f, logicalSectors, err := assemble(cfg, inj)
 	if err != nil {
 		return nil, err
 	}
 	g := dev.Geometry()
 	ps := int64(g.SubpagesPerPage)
-	logicalSectors := int64(float64(g.TotalSubpages())*cfg.LogicalFrac) / ps * ps
-	if logicalSectors < ps*4 {
-		return nil, fmt.Errorf("experiment: logical space of %d sectors too small", logicalSectors)
-	}
-	f, err := buildFTL(cfg.Kind, dev, cfg, logicalSectors)
-	if err != nil {
-		return nil, err
-	}
 	fillSectors := int64(float64(logicalSectors)*cfg.FillFrac) / ps * ps
 	if err := Precondition(f, g.SubpagesPerPage, fillSectors); err != nil {
 		return nil, err
@@ -109,7 +90,7 @@ func RunSPO(cfg RunConfig, cutAfter int64, torn bool) (*SPOResult, error) {
 	}
 
 	dev.PowerOn()
-	clock.AdvanceTo(dev.DrainTime())
+	dev.Clock().AdvanceTo(dev.DrainTime())
 	mounted, err := buildFTL(cfg.Kind, dev, cfg, logicalSectors)
 	if err != nil {
 		return nil, err

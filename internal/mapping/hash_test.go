@@ -290,3 +290,37 @@ func TestHashTableCompactionPreservesEntries(t *testing.T) {
 		}
 	}
 }
+
+// TestHashTableSteadyStateAllocs guards the subpage-mapping hot path: on
+// a populated table, overwrite, lookup, delete and re-insert (the
+// tombstone-reuse path subFTL's region churn takes) must not touch the
+// heap. Only compact may allocate, and this cycle never accumulates the
+// tombstones that trigger it.
+func TestHashTableSteadyStateAllocs(t *testing.T) {
+	const keys = 1 << 12
+	h := NewHashTable(2 * keys)
+	for k := int64(0); k < keys; k++ {
+		if err := h.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := int64(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := h.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := h.Get(k); !ok || v != k+1 {
+			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
+		}
+		if _, ok := h.Delete(k); !ok {
+			t.Fatalf("Delete(%d) missed", k)
+		}
+		if err := h.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+		k = (k + 7) % keys
+	})
+	if avg != 0 {
+		t.Errorf("Put/Get/Delete allocate %.1f objects per cycle, want 0", avg)
+	}
+}

@@ -190,9 +190,6 @@ func (d *Device) FactoryBad(b BlockID) bool {
 	return d.cfg.Fault != nil && d.cfg.Fault.FactoryBad(int(b))
 }
 
-// SubpageReadEnabled reports whether the subpage-read extension is on.
-func (d *Device) SubpageReadEnabled() bool { return d.cfg.EnableSubpageRead }
-
 // DrainTime returns the virtual time at which every chip and channel has
 // finished all admitted work — the completion horizon used to compute
 // throughput.

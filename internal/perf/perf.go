@@ -1,16 +1,13 @@
-// Package perf is the thin profiling and bench-reporting layer the
-// command-line tools share: CPU/heap profile capture around a run, and
-// machine-readable benchmark records (wall-clock, GC activity, allocation
-// deltas) for the BENCH_*.json trajectory the CI bench-smoke job tracks.
+// Package perf is the profile capture the command-line tools share:
+// -cpuprofile/-memprofile around a run. Performance numbers come from
+// benchmark/, not from here.
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 )
 
 // Profiles captures CPU and heap profiles around a run. Zero-value paths
@@ -59,85 +56,4 @@ func (p *Profiles) Stop() error {
 		}
 	}
 	return nil
-}
-
-// Record is one benchmarked unit of work — a figure regeneration, a full
-// simulation run — in the shape BENCH_*.json files carry.
-type Record struct {
-	ID string `json:"id"`
-	// WallNS is the host wall-clock of the (possibly parallel) run.
-	WallNS int64 `json:"wall_ns"`
-	// SerialWallNS and Speedup are present only for -speedup passes that
-	// ran the work twice: once on one worker, once on the full pool.
-	SerialWallNS int64   `json:"serial_wall_ns,omitempty"`
-	Speedup      float64 `json:"speedup,omitempty"`
-	// ThroughputPerSec is work-specific: simulated requests (or runs) per
-	// host second.
-	ThroughputPerSec float64 `json:"throughput_per_sec,omitempty"`
-	// GC and allocation deltas over the run (whole process).
-	NumGC      uint32 `json:"num_gc"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	Allocs     uint64 `json:"allocs"`
-}
-
-// Report aggregates the records of one tool invocation plus the host
-// facts a reader needs to interpret them (core count, worker setting).
-type Report struct {
-	Tool      string   `json:"tool"`
-	Cores     int      `json:"cores"`
-	Workers   int      `json:"workers"`
-	GoVersion string   `json:"go_version"`
-	Records   []Record `json:"records"`
-	// TotalWallNS / TotalSerialWallNS / OverallSpeedup summarize a full
-	// -speedup pass across every record.
-	TotalWallNS       int64   `json:"total_wall_ns,omitempty"`
-	TotalSerialWallNS int64   `json:"total_serial_wall_ns,omitempty"`
-	OverallSpeedup    float64 `json:"overall_speedup,omitempty"`
-}
-
-// NewReport seeds a report with the host facts.
-func NewReport(tool string, workers int) *Report {
-	return &Report{
-		Tool:      tool,
-		Cores:     runtime.NumCPU(),
-		Workers:   workers,
-		GoVersion: runtime.Version(),
-	}
-}
-
-// Add appends a record and folds it into the totals.
-func (r *Report) Add(rec Record) {
-	r.Records = append(r.Records, rec)
-	r.TotalWallNS += rec.WallNS
-	r.TotalSerialWallNS += rec.SerialWallNS
-	if r.TotalWallNS > 0 && r.TotalSerialWallNS > 0 {
-		r.OverallSpeedup = float64(r.TotalSerialWallNS) / float64(r.TotalWallNS)
-	}
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Measure runs fn and returns its wall-clock plus process-wide GC and
-// allocation deltas, packaged as a Record.
-func Measure(id string, fn func() error) (Record, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err := fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return Record{
-		ID:         id,
-		WallNS:     wall.Nanoseconds(),
-		NumGC:      after.NumGC - before.NumGC,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Allocs:     after.Mallocs - before.Mallocs,
-	}, err
 }

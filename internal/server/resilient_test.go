@@ -180,7 +180,7 @@ func TestResilientSurvivesTornConnections(t *testing.T) {
 
 	// Differential check: every sector's version must be explainable by
 	// the acknowledged history plus replay slack.
-	guard := srv.FTL()
+	guard := srv.ShardFTL(0)
 	for lsn := int64(0); lsn < sectors; lsn++ {
 		v := guard.VersionOf(lsn)
 		if !m.Acceptable(lsn, v) {

@@ -74,12 +74,15 @@ type Config struct {
 	// runs its own FTL, virtual clock, and engine goroutine.
 	Shards int
 
-	// FTLKind picks the FTL ("cgmFTL", "fgmFTL", "subFTL"; default
-	// subFTL), Geometry the device (default experiment.QuickGeometry),
-	// LogicalFrac the exported fraction of raw capacity (default 0.70).
-	FTLKind     string
-	Geometry    nand.Geometry
-	LogicalFrac float64
+	// Stack describes the device stack every shard assembles, in the
+	// simulator's own terms: it goes to experiment.Build as is, so a
+	// served shard and an espsim run with the same policy flags are the
+	// same device. The server reads what Build reads (Kind, default
+	// subFTL; Geometry; LogicalFrac; the GC, erase-policy, lifetime and
+	// fault knobs) plus Arbitration for the shard's host scheduler; the
+	// workload and replay fields have no meaning here. Ignored, except
+	// for Arbitration, when Stacks supplies pre-built stacks.
+	Stack experiment.RunConfig
 	// PreconditionFrac sequentially prefills this fraction of each
 	// shard's logical space before serving, bringing the FTLs to steady
 	// state.
@@ -99,27 +102,8 @@ type Config struct {
 	PerConnInflight int
 	MaxInflight     int
 
-	// TickEvery and Arbitration configure the host schedulers (defaults
-	// 64, "fifo").
-	TickEvery   int
-	Arbitration string
-
-	// GCPolicy, GCStepPages and GCBackgroundSlack configure each FTL's
-	// garbage-collection engine: victim policy ("greedy", "cost-benefit",
-	// "windowed"), pages copied per collection step (0 = whole-block),
-	// and how close to the reserve the free pool may fall before Tick
-	// runs background steps (0 = foreground-only GC). Ignored when
-	// Stacks supplies pre-built FTLs.
-	GCPolicy          string
-	GCStepPages       int
-	GCBackgroundSlack int
-
-	// ErasePolicy selects each shard's adaptive erase-depth policy
-	// ("fixed-deep", "aero"; empty = full-depth erases) and
-	// Lifetime enables the longevity predictor and hot/cold placement
-	// steering. Ignored when Stacks supplies pre-built FTLs.
-	ErasePolicy string
-	Lifetime    bool
+	// TickEvery is the host schedulers' maintenance cadence (default 64).
+	TickEvery int
 
 	// WriteTimeout bounds one reply flush to a client socket; a
 	// connection that cannot absorb its replies within it is declared
@@ -154,14 +138,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.FTLKind == "" {
-		c.FTLKind = string(experiment.KindSub)
-	}
-	if c.Geometry.Channels == 0 {
-		c.Geometry = experiment.QuickGeometry
-	}
-	if c.LogicalFrac == 0 {
-		c.LogicalFrac = 0.70
+	if c.Stack.Kind == "" {
+		c.Stack.Kind = experiment.KindSub
 	}
 	if c.PerConnInflight == 0 {
 		c.PerConnInflight = 32
@@ -216,6 +194,22 @@ type Server struct {
 // Serve starts them.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	// The sizes below become slice and channel capacities; they arrive
+	// from command-line flags, so a bad one is an error, not a panic.
+	for _, v := range []struct {
+		name string
+		n    int
+	}{
+		{"Shards", cfg.Shards},
+		{"PerConnInflight", cfg.PerConnInflight},
+		{"MaxInflight", cfg.MaxInflight},
+		{"TickEvery", cfg.TickEvery},
+		{"WatchdogStalls", cfg.WatchdogStalls},
+	} {
+		if v.n < 1 {
+			return nil, fmt.Errorf("server: %s must be positive, got %d", v.name, v.n)
+		}
+	}
 	stacks := cfg.Stacks
 	if len(stacks) > 0 {
 		if cfg.Shards != 1 && cfg.Shards != len(stacks) {
@@ -329,16 +323,9 @@ func (s *Server) Inflight() int {
 // ShardCount returns the number of device shards.
 func (s *Server) ShardCount() int { return len(s.shards) }
 
-// Device exposes shard 0's device for tests (fault arming, state probes
-// after drain); ShardDevice addresses the others.
-func (s *Server) Device() *nand.Device { return s.shards[0].dev }
-
-// ShardDevice exposes one shard's device.
+// ShardDevice exposes one shard's device, for fault arming and state
+// probes after drain.
 func (s *Server) ShardDevice(i int) *nand.Device { return s.shards[i].dev }
-
-// FTL exposes shard 0's FTL behind its concurrency guard; ShardFTL
-// addresses the others.
-func (s *Server) FTL() *ftl.Guard { return s.shards[0].guard }
 
 // ShardFTL exposes one shard's FTL behind its concurrency guard.
 func (s *Server) ShardFTL(i int) *ftl.Guard { return s.shards[i].guard }
@@ -357,10 +344,6 @@ func (s *Server) ShardReport(i int) *host.Report {
 		return nil
 	}
 }
-
-// MountReport returns the recovery report of shard 0's serve-time
-// mount.
-func (s *Server) MountReport() ftl.MountReport { return s.shards[0].mounted }
 
 // ShardMountReport returns one shard's serve-time mount report.
 func (s *Server) ShardMountReport(i int) ftl.MountReport { return s.shards[i].mounted }

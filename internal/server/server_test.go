@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -145,7 +146,7 @@ func TestLoopbackDifferential(t *testing.T) {
 		t.Fatalf("%d in-flight slots leaked past drain", srv.Inflight())
 	}
 
-	servedFTL := srv.FTL()
+	servedFTL := srv.ShardFTL(0)
 	if err := servedFTL.Check(); err != nil {
 		t.Fatalf("served FTL invariants: %v", err)
 	}
@@ -512,6 +513,28 @@ func TestCarve(t *testing.T) {
 		Namespaces: []server.NamespaceSpec{{Name: "x"}, {Name: "x"}},
 	}); err == nil {
 		t.Fatal("duplicate namespace accepted")
+	}
+}
+
+// TestNewRejectsBadSizes: the sizes in Config become slice and channel
+// capacities and arrive from espserved's flags; a negative one must come
+// back as a "server:" error from New, never as a makeslice/makechan panic.
+func TestNewRejectsBadSizes(t *testing.T) {
+	for name, cfg := range map[string]server.Config{
+		"Shards":          {Shards: -1},
+		"MaxInflight":     {MaxInflight: -1},
+		"PerConnInflight": {PerConnInflight: -1},
+		"TickEvery":       {TickEvery: -1},
+		"WatchdogStalls":  {WatchdogStalls: -1},
+	} {
+		_, err := server.New(cfg)
+		if err == nil {
+			t.Errorf("negative %s accepted", name)
+			continue
+		}
+		if want := "server: " + name; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("negative %s: error %q, want prefix %q", name, err, want)
+		}
 	}
 }
 

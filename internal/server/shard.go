@@ -83,16 +83,7 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		}
 		dev, f, logical = stack.Device, stack.FTL, stack.LogicalSectors
 	} else {
-		dev, f, logical, err = experiment.Build(experiment.RunConfig{
-			Kind:              experiment.Kind(cfg.FTLKind),
-			Geometry:          cfg.Geometry,
-			LogicalFrac:       cfg.LogicalFrac,
-			GCPolicy:          cfg.GCPolicy,
-			GCStepPages:       cfg.GCStepPages,
-			GCBackgroundSlack: cfg.GCBackgroundSlack,
-			ErasePolicy:       cfg.ErasePolicy,
-			Lifetime:          cfg.Lifetime,
-		})
+		dev, f, logical, err = experiment.Build(cfg.Stack)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +102,7 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		}
 		dev.Clock().AdvanceTo(dev.DrainTime())
 	}
-	arb, err := host.NewArbiter(cfg.Arbitration)
+	arb, err := host.NewArbiter(cfg.Stack.Arbitration)
 	if err != nil {
 		return nil, err
 	}

@@ -646,10 +646,12 @@ func TestStatsHammerShardedDrain(t *testing.T) {
 // merge that kept shard 0's value, or summed the extremes, shows.
 func TestMetricsMergedAcrossShards(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Shards:           2,
-		FTLKind:          "fgmFTL",
-		Geometry:         ftltest.TinyGeometry(),
-		LogicalFrac:      0.35, // the tiny device needs the spare blocks
+		Shards: 2,
+		Stack: experiment.RunConfig{
+			Kind:        experiment.KindFGM,
+			Geometry:    ftltest.TinyGeometry(),
+			LogicalFrac: 0.35, // the tiny device needs the spare blocks
+		},
 		PreconditionFrac: 0.9,
 		HTTPAddr:         "127.0.0.1:0",
 		Namespaces: []server.NamespaceSpec{

@@ -381,3 +381,23 @@ func TestSweepProfileName(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSyntheticNextAllocs: request generation sits inside every replay
+// loop (and the client's send loop), so Next must not touch the heap on
+// any of the five benchmark profiles.
+func TestSyntheticNextAllocs(t *testing.T) {
+	for _, prof := range Benchmarks() {
+		gen, err := NewSynthetic(prof, 1<<20, 4, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", prof.Name, err)
+		}
+		avg := testing.AllocsPerRun(1000, func() {
+			if r := gen.Next(); r.Sectors <= 0 {
+				t.Fatalf("%s: bad request %v", prof.Name, r)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: Next allocates %.1f objects per request, want 0", prof.Name, avg)
+		}
+	}
+}
