@@ -64,6 +64,26 @@ func TestFTLWriteAllocs(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("%s steady-state write allocates %.2f objects per op, want 0", kind, avg)
 			}
+			// AllocsPerRun truncates its average, so an allocation per
+			// collection or per block entering a region (one in ~100
+			// writes) reads as 0 above. Count per batch instead, each batch
+			// long enough to collect (internal/core's
+			// TestRegionCollectionAllocs pins the subpage region's own
+			// collector the same way).
+			gcBefore := ssd.Stats().GCInvocations
+			perBatch := testing.AllocsPerRun(5, func() {
+				for i := 0; i < 1500; i++ {
+					if err := ssd.Write(rng.Int63n(space/64), 1, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if collections := ssd.Stats().GCInvocations - gcBefore; collections < 6 {
+				t.Fatalf("%s: only %d collections in 6 batches; the guard needs at least one per batch", kind, collections)
+			}
+			if perBatch != 0 {
+				t.Errorf("%s allocates %.0f objects per 1500 writes with GC running, want 0", kind, perBatch)
+			}
 		})
 	}
 }

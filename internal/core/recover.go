@@ -72,7 +72,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	win := make(map[int64]subWinner)
 	for _, blk := range subBlocks {
 		mb := subBlock{
-			nextIdx: make([]uint8, g.PagesPerBlock),
+			nextIdx: f.freshNextIdx(blk.Block),
 			inUse:   true,
 		}
 		round := f.pageSecs

@@ -118,8 +118,10 @@ type FTL struct {
 	writtenAt []sim.Time         // SPN -> program time (retention aging)
 	updated   []bool             // LSN: overwritten since entering the region?
 	meta      []subBlock         // per-block, indexed by BlockID
-	subBlocks int                // blocks currently in the subpage region
-	subQuota  int
+	// nextIdxSlab backs every subBlock.nextIdx (see freshNextIdx).
+	nextIdxSlab []uint8
+	subBlocks   int // blocks currently in the subpage region
+	subQuota    int
 
 	// actives is the stripe of open write blocks, one slot per chip (up
 	// to a third of the region quota), rotated per write so consecutive
@@ -127,6 +129,7 @@ type FTL struct {
 	// parallelism the paper's §4.2 notes its implementation maximizes.
 	actives  []nand.BlockID
 	activeOK []bool
+	activeN  int // set entries of activeOK
 	rr       int
 
 	gcDest    nand.BlockID // persistent GC destination block (round 0)
@@ -136,6 +139,11 @@ type FTL struct {
 	// keeps reentrant reclaim (via evictions into the full-page region)
 	// from recycling and re-allocating the block being drained mid-scan.
 	subCol *gc.Collector
+	// subTarget and subView are built once, as ftl.Log does: their inputs
+	// are fixed for the FTL's life, and rebuilding either per collection
+	// would put an allocation on the write path.
+	subTarget gc.Target
+	subView   gc.View
 	// gcPage / gcEvictAll checkpoint the in-flight victim's scan position
 	// and pressure-valve verdict across preempted collection steps.
 	gcPage     int
@@ -222,26 +230,29 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		return nil, fmt.Errorf("core: device too small for a %d-block subpage region", subQuota)
 	}
 	f := &FTL{
-		dev:       dev,
-		man:       ftl.NewManager(dev),
-		ver:       ftl.NewVersions(cfg.LogicalSectors),
-		cfg:       cfg,
-		hash:      mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
-		rmapSub:   make([]int64, g.TotalSubpages()),
-		verAt:     make([]uint32, g.TotalSubpages()),
-		writtenAt: make([]sim.Time, g.TotalSubpages()),
-		updated:   make([]bool, cfg.LogicalSectors),
-		meta:      make([]subBlock, g.TotalBlocks()),
-		subQuota:  subQuota,
-		buf:       buffer.NewAligned(g.SubpagesPerPage, cfg.BufferSectors),
-		pageSecs:  g.SubpagesPerPage,
-		gcSlack:   cfg.GC.BackgroundSlack,
+		dev:         dev,
+		man:         ftl.NewManager(dev),
+		ver:         ftl.NewVersions(cfg.LogicalSectors),
+		cfg:         cfg,
+		hash:        mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
+		rmapSub:     make([]int64, g.TotalSubpages()),
+		verAt:       make([]uint32, g.TotalSubpages()),
+		writtenAt:   make([]sim.Time, g.TotalSubpages()),
+		updated:     make([]bool, cfg.LogicalSectors),
+		meta:        make([]subBlock, g.TotalBlocks()),
+		nextIdxSlab: make([]uint8, g.TotalBlocks()*g.PagesPerBlock),
+		subQuota:    subQuota,
+		buf:         buffer.NewAligned(g.SubpagesPerPage, cfg.BufferSectors),
+		pageSecs:    g.SubpagesPerPage,
+		gcSlack:     cfg.GC.BackgroundSlack,
 	}
 	pol, err := gc.NewPolicy(cfg.GC)
 	if err != nil {
 		return nil, err
 	}
 	f.subCol = gc.NewCollector(pol, cfg.GC.StepPages)
+	f.subTarget = &subTarget{f}
+	f.subView = f.man.GCView(ftl.RoleSub, g.SubpagesPerBlock(), f.subCol.InFlight)
 	stripe := g.Chips()
 	if cap := subQuota / 3; stripe > cap {
 		stripe = cap
@@ -293,21 +304,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 // data and returns it to the shared pool (dynamic region conversion). It
 // reports whether a block was reclaimed.
 func (f *FTL) reclaimEmptySubBlock() bool {
-	g := f.dev.Geometry()
-	for b := 0; b < g.TotalBlocks(); b++ {
-		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.Valid(id) != 0 {
-			continue
-		}
-		if f.man.State(id) == ftl.StateFree {
-			continue
-		}
-		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) {
-			continue
-		}
-		if f.subCol.InFlight(id) {
-			continue
-		}
+	for id, ok := f.emptySubBlockFrom(0); ok; id, ok = f.emptySubBlockFrom(id + 1) {
 		if err := f.man.Recycle(id); err != nil {
 			return false
 		}
@@ -322,6 +319,23 @@ func (f *FTL) reclaimEmptySubBlock() bool {
 		return true
 	}
 	return false
+}
+
+// emptySubBlockFrom returns the lowest-numbered region block at or after
+// from that holds no live data and is not pinned, open and full blocks
+// alike: a merge of the two classes' valid-0 buckets.
+func (f *FTL) emptySubBlockFrom(from nand.BlockID) (nand.BlockID, bool) {
+	for {
+		id, ok := f.man.Seek(ftl.RoleSub, ftl.StateOpen, 0, from)
+		ok = ok && f.man.Valid(id) == 0
+		if full, okFull := f.man.Seek(ftl.RoleSub, ftl.StateFull, 0, from); okFull && f.man.Valid(full) == 0 && (!ok || full < id) {
+			id, ok = full, true
+		}
+		if !ok || !f.pinned(id) {
+			return id, ok
+		}
+		from = id + 1
+	}
 }
 
 // Name implements ftl.FTL.
@@ -703,7 +717,7 @@ func (f *FTL) Tick() error {
 // remaining rounds — and Tick only steps here when a foreground drain
 // that would pick the same victim is at most gcSlack refills away.
 func (f *FTL) stepSubGC() error {
-	if _, err := f.subCol.Step(&subTarget{f}); err != nil && !errors.Is(err, gc.ErrNoVictim) {
+	if _, err := f.subCol.Step(f.subTarget); err != nil && !errors.Is(err, gc.ErrNoVictim) {
 		return err
 	}
 	return nil

@@ -13,14 +13,24 @@ import (
 // initSubBlock prepares bookkeeping for a block entering the subpage
 // region at round 0.
 func (f *FTL) initSubBlock(b nand.BlockID) {
-	g := f.dev.Geometry()
 	f.meta[b] = subBlock{
 		round:   0,
 		cursor:  0,
-		nextIdx: make([]uint8, g.PagesPerBlock),
+		nextIdx: f.freshNextIdx(b),
 		inUse:   true,
 	}
 	f.subBlocks++
+}
+
+// freshNextIdx returns block b's zeroed per-page nextIdx array. The arrays
+// of all blocks are one slab: any block may enter the region (roles are
+// assigned at program time), one does on every region collection, and a
+// per-entry allocation would sit on the write path.
+func (f *FTL) freshNextIdx(b nand.BlockID) []uint8 {
+	n := f.dev.Geometry().PagesPerBlock
+	idx := f.nextIdxSlab[int(b)*n : (int(b)+1)*n : (int(b)+1)*n]
+	clear(idx)
+	return idx
 }
 
 // isActive reports whether id is one of the stripe's open write blocks.
@@ -31,6 +41,18 @@ func (f *FTL) isActive(id nand.BlockID) bool {
 		}
 	}
 	return false
+}
+
+// openSlot and closeSlot set and clear one stripe slot, keeping activeN the
+// number of set slots.
+func (f *FTL) openSlot(slot int, b nand.BlockID) {
+	f.actives[slot], f.activeOK[slot] = b, true
+	f.activeN++
+}
+
+func (f *FTL) closeSlot(slot int) {
+	f.activeOK[slot] = false
+	f.activeN--
 }
 
 // stale reports whether the flash copy at spn no longer carries lsn's
@@ -97,12 +119,20 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 	g := f.dev.Geometry()
 	maxAttempts := 2*f.subQuota*f.pageSecs + 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		for try := 0; try < len(f.actives); try++ {
+		// Visit the set slots in stripe order from rr. A slot is refilled
+		// only after every slot has run out, so the stripe mostly holds a
+		// single open block: stop once every set slot has been seen, and
+		// leave rr where a full lap would have.
+		start := f.rr
+		for left := f.activeN; left > 0; {
 			i := f.rr
-			f.rr = (f.rr + 1) % len(f.actives)
+			if f.rr++; f.rr == len(f.actives) {
+				f.rr = 0
+			}
 			if !f.activeOK[i] {
 				continue
 			}
+			left--
 			mb := &f.meta[f.actives[i]]
 			for mb.cursor < g.PagesPerBlock {
 				pi := mb.cursor
@@ -112,25 +142,17 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 				mb.cursor++
 			}
 			// This stripe slot's block is exhausted at its round.
-			f.activeOK[i] = false
+			f.closeSlot(i)
 			if mb.round == f.pageSecs-1 {
 				f.man.MarkFull(f.actives[i])
 			}
 		}
-		// Refill one empty stripe slot, rotating the starting point so
-		// refill pressure (and the chip affinity that follows it) spreads
-		// across the stripe instead of piling onto slot 0.
-		slot := -1
-		for i := 0; i < len(f.activeOK); i++ {
-			j := (f.rr + i) % len(f.activeOK)
-			if !f.activeOK[j] {
-				slot = j
-				break
-			}
-		}
-		if slot < 0 {
-			continue
-		}
+		f.rr = start
+		// Refill the first empty stripe slot from rr, so refill pressure
+		// (and the chip affinity that follows it) rotates across the stripe
+		// instead of piling onto slot 0. The lap above returned or closed
+		// every set slot, so that slot is rr itself.
+		slot := f.rr
 		if f.subBlocks < f.subQuota {
 			if f.man.FreeCount() <= f.cfg.GCReserveBlocks && !f.reclaimEmptySubBlock() {
 				// The full-page region holds the spare space; make it
@@ -144,14 +166,14 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 				chip := slot * g.Chips() / len(f.actives)
 				if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
 					f.initSubBlock(b)
-					f.actives[slot], f.activeOK[slot] = b, true
+					f.openSlot(slot, b)
 					continue
 				}
 			}
 		}
 		if b, ok := f.pickAdvance(slot * g.Chips() / len(f.actives)); ok {
 			f.advanceRound(b)
-			f.actives[slot], f.activeOK[slot] = b, true
+			f.openSlot(slot, b)
 			continue
 		}
 		if err := f.collectSubOnce(); err != nil {
@@ -163,13 +185,12 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 
 // debugState renders the subpage region's state for policy-bug reports.
 func (f *FTL) debugState() string {
-	g := f.dev.Geometry()
 	s := fmt.Sprintf("subBlocks=%d quota=%d free=%d reserve=%d stripe=%d gcDestSet=%v;",
 		f.subBlocks, f.subQuota, f.man.FreeCount(), f.cfg.GCReserveBlocks, len(f.actives), f.gcDestSet)
-	for b := 0; b < g.TotalBlocks(); b++ {
-		id := nand.BlockID(b)
-		if f.meta[b].inUse {
-			s += fmt.Sprintf(" blk%d[st=%d rd=%d cur=%d val=%d]", b, f.man.State(id), f.meta[b].round, f.meta[b].cursor, f.man.Valid(id))
+	for b := range f.meta {
+		if mb := &f.meta[b]; mb.inUse {
+			id := nand.BlockID(b)
+			s += fmt.Sprintf(" blk%d[st=%d rd=%d cur=%d val=%d]", b, f.man.State(id), mb.round, mb.cursor, f.man.Valid(id))
 		}
 	}
 	return s
@@ -184,70 +205,48 @@ func (f *FTL) debugState() string {
 // handles that case.
 func (f *FTL) pickAdvance(preferChip int) (nand.BlockID, bool) {
 	g := f.dev.Geometry()
-	best := nand.BlockID(-1)
-	bestValid := int(^uint(0) >> 1)
-	bestOnChip := nand.BlockID(-1)
-	bestOnChipValid := int(^uint(0) >> 1)
-	for b := 0; b < g.TotalBlocks(); b++ {
-		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.State(id) != ftl.StateOpen {
-			continue
-		}
-		if f.gcDestSet && id == f.gcDest {
-			continue
-		}
-		if f.isActive(id) || f.subCol.InFlight(id) {
-			continue
-		}
-		if f.meta[b].round >= f.pageSecs-1 {
-			continue
-		}
+	best, bestValid, found := nand.BlockID(0), 0, false
+	// Ascending (valid, ID) over the region's open blocks: the first that
+	// qualifies is the global best, and the walk ends where a same-chip
+	// candidate could no longer be preferred over it.
+	for id, ok := f.man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.man.Next(ftl.RoleSub, ftl.StateOpen, id) {
 		v := f.man.Valid(id)
-		if v >= g.PagesPerBlock {
+		if v >= g.PagesPerBlock || (found && v > bestValid+8) {
+			break
+		}
+		if f.pinned(id) || f.meta[id].round >= f.pageSecs-1 {
 			continue
 		}
-		if v < bestValid {
-			best, bestValid = id, v
+		// Keep the stripe slot on its chip when a reasonable candidate exists
+		// there (within 8 valid subpages of the global best): the stripe is
+		// what spreads program load over every channel and way.
+		if g.ChipOf(id) == preferChip {
+			return id, true
 		}
-		if g.ChipOf(id) == preferChip && v < bestOnChipValid {
-			bestOnChip, bestOnChipValid = id, v
+		if !found {
+			best, bestValid, found = id, v, true
 		}
 	}
-	// Keep the stripe slot on its chip when a reasonable candidate exists
-	// there (within 2 valid units of the global best): the stripe is what
-	// spreads program load over every channel and way.
-	if bestOnChip >= 0 && bestOnChipValid <= bestValid+8 {
-		return bestOnChip, true
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return best, found
+}
+
+// pinned reports whether a region block is spoken for — the GC destination,
+// a stripe slot's open block, or the collector's in-flight victim — and so
+// is no candidate for a round advance, an open-victim drain or a reclaim.
+func (f *FTL) pinned(id nand.BlockID) bool {
+	return (f.gcDestSet && id == f.gcDest) || f.isActive(id) || f.subCol.InFlight(id)
 }
 
 // pickOpenVictim returns the open (non-active, non-destination) subpage
-// block with the fewest valid subpages, for the GC fallback when no block
-// is terminally exhausted.
+// block with the fewest valid subpages, lowest ID on ties, for the GC
+// fallback when no block is terminally exhausted.
 func (f *FTL) pickOpenVictim() (nand.BlockID, bool) {
-	g := f.dev.Geometry()
-	best := nand.BlockID(-1)
-	bestValid := int(^uint(0) >> 1)
-	for b := 0; b < g.TotalBlocks(); b++ {
-		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.State(id) != ftl.StateOpen {
-			continue
-		}
-		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) || f.subCol.InFlight(id) {
-			continue
-		}
-		if v := f.man.Valid(id); v < bestValid {
-			best, bestValid = id, v
+	for id, ok := f.man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.man.Next(ftl.RoleSub, ftl.StateOpen, id) {
+		if !f.pinned(id) {
+			return id, true
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return 0, false
 }
 
 // advanceRound moves block b to its next subpage round. Relocation of
@@ -427,7 +426,7 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	for i := range f.actives {
 		if f.activeOK[i] && f.actives[i] == fb {
 			slot = i
-			f.activeOK[i] = false
+			f.closeSlot(i)
 		}
 	}
 	if f.gcDestSet && fb == f.gcDest {
@@ -445,7 +444,7 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	}
 	f.initSubBlock(nb)
 	if slot >= 0 {
-		f.actives[slot], f.activeOK[slot] = nb, true
+		f.openSlot(slot, nb)
 	}
 	return g.PageOf(nb, 0), &f.meta[nb], 0, 0, nil
 }
@@ -626,7 +625,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 // full-page region; then erase the victim. A background-preempted victim
 // is resumed and finished first.
 func (f *FTL) collectSubOnce() error {
-	if err := f.subCol.Collect(&subTarget{f}); err != nil {
+	if err := f.subCol.Collect(f.subTarget); err != nil {
 		if errors.Is(err, gc.ErrNoVictim) {
 			return fmt.Errorf("core: subpage GC has no victim (%d region blocks, %d free)", f.subBlocks, f.man.FreeCount())
 		}
@@ -644,10 +643,7 @@ type subTarget struct {
 
 // View exposes the full (terminally exhausted) subpage-region blocks to
 // the victim policy, excluding any in-flight victim.
-func (t *subTarget) View() gc.View {
-	f := t.f
-	return f.man.GCView(ftl.RoleSub, f.dev.Geometry().SubpagesPerBlock(), f.subCol.InFlight)
-}
+func (t *subTarget) View() gc.View { return t.f.subView }
 
 // Fallback reclaims the fullest-free open block when no block is
 // terminally exhausted. Background stepping takes it too: stepSubGC

@@ -459,7 +459,7 @@ func (f *FTL) Check() error {
 			return fmt.Errorf("fgm: block %d valid = %d, want %d", id, got, want)
 		}
 	}
-	return nil
+	return f.man.CheckIndex()
 }
 
 // Recover implements ftl.FTL: one OOB scan rebuilds the fine-grained table

@@ -441,5 +441,5 @@ func (s *Store) Check() error {
 			return fmt.Errorf("fullpage: block %d valid = %d, want %d", id, got, want)
 		}
 	}
-	return nil
+	return s.man.CheckIndex()
 }

@@ -219,7 +219,9 @@ func (l *Log) program(st *stripe, forGC bool, stamps []nand.Stamp) (nand.PageID,
 func (l *Log) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
 	g := l.dev.Geometry()
 	ap := &st.points[st.next]
-	st.next = (st.next + 1) % len(st.points)
+	if st.next++; st.next == len(st.points) {
+		st.next = 0
+	}
 	if ap.set && ap.cursor >= g.PagesPerBlock {
 		l.man.MarkFull(ap.block)
 		ap.set = false

@@ -70,11 +70,15 @@ type blockMeta struct {
 // one min-heap per chip (least worn block allocated first — dynamic wear
 // leveling — while allocation can target a chip, which is how the FTLs'
 // append stripes spread load over every channel and way), per-block
-// validity accounting, and the read-only view GC policies select victims
-// from.
+// validity accounting, and the valid-ordered block index GC policies and
+// subFTL's round-advance policy select from.
 type Manager struct {
 	dev  *nand.Device
 	meta []blockMeta
+	// index orders the open and full blocks by (valid, BlockID) per (role,
+	// state) class. Every write of blockMeta.state or .valid goes through
+	// unindex/reindex, so it is exact at all times (CheckIndex).
+	index validIndex
 	// free[chip] is a binary min-heap of that chip's free blocks keyed by
 	// erase count.
 	free  [][]nand.BlockID
@@ -98,9 +102,10 @@ func NewManager(dev *nand.Device) *Manager {
 	g := dev.Geometry()
 	n := g.TotalBlocks()
 	m := &Manager{
-		dev:  dev,
-		meta: make([]blockMeta, n),
-		free: make([][]nand.BlockID, g.Chips()),
+		dev:   dev,
+		meta:  make([]blockMeta, n),
+		index: newValidIndex(n, g.SubpagesPerBlock()),
+		free:  make([][]nand.BlockID, g.Chips()),
 	}
 	for b := 0; b < n; b++ {
 		id := nand.BlockID(b)
@@ -176,6 +181,7 @@ func (m *Manager) popChip(chip int, role Role) (nand.BlockID, bool) {
 	}
 	m.total--
 	m.meta[b] = blockMeta{state: StateOpen, role: role}
+	m.reindex(b)
 	return b, true
 }
 
@@ -185,16 +191,18 @@ func (m *Manager) popChip(chip int, role Role) (nand.BlockID, bool) {
 func (m *Manager) Alloc(role Role) (nand.BlockID, bool) {
 	best := -1
 	n := len(m.free)
+	chip := m.rr
 	for i := 0; i < n; i++ {
-		chip := (m.rr + i) % n
-		if len(m.free[chip]) == 0 {
-			continue
-		}
-		if best < 0 || m.less(m.free[chip][0], m.free[best][0]) {
+		if len(m.free[chip]) > 0 && (best < 0 || m.less(m.free[chip][0], m.free[best][0])) {
 			best = chip
 		}
+		if chip++; chip == n {
+			chip = 0
+		}
 	}
-	m.rr = (m.rr + 1) % n
+	if m.rr++; m.rr == n {
+		m.rr = 0
+	}
 	if best < 0 {
 		return 0, false
 	}
@@ -218,8 +226,10 @@ func (m *Manager) MarkFull(b nand.BlockID) {
 	if m.meta[b].state != StateOpen {
 		panic(fmt.Sprintf("ftl: MarkFull on block %d in state %d", b, m.meta[b].state))
 	}
+	m.unindex(b)
 	m.meta[b].state = StateFull
 	m.meta[b].lastInval = m.dev.Clock().Now()
+	m.reindex(b)
 }
 
 // Adopt installs a scanned block's state at mount time: the block leaves
@@ -234,6 +244,7 @@ func (m *Manager) Adopt(b nand.BlockID, role Role, valid int) error {
 	}
 	m.removeFree(b)
 	m.meta[b] = blockMeta{state: StateFull, role: role, valid: valid, lastInval: m.dev.Clock().Now()}
+	m.reindex(b)
 	return nil
 }
 
@@ -252,6 +263,7 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 		return fmt.Errorf("ftl: recycling retired block %d", b)
 	}
 	if m.meta[b].bad {
+		m.unindex(b)
 		m.meta[b].state = StateBad
 		return nil
 	}
@@ -261,6 +273,7 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 	}
 	if _, err := m.dev.EraseAt(b, depth); err != nil {
 		if errors.Is(err, nand.ErrEraseFail) {
+			m.unindex(b)
 			m.meta[b].bad = true
 			m.meta[b].state = StateBad
 			m.bad++
@@ -268,6 +281,7 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 		}
 		return err
 	}
+	m.unindex(b)
 	m.meta[b] = blockMeta{state: StateFree}
 	chip := m.dev.Geometry().ChipOf(b)
 	m.free[chip] = append(m.free[chip], b)
@@ -299,7 +313,9 @@ func (m *Manager) Retire(b nand.BlockID) {
 		m.removeFree(b)
 		mt.state = StateBad
 	case StateOpen:
+		m.unindex(b)
 		mt.state = StateFull
+		m.reindex(b)
 	}
 }
 
@@ -354,7 +370,12 @@ func (m *Manager) AddValid(b nand.BlockID, delta int) {
 	if v < 0 {
 		panic(fmt.Sprintf("ftl: block %d valid count went negative", b))
 	}
+	if v >= m.index.buckets {
+		panic(fmt.Sprintf("ftl: block %d valid count %d exceeds its %d subpages", b, v, m.index.buckets-1))
+	}
+	m.unindex(b)
 	m.meta[b].valid = v
+	m.reindex(b)
 	if delta < 0 {
 		m.meta[b].lastInval = m.dev.Clock().Now()
 	}
@@ -448,10 +469,70 @@ func (m *Manager) TotalValid(role Role) int {
 	return sum
 }
 
-// gcView adapts the manager's bookkeeping to the policy engine's
-// read-only selection view: candidates are the full blocks of one role,
-// minus whatever the exclude hook (the collector's in-flight check)
-// vetoes.
+// unindex and reindex bracket every write of a block's state or valid
+// count: the block leaves the class and bucket its old record names and
+// enters the ones its new record names. Free and bad blocks are in no class.
+func (m *Manager) unindex(b nand.BlockID) {
+	if mt := &m.meta[b]; mt.state == StateOpen || mt.state == StateFull {
+		m.index.remove(indexClass(mt.role, mt.state), mt.valid, b)
+	}
+}
+
+func (m *Manager) reindex(b nand.BlockID) {
+	if mt := &m.meta[b]; mt.state == StateOpen || mt.state == StateFull {
+		m.index.insert(indexClass(mt.role, mt.state), mt.valid, b)
+	}
+}
+
+// Seek returns the first block at or after position (valid, from) among the
+// blocks of one role in one state (StateOpen or StateFull), taken in
+// ascending (valid count, BlockID) order. Positions are values, not
+// cursors, so a walk may change block states between two Seeks.
+func (m *Manager) Seek(role Role, state BlockState, valid int, from nand.BlockID) (nand.BlockID, bool) {
+	return m.index.seek(indexClass(role, state), valid, from)
+}
+
+// First and Next walk one class in (valid count, BlockID) order: First is
+// Seek from the start, Next the successor of a block b of the class.
+func (m *Manager) First(role Role, state BlockState) (nand.BlockID, bool) {
+	return m.Seek(role, state, 0, 0)
+}
+
+func (m *Manager) Next(role Role, state BlockState, b nand.BlockID) (nand.BlockID, bool) {
+	return m.Seek(role, state, m.meta[b].valid, b+1)
+}
+
+// CheckIndex verifies the valid-ordered index against the per-block
+// records: every open or full block sits in the bitmap its role, state and
+// valid count name, the bitmaps hold nothing else (so free and bad blocks
+// are in no class and no block is in two), and the per-bitmap counts and
+// the non-empty summary that Seek navigates by agree with the bitmaps.
+func (m *Manager) CheckIndex() error {
+	want := 0
+	for b := range m.meta {
+		mt := &m.meta[b]
+		if mt.state != StateOpen && mt.state != StateFull {
+			continue
+		}
+		want++
+		if !m.index.has(indexClass(mt.role, mt.state), mt.valid, nand.BlockID(b)) {
+			return fmt.Errorf("ftl: block %d (role %v, state %d, valid %d) is missing from its index bitmap", b, mt.role, mt.state, mt.valid)
+		}
+	}
+	got, err := m.index.population()
+	if err != nil {
+		return err
+	}
+	if got != want {
+		return fmt.Errorf("ftl: index holds %d entries, %d blocks are open or full", got, want)
+	}
+	return nil
+}
+
+// gcView adapts the manager's bookkeeping to the policy engine's selection
+// view: candidates are the full blocks of one role in the index's (valid,
+// BlockID) order, minus whatever the exclude hook (the collector's
+// in-flight check) vetoes.
 type gcView struct {
 	m       *Manager
 	role    Role
@@ -468,14 +549,20 @@ func (m *Manager) GCView(role Role, unitsPerBlock int, exclude func(nand.BlockID
 	return &gcView{m: m, role: role, units: unitsPerBlock, exclude: exclude}
 }
 
-func (v *gcView) Blocks() int { return len(v.m.meta) }
+func (v *gcView) First() (nand.BlockID, bool) { return v.seek(0, 0) }
 
-func (v *gcView) Candidate(b nand.BlockID) bool {
-	mt := &v.m.meta[b]
-	if mt.state != StateFull || mt.role != v.role {
-		return false
+func (v *gcView) Next(b nand.BlockID) (nand.BlockID, bool) {
+	return v.seek(v.m.meta[b].valid, b+1)
+}
+
+func (v *gcView) seek(valid int, from nand.BlockID) (nand.BlockID, bool) {
+	for {
+		b, ok := v.m.Seek(v.role, StateFull, valid, from)
+		if !ok || v.exclude == nil || !v.exclude(b) {
+			return b, ok
+		}
+		valid, from = v.m.meta[b].valid, b+1
 	}
-	return v.exclude == nil || !v.exclude(b)
 }
 
 func (v *gcView) Valid(b nand.BlockID) int               { return v.m.meta[b].valid }

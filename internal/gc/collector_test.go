@@ -158,8 +158,8 @@ func TestCollectResumesPreemptedVictim(t *testing.T) {
 }
 
 func TestInFlightExclusionViaCandidate(t *testing.T) {
-	// The FTL views exclude the in-flight victim via Candidate; model
-	// that here and prove a second selection never lands on it.
+	// The FTL views leave the in-flight victim out of the candidate order;
+	// model that here and prove a second selection never lands on it.
 	tgt, view := targetWith([]int{1, 3}, map[nand.BlockID][]bool{
 		0: {true, true},
 		1: {true},
@@ -174,19 +174,10 @@ func TestInFlightExclusionViaCandidate(t *testing.T) {
 	// A reentrant selection over a view that honours InFlight must
 	// choose block 1 even though block 0 still looks cheapest.
 	excl := *view
-	exclView := &exclWrap{fakeView: &excl, c: c}
-	if b, ok := (Greedy{}).SelectVictim(exclView); !ok || b != 1 {
+	excl.exclude = c.InFlight
+	if b, ok := (Greedy{}).SelectVictim(&excl); !ok || b != 1 {
 		t.Fatalf("reentrant selection picked %d ok=%v, want 1", b, ok)
 	}
-}
-
-type exclWrap struct {
-	*fakeView
-	c *Collector
-}
-
-func (w *exclWrap) Candidate(b nand.BlockID) bool {
-	return w.fakeView.Candidate(b) && !w.c.InFlight(b)
 }
 
 func TestNoVictimError(t *testing.T) {

@@ -13,21 +13,26 @@ package gc
 
 import (
 	"fmt"
-	"sort"
 
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
 
-// View is the read-only per-block snapshot a policy selects over. A
-// block is in the selection set iff Candidate reports true (for the
-// FTLs this means: full, role-matching, not bad, and not the block a
-// collector is already draining).
+// View is the read-only selection view a policy picks from: the candidate
+// blocks (for the FTLs: full, role-matching, and not the block a collector
+// is already draining — retired blocks awaiting their drain included) in
+// ascending (Valid, BlockID) order, plus the per-block inputs policies
+// score on. The order is the contract: whoever implements View maintains
+// it (ftl.Manager keeps an index; it never sorts or scans per selection),
+// and policies read only as much of it as their choice needs.
 type View interface {
-	// Blocks is the number of physical blocks; block IDs are [0, Blocks).
-	Blocks() int
-	// Candidate reports whether b is selectable as a victim.
-	Candidate(b nand.BlockID) bool
+	// First returns the candidate with the fewest valid units, lowest
+	// BlockID on ties; ok=false when the view has no candidate.
+	First() (b nand.BlockID, ok bool)
+	// Next returns the candidate that follows b in (Valid, BlockID) order;
+	// ok=false after the last one. b must be a block First or Next returned
+	// from this view, unchanged since.
+	Next(b nand.BlockID) (next nand.BlockID, ok bool)
 	// Valid is the number of still-live mapping units in b (subpage
 	// sectors for the sector-mapped FTLs, pages for the page-mapped
 	// store; UnitsPerBlock gives the denominator either way).
@@ -61,51 +66,28 @@ type Policy interface {
 }
 
 // Greedy is classic min-valid selection: the candidate with the fewest
-// live units wins, lowest block ID on ties.
+// live units wins, lowest block ID on ties — the view's first.
 type Greedy struct{}
 
 // Name implements Policy.
 func (Greedy) Name() string { return "greedy" }
 
 // SelectVictim implements Policy.
-func (Greedy) SelectVictim(v View) (nand.BlockID, bool) {
-	best, bestValid, found := nand.BlockID(0), 0, false
-	for i := 0; i < v.Blocks(); i++ {
-		b := nand.BlockID(i)
-		if !v.Candidate(b) {
-			continue
-		}
-		if valid := v.Valid(b); !found || valid < bestValid {
-			best, bestValid, found = b, valid, true
-		}
-	}
-	return best, found
-}
+func (Greedy) SelectVictim(v View) (nand.BlockID, bool) { return v.First() }
 
 // reclaimCutoff returns the maximum valid count an age-aware policy may
-// select, or ok=false when the view has no candidate. Age terms span many
+// select, given the view's first (min-valid) candidate. Age terms span many
 // orders of magnitude (a hot block's age resets every few microseconds
 // while a cold block ages for the whole run), so unconstrained age scoring
 // degenerates into cleaning ~full cold blocks — each erase reclaiming
 // almost nothing, spiralling write amplification and erase wear under pool
 // pressure. The cutoff requires a victim to reclaim at least half of what
 // the best (min-valid) candidate would, bounding the cleaning cost at 2x
-// greedy while leaving age free to reorder among reasonable victims.
-func reclaimCutoff(v View) (int, bool) {
-	minValid, found := 0, false
-	for i := 0; i < v.Blocks(); i++ {
-		b := nand.BlockID(i)
-		if !v.Candidate(b) {
-			continue
-		}
-		if valid := v.Valid(b); !found || valid < minValid {
-			minValid, found = valid, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return minValid + (v.UnitsPerBlock()-minValid)/2, true
+// greedy while leaving age free to reorder among reasonable victims. It is
+// also where the age-aware policies stop reading the view.
+func reclaimCutoff(v View, first nand.BlockID) int {
+	minValid := v.Valid(first)
+	return minValid + (v.UnitsPerBlock()-minValid)/2
 }
 
 // CostBenefit is Rosenblum-style age-weighted selection: maximise
@@ -114,8 +96,9 @@ func reclaimCutoff(v View) (int, bool) {
 // have stopped being invalidated become attractive even at moderate u,
 // which is exactly what hot/cold-skewed workloads need; a fully dead
 // block (u = 0) is free space and always wins immediately. Selection is
-// restricted to candidates above the reclaim cutoff (see reclaimCutoff)
+// restricted to candidates within the reclaim cutoff (see reclaimCutoff)
 // so the age term cannot drive the cleaner into near-full cold blocks.
+// Equal scores resolve to the lowest BlockID.
 type CostBenefit struct{}
 
 // Name implements Policy.
@@ -123,10 +106,13 @@ func (CostBenefit) Name() string { return "cost-benefit" }
 
 // SelectVictim implements Policy.
 func (CostBenefit) SelectVictim(v View) (nand.BlockID, bool) {
-	cutoff, ok := reclaimCutoff(v)
-	if !ok {
-		return 0, false
+	b, ok := v.First()
+	if !ok || v.Valid(b) == 0 {
+		// Free space at zero copy cost: nothing can score higher, and the
+		// view's first is the lowest-numbered such block.
+		return b, ok
 	}
+	cutoff := reclaimCutoff(v, b)
 	var (
 		best      nand.BlockID
 		bestScore float64
@@ -134,20 +120,8 @@ func (CostBenefit) SelectVictim(v View) (nand.BlockID, bool) {
 	)
 	units := float64(v.UnitsPerBlock())
 	now := v.Now()
-	for i := 0; i < v.Blocks(); i++ {
-		b := nand.BlockID(i)
-		if !v.Candidate(b) {
-			continue
-		}
-		valid := v.Valid(b)
-		if valid == 0 {
-			// Free space at zero copy cost: nothing can score higher.
-			return b, true
-		}
-		if valid > cutoff {
-			continue
-		}
-		u := float64(valid) / units
+	for ; ok && v.Valid(b) <= cutoff; b, ok = v.Next(b) {
+		u := float64(v.Valid(b)) / units
 		age := float64(now - v.LastInvalidate(b))
 		if age < 0 {
 			age = 0
@@ -156,7 +130,7 @@ func (CostBenefit) SelectVictim(v View) (nand.BlockID, bool) {
 		// 1, writing back the live fraction costs u, hence 2u in the
 		// denominator under the read-modify-write cost model.
 		score := age * (1 - u) / (2 * u)
-		if !found || score > bestScore {
+		if !found || score > bestScore || (score == bestScore && b < best) {
 			best, bestScore, found = b, score, true
 		}
 	}
@@ -166,9 +140,10 @@ func (CostBenefit) SelectVictim(v View) (nand.BlockID, bool) {
 // WindowedGreedy restricts greedy selection to the W oldest candidates
 // by last-invalidate time. The window makes selection age-aware (hot
 // blocks still being invalidated get time to bleed out before they are
-// cleaned) at O(n log n) without the float scoring of cost-benefit. Like
-// cost-benefit, the candidate set is bounded by the reclaim cutoff so the
-// oldest-first window cannot fill up with near-full cold blocks.
+// cleaned) without the float scoring of cost-benefit. Like cost-benefit,
+// the candidate set is bounded by the reclaim cutoff so the oldest-first
+// window cannot fill up with near-full cold blocks. Equal valid counts
+// inside the window resolve to the older block, then the lower BlockID.
 type WindowedGreedy struct {
 	// W is the window size; <= 0 means DefaultWindow.
 	W int
@@ -187,38 +162,43 @@ func (p WindowedGreedy) SelectVictim(v View) (nand.BlockID, bool) {
 	if w <= 0 {
 		w = DefaultWindow
 	}
-	cutoff, ok := reclaimCutoff(v)
+	b, ok := v.First()
 	if !ok {
 		return 0, false
 	}
-	var cands []nand.BlockID
-	for i := 0; i < v.Blocks(); i++ {
-		if b := nand.BlockID(i); v.Candidate(b) && v.Valid(b) <= cutoff {
-			cands = append(cands, b)
+	cutoff := reclaimCutoff(v, b)
+	// window holds the (up to) w oldest candidates seen so far, oldest
+	// first; block ID breaks last-invalidate ties so the window — and
+	// therefore the selection — is fully deterministic. Windows up to four
+	// times the default live on the stack.
+	type aged struct {
+		b nand.BlockID
+		t sim.Time
+	}
+	var stack [4 * DefaultWindow]aged
+	window := stack[:0]
+	for ; ok && v.Valid(b) <= cutoff; b, ok = v.Next(b) {
+		c := aged{b, v.LastInvalidate(b)}
+		i := len(window)
+		for i > 0 && (c.t < window[i-1].t || (c.t == window[i-1].t && c.b < window[i-1].b)) {
+			i--
+		}
+		if i == w {
+			continue
+		}
+		if len(window) < w {
+			window = append(window, aged{})
+		}
+		copy(window[i+1:], window[i:])
+		window[i] = c
+	}
+	best := window[0]
+	for _, c := range window[1:] {
+		if v.Valid(c.b) < v.Valid(best.b) {
+			best = c
 		}
 	}
-	if len(cands) == 0 {
-		return 0, false
-	}
-	// Oldest first; block ID breaks last-invalidate ties so the sort —
-	// and therefore the selection — is fully deterministic.
-	sort.Slice(cands, func(i, j int) bool {
-		ti, tj := v.LastInvalidate(cands[i]), v.LastInvalidate(cands[j])
-		if ti != tj {
-			return ti < tj
-		}
-		return cands[i] < cands[j]
-	})
-	if len(cands) > w {
-		cands = cands[:w]
-	}
-	best, bestValid := cands[0], v.Valid(cands[0])
-	for _, b := range cands[1:] {
-		if valid := v.Valid(b); valid < bestValid {
-			best, bestValid = b, valid
-		}
-	}
-	return best, true
+	return best.b, true
 }
 
 // Options is the GC configuration every FTL accepts: which policy to

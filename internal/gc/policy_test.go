@@ -7,25 +7,57 @@ import (
 	"espftl/internal/sim"
 )
 
-// fakeView is a synthetic selection view for policy tests.
+// fakeView is a synthetic selection view for policy tests. It keeps its
+// blocks unordered and finds each First/Next by a linear scan — the
+// reference for the order a real view must maintain — and counts the view
+// calls a policy makes.
 type fakeView struct {
-	valid  []int // -1 marks a non-candidate
-	inval  []sim.Time
-	erases []int
-	units  int
-	now    sim.Time
+	valid   []int // -1 marks a non-candidate
+	inval   []sim.Time
+	erases  []int
+	units   int
+	now     sim.Time
+	exclude func(nand.BlockID) bool // optional veto, as the FTL views take
+	calls   int
 }
 
-func (v *fakeView) Blocks() int                   { return len(v.valid) }
-func (v *fakeView) Candidate(b nand.BlockID) bool { return v.valid[b] >= 0 }
-func (v *fakeView) Valid(b nand.BlockID) int      { return v.valid[b] }
-func (v *fakeView) UnitsPerBlock() int            { return v.units }
-func (v *fakeView) EraseCount(b nand.BlockID) int { return v.erases[b] }
+// Blocks and Candidate are the scan-shaped surface the linear oracles read.
+func (v *fakeView) Blocks() int { return len(v.valid) }
+func (v *fakeView) Candidate(b nand.BlockID) bool {
+	return v.valid[b] >= 0 && (v.exclude == nil || !v.exclude(b))
+}
+
+// after returns the candidate with the smallest (valid, id) at or after the
+// given position.
+func (v *fakeView) after(valid int, from nand.BlockID) (nand.BlockID, bool) {
+	best, found := nand.BlockID(0), false
+	for i := range v.valid {
+		b := nand.BlockID(i)
+		if !v.Candidate(b) || v.valid[b] < valid || (v.valid[b] == valid && b < from) {
+			continue
+		}
+		if !found || v.valid[b] < v.valid[best] {
+			best, found = b, true
+		}
+	}
+	return best, found
+}
+
+func (v *fakeView) First() (nand.BlockID, bool) { v.calls++; return v.after(0, 0) }
+func (v *fakeView) Next(b nand.BlockID) (nand.BlockID, bool) {
+	v.calls++
+	return v.after(v.valid[b], b+1)
+}
+func (v *fakeView) Valid(b nand.BlockID) int      { v.calls++; return v.valid[b] }
+func (v *fakeView) UnitsPerBlock() int            { v.calls++; return v.units }
+func (v *fakeView) EraseCount(b nand.BlockID) int { v.calls++; return v.erases[b] }
 func (v *fakeView) EffectiveWear(b nand.BlockID) float64 {
+	v.calls++
 	return float64(v.erases[b])
 }
-func (v *fakeView) Now() sim.Time { return v.now }
+func (v *fakeView) Now() sim.Time { v.calls++; return v.now }
 func (v *fakeView) LastInvalidate(b nand.BlockID) sim.Time {
+	v.calls++
 	return v.inval[b]
 }
 

@@ -5,40 +5,43 @@ import (
 )
 
 // subpage is the persistent state of one subpage since the last erase of
-// its block.
+// its block, packed to 32 bytes: cell state is most of a device's memory
+// and every program, read and erase streams through it.
 type subpage struct {
-	// programmed is set once the subpage has been written in some pass.
-	programmed bool
-	// destroyed is set when a later ESP pass on the same page corrupts
-	// this subpage's content beyond the ECC limit.
-	destroyed bool
-	// npp is the subpage's N^k_pp type: the number of program passes the
-	// page had received before this subpage was programmed.
-	npp NppType
-	// torn is set when power was cut mid-program: the cells hold a partial
-	// charge distribution that is detectably neither erased nor valid (the
-	// "open page" signature real controllers probe for at mount).
-	torn bool
 	// programmedAt is the virtual time of the program, for retention aging.
 	programmedAt sim.Time
-	// stamp is the integrity fingerprint of the stored payload.
-	stamp Stamp
 	// seq is the device-global sequence number of the program operation
 	// that wrote this subpage; all slots of one op share it.
 	seq uint64
+	// lsn and version are the stored payload's integrity fingerprint (its
+	// Stamp).
+	lsn     int64
+	version uint32
+	// flags holds the subProgrammed, subDestroyed and subTorn bits.
+	flags uint8
+	// npp is the subpage's N^k_pp type: the number of program passes the
+	// page had received before this subpage was programmed.
+	npp NppType
 	// tag is the FTL region tag recorded in the OOB at program time.
 	tag uint8
 }
 
-// page is the persistent state of one physical page.
-type page struct {
-	// passes counts program operations since the last erase. A full-page
-	// program counts as one pass; each ESP subpage program is one pass.
-	passes uint8
-	subs   []subpage
-}
+// subpage.flags bits.
+const (
+	// subProgrammed is set once the subpage has been written in some pass.
+	subProgrammed uint8 = 1 << iota
+	// subDestroyed is set when a later ESP pass on the same page (or an
+	// aborted program) corrupts this subpage's content beyond the ECC limit.
+	subDestroyed
+	// subTorn is set when power was cut mid-program: the cells hold a partial
+	// charge distribution that is detectably neither erased nor valid (the
+	// "open page" signature real controllers probe for at mount).
+	subTorn
+)
 
-// block is the persistent state of one erase block.
+func (sp *subpage) stamp() Stamp { return Stamp{LSN: sp.lsn, Version: sp.version} }
+
+// block is the persistent per-block wear state.
 type block struct {
 	eraseCount int
 	// effWear is the block's effective wear in deep-erase equivalents: the
@@ -50,7 +53,6 @@ type block struct {
 	// the retention margin of everything programmed since. Zero (never
 	// erased) reads as full depth in the retention model.
 	lastDepth EraseDepth
-	pages     []page
 }
 
 // chip models one NAND die: an array of blocks with ESP-aware program
@@ -58,6 +60,14 @@ type block struct {
 type chip struct {
 	geo    Geometry
 	blocks []block
+	// subs is the cell state of every subpage of the die in one flat array,
+	// indexed (localBlock*PagesPerBlock+page)*SubpagesPerPage+sub, so a
+	// page's slots are adjacent and a block's are one contiguous run.
+	subs []subpage
+	// passes counts, per page (localBlock*PagesPerBlock+page), the program
+	// operations since the last erase. A full-page program counts as one
+	// pass; each ESP subpage program is one pass.
+	passes []uint8
 	// inPass is per-call scratch for programSubpages (which subpage slots
 	// the current ESP pass writes); entries are reset before each use so
 	// the steady-state program path allocates nothing.
@@ -65,27 +75,21 @@ type chip struct {
 }
 
 func newChip(geo Geometry) *chip {
-	c := &chip{
+	pages := geo.BlocksPerChip * geo.PagesPerBlock
+	return &chip{
 		geo:    geo,
 		blocks: make([]block, geo.BlocksPerChip),
+		subs:   make([]subpage, pages*geo.SubpagesPerPage),
+		passes: make([]uint8, pages),
 		inPass: make([]bool, geo.SubpagesPerPage),
 	}
-	// Carve every page and subpage out of two slabs instead of one
-	// allocation per page: experiment grids build thousands of devices,
-	// and per-page slices made construction the dominant allocation
-	// source of a whole figure run. Capacities are pinned so an append
-	// through one page's slice can never bleed into the next page.
-	pages := make([]page, geo.BlocksPerChip*geo.PagesPerBlock)
-	subs := make([]subpage, len(pages)*geo.SubpagesPerPage)
-	for b := range c.blocks {
-		c.blocks[b].pages = pages[:geo.PagesPerBlock:geo.PagesPerBlock]
-		pages = pages[geo.PagesPerBlock:]
-		for p := range c.blocks[b].pages {
-			c.blocks[b].pages[p].subs = subs[:geo.SubpagesPerPage:geo.SubpagesPerPage]
-			subs = subs[geo.SubpagesPerPage:]
-		}
-	}
-	return c
+}
+
+// page returns the slots of one page and its pass counter.
+func (c *chip) page(localBlock, pageIdx int) ([]subpage, *uint8) {
+	p := localBlock*c.geo.PagesPerBlock + pageIdx
+	n := c.geo.SubpagesPerPage
+	return c.subs[p*n : (p+1)*n : (p+1)*n], &c.passes[p]
 }
 
 // erase resets every page of the block and bumps its wear counters: one
@@ -95,34 +99,31 @@ func (c *chip) erase(localBlock int, depth EraseDepth) {
 	blk.eraseCount++
 	blk.effWear += float64(depth)
 	blk.lastDepth = depth
-	for p := range blk.pages {
-		pg := &blk.pages[p]
-		pg.passes = 0
-		for s := range pg.subs {
-			pg.subs[s] = subpage{}
-		}
-	}
+	p := localBlock * c.geo.PagesPerBlock
+	clear(c.passes[p : p+c.geo.PagesPerBlock])
+	clear(c.subs[p*c.geo.SubpagesPerPage : (p+c.geo.PagesPerBlock)*c.geo.SubpagesPerPage])
 }
 
 // programPage writes all subpages of an erased page in one pass. Every
 // subpage becomes N⁰pp-type. Returns ErrReprogram if any subpage of the
 // page has been programmed since the last erase.
 func (c *chip) programPage(localBlock, pageIdx int, stamps []Stamp, at sim.Time, seq uint64, tag uint8) error {
-	pg := &c.blocks[localBlock].pages[pageIdx]
-	if pg.passes != 0 {
+	subs, passes := c.page(localBlock, pageIdx)
+	if *passes != 0 {
 		return ErrReprogram
 	}
-	pg.passes = 1
-	for s := range pg.subs {
+	*passes = 1
+	for s := range subs {
 		st := Padding
 		if s < len(stamps) {
 			st = stamps[s]
 		}
-		pg.subs[s] = subpage{
-			programmed:   true,
+		subs[s] = subpage{
+			flags:        subProgrammed,
 			npp:          0,
 			programmedAt: at,
-			stamp:        st,
+			lsn:          st.LSN,
+			version:      st.Version,
 			seq:          seq,
 			tag:          tag,
 		}
@@ -138,9 +139,9 @@ func (c *chip) programPage(localBlock, pageIdx int, stamps []Stamp, at sim.Time,
 // the pass gets the same N^k_pp type: the number of passes that preceded
 // this one.
 func (c *chip) programSubpages(localBlock, pageIdx int, subs []int, stamps []Stamp, at sim.Time, seq uint64, tag uint8) error {
-	pg := &c.blocks[localBlock].pages[pageIdx]
+	slots, passes := c.page(localBlock, pageIdx)
 	for _, sub := range subs {
-		if pg.subs[sub].programmed {
+		if slots[sub].flags&subProgrammed != 0 {
 			return ErrReprogram
 		}
 	}
@@ -151,9 +152,9 @@ func (c *chip) programSubpages(localBlock, pageIdx int, subs []int, stamps []Sta
 	for _, sub := range subs {
 		inPass[sub] = true
 	}
-	for s := range pg.subs {
-		if !inPass[s] && pg.subs[s].programmed {
-			pg.subs[s].destroyed = true
+	for s := range slots {
+		if !inPass[s] && slots[s].flags&subProgrammed != 0 {
+			slots[s].flags |= subDestroyed
 		}
 	}
 	for i, sub := range subs {
@@ -161,16 +162,17 @@ func (c *chip) programSubpages(localBlock, pageIdx int, subs []int, stamps []Sta
 		if i < len(stamps) {
 			st = stamps[i]
 		}
-		pg.subs[sub] = subpage{
-			programmed:   true,
-			npp:          NppType(pg.passes),
+		slots[sub] = subpage{
+			flags:        subProgrammed,
+			npp:          NppType(*passes),
 			programmedAt: at,
-			stamp:        st,
+			lsn:          st.LSN,
+			version:      st.Version,
 			seq:          seq,
 			tag:          tag,
 		}
 	}
-	pg.passes++
+	*passes++
 	return nil
 }
 
@@ -184,21 +186,20 @@ func (c *chip) programSubpages(localBlock, pageIdx int, subs []int, stamps []Sta
 // programmed (a would-be ErrReprogram) is left untouched: the op was
 // invalid and changed nothing before power died.
 func (c *chip) tornProgram(localBlock, pageIdx int, subs []int, at sim.Time) {
-	pg := &c.blocks[localBlock].pages[pageIdx]
+	slots, passes := c.page(localBlock, pageIdx)
 	for _, sub := range subs {
-		if pg.subs[sub].programmed {
+		if slots[sub].flags&subProgrammed != 0 {
 			return
 		}
 	}
 	for _, sub := range subs {
-		pg.subs[sub] = subpage{
-			programmed:   true,
-			torn:         true,
-			npp:          NppType(pg.passes),
+		slots[sub] = subpage{
+			flags:        subProgrammed | subTorn,
+			npp:          NppType(*passes),
 			programmedAt: at,
 		}
 	}
-	pg.passes++
+	*passes++
 }
 
 // failProgram models an aborted program operation on the given subpage
@@ -206,10 +207,24 @@ func (c *chip) tornProgram(localBlock, pageIdx int, subs []int, at sim.Time) {
 // else's) is unreadable. The slots keep their programmed/pass bookkeeping —
 // the physical pass did happen — but read back as destroyed.
 func (c *chip) failProgram(localBlock, pageIdx int, subs []int) {
-	pg := &c.blocks[localBlock].pages[pageIdx]
+	slots, _ := c.page(localBlock, pageIdx)
 	for _, sub := range subs {
-		pg.subs[sub].destroyed = true
+		slots[sub].flags |= subDestroyed
 	}
+}
+
+// unreadable returns the sentinel for a slot whose cells hold no decodable
+// payload — erased, torn or ESP-destroyed, checked in that order — or nil.
+func (sp *subpage) unreadable() error {
+	switch {
+	case sp.flags&subProgrammed == 0:
+		return ErrNotProgrammed
+	case sp.flags&subTorn != 0:
+		return ErrTorn
+	case sp.flags&subDestroyed != 0:
+		return ErrDestroyed
+	}
+	return nil
 }
 
 // readSubpage returns the stamp stored in a subpage, enforcing the
@@ -218,21 +233,16 @@ func (c *chip) failProgram(localBlock, pageIdx int, subs []int) {
 // fails with an uncorrectable ECC error.
 func (c *chip) readSubpage(localBlock, pageIdx, sub int, now sim.Time, model *RetentionModel) (Stamp, NppType, error) {
 	blk := &c.blocks[localBlock]
-	sp := &blk.pages[pageIdx].subs[sub]
-	if !sp.programmed {
-		return Stamp{}, 0, ErrNotProgrammed
-	}
-	if sp.torn {
-		return Stamp{}, sp.npp, ErrTorn
-	}
-	if sp.destroyed {
-		return Stamp{}, sp.npp, ErrDestroyed
+	slots, _ := c.page(localBlock, pageIdx)
+	sp := &slots[sub]
+	if err := sp.unreadable(); err != nil {
+		return Stamp{}, sp.npp, err
 	}
 	age := AgeOf(sp.programmedAt, now)
 	if !model.CorrectableAt(sp.npp, age, blk.effWear, blk.lastDepth) {
 		return Stamp{}, sp.npp, ErrUncorrectable
 	}
-	return sp.stamp, sp.npp, nil
+	return sp.stamp(), sp.npp, nil
 }
 
 // SubpageInfo is a read-only snapshot of device-side subpage state, used by
@@ -250,14 +260,15 @@ type SubpageInfo struct {
 }
 
 func (c *chip) subpageInfo(localBlock, pageIdx, sub int) SubpageInfo {
-	sp := &c.blocks[localBlock].pages[pageIdx].subs[sub]
+	slots, _ := c.page(localBlock, pageIdx)
+	sp := &slots[sub]
 	return SubpageInfo{
-		Programmed:   sp.programmed,
-		Destroyed:    sp.destroyed,
-		Torn:         sp.torn,
+		Programmed:   sp.flags&subProgrammed != 0,
+		Destroyed:    sp.flags&subDestroyed != 0,
+		Torn:         sp.flags&subTorn != 0,
 		Npp:          sp.npp,
 		ProgrammedAt: sp.programmedAt,
-		Stamp:        sp.stamp,
+		Stamp:        sp.stamp(),
 		Seq:          sp.seq,
 		Tag:          sp.tag,
 	}
@@ -296,19 +307,19 @@ type SubpageOOB struct {
 // encoding so the scan exercises the same decode path a real controller
 // would.
 func (c *chip) pageOOB(localBlock, pageIdx int, out []SubpageOOB) []SubpageOOB {
-	pg := &c.blocks[localBlock].pages[pageIdx]
-	for s := range pg.subs {
-		sp := &pg.subs[s]
+	slots, _ := c.page(localBlock, pageIdx)
+	for s := range slots {
+		sp := &slots[s]
 		switch {
-		case !sp.programmed:
+		case sp.flags&subProgrammed == 0:
 			out[s] = SubpageOOB{State: OOBErased}
-		case sp.torn:
+		case sp.flags&subTorn != 0:
 			out[s] = SubpageOOB{State: OOBTorn}
-		case sp.destroyed:
+		case sp.flags&subDestroyed != 0:
 			out[s] = SubpageOOB{State: OOBGarbage}
 		default:
 			enc := EncodeOOB(OOB{
-				Stamp:        sp.stamp,
+				Stamp:        sp.stamp(),
 				Seq:          sp.seq,
 				Npp:          sp.npp,
 				ProgrammedAt: sp.programmedAt,

@@ -55,7 +55,7 @@ type Counters struct {
 	Erases        int64
 	ShallowErases int64   // erases with depth < 1 (subset of Erases)
 	WearUnits     float64 // cumulative erase depth: effective wear inflicted, in deep-erase equivalents
-	BytesWritten  int64 // bytes physically programmed (subpage programs count S_sub)
+	BytesWritten  int64   // bytes physically programmed (subpage programs count S_sub)
 	BytesRead     int64
 	ReadFailures  int64 // uncorrectable / destroyed / unprogrammed reads
 	RetentionHits int64 // subset of ReadFailures caused by retention expiry
@@ -488,15 +488,10 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 		return st, true, err
 	}
 	blk := &ch.blocks[lb]
-	sp := &blk.pages[pi].subs[sub]
-	if !sp.programmed {
-		return Stamp{}, false, ErrNotProgrammed
-	}
-	if sp.torn {
-		return Stamp{}, false, ErrTorn
-	}
-	if sp.destroyed {
-		return Stamp{}, false, ErrDestroyed
+	slots, _ := ch.page(lb, pi)
+	sp := &slots[sub]
+	if err := sp.unreadable(); err != nil {
+		return Stamp{}, false, err
 	}
 	m := &d.cfg.Retention
 	limit := m.NormalizedECCLimit
@@ -507,7 +502,7 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 	}
 	if ber <= limit {
 		d.retryHist.Record(0)
-		return sp.stamp, retention, nil
+		return sp.stamp(), retention, nil
 	}
 	// Stepped read-retry: re-sense with shifted read reference voltages
 	// until the effective BER decodes or the budget runs out. Each step
@@ -526,7 +521,7 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 		d.retryHist.Record(steps)
 		if eff <= limit {
 			d.counters.RetriedReads++
-			return sp.stamp, retention, nil
+			return sp.stamp(), retention, nil
 		}
 		d.counters.RetryFailures++
 	} else {
@@ -568,29 +563,32 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 	lb, pi := g.LocalBlock(b), g.PageIndex(p)
 	for sub := 0; sub < g.SubpagesPerPage; sub++ {
 		st, retention, err := d.senseSubpage(ch, b, p, sub, start, chipTL, d.cfg.Latency.ReadPage)
-		if err != nil {
-			if d.cfg.DisableRetentionErrors && retention && errors.Is(err, ErrUncorrectable) {
-				d.counters.RetentionHits++
-				stamps[sub] = ch.subpageInfo(lb, pi, sub).Stamp
-				continue
-			}
+		// senseSubpage returns the slot-state sentinels bare, so the states
+		// a partially-valid page is made of classify by identity.
+		switch err {
+		case nil:
+			stamps[sub] = st
+			continue
+		case ErrNotProgrammed, ErrDestroyed:
 			// Erased and ESP-destroyed slots are expected states of a
 			// partially-valid page (RMW, GC of sub-region blocks), not
 			// failed reads of live data.
-			if !errors.Is(err, ErrNotProgrammed) && !errors.Is(err, ErrDestroyed) {
-				d.counters.ReadFailures++
-			}
+		default:
 			if retention && errors.Is(err, ErrUncorrectable) {
 				d.counters.RetentionHits++
+				if d.cfg.DisableRetentionErrors {
+					// Bookkeeping mode: surface the data anyway.
+					stamps[sub] = ch.subpageInfo(lb, pi, sub).Stamp
+					continue
+				}
 			}
-			stamps[sub] = Padding
-			// The error values share the borrow contract of the stamp and
-			// error slices: device-owned scratch, reused by the next read.
-			d.readErrOps[sub] = OpError{Op: "read", Block: b, Page: pi, Sub: sub, Err: err}
-			errs[sub] = &d.readErrOps[sub]
-			continue
+			d.counters.ReadFailures++
 		}
-		stamps[sub] = st
+		stamps[sub] = Padding
+		// The error values share the borrow contract of the stamp and
+		// error slices: device-owned scratch, reused by the next read.
+		d.readErrOps[sub] = OpError{Op: "read", Block: b, Page: pi, Sub: sub, Err: err}
+		errs[sub] = &d.readErrOps[sub]
 	}
 	return stamps, errs, nil
 }
@@ -659,7 +657,8 @@ func (d *Device) PagePasses(p PageID) int {
 	g := d.cfg.Geometry
 	b := g.BlockOfPage(p)
 	ch, _, _ := d.chipFor(b)
-	return int(ch.blocks[g.LocalBlock(b)].pages[g.PageIndex(p)].passes)
+	_, passes := ch.page(g.LocalBlock(b), g.PageIndex(p))
+	return int(*passes)
 }
 
 // SubpageInfo returns a read-only snapshot of device-side subpage state.
