@@ -87,6 +87,11 @@ func DefaultConfig(logicalSectors int64) Config {
 	}
 }
 
+// minRegionBlocks is the smallest subpage region that can collect itself:
+// an open write block, the GC destination, and one victim beside them. It
+// bounds the quota, what reclaim leaves, and the read-only floor's share.
+const minRegionBlocks = 3
+
 // subBlock is subFTL's per-block bookkeeping for subpage-region blocks.
 type subBlock struct {
 	// round is the subpage index currently being filled (0..N_sub-1).
@@ -223,9 +228,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		cfg.ScrubInterval = 24 * time.Hour
 	}
 	subQuota := int(float64(g.TotalBlocks()) * cfg.SubRegionFrac)
-	if subQuota < 3 {
-		subQuota = 3
-	}
+	subQuota = max(subQuota, minRegionBlocks)
 	if subQuota > g.TotalBlocks()-cfg.GCReserveBlocks-3 {
 		return nil, fmt.Errorf("core: device too small for a %d-block subpage region", subQuota)
 	}
@@ -286,30 +289,22 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	floorExtra := 0
-	if cfg.Lifetime {
-		floorExtra = 2 // the cold append stripe's open blocks
-	}
-	// Degrade to read-only once grown-bad blocks eat the spare capacity
-	// down to the minimum the FTL needs to keep writing: enough blocks for
-	// the logical space, the GC reserve, the open stripe, and a minimal
-	// subpage region.
-	secPerBlock := int64(g.SubpagesPerPage * g.PagesPerBlock)
-	dataBlocks := int((cfg.LogicalSectors + secPerBlock - 1) / secPerBlock)
-	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + len(f.actives) + 3 + floorExtra)
+	// Read-only once bad blocks leave less than the logical space, the GC
+	// reserve, the full-page log's open append points and a minimal subpage
+	// region need.
+	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.full.OpenBlocks()+minRegionBlocks)
 	return f, nil
 }
 
 // reclaimEmptySubBlock erases one subpage-region block that holds no live
-// data and returns it to the shared pool (dynamic region conversion). It
-// reports whether a block was reclaimed.
+// data and returns it to the shared pool (dynamic region conversion), never
+// shrinking the region below minRegionBlocks. It reports whether a block
+// was reclaimed.
 func (f *FTL) reclaimEmptySubBlock() bool {
-	for id, ok := f.emptySubBlockFrom(0); ok; id, ok = f.emptySubBlockFrom(id + 1) {
-		if err := f.man.Recycle(id); err != nil {
+	for id, ok := f.emptySubBlockFrom(0); ok && f.subBlocks > minRegionBlocks; id, ok = f.emptySubBlockFrom(id + 1) {
+		if f.recycleSub(id) != nil {
 			return false
 		}
-		f.meta[id] = subBlock{}
-		f.subBlocks--
 		if f.man.State(id) == ftl.StateBad {
 			// The block was retired while empty; it is out of the region
 			// but gave nothing back to the pool. Keep looking.
@@ -650,22 +645,12 @@ func (f *FTL) payGC() error {
 	if !f.subCol.Budgeted() {
 		return nil
 	}
-	if f.subCol.Active() {
-		return f.stepSubGC()
-	}
-	if f.man.FreeCount() <= f.cfg.GCReserveBlocks {
-		if _, err := f.full.StepOnce(); err != nil {
-			if errors.Is(err, gc.ErrNoVictim) {
-				// The spare space lives in the subpage region.
-				return f.stepSubGC()
-			}
-			return err
-		}
-		return nil
+	if f.subCol.Active() || f.man.FreeCount() <= f.cfg.GCReserveBlocks {
+		return f.stepGC()
 	}
 	if f.subBlocks >= f.subQuota && f.gcDebt >= f.cfg.GC.StepPages {
 		f.gcDebt -= f.cfg.GC.StepPages
-		return f.stepSubGC()
+		return f.subCol.StepIfAny(f.subTarget)
 	}
 	return nil
 }
@@ -688,39 +673,23 @@ func (f *FTL) Tick() error {
 			}
 		}
 	}
-	if f.gcSlack <= 0 {
+	idle := !f.subCol.Active() && !f.full.Collector().Active()
+	if f.gcSlack <= 0 || (idle && f.man.FreeCount() > f.cfg.GCReserveBlocks+f.gcSlack) {
 		return nil
 	}
-	// A preempted region victim pins its block mid-drain: finish it first.
-	if f.subCol.Active() {
-		return f.stepSubGC()
-	}
-	col := f.full.Collector()
-	if !col.Active() && f.man.FreeCount() > f.cfg.GCReserveBlocks+f.gcSlack {
-		return nil
-	}
-	if _, err := f.full.StepOnce(); err != nil {
-		if errors.Is(err, gc.ErrNoVictim) {
-			// The spare space lives in the subpage region: step its
-			// collector instead.
-			return f.stepSubGC()
-		}
-		return err
-	}
-	return nil
+	return f.stepGC()
 }
 
-// stepSubGC runs one budgeted region-GC step, swallowing "nothing
-// collectable" — not an error for opportunistic background work. The
-// open-victim fallback is enabled: region blocks only reach StateFull
-// after exhausting every round, so most drains sacrifice an open block's
-// remaining rounds — and Tick only steps here when a foreground drain
-// that would pick the same victim is at most gcSlack refills away.
-func (f *FTL) stepSubGC() error {
-	if _, err := f.subCol.Step(f.subTarget); err != nil && !errors.Is(err, gc.ErrNoVictim) {
-		return err
+// stepGC runs one bounded collection step: a preempted region victim first
+// (it pins a block mid-drain), else the full-page log's, else — the spare
+// space lives in the subpage region — the region's.
+func (f *FTL) stepGC() error {
+	if !f.subCol.Active() {
+		if _, err := f.full.StepOnce(); !errors.Is(err, gc.ErrNoVictim) {
+			return err
+		}
 	}
-	return nil
+	return f.subCol.StepIfAny(f.subTarget)
 }
 
 // Stats implements ftl.FTL.

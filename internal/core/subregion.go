@@ -22,6 +22,16 @@ func (f *FTL) initSubBlock(b nand.BlockID) {
 	f.subBlocks++
 }
 
+// recycleSub erases region block b and takes it out of the region.
+func (f *FTL) recycleSub(b nand.BlockID) error {
+	if err := f.man.Recycle(b); err != nil {
+		return err
+	}
+	f.meta[b] = subBlock{}
+	f.subBlocks--
+	return nil
+}
+
 // freshNextIdx returns block b's zeroed per-page nextIdx array. The arrays
 // of all blocks are one slab: any block may enter the region (roles are
 // assigned at program time), one does on every region collection, and a
@@ -53,6 +63,11 @@ func (f *FTL) openSlot(slot int, b nand.BlockID) {
 func (f *FTL) closeSlot(slot int) {
 	f.activeOK[slot] = false
 	f.activeN--
+}
+
+// slotChip is the chip a stripe slot takes its blocks from.
+func (f *FTL) slotChip(slot int) int {
+	return slot * f.dev.Geometry().Chips() / len(f.actives)
 }
 
 // stale reports whether the flash copy at spn no longer carries lsn's
@@ -153,17 +168,16 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 		// instead of piling onto slot 0. The lap above returned or closed
 		// every set slot, so that slot is rr itself.
 		slot := f.rr
+		chip := f.slotChip(slot)
 		if f.subBlocks < f.subQuota {
-			if f.man.FreeCount() <= f.cfg.GCReserveBlocks && !f.reclaimEmptySubBlock() {
-				// The full-page region holds the spare space; make it
-				// give a block back so the subpage region can grow to
-				// its quota.
-				if err := f.full.CollectOnce(); err != nil {
-					return 0, nil, 0, err
-				}
+			// One attempt at the pool's gate makes the full-page region,
+			// which holds the spare space, give a block back; a pool still
+			// at its floor leaves the other ways forward.
+			admitted, err := f.full.TryAdmit()
+			if err != nil {
+				return 0, nil, 0, err
 			}
-			if f.man.FreeCount() > f.cfg.GCReserveBlocks {
-				chip := slot * g.Chips() / len(f.actives)
+			if admitted {
 				if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
 					f.initSubBlock(b)
 					f.openSlot(slot, b)
@@ -171,13 +185,23 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 				}
 			}
 		}
-		if b, ok := f.pickAdvance(slot * g.Chips() / len(f.actives)); ok {
+		if b, ok := f.pickAdvance(chip); ok {
 			f.advanceRound(b)
 			f.openSlot(slot, b)
 			continue
 		}
-		if err := f.collectSubOnce(); err != nil {
-			return 0, nil, 0, err
+		// One whole region collection (paper §4.2), a preempted victim
+		// first. No victim means the region is too small to hold one beside
+		// its GC destination: it grows instead.
+		if err := f.subCol.Collect(f.subTarget); err != nil {
+			if !errors.Is(err, gc.ErrNoVictim) {
+				return 0, nil, 0, err
+			}
+			b, err := f.growSub(chip)
+			if err != nil {
+				return 0, nil, 0, err
+			}
+			f.openSlot(slot, b)
 		}
 	}
 	return 0, nil, 0, fmt.Errorf("core: subpage slot allocation made no progress: %s", f.debugState())
@@ -434,40 +458,31 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	}
 	f.man.Retire(fb)
 	f.stats.ProgramFailMoves++
-	chip := 0
-	if slot >= 0 {
-		chip = slot * g.Chips() / len(f.actives)
-	}
-	nb, err := f.allocSubBlock(chip)
+	nb, err := f.growSub(f.slotChip(max(slot, 0)))
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
-	f.initSubBlock(nb)
 	if slot >= 0 {
 		f.openSlot(slot, nb)
 	}
 	return g.PageOf(nb, 0), &f.meta[nb], 0, 0, nil
 }
 
-// allocSubBlock allocates a fresh subpage-region block for failure
-// recovery, reclaiming or collecting from the full-page region when the
-// pool is at its reserve. The region quota is deliberately not consulted:
-// the retired block still counts against it until GC drains it, and
-// recovery must not deadlock on that transient.
-func (f *FTL) allocSubBlock(chip int) (nand.BlockID, error) {
-	for guard := 0; guard < 64; guard++ {
-		if f.man.FreeCount() <= f.cfg.GCReserveBlocks && !f.reclaimEmptySubBlock() {
-			if err := f.full.CollectOnce(); err != nil {
-				return 0, err
-			}
-		}
-		if f.man.FreeCount() > f.cfg.GCReserveBlocks {
-			if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
-				return b, nil
-			}
-		}
+// growSub waits at the pool's gate for a block and brings it into the
+// region at round 0, for failure recovery and for a region too small to
+// collect. The region quota is deliberately not consulted: a retired block
+// counts against it until GC drains it, and recovery must not deadlock on
+// that transient.
+func (f *FTL) growSub(chip int) (nand.BlockID, error) {
+	if err := f.full.Admit(); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("core: cannot allocate a replacement subpage block: %s", f.debugState())
+	b, ok := f.man.AllocOnChip(ftl.RoleSub, chip)
+	if !ok {
+		return 0, fmt.Errorf("core: free pool exhausted growing the subpage region: %s", f.debugState())
+	}
+	f.initSubBlock(b)
+	return b, nil
 }
 
 // subWriteRun writes the given sectors into the subpage region using as
@@ -616,24 +631,6 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 	return nil
 }
 
-// collectSubOnce performs one whole subpage-region GC collection (paper
-// §4.2) through the region collector: take the terminally exhausted block
-// with the fewest valid subpages (or, failing that, the fullest-free open
-// block, sacrificing its remaining rounds); subpages that were updated at
-// least once since entering the region are hot and move to the GC
-// destination block, never-updated ones are cold and are evicted to the
-// full-page region; then erase the victim. A background-preempted victim
-// is resumed and finished first.
-func (f *FTL) collectSubOnce() error {
-	if err := f.subCol.Collect(f.subTarget); err != nil {
-		if errors.Is(err, gc.ErrNoVictim) {
-			return fmt.Errorf("core: subpage GC has no victim (%d region blocks, %d free)", f.subBlocks, f.man.FreeCount())
-		}
-		return err
-	}
-	return nil
-}
-
 // subTarget adapts the subpage region to the collector's Target: one Work
 // call relocates one victim page's survivors (the collector's page-scale
 // work unit).
@@ -646,8 +643,11 @@ type subTarget struct {
 func (t *subTarget) View() gc.View { return t.f.subView }
 
 // Fallback reclaims the fullest-free open block when no block is
-// terminally exhausted. Background stepping takes it too: stepSubGC
-// explains why that is safe.
+// terminally exhausted. Background stepping takes it too: region blocks
+// only reach StateFull after exhausting every round, so most drains
+// sacrifice an open block's remaining rounds — and Tick only steps here
+// when a foreground drain that would pick the same victim is at most
+// gcSlack refills away.
 func (t *subTarget) Fallback() (nand.BlockID, bool) { return t.f.pickOpenVictim() }
 
 // Begin checkpoints a fresh victim: reset the page cursor and take the
@@ -711,13 +711,8 @@ func (t *subTarget) Work(victim nand.BlockID) (int, bool, error) {
 // route through the full-page region, whose capacity work may already have
 // reclaimed this victim once it emptied.
 func (t *subTarget) Release(victim nand.BlockID) error {
-	f := t.f
-	if f.man.State(victim) != ftl.StateFree {
-		if err := f.man.Recycle(victim); err != nil {
-			return err
-		}
-		f.meta[victim] = subBlock{}
-		f.subBlocks--
+	if t.f.man.State(victim) != ftl.StateFree {
+		return t.f.recycleSub(victim)
 	}
 	return nil
 }

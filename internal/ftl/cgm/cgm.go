@@ -87,15 +87,9 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	floorExtra := 0
-	if cfg.Lifetime {
-		floorExtra = 2 // the cold append stripe's open blocks
-	}
-	// Degrade to read-only once grown-bad blocks eat the spare capacity
-	// down to the minimum the FTL needs to keep writing: enough blocks for
-	// the logical space, the GC reserve, and the open append points.
-	dataBlocks := int((cfg.LogicalSectors/ps + int64(g.PagesPerBlock) - 1) / int64(g.PagesPerBlock))
-	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + 2*g.Chips() + floorExtra)
+	// Read-only once bad blocks leave less than the logical space, the GC
+	// reserve and the open append points need.
+	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.store.OpenBlocks())
 	return f, nil
 }
 

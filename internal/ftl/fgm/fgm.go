@@ -138,12 +138,9 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, (cfg.LogicalSectors+ps-1)/ps); err != nil {
 		return nil, err
 	}
-	// Degrade to read-only once grown-bad blocks eat the spare capacity
-	// down to the minimum the FTL needs to keep writing: enough blocks for
-	// the logical space, the GC reserve, and the open append points.
-	secPerBlock := int64(g.SubpagesPerPage * g.PagesPerBlock)
-	dataBlocks := int((cfg.LogicalSectors + secPerBlock - 1) / secPerBlock)
-	f.man.SetCapacityFloor(dataBlocks + cfg.GCReserveBlocks + f.log.OpenBlocks())
+	// Read-only once bad blocks leave less than the logical space, the GC
+	// reserve and the open append points need.
+	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.log.OpenBlocks())
 	return f, nil
 }
 

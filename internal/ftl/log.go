@@ -228,7 +228,7 @@ func (l *Log) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
 	}
 	if !ap.set {
 		if !forGC {
-			if err := l.ensureCapacity(); err != nil {
+			if err := l.Admit(); err != nil {
 				return 0, err
 			}
 			if err := l.owner.Refill(); err != nil {
@@ -269,31 +269,44 @@ func (l *Log) retireFailed(b nand.BlockID, st *stripe) {
 	}
 }
 
-// ensureCapacity collects until the pool can spare one more block: the
-// free count is above the reserve. With a budgeted collector the reserve's
-// upper half is a cushion instead — allocation proceeds while bounded steps
-// (the write tax and background ticks) repay the debt, and whole-victim
-// drains happen only at a hard floor. The whole-block reserve is not slack:
-// it guarantees the full-width GC stripe can roll over (all points
-// refilling in lockstep) without recursing into GC. The budgeted cushion
-// instead caps destination refills at one block per drain (allocPage
-// borrows open destination blocks past the margin), so the floor only
-// needs a failure-recovery margin (4), that one refill, and headroom for
-// subFTL's unguarded region-GC destination (up to 2 blocks mid-step): 8.
-func (l *Log) ensureCapacity() error {
+// TryAdmit is one attempt of the capacity gate, the pool's one rule for
+// giving up a host-class block: the free count is above the reserve. At or
+// below it the attempt frees at most one block (the Reclaim hook, else one
+// whole-victim drain) and reports whether the pool is above now. The
+// whole-block reserve is not slack: it guarantees the full-width GC stripe
+// can roll over (all points refilling in lockstep) without recursing into
+// GC. A budgeted collector makes the reserve's upper part a cushion —
+// allocation proceeds while bounded steps (the write tax and background
+// ticks) repay the debt — and drains whole victims only at a hard floor. The
+// cushion caps destination refills at one block per drain (allocPage borrows
+// open destination blocks past the margin), so the floor needs a
+// failure-recovery margin (4), that one refill, and headroom for any other
+// allocator that takes collection-class blocks from the pool without passing
+// the gate (up to 2 blocks mid-step): 8.
+func (l *Log) TryAdmit() (bool, error) {
 	floor := l.cfg.Reserve
 	if l.col.Budgeted() && floor > 8 {
 		floor = 8
 	}
-	for l.man.FreeCount() <= floor {
-		if l.cfg.Reclaim != nil && l.cfg.Reclaim() {
-			continue
-		}
+	if l.man.FreeCount() > floor {
+		return true, nil
+	}
+	if l.cfg.Reclaim == nil || !l.cfg.Reclaim() {
 		if err := l.CollectOnce(); err != nil {
+			return false, err
+		}
+	}
+	return l.man.FreeCount() > floor, nil
+}
+
+// Admit repeats TryAdmit until the pool can spare one more block. A caller
+// that has another way to make progress takes the single attempt instead.
+func (l *Log) Admit() error {
+	for {
+		if ok, err := l.TryAdmit(); ok || err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // Pay runs one bounded collection step if the collector is budgeted and
@@ -302,7 +315,7 @@ func (l *Log) Pay() error {
 	if !l.col.Budgeted() || l.man.FreeCount() > l.cfg.Reserve {
 		return nil
 	}
-	return l.stepIfAny()
+	return l.col.StepIfAny(l.target)
 }
 
 // Tick is the background step: with GC slack configured, run one bounded
@@ -315,17 +328,7 @@ func (l *Log) Tick() error {
 	if slack <= 0 || (!l.col.Active() && l.man.FreeCount() > l.cfg.Reserve+slack) {
 		return nil
 	}
-	return l.stepIfAny()
-}
-
-// stepIfAny runs one bounded step for an opportunistic caller: nothing
-// collectable yet (all blocks open or already clean) is neither an error
-// nor a debt the caller can settle, so it is swallowed.
-func (l *Log) stepIfAny() error {
-	if _, err := l.StepOnce(); err != nil && !errors.Is(err, gc.ErrNoVictim) {
-		return err
-	}
-	return nil
+	return l.col.StepIfAny(l.target)
 }
 
 // CollectOnce drains one whole victim: the foreground (out-of-space)

@@ -18,6 +18,41 @@ func (nullOwner) Begin(nand.BlockID)                       {}
 func (nullOwner) Work(nand.BlockID) (int, bool, error)     { return 0, true, nil }
 func appendPadding(l *Log, st Stream) (nand.PageID, error) { return l.Append(st, l.Stamps()) }
 
+// newTestLog builds the table's log: reserve 6 over testDevice (or a faulty
+// twin when a fault script is given).
+func newTestLog(t *testing.T, opts gc.Options, script []fault.Event) (*Log, *Manager, *nand.Device, *Stats) {
+	t.Helper()
+	dev := testDevice(t)
+	if script != nil {
+		dev = faultyDevice(t, fault.Profile{}, script...)
+	}
+	m := NewManager(dev)
+	stats := &Stats{}
+	l, err := NewLog(dev, m, stats, LogConfig{Reserve: 6, GC: opts, UnitsPerBlock: dev.Geometry().PagesPerBlock, Tag: TagFull}, nullOwner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, m, dev, stats
+}
+
+// starvePool seals four empty victims (one host stripe of full blocks) and
+// then takes free blocks out from under the log until only three are left,
+// half the reserve. It returns the blocks taken.
+func starvePool(t *testing.T, l *Log, m *Manager, dev *nand.Device) []nand.BlockID {
+	t.Helper()
+	for i := 0; i < 4*dev.Geometry().PagesPerBlock+4; i++ {
+		if _, err := appendPadding(l, StreamHost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var taken []nand.BlockID
+	for m.FreeCount() > 3 {
+		b, _ := m.Alloc(RoleSub)
+		taken = append(taken, b)
+	}
+	return taken
+}
+
 // TestLogAppend is the white-box table for the shared page-append log:
 // 4 chips x 4 blocks x 8 pages, reserve 6 (so the GC stripe is 2 wide).
 func TestLogAppend(t *testing.T) {
@@ -140,19 +175,66 @@ func TestLogAppend(t *testing.T) {
 				t.Errorf("moves %d, bad %d, want %d each", stats.ProgramFailMoves, m.BadCount(), MaxProgramReplays)
 			}
 		}},
+		{name: "one gate attempt frees at most one block and reports the pool", run: func(t *testing.T, l *Log, m *Manager, dev *nand.Device, stats *Stats) {
+			taken := starvePool(t, l, m, dev)
+			lent := false
+			l.cfg.Reclaim = func() bool {
+				if lent {
+					return false
+				}
+				lent = true
+				return m.Recycle(taken[0]) == nil
+			}
+			for i, want := range []struct {
+				free     int
+				drains   int64
+				lent, ok bool
+			}{
+				{4, 0, true, false}, // the reclaim hook goes first and is the whole attempt
+				{5, 1, true, false}, // nothing to reclaim: one whole victim
+				{6, 2, true, false}, // at the reserve is not above it
+				{7, 3, true, true},
+				{7, 3, true, true}, // above the floor an attempt touches nothing
+			} {
+				ok, err := l.TryAdmit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != want.ok || m.FreeCount() != want.free || stats.GCInvocations != want.drains || lent != want.lent {
+					t.Fatalf("attempt %d: ok=%v free=%d drains=%d reclaimed=%v, want %+v", i, ok, m.FreeCount(), stats.GCInvocations, lent, want)
+				}
+			}
+		}},
+		{name: "the gate loop equals repeated attempts", gc: gc.Options{StepPages: 2}, run: func(t *testing.T, l *Log, m *Manager, dev *nand.Device, stats *Stats) {
+			starvePool(t, l, m, dev)
+			if err := l.Admit(); err != nil {
+				t.Fatal(err)
+			}
+			l2, m2, dev2, stats2 := newTestLog(t, gc.Options{StepPages: 2}, nil)
+			starvePool(t, l2, m2, dev2)
+			attempts := 0
+			for ok := false; !ok; attempts++ {
+				var err error
+				if ok, err = l2.TryAdmit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Reserve 6 is under the budgeted hard floor, so the floor is 6.
+			if attempts != 4 || m.FreeCount() != 7 || m2.FreeCount() != 7 || stats.GCInvocations != stats2.GCInvocations {
+				t.Fatalf("loop: %d free after %d drains; %d attempts: %d free after %d drains",
+					m.FreeCount(), stats.GCInvocations, attempts, m2.FreeCount(), stats2.GCInvocations)
+			}
+			for b := 0; b < dev.Geometry().TotalBlocks(); b++ {
+				id := nand.BlockID(b)
+				if m.State(id) != m2.State(id) || dev.EraseCount(id) != dev2.EraseCount(id) {
+					t.Errorf("block %d: loop left state %d erases %d, attempts %d / %d", id, m.State(id), dev.EraseCount(id), m2.State(id), dev2.EraseCount(id))
+				}
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dev := testDevice(t)
-			if c.script != nil {
-				dev = faultyDevice(t, fault.Profile{}, c.script...)
-			}
-			m := NewManager(dev)
-			stats := &Stats{}
-			l, err := NewLog(dev, m, stats, LogConfig{Reserve: 6, GC: c.gc, UnitsPerBlock: dev.Geometry().PagesPerBlock, Tag: TagFull}, nullOwner{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			l, m, dev, stats := newTestLog(t, c.gc, c.script)
 			c.run(t, l, m, dev, stats)
 		})
 	}

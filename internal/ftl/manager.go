@@ -346,8 +346,15 @@ func (m *Manager) BadCount() int { return m.bad }
 func (m *Manager) Bad(b nand.BlockID) bool { return m.meta[b].bad }
 
 // SetCapacityFloor sets the usable-block count below which ReadOnly
-// reports degradation. Zero (the default) disables the check.
-func (m *Manager) SetCapacityFloor(n int) { m.floor = n }
+// reports degradation: the blocks logicalSectors of data fill plus keep,
+// the blocks the FTL needs beside them to go on writing (its GC reserve
+// and everything it holds open). A device smaller than that has no spare
+// to lose — its first bad block degrades it. A zero floor (the default)
+// disables the check.
+func (m *Manager) SetCapacityFloor(logicalSectors int64, keep int) {
+	perBlock := int64(m.dev.Geometry().SubpagesPerBlock())
+	m.floor = min(int((logicalSectors+perBlock-1)/perBlock)+keep, len(m.meta))
+}
 
 // Usable returns the number of non-retired blocks.
 func (m *Manager) Usable() int { return len(m.meta) - m.bad }

@@ -169,7 +169,7 @@ func TestCapacityFloorReadOnly(t *testing.T) {
 	if m.ReadOnly() {
 		t.Fatal("read-only with no floor configured")
 	}
-	m.SetCapacityFloor(total - 1)
+	m.SetCapacityFloor(0, total-1)
 	if m.ReadOnly() {
 		t.Fatalf("read-only with usable %d at floor %d", m.Usable(), total-1)
 	}

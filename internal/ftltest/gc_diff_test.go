@@ -11,16 +11,46 @@ import (
 	"espftl/internal/ftl/fgm"
 	"espftl/internal/gc"
 	"espftl/internal/nand"
+	"espftl/internal/workload"
 )
 
-// gcEnvs returns one CrashEnv per FTL implementation with the given GC
-// options wired through, mirroring crashEnvs.
-func gcEnvs(opts gc.Options) []struct {
+// gcShape is the device a GC differential runs on: geometry, exported
+// sectors and the collectors' reserve.
+type gcShape struct {
+	geometry nand.Geometry
+	sectors  int64
+	reserve  int
+}
+
+// tinyShape is the conformance device: its reserve of 3 is under the
+// budgeted hard floor, so a budgeted gate behaves like a whole-block one.
+var tinyShape = gcShape{TinyGeometry(), 512, 3}
+
+// cushionShape has a reserve (chips + 8 = 12) above the budgeted hard floor
+// of 8: between the two a budgeted collector lets allocation proceed on
+// bounded steps, the only regime where budgeted and whole-block gates admit
+// differently.
+var cushionShape = gcShape{
+	geometry: nand.Geometry{
+		Channels:        2,
+		ChipsPerChannel: 2,
+		BlocksPerChip:   24,
+		PagesPerBlock:   8,
+		SubpagesPerPage: 4,
+		SubpageBytes:    4096,
+	},
+	sectors: 2048,
+	reserve: 12,
+}
+
+// gcEnvs returns one CrashEnv per FTL implementation over the given shape
+// with the given GC options wired through, mirroring crashEnvs.
+func gcEnvs(shape gcShape, opts gc.Options) []struct {
 	name string
 	env  CrashEnv
 } {
-	const sectors = 512
-	base := CrashEnv{Geometry: TinyGeometry(), Sectors: sectors, Seed: 42}
+	sectors, reserve := shape.sectors, shape.reserve
+	base := CrashEnv{Geometry: shape.geometry, Sectors: sectors, Seed: 42}
 	mk := func(factory func(dev *nand.Device) (ftl.FTL, error)) CrashEnv {
 		e := base
 		e.Factory = factory
@@ -31,20 +61,47 @@ func gcEnvs(opts gc.Options) []struct {
 		env  CrashEnv
 	}{
 		{"cgmFTL", mk(func(dev *nand.Device) (ftl.FTL, error) {
-			return cgm.New(dev, cgm.Config{LogicalSectors: sectors, GCReserveBlocks: 3, GC: opts})
+			return cgm.New(dev, cgm.Config{LogicalSectors: sectors, GCReserveBlocks: reserve, GC: opts})
 		})},
 		{"fgmFTL", mk(func(dev *nand.Device) (ftl.FTL, error) {
-			return fgm.New(dev, fgm.Config{LogicalSectors: sectors, GCReserveBlocks: 3, GC: opts})
+			return fgm.New(dev, fgm.Config{LogicalSectors: sectors, GCReserveBlocks: reserve, GC: opts})
 		})},
 		{"subFTL", mk(func(dev *nand.Device) (ftl.FTL, error) {
 			cfg := core.DefaultConfig(sectors)
-			cfg.GCReserveBlocks = 3
+			cfg.GCReserveBlocks = reserve
 			cfg.BufferSectors = 32
 			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			cfg.GC = opts
 			return core.New(dev, cfg)
 		})},
 	}
+}
+
+// tpccScript preconditions the whole logical space with large sequential
+// writes and then replays n requests of the TPC-C profile (11.8 % small,
+// 40 % reads, large sequential writes): the mix that keeps the full-page
+// region busy and the subpage region nearly idle, so the pool is shared
+// under pressure.
+func tpccScript(t *testing.T, sectors int64, pageSecs, n int, seed uint64) []CrashOp {
+	t.Helper()
+	script := fillScript(sectors, pageSecs, 1)
+	gen, err := workload.NewSynthetic(workload.TPCC(), sectors, pageSecs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[workload.Op]CrashOpKind{
+		workload.OpWrite: CrashWrite, workload.OpRead: CrashRead,
+		workload.OpTrim: CrashTrim, workload.OpFlush: CrashFlush,
+	}
+	for i := 0; i < n; i++ {
+		r := gen.Next()
+		kind, ok := kinds[r.Op]
+		if !ok {
+			t.Fatalf("generated request %d (%v) has no script op", i, r)
+		}
+		script = append(script, CrashOp{Kind: kind, LSN: r.LSN, Sectors: r.Sectors, Sync: r.Sync})
+	}
+	return append(script, CrashOp{Kind: CrashFlush})
 }
 
 // withTicks interleaves a maintenance tick after every k script ops, giving
@@ -120,32 +177,45 @@ func TestGCPolicyDifferential(t *testing.T) {
 		{Policy: "windowed", StepPages: 2, BackgroundSlack: 2},
 		{Policy: "windowed", Window: 4},
 	}
-	for fi := range gcEnvs(gc.Options{}) {
-		fi := fi
-		name := gcEnvs(gc.Options{})[fi].name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			var base []uint32
-			var baseDesc string
-			for _, opts := range grid {
-				c := gcEnvs(opts)[fi]
-				desc := fmt.Sprintf("policy=%q step=%d slack=%d", opts.Policy, opts.StepPages, opts.BackgroundSlack)
-				// 600 ops fills the tiny device several times over: every
-				// FTL collects under every cell (durableState asserts so).
-				script := withTicks(MixedScript(c.env.Sectors, c.env.Geometry.SubpagesPerPage, 600, 13), 3)
-				state := durableState(t, c.env, script)
-				if base == nil {
-					base, baseDesc = state, desc
-					continue
-				}
-				for lsn := range state {
-					if state[lsn] != base[lsn] {
-						t.Fatalf("%s: lsn %d at version %d, but %s reached %d — durable state must be policy-invariant",
-							desc, lsn, state[lsn], baseDesc, base[lsn])
+	shapes := []struct {
+		prefix string
+		shape  gcShape
+		script func(t *testing.T, env CrashEnv) []CrashOp
+	}{
+		// 600 ops fills the tiny device several times over: every FTL
+		// collects under every cell (durableState asserts so).
+		{"", tinyShape, func(t *testing.T, env CrashEnv) []CrashOp {
+			return MixedScript(env.Sectors, env.Geometry.SubpagesPerPage, 600, 13)
+		}},
+		// Budgeted and whole-block cells must reach the same state through
+		// the cushion.
+		{"cushion/", cushionShape, func(t *testing.T, env CrashEnv) []CrashOp {
+			return tpccScript(t, env.Sectors, env.Geometry.SubpagesPerPage, 1500, 13)
+		}},
+	}
+	for _, sh := range shapes {
+		for fi, fe := range gcEnvs(sh.shape, gc.Options{}) {
+			t.Run(sh.prefix+fe.name, func(t *testing.T) {
+				t.Parallel()
+				var base []uint32
+				var baseDesc string
+				for _, opts := range grid {
+					c := gcEnvs(sh.shape, opts)[fi]
+					desc := fmt.Sprintf("policy=%q step=%d slack=%d", opts.Policy, opts.StepPages, opts.BackgroundSlack)
+					state := durableState(t, c.env, withTicks(sh.script(t, c.env), 3))
+					if base == nil {
+						base, baseDesc = state, desc
+						continue
+					}
+					for lsn := range state {
+						if state[lsn] != base[lsn] {
+							t.Fatalf("%s: lsn %d at version %d, but %s reached %d — durable state must be policy-invariant",
+								desc, lsn, state[lsn], baseDesc, base[lsn])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -182,7 +252,7 @@ func fillScript(sectors int64, pageSecs, rounds int) []CrashOp {
 // checkpoint about to settle. The fill prologue guarantees the mixed tail
 // runs with collection active on every FTL.
 func TestSPOSweepIncrementalGC(t *testing.T) {
-	for _, c := range gcEnvs(gc.Options{Policy: "greedy", StepPages: 2, BackgroundSlack: 2}) {
+	for _, c := range gcEnvs(tinyShape, gc.Options{Policy: "greedy", StepPages: 2, BackgroundSlack: 2}) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			sectors, pageSecs := c.env.Sectors, c.env.Geometry.SubpagesPerPage

@@ -118,6 +118,17 @@ func (c *Collector) Step(t Target) (freed bool, err error) {
 	return c.step(t, c.budget)
 }
 
+// StepIfAny is Step for an opportunistic caller (the write tax, a
+// background tick): nothing collectable yet — all blocks open or already
+// clean — is neither an error nor a debt the caller can settle, so
+// ErrNoVictim is swallowed.
+func (c *Collector) StepIfAny(t Target) error {
+	if _, err := c.Step(t); err != nil && !errors.Is(err, ErrNoVictim) {
+		return err
+	}
+	return nil
+}
+
 func (c *Collector) step(t Target, budget int) (bool, error) {
 	if !c.active {
 		v, ok := c.policy.SelectVictim(t.View())
