@@ -44,7 +44,7 @@ func main() {
 	span := flag.Float64("span", 1.0, "fraction of the namespace the synthetic stream touches")
 	stat := flag.Bool("stat", false, "print the namespace's /stats JSON after the run")
 	connectTimeout := flag.Duration("connect-timeout", 5*time.Second, "dial and handshake deadline")
-	deadline := flag.Duration("deadline", 0, "per-request deadline; enables the resilient runner (reconnect, replay, backoff on RETRYABLE)")
+	deadline := flag.Duration("deadline", 0, "per-request deadline (0 = none); a request outliving it reconnects and replays")
 	flag.Parse()
 
 	c, err := server.DialTimeout(*addr, *ns, *connectTimeout)
@@ -143,14 +143,13 @@ func main() {
 	}
 
 	run := func(cl *server.Client, w int) (*server.ClientReport, error) {
-		if *deadline > 0 {
-			return cl.RunResilient(nextFor(w), *qd, server.RetryPolicy{
-				ConnectTimeout: *connectTimeout,
-				RequestTimeout: *deadline,
-				Seed:           *seed + uint64(w),
-			}, nil)
-		}
-		return cl.Run(nextFor(w), *qd, nil)
+		return cl.Run(nextFor(w), *qd, server.RetryPolicy{
+			ConnectTimeout: *connectTimeout,
+			RequestTimeout: *deadline,
+			MaxAttempts:    8,
+			MaxReconnects:  5,
+			Seed:           *seed + uint64(w),
+		}, nil)
 	}
 
 	start := time.Now()
@@ -219,9 +218,6 @@ func mergeReports(crs []*server.ClientReport) *server.ClientReport {
 		out.Retries += cr.Retries
 		out.Reconnects += cr.Reconnects
 		for st, n := range cr.Statuses {
-			if out.Statuses == nil {
-				out.Statuses = make(map[uint8]int64)
-			}
 			out.Statuses[st] += n
 		}
 		out.Virt.Merge(cr.Virt)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +30,7 @@ import (
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
 	"espftl/internal/ftltest"
+	"espftl/internal/metrics"
 	"espftl/internal/nand"
 	"espftl/internal/server"
 	"espftl/internal/sim"
@@ -43,6 +45,12 @@ type Config struct {
 	// Ops is the model-checked operation count of the storm phase
 	// (default 400).
 	Ops int
+	// Shards is the fleet size (default 1). Shard 0 takes the storm,
+	// wedge and bad-block phases; from two shards on, a cold tenant
+	// pinned to shard 1 and a wide tenant striped across every shard
+	// serve throughout: cold must not notice, wide sees only what shard 0
+	// answers its own data tenant.
+	Shards int
 	// Logf, when non-nil, narrates the campaign (wire to t.Logf).
 	Logf func(format string, args ...interface{})
 }
@@ -60,6 +68,11 @@ type Result struct {
 	Statuses map[uint8]int64
 	// ShedReadOnly is the breaker-shed count after the bad-block storm.
 	ShedReadOnly int64
+	// ColdOps and WideOps count the sibling tenants' completed requests
+	// (zero on one shard); ColdP99 is the cold tenant's wall-clock p99
+	// across the whole campaign, wedge and read-only windows included.
+	ColdOps, WideOps int64
+	ColdP99          time.Duration
 	// MountReport is the post-SPO recovery mount.
 	MountReport ftl.MountReport
 }
@@ -68,6 +81,9 @@ func (c Config) withDefaults() Config {
 	if c.Ops == 0 {
 		c.Ops = 400
 	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
 	}
@@ -75,10 +91,13 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	sectors  = 512 // logical sectors of each campaign device
-	dataNS   = "data"
-	noiseNS  = "noise"
-	churnCap = 30000 // bad-block churn bound before declaring failure
+	sectors  = 512     // logical sectors of each campaign device
+	dataNS   = "data"  // the model-checked tenant, pinned to shard 0
+	noiseNS  = "noise" // torn and dead clients, pinned to shard 0
+	coldNS   = "cold"  // pinned to shard 1, must see nothing but OK
+	wideNS   = "wide"  // striped across every shard
+	churnCap = 30000   // bad-block churn bound before declaring failure
+	loopSize = 200     // requests per sibling-tenant batch
 )
 
 func geometry() nand.Geometry {
@@ -116,9 +135,9 @@ func buildStack(prof fault.Profile) (*nand.Device, *fault.Injector, *ftltest.Sta
 	return dev, inj, ftltest.NewStallFTL(f), nil
 }
 
-// stream builds the deterministic model-checked request stream: mixed
-// reads and writes with periodic flushes, no trims (replay slack covers
-// ambiguous writes, not ambiguous trims), ending in a flush.
+// stream builds a deterministic model-checked request stream: mixed reads
+// and writes (some async), no trims (replay slack covers ambiguous writes,
+// not ambiguous trims), a periodic flush, and a final flush.
 func stream(nsSectors int64, pageSectors, n int, seed uint64) ([]workload.Request, error) {
 	gen, err := workload.NewSynthetic(workload.Profile{
 		Name:       "chaos",
@@ -133,38 +152,65 @@ func stream(nsSectors int64, pageSectors, n int, seed uint64) ([]workload.Reques
 		return nil, err
 	}
 	reqs := make([]workload.Request, 0, n)
-	for i := 0; i < n-1; i++ {
-		if i%89 == 88 {
+	for i := 0; i < n; i++ {
+		if i%89 == 88 || i == n-1 {
 			reqs = append(reqs, workload.Request{Op: workload.OpFlush})
 			continue
 		}
 		reqs = append(reqs, gen.Next())
 	}
-	return append(reqs, workload.Request{Op: workload.OpFlush}), nil
+	return reqs, nil
 }
 
 // Run executes one campaign and returns its summary, or the first
 // invariant violation.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("chaos: Shards must be positive, got %d", cfg.Shards)
+	}
 	res := &Result{Statuses: make(map[uint8]int64)}
 
-	// ---- Campaign device: probabilistic storm profile ----------------
-	dev, inj, stall, err := buildStack(fault.Profile{
-		Seed:            cfg.Seed,
-		ReadDisturbProb: 2e-3,
-		ReadDisturbBER:  1.6,
-		ProgramFailProb: 5e-4,
-		EraseFailProb:   1e-4,
-		WearSlope:       1.0,
-		RatedPE:         1000,
-	})
-	if err != nil {
-		return nil, err
+	// ---- Campaign fleet: probabilistic storm profile on shard 0 ------
+	// Every stack is StallFTL-wrapped so any could be wedged; the
+	// siblings' fault profiles are quiet (seed only): what they check is
+	// that shard 0's chaos stays on shard 0.
+	stacks := make([]server.ShardStack, cfg.Shards)
+	var (
+		inj   *fault.Injector
+		stall *ftltest.StallFTL
+	)
+	for i := range stacks {
+		prof := fault.Profile{Seed: cfg.Seed + uint64(i)}
+		if i == 0 {
+			prof = fault.Profile{
+				Seed:            cfg.Seed,
+				ReadDisturbProb: 2e-3,
+				ReadDisturbBER:  1.6,
+				ProgramFailProb: 5e-4,
+				EraseFailProb:   1e-4,
+				WearSlope:       1.0,
+				RatedPE:         1000,
+			}
+		}
+		dev, in, st, err := buildStack(prof)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			inj, stall = in, st
+		}
+		stacks[i] = server.ShardStack{Device: dev, FTL: st, LogicalSectors: sectors}
+	}
+	specs := []server.NamespaceSpec{{Name: dataNS, Placement: "0"}, {Name: noiseNS, Placement: "0"}}
+	onShard0 := []string{dataNS, noiseNS}
+	if cfg.Shards > 1 {
+		specs = append(specs, server.NamespaceSpec{Name: coldNS, Placement: "1"}, server.NamespaceSpec{Name: wideNS, Placement: "*"})
+		onShard0 = append(onShard0, wideNS)
 	}
 	srv, err := server.New(server.Config{
-		Stacks:           []server.ShardStack{{Device: dev, FTL: stall, LogicalSectors: sectors}},
-		Namespaces:       []server.NamespaceSpec{{Name: dataNS}, {Name: noiseNS}},
+		Stacks:           stacks,
+		Namespaces:       specs,
 		WatchdogInterval: 15 * time.Millisecond,
 		WatchdogStalls:   4,
 		WriteTimeout:     250 * time.Millisecond,
@@ -179,13 +225,13 @@ func Run(cfg Config) (*Result, error) {
 	// The model mirrors the data namespace; the noise namespace hosts
 	// torn and dead clients whose only contract is typed statuses and
 	// reclaimed slots.
-	proxy, err := newTearProxy(srv.Addr(), 4, 700)
+	proxy, err := NewTearProxy(srv.Addr(), 4, 700)
 	if err != nil {
 		return nil, err
 	}
-	defer proxy.close()
+	defer proxy.Close()
 
-	c, err := server.DialTimeout(proxy.addr(), dataNS, 2*time.Second)
+	c, err := server.DialTimeout(proxy.Addr(), dataNS, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -193,6 +239,39 @@ func Run(cfg Config) (*Result, error) {
 	nsSectors := int64(c.Welcome.Sectors)
 	ps := int(c.Welcome.PageSectors)
 	m := ftltest.NewModel(nsSectors)
+	tenants := []tenant{{dataNS, nsSectors, m, c}}
+
+	// The sibling tenants run batch loops until the campaign releases
+	// them, so both are live through every phase on shard 0. cold must
+	// see nothing but OK — shard 0's fence and read-only breaker are
+	// shard-scoped; wide is allowed exactly shard 0's typed refusals,
+	// which a striped namespace shares whole.
+	stop := make(chan struct{})
+	var (
+		coldLoop, wideLoop *loopingTenant
+		whileWedged        func() error
+	)
+	if cfg.Shards > 1 {
+		cold, err := attach(srv.Addr(), coldNS)
+		if err != nil {
+			return nil, err
+		}
+		defer cold.c.Close()
+		wide, err := attach(srv.Addr(), wideNS)
+		if err != nil {
+			return nil, err
+		}
+		defer wide.c.Close()
+		tenants = append(tenants, cold, wide)
+		coldLoop = loopTenant(cold, stop, func(batch uint64) ([]workload.Request, error) {
+			return stream(cold.sectors, ps, loopSize, cfg.Seed^0x636f6c64+batch)
+		}, wire.StatusOK)
+		wideLoop = loopTenant(wide, stop, func(batch uint64) ([]workload.Request, error) {
+			reqs, err := stream(wide.sectors, ps, loopSize, cfg.Seed^0x77696465+batch)
+			return offShard0(reqs, ps, cfg.Shards), err
+		}, wire.StatusOK, wire.StatusFenced, wire.StatusReadOnly)
+		whileWedged = func() error { return siblingsServe(srv, cfg.Shards, res.Statuses) }
+	}
 
 	// ---- Phase 1: fault storm + torn connections + noise clients -----
 	cfg.Logf("phase 1: storm of %d ops through tearing proxy, noise clients alongside", cfg.Ops)
@@ -202,7 +281,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	i := 0
-	cr, err := c.RunResilient(func() (workload.Request, bool) {
+	cr, err := c.Run(func() (workload.Request, bool) {
 		if i >= len(reqs) {
 			return workload.Request{}, false
 		}
@@ -211,6 +290,7 @@ func Run(cfg Config) (*Result, error) {
 		return r, true
 	}, 1, server.RetryPolicy{
 		RequestTimeout: 2 * time.Second,
+		MaxAttempts:    8,
 		MaxReconnects:  64,
 		Seed:           cfg.Seed ^ 0x7265747279,
 		OnReplay: func(r workload.Request) {
@@ -230,9 +310,21 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// ---- Phase 2: engine stall -> watchdog fence -> recover ----------
-	cfg.Logf("phase 2: wedging the engine; expecting the watchdog to fence")
-	if err := wedge(srv, stall, 0, c, []string{dataNS, noiseNS}, m, res.Statuses, nil); err != nil {
+	cfg.Logf("phase 2: wedging shard 0; expecting a shard-scoped fence, then recovery of %v", onShard0)
+	if err := wedge(srv, stall, 0, c, onShard0, m, res.Statuses, whileWedged); err != nil {
 		return nil, fmt.Errorf("chaos: stall phase: %w", err)
+	}
+	// Recovered means rejoined: the data tenant's STAT snapshot —
+	// aggregated over its owning shard — is healthy.
+	st, err := stat(c)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: post-recovery STAT: %w", err)
+	}
+	if st.Health != "healthy" {
+		return nil, fmt.Errorf("chaos: recovered data namespace STATs %q, want healthy", st.Health)
+	}
+	if len(st.Shards) != 1 || st.Shards[0] != 0 {
+		return nil, fmt.Errorf("chaos: data namespace STATs shards %v, want [0]", st.Shards)
 	}
 
 	// ---- Phase 3: grown-bad-block storm -> read-only breaker ---------
@@ -241,9 +333,28 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("chaos: bad-block phase: %w", err)
 	}
 
-	// ---- Drain and differential check --------------------------------
-	cfg.Logf("drain: shutting down and checking the model")
-	if err := drainAndCheck(srv, res.Statuses, tenant{dataNS, nsSectors, m}); err != nil {
+	// ---- Wind down the sibling loops and check their invariants ------
+	if cfg.Shards > 1 {
+		close(stop)
+		for _, lt := range []*loopingTenant{coldLoop, wideLoop} {
+			if err := <-lt.done; err != nil {
+				return nil, fmt.Errorf("chaos: %w", err)
+			}
+			addStatuses(res.Statuses, lt.statuses)
+		}
+		res.ColdOps, res.WideOps = coldLoop.ops, wideLoop.ops
+		res.ColdP99 = coldLoop.wall.Summary().P99
+		// The sibling's latency must be bounded by ordinary service time,
+		// not by the wedge: a cross-shard dependency would park cold
+		// commands behind the stall for the whole fence window.
+		if res.ColdP99 > 2*time.Second {
+			return nil, fmt.Errorf("chaos: cold tenant p99 %v during shard 0's wedge", res.ColdP99)
+		}
+	}
+
+	// ---- Drain and differential check on every tenant -----------------
+	cfg.Logf("drain: shutting down and checking the models of %d tenants", len(tenants))
+	if err := drainAndCheck(srv, res.Statuses, tenants...); err != nil {
 		return nil, err
 	}
 
@@ -255,6 +366,29 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.MountReport = mount
 	return res, nil
+}
+
+// siblingsServe is the in-fence check of a multi-shard campaign: shard 0's
+// fence is shard-scoped, so the siblings are not stalled and the cold
+// tenant on shard 1 stays healthy and serves.
+func siblingsServe(srv *server.Server, shards int, statuses map[uint8]int64) error {
+	for s := 1; s < shards; s++ {
+		if srv.ShardStalled(s) {
+			return fmt.Errorf("sibling shard %d reported stalled during shard 0's wedge", s)
+		}
+	}
+	if h := srv.Health(coldNS); h != server.Healthy {
+		return fmt.Errorf("cold namespace %v during shard 0's wedge, want healthy", h)
+	}
+	st, err := probe(srv.Addr(), coldNS, workload.Request{Op: workload.OpRead, LSN: 0, Sectors: 4})
+	if err != nil {
+		return fmt.Errorf("sibling probe during wedge: %w", err)
+	}
+	statuses[st]++
+	if st != wire.StatusOK {
+		return fmt.Errorf("cold read during shard 0's wedge answered %s, want OK", wire.StatusName(st))
+	}
+	return nil
 }
 
 // mirror returns the reply callback that keeps a model in step with what
@@ -278,7 +412,7 @@ func mirror(m *ftltest.Model) func(server.Reply) {
 	}
 }
 
-// wedged is the write both campaigns wedge an engine with and, once the
+// wedged is the write the campaign wedges an engine with and, once the
 // namespace has recovered, write again and read back: after wedge returns,
 // the model holds these sectors as acknowledged.
 var wedged = workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4}
@@ -444,12 +578,8 @@ func badBlockStorm(guard *ftl.Guard, inj *fault.Injector, c *server.Client, m *f
 		return fmt.Errorf("read in read-only mode answered %s", wire.StatusName(st))
 	}
 
-	payload, err := c.Stat()
+	ns, err := stat(c)
 	if err != nil {
-		return err
-	}
-	var ns server.NamespaceStats
-	if err := json.Unmarshal(payload, &ns); err != nil {
 		return err
 	}
 	if ns.Health != "read-only" {
@@ -546,7 +676,7 @@ func spoPhase(cfg Config) (ftl.MountReport, error) {
 		return none, fmt.Errorf("remount: %w", err)
 	}
 	mount := srv2.ShardMountReport(0)
-	if err := checkModel(srv2, tenant{"default", sectors, m}); err != nil {
+	if err := checkModel(srv2, tenant{ns: "default", sectors: sectors, m: m}); err != nil {
 		return none, fmt.Errorf("post-SPO: %w", err)
 	}
 	if err := srv2.Serve(); err != nil {
@@ -580,11 +710,34 @@ func addStatuses(dst, src map[uint8]int64) {
 	}
 }
 
-// tenant names one namespace's reference model for the differential check.
+// tenant names one namespace's reference model for the differential check,
+// and the client driving it when the campaign attached one.
 type tenant struct {
 	ns      string
 	sectors int64
 	m       *ftltest.Model
+	c       *server.Client
+}
+
+// attach dials ns directly and gives it a fresh model.
+func attach(addr, ns string) (tenant, error) {
+	c, err := server.DialTimeout(addr, ns, 2*time.Second)
+	if err != nil {
+		return tenant{}, err
+	}
+	n := int64(c.Welcome.Sectors)
+	return tenant{ns, n, ftltest.NewModel(n), c}, nil
+}
+
+// stat decodes a client's namespace STAT snapshot.
+func stat(c *server.Client) (server.NamespaceStats, error) {
+	var ns server.NamespaceStats
+	payload, err := c.Stat()
+	if err != nil {
+		return ns, err
+	}
+	err = json.Unmarshal(payload, &ns)
+	return ns, err
 }
 
 // checkModel compares what a tenant's namespace durably holds, sector by
@@ -625,6 +778,76 @@ func drainAndCheck(srv *server.Server, statuses map[uint8]int64, tenants ...tena
 		}
 	}
 	return nil
+}
+
+// loopingTenant is a sibling tenant's batch loop: its counters belong to
+// the loop goroutine until done delivers, because the campaign's main
+// goroutine records probe statuses into its own result meanwhile.
+type loopingTenant struct {
+	ops      int64
+	statuses map[uint8]int64
+	wall     *metrics.Histogram
+	done     chan error
+}
+
+// loopTenant runs next's model-checked batches at depth 8 on t until stop
+// closes, failing as soon as a batch ends with a final status outside
+// tolerated — the one way the sibling tenants differ.
+func loopTenant(t tenant, stop <-chan struct{}, next func(batch uint64) ([]workload.Request, error), tolerated ...uint8) *loopingTenant {
+	lt := &loopingTenant{statuses: make(map[uint8]int64), wall: metrics.NewHistogram(), done: make(chan error, 1)}
+	go func() {
+		for batch := uint64(0); ; batch++ {
+			select {
+			case <-stop:
+				lt.done <- nil
+				return
+			default:
+			}
+			reqs, err := next(batch)
+			if err != nil {
+				lt.done <- err
+				return
+			}
+			cr, err := t.c.RunRequests(reqs, 8, mirror(t.m))
+			if err != nil {
+				lt.done <- fmt.Errorf("%s batch %d: %w", t.ns, batch, err)
+				return
+			}
+			lt.ops += cr.Ops
+			lt.wall.Merge(cr.Wall)
+			for st, n := range cr.Statuses {
+				lt.statuses[st] += n
+				if !slices.Contains(tolerated, st) {
+					lt.done <- fmt.Errorf("%s tenant saw %s (%d times) in batch %d; only %v are legitimate",
+						t.ns, wire.StatusName(st), n, batch, tolerated)
+					return
+				}
+			}
+		}
+	}()
+	return lt
+}
+
+// offShard0 drops the requests of a wide batch that would write to shard
+// 0: writes touching one of its stripes (stripe si of a "*" namespace is
+// one page on shard si%shards), and FLUSHes, which a striped namespace
+// turns into a barrier over every shard. Reads still reach every shard.
+// Shard 0's media storm fails its write-back, and subFTL then loses
+// acknowledged data — buffered sectors, and subpage survivors that
+// relocation drops at the capacity floor, whichever tenant wrote them —
+// so wide data there could not pass the model check.
+// TODO(ROADMAP item 9): delete offShard0 with the write-back fix.
+func offShard0(reqs []workload.Request, ps, shards int) []workload.Request {
+	su, k := int64(ps), int64(shards)
+	out := reqs[:0]
+	for _, r := range reqs {
+		first, last := r.LSN/su, (r.LSN+int64(r.Sectors)-1)/su
+		if r.Op == workload.OpFlush || r.Op == workload.OpWrite && (first%k == 0 || last/k > first/k) {
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // probe opens one raw connection, issues one request, and returns the
@@ -735,31 +958,36 @@ func waitFor(d time.Duration, cond func() bool) error {
 	return fmt.Errorf("condition not reached within %v", d)
 }
 
-// tearProxy forwards TCP between client and backend, cutting the
-// connection after a byte budget of server->client traffic for the
-// first `tears` connections.
-type tearProxy struct {
+// TearProxy forwards TCP between clients and a backend, cutting the
+// connection after a byte budget of server->client traffic for each of
+// the first tears connections — a deterministic-enough stand-in for a
+// flaky network that loses acknowledgments mid-stream.
+type TearProxy struct {
 	ln     net.Listener
 	target string
 	tears  atomic.Int32
 	limit  int
 }
 
-func newTearProxy(target string, tears int32, limit int) (*tearProxy, error) {
+// NewTearProxy listens on a loopback port and forwards to target.
+func NewTearProxy(target string, tears int32, limit int) (*TearProxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	p := &tearProxy{ln: ln, target: target, limit: limit}
+	p := &TearProxy{ln: ln, target: target, limit: limit}
 	p.tears.Store(tears)
 	go p.run()
 	return p, nil
 }
 
-func (p *tearProxy) addr() string { return p.ln.Addr().String() }
-func (p *tearProxy) close()       { p.ln.Close() }
+// Addr is the address clients dial instead of the target.
+func (p *TearProxy) Addr() string { return p.ln.Addr().String() }
 
-func (p *tearProxy) run() {
+// Close stops accepting; forwarded connections run to their end.
+func (p *TearProxy) Close() error { return p.ln.Close() }
+
+func (p *TearProxy) run() {
 	for {
 		c, err := p.ln.Accept()
 		if err != nil {
@@ -778,6 +1006,8 @@ func (p *tearProxy) run() {
 				c.Close()
 				return
 			}
+			// Forward server->client until the budget runs out, then cut
+			// both sides: whatever replies were in flight are lost.
 			buf := make([]byte, 256)
 			n := 0
 			for n < p.limit {

@@ -125,6 +125,15 @@ func (f *FTL) survivorsIn(p nand.PageID, limit int) []survivor {
 	return out
 }
 
+// keepsHot is relocation's hot/cold split: it reports whether survivor sv
+// shifts within the subpage region rather than being evicted to the
+// full-page region. Only an updated survivor qualifies (the paper's §4.2
+// heuristic), only with the split enabled, and never a stale one (see
+// stale).
+func (f *FTL) keepsHot(sv survivor) bool {
+	return !f.stale(sv.lsn, sv.spn) && f.updated[sv.lsn] && !f.cfg.DisableHotColdGC
+}
+
 // nextEligible returns the next page of the writing policy that can take
 // a program pass at its block's current round: rotate across the stripe of
 // open blocks (chip parallelism); refill exhausted stripe slots with a
@@ -338,7 +347,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 	shift := f.shiftBuf[:0]
 	evict := f.evictSvBuf[:0]
 	for _, sv := range survs {
-		if !f.stale(sv.lsn, sv.spn) && f.updated[sv.lsn] && !f.cfg.DisableHotColdGC {
+		if f.keepsHot(sv) {
 			shift = append(shift, sv)
 		} else {
 			evict = append(evict, sv)
@@ -686,7 +695,7 @@ func (t *subTarget) Work(victim nand.BlockID) (int, bool, error) {
 			// Stale survivors take the eviction path regardless of heat:
 			// dropping them would destroy the sector's only durable
 			// incarnation at the victim erase (see stale).
-			if !f.stale(sv.lsn, sv.spn) && f.updated[sv.lsn] && !f.cfg.DisableHotColdGC && !f.gcEvictAll {
+			if f.keepsHot(sv) && !f.gcEvictAll {
 				hot = append(hot, sv)
 				continue
 			}

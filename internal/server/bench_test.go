@@ -75,7 +75,7 @@ func BenchmarkServeLoopbackQD8(b *testing.B) {
 		}
 		n++
 		return gen.Next(), true
-	}, 8, func(r server.Reply) {
+	}, 8, server.RetryPolicy{}, func(r server.Reply) {
 		if r.Rep.Status != 0 && firstErr == nil {
 			// The payload aliases the client's decode buffer; keep a copy.
 			firstErr = append([]byte(nil), r.Rep.Payload...)
@@ -196,7 +196,7 @@ func BenchmarkServeShardSweep(b *testing.B) {
 						}
 						n++
 						return gen.Next(), true
-					}, 8, nil)
+					}, 8, server.RetryPolicy{}, nil)
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil && firstErr == nil {

@@ -4,10 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sync"
+	"sort"
 	"time"
 
 	"espftl/internal/metrics"
+	"espftl/internal/sim"
 	"espftl/internal/wire"
 	"espftl/internal/workload"
 )
@@ -21,7 +22,7 @@ type Client struct {
 	// rr decodes the reply stream into a connection-lifetime buffer, so
 	// the steady-state read path neither allocates nor copies payloads.
 	rr *wire.ReplyReader
-	// addr and ns are remembered so RunResilient can reconnect.
+	// addr and ns are remembered so Run can reconnect.
 	addr, ns string
 	// Welcome is the server's handshake reply: namespace geometry and
 	// the advertised in-flight cap.
@@ -81,7 +82,7 @@ type ClientReport struct {
 	// refused with StatusShutdown.
 	Ops, Errors, Rejected int64
 	// Retries counts RETRYABLE requeues; Reconnects successful
-	// re-dials mid-run (both zero outside RunResilient).
+	// re-dials mid-run (both zero under the zero RetryPolicy).
 	Retries, Reconnects int64
 	// Statuses histograms every final reply status by wire code.
 	Statuses map[uint8]int64
@@ -95,9 +96,6 @@ type ClientReport struct {
 // to onReply (when non-nil).
 func (r *ClientReport) record(req workload.Request, rep wire.Reply, sent time.Time, onReply func(Reply)) {
 	r.Ops++
-	if r.Statuses == nil {
-		r.Statuses = make(map[uint8]int64)
-	}
 	r.Statuses[rep.Status]++
 	switch rep.Status {
 	case wire.StatusOK:
@@ -120,104 +118,265 @@ type Reply struct {
 	Rep wire.Reply
 }
 
+// RetryPolicy parameterizes Run's degraded-mode handling. The zero policy
+// fails fast: no deadline, the first reply is final, and a torn connection
+// fails the run.
+type RetryPolicy struct {
+	// ConnectTimeout bounds each reconnect dial+handshake (default 2s).
+	ConnectTimeout time.Duration
+	// RequestTimeout is the per-request deadline: a request whose reply
+	// has not arrived within it declares the connection suspect and
+	// triggers a reconnect. 0 sets no deadline.
+	RequestTimeout time.Duration
+	// MaxAttempts bounds how often one request is sent while its replies
+	// come back RETRYABLE; the last reply is delivered as final. 0 or 1
+	// delivers the first reply.
+	MaxAttempts int
+	// BaseBackoff is the first retry's backoff; it doubles per attempt
+	// up to MaxBackoff, with seeded jitter (defaults 10ms, 1s).
+	BaseBackoff time.Duration
+	MaxBackoff  time.Duration
+	// MaxReconnects bounds re-dials across the whole run; exhausting it
+	// (immediately, at 0) fails the run with the pending requests
+	// unresolved.
+	MaxReconnects int
+	// Seed drives the jitter RNG: same seed, same backoff schedule.
+	Seed uint64
+	// OnReplay observes every request about to be resent after a
+	// reconnect — a request that was on the wire, unacknowledged, and
+	// may or may not have been applied. Differential checkers use it to
+	// widen the reference model (Model.MaybeWrite) before the replay.
+	OnReplay func(req workload.Request)
+}
+
+func (p RetryPolicy) withDefaults() RetryPolicy {
+	if p.ConnectTimeout == 0 {
+		p.ConnectTimeout = 2 * time.Second
+	}
+	if p.BaseBackoff == 0 {
+		p.BaseBackoff = 10 * time.Millisecond
+	}
+	if p.MaxBackoff == 0 {
+		p.MaxBackoff = time.Second
+	}
+	return p
+}
+
+// backoff returns the jittered exponential delay for the given attempt
+// (1-based): full jitter over [d/2, d] so synchronized clients spread.
+func (p RetryPolicy) backoff(rng *sim.RNG, attempt int) time.Duration {
+	d := p.BaseBackoff << uint(attempt-1)
+	if d <= 0 || d > p.MaxBackoff {
+		d = p.MaxBackoff
+	}
+	half := d / 2
+	return half + time.Duration(rng.Int63n(int64(half)+1))
+}
+
+// pend is one in-flight or requeued request of a run. Runs keep pends by
+// value, so the steady state allocates nothing per request.
+type pend struct {
+	tag       uint64
+	req       workload.Request
+	sent      time.Time
+	attempts  int
+	notBefore time.Time // backoff gate for requeued requests
+}
+
 // Run drives requests from next at the given queue depth until next
-// returns false, then waits for every outstanding reply. onReply, when
-// non-nil, observes each completion in arrival order on the reply-reader
-// goroutine; the Reply's Rep.Payload aliases the client's reusable
-// decode buffer and is valid only during the callback — a callback that
-// retains it must copy. Requests the server cannot serve live (ADVANCE)
-// must be filtered by the caller.
-func (c *Client) Run(next func() (workload.Request, bool), depth int, onReply func(Reply)) (*ClientReport, error) {
+// returns false and every request has its final reply. policy sets how
+// degraded modes are survived: RETRYABLE replies are retried with
+// jittered exponential backoff, a request outliving its deadline or a
+// torn connection re-dials and replays every outstanding request, oldest
+// tag first. The zero policy does none of this.
+//
+// Replay safety: a reply is the only acknowledgment, so anything still
+// pending is by definition unacknowledged — reads and flushes replay
+// trivially, and unacked writes/trims are the client's to resend (the
+// at-least-once contract; OnReplay lets a checker account for the
+// ambiguity). An acknowledged request is never resent.
+//
+// The loop is single-goroutine: deadlines come from read timeouts, not a
+// reader goroutine, so a reply and a retransmission can never race.
+// onReply, when non-nil, observes each final reply in arrival order on
+// the caller's goroutine; the Reply's Rep.Payload aliases the client's
+// reusable decode buffer and is valid only during the callback — a
+// callback that retains it must copy. Requests the server cannot serve
+// live (ADVANCE) must be filtered by the caller.
+func (c *Client) Run(next func() (workload.Request, bool), depth int, policy RetryPolicy, onReply func(Reply)) (*ClientReport, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("client: queue depth %d (want >= 1)", depth)
 	}
 	if max := int(c.Welcome.MaxInflight); max > 0 && depth > max {
 		depth = max // respect the advertised cap
 	}
-	rep := &ClientReport{Virt: metrics.NewHistogram(), Wall: metrics.NewHistogram()}
+	policy = policy.withDefaults()
+	rng := sim.NewRNG(policy.Seed)
+	rep := &ClientReport{Statuses: make(map[uint8]int64), Virt: metrics.NewHistogram(), Wall: metrics.NewHistogram()}
 
-	type pend struct {
-		req  workload.Request
-		sent time.Time
-	}
 	var (
-		mu      sync.Mutex
-		pending = make(map[uint64]pend, depth)
+		pending    = make(map[uint64]pend, depth)
+		sendQ      []pend // requeued (backoff/replay) before new work
+		nextTag    uint64
+		more       = true
+		reconnects int
+		armed      bool // a read deadline is set on c.conn
+		buf        = make([]byte, 0, 64)
 	)
-	window := make(chan struct{}, depth)
-	readerErr := make(chan error, 1)
-	done := make(chan struct{})
-	// The reader must not outlive this run: a lingering reader would
-	// swallow the reply of a later Stat or Run on the same connection.
-	// Interrupt it with an immediate read deadline on every exit path.
 	defer func() {
-		c.conn.SetReadDeadline(time.Now())
-		<-done
-		c.conn.SetReadDeadline(time.Time{})
-	}()
-	go func() {
-		defer close(done)
-		for {
-			r, err := c.rr.Read()
-			if err != nil {
-				readerErr <- err
-				return
-			}
-			mu.Lock()
-			p, ok := pending[r.Tag]
-			delete(pending, r.Tag)
-			mu.Unlock()
-			if !ok {
-				readerErr <- fmt.Errorf("client: reply for unknown tag %d", r.Tag)
-				return
-			}
-			rep.record(p.req, r, p.sent, onReply)
-			<-window
+		if armed {
+			c.conn.SetReadDeadline(time.Time{})
 		}
 	}()
 
-	var tag uint64
-	var sendErr error
-	buf := make([]byte, 0, 64)
-	for {
-		r, ok := next()
-		if !ok {
-			break
-		}
-		cmd, err := wire.CmdOf(tag, r)
+	send := func(p pend) error {
+		cmd, err := wire.CmdOf(p.tag, p.req)
 		if err != nil {
-			sendErr = err
-			break
+			return err
 		}
-		select {
-		case window <- struct{}{}:
-		case err := <-readerErr:
-			return rep, fmt.Errorf("client: reply stream: %w", err)
-		}
-		mu.Lock()
-		pending[tag] = pend{req: r, sent: time.Now()}
-		mu.Unlock()
+		p.sent = time.Now()
+		pending[p.tag] = p
 		if _, err := c.conn.Write(wire.AppendCmd(buf[:0], cmd)); err != nil {
-			sendErr = fmt.Errorf("client: sending command %d: %w", tag, err)
-			break
+			return errConnLost{err}
 		}
-		tag++
+		return nil
 	}
-	// Drain: reclaim the whole window so every outstanding reply is in.
-	for i := 0; i < depth; i++ {
-		select {
-		case window <- struct{}{}:
-		case err := <-readerErr:
-			return rep, fmt.Errorf("client: reply stream: %w", err)
+
+	// reconnect re-dials after cause until a fresh connection takes the
+	// replay of everything pending, oldest tag first to preserve the
+	// submission order, or MaxReconnects runs out.
+	reconnect := func(cause error) error {
+	dial:
+		for {
+			if reconnects >= policy.MaxReconnects {
+				return fmt.Errorf("%w (gave up after %d reconnects with %d requests unresolved)",
+					cause, reconnects, len(pending))
+			}
+			reconnects++
+			c.conn.Close()
+			time.Sleep(policy.backoff(rng, reconnects))
+			nc, err := DialTimeout(c.addr, c.ns, policy.ConnectTimeout)
+			if err != nil {
+				continue
+			}
+			c.conn, c.rr, c.Welcome = nc.conn, nc.rr, nc.Welcome
+			armed = false
+			rep.Reconnects++
+			replay := make([]pend, 0, len(pending))
+			for _, p := range pending {
+				replay = append(replay, p)
+			}
+			sort.Slice(replay, func(i, j int) bool { return replay[i].tag < replay[j].tag })
+			for _, p := range replay {
+				if policy.OnReplay != nil {
+					policy.OnReplay(p.req)
+				}
+				// Each replay encoded once already: only the
+				// connection can fail it.
+				if cause = send(p); cause != nil {
+					continue dial
+				}
+			}
+			return nil
 		}
 	}
-	if sendErr != nil {
-		return rep, sendErr
+
+	for {
+		// Fill the window: requeued work first (respecting its backoff
+		// gate), then fresh requests from the stream.
+		now := time.Now()
+		for len(pending) < depth {
+			var p pend
+			if len(sendQ) > 0 {
+				if sendQ[0].notBefore.After(now) {
+					break
+				}
+				p, sendQ = sendQ[0], sendQ[1:]
+			} else if more {
+				r, ok := next()
+				if !ok {
+					more = false
+					break
+				}
+				p = pend{tag: nextTag, req: r}
+				nextTag++
+			} else {
+				break
+			}
+			if err := send(p); err != nil {
+				if _, lost := err.(errConnLost); !lost {
+					return rep, err
+				}
+				if err := reconnect(err); err != nil {
+					return rep, err
+				}
+			}
+		}
+		if len(pending) == 0 {
+			if len(sendQ) == 0 && !more {
+				return rep, nil // drained
+			}
+			// Everything queued is backoff-gated: sleep the gate out.
+			time.Sleep(time.Until(sendQ[0].notBefore))
+			continue
+		}
+
+		// Block for one reply, bounded by the oldest pending request's
+		// deadline and the earliest backoff gate (whichever wakes first).
+		var expiry, deadline time.Time
+		if policy.RequestTimeout > 0 {
+			for _, p := range pending {
+				if expiry.IsZero() || p.sent.Before(expiry) {
+					expiry = p.sent
+				}
+			}
+			expiry = expiry.Add(policy.RequestTimeout)
+			deadline = expiry
+		}
+		if len(sendQ) > 0 && len(pending) < depth && (deadline.IsZero() || sendQ[0].notBefore.Before(deadline)) {
+			deadline = sendQ[0].notBefore
+		}
+		if armed || !deadline.IsZero() {
+			c.conn.SetReadDeadline(deadline)
+			armed = !deadline.IsZero()
+		}
+		r, err := c.rr.Read()
+		if err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() && (expiry.IsZero() || time.Now().Before(expiry)) {
+				continue // backoff gate opened, not a request timeout
+			}
+			// Request timeout or torn connection: reconnect and replay.
+			if err := reconnect(errConnLost{err}); err != nil {
+				return rep, err
+			}
+			continue
+		}
+		p, ok := pending[r.Tag]
+		if !ok {
+			return rep, fmt.Errorf("client: reply for unknown tag %d", r.Tag)
+		}
+		delete(pending, r.Tag)
+		if wire.Retryable(r.Status) {
+			p.attempts++
+			if p.attempts < policy.MaxAttempts {
+				rep.Retries++
+				p.notBefore = time.Now().Add(policy.backoff(rng, p.attempts))
+				sendQ = append(sendQ, p)
+				continue
+			}
+		}
+		rep.record(p.req, r, p.sent, onReply)
 	}
-	return rep, nil
 }
 
-// RunRequests replays a fixed request slice through Run.
+// errConnLost wraps a transport error that reconnecting may cure.
+type errConnLost struct{ err error }
+
+func (e errConnLost) Error() string { return "client: connection lost: " + e.err.Error() }
+func (e errConnLost) Unwrap() error { return e.err }
+
+// RunRequests replays a fixed request slice through Run under the zero
+// RetryPolicy.
 func (c *Client) RunRequests(reqs []workload.Request, depth int, onReply func(Reply)) (*ClientReport, error) {
 	i := 0
 	return c.Run(func() (workload.Request, bool) {
@@ -227,7 +386,7 @@ func (c *Client) RunRequests(reqs []workload.Request, depth int, onReply func(Re
 		r := reqs[i]
 		i++
 		return r, true
-	}, depth, onReply)
+	}, depth, RetryPolicy{}, onReply)
 }
 
 // Stat asks the server for the namespace's JSON snapshot. It must not

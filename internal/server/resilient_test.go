@@ -1,12 +1,11 @@
 package server_test
 
 import (
-	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"espftl/internal/chaos"
 	"espftl/internal/core"
 	"espftl/internal/ftltest"
 	"espftl/internal/nand"
@@ -16,72 +15,54 @@ import (
 	"espftl/internal/workload"
 )
 
-// tearProxy forwards TCP between the client and a backend, cutting the
-// connection after a byte budget of server->client traffic for the
-// first `tears` connections — a deterministic-enough stand-in for a
-// flaky network that loses acknowledgments mid-stream.
-type tearProxy struct {
-	ln     net.Listener
-	target string
-	tears  atomic.Int32
-	limit  int
-}
-
-func newTearProxy(t *testing.T, target string, tears int32, limit int) *tearProxy {
+// tearServer serves a fresh subFTL on the tiny geometry with the
+// watchdog off and returns it behind a proxy that tears each of the first
+// tears connections after limit bytes of replies.
+func tearServer(t *testing.T, tears int32, limit int) (*server.Server, *chaos.TearProxy) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	dev, err := nand.NewDevice(func() nand.Config {
+		c := nand.DefaultConfig()
+		c.Geometry = ftltest.TinyGeometry()
+		return c
+	}(), sim.NewClock(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &tearProxy{ln: ln, target: target, limit: limit}
-	p.tears.Store(tears)
-	go p.run()
-	t.Cleanup(func() { ln.Close() })
-	return p
+	f, err := core.New(dev, core.DefaultConfig(tornSectors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{
+		Stacks:           []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: tornSectors}},
+		WatchdogInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := chaos.NewTearProxy(srv.Addr(), tears, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	return srv, proxy
 }
 
-func (p *tearProxy) addr() string { return p.ln.Addr().String() }
+const tornSectors = 512
 
-func (p *tearProxy) run() {
-	for {
-		c, err := p.ln.Accept()
-		if err != nil {
-			return
+// writeStream is mixedStream without trims: the model's replay slack
+// covers ambiguous writes, not ambiguous trims.
+func writeStream(t *testing.T, pageSectors, n int, seed uint64) []workload.Request {
+	reqs := mixedStream(t, tornSectors, pageSectors, n, seed)
+	out := reqs[:0]
+	for _, r := range reqs {
+		if r.Op != workload.OpTrim {
+			out = append(out, r)
 		}
-		s, err := net.Dial("tcp", p.target)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		go func() {
-			tearing := p.tears.Add(-1) >= 0
-			go func() { io.Copy(s, c); s.Close() }()
-			if !tearing {
-				io.Copy(c, s)
-				c.Close()
-				return
-			}
-			// Forward server->client until the budget runs out, then cut
-			// both sides: whatever replies were in flight are lost.
-			buf := make([]byte, 256)
-			n := 0
-			for n < p.limit {
-				m, err := s.Read(buf)
-				if m > 0 {
-					if _, werr := c.Write(buf[:m]); werr != nil {
-						break
-					}
-					n += m
-				}
-				if err != nil {
-					c.Close()
-					return
-				}
-			}
-			c.Close()
-			s.Close()
-		}()
 	}
+	return out
 }
 
 // TestResilientSurvivesTornConnections replays a model-checked stream
@@ -91,50 +72,17 @@ func (p *tearProxy) run() {
 // the differential model with replay slack — no acknowledged write
 // lost, replayed ambiguity legal.
 func TestResilientSurvivesTornConnections(t *testing.T) {
-	const sectors = 512
-	dev, err := nand.NewDevice(func() nand.Config {
-		c := nand.DefaultConfig()
-		c.Geometry = ftltest.TinyGeometry()
-		return c
-	}(), sim.NewClock(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := core.New(dev, core.DefaultConfig(sectors))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		Stacks:           []server.ShardStack{{Device: dev, FTL: f, LogicalSectors: sectors}},
-		WatchdogInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(); err != nil {
-		t.Fatal(err)
-	}
-
-	proxy := newTearProxy(t, srv.Addr(), 4, 600)
-	c, err := server.DialTimeout(proxy.addr(), "default", 2*time.Second)
+	srv, proxy := tearServer(t, 4, 600)
+	c, err := server.DialTimeout(proxy.Addr(), "default", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	reqs := writeStream(t, int(c.Welcome.PageSectors), 400, 21)
 
-	stream := mixedStream(t, sectors, int(c.Welcome.PageSectors), 400, 21)
-	// Trims are excluded: the model's replay slack covers ambiguous
-	// writes, not ambiguous trims.
-	reqs := stream[:0:0]
-	for _, r := range stream {
-		if r.Op != workload.OpTrim {
-			reqs = append(reqs, r)
-		}
-	}
-
-	m := ftltest.NewModel(sectors)
+	m := ftltest.NewModel(tornSectors)
 	i := 0
-	cr, err := c.RunResilient(func() (workload.Request, bool) {
+	cr, err := c.Run(func() (workload.Request, bool) {
 		if i >= len(reqs) {
 			return workload.Request{}, false
 		}
@@ -143,6 +91,7 @@ func TestResilientSurvivesTornConnections(t *testing.T) {
 		return r, true
 	}, 1, server.RetryPolicy{
 		RequestTimeout: 2 * time.Second,
+		MaxAttempts:    8,
 		MaxReconnects:  32,
 		Seed:           7,
 		OnReplay: func(r workload.Request) {
@@ -181,7 +130,7 @@ func TestResilientSurvivesTornConnections(t *testing.T) {
 	// Differential check: every sector's version must be explainable by
 	// the acknowledged history plus replay slack.
 	guard := srv.ShardFTL(0)
-	for lsn := int64(0); lsn < sectors; lsn++ {
+	for lsn := int64(0); lsn < tornSectors; lsn++ {
 		v := guard.VersionOf(lsn)
 		if !m.Acceptable(lsn, v) {
 			t.Fatalf("sector %d: version %d outside acceptable %s", lsn, v, m.Describe(lsn))
@@ -189,21 +138,21 @@ func TestResilientSurvivesTornConnections(t *testing.T) {
 	}
 }
 
-// TestResilientRetryBackoff starves admission behind a wedged engine:
-// the resilient client's read comes back RETRYABLE, it backs off and
-// retries, and once the stall releases the retry succeeds.
-func TestResilientRetryBackoff(t *testing.T) {
+// starveAdmission serves a one-slot namespace with a 30ms admission
+// timeout and wedges its engine on a write from c1, so any other
+// client's request is refused RETRYABLE until stall releases.
+func starveAdmission(t *testing.T) (*server.Server, *ftltest.StallFTL, *server.Client) {
+	t.Helper()
 	srv, stall := stallServer(t, server.Config{
 		MaxInflight:      1,
 		AdmitTimeout:     30 * time.Millisecond,
 		WatchdogInterval: -1,
 	})
-
 	c1, err := server.Dial(srv.Addr(), "default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c1.Close()
+	t.Cleanup(func() { c1.Close() })
 	stall.Arm()
 	cmd, err := wire.CmdOf(1, workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4})
 	if err != nil {
@@ -213,6 +162,14 @@ func TestResilientRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-stall.Stalled()
+	return srv, stall, c1
+}
+
+// TestResilientRetryBackoff starves admission behind a wedged engine:
+// the resilient client's read comes back RETRYABLE, it backs off and
+// retries, and once the stall releases the retry succeeds.
+func TestResilientRetryBackoff(t *testing.T) {
+	srv, stall, c1 := starveAdmission(t)
 
 	// Release the stall shortly after the second client's first
 	// attempt has had time to bounce off admission.
@@ -228,7 +185,7 @@ func TestResilientRetryBackoff(t *testing.T) {
 	defer c2.Close()
 	reqs := []workload.Request{{Op: workload.OpRead, LSN: 0, Sectors: 4}}
 	i := 0
-	cr, err := c2.RunResilient(func() (workload.Request, bool) {
+	cr, err := c2.Run(func() (workload.Request, bool) {
 		if i >= len(reqs) {
 			return workload.Request{}, false
 		}
@@ -253,6 +210,47 @@ func TestResilientRetryBackoff(t *testing.T) {
 		t.Fatalf("statuses: %v", cr.Statuses)
 	}
 
+	if _, err := server.ReadReply(c1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestZeroPolicyFailsFast pins what the zero RetryPolicy promises callers
+// of RunRequests: a torn connection fails the run without a reconnect,
+// and a RETRYABLE admission refusal is the request's final status.
+func TestZeroPolicyFailsFast(t *testing.T) {
+	_, proxy := tearServer(t, 1, 600)
+	c, err := server.DialTimeout(proxy.Addr(), "default", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reqs := writeStream(t, int(c.Welcome.PageSectors), 400, 21)
+	cr, err := c.RunRequests(reqs, 1, nil)
+	if err == nil {
+		t.Fatal("run through a tearing proxy succeeded")
+	}
+	if cr.Reconnects != 0 || cr.Ops >= int64(len(reqs)) {
+		t.Fatalf("torn run: %d reconnects, %d of %d ops", cr.Reconnects, cr.Ops, len(reqs))
+	}
+
+	srv, stall, c1 := starveAdmission(t)
+	c2, err := server.Dial(srv.Addr(), "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	cr, err = c2.RunRequests([]workload.Request{{Op: workload.OpRead, LSN: 0, Sectors: 4}}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Ops != 1 || cr.Retries != 0 || cr.Statuses[wire.StatusRetryable] != 1 {
+		t.Fatalf("starved read: %+v", cr)
+	}
+	stall.Release()
 	if _, err := server.ReadReply(c1); err != nil {
 		t.Fatal(err)
 	}

@@ -348,7 +348,7 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 			r := stream[i]
 			i++
 			return r, true
-		}, 8, nil)
+		}, 8, server.RetryPolicy{}, nil)
 	}()
 	<-started
 	rep, err := srv.Shutdown()
