@@ -214,10 +214,8 @@ func main() {
 			s.GCPolicy, s.GCSteps, s.GCPagesCopied, s.GCPreemptions)
 	}
 	fmt.Printf("  RMW ops           %d\n", s.RMWOps)
-	if s.ErasePolicy != "" {
-		fmt.Printf("  erase policy      %s: %d shallow of %d erases, %.1f wear units (%.2f blocks mean wear, p99 %.1f)\n",
-			s.ErasePolicy, s.Device.ShallowErases, s.Device.Erases, s.Device.WearUnits, s.Wear.WearMean, s.Wear.WearP99)
-	}
+	fmt.Printf("  erase policy      %s: %d shallow of %d erases, %.1f wear units (%.2f blocks mean wear, p99 %.1f)\n",
+		s.ErasePolicy, s.Device.ShallowErases, s.Device.Erases, s.Device.WearUnits, s.Wear.WearMean, s.Wear.WearP99)
 	if s.LifetimeObserves > 0 {
 		fmt.Printf("  longevity         %d observed writes: %d hot / %d cold / %d unknown, %d steered, %d segregated\n",
 			s.LifetimeObserves, s.LifetimeHotWrites, s.LifetimeColdWrites, s.LifetimeUnknownWrites,

@@ -19,17 +19,12 @@
 package espftl
 
 import (
-	"fmt"
 	"time"
 
-	"espftl/internal/core"
-	"espftl/internal/ecc"
+	"espftl/internal/experiment"
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
-	"espftl/internal/ftl/cgm"
-	"espftl/internal/ftl/fgm"
 	"espftl/internal/nand"
-	"espftl/internal/sim"
 )
 
 // FTLKind selects the flash translation layer.
@@ -78,8 +73,8 @@ type Config struct {
 	// LogicalSectors is the exported logical space; 0 derives 70 % of the
 	// raw capacity.
 	LogicalSectors int64
-	// SubRegionFrac is subFTL's subpage-region share of blocks (default
-	// 0.20, the paper's choice). Ignored by the baselines.
+	// SubRegionFrac is subFTL's subpage-region share of blocks, in (0,1);
+	// 0 picks the paper's 0.20. Ignored by the baselines.
 	SubRegionFrac float64
 	// EnableSubpageRead turns on the paper's §7 future-work extension.
 	EnableSubpageRead bool
@@ -98,9 +93,7 @@ type Config struct {
 // SSD is a simulated flash drive: a timed NAND device under one FTL.
 type SSD struct {
 	dev     *nand.Device
-	clock   *sim.Clock
 	f       ftl.FTL
-	start   sim.Time
 	logical int64
 }
 
@@ -112,55 +105,19 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.Geometry.Channels == 0 {
 		cfg.Geometry = nand.DefaultGeometry
 	}
-	devCfg := nand.DefaultConfig()
-	devCfg.Geometry = cfg.Geometry
-	devCfg.EnableSubpageRead = cfg.EnableSubpageRead
-	if cfg.Fault != nil {
-		inj, err := fault.NewInjector(*cfg.Fault)
-		if err != nil {
-			return nil, err
-		}
-		devCfg.Fault = inj
-		rm := ecc.DefaultRetry
-		devCfg.Retry = &rm
-	}
-	clock := sim.NewClock(0)
-	dev, err := nand.NewDevice(devCfg, clock)
+	dev, f, logical, err := experiment.BuildSized(experiment.RunConfig{
+		Kind:              experiment.Kind(cfg.FTL),
+		Geometry:          cfg.Geometry,
+		SubRegionFrac:     cfg.SubRegionFrac,
+		DisableRetention:  cfg.DisableRetention,
+		OpportunisticFill: cfg.OpportunisticFill,
+		EnableSubpageRead: cfg.EnableSubpageRead,
+		FaultProfile:      cfg.Fault,
+	}, cfg.LogicalSectors)
 	if err != nil {
 		return nil, err
 	}
-	g := dev.Geometry()
-	ps := int64(g.SubpagesPerPage)
-	logical := cfg.LogicalSectors
-	if logical == 0 {
-		logical = int64(float64(g.TotalSubpages())*0.70) / ps * ps
-	}
-	reserve := g.Chips() + 4
-	var f ftl.FTL
-	switch cfg.FTL {
-	case CGMFTL:
-		f, err = cgm.New(dev, cgm.Config{LogicalSectors: logical, GCReserveBlocks: reserve})
-	case FGMFTL:
-		f, err = fgm.New(dev, fgm.Config{
-			LogicalSectors:    logical,
-			GCReserveBlocks:   reserve,
-			OpportunisticFill: cfg.OpportunisticFill,
-		})
-	case SubFTL:
-		sc := core.DefaultConfig(logical)
-		sc.GCReserveBlocks = reserve
-		if cfg.SubRegionFrac > 0 {
-			sc.SubRegionFrac = cfg.SubRegionFrac
-		}
-		sc.DisableRetention = cfg.DisableRetention
-		f, err = core.New(dev, sc)
-	default:
-		return nil, fmt.Errorf("espftl: unknown FTL kind %q", cfg.FTL)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &SSD{dev: dev, clock: clock, f: f, logical: logical}, nil
+	return &SSD{dev: dev, f: f, logical: logical}, nil
 }
 
 // FTLName returns the active FTL's name.
@@ -197,7 +154,7 @@ func (s *SSD) Flush() error { return s.f.Flush() }
 // Idle advances virtual time by d (host think time, retention aging) and
 // runs the FTL's time-based maintenance.
 func (s *SSD) Idle(d time.Duration) error {
-	s.clock.Advance(d)
+	s.dev.Clock().Advance(d)
 	return s.f.Tick()
 }
 
@@ -207,7 +164,7 @@ func (s *SSD) Stats() Stats { return s.f.Stats() }
 // Elapsed returns the virtual device time consumed so far: the horizon at
 // which all issued operations have completed.
 func (s *SSD) Elapsed() time.Duration {
-	return time.Duration(s.dev.DrainTime() - s.start)
+	return time.Duration(s.dev.DrainTime())
 }
 
 // Check verifies the FTL's internal invariants (for tests and debugging).

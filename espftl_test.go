@@ -129,6 +129,23 @@ func TestSubRegionFracOverride(t *testing.T) {
 	}
 }
 
+// A negative region fraction is refused like any other outside (0,1), not
+// silently replaced by the 0.20 default.
+func TestSubRegionFracRejectsNegative(t *testing.T) {
+	_, err := New(Config{
+		FTL: SubFTL,
+		Geometry: Geometry{
+			Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 16,
+			PagesPerBlock: 8, SubpagesPerPage: 4, SubpageBytes: 4096,
+		},
+		LogicalSectors: 512,
+		SubRegionFrac:  -0.5,
+	})
+	if err == nil || !strings.Contains(err.Error(), "SubRegionFrac") {
+		t.Fatalf("SubRegionFrac -0.5: err = %v, want a refusal", err)
+	}
+}
+
 func TestDeviceAndFTLAccessors(t *testing.T) {
 	ssd := tinySSD(t, SubFTL)
 	if ssd.Device() == nil || ssd.FTL() == nil {

@@ -158,7 +158,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	if sum.MaxSeq > rep.MaxSeq {
 		rep.MaxSeq = sum.MaxSeq
 	}
-	f.lt.Reset() // RAM-only, like the hot/cold bits above
+	f.place.Reset() // RAM-only, like the hot/cold bits above
 	rep.Duration = f.dev.DrainTime().Sub(d0)
 	return rep, nil
 }

@@ -64,8 +64,8 @@ type Config struct {
 	// both regions' collectors. The zero value is greedy, whole-block, no
 	// background.
 	GC gc.Options
-	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
+	// ErasePolicy chooses the depth of every block erase (adaptive erase;
+	// see internal/lifetime). Nil is the paper's lifetime.FixedDeep.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-page
 	// update-interval predictor steers predicted-cold small writes away
@@ -163,11 +163,11 @@ type FTL struct {
 	pageSecs  int
 	lastScrub sim.Time
 
-	// lt is the lifetime subsystem's wiring: its predictor steers small
-	// writes between the regions and feeds the full-page store's cold
-	// placement. steerBuf/steerSlots are the steering path's reusable
-	// partition scratch.
-	lt         ftl.Lifetime
+	// place is the data-placement policy: it steers small writes between
+	// the regions and feeds the full-page store's cold placement.
+	// steerBuf/steerSlots are the steering path's reusable partition
+	// scratch.
+	place      lifetime.Placement
 	steerBuf   []int64
 	steerSlots []int
 
@@ -234,7 +234,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	}
 	f := &FTL{
 		dev:         dev,
-		man:         ftl.NewManager(dev),
+		man:         ftl.NewManager(dev, cfg.ErasePolicy),
 		ver:         ftl.NewVersions(cfg.LogicalSectors),
 		cfg:         cfg,
 		hash:        mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
@@ -272,7 +272,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	for i := range f.rmapSub {
 		f.rmapSub[i] = mapping.None
 	}
-	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
+	if f.place, err = lifetime.NewPlacement(cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
 		return nil, err
 	}
 	// The full-page region is uncapped: block roles are assigned at
@@ -284,7 +284,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		Reserve:      cfg.GCReserveBlocks,
 		GC:           cfg.GC,
 		Reclaim:      f.reclaimEmptySubBlock,
-		Predictor:    f.lt.Pred,
+		Placement:    f.place,
 	})
 	if err != nil {
 		return nil, err
@@ -432,7 +432,7 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 	}
 	// Observe before any placement decision (observe-then-classify): the
 	// classifiers below must see the freshest prediction state.
-	f.lt.Observe(lsn, sectors, f.pageSecs)
+	lifetime.ObserveWrite(f.place, lsn, sectors, f.pageSecs)
 
 	if !small {
 		// Large request: bypass the buffer entirely.
@@ -486,11 +486,8 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 // sectors of predicted-cold logical pages go straight to the full-page
 // region (admitting them to the subpage region would only churn through
 // its GC and retention eviction paths later), the rest take the normal
-// erase-free subpage path. With the predictor off it is subWriteRun.
+// erase-free subpage path. Under SizeRouted no page is cold.
 func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
-	if f.lt.Pred == nil {
-		return f.subWriteRun(lsns, attrPerSector)
-	}
 	g := f.dev.Geometry()
 	ps := int64(f.pageSecs)
 	keep := f.steerBuf[:0]
@@ -500,7 +497,7 @@ func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
 		for j < len(lsns) && lsns[j]/ps == lpn {
 			j++
 		}
-		if f.lt.Pred.Class(lpn) != lifetime.ClassCold {
+		if f.place.Class(lpn) != lifetime.ClassCold {
 			keep = append(keep, lsns[i:j]...)
 			i = j
 			continue
@@ -694,7 +691,7 @@ func (f *FTL) stepGC() error {
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, &f.lt, f.full.Collector(), f.subCol)
+	s := f.man.Snapshot(f.stats, f.place, f.full.Collector(), f.subCol)
 	s.MappingBytes = f.full.MappingBytes() + f.hash.MemoryBytes()
 	return s
 }

@@ -503,7 +503,7 @@ func ExtLifetime2(o Options) (*Table, error) {
 		Columns: []string{"configuration", "erases", "shallow", "wear units", "wear/erase", "req WAF", "mean lat", "p99 lat", "steered", "segregated"},
 	}
 	cells := []lifetimeCell{
-		{"ESP only (fixed deep)", "", false},
+		{"ESP only (fixed deep)", "fixed-deep", false},
 		{"ESP + AERO erase", "aero", false},
 		{"ESP + AERO + longevity", "aero", true},
 	}

@@ -110,9 +110,9 @@ type RunConfig struct {
 	BGDeferLimit int
 
 	// Lifetime-subsystem knobs, shared by every FTL. ErasePolicy selects
-	// the adaptive erase-depth policy ("fixed-deep", "aero"; empty =
-	// full-depth erases). Lifetime enables the longevity predictor and
-	// hot/cold placement steering.
+	// the erase-depth policy ("fixed-deep", the paper's and the default
+	// when empty, or "aero"). Lifetime replaces the paper's size-routed
+	// placement with the longevity predictor and hot/cold steering.
 	ErasePolicy string
 	Lifetime    bool
 
@@ -176,8 +176,8 @@ func BindPolicyFlags(fs *flag.FlagSet, ftlUsage, fullUsage string) *RunConfig {
 	fs.StringVar(&c.GCPolicy, "gc-policy", "greedy", "GC victim policy: greedy, cost-benefit or windowed")
 	fs.IntVar(&c.GCStepPages, "gc-step", 0, "pages copied per GC collection step (0 = whole-block drains)")
 	fs.IntVar(&c.GCBackgroundSlack, "gc-bg", 0, "background-GC slack in free blocks above the reserve (0 = foreground-only GC)")
-	fs.StringVar(&c.ErasePolicy, "erase-policy", "", "adaptive erase-depth policy: fixed-deep or aero (empty = full-depth erases)")
-	fs.BoolVar(&c.Lifetime, "lifetime", false, "enable longevity-aware placement (update-interval predictor + hot/cold steering)")
+	fs.StringVar(&c.ErasePolicy, "erase-policy", "fixed-deep", "erase-depth policy: fixed-deep or aero")
+	fs.BoolVar(&c.Lifetime, "lifetime", false, "replace size-routed placement with longevity-aware placement (update-interval predictor + hot/cold steering)")
 	return c
 }
 
@@ -229,13 +229,9 @@ func buildFTL(kind Kind, dev *nand.Device, cfg RunConfig, logicalSectors int64) 
 		StepPages:       cfg.GCStepPages,
 		BackgroundSlack: cfg.GCBackgroundSlack,
 	}
-	var erasePol lifetime.ErasePolicy
-	if cfg.ErasePolicy != "" {
-		var err error
-		erasePol, err = lifetime.NewErasePolicy(cfg.ErasePolicy, *dev.Retention())
-		if err != nil {
-			return nil, err
-		}
+	erasePol, err := lifetime.NewErasePolicy(cfg.ErasePolicy, *dev.Retention())
+	if err != nil {
+		return nil, err
 	}
 	switch kind {
 	case KindCGM:
@@ -290,6 +286,13 @@ func Precondition(f ftl.FTL, pageSectors int, fillSectors int64) error {
 // driving a workload, returning the exported logical space in sectors.
 // Run measures through it; the network service mounts through it.
 func Build(cfg RunConfig) (*nand.Device, ftl.FTL, int64, error) {
+	return BuildSized(cfg, 0)
+}
+
+// BuildSized is Build with the exported logical space given in sectors;
+// 0 derives it from cfg.LogicalFrac. The public espftl API, whose drives
+// are sized in sectors, builds through it.
+func BuildSized(cfg RunConfig, logicalSectors int64) (*nand.Device, ftl.FTL, int64, error) {
 	cfg = cfg.withDefaults()
 	var inj *fault.Injector
 	if cfg.FaultProfile != nil {
@@ -298,14 +301,15 @@ func Build(cfg RunConfig) (*nand.Device, ftl.FTL, int64, error) {
 			return nil, nil, 0, err
 		}
 	}
-	return assemble(cfg, inj)
+	return assemble(cfg, inj, logicalSectors)
 }
 
 // assemble builds cfg's device around inj (nil = the fault-free device)
-// and a fresh FTL on it; cfg must already carry its defaults. Stepped
+// and a fresh FTL exporting logicalSectors on it (0 = cfg.LogicalFrac of
+// the raw capacity); cfg must already carry its defaults. Stepped
 // read-retry is armed only when cfg has a fault profile: RunSPO's bare
 // power-cut injector must leave the read path of a fault-free run as it is.
-func assemble(cfg RunConfig, inj *fault.Injector) (*nand.Device, ftl.FTL, int64, error) {
+func assemble(cfg RunConfig, inj *fault.Injector, logicalSectors int64) (*nand.Device, ftl.FTL, int64, error) {
 	devCfg := nand.DefaultConfig()
 	devCfg.Geometry = cfg.Geometry
 	devCfg.EnableSubpageRead = cfg.EnableSubpageRead
@@ -320,7 +324,9 @@ func assemble(cfg RunConfig, inj *fault.Injector) (*nand.Device, ftl.FTL, int64,
 	}
 	g := dev.Geometry()
 	ps := int64(g.SubpagesPerPage)
-	logicalSectors := int64(float64(g.TotalSubpages())*cfg.LogicalFrac) / ps * ps
+	if logicalSectors == 0 {
+		logicalSectors = int64(float64(g.TotalSubpages())*cfg.LogicalFrac) / ps * ps
+	}
 	if logicalSectors < ps*4 {
 		return nil, nil, 0, fmt.Errorf("experiment: logical space of %d sectors too small", logicalSectors)
 	}

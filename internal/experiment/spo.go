@@ -48,7 +48,7 @@ func RunSPO(cfg RunConfig, cutAfter int64, torn bool) (*SPOResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, f, logicalSectors, err := assemble(cfg, inj)
+	dev, f, logicalSectors, err := assemble(cfg, inj, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ type Config struct {
 	// GC selects the victim policy, step budget and background slack.
 	// The zero value is greedy, whole-block, no background.
 	GC gc.Options
-	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
+	// ErasePolicy chooses the depth of every block erase (adaptive erase;
+	// see internal/lifetime). Nil is the paper's lifetime.FixedDeep.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-LPN
 	// update-interval predictor classifies host writes and predicted-cold
@@ -42,9 +42,9 @@ type FTL struct {
 	stats ftl.Stats
 	store *fullpage.Store
 
-	// lt is the lifetime subsystem's wiring; its predictor also feeds the
-	// store's cold placement.
-	lt ftl.Lifetime
+	// place is the data-placement policy; the store's cold placement
+	// consults it too.
+	place lifetime.Placement
 
 	pageSecs int
 
@@ -67,22 +67,23 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if cfg.GCReserveBlocks < 2 {
 		cfg.GCReserveBlocks = 2
 	}
+	place, err := lifetime.NewPlacement(cfg.Lifetime, cfg.LogicalSectors/ps)
+	if err != nil {
+		return nil, err
+	}
 	f := &FTL{
 		dev:      dev,
-		man:      ftl.NewManager(dev),
+		man:      ftl.NewManager(dev, cfg.ErasePolicy),
 		ver:      ftl.NewVersions(cfg.LogicalSectors),
+		place:    place,
 		pageSecs: g.SubpagesPerPage,
 		slotsBuf: make([]int, g.SubpagesPerPage),
-	}
-	var err error
-	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
-		return nil, err
 	}
 	f.store, err = fullpage.New(dev, f.man, f.ver, &f.stats, fullpage.Config{
 		LogicalPages: cfg.LogicalSectors / ps,
 		Reserve:      cfg.GCReserveBlocks,
 		GC:           cfg.GC,
-		Predictor:    f.lt.Pred,
+		Placement:    place,
 	})
 	if err != nil {
 		return nil, err
@@ -147,9 +148,7 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 		f.ver.Bump(lsn+int64(i), small)
 	}
 	if err := f.forEachPage(lsn, sectors, func(lpn int64, slots []int) error {
-		if f.lt.Pred != nil {
-			f.lt.Pred.Observe(lpn)
-		}
+		f.place.Observe(lpn)
 		// Attribution: a small request is charged the full pages it
 		// forces flash to program (w(r) = S_full/s for a lone sector).
 		var attr int64
@@ -198,7 +197,7 @@ func (f *FTL) Tick() error { return f.store.Tick() }
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, &f.lt, f.store.Collector())
+	s := f.man.Snapshot(f.stats, f.place, f.store.Collector())
 	s.MappingBytes = f.store.MappingBytes()
 	return s
 }
@@ -224,7 +223,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	if err != nil {
 		return ftl.MountReport{}, err
 	}
-	f.lt.Reset()
+	f.place.Reset()
 	return ftl.MountReport{
 		PagesScanned:  pages,
 		BlocksAdopted: sum.BlocksAdopted,

@@ -32,8 +32,8 @@ type Config struct {
 	// GC selects the victim policy, step budget and background slack.
 	// The zero value is greedy, whole-block, no background.
 	GC gc.Options
-	// ErasePolicy, when non-nil, chooses the depth of every block erase
-	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
+	// ErasePolicy chooses the depth of every block erase (adaptive erase;
+	// see internal/lifetime). Nil is the paper's lifetime.FixedDeep.
 	ErasePolicy lifetime.ErasePolicy
 	// Lifetime, when true, enables longevity-aware placement: a per-page
 	// update-interval predictor classifies each flush chunk by majority
@@ -58,9 +58,9 @@ type FTL struct {
 	// log is the page-append log: allocation, program-failure replay and
 	// collection. fgm keeps the sector mapping and packs the pages.
 	log *ftl.Log
-	// lt is the lifetime subsystem's wiring: its predictor votes on
-	// flush-chunk placement.
-	lt ftl.Lifetime
+	// place is the data-placement policy; it votes on flush-chunk
+	// placement.
+	place lifetime.Placement
 
 	// gcCursor is the scan-phase page cursor, gcStaged the live sectors
 	// awaiting repack (gcHead indexes the next entry so draining never
@@ -110,32 +110,33 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if cfg.GCReserveBlocks < 2 {
 		cfg.GCReserveBlocks = 2
 	}
+	ps := int64(g.SubpagesPerPage)
+	place, err := lifetime.NewPlacement(cfg.Lifetime, (cfg.LogicalSectors+ps-1)/ps)
+	if err != nil {
+		return nil, err
+	}
 	f := &FTL{
 		dev:      dev,
-		man:      ftl.NewManager(dev),
+		man:      ftl.NewManager(dev, cfg.ErasePolicy),
 		ver:      ftl.NewVersions(cfg.LogicalSectors),
 		table:    mapping.NewFineTable(cfg.LogicalSectors),
 		rmap:     make([]int64, g.TotalSubpages()),
 		buf:      buffer.New(g.SubpagesPerPage),
 		pageSecs: g.SubpagesPerPage,
 		oppFill:  cfg.OpportunisticFill,
+		place:    place,
 	}
 	for i := range f.rmap {
 		f.rmap[i] = mapping.None
 	}
-	var err error
 	f.log, err = ftl.NewLog(dev, f.man, &f.stats, ftl.LogConfig{
 		Reserve:       cfg.GCReserveBlocks,
 		GC:            cfg.GC,
 		UnitsPerBlock: g.SubpagesPerBlock(),
 		Tag:           ftl.TagFine,
-		Cold:          cfg.Lifetime,
+		Cold:          place.ColdStripe(),
 	}, (*fgmOwner)(f))
 	if err != nil {
-		return nil, err
-	}
-	ps := int64(g.SubpagesPerPage)
-	if f.lt, err = ftl.NewLifetime(dev, f.man, cfg.ErasePolicy, cfg.Lifetime, (cfg.LogicalSectors+ps-1)/ps); err != nil {
 		return nil, err
 	}
 	// Read-only once bad blocks leave less than the logical space, the GC
@@ -166,7 +167,7 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 	for slot, lsn := range lsns {
 		stamps[slot] = nand.Stamp{LSN: lsn, Version: f.ver.Current(lsn)}
 	}
-	if stream == ftl.StreamHost && f.lt.Pred != nil && f.stats.TallyClass(f.vote(lsns)) {
+	if stream == ftl.StreamHost && f.stats.TallyClass(f.vote(lsns)) {
 		stream = ftl.StreamCold
 	}
 	p, err := f.log.Append(stream, stamps)
@@ -187,24 +188,20 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 }
 
 // vote is the longevity verdict on one host flush chunk: each sector's
-// logical page gets the predictor's class, and the chunk takes whichever of
-// cold and hot holds a strict majority (fgm places chunks, not pages).
+// logical page gets the placement's class, and the chunk takes whichever
+// class holds a strict majority, else unknown (fgm places chunks, not
+// pages). Under SizeRouted every sector answers ClassNone, so the chunk
+// does too.
 func (f *FTL) vote(lsns []int64) lifetime.Class {
 	ps := int64(f.pageSecs)
-	coldVotes, hotVotes := 0, 0
+	var votes [lifetime.ClassNone + 1]int
 	for _, lsn := range lsns {
-		switch f.lt.Pred.Class(lsn / ps) {
-		case lifetime.ClassCold:
-			coldVotes++
-		case lifetime.ClassHot:
-			hotVotes++
-		}
+		votes[f.place.Class(lsn/ps)]++
 	}
-	switch {
-	case coldVotes > len(lsns)/2:
-		return lifetime.ClassCold
-	case hotVotes > len(lsns)/2:
-		return lifetime.ClassHot
+	for c, n := range votes {
+		if n > len(lsns)/2 {
+			return lifetime.Class(c)
+		}
 	}
 	return lifetime.ClassUnknown
 }
@@ -259,7 +256,7 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 	for i := range lsns {
 		f.ver.Bump(lsns[i], small)
 	}
-	f.lt.Observe(lsn, sectors, f.pageSecs)
+	lifetime.ObserveWrite(f.place, lsn, sectors, f.pageSecs)
 	before := f.buf.Absorbed()
 	groups := f.buf.Write(lsns, sync)
 	f.stats.BufferAbsorbed += f.buf.Absorbed() - before
@@ -419,7 +416,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, &f.lt, f.log.Collector())
+	s := f.man.Snapshot(f.stats, f.place, f.log.Collector())
 	s.MappingBytes = f.table.MemoryBytes()
 	return s
 }
@@ -520,7 +517,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 		}
 		rep.BlocksAdopted++
 	}
-	f.lt.Reset()
+	f.place.Reset()
 	rep.Duration = f.dev.DrainTime().Sub(d0)
 	return rep, nil
 }

@@ -100,10 +100,9 @@ type VersionProber interface {
 
 // OOB region tags, stamped into every program so the mount-time scan can
 // dispatch a block to the mapping table that owns it. A round-0 subpage
-// pass is otherwise indistinguishable from a full-page program.
+// pass is otherwise indistinguishable from a full-page program. Zero marks
+// an untagged program (direct device-level tests).
 const (
-	// TagNone marks untagged programs (direct device-level tests).
-	TagNone uint8 = 0
 	// TagFull marks the page-mapped full-page region (cgmFTL's whole
 	// space; subFTL's full-page region).
 	TagFull uint8 = 1
@@ -209,13 +208,13 @@ type Stats struct {
 	// Sub keeps it.
 	GCPolicy string
 
-	// Lifetime subsystem (all zero unless internal/lifetime is wired in).
-	// ErasePolicy labels the erase-depth policy ("fixed-deep", "aero");
-	// empty means no policy installed (full-depth erases).
+	// Lifetime subsystem. ErasePolicy names the block manager's
+	// erase-depth policy ("fixed-deep", the paper's, or "aero").
 	ErasePolicy string
 	// LifetimeObserves counts predictor updates (one per observed page
 	// write); the Hot/Cold/Unknown counters tally the classification of
-	// every write the placement logic consulted the predictor for.
+	// every write the placement logic consulted the predictor for. All
+	// stay zero under the paper's size-routed placement.
 	LifetimeObserves      int64
 	LifetimeHotWrites     int64
 	LifetimeColdWrites    int64

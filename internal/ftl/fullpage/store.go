@@ -30,10 +30,11 @@ type Config struct {
 	// Reclaim, when set, is tried before GC to free a block some other way
 	// (see ftl.LogConfig.Reclaim).
 	Reclaim func() bool
-	// Predictor, when set, classifies every host-written logical page;
-	// predicted-long-lived pages land on the log's cold stripe, segregating
-	// them into blocks hot rewrites never churn.
-	Predictor *lifetime.Predictor
+	// Placement classifies every host-written logical page; pages it
+	// predicts long-lived land on the log's cold stripe, segregating them
+	// into blocks hot rewrites never churn. Required: lifetime.SizeRouted
+	// is the paper's.
+	Placement lifetime.Placement
 }
 
 // Store is a CGM region over a shared block manager. All methods are
@@ -47,7 +48,7 @@ type Store struct {
 	man   *ftl.Manager
 	ver   *ftl.Versions
 	stats *ftl.Stats
-	pred  *lifetime.Predictor
+	place lifetime.Placement
 
 	table *mapping.CoarseTable
 	rmap  []int64  // PPN -> LPN (valid only if table agrees)
@@ -77,7 +78,7 @@ func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats
 		man:      man,
 		ver:      ver,
 		stats:    stats,
-		pred:     cfg.Predictor,
+		place:    cfg.Placement,
 		table:    mapping.NewCoarseTable(cfg.LogicalPages),
 		rmap:     make([]int64, g.TotalPages()),
 		masks:    make([]uint64, cfg.LogicalPages),
@@ -91,7 +92,7 @@ func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats
 		GC:            cfg.GC,
 		UnitsPerBlock: g.PagesPerBlock,
 		Tag:           ftl.TagFull,
-		Cold:          cfg.Predictor != nil,
+		Cold:          cfg.Placement.ColdStripe(),
 		Reclaim:       cfg.Reclaim,
 	}, (*storeOwner)(s))
 	if err != nil {
@@ -142,7 +143,7 @@ func (s *Store) programPage(lpn int64, stream ftl.Stream) error {
 		lsn := lpn*int64(s.pageSecs) + int64(slot)
 		stamps[slot] = nand.Stamp{LSN: lsn, Version: s.ver.Current(lsn)}
 	}
-	if stream == ftl.StreamHost && s.pred != nil && s.stats.TallyClass(s.pred.Class(lpn)) {
+	if stream == ftl.StreamHost && s.stats.TallyClass(s.place.Class(lpn)) {
 		stream = ftl.StreamCold
 	}
 	p, err := s.Append(stream, stamps)

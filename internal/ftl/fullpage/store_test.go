@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"espftl/internal/ftl"
+	"espftl/internal/lifetime"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
@@ -26,7 +27,7 @@ func testStore(t *testing.T) (*Store, *nand.Device, *ftl.Stats) {
 	}
 	stats := &ftl.Stats{}
 	ver := ftl.NewVersions(256)
-	s, err := New(dev, ftl.NewManager(dev), ver, stats, Config{LogicalPages: 64, Reserve: 2})
+	s, err := New(dev, ftl.NewManager(dev, nil), ver, stats, Config{LogicalPages: 64, Reserve: 2, Placement: lifetime.SizeRouted{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +44,10 @@ func bump(s *Store, lpn int64, slots []int) {
 func TestNewValidation(t *testing.T) {
 	_, dev, _ := func() (*Store, *nand.Device, *ftl.Stats) { s, d, st := testStore(t); return s, d, st }()
 	stats := &ftl.Stats{}
-	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(4), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
+	if _, err := New(dev, ftl.NewManager(dev, nil), ftl.NewVersions(4), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("undersized version tracker accepted")
 	}
-	if _, err := New(dev, ftl.NewManager(dev), ftl.NewVersions(256), stats, Config{Reserve: 2}); err == nil {
+	if _, err := New(dev, ftl.NewManager(dev, nil), ftl.NewVersions(256), stats, Config{Reserve: 2}); err == nil {
 		t.Error("zero logical pages accepted")
 	}
 	big := nand.DefaultConfig()
@@ -56,7 +57,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(bigDev, ftl.NewManager(bigDev), ftl.NewVersions(1<<20), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
+	if _, err := New(bigDev, ftl.NewManager(bigDev, nil), ftl.NewVersions(1<<20), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("128-subpage geometry accepted despite 64-bit mask")
 	}
 }

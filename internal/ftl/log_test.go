@@ -26,7 +26,7 @@ func newTestLog(t *testing.T, opts gc.Options, script []fault.Event) (*Log, *Man
 	if script != nil {
 		dev = faultyDevice(t, fault.Profile{}, script...)
 	}
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	stats := &Stats{}
 	l, err := NewLog(dev, m, stats, LogConfig{Reserve: 6, GC: opts, UnitsPerBlock: dev.Geometry().PagesPerBlock, Tag: TagFull}, nullOwner{})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"espftl/internal/gc"
+	"espftl/internal/lifetime"
 	"espftl/internal/metrics"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
@@ -91,18 +92,23 @@ type Manager struct {
 	// degradation.
 	bad   int
 	floor int
-	// depthFn, when set, chooses the erase depth of every Recycle
-	// (adaptive erase; see internal/lifetime). Nil erases at full depth.
-	depthFn func(nand.BlockID) nand.EraseDepth
+	// erase chooses the depth of every Recycle from the block's effective
+	// wear (see internal/lifetime).
+	erase lifetime.ErasePolicy
 }
 
 // NewManager returns a manager over every block of the device, all free
-// except those the device's fault model marks factory-bad.
-func NewManager(dev *nand.Device) *Manager {
+// except those the device's fault model marks factory-bad. erase chooses
+// the depth of every Recycle; nil is the paper's lifetime.FixedDeep.
+func NewManager(dev *nand.Device, erase lifetime.ErasePolicy) *Manager {
+	if erase == nil {
+		erase = lifetime.FixedDeep{}
+	}
 	g := dev.Geometry()
 	n := g.TotalBlocks()
 	m := &Manager{
 		dev:   dev,
+		erase: erase,
 		meta:  make([]blockMeta, n),
 		index: newValidIndex(n, g.SubpagesPerBlock()),
 		free:  make([][]nand.BlockID, g.Chips()),
@@ -267,11 +273,7 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 		m.meta[b].state = StateBad
 		return nil
 	}
-	depth := nand.DepthFull
-	if m.depthFn != nil {
-		depth = m.depthFn(b)
-	}
-	if _, err := m.dev.EraseAt(b, depth); err != nil {
+	if _, err := m.dev.EraseAt(b, m.erase.Depth(m.dev.EffectiveWear(b))); err != nil {
 		if errors.Is(err, nand.ErrEraseFail) {
 			m.unindex(b)
 			m.meta[b].bad = true
@@ -289,13 +291,6 @@ func (m *Manager) Recycle(b nand.BlockID) error {
 	m.total++
 	return nil
 }
-
-// SetEraseDepth installs the erase-depth hook consulted on every Recycle:
-// given the block about to be erased, it returns the depth to erase at.
-// The hook is how an adaptive erase policy (internal/lifetime) plugs into
-// the block lifecycle without the manager knowing the policy; nil erases
-// at full depth.
-func (m *Manager) SetEraseDepth(fn func(nand.BlockID) nand.EraseDepth) { m.depthFn = fn }
 
 // Retire marks b grown-bad: it leaves the free pool permanently and is
 // never allocated again. An open block transitions to full so GC can

@@ -37,7 +37,7 @@ func faultyDevice(t *testing.T, p fault.Profile, script ...fault.Event) *nand.De
 
 func TestRetireFreeBlockNeverReallocated(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	total := dev.Geometry().TotalBlocks()
 	victim := nand.BlockID(3)
 	m.Retire(victim)
@@ -68,7 +68,7 @@ func TestRetireFreeBlockNeverReallocated(t *testing.T) {
 
 func TestRetireOpenBlockDrainsThroughGC(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	b, _ := m.Alloc(RoleSub)
 	m.AddValid(b, 2)
 	m.Retire(b)
@@ -101,7 +101,7 @@ func TestRetireOpenBlockDrainsThroughGC(t *testing.T) {
 func TestEraseFailureRetiresInPlace(t *testing.T) {
 	dev := faultyDevice(t, fault.Profile{Seed: 1},
 		fault.Event{Kind: fault.KindErase, Chip: -1, Block: -1})
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	total := dev.Geometry().TotalBlocks()
 	b, _ := m.Alloc(RoleFull)
 	m.MarkFull(b)
@@ -132,7 +132,7 @@ func TestEraseFailureRetiresInPlace(t *testing.T) {
 
 func TestFactoryBadBlocksExcludedFromPool(t *testing.T) {
 	dev := faultyDevice(t, fault.Profile{Seed: 5, FactoryBadFrac: 0.3})
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	total := dev.Geometry().TotalBlocks()
 	factory := 0
 	for b := 0; b < total; b++ {
@@ -163,7 +163,7 @@ func TestFactoryBadBlocksExcludedFromPool(t *testing.T) {
 
 func TestCapacityFloorReadOnly(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	total := dev.Geometry().TotalBlocks()
 	m.Retire(nand.BlockID(0))
 	if m.ReadOnly() {

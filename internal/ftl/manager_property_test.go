@@ -114,7 +114,7 @@ func TestManagerModelProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := NewManager(dev)
+		m := NewManager(dev, nil)
 		g := dev.Geometry()
 		total := g.TotalBlocks()
 		units := g.SubpagesPerBlock()
@@ -267,7 +267,7 @@ func TestManagerWearPreferenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := NewManager(dev)
+		m := NewManager(dev, nil)
 		rng := sim.NewRNG(uint64(wearSeed) + 1)
 		// Wear some blocks by alloc/recycle cycling.
 		for i := 0; i < 20; i++ {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"espftl/internal/lifetime"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
@@ -28,7 +29,7 @@ func testDevice(t *testing.T) *nand.Device {
 
 func TestManagerAllocAll(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	total := dev.Geometry().TotalBlocks()
 	if m.FreeCount() != total {
 		t.Fatalf("FreeCount = %d, want %d", m.FreeCount(), total)
@@ -54,7 +55,7 @@ func TestManagerAllocAll(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	b, _ := m.Alloc(RoleSub)
 	m.AddValid(b, 3)
 	m.MarkFull(b)
@@ -79,9 +80,47 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
+// Recycle erases at the manager's erase policy's depth for the block's
+// accumulated effective wear: the nil default is FixedDeep (always full
+// depth), and AERO erases a fresh block shallow but a block at its rated
+// life at full depth.
+func TestRecycleErasesAtPolicyDepth(t *testing.T) {
+	recycle := func(m *Manager, dev *nand.Device, eraseCount int) nand.BlockID {
+		t.Helper()
+		b, _ := m.Alloc(RoleFull)
+		if eraseCount > 0 {
+			dev.SetEraseCount(b, eraseCount)
+		}
+		m.MarkFull(b)
+		if err := m.Recycle(b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dev := testDevice(t)
+	if b := recycle(NewManager(dev, nil), dev, 0); dev.LastEraseDepth(b) != nand.DepthFull {
+		t.Fatalf("default policy erased at %v, want full depth", dev.LastEraseDepth(b))
+	}
+
+	dev = testDevice(t)
+	aero := lifetime.NewAERO(*dev.Retention())
+	m := NewManager(dev, aero)
+	fresh := aero.Depth(0)
+	if fresh >= nand.DepthFull {
+		t.Fatalf("AERO picks %v for a fresh block; the check needs a shallow depth", fresh)
+	}
+	if b := recycle(m, dev, 0); dev.LastEraseDepth(b) != fresh {
+		t.Fatalf("fresh block erased at %v, policy says %v", dev.LastEraseDepth(b), fresh)
+	}
+	rated := dev.Retention().RatedPE
+	if b := recycle(m, dev, rated); dev.LastEraseDepth(b) != nand.DepthFull || aero.Depth(float64(rated)) != nand.DepthFull {
+		t.Fatalf("block at rated wear erased at %v, want full depth", dev.LastEraseDepth(b))
+	}
+}
+
 func TestManagerWearAwareAlloc(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	// Cycle block X a few times to wear it.
 	x, _ := m.Alloc(RoleFull)
 	for i := 0; i < 5; i++ {
@@ -104,7 +143,7 @@ func TestManagerWearAwareAlloc(t *testing.T) {
 
 func TestManagerCountByRoleAndTotalValid(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	a, _ := m.Alloc(RoleFull)
 	b, _ := m.Alloc(RoleSub)
 	c, _ := m.Alloc(RoleSub)
@@ -125,7 +164,7 @@ func TestManagerCountByRoleAndTotalValid(t *testing.T) {
 
 func TestManagerAddValidNegativePanics(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	b, _ := m.Alloc(RoleFull)
 	defer func() {
 		if recover() == nil {
@@ -137,7 +176,7 @@ func TestManagerAddValidNegativePanics(t *testing.T) {
 
 func TestManagerMarkFullWrongStatePanics(t *testing.T) {
 	dev := testDevice(t)
-	m := NewManager(dev)
+	m := NewManager(dev, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MarkFull on free block did not panic")

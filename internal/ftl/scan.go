@@ -20,8 +20,8 @@ type ScannedBlock struct {
 	Valid int
 	// Torn counts slots whose program was cut by power loss.
 	Torn int
-	// Tag is the region tag of the block's first valid slot (TagNone when
-	// the block holds no valid records), identifying the owning region —
+	// Tag is the region tag of the block's first valid slot (zero when the
+	// block holds no valid records), identifying the owning region —
 	// blocks are never shared between regions.
 	Tag uint8
 	// MaxSeq is the highest program sequence number on the block.
@@ -57,11 +57,11 @@ func ScanBlocks(dev *nand.Device) (blocks []ScannedBlock, pages int64, err error
 				switch sl.State {
 				case nand.OOBErased:
 				case nand.OOBValid:
-					sb.Programmed++
-					sb.Valid++
-					if sb.Tag == TagNone {
+					if sb.Valid == 0 {
 						sb.Tag = sl.OOB.Tag
 					}
+					sb.Programmed++
+					sb.Valid++
 					if sl.OOB.Seq > sb.MaxSeq {
 						sb.MaxSeq = sl.OOB.Seq
 					}

@@ -175,7 +175,7 @@ func TestGCPolicyDifferential(t *testing.T) {
 		{Policy: "cost-benefit", StepPages: 2, BackgroundSlack: 2},
 		{Policy: "cost-benefit"},
 		{Policy: "windowed", StepPages: 2, BackgroundSlack: 2},
-		{Policy: "windowed", Window: 4},
+		{Policy: "windowed"},
 	}
 	shapes := []struct {
 		prefix string

@@ -24,9 +24,6 @@ func lifetimeEnvs(policy string, placement bool) []struct {
 	const sectors = 512
 	base := CrashEnv{Geometry: TinyGeometry(), Sectors: sectors, Seed: 42}
 	resolve := func(dev *nand.Device) (lifetime.ErasePolicy, error) {
-		if policy == "" {
-			return nil, nil
-		}
 		return lifetime.NewErasePolicy(policy, *dev.Retention())
 	}
 	mk := func(factory func(dev *nand.Device) (ftl.FTL, error)) CrashEnv {
@@ -123,7 +120,7 @@ func TestLifetimeDifferential(t *testing.T) {
 		policy    string
 		placement bool
 	}{
-		{"", false}, // legacy: full-depth erases, size-based routing only
+		{"", false}, // zero configuration: fixed-deep erases, size-routed placement
 		{"fixed-deep", false},
 		{"aero", false},
 		{"aero", true},

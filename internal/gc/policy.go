@@ -217,8 +217,6 @@ type Options struct {
 	// run from Tick (background-class, read-yielding) instead of
 	// stalling a host write. 0 disables background collection.
 	BackgroundSlack int
-	// Window overrides the windowed policy's candidate window.
-	Window int
 }
 
 // NewPolicy resolves a policy name. The empty string is greedy.
@@ -229,7 +227,7 @@ func NewPolicy(opts Options) (Policy, error) {
 	case "cost-benefit", "costbenefit", "cb":
 		return CostBenefit{}, nil
 	case "windowed", "windowed-greedy":
-		return WindowedGreedy{W: opts.Window}, nil
+		return WindowedGreedy{}, nil
 	}
 	return nil, fmt.Errorf("gc: unknown policy %q (greedy, cost-benefit, windowed)", opts.Policy)
 }

@@ -4,9 +4,9 @@
 // how long freshly written data will live (longevity-aware placement,
 // after Choi & Jung, arXiv 1704.05138) so the FTLs can steer writes by
 // expected lifetime instead of request size alone. Both mechanisms are
-// policy objects consulted by the block manager and the FTL cores; with
-// neither installed every FTL is bit-identical to a build without this
-// package.
+// policy objects consulted by the block manager and the FTL cores, and the
+// paper's own behaviour is one configuration of each: FixedDeep erases
+// every block at full depth, SizeRouted places every write by its size.
 package lifetime
 
 import (
@@ -21,20 +21,20 @@ import (
 type ErasePolicy interface {
 	// Name identifies the policy in stats and experiment tables.
 	Name() string
-	// Depth returns the erase depth for a block with the given raw erase
-	// count and effective wear (deep-erase equivalents).
-	Depth(eraseCount int, effWear float64) nand.EraseDepth
+	// Depth returns the erase depth for a block with the given effective
+	// wear (deep-erase equivalents).
+	Depth(effWear float64) nand.EraseDepth
 }
 
-// FixedDeep is the conventional baseline: every erase runs at full depth.
-// It is bit-identical to having no policy installed.
+// FixedDeep is the paper's erase: every erase runs at full depth. It is
+// the policy a block manager holds unless given another.
 type FixedDeep struct{}
 
 // Name implements ErasePolicy.
 func (FixedDeep) Name() string { return "fixed-deep" }
 
 // Depth implements ErasePolicy.
-func (FixedDeep) Depth(int, float64) nand.EraseDepth { return nand.DepthFull }
+func (FixedDeep) Depth(float64) nand.EraseDepth { return nand.DepthFull }
 
 // Requirement is one retention obligation an adaptive erase must preserve:
 // data of the given subpage type must stay correctable for the horizon.
@@ -88,8 +88,7 @@ func (a *AERO) Name() string { return "aero" }
 const depthSteps = 16
 
 // Depth implements ErasePolicy.
-func (a *AERO) Depth(eraseCount int, effWear float64) nand.EraseDepth {
-	_ = eraseCount
+func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 	if a.Model.ShallowPenalty <= 0 {
 		// Without a modelled penalty a shallow erase is retention-free;
 		// the floor is the only constraint left.
@@ -135,16 +134,4 @@ func NewErasePolicy(name string, model nand.RetentionModel) (ErasePolicy, error)
 		return NewAERO(model), nil
 	}
 	return nil, fmt.Errorf("lifetime: unknown erase policy %q (want fixed-deep or aero)", name)
-}
-
-// DepthFn adapts an erase policy to the block manager's erase-depth hook
-// for the given device. A nil policy yields a nil hook (full-depth
-// erases).
-func DepthFn(dev *nand.Device, p ErasePolicy) func(nand.BlockID) nand.EraseDepth {
-	if p == nil {
-		return nil
-	}
-	return func(b nand.BlockID) nand.EraseDepth {
-		return p.Depth(dev.EraseCount(b), dev.EffectiveWear(b))
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"espftl/internal/nand"
-	"espftl/internal/sim"
 )
 
 func TestFixedDeepIsFullDepth(t *testing.T) {
@@ -13,7 +12,7 @@ func TestFixedDeepIsFullDepth(t *testing.T) {
 		t.Errorf("name = %q", p.Name())
 	}
 	for _, wear := range []float64{0, 1, 500, 1000, 5000} {
-		if d := p.Depth(int(wear), wear); d != nand.DepthFull {
+		if d := p.Depth(wear); d != nand.DepthFull {
 			t.Errorf("FixedDeep.Depth(wear=%v) = %v, want full", wear, d)
 		}
 	}
@@ -28,13 +27,13 @@ func TestAEROMonotoneDeepening(t *testing.T) {
 	if p.Name() != "aero" {
 		t.Errorf("name = %q", p.Name())
 	}
-	if d := p.Depth(0, 0); d != nand.MinEraseDepth {
+	if d := p.Depth(0); d != nand.MinEraseDepth {
 		t.Errorf("fresh-block depth = %v, want the floor %v", d, nand.MinEraseDepth)
 	}
 	rated := float64(nand.DefaultRetention.RatedPE)
 	prev := nand.EraseDepth(0)
 	for wear := 0.0; wear <= 2*rated; wear += rated / 50 {
-		d := p.Depth(int(wear), wear)
+		d := p.Depth(wear)
 		if !d.Valid() {
 			t.Fatalf("Depth(wear=%v) = %v, outside [%v, %v]", wear, d, nand.MinEraseDepth, nand.DepthFull)
 		}
@@ -43,7 +42,7 @@ func TestAEROMonotoneDeepening(t *testing.T) {
 		}
 		prev = d
 	}
-	if d := p.Depth(int(rated), rated); d != nand.DepthFull {
+	if d := p.Depth(rated); d != nand.DepthFull {
 		t.Errorf("depth at rated wear = %v, want full", d)
 	}
 }
@@ -57,7 +56,7 @@ func TestAERODepthPreservesRetention(t *testing.T) {
 	p := NewAERO(m)
 	rated := float64(m.RatedPE)
 	for wear := 0.0; wear < rated; wear += rated / 40 {
-		d := p.Depth(int(wear), wear)
+		d := p.Depth(wear)
 		post := wear + float64(d)
 		for _, r := range p.Require {
 			if !m.CorrectableAt(r.Npp, r.Horizon, post, d) {
@@ -74,7 +73,7 @@ func TestAEROZeroPenaltyPinsFloor(t *testing.T) {
 	m.ShallowPenalty = 0
 	p := NewAERO(m)
 	for _, wear := range []float64{0, 500, 2000} {
-		if d := p.Depth(int(wear), wear); d != p.Floor {
+		if d := p.Depth(wear); d != p.Floor {
 			t.Errorf("Depth(wear=%v) = %v, want floor %v", wear, d, p.Floor)
 		}
 	}
@@ -86,7 +85,7 @@ func TestAEROQuantizedToGrid(t *testing.T) {
 	p := NewAERO(nand.DefaultRetention)
 	rated := float64(nand.DefaultRetention.RatedPE)
 	for wear := 0.0; wear < rated; wear += rated / 100 {
-		d := p.Depth(int(wear), wear)
+		d := p.Depth(wear)
 		if d == nand.DepthFull || d == p.Floor {
 			continue
 		}
@@ -117,38 +116,5 @@ func TestNewErasePolicy(t *testing.T) {
 	}
 	if _, err := NewErasePolicy("bogus", m); err == nil {
 		t.Error("unknown policy name accepted")
-	}
-}
-
-// DepthFn feeds the policy the device's real wear state: after erases at
-// known depths, the adapter's answers track the block's accumulated
-// effective wear, and a nil policy yields a nil hook.
-func TestDepthFn(t *testing.T) {
-	if fn := DepthFn(nil, nil); fn != nil {
-		t.Fatal("nil policy must yield a nil hook")
-	}
-	cfg := nand.DefaultConfig()
-	cfg.Geometry = nand.Geometry{
-		Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 4,
-		PagesPerBlock: 8, SubpagesPerPage: 4, SubpageBytes: 4096,
-	}
-	dev, err := nand.NewDevice(cfg, sim.NewClock(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := DepthFn(dev, FixedDeep{})
-	if d := fn(0); d != nand.DepthFull {
-		t.Fatalf("fixed-deep hook returned %v", d)
-	}
-	aero := NewAERO(*dev.Retention())
-	fn = DepthFn(dev, aero)
-	if d := fn(0); d != aero.Depth(0, 0) {
-		t.Fatalf("hook on a fresh block returned %v, policy says %v", d, aero.Depth(0, 0))
-	}
-	// Age block 0 and check the hook sees the accumulated wear.
-	dev.SetEraseCount(0, dev.Retention().RatedPE)
-	want := aero.Depth(dev.EraseCount(0), dev.EffectiveWear(0))
-	if d := fn(0); d != want || d != nand.DepthFull {
-		t.Fatalf("hook at rated wear returned %v, want %v (full)", d, want)
 	}
 }

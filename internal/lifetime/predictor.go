@@ -16,6 +16,9 @@ const (
 	// ClassCold: the page is predicted to stay untouched for a long time;
 	// its data is long-lived.
 	ClassCold
+	// ClassNone: no longevity verdict at all, SizeRouted's only answer.
+	// The write goes where its size sends it and no verdict is tallied.
+	ClassNone
 )
 
 // String names the class for experiment tables.
@@ -25,8 +28,58 @@ func (c Class) String() string {
 		return "hot"
 	case ClassCold:
 		return "cold"
+	case ClassNone:
+		return "none"
 	}
 	return "unknown"
+}
+
+// Placement decides where host data lands by its predicted lifetime: the
+// FTLs observe every host write of a logical page and consult Class before
+// placing one. It is the FTL-side twin of ErasePolicy.
+type Placement interface {
+	// Observe records one host write of logical page lpn.
+	Observe(lpn int64)
+	// Class predicts the longevity of page lpn's current data.
+	Class(lpn int64) Class
+	// Reset drops all prediction state, as a mount does.
+	Reset()
+	// Observes returns how many page writes have been observed.
+	Observes() int64
+	// ColdStripe reports whether the page-append log needs a stripe for
+	// predicted-cold data.
+	ColdStripe() bool
+}
+
+// SizeRouted is the paper's placement (§4.1): no prediction state, every
+// write lands where its request size sends it.
+type SizeRouted struct{}
+
+// Observe, Class, Reset, Observes and ColdStripe implement Placement.
+func (SizeRouted) Observe(int64)     {}
+func (SizeRouted) Class(int64) Class { return ClassNone }
+func (SizeRouted) Reset()            {}
+func (SizeRouted) Observes() int64   { return 0 }
+func (SizeRouted) ColdStripe() bool  { return false }
+
+// NewPlacement returns the longevity predictor over pages logical pages
+// when predict is set, else SizeRouted.
+func NewPlacement(predict bool, pages int64) (Placement, error) {
+	if !predict {
+		return SizeRouted{}, nil
+	}
+	return NewPredictor(pages, PredictorConfig{})
+}
+
+// ObserveWrite records a host write of [lsn, lsn+sectors) with p: one
+// observation per logical page of pageSecs sectors the request touches, at
+// write time — the predictor models host update intervals, so neither
+// buffering nor placement may come first.
+func ObserveWrite(p Placement, lsn int64, sectors, pageSecs int) {
+	ps := int64(pageSecs)
+	for lpn, last := lsn/ps, (lsn+int64(sectors)-1)/ps; lpn <= last; lpn++ {
+		p.Observe(lpn)
+	}
 }
 
 // PredictorConfig tunes the update-interval predictor. The zero value is
@@ -109,6 +162,10 @@ func (p *Predictor) Pages() int64 { return int64(len(p.lastOp)) }
 
 // Observes returns how many page writes the predictor has seen.
 func (p *Predictor) Observes() int64 { return p.observes }
+
+// ColdStripe implements Placement: predicted-cold pages get their own
+// stripe.
+func (p *Predictor) ColdStripe() bool { return true }
 
 // Observe records one write of page lpn and advances the write clock.
 // O(1), allocation-free (guarded by TestPredictorObserveAllocs).

@@ -131,7 +131,7 @@ func TestPredictorReset(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	if ClassHot.String() != "hot" || ClassCold.String() != "cold" || ClassUnknown.String() != "unknown" {
+	if ClassHot.String() != "hot" || ClassCold.String() != "cold" || ClassUnknown.String() != "unknown" || ClassNone.String() != "none" {
 		t.Fatal("class names changed")
 	}
 }
