@@ -9,7 +9,8 @@
 //	espsim -ftl subFTL -profile ycsb -qd 16 -arb read-priority
 //	espsim -ftl subFTL -profile varmail -rate 80000
 //	espsim -ftl subFTL -spo 5000 -spo-torn
-//	espsim -abl abl-sched
+//
+// Experiment and ablation tables are espbench's (espbench -run ID).
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"espftl/internal/experiment"
 	"espftl/internal/fault"
 	"espftl/internal/metrics"
-	"espftl/internal/nand"
 	"espftl/internal/perf"
 	"espftl/internal/trace"
 	"espftl/internal/workload"
@@ -59,8 +59,7 @@ func main() {
 	spo := flag.Int64("spo", -1, "cut power this many device operations into the measured phase, then remount and report recovery (-1 = off)")
 	spoTorn := flag.Bool("spo-torn", false, "make the power cut tear the in-flight program (with -spo)")
 	spoSweep := flag.Int("spo-sweep", 0, "run the SPO experiment once per cut index in [0,N), fanned out over the worker pool, and summarize recovery")
-	abl := flag.String("abl", "", "run this experiment/ablation table (e.g. abl-sched) and exit")
-	workers := flag.Int("workers", 0, "experiment worker-pool size for sweeps/ablations (0 = GOMAXPROCS; 1 = serial)")
+	workers := flag.Int("workers", 0, "experiment worker-pool size for sweeps (0 = GOMAXPROCS; 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -75,11 +74,6 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	if *abl != "" {
-		runAblation(*abl, *requests, *seed, policy.Geometry)
-		return
-	}
 
 	cfg := *policy
 	cfg.Requests = *requests
@@ -274,25 +268,6 @@ func loopDesc(rate float64, qd int) string {
 		return fmt.Sprintf("open loop @ %.0f req/s", rate)
 	}
 	return fmt.Sprintf("closed loop @ QD %d", qd)
-}
-
-// runAblation looks up a registered experiment by ID, runs it at the
-// requested scale and prints its table.
-func runAblation(id string, requests int, seed uint64, geo nand.Geometry) {
-	o := experiment.Options{Requests: requests, Seed: seed, Geometry: geo}
-	var ids []string
-	for _, e := range experiment.All() {
-		if strings.EqualFold(e.ID, id) {
-			tbl, err := e.Fn(o)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(tbl.String())
-			return
-		}
-		ids = append(ids, e.ID)
-	}
-	fatal(fmt.Errorf("unknown experiment %q; available: %s", id, strings.Join(ids, ", ")))
 }
 
 func fatal(err error) {

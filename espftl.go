@@ -81,9 +81,6 @@ type Config struct {
 	// DisableRetention disables subFTL's retention manager (dangerous;
 	// for experiments only).
 	DisableRetention bool
-	// OpportunisticFill lets fgmFTL top up partial sync flushes with
-	// staged async sectors (an extension over the paper's baseline).
-	OpportunisticFill bool
 	// Fault, when non-nil, arms the device's deterministic fault injector
 	// with this profile and enables the read-retry recovery path. Nil
 	// keeps the fault-free device, bit-identical to earlier releases.
@@ -110,7 +107,6 @@ func New(cfg Config) (*SSD, error) {
 		Geometry:          cfg.Geometry,
 		SubRegionFrac:     cfg.SubRegionFrac,
 		DisableRetention:  cfg.DisableRetention,
-		OpportunisticFill: cfg.OpportunisticFill,
 		EnableSubpageRead: cfg.EnableSubpageRead,
 		FaultProfile:      cfg.Fault,
 	}, cfg.LogicalSectors)

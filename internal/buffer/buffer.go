@@ -34,11 +34,9 @@ type Buffer struct {
 	flushedPart int64
 
 	// groupsBuf and lsnArena back the groups Write and Drain return; see
-	// the borrow contract on Write. popBuf backs PopUpTo separately, since
-	// opportunistic fill calls it while holding a returned group.
+	// the borrow contract on Write.
 	groupsBuf []Group
 	lsnArena  []int64
-	popBuf    []int64
 }
 
 // New returns a buffer that emits full groups of pageSectors sectors.
@@ -159,29 +157,6 @@ func (b *Buffer) Write(lsns []int64, sync bool) []Group {
 		b.flushedFull++
 	}
 	b.groupsBuf = out
-	return out
-}
-
-// PopUpTo removes and returns up to n of the oldest buffered sectors.
-// FGM-style FTLs with opportunistic fill use it to top up a partial sync
-// flush with staged asynchronous sectors instead of padding. The returned
-// slice is buffer-owned scratch, valid until the next PopUpTo call.
-func (b *Buffer) PopUpTo(n int) []int64 {
-	if n > b.Len() {
-		n = b.Len()
-	}
-	if n <= 0 {
-		return nil
-	}
-	if cap(b.popBuf) < n {
-		b.popBuf = make([]int64, n)
-	}
-	out := b.popBuf[:n]
-	copy(out, b.staged()[:n])
-	b.advance(n)
-	for _, lsn := range out {
-		delete(b.resident, lsn)
-	}
 	return out
 }
 

@@ -17,14 +17,14 @@ import (
 // reclaimEmptySubBlock's candidate walk must agree with.
 
 func (f *FTL) oraclePickAdvance(preferChip int) (nand.BlockID, bool) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	best := nand.BlockID(-1)
 	bestValid := int(^uint(0) >> 1)
 	bestOnChip := nand.BlockID(-1)
 	bestOnChipValid := int(^uint(0) >> 1)
 	for b := 0; b < g.TotalBlocks(); b++ {
 		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.State(id) != ftl.StateOpen {
+		if !f.meta[b].inUse || f.Man.State(id) != ftl.StateOpen {
 			continue
 		}
 		if f.gcDestSet && id == f.gcDest {
@@ -33,10 +33,10 @@ func (f *FTL) oraclePickAdvance(preferChip int) (nand.BlockID, bool) {
 		if f.isActive(id) || f.subCol.InFlight(id) {
 			continue
 		}
-		if f.meta[b].round >= f.pageSecs-1 {
+		if f.meta[b].round >= f.PageSecs-1 {
 			continue
 		}
-		v := f.man.Valid(id)
+		v := f.Man.Valid(id)
 		if v >= g.PagesPerBlock {
 			continue
 		}
@@ -57,18 +57,18 @@ func (f *FTL) oraclePickAdvance(preferChip int) (nand.BlockID, bool) {
 }
 
 func (f *FTL) oraclePickOpenVictim() (nand.BlockID, bool) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	best := nand.BlockID(-1)
 	bestValid := int(^uint(0) >> 1)
 	for b := 0; b < g.TotalBlocks(); b++ {
 		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.State(id) != ftl.StateOpen {
+		if !f.meta[b].inUse || f.Man.State(id) != ftl.StateOpen {
 			continue
 		}
 		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) || f.subCol.InFlight(id) {
 			continue
 		}
-		if v := f.man.Valid(id); v < bestValid {
+		if v := f.Man.Valid(id); v < bestValid {
 			best, bestValid = id, v
 		}
 	}
@@ -81,13 +81,13 @@ func (f *FTL) oraclePickOpenVictim() (nand.BlockID, bool) {
 // oracleEmptySubBlock is the candidate walk of the old
 // reclaimEmptySubBlock: the first block, by ID, it would have recycled.
 func (f *FTL) oracleEmptySubBlock() (nand.BlockID, bool) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	for b := 0; b < g.TotalBlocks(); b++ {
 		id := nand.BlockID(b)
-		if !f.meta[b].inUse || f.man.Valid(id) != 0 {
+		if !f.meta[b].inUse || f.Man.Valid(id) != 0 {
 			continue
 		}
-		if f.man.State(id) == ftl.StateFree {
+		if f.Man.State(id) == ftl.StateFree {
 			continue
 		}
 		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) {
@@ -155,11 +155,11 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 		for _, step := range []int{0, 8} {
 			t.Run(fmt.Sprintf("%s/step%d", prof.Name, step), func(t *testing.T) {
 				f, sectors := quickFTL(t, gc.Options{StepPages: step})
-				gen, err := workload.NewSynthetic(prof, sectors, f.pageSecs, 7)
+				gen, err := workload.NewSynthetic(prof, sectors, f.PageSecs, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
-				chips := f.dev.Geometry().Chips()
+				chips := f.Dev.Geometry().Chips()
 				advances, victims, empties := 0, 0, 0
 				for i := 0; i < requests; i++ {
 					r := gen.Next()
@@ -221,7 +221,7 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 func TestRegionCollectionAllocs(t *testing.T) {
 	for _, step := range []int{0, 8} {
 		f, sectors := quickFTL(t, gc.Options{StepPages: step})
-		gen, err := workload.NewSynthetic(workload.Sysbench(), sectors, f.pageSecs, 3)
+		gen, err := workload.NewSynthetic(workload.Sysbench(), sectors, f.PageSecs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,20 +22,14 @@ import (
 // and restart cold — recovery treats every survivor as cold, which costs at
 // most one extra eviction per sector, never correctness.
 func (f *FTL) Recover() (ftl.MountReport, error) {
-	d0 := f.dev.DrainTime()
-	g := f.dev.Geometry()
-	blocks, pages, err := ftl.ScanBlocks(f.dev)
-	if err != nil {
-		return ftl.MountReport{}, err
-	}
-	rep := ftl.MountReport{PagesScanned: pages}
+	return f.Mount(f.rebuild)
+}
 
+// rebuild is subFTL's half of a mount, over the scanned blocks.
+func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
+	g := f.Dev.Geometry()
 	var subBlocks, fullBlocks []ftl.ScannedBlock
 	for _, blk := range blocks {
-		rep.TornPages += int64(blk.Torn)
-		if blk.MaxSeq > rep.MaxSeq {
-			rep.MaxSeq = blk.MaxSeq
-		}
 		if blk.Tag == ftl.TagSub {
 			subBlocks = append(subBlocks, blk)
 		} else {
@@ -53,7 +47,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 					continue
 				}
 				lsn := sl.OOB.Stamp.LSN
-				if lsn < 0 || lsn >= f.ver.Size() || int(lsn%int64(f.pageSecs)) != slot {
+				if lsn < 0 || lsn >= f.Ver.Size() || int(lsn%int64(f.PageSecs)) != slot {
 					continue
 				}
 				if sl.OOB.Seq > fullSeq[lsn] {
@@ -75,7 +69,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 			nextIdx: f.freshNextIdx(blk.Block),
 			inUse:   true,
 		}
-		round := f.pageSecs
+		round := f.PageSecs
 		for pi, slots := range blk.Pages {
 			p := g.PageOf(blk.Block, pi)
 			programmed, torn := 0, false
@@ -90,7 +84,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 					continue
 				}
 				lsn := sl.OOB.Stamp.LSN
-				if lsn < 0 || lsn >= f.ver.Size() {
+				if lsn < 0 || lsn >= f.Ver.Size() {
 					continue
 				}
 				if sl.OOB.Seq <= fullSeq[lsn] {
@@ -110,7 +104,7 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 			if torn {
 				// Never program this page again: its torn cells would turn
 				// a future pass into silent corruption.
-				programmed = f.pageSecs
+				programmed = f.PageSecs
 			}
 			mb.nextIdx[pi] = uint8(programmed)
 			if programmed < round {
@@ -126,9 +120,9 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 		// Only the winning copy re-seeds the version tracker: a stale copy
 		// can out-version the winner (trim resets the counter), and the read
 		// path verifies stamps against ver.Current.
-		f.ver.Restore(lsn, w.oob.Stamp.Version)
+		f.Ver.Restore(lsn, w.oob.Stamp.Version)
 		if err := f.hash.Put(lsn, w.spn); err != nil {
-			return ftl.MountReport{}, fmt.Errorf("core: recovering lsn %d: %w", lsn, err)
+			return fmt.Errorf("core: recovering lsn %d: %w", lsn, err)
 		}
 		f.rmapSub[w.spn] = lsn
 		f.verAt[w.spn] = w.oob.Stamp.Version
@@ -137,47 +131,28 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 		rep.LiveSectors++
 	}
 	for _, blk := range subBlocks {
-		if err := f.man.Adopt(blk.Block, ftl.RoleSub, perBlock[blk.Block]); err != nil {
-			return ftl.MountReport{}, err
+		if err := f.Man.Adopt(blk.Block, ftl.RoleSub, perBlock[blk.Block]); err != nil {
+			return err
 		}
 		rep.BlocksAdopted++
 	}
 
 	// Full-page store pass: every sector the subpage region won is
 	// superseded there regardless of which full copy the store picks.
-	sum, err := f.full.Recover(fullBlocks, func(lsn int64, seq uint64) bool {
+	return f.full.Recover(fullBlocks, func(lsn int64, seq uint64) bool {
 		_, ok := win[lsn]
 		return ok
-	})
-	if err != nil {
-		return ftl.MountReport{}, err
-	}
-	rep.BlocksAdopted += sum.BlocksAdopted
-	rep.StaleSubpages += sum.Stale
-	rep.LiveSectors += sum.LiveSectors
-	if sum.MaxSeq > rep.MaxSeq {
-		rep.MaxSeq = sum.MaxSeq
-	}
-	f.place.Reset() // RAM-only, like the hot/cold bits above
-	rep.Duration = f.dev.DrainTime().Sub(d0)
-	return rep, nil
+	}, rep)
 }
 
 // VersionOf implements ftl.VersionProber: the version a read of lsn would
 // return, 0 when no live copy exists in the buffer or either region.
 func (f *FTL) VersionOf(lsn int64) uint32 {
-	if lsn < 0 || lsn >= f.ver.Size() {
+	if lsn < 0 || lsn >= f.Ver.Size() {
 		return 0
 	}
-	if f.buf.Contains(lsn) {
-		return f.ver.Current(lsn)
+	if _, ok := f.hash.Get(lsn); ok || f.buf.Contains(lsn) || f.full.Holds(lsn) {
+		return f.Ver.Current(lsn)
 	}
-	if _, ok := f.hash.Get(lsn); ok {
-		return f.ver.Current(lsn)
-	}
-	lpn := lsn / int64(f.pageSecs)
-	if !f.full.Mapped(lpn) || f.full.Mask(lpn)&(1<<(lsn%int64(f.pageSecs))) == 0 {
-		return 0
-	}
-	return f.ver.Current(lsn)
+	return 0
 }

@@ -42,9 +42,9 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 			return err
 		}
 		if overThreshold {
-			f.stats.RetentionMoves++
+			f.Counters.RetentionMoves++
 		} else {
-			f.stats.ScrubRewrites++
+			f.Counters.ScrubRewrites++
 		}
 	}
 	return nil
@@ -57,13 +57,13 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 // On lightly worn blocks the capability comfortably exceeds the 15-day
 // threshold, so this only fires ahead of the threshold near end of life.
 func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
-	g := f.dev.Geometry()
-	info := f.dev.SubpageInfo(nand.SubpageID(spn))
+	g := f.Dev.Geometry()
+	info := f.Dev.SubpageInfo(nand.SubpageID(spn))
 	blk := g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn)))
 	// Effective wear and the block's last erase depth, not the raw erase
 	// count: a shallow-erased block ages its data faster than its count
 	// suggests, and the scrub must rewrite before that earlier expiry.
-	capability := f.dev.Retention().RetentionCapabilityAt(info.Npp, f.dev.EffectiveWear(blk), f.dev.LastEraseDepth(blk))
+	capability := f.Dev.Retention().RetentionCapabilityAt(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
 	return nand.AgeOf(f.writtenAt[spn], now)+2*f.cfg.ScrubInterval > capability
 }
 
@@ -73,7 +73,7 @@ func (f *FTL) Check() error {
 	if err := f.full.Check(); err != nil {
 		return err
 	}
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	perBlock := make(map[nand.BlockID]int)
 	var checkErr error
 	f.hash.Range(func(lsn, spn int64) bool {
@@ -84,21 +84,19 @@ func (f *FTL) Check() error {
 		p := g.PageOfSubpage(nand.SubpageID(spn))
 		b := g.BlockOfPage(p)
 		perBlock[b]++
-		if f.man.Role(b) != ftl.RoleSub {
-			checkErr = fmt.Errorf("core: live subpage on block %d with role %v", b, f.man.Role(b))
+		if f.Man.Role(b) != ftl.RoleSub {
+			checkErr = fmt.Errorf("core: live subpage on block %d with role %v", b, f.Man.Role(b))
 			return false
 		}
 		// The device must agree the subpage is readable (not destroyed by
 		// a later ESP pass — the safety property of the writing policy).
-		info := f.dev.SubpageInfo(nand.SubpageID(spn))
+		info := f.Dev.SubpageInfo(nand.SubpageID(spn))
 		if !info.Programmed || info.Destroyed {
 			checkErr = fmt.Errorf("core: live subpage %d of lsn %d is physically %+v", spn, lsn, info)
 			return false
 		}
 		// A sector must not be live in both regions.
-		lpn := lsn / int64(f.pageSecs)
-		slot := int(lsn % int64(f.pageSecs))
-		if f.full.Mapped(lpn) && f.full.Mask(lpn)&(1<<slot) != 0 {
+		if f.full.Holds(lsn) {
 			checkErr = fmt.Errorf("core: lsn %d live in both regions", lsn)
 			return false
 		}
@@ -110,16 +108,16 @@ func (f *FTL) Check() error {
 	subCount := 0
 	for b := 0; b < g.TotalBlocks(); b++ {
 		id := nand.BlockID(b)
-		if f.man.State(id) == ftl.StateBad {
+		if f.Man.State(id) == ftl.StateBad {
 			// Retired and drained: no live data, no region bookkeeping.
 			if perBlock[id] != 0 {
 				return fmt.Errorf("core: retired block %d holds %d live subpages", id, perBlock[id])
 			}
 			continue
 		}
-		if f.man.State(id) != ftl.StateFree && f.man.Role(id) == ftl.RoleSub {
+		if f.Man.State(id) != ftl.StateFree && f.Man.Role(id) == ftl.RoleSub {
 			subCount++
-			if got, want := f.man.Valid(id), perBlock[id]; got != want {
+			if got, want := f.Man.Valid(id), perBlock[id]; got != want {
 				return fmt.Errorf("core: sub block %d valid = %d, want %d", id, got, want)
 			}
 			mb := &f.meta[id]
@@ -127,8 +125,8 @@ func (f *FTL) Check() error {
 				return fmt.Errorf("core: live sub block %d has no metadata", id)
 			}
 			for pi, ni := range mb.nextIdx {
-				if int(ni) < mb.round || int(ni) > f.pageSecs {
-					return fmt.Errorf("core: sub block %d page %d nextIdx %d outside [round %d, %d]", id, pi, ni, mb.round, f.pageSecs)
+				if int(ni) < mb.round || int(ni) > f.PageSecs {
+					return fmt.Errorf("core: sub block %d page %d nextIdx %d outside [round %d, %d]", id, pi, ni, mb.round, f.PageSecs)
 				}
 			}
 		} else if perBlock[id] != 0 {

@@ -106,13 +106,12 @@ type subBlock struct {
 	inUse bool
 }
 
-// FTL is the subFTL instance.
+// FTL is the subFTL instance: the shared front end over two regions. The
+// front end's placement steers small writes between the regions and feeds
+// the full-page store's cold placement.
 type FTL struct {
-	dev   *nand.Device
-	man   *ftl.Manager
-	ver   *ftl.Versions
-	stats ftl.Stats
-	cfg   Config
+	ftl.Front
+	cfg Config
 
 	full *fullpage.Store // the CGM-managed full-page region
 
@@ -160,28 +159,24 @@ type FTL struct {
 	gcDebt int
 
 	buf       *buffer.Aligned
-	pageSecs  int
 	lastScrub sim.Time
 
-	// place is the data-placement policy: it steers small writes between
-	// the regions and feeds the full-page store's cold placement.
 	// steerBuf/steerSlots are the steering path's reusable partition
 	// scratch.
-	place      lifetime.Placement
 	steerBuf   []int64
 	steerSlots []int
 
 	// Reusable scratch for the steady-state I/O path, so host writes,
 	// reads and trims allocate nothing. identSlots is the constant
-	// identity slot list [0..pageSecs) shared by full-page writes (never
-	// mutated, so nesting is irrelevant); lsnsBuf and partialBuf back
-	// Write's and Trim's sector runs; fullSlotsBuf backs Read's per-page
-	// slot grouping; slot1 serves single-slot full-region calls. The
-	// callees consume each slice before anything can re-enter these
-	// paths (GC relocation writes through its own scratch in
-	// subregion.go), so one set per FTL suffices.
+	// identity slot list [0..PageSecs) shared by full-page writes (never
+	// mutated, so nesting is irrelevant); partialBuf backs a large
+	// write's head/tail sectors (the front end's SectorRun backs Write's
+	// and Trim's sector runs); fullSlotsBuf backs Read's per-page slot
+	// grouping; slot1 serves single-slot full-region calls. The callees
+	// consume each slice before anything can re-enter these paths (GC
+	// relocation writes through its own scratch in subregion.go), so one
+	// set per FTL suffices.
 	identSlots   []int
-	lsnsBuf      []int64
 	partialBuf   []int64
 	fullSlotsBuf []int
 	slot1        [1]int
@@ -232,10 +227,12 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if subQuota > g.TotalBlocks()-cfg.GCReserveBlocks-3 {
 		return nil, fmt.Errorf("core: device too small for a %d-block subpage region", subQuota)
 	}
+	fe, err := ftl.NewFront(dev, cfg.LogicalSectors, cfg.ErasePolicy, cfg.Lifetime)
+	if err != nil {
+		return nil, err
+	}
 	f := &FTL{
-		dev:         dev,
-		man:         ftl.NewManager(dev, cfg.ErasePolicy),
-		ver:         ftl.NewVersions(cfg.LogicalSectors),
+		Front:       fe,
 		cfg:         cfg,
 		hash:        mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
 		rmapSub:     make([]int64, g.TotalSubpages()),
@@ -246,7 +243,6 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		nextIdxSlab: make([]uint8, g.TotalBlocks()*g.PagesPerBlock),
 		subQuota:    subQuota,
 		buf:         buffer.NewAligned(g.SubpagesPerPage, cfg.BufferSectors),
-		pageSecs:    g.SubpagesPerPage,
 		gcSlack:     cfg.GC.BackgroundSlack,
 	}
 	pol, err := gc.NewPolicy(cfg.GC)
@@ -255,7 +251,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	}
 	f.subCol = gc.NewCollector(pol, cfg.GC.StepPages)
 	f.subTarget = &subTarget{f}
-	f.subView = f.man.GCView(ftl.RoleSub, g.SubpagesPerBlock(), f.subCol.InFlight)
+	f.subView = f.Man.GCView(ftl.RoleSub, g.SubpagesPerBlock(), f.subCol.InFlight)
 	stripe := g.Chips()
 	if cap := subQuota / 3; stripe > cap {
 		stripe = cap
@@ -272,19 +268,15 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	for i := range f.rmapSub {
 		f.rmapSub[i] = mapping.None
 	}
-	if f.place, err = lifetime.NewPlacement(cfg.Lifetime, cfg.LogicalSectors/ps); err != nil {
-		return nil, err
-	}
 	// The full-page region is uncapped: block roles are assigned at
 	// program time (paper §4.2), so full-page data may spread over idle
 	// subpage-region capacity — the reclaim hook converts empty subpage
 	// blocks back whenever the pool runs low.
-	f.full, err = fullpage.New(dev, f.man, f.ver, &f.stats, fullpage.Config{
+	f.full, err = fullpage.New(&f.Front, fullpage.Config{
 		LogicalPages: cfg.LogicalSectors / ps,
 		Reserve:      cfg.GCReserveBlocks,
 		GC:           cfg.GC,
 		Reclaim:      f.reclaimEmptySubBlock,
-		Placement:    f.place,
 	})
 	if err != nil {
 		return nil, err
@@ -292,7 +284,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	// Read-only once bad blocks leave less than the logical space, the GC
 	// reserve, the full-page log's open append points and a minimal subpage
 	// region need.
-	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.full.OpenBlocks()+minRegionBlocks)
+	f.Man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.full.OpenBlocks()+minRegionBlocks)
 	return f, nil
 }
 
@@ -305,12 +297,12 @@ func (f *FTL) reclaimEmptySubBlock() bool {
 		if f.recycleSub(id) != nil {
 			return false
 		}
-		if f.man.State(id) == ftl.StateBad {
+		if f.Man.State(id) == ftl.StateBad {
 			// The block was retired while empty; it is out of the region
 			// but gave nothing back to the pool. Keep looking.
 			continue
 		}
-		f.stats.RegionReclaims++
+		f.Counters.RegionReclaims++
 		return true
 	}
 	return false
@@ -321,9 +313,9 @@ func (f *FTL) reclaimEmptySubBlock() bool {
 // alike: a merge of the two classes' valid-0 buckets.
 func (f *FTL) emptySubBlockFrom(from nand.BlockID) (nand.BlockID, bool) {
 	for {
-		id, ok := f.man.Seek(ftl.RoleSub, ftl.StateOpen, 0, from)
-		ok = ok && f.man.Valid(id) == 0
-		if full, okFull := f.man.Seek(ftl.RoleSub, ftl.StateFull, 0, from); okFull && f.man.Valid(full) == 0 && (!ok || full < id) {
+		id, ok := f.Man.Seek(ftl.RoleSub, ftl.StateOpen, 0, from)
+		ok = ok && f.Man.Valid(id) == 0
+		if full, okFull := f.Man.Seek(ftl.RoleSub, ftl.StateFull, 0, from); okFull && f.Man.Valid(full) == 0 && (!ok || full < id) {
 			id, ok = full, true
 		}
 		if !ok || !f.pinned(id) {
@@ -336,15 +328,11 @@ func (f *FTL) emptySubBlockFrom(from nand.BlockID) (nand.BlockID, bool) {
 // Name implements ftl.FTL.
 func (f *FTL) Name() string { return "subFTL" }
 
-// ReadOnly implements ftl.HealthProber: grown-bad blocks have eaten the
-// spare capacity down to the floor.
-func (f *FTL) ReadOnly() bool { return f.man.ReadOnly() }
-
 // SubRegionBlocks returns the current subpage-region block count.
 func (f *FTL) SubRegionBlocks() int { return f.subBlocks }
 
 // RegionValid returns the number of live subpages in the subpage region.
-func (f *FTL) RegionValid() int { return f.man.TotalValid(ftl.RoleSub) }
+func (f *FTL) RegionValid() int { return f.Man.TotalValid(ftl.RoleSub) }
 
 // HashLoad returns the subpage-mapping hash table's live entries and
 // average probe length, for the paper's mapping-memory discussion.
@@ -355,8 +343,8 @@ func (f *FTL) HashLoad() (entries int, avgProbes float64) {
 // writeFullAligned routes a complete aligned logical page to the full-page
 // region, retiring any stale copies its sectors have elsewhere.
 func (f *FTL) writeFullAligned(lpn int64, attrSmall int64) error {
-	base := lpn * int64(f.pageSecs)
-	for i := 0; i < f.pageSecs; i++ {
+	base := lpn * int64(f.PageSecs)
+	for i := 0; i < f.PageSecs; i++ {
 		f.dropSubCopy(base + int64(i))
 	}
 	return f.full.WriteSectors(lpn, f.identSlots, attrSmall)
@@ -369,19 +357,17 @@ func (f *FTL) dropSubCopy(lsn int64) {
 	if !ok {
 		return
 	}
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	f.rmapSub[spn] = mapping.None
-	f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), -1)
+	f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), -1)
 	f.updated[lsn] = false
 }
 
 // dropFullCopy invalidates lsn's full-region copy, if any.
 func (f *FTL) dropFullCopy(lsn int64) {
-	lpn := lsn / int64(f.pageSecs)
-	slot := int(lsn % int64(f.pageSecs))
-	if f.full.Mapped(lpn) && f.full.Mask(lpn)&(1<<slot) != 0 {
-		f.slot1[0] = slot
-		f.full.TrimSectors(lpn, f.slot1[:])
+	if f.full.Holds(lsn) {
+		f.slot1[0] = int(lsn % int64(f.PageSecs))
+		f.full.TrimSectors(lsn/int64(f.PageSecs), f.slot1[:])
 	}
 }
 
@@ -398,56 +384,31 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 	return f.payGC()
 }
 
-// sectorRun returns [lsn, lsn+sectors) in reusable scratch, valid until
-// the next sectorRun call.
-func (f *FTL) sectorRun(lsn int64, sectors int) []int64 {
-	if cap(f.lsnsBuf) < sectors {
-		f.lsnsBuf = make([]int64, sectors)
-	}
-	lsns := f.lsnsBuf[:sectors]
-	for i := range lsns {
-		lsns[i] = lsn + int64(i)
-	}
-	return lsns
-}
-
 func (f *FTL) write(lsn int64, sectors int, sync bool) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpWrite, lsn, sectors); err != nil {
 		return err
 	}
-	if f.man.ReadOnly() {
-		return ftl.ErrReadOnly
-	}
-	f.stats.HostWriteReqs++
-	f.stats.HostSectorsWritten += int64(sectors)
-	g := f.dev.Geometry()
-	small := sectors < f.pageSecs
-	if small {
-		f.stats.SmallWriteReqs++
-		f.stats.SmallHostBytes += int64(sectors) * int64(g.SubpageBytes)
-	}
-	lsns := f.sectorRun(lsn, sectors)
-	for _, l := range lsns {
-		f.ver.Bump(l, small)
-	}
+	g := f.Dev.Geometry()
+	small := sectors < f.PageSecs
+	lsns := f.SectorRun(lsn, sectors)
 	// Observe before any placement decision (observe-then-classify): the
 	// classifiers below must see the freshest prediction state.
-	lifetime.ObserveWrite(f.place, lsn, sectors, f.pageSecs)
+	lifetime.ObserveWrite(f.Place, lsn, sectors, f.PageSecs)
 
 	if !small {
 		// Large request: bypass the buffer entirely.
 		f.buf.Remove(lsns)
-		ps := int64(f.pageSecs)
+		ps := int64(f.PageSecs)
 		i := 0
 		partial := f.partialBuf[:0]
 		for i < sectors {
 			cur := lsn + int64(i)
-			if cur%ps == 0 && sectors-i >= f.pageSecs {
+			if cur%ps == 0 && sectors-i >= f.PageSecs {
 				if err := f.writeFullAligned(cur/ps, 0); err != nil {
 					f.partialBuf = partial[:0]
 					return err
 				}
-				i += f.pageSecs
+				i += f.PageSecs
 				continue
 			}
 			// Partial head/tail sector: subpage region, no RMW.
@@ -488,8 +449,8 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 // its GC and retention eviction paths later), the rest take the normal
 // erase-free subpage path. Under SizeRouted no page is cold.
 func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
-	g := f.dev.Geometry()
-	ps := int64(f.pageSecs)
+	g := f.Dev.Geometry()
+	ps := int64(f.PageSecs)
 	keep := f.steerBuf[:0]
 	for i := 0; i < len(lsns); {
 		lpn := lsns[i] / ps
@@ -497,7 +458,7 @@ func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
 		for j < len(lsns) && lsns[j]/ps == lpn {
 			j++
 		}
-		if f.place.Class(lpn) != lifetime.ClassCold {
+		if f.Place.Class(lpn) != lifetime.ClassCold {
 			keep = append(keep, lsns[i:j]...)
 			i = j
 			continue
@@ -513,7 +474,7 @@ func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
 		if attrPerSector > 0 {
 			attr = int64(g.PageBytes())
 		}
-		f.stats.LifetimeSteered += int64(j - i)
+		f.Counters.LifetimeSteered += int64(j - i)
 		err := f.full.WriteSectors(lpn, slots, attr)
 		f.steerSlots = slots[:0]
 		if err != nil {
@@ -532,11 +493,11 @@ func (f *FTL) subWriteSteered(lsns []int64, attrPerSector int64) error {
 // smallAttrForPage sums the small-origin attribution for a full-page write
 // of lpn.
 func (f *FTL) smallAttrForPage(lpn int64) int64 {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	var attr int64
-	base := lpn * int64(f.pageSecs)
-	for i := 0; i < f.pageSecs; i++ {
-		if f.ver.SmallOrigin(base + int64(i)) {
+	base := lpn * int64(f.PageSecs)
+	for i := 0; i < f.PageSecs; i++ {
+		if f.Ver.SmallOrigin(base + int64(i)) {
 			attr += int64(g.SubpageBytes)
 		}
 	}
@@ -547,12 +508,10 @@ func (f *FTL) smallAttrForPage(lpn int64) int64 {
 // then full-page region; grouping full-region sectors by page keeps reads
 // to one page sense per touched page.
 func (f *FTL) Read(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpRead, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostReadReqs++
-	f.stats.HostSectorsRead += int64(sectors)
-	ps := int64(f.pageSecs)
+	ps := int64(f.PageSecs)
 	var fullLPN int64 = -1
 	fullSlots := f.fullSlotsBuf[:0]
 	flushFull := func() error {
@@ -569,15 +528,15 @@ func (f *FTL) Read(lsn int64, sectors int) error {
 	for i := 0; i < sectors; i++ {
 		cur := lsn + int64(i)
 		if f.buf.Contains(cur) {
-			f.stats.ReadBufferHits++
+			f.Counters.ReadBufferHits++
 			continue
 		}
 		if spn, ok := f.hash.Get(cur); ok {
-			stamp, err := f.dev.ReadSubpage(nand.SubpageID(spn))
+			stamp, err := f.Dev.ReadSubpage(nand.SubpageID(spn))
 			if err != nil {
 				return fmt.Errorf("core: subpage read of lsn %d: %w", cur, err)
 			}
-			want := nand.Stamp{LSN: cur, Version: f.ver.Current(cur)}
+			want := nand.Stamp{LSN: cur, Version: f.Ver.Current(cur)}
 			if stamp != want {
 				return fmt.Errorf("core: integrity violation at lsn %d: got %v, want %v", cur, stamp, want)
 			}
@@ -599,18 +558,16 @@ func (f *FTL) Read(lsn int64, sectors int) error {
 
 // Trim implements ftl.FTL.
 func (f *FTL) Trim(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpTrim, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostTrimReqs++
-	ps := int64(f.pageSecs)
-	lsns := f.sectorRun(lsn, sectors)
+	ps := int64(f.PageSecs)
+	lsns := f.SectorRun(lsn, sectors)
 	f.buf.Remove(lsns)
 	for _, cur := range lsns {
 		f.dropSubCopy(cur)
 		f.slot1[0] = int(cur % ps)
 		f.full.TrimSectors(cur/ps, f.slot1[:])
-		f.ver.Clear(cur)
 	}
 	return nil
 }
@@ -618,7 +575,7 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 // Flush implements ftl.FTL: unmerged staged sectors go to the subpage
 // region, exactly as if their page never completed.
 func (f *FTL) Flush() error {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	for _, group := range f.buf.Drain() {
 		if err := f.subWriteSteered(group, int64(g.SubpageBytes)); err != nil {
 			return err
@@ -642,7 +599,7 @@ func (f *FTL) payGC() error {
 	if !f.subCol.Budgeted() {
 		return nil
 	}
-	if f.subCol.Active() || f.man.FreeCount() <= f.cfg.GCReserveBlocks {
+	if f.subCol.Active() || f.Man.FreeCount() <= f.cfg.GCReserveBlocks {
 		return f.stepGC()
 	}
 	if f.subBlocks >= f.subQuota && f.gcDebt >= f.cfg.GC.StepPages {
@@ -662,7 +619,7 @@ func (f *FTL) payGC() error {
 // steps yield to pending host reads.
 func (f *FTL) Tick() error {
 	if !f.cfg.DisableRetention {
-		now := f.dev.Clock().Now()
+		now := f.Dev.Clock().Now()
 		if now.Sub(f.lastScrub) >= f.cfg.ScrubInterval {
 			f.lastScrub = now
 			if err := f.scrubRetention(now); err != nil {
@@ -671,7 +628,7 @@ func (f *FTL) Tick() error {
 		}
 	}
 	idle := !f.subCol.Active() && !f.full.Collector().Active()
-	if f.gcSlack <= 0 || (idle && f.man.FreeCount() > f.cfg.GCReserveBlocks+f.gcSlack) {
+	if f.gcSlack <= 0 || (idle && f.Man.FreeCount() > f.cfg.GCReserveBlocks+f.gcSlack) {
 		return nil
 	}
 	return f.stepGC()
@@ -691,9 +648,7 @@ func (f *FTL) stepGC() error {
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, f.place, f.full.Collector(), f.subCol)
-	s.MappingBytes = f.full.MappingBytes() + f.hash.MemoryBytes()
-	return s
+	return f.Snapshot(f.full.MappingBytes()+f.hash.MemoryBytes(), f.full.Collector(), f.subCol)
 }
 
 // Submit implements ftl.Submitter, the host scheduler's non-blocking
@@ -706,12 +661,12 @@ func (f *FTL) Submit(r workload.Request, done ftl.CompletionFunc) {
 // their subpage's chip, everything else falls through to the full-page
 // region's mapping; buffered and unmapped sectors report -1.
 func (f *FTL) ChipOf(lsn int64) int {
-	if lsn < 0 || lsn >= f.ver.Size() || f.buf.Contains(lsn) {
+	if lsn < 0 || lsn >= f.Ver.Size() || f.buf.Contains(lsn) {
 		return -1
 	}
 	if spn, ok := f.hash.Get(lsn); ok {
-		g := f.dev.Geometry()
+		g := f.Dev.Geometry()
 		return g.ChipOf(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))))
 	}
-	return f.full.ChipOf(lsn / int64(f.pageSecs))
+	return f.full.ChipOf(lsn / int64(f.PageSecs))
 }

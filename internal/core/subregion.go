@@ -24,7 +24,7 @@ func (f *FTL) initSubBlock(b nand.BlockID) {
 
 // recycleSub erases region block b and takes it out of the region.
 func (f *FTL) recycleSub(b nand.BlockID) error {
-	if err := f.man.Recycle(b); err != nil {
+	if err := f.Man.Recycle(b); err != nil {
 		return err
 	}
 	f.meta[b] = subBlock{}
@@ -37,7 +37,7 @@ func (f *FTL) recycleSub(b nand.BlockID) error {
 // assigned at program time), one does on every region collection, and a
 // per-entry allocation would sit on the write path.
 func (f *FTL) freshNextIdx(b nand.BlockID) []uint8 {
-	n := f.dev.Geometry().PagesPerBlock
+	n := f.Dev.Geometry().PagesPerBlock
 	idx := f.nextIdxSlab[int(b)*n : (int(b)+1)*n : (int(b)+1)*n]
 	clear(idx)
 	return idx
@@ -67,7 +67,7 @@ func (f *FTL) closeSlot(slot int) {
 
 // slotChip is the chip a stripe slot takes its blocks from.
 func (f *FTL) slotChip(slot int) int {
-	return slot * f.dev.Geometry().Chips() / len(f.actives)
+	return slot * f.Dev.Geometry().Chips() / len(f.actives)
 }
 
 // stale reports whether the flash copy at spn no longer carries lsn's
@@ -83,13 +83,13 @@ func (f *FTL) slotChip(slot int) int {
 // keeps an on-flash incarnation at an acknowledged version until the
 // buffer's own flush path supersedes it.
 func (f *FTL) stale(lsn, spn int64) bool {
-	return f.verAt[spn] != f.ver.Current(lsn)
+	return f.verAt[spn] != f.Ver.Current(lsn)
 }
 
 // liveAt returns the live logical sector stored in slot sub of page p, if
 // any.
 func (f *FTL) liveAt(p nand.PageID, sub int) (lsn, spn int64, ok bool) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	cand := int64(g.SubpageOf(p, sub))
 	l := f.rmapSub[cand]
 	if l == mapping.None {
@@ -140,8 +140,8 @@ func (f *FTL) keepsHot(sv survivor) bool {
 // fresh block while the region quota allows, else by advancing the round
 // of the best candidate block, and finally by garbage-collecting.
 func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
-	g := f.dev.Geometry()
-	maxAttempts := 2*f.subQuota*f.pageSecs + 64
+	g := f.Dev.Geometry()
+	maxAttempts := 2*f.subQuota*f.PageSecs + 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// Visit the set slots in stripe order from rr. A slot is refilled
 		// only after every slot has run out, so the stripe mostly holds a
@@ -167,8 +167,8 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 			}
 			// This stripe slot's block is exhausted at its round.
 			f.closeSlot(i)
-			if mb.round == f.pageSecs-1 {
-				f.man.MarkFull(f.actives[i])
+			if mb.round == f.PageSecs-1 {
+				f.Man.MarkFull(f.actives[i])
 			}
 		}
 		f.rr = start
@@ -187,7 +187,7 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 				return 0, nil, 0, err
 			}
 			if admitted {
-				if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
+				if b, ok := f.Man.AllocOnChip(ftl.RoleSub, chip); ok {
 					f.initSubBlock(b)
 					f.openSlot(slot, b)
 					continue
@@ -219,11 +219,11 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 // debugState renders the subpage region's state for policy-bug reports.
 func (f *FTL) debugState() string {
 	s := fmt.Sprintf("subBlocks=%d quota=%d free=%d reserve=%d stripe=%d gcDestSet=%v;",
-		f.subBlocks, f.subQuota, f.man.FreeCount(), f.cfg.GCReserveBlocks, len(f.actives), f.gcDestSet)
+		f.subBlocks, f.subQuota, f.Man.FreeCount(), f.cfg.GCReserveBlocks, len(f.actives), f.gcDestSet)
 	for b := range f.meta {
 		if mb := &f.meta[b]; mb.inUse {
 			id := nand.BlockID(b)
-			s += fmt.Sprintf(" blk%d[st=%d rd=%d cur=%d val=%d]", b, f.man.State(id), mb.round, mb.cursor, f.man.Valid(id))
+			s += fmt.Sprintf(" blk%d[st=%d rd=%d cur=%d val=%d]", b, f.Man.State(id), mb.round, mb.cursor, f.Man.Valid(id))
 		}
 	}
 	return s
@@ -237,17 +237,17 @@ func (f *FTL) debugState() string {
 // little yield, and GC — which actually removes data from the region —
 // handles that case.
 func (f *FTL) pickAdvance(preferChip int) (nand.BlockID, bool) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	best, bestValid, found := nand.BlockID(0), 0, false
 	// Ascending (valid, ID) over the region's open blocks: the first that
 	// qualifies is the global best, and the walk ends where a same-chip
 	// candidate could no longer be preferred over it.
-	for id, ok := f.man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.man.Next(ftl.RoleSub, ftl.StateOpen, id) {
-		v := f.man.Valid(id)
+	for id, ok := f.Man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.Man.Next(ftl.RoleSub, ftl.StateOpen, id) {
+		v := f.Man.Valid(id)
 		if v >= g.PagesPerBlock || (found && v > bestValid+8) {
 			break
 		}
-		if f.pinned(id) || f.meta[id].round >= f.pageSecs-1 {
+		if f.pinned(id) || f.meta[id].round >= f.PageSecs-1 {
 			continue
 		}
 		// Keep the stripe slot on its chip when a reasonable candidate exists
@@ -274,7 +274,7 @@ func (f *FTL) pinned(id nand.BlockID) bool {
 // block with the fewest valid subpages, lowest ID on ties, for the GC
 // fallback when no block is terminally exhausted.
 func (f *FTL) pickOpenVictim() (nand.BlockID, bool) {
-	for id, ok := f.man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.man.Next(ftl.RoleSub, ftl.StateOpen, id) {
+	for id, ok := f.Man.First(ftl.RoleSub, ftl.StateOpen); ok; id, ok = f.Man.Next(ftl.RoleSub, ftl.StateOpen, id) {
 		if !f.pinned(id) {
 			return id, true
 		}
@@ -291,7 +291,7 @@ func (f *FTL) advanceRound(b nand.BlockID) {
 	mb := &f.meta[b]
 	mb.round++
 	mb.cursor = 0
-	f.stats.RoundAdvances++
+	f.Counters.RoundAdvances++
 }
 
 // readPageVerified reads a whole page once and returns the stamps,
@@ -302,7 +302,7 @@ func (f *FTL) advanceRound(b nand.BlockID) {
 // readPageVerified call (the relocation paths never nest one inside
 // another's hold window).
 func (f *FTL) readPageVerified(p nand.PageID, survs []survivor) ([]nand.Stamp, error) {
-	stamps, errs, err := f.dev.ReadPage(p)
+	stamps, errs, err := f.Dev.ReadPage(p)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +329,7 @@ func (f *FTL) readPageVerified(p nand.PageID, survs []survivor) ([]nand.Stamp, e
 // new sectors. It returns how many new sectors it consumed (possibly 0
 // for a pure-relocation pass).
 func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	p, mb, pi, err := f.nextEligible()
 	if err != nil {
 		return 0, err
@@ -365,19 +365,19 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		if err := f.evictSector(sv.lsn); err != nil {
 			return 0, err
 		}
-		f.stats.Evictions++
+		f.Counters.Evictions++
 	}
 	// More hot survivors than remaining slots (an earlier multi-subpage
 	// pass left several live): the excess relocates to the GC destination
 	// block instead of shifting in place.
-	if over := r + len(shift) - f.pageSecs; over > 0 {
+	if over := r + len(shift) - f.PageSecs; over > 0 {
 		if err := f.gcMoveGroup(shift[len(shift)-over:], pageStamps); err != nil {
 			return 0, err
 		}
 		shift = shift[:len(shift)-over]
 	}
 
-	capacity := f.pageSecs - r - len(shift)
+	capacity := f.PageSecs - r - len(shift)
 	n := len(lsns)
 	if n > capacity {
 		n = capacity
@@ -387,7 +387,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		stamps = append(stamps, pageStamps[sv.slot])
 	}
 	for _, lsn := range lsns[:n] {
-		stamps = append(stamps, nand.Stamp{LSN: lsn, Version: f.ver.Current(lsn)})
+		stamps = append(stamps, nand.Stamp{LSN: lsn, Version: f.Ver.Current(lsn)})
 	}
 	f.passStampsBuf = stamps
 	if len(stamps) == 0 {
@@ -398,7 +398,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		return n, nil
 	}
 	for attempt := 0; ; attempt++ {
-		_, err := f.dev.ProgramSubpageRunTag(p, r, stamps, ftl.TagSub)
+		_, err := f.Dev.ProgramSubpageRunTag(p, r, stamps, ftl.TagSub)
 		if err == nil {
 			break
 		}
@@ -420,8 +420,8 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 	for i, sv := range shift {
 		newSpn := int64(g.SubpageOf(p, r+i))
 		if oldBlk := g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(sv.spn))); oldBlk != newBlk {
-			f.man.AddValid(oldBlk, -1)
-			f.man.AddValid(newBlk, 1)
+			f.Man.AddValid(oldBlk, -1)
+			f.Man.AddValid(newBlk, 1)
 		}
 		f.rmapSub[sv.spn] = mapping.None
 		f.rmapSub[newSpn] = sv.lsn
@@ -429,10 +429,10 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 			return 0, fmt.Errorf("core: shifting lsn %d: %w", sv.lsn, err)
 		}
 		f.verAt[newSpn] = pageStamps[sv.slot].Version
-		f.writtenAt[newSpn] = f.dev.Clock().Now()
-		f.stats.SubShifts++
-		if f.ver.SmallOrigin(sv.lsn) {
-			f.stats.SmallFlashBytes += int64(g.SubpageBytes)
+		f.writtenAt[newSpn] = f.Dev.Clock().Now()
+		f.Counters.SubShifts++
+		if f.Ver.SmallOrigin(sv.lsn) {
+			f.Counters.SmallFlashBytes += int64(g.SubpageBytes)
 		}
 	}
 	// Map the new sectors.
@@ -441,7 +441,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		if err := f.subPlace(lsn, spn); err != nil {
 			return 0, err
 		}
-		f.stats.SmallFlashBytes += attrPerSector
+		f.Counters.SmallFlashBytes += attrPerSector
 	}
 	mb.nextIdx[pi] = uint8(r + len(stamps))
 	mb.cursor++
@@ -453,7 +453,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 // subpage-region block allocated and installed in its place. It returns
 // the replay target — page 0 of the fresh block at round 0.
 func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, int, error) {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	fb := g.BlockOfPage(p)
 	slot := -1
 	for i := range f.actives {
@@ -465,8 +465,8 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	if f.gcDestSet && fb == f.gcDest {
 		f.gcDestSet = false
 	}
-	f.man.Retire(fb)
-	f.stats.ProgramFailMoves++
+	f.Man.Retire(fb)
+	f.Counters.ProgramFailMoves++
 	nb, err := f.growSub(f.slotChip(max(slot, 0)))
 	if err != nil {
 		return 0, nil, 0, 0, err
@@ -486,7 +486,7 @@ func (f *FTL) growSub(chip int) (nand.BlockID, error) {
 	if err := f.full.Admit(); err != nil {
 		return 0, err
 	}
-	b, ok := f.man.AllocOnChip(ftl.RoleSub, chip)
+	b, ok := f.Man.AllocOnChip(ftl.RoleSub, chip)
 	if !ok {
 		return 0, fmt.Errorf("core: free pool exhausted growing the subpage region: %s", f.debugState())
 	}
@@ -504,7 +504,7 @@ func (f *FTL) subWriteRun(lsns []int64, attrPerSector int64) error {
 	if f.gcDebt += len(lsns); f.gcDebt > 4*f.cfg.GC.StepPages {
 		f.gcDebt = 4 * f.cfg.GC.StepPages
 	}
-	guard := 2*f.subQuota*f.dev.Geometry().SubpagesPerBlock() + 64
+	guard := 2*f.subQuota*f.Dev.Geometry().SubpagesPerBlock() + 64
 	for len(lsns) > 0 {
 		n, err := f.subPass(lsns, attrPerSector)
 		if err != nil {
@@ -522,10 +522,10 @@ func (f *FTL) subWriteRun(lsns []int64, attrPerSector int64) error {
 // program: invalidate the previous locations of lsn, map it to spn, and
 // bump the valid count of spn's block.
 func (f *FTL) subPlace(lsn, spn int64) error {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	if old, ok := f.hash.Get(lsn); ok {
 		f.rmapSub[old] = mapping.None
-		f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+		f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
 		f.updated[lsn] = true
 	} else {
 		f.updated[lsn] = false
@@ -535,9 +535,9 @@ func (f *FTL) subPlace(lsn, spn int64) error {
 		return fmt.Errorf("core: mapping lsn %d: %w", lsn, err)
 	}
 	f.rmapSub[spn] = lsn
-	f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), 1)
-	f.verAt[spn] = f.ver.Current(lsn)
-	f.writtenAt[spn] = f.dev.Clock().Now()
+	f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), 1)
+	f.verAt[spn] = f.Ver.Current(lsn)
+	f.writtenAt[spn] = f.Dev.Clock().Now()
 	return nil
 }
 
@@ -546,10 +546,10 @@ func (f *FTL) subPlace(lsn, spn int64) error {
 // there, a read-modify-write on the receiving page.
 func (f *FTL) evictSector(lsn int64) error {
 	f.dropSubCopy(lsn)
-	g := f.dev.Geometry()
-	ps := int64(f.pageSecs)
+	g := f.Dev.Geometry()
+	ps := int64(f.PageSecs)
 	var attr int64
-	if f.ver.SmallOrigin(lsn) {
+	if f.Ver.SmallOrigin(lsn) {
 		attr = int64(g.SubpageBytes)
 	}
 	f.slot1[0] = int(lsn % ps)
@@ -559,7 +559,7 @@ func (f *FTL) evictSector(lsn int64) error {
 // evictToFull reads, verifies and evicts one subpage-region sector; used
 // by the retention manager, which has not read the page yet.
 func (f *FTL) evictToFull(lsn, spn int64) error {
-	stamp, err := f.dev.ReadSubpage(nand.SubpageID(spn))
+	stamp, err := f.Dev.ReadSubpage(nand.SubpageID(spn))
 	if err != nil {
 		return fmt.Errorf("core: evicting lsn %d: %w", lsn, err)
 	}
@@ -573,7 +573,7 @@ func (f *FTL) evictToFull(lsn, spn int64) error {
 // gcMoveGroup writes a victim page's hot survivors into the GC destination
 // block as one pass.
 func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	if cap(f.gcStampsBuf) < len(survs) {
 		f.gcStampsBuf = make([]nand.Stamp, len(survs))
 	}
@@ -591,7 +591,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 			f.gcDestSet = false
 		}
 		if !f.gcDestSet {
-			b, ok := f.man.Alloc(ftl.RoleSub)
+			b, ok := f.Man.Alloc(ftl.RoleSub)
 			if !ok {
 				return fmt.Errorf("core: no free block for subpage GC destination")
 			}
@@ -602,7 +602,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		pi = mb.cursor
 		mb.cursor++
 		dp = g.PageOf(f.gcDest, pi)
-		_, err := f.dev.ProgramSubpageRunTag(dp, 0, stamps, ftl.TagSub)
+		_, err := f.Dev.ProgramSubpageRunTag(dp, 0, stamps, ftl.TagSub)
 		if err == nil {
 			break
 		}
@@ -611,9 +611,9 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		}
 		// The source copies on the victim are untouched; retire the
 		// destination (grown bad) and replay onto a fresh one.
-		f.man.Retire(f.gcDest)
+		f.Man.Retire(f.gcDest)
 		f.gcDestSet = false
-		f.stats.ProgramFailMoves++
+		f.Counters.ProgramFailMoves++
 	}
 	mb.nextIdx[pi] = uint8(len(stamps))
 	for i, sv := range survs {
@@ -632,9 +632,9 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		// not re-updated. Genuinely hot data is re-updated (restoring
 		// the verdict) long before its next GC.
 		f.updated[sv.lsn] = false
-		f.stats.GCMovedSectors++
-		if f.ver.SmallOrigin(sv.lsn) {
-			f.stats.SmallFlashBytes += int64(g.SubpageBytes)
+		f.Counters.GCMovedSectors++
+		if f.Ver.SmallOrigin(sv.lsn) {
+			f.Counters.SmallFlashBytes += int64(g.SubpageBytes)
 		}
 	}
 	return nil
@@ -667,9 +667,9 @@ func (t *subTarget) Fallback() (nand.BlockID, bool) { return t.f.pickOpenVictim(
 // region always converges to its hot core.
 func (t *subTarget) Begin(b nand.BlockID) {
 	f := t.f
-	f.stats.GCInvocations++
+	f.Counters.GCInvocations++
 	f.gcPage = 0
-	f.gcEvictAll = f.man.Valid(b) > f.dev.Geometry().SubpagesPerBlock()/2
+	f.gcEvictAll = f.Man.Valid(b) > f.Dev.Geometry().SubpagesPerBlock()/2
 }
 
 // Work relocates the survivors of the victim's next occupied page. Pages
@@ -678,10 +678,10 @@ func (t *subTarget) Begin(b nand.BlockID) {
 // remaining survivors of the same page.
 func (t *subTarget) Work(victim nand.BlockID) (int, bool, error) {
 	f := t.f
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	for f.gcPage < g.PagesPerBlock {
 		p := g.PageOf(victim, f.gcPage)
-		survs := f.survivorsIn(p, f.pageSecs)
+		survs := f.survivorsIn(p, f.PageSecs)
 		if len(survs) == 0 {
 			f.gcPage++
 			continue
@@ -702,7 +702,7 @@ func (t *subTarget) Work(victim nand.BlockID) (int, bool, error) {
 			if err := f.evictSector(sv.lsn); err != nil {
 				return 0, false, err
 			}
-			f.stats.Evictions++
+			f.Counters.Evictions++
 		}
 		f.hotBuf = hot
 		if len(hot) > 0 {
@@ -720,7 +720,7 @@ func (t *subTarget) Work(victim nand.BlockID) (int, bool, error) {
 // route through the full-page region, whose capacity work may already have
 // reclaimed this victim once it emptied.
 func (t *subTarget) Release(victim nand.BlockID) error {
-	if t.f.man.State(victim) != ftl.StateFree {
+	if t.f.Man.State(victim) != ftl.StateFree {
 		return t.f.recycleSub(victim)
 	}
 	return nil

@@ -356,13 +356,11 @@ func AblationGCPolicy(o Options) (*Table, error) {
 		for _, qd := range qds {
 			res := results[cell]
 			cell++
-			// One batch pass per cell: the read-latency quantiles the
-			// table prints come from a single bucket scan.
-			q := res.Sched.ReadLat.Quantiles(0.99, 0.999)
+			lat := res.Sched.ReadLat
 			t.AddRow(c.name, mode, fmt.Sprintf("%d", qd),
 				fmt.Sprintf("%.0f", res.IOPS()),
-				fmt.Sprintf("%v", q[0].Round(time.Microsecond)),
-				fmt.Sprintf("%v", q[1].Round(time.Microsecond)),
+				fmt.Sprintf("%v", lat.Percentile(0.99).Round(time.Microsecond)),
+				fmt.Sprintf("%v", lat.Percentile(0.999).Round(time.Microsecond)),
 				f3(res.Stats.AvgRequestWAF()),
 				fmt.Sprintf("%d", res.Stats.GCSteps),
 				fmt.Sprintf("%d", res.Stats.GCPagesCopied),

@@ -91,7 +91,6 @@ type RunConfig struct {
 	SubRegionFrac     float64 // subFTL; 0 = paper default 0.20
 	DisableHotColdGC  bool    // subFTL ablation
 	DisableRetention  bool    // subFTL ablation
-	OpportunisticFill bool    // fgmFTL extension
 	EnableSubpageRead bool    // device extension (paper §7 future work)
 
 	// GC policy-engine knobs, shared by every FTL's collectors. GCPolicy
@@ -244,12 +243,11 @@ func buildFTL(kind Kind, dev *nand.Device, cfg RunConfig, logicalSectors int64) 
 		})
 	case KindFGM:
 		return fgm.New(dev, fgm.Config{
-			LogicalSectors:    logicalSectors,
-			GCReserveBlocks:   reserve,
-			OpportunisticFill: cfg.OpportunisticFill,
-			GC:                gcOpts,
-			ErasePolicy:       erasePol,
-			Lifetime:          cfg.Lifetime,
+			LogicalSectors:  logicalSectors,
+			GCReserveBlocks: reserve,
+			GC:              gcOpts,
+			ErasePolicy:     erasePol,
+			Lifetime:        cfg.Lifetime,
 		})
 	case KindSub:
 		sc := core.DefaultConfig(logicalSectors)

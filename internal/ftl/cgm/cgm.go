@@ -34,19 +34,11 @@ type Config struct {
 	Lifetime bool
 }
 
-// FTL is the cgmFTL instance.
+// FTL is the cgmFTL instance: the shared front end over one full-page
+// store.
 type FTL struct {
-	dev   *nand.Device
-	man   *ftl.Manager
-	ver   *ftl.Versions
-	stats ftl.Stats
+	ftl.Front
 	store *fullpage.Store
-
-	// place is the data-placement policy; the store's cold placement
-	// consults it too.
-	place lifetime.Placement
-
-	pageSecs int
 
 	// slotsBuf is forEachPage's reusable slot scratch. forEachPage never
 	// nests (Write/Read/Trim each run one traversal at a time and the
@@ -67,43 +59,31 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if cfg.GCReserveBlocks < 2 {
 		cfg.GCReserveBlocks = 2
 	}
-	place, err := lifetime.NewPlacement(cfg.Lifetime, cfg.LogicalSectors/ps)
+	fe, err := ftl.NewFront(dev, cfg.LogicalSectors, cfg.ErasePolicy, cfg.Lifetime)
 	if err != nil {
 		return nil, err
 	}
-	f := &FTL{
-		dev:      dev,
-		man:      ftl.NewManager(dev, cfg.ErasePolicy),
-		ver:      ftl.NewVersions(cfg.LogicalSectors),
-		place:    place,
-		pageSecs: g.SubpagesPerPage,
-		slotsBuf: make([]int, g.SubpagesPerPage),
-	}
-	f.store, err = fullpage.New(dev, f.man, f.ver, &f.stats, fullpage.Config{
+	f := &FTL{Front: fe, slotsBuf: make([]int, g.SubpagesPerPage)}
+	f.store, err = fullpage.New(&f.Front, fullpage.Config{
 		LogicalPages: cfg.LogicalSectors / ps,
 		Reserve:      cfg.GCReserveBlocks,
 		GC:           cfg.GC,
-		Placement:    place,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Read-only once bad blocks leave less than the logical space, the GC
 	// reserve and the open append points need.
-	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.store.OpenBlocks())
+	f.Man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.store.OpenBlocks())
 	return f, nil
 }
 
 // Name implements ftl.FTL.
 func (f *FTL) Name() string { return "cgmFTL" }
 
-// ReadOnly implements ftl.HealthProber: grown-bad blocks have eaten the
-// spare capacity down to the floor.
-func (f *FTL) ReadOnly() bool { return f.man.ReadOnly() }
-
 // forEachPage splits a sector range into per-logical-page slot lists.
 func (f *FTL) forEachPage(lsn int64, sectors int, fn func(lpn int64, slots []int) error) error {
-	ps := int64(f.pageSecs)
+	ps := int64(f.PageSecs)
 	for remaining := int64(sectors); remaining > 0; {
 		lpn := lsn / ps
 		start := int(lsn % ps)
@@ -129,32 +109,17 @@ func (f *FTL) forEachPage(lsn int64, sectors int, fn func(lpn int64, slots []int
 // request (or request fragment) that does not cover a whole page becomes
 // a read-modify-write.
 func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpWrite, lsn, sectors); err != nil {
 		return err
 	}
-	if f.man.ReadOnly() {
-		return ftl.ErrReadOnly
-	}
-	_ = sync
-	f.stats.HostWriteReqs++
-	f.stats.HostSectorsWritten += int64(sectors)
-	g := f.dev.Geometry()
-	small := sectors < f.pageSecs
-	if small {
-		f.stats.SmallWriteReqs++
-		f.stats.SmallHostBytes += int64(sectors) * int64(g.SubpageBytes)
-	}
-	for i := 0; i < sectors; i++ {
-		f.ver.Bump(lsn+int64(i), small)
+	// Attribution: a small request is charged the full pages it forces
+	// flash to program (w(r) = S_full/s for a lone sector).
+	var attr int64
+	if sectors < f.PageSecs {
+		attr = int64(f.Dev.Geometry().PageBytes())
 	}
 	if err := f.forEachPage(lsn, sectors, func(lpn int64, slots []int) error {
-		f.place.Observe(lpn)
-		// Attribution: a small request is charged the full pages it
-		// forces flash to program (w(r) = S_full/s for a lone sector).
-		var attr int64
-		if small {
-			attr = int64(g.PageBytes())
-		}
+		f.Place.Observe(lpn)
 		return f.store.WriteSectors(lpn, slots, attr)
 	}); err != nil {
 		return err
@@ -166,25 +131,19 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 
 // Read implements ftl.FTL.
 func (f *FTL) Read(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpRead, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostReadReqs++
-	f.stats.HostSectorsRead += int64(sectors)
 	return f.forEachPage(lsn, sectors, f.store.ReadSectors)
 }
 
 // Trim implements ftl.FTL.
 func (f *FTL) Trim(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpTrim, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostTrimReqs++
 	return f.forEachPage(lsn, sectors, func(lpn int64, slots []int) error {
 		f.store.TrimSectors(lpn, slots)
-		for _, slot := range slots {
-			f.ver.Clear(lpn*int64(f.pageSecs) + int64(slot))
-		}
 		return nil
 	})
 }
@@ -197,9 +156,7 @@ func (f *FTL) Tick() error { return f.store.Tick() }
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, f.place, f.store.Collector())
-	s.MappingBytes = f.store.MappingBytes()
-	return s
+	return f.Snapshot(f.store.MappingBytes(), f.store.Collector())
 }
 
 // Check implements ftl.FTL.
@@ -210,42 +167,18 @@ func (f *FTL) Check() error { return f.store.Check() }
 // tracker. cgmFTL owns every region, so all scanned blocks dispatch to the
 // full-page store.
 func (f *FTL) Recover() (ftl.MountReport, error) {
-	d0 := f.dev.DrainTime()
-	blocks, pages, err := ftl.ScanBlocks(f.dev)
-	if err != nil {
-		return ftl.MountReport{}, err
-	}
-	var torn int64
-	for _, b := range blocks {
-		torn += int64(b.Torn)
-	}
-	sum, err := f.store.Recover(blocks, nil)
-	if err != nil {
-		return ftl.MountReport{}, err
-	}
-	f.place.Reset()
-	return ftl.MountReport{
-		PagesScanned:  pages,
-		BlocksAdopted: sum.BlocksAdopted,
-		TornPages:     torn,
-		StaleSubpages: sum.Stale,
-		LiveSectors:   sum.LiveSectors,
-		MaxSeq:        sum.MaxSeq,
-		Duration:      f.dev.DrainTime().Sub(d0),
-	}, nil
+	return f.Mount(func(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
+		return f.store.Recover(blocks, nil, rep)
+	})
 }
 
 // VersionOf implements ftl.VersionProber: the version a read of lsn would
 // return, 0 when the sector holds no live data.
 func (f *FTL) VersionOf(lsn int64) uint32 {
-	if lsn < 0 || lsn >= f.ver.Size() {
+	if lsn < 0 || lsn >= f.Ver.Size() || !f.store.Holds(lsn) {
 		return 0
 	}
-	lpn := lsn / int64(f.pageSecs)
-	if !f.store.Mapped(lpn) || f.store.Mask(lpn)&(1<<(lsn%int64(f.pageSecs))) == 0 {
-		return 0
-	}
-	return f.ver.Current(lsn)
+	return f.Ver.Current(lsn)
 }
 
 // Submit implements ftl.Submitter, the host scheduler's non-blocking
@@ -257,5 +190,5 @@ func (f *FTL) Submit(r workload.Request, done ftl.CompletionFunc) {
 // ChipOf implements ftl.ChipProbe: the chip holding a sector is the chip
 // of its mapped logical page.
 func (f *FTL) ChipOf(lsn int64) int {
-	return f.store.ChipOf(lsn / int64(f.pageSecs))
+	return f.store.ChipOf(lsn / int64(f.PageSecs))
 }

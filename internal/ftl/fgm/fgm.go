@@ -24,11 +24,6 @@ type Config struct {
 	LogicalSectors int64
 	// GCReserveBlocks is the free-pool floor that triggers GC.
 	GCReserveBlocks int
-	// OpportunisticFill is an extension over the paper's FGM scheme: a
-	// partial sync flush tops itself up with staged async sectors instead
-	// of padding. Off by default to match the baseline the paper
-	// evaluates; the ablation benches quantify the difference.
-	OpportunisticFill bool
 	// GC selects the victim policy, step budget and background slack.
 	// The zero value is greedy, whole-block, no background.
 	GC gc.Options
@@ -41,26 +36,18 @@ type Config struct {
 	Lifetime bool
 }
 
-// FTL is the fgmFTL instance.
+// FTL is the fgmFTL instance: the shared front end over a fine-grained
+// sector map. The front end's placement votes on flush-chunk placement.
 type FTL struct {
-	dev   *nand.Device
-	man   *ftl.Manager
-	ver   *ftl.Versions
-	stats ftl.Stats
+	ftl.Front
 
 	table *mapping.FineTable
 	rmap  []int64 // SPN -> LSN
 	buf   *buffer.Buffer
 
-	pageSecs int
-	oppFill  bool
-
 	// log is the page-append log: allocation, program-failure replay and
 	// collection. fgm keeps the sector mapping and packs the pages.
 	log *ftl.Log
-	// place is the data-placement policy; it votes on flush-chunk
-	// placement.
-	place lifetime.Placement
 
 	// gcCursor is the scan-phase page cursor, gcStaged the live sectors
 	// awaiting repack (gcHead indexes the next entry so draining never
@@ -72,24 +59,8 @@ type FTL struct {
 	gcHead   int
 	gcChunk  []int64
 
-	// Reusable steady-state scratch. lsnsBuf expands host requests into
-	// sector lists (Write and Trim never nest, so they share it; the
-	// buffer copies what it stages). liveBuf is the GC scan phase's
-	// per-page live-slot list.
-	lsnsBuf []int64
+	// liveBuf is the GC scan phase's reusable per-page live-slot list.
 	liveBuf []int
-}
-
-// sectorRun expands [lsn, lsn+sectors) into the reusable scratch list.
-func (f *FTL) sectorRun(lsn int64, sectors int) []int64 {
-	if cap(f.lsnsBuf) < sectors {
-		f.lsnsBuf = make([]int64, sectors)
-	}
-	lsns := f.lsnsBuf[:sectors]
-	for i := range lsns {
-		lsns[i] = lsn + int64(i)
-	}
-	return lsns
 }
 
 // gcStage records one live sector found during the GC scan phase: the
@@ -110,64 +81,56 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if cfg.GCReserveBlocks < 2 {
 		cfg.GCReserveBlocks = 2
 	}
-	ps := int64(g.SubpagesPerPage)
-	place, err := lifetime.NewPlacement(cfg.Lifetime, (cfg.LogicalSectors+ps-1)/ps)
+	// A logical space that is not a page multiple is accepted: the front
+	// end's placement covers its partial last page.
+	fe, err := ftl.NewFront(dev, cfg.LogicalSectors, cfg.ErasePolicy, cfg.Lifetime)
 	if err != nil {
 		return nil, err
 	}
 	f := &FTL{
-		dev:      dev,
-		man:      ftl.NewManager(dev, cfg.ErasePolicy),
-		ver:      ftl.NewVersions(cfg.LogicalSectors),
-		table:    mapping.NewFineTable(cfg.LogicalSectors),
-		rmap:     make([]int64, g.TotalSubpages()),
-		buf:      buffer.New(g.SubpagesPerPage),
-		pageSecs: g.SubpagesPerPage,
-		oppFill:  cfg.OpportunisticFill,
-		place:    place,
+		Front: fe,
+		table: mapping.NewFineTable(cfg.LogicalSectors),
+		rmap:  make([]int64, g.TotalSubpages()),
+		buf:   buffer.New(g.SubpagesPerPage),
 	}
 	for i := range f.rmap {
 		f.rmap[i] = mapping.None
 	}
-	f.log, err = ftl.NewLog(dev, f.man, &f.stats, ftl.LogConfig{
+	f.log, err = ftl.NewLog(dev, f.Man, &f.Counters, ftl.LogConfig{
 		Reserve:       cfg.GCReserveBlocks,
 		GC:            cfg.GC,
 		UnitsPerBlock: g.SubpagesPerBlock(),
 		Tag:           ftl.TagFine,
-		Cold:          place.ColdStripe(),
+		Cold:          f.Place.ColdStripe(),
 	}, (*fgmOwner)(f))
 	if err != nil {
 		return nil, err
 	}
 	// Read-only once bad blocks leave less than the logical space, the GC
 	// reserve and the open append points need.
-	f.man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.log.OpenBlocks())
+	f.Man.SetCapacityFloor(cfg.LogicalSectors, cfg.GCReserveBlocks+f.log.OpenBlocks())
 	return f, nil
 }
 
 // Name implements ftl.FTL.
 func (f *FTL) Name() string { return "fgmFTL" }
 
-// ReadOnly implements ftl.HealthProber: grown-bad blocks have eaten the
-// spare capacity down to the floor.
-func (f *FTL) ReadOnly() bool { return f.man.ReadOnly() }
-
 // programPacked writes the given sectors into one physical page (padding
 // unfilled slots) and remaps them. Packing arbitrary sectors into one
 // page is what fine-grained mapping buys.
 func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
-	if len(lsns) == 0 || len(lsns) > f.pageSecs {
-		return fmt.Errorf("fgm: packing %d sectors into a %d-sector page", len(lsns), f.pageSecs)
+	if len(lsns) == 0 || len(lsns) > f.PageSecs {
+		return fmt.Errorf("fgm: packing %d sectors into a %d-sector page", len(lsns), f.PageSecs)
 	}
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	stamps := f.log.Stamps()
 	for slot := range stamps {
 		stamps[slot] = nand.Padding
 	}
 	for slot, lsn := range lsns {
-		stamps[slot] = nand.Stamp{LSN: lsn, Version: f.ver.Current(lsn)}
+		stamps[slot] = nand.Stamp{LSN: lsn, Version: f.Ver.Current(lsn)}
 	}
-	if stream == ftl.StreamHost && f.stats.TallyClass(f.vote(lsns)) {
+	if stream == ftl.StreamHost && f.Counters.TallyClass(f.vote(lsns)) {
 		stream = ftl.StreamCold
 	}
 	p, err := f.log.Append(stream, stamps)
@@ -179,9 +142,9 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 		spn := int64(g.SubpageOf(p, slot))
 		old := f.table.Update(lsn, spn)
 		f.rmap[spn] = lsn
-		f.man.AddValid(blk, 1)
+		f.Man.AddValid(blk, 1)
 		if old != mapping.None {
-			f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+			f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
 		}
 	}
 	return nil
@@ -193,10 +156,10 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 // pages). Under SizeRouted every sector answers ClassNone, so the chunk
 // does too.
 func (f *FTL) vote(lsns []int64) lifetime.Class {
-	ps := int64(f.pageSecs)
+	ps := int64(f.PageSecs)
 	var votes [lifetime.ClassNone + 1]int
 	for _, lsn := range lsns {
-		votes[f.place.Class(lsn/ps)]++
+		votes[f.Place.Class(lsn/ps)]++
 	}
 	for c, n := range votes {
 		if n > len(lsns)/2 {
@@ -209,19 +172,14 @@ func (f *FTL) vote(lsns []int64) lifetime.Class {
 // flushGroup writes one buffer flush group to flash, splitting it into
 // page-sized chunks and attributing flash bytes to small-origin sectors.
 func (f *FTL) flushGroup(lsns []int64) error {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	for len(lsns) > 0 {
-		n := f.pageSecs
+		n := f.PageSecs
 		if n > len(lsns) {
 			n = len(lsns)
 		}
 		chunk := lsns[:n]
 		lsns = lsns[n:]
-		if f.oppFill && n < f.pageSecs {
-			fill := f.buf.PopUpTo(f.pageSecs - n)
-			chunk = append(append([]int64{}, chunk...), fill...)
-			n = len(chunk)
-		}
 		if err := f.programPacked(chunk, ftl.StreamHost); err != nil {
 			return err
 		}
@@ -229,8 +187,8 @@ func (f *FTL) flushGroup(lsns []int64) error {
 		// a lone sync sector is charged the whole page (w = N_sub).
 		share := int64(g.PageBytes()) / int64(n)
 		for _, lsn := range chunk {
-			if f.ver.SmallOrigin(lsn) {
-				f.stats.SmallFlashBytes += share
+			if f.Ver.SmallOrigin(lsn) {
+				f.Counters.SmallFlashBytes += share
 			}
 		}
 	}
@@ -239,27 +197,13 @@ func (f *FTL) flushGroup(lsns []int64) error {
 
 // Write implements ftl.FTL.
 func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpWrite, lsn, sectors); err != nil {
 		return err
 	}
-	if f.man.ReadOnly() {
-		return ftl.ErrReadOnly
-	}
-	f.stats.HostWriteReqs++
-	f.stats.HostSectorsWritten += int64(sectors)
-	small := sectors < f.pageSecs
-	if small {
-		f.stats.SmallWriteReqs++
-		f.stats.SmallHostBytes += int64(sectors) * int64(f.dev.Geometry().SubpageBytes)
-	}
-	lsns := f.sectorRun(lsn, sectors)
-	for i := range lsns {
-		f.ver.Bump(lsns[i], small)
-	}
-	lifetime.ObserveWrite(f.place, lsn, sectors, f.pageSecs)
+	lifetime.ObserveWrite(f.Place, lsn, sectors, f.PageSecs)
 	before := f.buf.Absorbed()
-	groups := f.buf.Write(lsns, sync)
-	f.stats.BufferAbsorbed += f.buf.Absorbed() - before
+	groups := f.buf.Write(f.SectorRun(lsn, sectors), sync)
+	f.Counters.BufferAbsorbed += f.buf.Absorbed() - before
 	for _, grp := range groups {
 		if err := f.flushGroup(grp.LSNs); err != nil {
 			return err
@@ -274,26 +218,24 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 // served from RAM; the rest cost one flash page read each (fine-grained
 // data is scattered, so no page grouping is attempted).
 func (f *FTL) Read(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpRead, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostReadReqs++
-	f.stats.HostSectorsRead += int64(sectors)
 	for i := 0; i < sectors; i++ {
 		cur := lsn + int64(i)
 		if f.buf.Contains(cur) {
-			f.stats.ReadBufferHits++
+			f.Counters.ReadBufferHits++
 			continue
 		}
 		spn := f.table.Lookup(cur)
 		if spn == mapping.None {
 			continue // unwritten sectors read as zeroes
 		}
-		stamp, err := f.dev.ReadSubpage(nand.SubpageID(spn))
+		stamp, err := f.Dev.ReadSubpage(nand.SubpageID(spn))
 		if err != nil {
 			return err
 		}
-		want := nand.Stamp{LSN: cur, Version: f.ver.Current(cur)}
+		want := nand.Stamp{LSN: cur, Version: f.Ver.Current(cur)}
 		if stamp != want {
 			return fmt.Errorf("fgm: integrity violation at lsn %d: got %v, want %v", cur, stamp, want)
 		}
@@ -303,18 +245,16 @@ func (f *FTL) Read(lsn int64, sectors int) error {
 
 // Trim implements ftl.FTL.
 func (f *FTL) Trim(lsn int64, sectors int) error {
-	if err := f.ver.CheckRange(lsn, sectors); err != nil {
+	if err := f.Admit(workload.OpTrim, lsn, sectors); err != nil {
 		return err
 	}
-	f.stats.HostTrimReqs++
-	lsns := f.sectorRun(lsn, sectors)
+	lsns := f.SectorRun(lsn, sectors)
 	f.buf.Trim(lsns)
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	for _, cur := range lsns {
 		if old := f.table.Invalidate(cur); old != mapping.None {
-			f.man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+			f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
 		}
-		f.ver.Clear(cur)
 	}
 	return nil
 }
@@ -355,7 +295,7 @@ func (o *fgmOwner) Begin(nand.BlockID) {
 // Work implements ftl.LogOwner.
 func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 	f := (*FTL)(o)
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	// Phase 1: scan the victim, staging live sectors. One page read per
 	// Work call; pages with nothing live cost no device work and are
 	// skipped without charging the step budget.
@@ -364,7 +304,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 		f.gcCursor++
 		// Find live sectors in this page before paying for the read.
 		liveSlots := f.liveBuf[:0]
-		for slot := 0; slot < f.pageSecs; slot++ {
+		for slot := 0; slot < f.PageSecs; slot++ {
 			spn := int64(g.SubpageOf(p, slot))
 			lsn := f.rmap[spn]
 			if lsn != mapping.None && f.table.Lookup(lsn) == spn {
@@ -375,7 +315,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 		if len(liveSlots) == 0 {
 			continue
 		}
-		stamps, errs, err := f.dev.ReadPage(p)
+		stamps, errs, err := f.Dev.ReadPage(p)
 		if err != nil {
 			return 0, false, err
 		}
@@ -390,7 +330,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 	// Phase 2: repack, one physical page per call, dropping entries
 	// whose mapping moved since they were staged.
 	chunk := f.gcChunk[:0]
-	for f.gcHead < len(f.gcStaged) && len(chunk) < f.pageSecs {
+	for f.gcHead < len(f.gcStaged) && len(chunk) < f.PageSecs {
 		st := f.gcStaged[f.gcHead]
 		f.gcHead++
 		if f.rmap[st.spn] != st.lsn || f.table.Lookup(st.lsn) != st.spn {
@@ -406,9 +346,9 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 		return 0, false, err
 	}
 	for _, lsn := range chunk {
-		f.stats.GCMovedSectors++
-		if f.ver.SmallOrigin(lsn) {
-			f.stats.SmallFlashBytes += int64(g.SubpageBytes)
+		f.Counters.GCMovedSectors++
+		if f.Ver.SmallOrigin(lsn) {
+			f.Counters.SmallFlashBytes += int64(g.SubpageBytes)
 		}
 	}
 	return 1, f.gcHead == len(f.gcStaged), nil
@@ -416,14 +356,12 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {
-	s := f.man.Snapshot(f.stats, f.place, f.log.Collector())
-	s.MappingBytes = f.table.MemoryBytes()
-	return s
+	return f.Snapshot(f.table.MemoryBytes(), f.log.Collector())
 }
 
 // Check implements ftl.FTL.
 func (f *FTL) Check() error {
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	perBlock := make(map[nand.BlockID]int)
 	mapped := 0
 	for lsn := int64(0); lsn < f.table.Size(); lsn++ {
@@ -443,41 +381,36 @@ func (f *FTL) Check() error {
 	for b := 0; b < g.TotalBlocks(); b++ {
 		id := nand.BlockID(b)
 		want := perBlock[id]
-		if f.man.State(id) == ftl.StateFree {
+		if f.Man.State(id) == ftl.StateFree {
 			if want != 0 {
 				return fmt.Errorf("fgm: free block %d holds %d valid sectors", id, want)
 			}
 			continue
 		}
-		if got := f.man.Valid(id); got != want {
+		if got := f.Man.Valid(id); got != want {
 			return fmt.Errorf("fgm: block %d valid = %d, want %d", id, got, want)
 		}
 	}
-	return f.man.CheckIndex()
+	return f.Man.CheckIndex()
 }
 
 // Recover implements ftl.FTL: one OOB scan rebuilds the fine-grained table
 // and per-block valid counts. Every valid slot is a per-sector candidate;
 // duplicate LSNs resolve to the highest program sequence number.
 func (f *FTL) Recover() (ftl.MountReport, error) {
-	d0 := f.dev.DrainTime()
-	blocks, pages, err := ftl.ScanBlocks(f.dev)
-	if err != nil {
-		return ftl.MountReport{}, err
-	}
-	g := f.dev.Geometry()
+	return f.Mount(f.rebuild)
+}
+
+// rebuild is fgm's half of a mount, over the scanned blocks.
+func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
+	g := f.Dev.Geometry()
 	type winner struct {
 		spn int64
 		seq uint64
 		ver uint32
 	}
 	win := make(map[int64]winner)
-	rep := ftl.MountReport{PagesScanned: pages}
 	for _, blk := range blocks {
-		rep.TornPages += int64(blk.Torn)
-		if blk.MaxSeq > rep.MaxSeq {
-			rep.MaxSeq = blk.MaxSeq
-		}
 		for pi, slots := range blk.Pages {
 			p := g.PageOf(blk.Block, pi)
 			for slot, sl := range slots {
@@ -505,21 +438,19 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 		// Only the winning copy re-seeds the version tracker: a stale copy
 		// can out-version the winner (trim resets the counter), and the read
 		// path verifies stamps against ver.Current.
-		f.ver.Restore(lsn, w.ver)
+		f.Ver.Restore(lsn, w.ver)
 		f.table.Update(lsn, w.spn)
 		f.rmap[w.spn] = lsn
 		perBlock[g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(w.spn)))]++
 		rep.LiveSectors++
 	}
 	for _, blk := range blocks {
-		if err := f.man.Adopt(blk.Block, ftl.RoleFull, perBlock[blk.Block]); err != nil {
-			return rep, err
+		if err := f.Man.Adopt(blk.Block, ftl.RoleFull, perBlock[blk.Block]); err != nil {
+			return err
 		}
 		rep.BlocksAdopted++
 	}
-	f.place.Reset()
-	rep.Duration = f.dev.DrainTime().Sub(d0)
-	return rep, nil
+	return nil
 }
 
 // VersionOf implements ftl.VersionProber: the version a read of lsn would
@@ -529,7 +460,7 @@ func (f *FTL) VersionOf(lsn int64) uint32 {
 		return 0
 	}
 	if f.buf.Contains(lsn) || f.table.Lookup(lsn) != mapping.None {
-		return f.ver.Current(lsn)
+		return f.Ver.Current(lsn)
 	}
 	return 0
 }
@@ -551,6 +482,6 @@ func (f *FTL) ChipOf(lsn int64) int {
 	if spn == mapping.None {
 		return -1
 	}
-	g := f.dev.Geometry()
+	g := f.Dev.Geometry()
 	return g.ChipOf(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))))
 }

@@ -61,40 +61,6 @@ func TestAsyncMergeVsSyncFragmentation(t *testing.T) {
 	}
 }
 
-func TestOpportunisticFill(t *testing.T) {
-	dev := ftltest.TinyDevice(t)
-	f, err := New(dev, Config{LogicalSectors: 512, OpportunisticFill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stage three async sectors, then a sync write: with opportunistic
-	// fill the flush packs all four into one page.
-	for _, lsn := range []int64{10, 100, 200} {
-		if err := f.Write(lsn, 1, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Write(300, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	s := f.Stats()
-	if s.Device.PagePrograms != 1 {
-		t.Fatalf("PagePrograms = %d, want 1 (fill should pack the page)", s.Device.PagePrograms)
-	}
-	if got := s.AvgRequestWAF(); got != 1.0 {
-		t.Fatalf("request WAF = %v, want 1.0", got)
-	}
-	// Everything must still read back.
-	for _, lsn := range []int64{10, 100, 200, 300} {
-		if err := f.Read(lsn, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBufferAbsorbsRewrites(t *testing.T) {
 	env := newEnv(t)
 	f := env.FTL

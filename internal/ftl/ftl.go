@@ -22,7 +22,11 @@ var ErrReadOnly = errors.New("ftl: device degraded to read-only (spare capacity 
 
 // FTL is the host-facing interface of a flash translation layer. All
 // addresses are logical sectors of S_sub bytes. Implementations are
-// single-threaded, matching the deterministic simulator.
+// single-threaded, matching the deterministic simulator. It is one
+// contract: every FTL offers the non-blocking issue path, the chip probe
+// and the health and version probes, so no caller keeps a fallback for
+// an FTL without them. The three product FTLs get admission, accounting,
+// the health probe and the mount skeleton from the Front they embed.
 type FTL interface {
 	// Name identifies the FTL in reports ("cgmFTL", "fgmFTL", "subFTL").
 	Name() string
@@ -50,6 +54,11 @@ type FTL interface {
 	// I/O; calling it on a blank device yields an empty report and a
 	// ready, empty FTL.
 	Recover() (MountReport, error)
+
+	Submitter
+	ChipProbe
+	HealthProber
+	VersionProber
 }
 
 // MountReport summarizes one Recover pass.
@@ -123,7 +132,7 @@ type CompletionFunc func(err error)
 
 // Submitter is the non-blocking issue path of an FTL: Submit accepts one
 // host request and reports its outcome through done. The host scheduler
-// prefers this path over the synchronous FTL methods when available.
+// issues every host command through it.
 type Submitter interface {
 	Submit(r workload.Request, done CompletionFunc)
 }
@@ -139,10 +148,10 @@ type ChipProbe interface {
 
 // Apply issues one host request to the FTL's synchronous interface and
 // returns its outcome. It is the one place a request's op selects an FTL
-// method: the serial replay, SubmitSync and the host scheduler's
-// synchronous fallback all call it, so every driver hands the three FTLs
-// a request the same way. Ops that are not FTL calls (OpAdvance) are an
-// error here; the replay that understands idle gaps handles them first.
+// method: the serial replay and SubmitSync (behind every FTL's Submit)
+// call it, so every driver hands the three FTLs a request the same way.
+// Ops that are not FTL calls (OpAdvance) are an error here; the replay
+// that understands idle gaps handles them first.
 func Apply(f FTL, r workload.Request) error {
 	switch r.Op {
 	case workload.OpWrite:
@@ -159,7 +168,7 @@ func Apply(f FTL, r workload.Request) error {
 
 // SubmitSync adapts an FTL's synchronous interface to the Submit
 // signature: it issues r via Apply and reports the outcome through done.
-// FTLs embed it to implement Submitter in one line.
+// FTLs call it to implement Submitter in one line.
 func SubmitSync(f FTL, r workload.Request, done CompletionFunc) {
 	err := Apply(f, r)
 	if done != nil {

@@ -30,11 +30,6 @@ type Config struct {
 	// Reclaim, when set, is tried before GC to free a block some other way
 	// (see ftl.LogConfig.Reclaim).
 	Reclaim func() bool
-	// Placement classifies every host-written logical page; pages it
-	// predicts long-lived land on the log's cold stripe, segregating them
-	// into blocks hot rewrites never churn. Required: lifetime.SizeRouted
-	// is the paper's.
-	Placement lifetime.Placement
 }
 
 // Store is a CGM region over a shared block manager. All methods are
@@ -61,8 +56,13 @@ type Store struct {
 	gcCursor int
 }
 
-// New builds a store over man's blocks, counting into stats.
-func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats, cfg Config) (*Store, error) {
+// New builds a store behind the owning FTL's front end: over its manager's
+// blocks, its version tracker and counters. The front end's placement
+// classifies every host-written logical page; pages it predicts long-lived
+// land on the log's cold stripe, segregating them into blocks hot rewrites
+// never churn.
+func New(fe *ftl.Front, cfg Config) (*Store, error) {
+	dev, ver := fe.Dev, fe.Ver
 	g := dev.Geometry()
 	if g.SubpagesPerPage > 64 {
 		return nil, fmt.Errorf("fullpage: %d subpages per page exceeds the 64-bit sector mask", g.SubpagesPerPage)
@@ -75,10 +75,10 @@ func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats
 	}
 	s := &Store{
 		dev:      dev,
-		man:      man,
+		man:      fe.Man,
 		ver:      ver,
-		stats:    stats,
-		place:    cfg.Placement,
+		stats:    &fe.Counters,
+		place:    fe.Place,
 		table:    mapping.NewCoarseTable(cfg.LogicalPages),
 		rmap:     make([]int64, g.TotalPages()),
 		masks:    make([]uint64, cfg.LogicalPages),
@@ -87,12 +87,12 @@ func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats
 	for i := range s.rmap {
 		s.rmap[i] = mapping.None
 	}
-	log, err := ftl.NewLog(dev, man, stats, ftl.LogConfig{
+	log, err := ftl.NewLog(dev, fe.Man, &fe.Counters, ftl.LogConfig{
 		Reserve:       cfg.Reserve,
 		GC:            cfg.GC,
 		UnitsPerBlock: g.PagesPerBlock,
 		Tag:           ftl.TagFull,
-		Cold:          cfg.Placement.ColdStripe(),
+		Cold:          fe.Place.ColdStripe(),
 		Reclaim:       cfg.Reclaim,
 	}, (*storeOwner)(s))
 	if err != nil {
@@ -108,11 +108,11 @@ func (s *Store) LogicalPages() int64 { return s.table.Size() }
 // MappingBytes returns the coarse table footprint plus the per-page masks.
 func (s *Store) MappingBytes() int64 { return s.table.MemoryBytes() + int64(len(s.masks))*8 }
 
-// Mask returns the live-sector bitmask of a logical page.
-func (s *Store) Mask(lpn int64) uint64 { return s.masks[lpn] }
-
-// Mapped reports whether lpn currently has a physical page.
-func (s *Store) Mapped(lpn int64) bool { return s.table.Lookup(lpn) != mapping.None }
+// Holds reports whether sector lsn has live data in the store.
+func (s *Store) Holds(lsn int64) bool {
+	lpn := lsn / int64(s.pageSecs)
+	return s.table.Lookup(lpn) != mapping.None && s.masks[lpn]&(1<<(lsn%int64(s.pageSecs))) != 0
+}
 
 // ChipOf returns the chip currently holding logical page lpn, or -1 when
 // lpn is out of range or unmapped. It is the store's half of the host
@@ -306,16 +306,9 @@ func (o *storeOwner) Work(victim nand.BlockID) (int, bool, error) {
 	}
 }
 
-// RecoverSummary reports the store-level half of a mount.
-type RecoverSummary struct {
-	BlocksAdopted int
-	LiveSectors   int64
-	Stale         int64
-	MaxSeq        uint64
-}
-
 // Recover rebuilds the store's mapping from scanned blocks, which the
-// owning FTL has already dispatched to this region by OOB tag. Duplicate
+// owning FTL has already dispatched to this region by OOB tag, adding its
+// adopted blocks, live sectors and stale copies to rep. Duplicate
 // LPNs resolve to the page with the highest program sequence number; every
 // observed version re-seeds the tracker so post-mount writes outrun all
 // on-flash copies. superseded, when non-nil, reports that a copy of lsn
@@ -323,7 +316,7 @@ type RecoverSummary struct {
 // the slot must not be adopted here. Every scanned block is adopted in the
 // full state — valid-zero blocks become immediate GC victims, so
 // pre-crash garbage self-heals through the normal erase path.
-func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, seq uint64) bool) (RecoverSummary, error) {
+func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, seq uint64) bool, rep *ftl.MountReport) error {
 	g := s.dev.Geometry()
 	type winner struct {
 		ppn  int64
@@ -332,11 +325,7 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 		vers []uint32
 	}
 	win := make(map[int64]winner)
-	var sum RecoverSummary
 	for _, blk := range blocks {
-		if blk.MaxSeq > sum.MaxSeq {
-			sum.MaxSeq = blk.MaxSeq
-		}
 		for pi, slots := range blk.Pages {
 			p := g.PageOf(blk.Block, pi)
 			lpn := int64(-1)
@@ -351,7 +340,7 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 					continue // foreign or pre-FTL test data; never adopt
 				}
 				if superseded != nil && superseded(lsn, sl.OOB.Seq) {
-					sum.Stale++
+					rep.StaleSubpages++
 					continue
 				}
 				slotLPN := lsn / int64(s.pageSecs)
@@ -370,11 +359,11 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 			}
 			if w, ok := win[lpn]; !ok || seq > w.seq {
 				if ok {
-					sum.Stale += int64(bits.OnesCount64(w.mask))
+					rep.StaleSubpages += int64(bits.OnesCount64(w.mask))
 				}
 				win[lpn] = winner{ppn: int64(p), seq: seq, mask: mask, vers: vers}
 			} else {
-				sum.Stale += int64(bits.OnesCount64(mask))
+				rep.StaleSubpages += int64(bits.OnesCount64(mask))
 			}
 		}
 	}
@@ -382,7 +371,7 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 		s.table.Update(lpn, w.ppn)
 		s.rmap[w.ppn] = lpn
 		s.masks[lpn] = w.mask
-		sum.LiveSectors += int64(bits.OnesCount64(w.mask))
+		rep.LiveSectors += int64(bits.OnesCount64(w.mask))
 		// Only the winning copy re-seeds the version tracker: a stale copy
 		// can out-version the winner (trim resets the counter), and the read
 		// path verifies stamps against ver.Current.
@@ -398,11 +387,11 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 	}
 	for _, blk := range blocks {
 		if err := s.man.Adopt(blk.Block, ftl.RoleFull, perBlock[blk.Block]); err != nil {
-			return sum, err
+			return err
 		}
-		sum.BlocksAdopted++
+		rep.BlocksAdopted++
 	}
-	return sum, nil
+	return nil
 }
 
 // Check verifies the store's internal invariants.

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"espftl/internal/ftl"
-	"espftl/internal/lifetime"
+	"espftl/internal/mapping"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
@@ -25,13 +25,22 @@ func testStore(t *testing.T) (*Store, *nand.Device, *ftl.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := &ftl.Stats{}
-	ver := ftl.NewVersions(256)
-	s, err := New(dev, ftl.NewManager(dev, nil), ver, stats, Config{LogicalPages: 64, Reserve: 2, Placement: lifetime.SizeRouted{}})
+	fe := front(t, dev, 256)
+	s, err := New(fe, Config{LogicalPages: 64, Reserve: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, dev, stats
+	return s, dev, &fe.Counters
+}
+
+// front builds the front end a store sits behind, over sectors host sectors.
+func front(t *testing.T, dev *nand.Device, sectors int64) *ftl.Front {
+	t.Helper()
+	fe, err := ftl.NewFront(dev, sectors, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fe
 }
 
 // bump is a test helper: the store expects callers to bump versions first.
@@ -43,11 +52,10 @@ func bump(s *Store, lpn int64, slots []int) {
 
 func TestNewValidation(t *testing.T) {
 	_, dev, _ := func() (*Store, *nand.Device, *ftl.Stats) { s, d, st := testStore(t); return s, d, st }()
-	stats := &ftl.Stats{}
-	if _, err := New(dev, ftl.NewManager(dev, nil), ftl.NewVersions(4), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
+	if _, err := New(front(t, dev, 4), Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("undersized version tracker accepted")
 	}
-	if _, err := New(dev, ftl.NewManager(dev, nil), ftl.NewVersions(256), stats, Config{Reserve: 2}); err == nil {
+	if _, err := New(front(t, dev, 256), Config{Reserve: 2}); err == nil {
 		t.Error("zero logical pages accepted")
 	}
 	big := nand.DefaultConfig()
@@ -57,7 +65,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(bigDev, ftl.NewManager(bigDev, nil), ftl.NewVersions(1<<20), stats, Config{LogicalPages: 64, Reserve: 2}); err == nil {
+	if _, err := New(front(t, bigDev, 1<<20), Config{LogicalPages: 64, Reserve: 2}); err == nil {
 		t.Error("128-subpage geometry accepted despite 64-bit mask")
 	}
 }
@@ -71,8 +79,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := s.ReadSectors(3, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Mapped(3) || s.Mask(3) != 0xF {
-		t.Fatalf("mapped=%v mask=%x", s.Mapped(3), s.Mask(3))
+	if s.table.Lookup(3) == mapping.None || s.masks[3] != 0xF || !s.Holds(12) {
+		t.Fatalf("lpn 3: ppn=%d mask=%x", s.table.Lookup(3), s.masks[3])
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
@@ -116,8 +124,8 @@ func TestPartialWriteNoOldData(t *testing.T) {
 	if stats.RMWOps != 0 {
 		t.Fatal("write-allocate counted as RMW")
 	}
-	if s.Mask(5) != 0x4 {
-		t.Fatalf("mask = %x", s.Mask(5))
+	if s.masks[5] != 0x4 || s.Holds(20) || !s.Holds(22) {
+		t.Fatalf("mask = %x", s.masks[5])
 	}
 	// Dead slots read as zeroes without error.
 	if err := s.ReadSectors(5, []int{0, 1, 2, 3}); err != nil {
@@ -132,11 +140,11 @@ func TestTrimReleasesMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.TrimSectors(7, []int{0})
-	if !s.Mapped(7) {
+	if s.table.Lookup(7) == mapping.None {
 		t.Fatal("mapping released while a sector lives")
 	}
 	s.TrimSectors(7, []int{1})
-	if s.Mapped(7) {
+	if s.table.Lookup(7) != mapping.None {
 		t.Fatal("mapping survives full trim")
 	}
 	if err := s.Check(); err != nil {

@@ -13,32 +13,17 @@ import (
 // its engine goroutine submits I/O while HTTP introspection handlers and
 // STAT commands read Stats concurrently. Guard restores the invariant
 // with one mutex around every call, so a Stats snapshot is always taken
-// between — never inside — submissions.
-//
-// Guard implements FTL and always offers the optional interfaces
-// (Submitter, ChipProbe, VersionProber, HealthProber), degrading
-// gracefully when the wrapped FTL lacks one: ChipOf reports unrouted,
-// VersionOf reports unmapped, and ReadOnly reports healthy, all
-// indistinguishable from an FTL that never implements the probe.
+// between — never inside — submissions. Guard is itself an FTL: every
+// method, the probes included, forwards to the wrapped FTL under the lock
+// (Name, immutable, without it).
 type Guard struct {
 	mu sync.Mutex
 	f  FTL
-	s  Submitter
-	cp ChipProbe
-	vp VersionProber
-	hp HealthProber
 }
 
 // NewGuard wraps f. The zero-cost path stays available through Unwrap
 // for single-threaded callers that hold the guarded FTL.
-func NewGuard(f FTL) *Guard {
-	g := &Guard{f: f}
-	g.s, _ = f.(Submitter)
-	g.cp, _ = f.(ChipProbe)
-	g.vp, _ = f.(VersionProber)
-	g.hp, _ = f.(HealthProber)
-	return g
-}
+func NewGuard(f FTL) *Guard { return &Guard{f: f} }
 
 // Unwrap returns the guarded FTL for single-threaded phases (e.g. mount
 // and preconditioning before any concurrency exists).
@@ -127,47 +112,30 @@ func (g *Guard) Recover() (MountReport, error) {
 	return g.f.Recover()
 }
 
-// Submit implements Submitter, preferring the wrapped FTL's non-blocking
-// path.
+// Submit implements Submitter.
 func (g *Guard) Submit(r workload.Request, done CompletionFunc) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.s != nil {
-		g.s.Submit(r, done)
-		return
-	}
-	SubmitSync(g.f, r, done)
+	g.f.Submit(r, done)
 }
 
-// ChipOf implements ChipProbe; -1 (unrouted) when the wrapped FTL has no
-// probe.
+// ChipOf implements ChipProbe.
 func (g *Guard) ChipOf(lsn int64) int {
-	if g.cp == nil {
-		return -1
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cp.ChipOf(lsn)
+	return g.f.ChipOf(lsn)
 }
 
-// ReadOnly implements HealthProber; false (never degraded) when the
-// wrapped FTL has no probe.
+// ReadOnly implements HealthProber.
 func (g *Guard) ReadOnly() bool {
-	if g.hp == nil {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.hp.ReadOnly()
+	return g.f.ReadOnly()
 }
 
-// VersionOf implements VersionProber; 0 (unmapped) when the wrapped FTL
-// has no prober.
+// VersionOf implements VersionProber.
 func (g *Guard) VersionOf(lsn int64) uint32 {
-	if g.vp == nil {
-		return 0
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.vp.VersionOf(lsn)
+	return g.f.VersionOf(lsn)
 }

@@ -11,8 +11,8 @@ import (
 // fields, so any concurrent use that Guard fails to serialize is a
 // guaranteed data race under -race.
 type racyFTL struct {
-	writes, reads, trims, flushes, ticks int64
-	st                                   Stats
+	writes, reads, trims, flushes, ticks, submits int64
+	st                                            Stats
 }
 
 func (f *racyFTL) Name() string { return "racy" }
@@ -21,32 +21,26 @@ func (f *racyFTL) Write(lsn int64, sectors int, sync bool) error {
 	f.st.HostSectorsWritten += int64(sectors)
 	return nil
 }
-func (f *racyFTL) Read(lsn int64, sectors int) error  { f.reads++; return nil }
-func (f *racyFTL) Trim(lsn int64, sectors int) error  { f.trims++; return nil }
-func (f *racyFTL) Flush() error                       { f.flushes++; return nil }
-func (f *racyFTL) Tick() error                        { f.ticks++; return nil }
-func (f *racyFTL) Stats() Stats                       { return f.st }
-func (f *racyFTL) Check() error                       { return nil }
-func (f *racyFTL) Recover() (MountReport, error)      { return MountReport{}, nil }
-
-// probeFTL adds the optional interfaces.
-type probeFTL struct {
-	racyFTL
-	submits int64
-}
-
-func (f *probeFTL) Submit(r workload.Request, done CompletionFunc) {
+func (f *racyFTL) Read(lsn int64, sectors int) error { f.reads++; return nil }
+func (f *racyFTL) Trim(lsn int64, sectors int) error { f.trims++; return nil }
+func (f *racyFTL) Flush() error                      { f.flushes++; return nil }
+func (f *racyFTL) Tick() error                       { f.ticks++; return nil }
+func (f *racyFTL) Stats() Stats                      { return f.st }
+func (f *racyFTL) Check() error                      { return nil }
+func (f *racyFTL) Recover() (MountReport, error)     { return MountReport{}, nil }
+func (f *racyFTL) Submit(r workload.Request, done CompletionFunc) {
 	f.submits++
-	SubmitSync(&f.racyFTL, r, done)
+	SubmitSync(f, r, done)
 }
-func (f *probeFTL) ChipOf(lsn int64) int      { return int(lsn % 7) }
-func (f *probeFTL) VersionOf(lsn int64) uint32 { return uint32(lsn + 1) }
+func (f *racyFTL) ChipOf(lsn int64) int       { return int(lsn % 7) }
+func (f *racyFTL) ReadOnly() bool             { return f.writes > 1 }
+func (f *racyFTL) VersionOf(lsn int64) uint32 { return uint32(lsn + 1) }
 
 // TestGuardConcurrentStats is the satellite-1 hammer: one goroutine
 // submits I/O as fast as it can while another snapshots Stats; -race
 // proves the guard serializes them.
 func TestGuardConcurrentStats(t *testing.T) {
-	g := NewGuard(&probeFTL{})
+	g := NewGuard(&racyFTL{})
 	const iters = 20000
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -76,15 +70,21 @@ func TestGuardConcurrentStats(t *testing.T) {
 }
 
 func TestGuardDelegation(t *testing.T) {
-	inner := &probeFTL{}
+	inner := &racyFTL{}
 	g := NewGuard(inner)
 	if g.Unwrap() != FTL(inner) {
 		t.Fatal("Unwrap does not return the inner FTL")
 	}
 	var cbErr error
 	g.Submit(workload.Request{Op: workload.OpWrite, LSN: 1, Sectors: 2}, func(e error) { cbErr = e })
-	if cbErr != nil || inner.submits != 1 {
-		t.Fatalf("Submit not delegated: err=%v submits=%d", cbErr, inner.submits)
+	if cbErr != nil || inner.submits != 1 || inner.writes != 1 {
+		t.Fatalf("Submit not delegated: err=%v submits=%d writes=%d", cbErr, inner.submits, inner.writes)
+	}
+	if g.ReadOnly() {
+		t.Fatal("ReadOnly after one write")
+	}
+	if err := g.Write(0, 1, true); err != nil || !g.ReadOnly() {
+		t.Fatal("ReadOnly not delegated")
 	}
 	if g.ChipOf(10) != 3 {
 		t.Fatalf("ChipOf = %d", g.ChipOf(10))
@@ -103,23 +103,5 @@ func TestGuardDelegation(t *testing.T) {
 	}
 	if err := g.Check(); err != nil {
 		t.Fatal("Check not delegated")
-	}
-}
-
-// TestGuardWithoutProbes checks graceful degradation when the wrapped
-// FTL implements none of the optional interfaces.
-func TestGuardWithoutProbes(t *testing.T) {
-	inner := &racyFTL{}
-	g := NewGuard(inner)
-	if g.ChipOf(5) != -1 {
-		t.Fatalf("ChipOf without probe = %d (want -1)", g.ChipOf(5))
-	}
-	if g.VersionOf(5) != 0 {
-		t.Fatalf("VersionOf without prober = %d (want 0)", g.VersionOf(5))
-	}
-	// Submit must fall back to the synchronous path.
-	g.Submit(workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 1}, func(error) {})
-	if inner.writes != 1 {
-		t.Fatal("Submit fallback did not reach Write")
 	}
 }

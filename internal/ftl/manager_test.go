@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -221,7 +222,7 @@ func TestVersions(t *testing.T) {
 	if err := v.CheckRange(8, 2); err != nil {
 		t.Fatalf("CheckRange valid: %v", err)
 	}
-	for _, c := range []struct{ lsn, n int64 }{{-1, 1}, {0, 0}, {9, 2}, {10, 1}} {
+	for _, c := range []struct{ lsn, n int64 }{{-1, 1}, {0, 0}, {9, 2}, {10, 1}, {math.MaxInt64, 4}} {
 		if err := v.CheckRange(c.lsn, int(c.n)); err == nil {
 			t.Errorf("CheckRange(%d,%d) accepted", c.lsn, c.n)
 		}

@@ -28,12 +28,12 @@ type ScannedBlock struct {
 	MaxSeq uint64
 }
 
-// ScanBlocks performs the single mount-time OOB scan: every page of every
+// scanBlocks performs the single mount-time OOB scan: every page of every
 // non-factory-bad block is sensed once via ScanPageOOB, and blocks holding
 // at least one programmed slot are returned with their decoded records.
 // pages reports how many page senses were issued (the denominator of the
 // "single scan, no data reads" acceptance check).
-func ScanBlocks(dev *nand.Device) (blocks []ScannedBlock, pages int64, err error) {
+func scanBlocks(dev *nand.Device) (blocks []ScannedBlock, pages int64, err error) {
 	g := dev.Geometry()
 	for b := nand.BlockID(0); int(b) < g.TotalBlocks(); b++ {
 		if dev.FactoryBad(b) {

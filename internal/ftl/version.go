@@ -56,8 +56,10 @@ func (v *Versions) Clear(lsn int64) {
 }
 
 // CheckRange validates a host-addressed range against the tracker size.
+// The end is compared as a remainder, so no lsn near math.MaxInt64 can
+// overflow past the check.
 func (v *Versions) CheckRange(lsn int64, sectors int) error {
-	if lsn < 0 || sectors <= 0 || lsn+int64(sectors) > v.Size() {
+	if lsn < 0 || sectors <= 0 || int64(sectors) > v.Size()-lsn {
 		return fmt.Errorf("ftl: range [%d,+%d) outside logical space of %d sectors", lsn, sectors, v.Size())
 	}
 	return nil

@@ -179,12 +179,8 @@ func VerifyRecovered(t *testing.T, env CrashEnv, dev *nand.Device, m *Model, cut
 	if err := f.Check(); err != nil {
 		t.Fatalf("cut %d: recovered invariants: %v", cut, err)
 	}
-	prober, ok := f.(ftl.VersionProber)
-	if !ok {
-		t.Fatalf("cut %d: FTL %s does not expose VersionOf", cut, f.Name())
-	}
 	for lsn := int64(0); lsn < env.Sectors; lsn++ {
-		v := prober.VersionOf(lsn)
+		v := f.VersionOf(lsn)
 		if !m.Acceptable(lsn, v) {
 			t.Fatalf("cut %d: lsn %d recovered at version %d, acceptable %s", cut, lsn, v, m.Describe(lsn))
 		}

@@ -6,6 +6,7 @@
 package ftltest
 
 import (
+	"math"
 	"testing"
 
 	"espftl/internal/ftl"
@@ -297,6 +298,7 @@ func bounds(t *testing.T, e *Env) {
 		n   int
 	}{
 		{-1, 1}, {0, 0}, {0, -3}, {e.Sectors, 1}, {e.Sectors - 1, 2},
+		{math.MaxInt64, 4}, {math.MaxInt64 - 1, 2},
 	}
 	for _, c := range cases {
 		if err := e.FTL.Write(c.lsn, c.n, false); err == nil {
@@ -349,5 +351,18 @@ func statsAccounting(t *testing.T, e *Env) {
 	}
 	if e.FTL.Name() == "" {
 		t.Fatal("empty FTL name")
+	}
+	// A refused request is refused before admission counts anything.
+	if e.FTL.Write(e.Sectors, 1, true) == nil || e.FTL.Read(e.Sectors-1, 2) == nil || e.FTL.Trim(-1, 1) == nil {
+		t.Fatal("out-of-range request accepted")
+	}
+	if got := e.FTL.Stats(); got != s {
+		t.Fatalf("refused requests moved the counters:\n%#v\nwant\n%#v", got, s)
+	}
+	if err := e.FTL.Trim(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.FTL.Stats().HostTrimReqs; got != 1 {
+		t.Fatalf("HostTrimReqs = %d after one trim, want 1", got)
 	}
 }

@@ -142,13 +142,9 @@ func durableState(t *testing.T, env CrashEnv, script []CrashOp) []uint32 {
 	if s := f.Stats(); s.GCSteps == 0 {
 		t.Fatal("script never triggered collection — the differential is vacuous")
 	}
-	prober, ok := f.(ftl.VersionProber)
-	if !ok {
-		t.Fatalf("FTL %s does not expose VersionOf", f.Name())
-	}
 	state := make([]uint32, env.Sectors)
 	for lsn := int64(0); lsn < env.Sectors; lsn++ {
-		v := prober.VersionOf(lsn)
+		v := f.VersionOf(lsn)
 		if !m.Acceptable(lsn, v) {
 			t.Fatalf("lsn %d at version %d, acceptable %s", lsn, v, m.Describe(lsn))
 		}

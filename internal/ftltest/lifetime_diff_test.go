@@ -88,13 +88,9 @@ func lifetimeDurableState(t *testing.T, env CrashEnv, script []CrashOp) []uint32
 	if dev.Counters().Erases == 0 {
 		t.Fatal("script never erased a block — the erase-depth differential is vacuous")
 	}
-	prober, ok := f.(ftl.VersionProber)
-	if !ok {
-		t.Fatalf("FTL %s does not expose VersionOf", f.Name())
-	}
 	state := make([]uint32, env.Sectors)
 	for lsn := int64(0); lsn < env.Sectors; lsn++ {
-		v := prober.VersionOf(lsn)
+		v := f.VersionOf(lsn)
 		if !m.Acceptable(lsn, v) {
 			t.Fatalf("lsn %d at version %d, acceptable %s", lsn, v, m.Describe(lsn))
 		}

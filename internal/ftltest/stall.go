@@ -4,15 +4,16 @@ import (
 	"sync/atomic"
 
 	"espftl/internal/ftl"
+	"espftl/internal/workload"
 )
 
 // StallFTL wraps an FTL so tests can wedge the engine on demand: while
-// armed, the next Write or Read blocks until Release. It deliberately
-// does NOT implement ftl.Submitter — the guard then falls back to the
-// synchronous path, so the block lands on the engine goroutine itself,
-// exactly the stall the server's watchdog exists to detect. The health
-// and version probes are delegated so recovery checks still work once
-// the stall is released.
+// armed, the next Write or Read blocks until Release. Submit routes
+// through those stalling methods, so the block lands on the engine
+// goroutine itself, exactly the stall the server's watchdog exists to
+// detect. Every other method, the chip, health and version probes
+// included, is the wrapped FTL's: reads route by chip as on a production
+// shard, and recovery checks still work once the stall is released.
 type StallFTL struct {
 	ftl.FTL
 	armed   atomic.Bool
@@ -62,20 +63,8 @@ func (s *StallFTL) Read(lsn int64, sectors int) error {
 	return s.FTL.Read(lsn, sectors)
 }
 
-// ReadOnly implements ftl.HealthProber by delegation; false when the
-// wrapped FTL has no probe.
-func (s *StallFTL) ReadOnly() bool {
-	if hp, ok := s.FTL.(ftl.HealthProber); ok {
-		return hp.ReadOnly()
-	}
-	return false
-}
-
-// VersionOf implements ftl.VersionProber by delegation; 0 when the
-// wrapped FTL has no prober.
-func (s *StallFTL) VersionOf(lsn int64) uint32 {
-	if vp, ok := s.FTL.(ftl.VersionProber); ok {
-		return vp.VersionOf(lsn)
-	}
-	return 0
+// Submit implements ftl.Submitter through the stalling Write and Read; the
+// wrapped FTL's own Submit would bypass the stall.
+func (s *StallFTL) Submit(r workload.Request, done ftl.CompletionFunc) {
+	ftl.SubmitSync(s, r, done)
 }

@@ -22,6 +22,12 @@ func (nopFTL) Tick() error                       { return nil }
 func (nopFTL) Stats() ftl.Stats                  { return ftl.Stats{} }
 func (nopFTL) Check() error                      { return nil }
 func (nopFTL) Recover() (ftl.MountReport, error) { return ftl.MountReport{}, nil }
+func (nopFTL) ChipOf(int64) int                  { return -1 }
+func (nopFTL) ReadOnly() bool                    { return false }
+func (nopFTL) VersionOf(int64) uint32            { return 0 }
+func (f nopFTL) Submit(r workload.Request, done ftl.CompletionFunc) {
+	ftl.SubmitSync(f, r, done)
+}
 
 // A command's whole life in the scheduler — submitCmd, the dispatch round
 // that indexes and unindexes it, complete, and the record's return to the

@@ -316,7 +316,7 @@ func TestRunExternalAdmissionBatch(t *testing.T) {
 		// page that lives on neither, so the read heads its own queue.
 		readLSN := int64(-1)
 		for lsn := int64(8); lsn < fill; lsn += 4 {
-			if ch := f.(ftl.ChipProbe).ChipOf(lsn); ch > 1 {
+			if ch := f.ChipOf(lsn); ch > 1 {
 				readLSN = lsn
 				break
 			}

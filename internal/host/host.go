@@ -10,14 +10,14 @@
 //
 // Host requests are submitted into N submission-queue lanes and routed
 // into per-chip command queues (reads by their current mapping, obtained
-// through the FTL's ftl.ChipProbe; writes round-robin across chips, a
+// through the FTL's ChipOf probe; writes round-robin across chips, a
 // proxy for the FTLs' striped wear-leveled allocation). A central event
 // loop — a priority queue keyed on sim.Time with a submission-sequence
 // tie-break — pops completion (and, open loop, arrival) events; after
 // every event a pluggable arbiter picks the next dispatchable command
 // from the chip-queue heads. Dispatch issues the command to the FTL via
-// its non-blocking ftl.Submitter path; the command's completion time is
-// recovered by diffing the device's per-resource FreeAt snapshots around
+// its non-blocking Submit path (every ftl.FTL offers both it and ChipOf);
+// the command's completion time is recovered by diffing the device's per-resource FreeAt snapshots around
 // the call, so a request that fans out across several chips and channel
 // buses completes when its slowest fragment drains, independent of every
 // other in-flight request.

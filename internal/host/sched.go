@@ -117,8 +117,6 @@ type Scheduler struct {
 	dev   *nand.Device
 	clock *sim.Clock
 	f     ftl.FTL
-	sub   ftl.Submitter
-	probe ftl.ChipProbe
 
 	now    sim.Time
 	seq    int64
@@ -170,10 +168,9 @@ type Scheduler struct {
 // an earlier overlapping write); it must not mutate the command.
 func (s *Scheduler) SetDispatchHook(fn func(*Command)) { s.onDispatch = fn }
 
-// New builds a scheduler over the device's clock. The FTL's non-blocking
-// Submit path is used when it implements ftl.Submitter, and reads are
-// routed to per-chip queues when it implements ftl.ChipProbe; both are
-// optional.
+// New builds a scheduler over the device's clock. Host commands issue
+// through the FTL's non-blocking Submit path, and reads are routed to
+// per-chip queues by its ChipOf probe.
 func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -186,8 +183,6 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 		f:     f,
 		chips: dev.Geometry().Chips(),
 	}
-	s.sub, _ = f.(ftl.Submitter)
-	s.probe, _ = f.(ftl.ChipProbe)
 	s.cq = make([]cmdQueue, s.chips+1)
 	s.hz.sectors = make(map[int64]*sector)
 	s.chipBusy = make([]bool, s.chips)
@@ -400,10 +395,8 @@ func (s *Scheduler) route(c *Command) int {
 		return s.chips
 	}
 	if c.Class == ClassRead {
-		if s.probe != nil {
-			if ch := s.probe.ChipOf(c.Req.LSN); ch >= 0 && ch < s.chips {
-				return ch
-			}
+		if ch := s.f.ChipOf(c.Req.LSN); ch >= 0 && ch < s.chips {
+			return ch
 		}
 		return s.chips
 	}
@@ -572,19 +565,15 @@ func (s *Scheduler) dispatch(c *Command) error {
 	return nil
 }
 
-// issue performs the FTL call: the non-blocking Submit path when the FTL
-// provides one, the synchronous interface otherwise, and Tick for
-// background commands.
+// issue performs the FTL call: the non-blocking Submit path for host
+// commands, Tick for background ones.
 func (s *Scheduler) issue(c *Command) error {
 	if c.Class == ClassBackground {
 		return s.f.Tick()
 	}
-	if s.sub != nil {
-		s.issueErr = nil
-		s.sub.Submit(c.Req, s.issueCB)
-		return s.issueErr
-	}
-	return ftl.Apply(s.f, c.Req)
+	s.issueErr = nil
+	s.f.Submit(c.Req, s.issueCB)
+	return s.issueErr
 }
 
 // complete retires a command at the current event time.

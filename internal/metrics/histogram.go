@@ -172,67 +172,6 @@ func (h *Histogram) refresh() {
 	h.dirty = false
 }
 
-// Quantile is Percentile under the name the rest of the metrics package
-// uses (p in [0,1]).
-func (h *Histogram) Quantile(p float64) time.Duration { return h.Percentile(p) }
-
-// Quantiles computes several quantiles in one pass over the buckets —
-// the batch form the per-cell ablation reports use, so a whole summary
-// costs one bucket scan instead of one search per quantile. The ps
-// should be ascending; an unsorted list falls back to per-quantile
-// Percentile calls. Results are identical to Percentile at each p.
-func (h *Histogram) Quantiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	if h.total == 0 {
-		return out
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i] < ps[i-1] {
-			for j, p := range ps {
-				out[j] = h.Percentile(p)
-			}
-			return out
-		}
-	}
-	j := 0
-	for ; j < len(ps) && ps[j] <= 0; j++ {
-		out[j] = h.Min()
-	}
-	hi := len(ps)
-	for ; hi > j && ps[hi-1] >= 1; hi-- {
-		out[hi-1] = h.max
-	}
-	var seen uint64
-	for i := 0; i < len(h.counts) && j < hi; i++ {
-		seen += h.counts[i]
-		if h.counts[i] == 0 {
-			continue
-		}
-		v := time.Duration(float64(bucketLow(i)) * math.Pow(2, 0.5/bucketsPerOctave))
-		if v > h.max {
-			v = h.max
-		}
-		if v < h.min {
-			v = h.min
-		}
-		for j < hi {
-			target := uint64(ps[j] * float64(h.total))
-			if target == 0 {
-				target = 1
-			}
-			if seen < target {
-				break
-			}
-			out[j] = v
-			j++
-		}
-	}
-	for ; j < hi; j++ {
-		out[j] = h.max
-	}
-	return out
-}
-
 // Summary is the fixed set of distribution statistics reports print.
 type Summary struct {
 	Count                     uint64
@@ -240,16 +179,15 @@ type Summary struct {
 	Max                       time.Duration
 }
 
-// Summary computes the report statistics in one pass over the buckets.
+// Summary computes the report statistics.
 func (h *Histogram) Summary() Summary {
-	q := h.Quantiles(0.50, 0.95, 0.99, 0.999)
 	return Summary{
 		Count: h.total,
 		Mean:  h.Mean(),
-		P50:   q[0],
-		P95:   q[1],
-		P99:   q[2],
-		P999:  q[3],
+		P50:   h.Percentile(0.50),
+		P95:   h.Percentile(0.95),
+		P99:   h.Percentile(0.99),
+		P999:  h.Percentile(0.999),
 		Max:   h.Max(),
 	}
 }

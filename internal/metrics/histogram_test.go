@@ -83,9 +83,6 @@ func TestHistogramSummary(t *testing.T) {
 	if s.Max != time.Millisecond {
 		t.Errorf("Max = %v, want 1ms", s.Max)
 	}
-	if h.Quantile(0.5) != h.Percentile(0.5) {
-		t.Error("Quantile alias disagrees with Percentile")
-	}
 }
 
 func TestHistogramString(t *testing.T) {
@@ -221,48 +218,5 @@ func TestHistogramCacheInvalidation(t *testing.T) {
 	s1, s2 := h.Summary(), h.Summary()
 	if s1 != s2 {
 		t.Fatalf("summaries diverge on warm cache: %+v vs %+v", s1, s2)
-	}
-}
-
-// TestHistogramQuantilesMatchPercentile is the differential contract of
-// the batch helper: one Quantiles pass must return exactly what repeated
-// Percentile calls do, across random workloads and quantile lists.
-func TestHistogramQuantilesMatchPercentile(t *testing.T) {
-	rng := sim.NewRNG(99)
-	for trial := 0; trial < 50; trial++ {
-		h := NewHistogram()
-		n := 1 + int(rng.Int63n(2000))
-		for i := 0; i < n; i++ {
-			h.Record(time.Duration(rng.Int63n(int64(10 * time.Second))))
-		}
-		ps := []float64{0, 0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 0.999, 1}
-		got := h.Quantiles(ps...)
-		for i, p := range ps {
-			if want := h.Percentile(p); got[i] != want {
-				t.Fatalf("trial %d: Quantiles(%v)[%d] = %v, Percentile = %v", trial, p, i, got[i], want)
-			}
-		}
-	}
-}
-
-// TestHistogramQuantilesUnsorted exercises the fallback path.
-func TestHistogramQuantilesUnsorted(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	got := h.Quantiles(0.99, 0.50)
-	if got[0] != h.Percentile(0.99) || got[1] != h.Percentile(0.50) {
-		t.Fatalf("unsorted Quantiles = %v", got)
-	}
-}
-
-// TestHistogramQuantilesEmpty returns zeros without panicking.
-func TestHistogramQuantilesEmpty(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range h.Quantiles(0.5, 0.99) {
-		if v != 0 {
-			t.Fatalf("empty Quantiles = %v", v)
-		}
 	}
 }

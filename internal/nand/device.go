@@ -602,7 +602,7 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 //
 // Borrow contract: the returned slice is device-owned scratch, valid only
 // until the next ScanPageOOB or ReadPage call on this device; a retaining
-// caller must copy (ftl.ScanBlocks does).
+// caller must copy (the FTLs' mount scan does).
 func (d *Device) ScanPageOOB(p PageID) ([]SubpageOOB, error) {
 	g := d.cfg.Geometry
 	if err := d.checkPage(p); err != nil {

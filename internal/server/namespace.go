@@ -79,9 +79,9 @@ func newNamespace(name string, sectors int64) *namespace {
 
 // bounds validates a namespace-relative request window.
 func (n *namespace) bounds(lsn int64, sectors int) error {
-	if lsn < 0 || sectors < 0 || lsn+int64(sectors) > n.sectors {
-		return fmt.Errorf("server: range [%d,%d) outside namespace %s (%d sectors)",
-			lsn, lsn+int64(sectors), n.name, n.sectors)
+	if lsn < 0 || sectors < 0 || int64(sectors) > n.sectors-lsn {
+		return fmt.Errorf("server: range [%d,+%d) outside namespace %s (%d sectors)",
+			lsn, sectors, n.name, n.sectors)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"espftl/internal/experiment"
-	"espftl/internal/ftl"
 	"espftl/internal/ftltest"
 	"espftl/internal/host"
 	"espftl/internal/server"
@@ -199,10 +199,9 @@ func TestLoopbackDifferential(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	directProber := f.(ftl.VersionProber)
 	mismatches := 0
 	for lsn := int64(0); lsn < logical; lsn++ {
-		sv, dv := servedFTL.VersionOf(lsn), directProber.VersionOf(lsn)
+		sv, dv := servedFTL.VersionOf(lsn), f.VersionOf(lsn)
 		if sv != dv {
 			mismatches++
 			if mismatches <= 5 {
@@ -423,6 +422,7 @@ func TestOutOfRangeRejected(t *testing.T) {
 	reqs := []workload.Request{
 		{Op: workload.OpWrite, LSN: 0, Sectors: 4},
 		{Op: workload.OpWrite, LSN: int64(c.Welcome.Sectors), Sectors: 4}, // first sector past the end
+		{Op: workload.OpWrite, LSN: math.MaxInt64, Sectors: 4},            // the end overflows int64
 		{Op: workload.OpRead, LSN: 0, Sectors: 4},
 	}
 	var failed []workload.Request
@@ -434,11 +434,11 @@ func TestOutOfRangeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Ops != 3 || cr.Errors != 1 {
+	if cr.Ops != 4 || cr.Errors != 2 {
 		t.Fatalf("report: %+v", cr)
 	}
-	if len(failed) != 1 || failed[0].LSN != int64(c.Welcome.Sectors) {
-		t.Fatalf("wrong request failed: %+v", failed)
+	if len(failed) != 2 || failed[0].LSN == 0 || failed[1].LSN == 0 {
+		t.Fatalf("wrong requests failed: %+v", failed)
 	}
 }
 

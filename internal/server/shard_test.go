@@ -339,9 +339,8 @@ func TestShardedSPOCutRemount(t *testing.T) {
 		if i != 1 {
 			continue
 		}
-		prober := f.(ftl.VersionProber)
 		for lsn := int64(0); lsn < sectors; lsn++ {
-			if v := prober.VersionOf(lsn); !mB.Acceptable(lsn, v) {
+			if v := f.VersionOf(lsn); !mB.Acceptable(lsn, v) {
 				t.Fatalf("tenant b sector %d remounted at version %d, want %s",
 					lsn, v, mB.Describe(lsn))
 			}
@@ -428,8 +427,8 @@ func TestFlushBarrierOrdering(t *testing.T) {
 
 		// Remount every shard and probe through the stripe map: stripe
 		// si lives on shard si%k at stripe row si/k.
-		probers := make([]ftl.VersionProber, shards)
-		for i := range probers {
+		remounted := make([]ftl.FTL, shards)
+		for i := range remounted {
 			f, err := envs[i].Factory(devs[i])
 			if err != nil {
 				t.Fatal(err)
@@ -437,13 +436,13 @@ func TestFlushBarrierOrdering(t *testing.T) {
 			if _, err := f.Recover(); err != nil {
 				t.Fatalf("shards=%d shard %d remount: %v", shards, i, err)
 			}
-			probers[i] = f.(ftl.VersionProber)
+			remounted[i] = f
 		}
 		su, k := int64(ps), int64(shards)
 		for lsn := int64(0); lsn < total; lsn++ {
 			si := lsn / su
 			local := (si/k)*su + lsn%su
-			v := probers[si%k].VersionOf(local)
+			v := remounted[si%k].VersionOf(local)
 			if !m.Acceptable(lsn, v) {
 				t.Fatalf("shards=%d sector %d (shard %d local %d): version %d unacceptable, want %s",
 					shards, lsn, si%k, local, v, m.Describe(lsn))
