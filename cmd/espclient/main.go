@@ -118,7 +118,7 @@ func main() {
 			}
 		}
 		ps := int64(wl.PageSectors)
-		sectors := int64(float64(wl.Sectors) * *span) / ps * ps
+		sectors := int64(float64(wl.Sectors)**span) / ps * ps
 		if sectors <= 0 {
 			fatal(fmt.Errorf("namespace too small for -span %g", *span))
 		}

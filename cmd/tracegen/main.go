@@ -1,13 +1,12 @@
 // Command tracegen writes synthetic I/O traces for the five benchmark
-// profiles (or a parameterized sweep) in the binary, text, or wire trace
-// format. All three are accepted back by espsim and espclient through
-// trace.ReadAny.
+// profiles (or a parameterized sweep) in the binary or text trace format.
+// Both are accepted back by espsim and espclient through trace.ReadAny;
+// espclient replays either over the wire protocol.
 //
 // Example:
 //
 //	tracegen -profile varmail -n 100000 -o varmail.bin
 //	tracegen -rsmall 0.8 -rsynch 1 -n 50000 -format text -o sweep.trace
-//	tracegen -profile ycsb -n 50000 -format wire -o ycsb.wire
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"strings"
 
 	"espftl/internal/trace"
-	"espftl/internal/wire"
 	"espftl/internal/workload"
 )
 
@@ -28,7 +26,7 @@ func main() {
 	n := flag.Int("n", 100000, "number of requests")
 	sectors := flag.Int64("sectors", 1<<20, "logical space in 4-KB sectors")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	format := flag.String("format", "binary", "output format: binary, text or wire")
+	format := flag.String("format", "binary", "output format: binary or text")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
@@ -67,8 +65,6 @@ func main() {
 		err = trace.WriteBinary(w, reqs)
 	case "text":
 		err = trace.WriteText(w, reqs)
-	case "wire":
-		err = wire.WriteTrace(w, reqs)
 	default:
 		err = fmt.Errorf("unknown format %q", *format)
 	}

@@ -836,7 +836,7 @@ func loopTenant(t tenant, stop <-chan struct{}, next func(batch uint64) ([]workl
 // acknowledged data — buffered sectors, and subpage survivors that
 // relocation drops at the capacity floor, whichever tenant wrote them —
 // so wide data there could not pass the model check.
-// TODO(ROADMAP item 9): delete offShard0 with the write-back fix.
+// TODO(ROADMAP item 2): delete offShard0 with the write-back fix.
 func offShard0(reqs []workload.Request, ps, shards int) []workload.Request {
 	su, k := int64(ps), int64(shards)
 	out := reqs[:0]

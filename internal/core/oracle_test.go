@@ -30,7 +30,7 @@ func (f *FTL) oraclePickAdvance(preferChip int) (nand.BlockID, bool) {
 		if f.gcDestSet && id == f.gcDest {
 			continue
 		}
-		if f.isActive(id) || f.subCol.InFlight(id) {
+		if (f.wbSet && id == f.wb) || f.subCol.InFlight(id) {
 			continue
 		}
 		if f.meta[b].round >= f.PageSecs-1 {
@@ -65,7 +65,7 @@ func (f *FTL) oraclePickOpenVictim() (nand.BlockID, bool) {
 		if !f.meta[b].inUse || f.Man.State(id) != ftl.StateOpen {
 			continue
 		}
-		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) || f.subCol.InFlight(id) {
+		if (f.gcDestSet && id == f.gcDest) || (f.wbSet && id == f.wb) || f.subCol.InFlight(id) {
 			continue
 		}
 		if v := f.Man.Valid(id); v < bestValid {
@@ -90,7 +90,7 @@ func (f *FTL) oracleEmptySubBlock() (nand.BlockID, bool) {
 		if f.Man.State(id) == ftl.StateFree {
 			continue
 		}
-		if (f.gcDestSet && id == f.gcDest) || f.isActive(id) {
+		if (f.gcDestSet && id == f.gcDest) || (f.wbSet && id == f.wb) {
 			continue
 		}
 		if f.subCol.InFlight(id) {

@@ -136,6 +136,14 @@ func (f *FTL) Check() error {
 	if subCount != f.subBlocks {
 		return fmt.Errorf("core: subBlocks = %d, found %d", f.subBlocks, subCount)
 	}
+	if f.wbSet {
+		if !f.meta[f.wb].inUse || f.Man.Role(f.wb) != ftl.RoleSub || f.Man.State(f.wb) != ftl.StateOpen {
+			return fmt.Errorf("core: write block %d is not an open region block (state %v)", f.wb, f.Man.State(f.wb))
+		}
+		if f.gcDestSet && f.wb == f.gcDest {
+			return fmt.Errorf("core: write block %d is also the GC destination", f.wb)
+		}
+	}
 	// The hash table must not exceed its design bound: one live entry per
 	// subpage-region slot (multi-subpage passes can leave several live
 	// subpages in one page until its next pass).

@@ -127,14 +127,16 @@ type FTL struct {
 	subBlocks   int // blocks currently in the subpage region
 	subQuota    int
 
-	// actives is the stripe of open write blocks, one slot per chip (up
-	// to a third of the region quota), rotated per write so consecutive
-	// subpage programs land on different chips — the channel/way
-	// parallelism the paper's §4.2 notes its implementation maximizes.
-	actives  []nand.BlockID
-	activeOK []bool
-	activeN  int // set entries of activeOK
-	rr       int
+	// wb is the region's one open write block, taken at refill for slot
+	// wbSlot of a rotation width slots wide (one per chip, up to a third
+	// of the region quota): rr, the slot after the last page handed out,
+	// picks the next refill's slot and so its chip, spreading the region's
+	// blocks over the channels and ways (paper §4.2).
+	wb     nand.BlockID
+	wbSet  bool
+	wbSlot int
+	rr     int
+	width  int
 
 	gcDest    nand.BlockID // persistent GC destination block (round 0)
 	gcDestSet bool
@@ -252,15 +254,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	f.subCol = gc.NewCollector(pol, cfg.GC.StepPages)
 	f.subTarget = &subTarget{f}
 	f.subView = f.Man.GCView(ftl.RoleSub, g.SubpagesPerBlock(), f.subCol.InFlight)
-	stripe := g.Chips()
-	if cap := subQuota / 3; stripe > cap {
-		stripe = cap
-	}
-	if stripe < 1 {
-		stripe = 1
-	}
-	f.actives = make([]nand.BlockID, stripe)
-	f.activeOK = make([]bool, stripe)
+	f.width = max(min(g.Chips(), subQuota/3), 1)
 	f.identSlots = make([]int, g.SubpagesPerPage)
 	for i := range f.identSlots {
 		f.identSlots[i] = i

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"espftl/internal/ftl"
 	"espftl/internal/ftltest"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
@@ -71,6 +72,45 @@ func TestSyncSmallWritesAreSubpageWrites(t *testing.T) {
 	if got := s.AvgRequestWAF(); got != 1.0 {
 		t.Fatalf("request WAF = %v, want exactly 1.0", got)
 	}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Check holds the write block to its invariant: once set, it is an open
+// subpage-region block and never also the GC destination.
+func TestCheckWriteBlock(t *testing.T) {
+	env := newEnv(t)
+	f := env.FTL.(*FTL)
+	if err := f.Write(0, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if !f.wbSet {
+		t.Fatal("a subpage write left no write block")
+	}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
+	}
+	wb := f.wb
+	f.gcDest, f.gcDestSet = wb, true
+	if err := f.Check(); err == nil || !strings.Contains(err.Error(), "GC destination") {
+		t.Fatalf("write block doubling as GC destination: Check = %v", err)
+	}
+	f.gcDestSet = false
+	free, ok := nand.BlockID(0), false
+	for ; int(free) < env.Dev.Geometry().TotalBlocks(); free++ {
+		if ok = f.Man.State(free) == ftl.StateFree; ok {
+			break
+		}
+	}
+	if !ok {
+		t.Fatal("no free block")
+	}
+	f.wb = free
+	if err := f.Check(); err == nil || !strings.Contains(err.Error(), "not an open region block") {
+		t.Fatalf("write block on a free block: Check = %v", err)
+	}
+	f.wb = wb
 	if err := f.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -43,31 +43,9 @@ func (f *FTL) freshNextIdx(b nand.BlockID) []uint8 {
 	return idx
 }
 
-// isActive reports whether id is one of the stripe's open write blocks.
-func (f *FTL) isActive(id nand.BlockID) bool {
-	for i, b := range f.actives {
-		if f.activeOK[i] && b == id {
-			return true
-		}
-	}
-	return false
-}
-
-// openSlot and closeSlot set and clear one stripe slot, keeping activeN the
-// number of set slots.
-func (f *FTL) openSlot(slot int, b nand.BlockID) {
-	f.actives[slot], f.activeOK[slot] = b, true
-	f.activeN++
-}
-
-func (f *FTL) closeSlot(slot int) {
-	f.activeOK[slot] = false
-	f.activeN--
-}
-
-// slotChip is the chip a stripe slot takes its blocks from.
+// slotChip is the chip a rotation slot takes its blocks from.
 func (f *FTL) slotChip(slot int) int {
-	return slot * f.Dev.Geometry().Chips() / len(f.actives)
+	return slot * f.Dev.Geometry().Chips() / f.width
 }
 
 // stale reports whether the flash copy at spn no longer carries lsn's
@@ -135,47 +113,30 @@ func (f *FTL) keepsHot(sv survivor) bool {
 }
 
 // nextEligible returns the next page of the writing policy that can take
-// a program pass at its block's current round: rotate across the stripe of
-// open blocks (chip parallelism); refill exhausted stripe slots with a
-// fresh block while the region quota allows, else by advancing the round
-// of the best candidate block, and finally by garbage-collecting.
+// a program pass at its block's current round, from the open write block.
+// An exhausted write block is refilled on the chip of rotation slot rr:
+// with a fresh block while the region quota allows, else by advancing the
+// round of the best candidate block, and finally by garbage-collecting.
 func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 	g := f.Dev.Geometry()
 	maxAttempts := 2*f.subQuota*f.PageSecs + 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		// Visit the set slots in stripe order from rr. A slot is refilled
-		// only after every slot has run out, so the stripe mostly holds a
-		// single open block: stop once every set slot has been seen, and
-		// leave rr where a full lap would have.
-		start := f.rr
-		for left := f.activeN; left > 0; {
-			i := f.rr
-			if f.rr++; f.rr == len(f.actives) {
-				f.rr = 0
-			}
-			if !f.activeOK[i] {
-				continue
-			}
-			left--
-			mb := &f.meta[f.actives[i]]
+		if f.wbSet {
+			mb := &f.meta[f.wb]
 			for mb.cursor < g.PagesPerBlock {
 				pi := mb.cursor
 				if int(mb.nextIdx[pi]) == mb.round {
-					return g.PageOf(f.actives[i], pi), mb, pi, nil
+					f.rr = (f.wbSlot + 1) % f.width
+					return g.PageOf(f.wb, pi), mb, pi, nil
 				}
 				mb.cursor++
 			}
-			// This stripe slot's block is exhausted at its round.
-			f.closeSlot(i)
+			// The write block is exhausted at its round; rr stays put.
+			f.wbSet = false
 			if mb.round == f.PageSecs-1 {
-				f.Man.MarkFull(f.actives[i])
+				f.Man.MarkFull(f.wb)
 			}
 		}
-		f.rr = start
-		// Refill the first empty stripe slot from rr, so refill pressure
-		// (and the chip affinity that follows it) rotates across the stripe
-		// instead of piling onto slot 0. The lap above returned or closed
-		// every set slot, so that slot is rr itself.
 		slot := f.rr
 		chip := f.slotChip(slot)
 		if f.subBlocks < f.subQuota {
@@ -189,14 +150,14 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 			if admitted {
 				if b, ok := f.Man.AllocOnChip(ftl.RoleSub, chip); ok {
 					f.initSubBlock(b)
-					f.openSlot(slot, b)
+					f.wb, f.wbSet, f.wbSlot = b, true, slot
 					continue
 				}
 			}
 		}
 		if b, ok := f.pickAdvance(chip); ok {
 			f.advanceRound(b)
-			f.openSlot(slot, b)
+			f.wb, f.wbSet, f.wbSlot = b, true, slot
 			continue
 		}
 		// One whole region collection (paper §4.2), a preempted victim
@@ -210,7 +171,7 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 			if err != nil {
 				return 0, nil, 0, err
 			}
-			f.openSlot(slot, b)
+			f.wb, f.wbSet, f.wbSlot = b, true, slot
 		}
 	}
 	return 0, nil, 0, fmt.Errorf("core: subpage slot allocation made no progress: %s", f.debugState())
@@ -218,8 +179,8 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 
 // debugState renders the subpage region's state for policy-bug reports.
 func (f *FTL) debugState() string {
-	s := fmt.Sprintf("subBlocks=%d quota=%d free=%d reserve=%d stripe=%d gcDestSet=%v;",
-		f.subBlocks, f.subQuota, f.Man.FreeCount(), f.cfg.GCReserveBlocks, len(f.actives), f.gcDestSet)
+	s := fmt.Sprintf("subBlocks=%d quota=%d free=%d reserve=%d wbSet=%v gcDestSet=%v;",
+		f.subBlocks, f.subQuota, f.Man.FreeCount(), f.cfg.GCReserveBlocks, f.wbSet, f.gcDestSet)
 	for b := range f.meta {
 		if mb := &f.meta[b]; mb.inUse {
 			id := nand.BlockID(b)
@@ -250,9 +211,9 @@ func (f *FTL) pickAdvance(preferChip int) (nand.BlockID, bool) {
 		if f.pinned(id) || f.meta[id].round >= f.PageSecs-1 {
 			continue
 		}
-		// Keep the stripe slot on its chip when a reasonable candidate exists
-		// there (within 8 valid subpages of the global best): the stripe is
-		// what spreads program load over every channel and way.
+		// Keep the refill on its slot's chip when a reasonable candidate
+		// exists there (within 8 valid subpages of the global best): the
+		// rotation is what spreads program load over every channel and way.
 		if g.ChipOf(id) == preferChip {
 			return id, true
 		}
@@ -264,13 +225,13 @@ func (f *FTL) pickAdvance(preferChip int) (nand.BlockID, bool) {
 }
 
 // pinned reports whether a region block is spoken for — the GC destination,
-// a stripe slot's open block, or the collector's in-flight victim — and so
-// is no candidate for a round advance, an open-victim drain or a reclaim.
+// the write block, or the collector's in-flight victim — and so is no
+// candidate for a round advance, an open-victim drain or a reclaim.
 func (f *FTL) pinned(id nand.BlockID) bool {
-	return (f.gcDestSet && id == f.gcDest) || f.isActive(id) || f.subCol.InFlight(id)
+	return (f.gcDestSet && id == f.gcDest) || (f.wbSet && id == f.wb) || f.subCol.InFlight(id)
 }
 
-// pickOpenVictim returns the open (non-active, non-destination) subpage
+// pickOpenVictim returns the open, unpinned subpage
 // block with the fewest valid subpages, lowest ID on ties, for the GC
 // fallback when no block is terminally exhausted.
 func (f *FTL) pickOpenVictim() (nand.BlockID, bool) {
@@ -407,8 +368,8 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		}
 		// The pass aborted: its fresh copies and the shifted survivors'
 		// old cells are gone, but every payload is still in RAM (stamps).
-		// Retire the block, pull it out of the stripe, and replay the
-		// whole pass at round 0 of a fresh block.
+		// Retire the block and replay the whole pass at round 0 of a fresh
+		// write block.
 		p, mb, pi, r, err = f.relocateFailedPass(p)
 		if err != nil {
 			return 0, err
@@ -448,32 +409,21 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 	return n, nil
 }
 
-// relocateFailedPass recovers from an injected program failure on page p:
-// the block is retired (grown bad), its stripe slot freed, and a fresh
-// subpage-region block allocated and installed in its place. It returns
-// the replay target — page 0 of the fresh block at round 0.
+// relocateFailedPass recovers from an injected program failure on page p
+// of the write block (nextEligible hands out no other pages): the block is
+// retired (grown bad) and a fresh subpage-region block, on the same slot's
+// chip, becomes the write block. It returns the replay target — page 0 of
+// the fresh block at round 0.
 func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, int, error) {
 	g := f.Dev.Geometry()
-	fb := g.BlockOfPage(p)
-	slot := -1
-	for i := range f.actives {
-		if f.activeOK[i] && f.actives[i] == fb {
-			slot = i
-			f.closeSlot(i)
-		}
-	}
-	if f.gcDestSet && fb == f.gcDest {
-		f.gcDestSet = false
-	}
-	f.Man.Retire(fb)
+	f.wbSet = false
+	f.Man.Retire(g.BlockOfPage(p))
 	f.Counters.ProgramFailMoves++
-	nb, err := f.growSub(f.slotChip(max(slot, 0)))
+	nb, err := f.growSub(f.slotChip(f.wbSlot))
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
-	if slot >= 0 {
-		f.openSlot(slot, nb)
-	}
+	f.wb, f.wbSet = nb, true
 	return g.PageOf(nb, 0), &f.meta[nb], 0, 0, nil
 }
 

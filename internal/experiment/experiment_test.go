@@ -95,6 +95,36 @@ func TestRunTraceWithIdleGaps(t *testing.T) {
 	}
 }
 
+// TestTraceMeasuresLatency: a trace replays through the same loop as a
+// generator, so MeasureLatency records one sample per replayed request. The
+// idle gap is no request: it records nothing and does not leak into the
+// next request's sample.
+func TestTraceMeasuresLatency(t *testing.T) {
+	o := tinyOpts()
+	gen, err := workload.NewSynthetic(workload.Varmail(), 4096, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, gap = 2000, 30 * 24 * time.Hour
+	var reqs []workload.Request
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			reqs = append(reqs, workload.Request{Op: workload.OpAdvance, Gap: gap})
+		}
+		reqs = append(reqs, gen.Next())
+	}
+	res, err := Run(RunConfig{Kind: KindSub, Geometry: o.Geometry, Trace: reqs, MeasureLatency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Latency.Count(); got != n {
+		t.Fatalf("latency samples = %d, want %d (one per replayed request)", got, n)
+	}
+	if max := res.Latency.Max(); max >= gap/2 {
+		t.Fatalf("max latency %v: the idle gap leaked into a request's sample", max)
+	}
+}
+
 func TestPreconditionError(t *testing.T) {
 	// A logical fraction of ~1.0 cannot fit subFTL's regions: Run must
 	// surface the failure instead of wedging.

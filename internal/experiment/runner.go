@@ -342,7 +342,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := dev.Clock()
 	g := dev.Geometry()
 	ps := int64(g.SubpagesPerPage)
 	fillSectors := int64(float64(logicalSectors)*cfg.FillFrac) / ps * ps
@@ -352,21 +351,21 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	before := f.Stats()
 	drainBefore := dev.DrainTime()
-	clock.AdvanceTo(drainBefore)
+	dev.Clock().AdvanceTo(drainBefore)
 
 	res := &Result{Kind: cfg.Kind, FillSectors: fillSectors}
 	if cfg.MeasureLatency {
 		res.Latency = metrics.NewHistogram()
 	}
 	scheduled := cfg.QueueDepth > 0 || cfg.ArrivalRate > 0
+	var next func() workload.Request
 	if cfg.Trace != nil {
 		if scheduled {
 			return nil, fmt.Errorf("experiment: the host-scheduler path replays generated workloads only (traces carry idle gaps the closed/open-loop drivers redefine)")
 		}
 		res.Profile, res.Requests = "trace", len(cfg.Trace)
-		if err := ReplayTrace(f, clock, cfg.Trace, cfg.TickEvery); err != nil {
-			return nil, err
-		}
+		i := 0
+		next = func() workload.Request { i++; return cfg.Trace[i-1] }
 	} else {
 		gen, err := workload.NewSynthetic(cfg.Profile, fillSectors, g.SubpagesPerPage, cfg.Seed+1)
 		if err != nil {
@@ -374,11 +373,15 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 		res.Profile, res.Requests = cfg.Profile.Name, cfg.Requests
 		if scheduled {
-			res.Sched, err = runScheduled(dev, f, gen, cfg)
+			if res.Sched, err = runScheduled(dev, f, gen, cfg); err != nil {
+				return nil, err
+			}
 		} else {
-			_, err = replayGenerator(f, gen, cfg.Requests, cfg.TickEvery, dev, res.Latency)
+			next = gen.Next
 		}
-		if err != nil {
+	}
+	if next != nil {
+		if _, err := replay(f, next, res.Requests, cfg.TickEvery, dev, res.Latency); err != nil {
 			return nil, err
 		}
 	}
@@ -427,29 +430,40 @@ func runScheduled(dev *nand.Device, f ftl.FTL, gen workload.Generator, cfg RunCo
 // ReplayGenerator feeds n generated requests to the FTL, ticking
 // maintenance every tickEvery requests.
 func ReplayGenerator(f ftl.FTL, gen workload.Generator, n, tickEvery int) error {
-	_, err := replayGenerator(f, gen, n, tickEvery, nil, nil)
+	_, err := replay(f, gen.Next, n, tickEvery, nil, nil)
 	return err
 }
 
-// replayGenerator is the serial replay loop; it returns how many requests
-// completed (request and owed tick both) before the first error. With h
-// non-nil it also records, per request, how far the request pushed dev's
-// drain time: under a saturated queue this is the request's marginal
-// service demand, and foreground GC appears as tail spikes. Generators
-// never emit OpAdvance; ftl.Apply refuses one that did.
-func replayGenerator(f ftl.FTL, gen workload.Generator, n, tickEvery int, dev *nand.Device, h *metrics.Histogram) (int, error) {
+// replay is the one serial replay loop, for generated workloads and
+// recorded traces alike: it feeds n requests from next to the FTL and
+// returns how many completed (request and owed tick both) before the first
+// error. With dev non-nil an OpAdvance idles across its gap; without one
+// ftl.Apply refuses it (generators never emit one). With h non-nil it also
+// records, per request, how far the request pushed dev's drain time: under
+// a saturated queue this is the request's marginal service demand, and
+// foreground GC appears as tail spikes. An idle gap is no request and
+// records nothing.
+func replay(f ftl.FTL, next func() workload.Request, n, tickEvery int, dev *nand.Device, h *metrics.Histogram) (int, error) {
 	var before sim.Time
 	if h != nil {
 		before = dev.DrainTime()
 	}
 	for i := 0; i < n; i++ {
-		r := gen.Next()
-		if err := ftl.Apply(f, r); err != nil {
+		r := next()
+		var err error
+		if r.Op == workload.OpAdvance && dev != nil {
+			err = idle(f, dev.Clock(), r.Gap)
+		} else {
+			err = ftl.Apply(f, r)
+		}
+		if err != nil {
 			return i, fmt.Errorf("experiment: request %d (%v): %w", i, r, err)
 		}
 		if h != nil {
 			after := dev.DrainTime()
-			h.Record(after.Sub(before))
+			if r.Op != workload.OpAdvance {
+				h.Record(after.Sub(before))
+			}
 			before = after
 		}
 		if tickEvery > 0 && i%tickEvery == 0 {
@@ -475,28 +489,6 @@ func idle(f ftl.FTL, clock *sim.Clock, gap time.Duration) error {
 		clock.Advance(d)
 		if err := f.Tick(); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// ReplayTrace feeds a recorded trace to the FTL, idling across its
-// OpAdvance gaps.
-func ReplayTrace(f ftl.FTL, clock *sim.Clock, reqs []workload.Request, tickEvery int) error {
-	for i, r := range reqs {
-		var err error
-		if r.Op == workload.OpAdvance {
-			err = idle(f, clock, r.Gap)
-		} else {
-			err = ftl.Apply(f, r)
-		}
-		if err != nil {
-			return fmt.Errorf("experiment: trace request %d (%v): %w", i, r, err)
-		}
-		if tickEvery > 0 && i%tickEvery == 0 {
-			if err := f.Tick(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -67,7 +67,7 @@ func RunSPO(cfg RunConfig, cutAfter int64, torn bool) (*SPOResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Requests, err = replayGenerator(f, gen, cfg.Requests, cfg.TickEvery, nil, nil)
+	res.Requests, err = replay(f, gen.Next, cfg.Requests, cfg.TickEvery, nil, nil)
 	if err != nil {
 		if !errors.Is(err, nand.ErrPowerLoss) {
 			return nil, fmt.Errorf("experiment: SPO run: %w", err)

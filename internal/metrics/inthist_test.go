@@ -34,15 +34,15 @@ func TestIntHistogramQuantileExact(t *testing.T) {
 		p    float64
 		want int
 	}{
-		{0, 1},      // rank clamps to 1 → smallest value
-		{0.10, 1},   // rank 1
-		{0.25, 2},   // rank 3 (ceil(2.5))
-		{0.50, 5},   // rank 5
-		{0.70, 5},   // rank 7
-		{0.80, 8},   // rank 8
-		{0.90, 9},   // rank 9
-		{0.99, 10},  // rank 10 (ceil(9.9))
-		{1.00, 10},  // rank 10
+		{0, 1},     // rank clamps to 1 → smallest value
+		{0.10, 1},  // rank 1
+		{0.25, 2},  // rank 3 (ceil(2.5))
+		{0.50, 5},  // rank 5
+		{0.70, 5},  // rank 7
+		{0.80, 8},  // rank 8
+		{0.90, 9},  // rank 9
+		{0.99, 10}, // rank 10 (ceil(9.9))
+		{1.00, 10}, // rank 10
 	} {
 		if got := h.Quantile(tc.p); got != tc.want {
 			t.Errorf("Quantile(%.2f) = %d, want %d", tc.p, got, tc.want)

@@ -6,9 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"espftl/internal/wire"
-	"espftl/internal/workload"
 )
 
 func TestReadAnyDetectsBinary(t *testing.T) {
@@ -86,34 +83,5 @@ func TestReadAnyShortAndEmptyInput(t *testing.T) {
 	// A malformed text line still errors through ReadAny.
 	if _, err := ReadAny(strings.NewReader("X 1 2\n")); err == nil {
 		t.Fatal("bad text line parsed without error")
-	}
-}
-
-// TestReadAnyDetectsWire round-trips the third on-disk format: a wire
-// trace as cmd/tracegen -format wire writes it — command frames behind
-// the wire magic — must come back through ReadAny bit-identical,
-// including sync flags and idle gaps.
-func TestReadAnyDetectsWire(t *testing.T) {
-	want := append(sampleReqs(), workload.Request{Op: workload.OpFlush})
-	var buf bytes.Buffer
-	if err := wire.WriteTrace(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAny(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("wire via ReadAny mismatch:\n got %v\nwant %v", got, want)
-	}
-	// A truncated wire trace must surface the wire parser's error, not be
-	// retried as text.
-	var full bytes.Buffer
-	if err := wire.WriteTrace(&full, want); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadAny(bytes.NewReader(full.Bytes()[:full.Len()-3]))
-	if err == nil || !strings.Contains(err.Error(), "wire") {
-		t.Fatalf("truncated wire trace: err = %v, want wire parse error", err)
 	}
 }

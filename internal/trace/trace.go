@@ -11,9 +11,9 @@
 //	F                         flush (cache barrier)
 //	A <nanoseconds>           advance virtual time (idle gap)
 //
-// ReadAny additionally understands the wire-trace format of
-// internal/wire: a request stream pre-encoded as the command frames an
-// espclient replays verbatim against a served device.
+// ReadAny sniffs which of the two a stream holds. The served-device
+// client (cmd/espclient) reads traces through it too and encodes each
+// request as a wire command frame itself.
 package trace
 
 import (
@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"espftl/internal/wire"
 	"espftl/internal/workload"
 )
 
@@ -240,9 +239,6 @@ func ReadAny(r io.Reader) ([]workload.Request, error) {
 	}
 	if len(hdr) >= len(magic) && [4]byte(hdr[:4]) == magic {
 		return ReadBinary(br)
-	}
-	if len(hdr) >= len(magic) && [4]byte(hdr[:4]) == wire.TraceMagic() {
-		return wire.ReadTrace(br)
 	}
 	return ReadText(br)
 }

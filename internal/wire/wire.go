@@ -1,7 +1,7 @@
 // Package wire defines the length-prefixed TCP protocol the espserved
-// block-device service speaks, plus the on-disk "wire trace" format that
-// pre-encodes a request stream as the exact command frames a client
-// replays.
+// block-device service speaks. Request traces on disk are internal/trace's
+// text and binary formats; a client replays one by encoding each request
+// as a command frame (CmdOf).
 //
 // Every frame on the wire is a big-endian uint32 body length followed by
 // the body. A connection opens with one handshake exchange — the client's
@@ -39,21 +39,12 @@ const MaxFrame = 1 << 20
 // helloMagic opens the client Hello and the server Welcome bodies.
 var helloMagic = [4]byte{'E', 'S', 'P', 'S'}
 
-// traceMagic identifies a wire-trace file ("ESPW" + version 1); the first
-// four bytes are distinct from both the text format and the binary trace
-// magic so trace.ReadAny can dispatch on a 4-byte peek.
-var traceMagic = [5]byte{'E', 'S', 'P', 'W', 1}
-
-// TraceMagic returns the 4-byte prefix that identifies a wire-trace
-// stream, for format sniffing.
-func TraceMagic() [4]byte { return [4]byte{traceMagic[0], traceMagic[1], traceMagic[2], traceMagic[3]} }
-
 // Op is the command opcode.
 type Op uint8
 
-// The wire opcodes. Advance appears only in wire-trace files (a live
-// server's clock is paced by the real-time gate, not by clients); Stat
-// asks the server for a JSON snapshot of the connection's namespace.
+// The wire opcodes. A live server refuses Advance (its clock is paced by
+// the real-time gate, not by clients); Stat asks the server for a JSON
+// snapshot of the connection's namespace.
 const (
 	OpRead Op = 1 + iota
 	OpWrite
@@ -466,58 +457,4 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("wire: truncated frame: %w", err)
 	}
 	return body, nil
-}
-
-// WriteTrace writes a request stream as a wire-trace file: the trace
-// magic followed by the exact command frames a client replays, tagged
-// with their stream index. cmd/tracegen emits it with -format wire.
-func WriteTrace(w io.Writer, reqs []workload.Request) error {
-	if _, err := w.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4+cmdBody)
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("wire: request %d: %w", i, err)
-		}
-		c, err := CmdOf(uint64(i), r)
-		if err != nil {
-			return fmt.Errorf("wire: request %d: %w", i, err)
-		}
-		if _, err := w.Write(AppendCmd(buf[:0], c)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadTrace parses a wire-trace stream back into requests. Tags are
-// replay bookkeeping and are discarded.
-func ReadTrace(r io.Reader) ([]workload.Request, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading trace header: %w", err)
-	}
-	if hdr != traceMagic {
-		return nil, fmt.Errorf("wire: bad trace magic %q", hdr[:])
-	}
-	var reqs []workload.Request
-	cr := NewCmdReader(r)
-	for i := 0; ; i++ {
-		c, err := cr.Read()
-		if err == io.EOF {
-			return reqs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wire: trace request %d: %w", i, err)
-		}
-		req, err := c.Request()
-		if err != nil {
-			return nil, fmt.Errorf("wire: trace request %d: %w", i, err)
-		}
-		if err := req.Validate(); err != nil {
-			return nil, fmt.Errorf("wire: trace request %d: %w", i, err)
-		}
-		reqs = append(reqs, req)
-	}
 }

@@ -216,41 +216,3 @@ func TestFrameBounds(t *testing.T) {
 		t.Fatalf("clean EOF between reply frames: err=%v", err)
 	}
 }
-
-func TestTraceRoundTrip(t *testing.T) {
-	reqs := []workload.Request{
-		{Op: workload.OpWrite, LSN: 0, Sectors: 8},
-		{Op: workload.OpRead, LSN: 4, Sectors: 2},
-		{Op: workload.OpWrite, LSN: 12, Sectors: 1, Sync: true},
-		{Op: workload.OpAdvance, Gap: 500 * time.Millisecond},
-		{Op: workload.OpTrim, LSN: 0, Sectors: 8},
-		{Op: workload.OpFlush},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, reqs); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("round trip: sent %d requests, got %d", len(reqs), len(got))
-	}
-	for i := range reqs {
-		if got[i] != reqs[i] {
-			t.Fatalf("request %d: sent %+v, got %+v", i, reqs[i], got[i])
-		}
-	}
-}
-
-func TestTraceRejectsInvalid(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteTrace(&buf, []workload.Request{{Op: workload.OpWrite, LSN: -1, Sectors: 8}})
-	if err == nil {
-		t.Fatal("invalid request written to trace")
-	}
-	if _, err := ReadTrace(bytes.NewReader([]byte("ESPT0000"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
