@@ -168,12 +168,22 @@ func BenchmarkHashTable(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBuffer measures the FGM write buffer's staging path.
+// BenchmarkWriteBuffer measures the FGM write buffer's staging path: one
+// sector per op, every eighth a sync write superseding its buffered copy,
+// each full page's worth written back.
 func BenchmarkWriteBuffer(b *testing.B) {
-	buf := buffer.New(4)
+	buf := buffer.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Write([]int64{int64(i % 4096)}, i%8 == 0)
+		lsns := []int64{int64(i % 4096)}
+		if i%8 == 0 {
+			buf.Trim(lsns)
+			continue
+		}
+		buf.Stage(lsns)
+		for buf.Len() >= 4 {
+			buf.Pop(len(buf.Oldest(4)))
+		}
 	}
 }
 

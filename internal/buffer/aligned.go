@@ -1,6 +1,9 @@
 package buffer
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Aligned is subFTL's write buffer (paper §4.1): it merges small
 // asynchronous writes "with consecutive logical block addresses into one
@@ -11,22 +14,15 @@ import "fmt"
 // N_sub sectors of one logical page.
 //
 // Sectors that fail to merge leave the buffer either with their
-// synchronous write or by capacity eviction, and subFTL routes them to
-// the subpage region.
+// synchronous write or by write-back of the oldest page's group (capacity
+// pressure or a flush), and subFTL routes them to the subpage region.
 type Aligned struct {
 	pageSecs   int
 	maxSectors int
 	masks      map[int64]uint64 // LPN -> staged-sector bitmask
-	order      []int64          // LPN FIFO for capacity eviction
+	order      []int64          // LPN FIFO, oldest first
 	sectors    int
-	merged     int64
-	evictions  int64
-
-	// Reusable scratch backing Stage's and Drain's results; see the
-	// borrow contract on Stage.
-	fullBuf    []int64
-	evictBuf   [][]int64
-	groupArena []int64
+	lsnBuf     []int64 // backs Oldest's result
 }
 
 // NewAligned returns a buffer holding at most maxSectors staged sectors.
@@ -47,11 +43,9 @@ func NewAligned(pageSecs, maxSectors int) *Aligned {
 // Len returns the number of staged sectors.
 func (b *Aligned) Len() int { return b.sectors }
 
-// Merged counts logical pages completed and emitted as full-page flushes.
-func (b *Aligned) Merged() int64 { return b.merged }
-
-// Evicted counts sectors pushed out by capacity pressure.
-func (b *Aligned) Evicted() int64 { return b.evictions }
+// Over reports whether more than the buffer's capacity is staged; the
+// owner writes back the oldest groups until it is not.
+func (b *Aligned) Over() bool { return b.sectors > b.maxSectors }
 
 // Contains reports whether lsn is staged (a read hit).
 func (b *Aligned) Contains(lsn int64) bool {
@@ -59,7 +53,61 @@ func (b *Aligned) Contains(lsn int64) bool {
 	return mask&(1<<uint(lsn%int64(b.pageSecs))) != 0
 }
 
-func (b *Aligned) fullMask() uint64 { return (uint64(1) << b.pageSecs) - 1 }
+// Stage adds asynchronous small-write sectors in order, absorbing
+// duplicates in place, and stops after a sector that completes its logical
+// page. It returns how many of lsns it consumed and whether the last one
+// completed its page (lsns[n-1]'s), which the owner writes as one full
+// page and then drops before staging the rest.
+func (b *Aligned) Stage(lsns []int64) (n int, full bool) {
+	for i, lsn := range lsns {
+		lpn := lsn / int64(b.pageSecs)
+		bit := uint64(1) << uint(lsn%int64(b.pageSecs))
+		mask, ok := b.masks[lpn]
+		if mask&bit != 0 {
+			continue
+		}
+		if !ok {
+			b.order = append(b.order, lpn)
+		}
+		mask |= bit
+		b.masks[lpn] = mask
+		b.sectors++
+		if mask == (uint64(1)<<b.pageSecs)-1 {
+			return i + 1, true
+		}
+	}
+	return len(lsns), false
+}
+
+// Oldest returns the first-staged logical page and its staged sectors in
+// slot order, or ok false when nothing is staged. The sector view is valid
+// until the next Oldest call.
+func (b *Aligned) Oldest() (lpn int64, lsns []int64, ok bool) {
+	if len(b.order) == 0 {
+		return 0, nil, false
+	}
+	lpn = b.order[0]
+	mask := b.masks[lpn]
+	lsns = b.lsnBuf[:0]
+	for slot := 0; slot < b.pageSecs; slot++ {
+		if mask&(1<<slot) != 0 {
+			lsns = append(lsns, lpn*int64(b.pageSecs)+int64(slot))
+		}
+	}
+	b.lsnBuf = lsns
+	return lpn, lsns, true
+}
+
+// Drop removes every staged sector of lpn once they are on flash.
+func (b *Aligned) Drop(lpn int64) {
+	mask, ok := b.masks[lpn]
+	if !ok {
+		return
+	}
+	delete(b.masks, lpn)
+	b.dropLPN(lpn)
+	b.sectors -= bits.OnesCount64(mask)
+}
 
 func (b *Aligned) dropLPN(lpn int64) {
 	for i, v := range b.order {
@@ -68,75 +116,6 @@ func (b *Aligned) dropLPN(lpn int64) {
 			return
 		}
 	}
-}
-
-func (b *Aligned) countBits(mask uint64) int {
-	n := 0
-	for ; mask != 0; mask &= mask - 1 {
-		n++
-	}
-	return n
-}
-
-// appendSectorsOf expands an LPN's staged mask into LSNs appended to the
-// group arena, returning the group view and the grown arena.
-func (b *Aligned) appendSectorsOf(arena []int64, lpn int64, mask uint64) ([]int64, []int64) {
-	start := len(arena)
-	for slot := 0; slot < b.pageSecs; slot++ {
-		if mask&(1<<slot) != 0 {
-			arena = append(arena, lpn*int64(b.pageSecs)+int64(slot))
-		}
-	}
-	return arena[start:len(arena):len(arena)], arena
-}
-
-// Stage adds asynchronous small-write sectors. It returns the logical
-// pages that became complete (each to be flushed as one full-page write)
-// and any partial sector groups evicted by capacity pressure (each to be
-// routed to the subpage region).
-//
-// Borrow contract: both results are buffer-owned scratch, valid only
-// until the next Stage or Drain call; a retaining caller must copy.
-func (b *Aligned) Stage(lsns []int64) (fullPages []int64, evicted [][]int64) {
-	fullPages = b.fullBuf[:0]
-	evicted = b.evictBuf[:0]
-	arena := b.groupArena[:0]
-	for _, lsn := range lsns {
-		lpn := lsn / int64(b.pageSecs)
-		bit := uint64(1) << uint(lsn%int64(b.pageSecs))
-		mask, ok := b.masks[lpn]
-		if mask&bit != 0 {
-			continue // duplicate absorbed in place
-		}
-		if !ok {
-			b.order = append(b.order, lpn)
-		}
-		mask |= bit
-		b.masks[lpn] = mask
-		b.sectors++
-		if mask == b.fullMask() {
-			fullPages = append(fullPages, lpn)
-			delete(b.masks, lpn)
-			b.dropLPN(lpn)
-			b.sectors -= b.pageSecs
-			b.merged++
-		}
-	}
-	for b.sectors > b.maxSectors && len(b.order) > 0 {
-		lpn := b.order[0]
-		b.order = append(b.order[:0], b.order[1:]...)
-		mask := b.masks[lpn]
-		delete(b.masks, lpn)
-		var group []int64
-		group, arena = b.appendSectorsOf(arena, lpn, mask)
-		b.sectors -= len(group)
-		b.evictions += int64(len(group))
-		evicted = append(evicted, group)
-	}
-	// Save the (possibly grown) scratch for reuse; the returned views stay
-	// valid until the next Stage or Drain.
-	b.fullBuf, b.evictBuf, b.groupArena = fullPages, evicted, arena
-	return fullPages, evicted
 }
 
 // Remove drops any staged copies of the given sectors (they are being
@@ -158,25 +137,4 @@ func (b *Aligned) Remove(lsns []int64) {
 			b.masks[lpn] = mask
 		}
 	}
-}
-
-// Drain removes and returns every staged partial group, oldest first. The
-// result shares Stage's borrow contract.
-func (b *Aligned) Drain() [][]int64 {
-	out := b.evictBuf[:0]
-	arena := b.groupArena[:0]
-	for _, lpn := range b.order {
-		mask := b.masks[lpn]
-		delete(b.masks, lpn)
-		var group []int64
-		group, arena = b.appendSectorsOf(arena, lpn, mask)
-		b.sectors -= len(group)
-		out = append(out, group)
-	}
-	b.order = b.order[:0]
-	b.evictBuf, b.groupArena = out, arena
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

@@ -6,29 +6,65 @@ import (
 	"testing/quick"
 )
 
+// stageAll mimics subFTL's write path: stage up to each completing sector,
+// "land" the completed page and drop it, then stage the rest. It returns
+// the completed pages in order.
+func stageAll(b *Aligned, lsns []int64) []int64 {
+	var full []int64
+	for len(lsns) > 0 {
+		n, done := b.Stage(lsns)
+		if done {
+			lpn := lsns[n-1] / int64(b.pageSecs)
+			full = append(full, lpn)
+			b.Drop(lpn)
+		}
+		lsns = lsns[n:]
+	}
+	return full
+}
+
+// writeBackAligned mimics subFTL's write-back: while over capacity, or
+// until empty when all is set, land the oldest page's group and drop it.
+func writeBackAligned(b *Aligned, all bool) [][]int64 {
+	var out [][]int64
+	for b.Over() || all && b.Len() > 0 {
+		lpn, lsns, ok := b.Oldest()
+		if !ok {
+			panic("staged sectors but no oldest group")
+		}
+		out = append(out, append([]int64(nil), lsns...))
+		b.Drop(lpn)
+	}
+	return out
+}
+
 func TestAlignedCompletesPage(t *testing.T) {
 	b := NewAligned(4, 64)
-	full, ev := b.Stage([]int64{8, 9, 10})
-	if full != nil || ev != nil {
-		t.Fatalf("partial stage emitted: %v %v", full, ev)
+	if n, full := b.Stage([]int64{8, 9, 10}); n != 3 || full {
+		t.Fatalf("partial stage = %d, %v", n, full)
 	}
 	if b.Len() != 3 || !b.Contains(9) || b.Contains(11) {
 		t.Fatalf("staging state wrong: len=%d", b.Len())
 	}
-	full, ev = b.Stage([]int64{11})
-	if !reflect.DeepEqual(full, []int64{2}) || ev != nil {
-		t.Fatalf("completion = %v %v, want page 2", full, ev)
+	// The completing sector stops the stage; the page stays staged until
+	// its owner drops it, and the rest of the write is not yet staged.
+	n, full := b.Stage([]int64{11, 12})
+	if n != 1 || !full {
+		t.Fatalf("completion = %d, %v, want 1, true", n, full)
 	}
-	if b.Len() != 0 || b.Merged() != 1 {
-		t.Fatalf("post-merge: len=%d merged=%d", b.Len(), b.Merged())
+	if b.Len() != 4 || !b.Contains(8) || b.Contains(12) {
+		t.Fatalf("completed page: len=%d", b.Len())
+	}
+	b.Drop(2)
+	if b.Len() != 0 || b.Contains(8) {
+		t.Fatalf("post-drop: len=%d", b.Len())
 	}
 }
 
 func TestAlignedScatteredNeverMerges(t *testing.T) {
 	b := NewAligned(4, 64)
 	// Sectors from different pages, none completing.
-	full, _ := b.Stage([]int64{0, 5, 10, 15, 20, 25})
-	if full != nil {
+	if full := stageAll(b, []int64{0, 5, 10, 15, 20, 25}); full != nil {
 		t.Fatalf("scattered sectors merged: %v", full)
 	}
 	if b.Len() != 6 {
@@ -47,22 +83,45 @@ func TestAlignedDuplicateAbsorbed(t *testing.T) {
 
 func TestAlignedCapacityEviction(t *testing.T) {
 	b := NewAligned(4, 8)
-	// Nine scattered sectors: oldest page's group must be evicted.
+	// Nine scattered sectors: the oldest page's group must be written back.
 	var full []int64
 	var ev [][]int64
 	for i := int64(0); i < 9; i++ {
-		f, e := b.Stage([]int64{i * 4}) // each in its own page
-		full = append(full, f...)
-		ev = append(ev, e...)
+		full = append(full, stageAll(b, []int64{i * 4})...) // each in its own page
+		ev = append(ev, writeBackAligned(b, false)...)
 	}
 	if full != nil {
 		t.Fatalf("unexpected merges: %v", full)
 	}
-	if len(ev) != 1 || !reflect.DeepEqual(ev[0], []int64{0}) {
+	if !reflect.DeepEqual(ev, [][]int64{{0}}) {
 		t.Fatalf("evicted = %v, want [[0]]", ev)
 	}
-	if b.Evicted() != 1 || b.Len() != 8 {
-		t.Fatalf("evicted=%d len=%d", b.Evicted(), b.Len())
+	if b.Over() || b.Len() != 8 {
+		t.Fatalf("over=%v len=%d", b.Over(), b.Len())
+	}
+}
+
+// The oldest group stays staged, and readable, until its owner drops it,
+// so a failed write-back loses nothing.
+func TestAlignedStagedUntilDropped(t *testing.T) {
+	b := NewAligned(4, 4)
+	stageAll(b, []int64{1, 2, 9, 10, 17})
+	for i := 0; i < 2; i++ {
+		lpn, lsns, ok := b.Oldest()
+		if !ok || lpn != 0 || !reflect.DeepEqual(lsns, []int64{1, 2}) {
+			t.Fatalf("Oldest = %d %v %v", lpn, lsns, ok)
+		}
+	}
+	if !b.Over() || b.Len() != 5 || !b.Contains(1) {
+		t.Fatalf("Oldest removed sectors: len=%d", b.Len())
+	}
+	b.Drop(0)
+	if b.Over() || b.Len() != 3 || b.Contains(1) {
+		t.Fatalf("after Drop: len=%d", b.Len())
+	}
+	b.Drop(0) // dropping an absent page is a no-op
+	if b.Len() != 3 {
+		t.Fatalf("second Drop changed Len to %d", b.Len())
 	}
 }
 
@@ -78,9 +137,11 @@ func TestAlignedRemove(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d", b.Len())
 	}
+	if _, _, ok := b.Oldest(); ok {
+		t.Fatal("emptied page still tracked")
+	}
 	// Completing the page later still works from scratch.
-	full, _ := b.Stage([]int64{0, 1, 2, 3})
-	if !reflect.DeepEqual(full, []int64{0}) {
+	if full := stageAll(b, []int64{0, 1, 2, 3}); !reflect.DeepEqual(full, []int64{0}) {
 		t.Fatalf("full = %v", full)
 	}
 }
@@ -88,17 +149,14 @@ func TestAlignedRemove(t *testing.T) {
 func TestAlignedDrain(t *testing.T) {
 	b := NewAligned(4, 64)
 	b.Stage([]int64{0, 1, 8})
-	groups := b.Drain()
-	if len(groups) != 2 {
-		t.Fatalf("drain groups = %v", groups)
-	}
-	if !reflect.DeepEqual(groups[0], []int64{0, 1}) || !reflect.DeepEqual(groups[1], []int64{8}) {
+	groups := writeBackAligned(b, true)
+	if !reflect.DeepEqual(groups, [][]int64{{0, 1}, {8}}) {
 		t.Fatalf("drain = %v", groups)
 	}
 	if b.Len() != 0 {
 		t.Fatal("drain left residue")
 	}
-	if b.Drain() != nil {
+	if writeBackAligned(b, true) != nil {
 		t.Fatal("second drain non-empty")
 	}
 }
@@ -121,7 +179,7 @@ func TestAlignedPanics(t *testing.T) {
 }
 
 // Property: sector conservation — every staged sector leaves exactly once
-// (merge, eviction, removal, or drain), and Len always matches.
+// (merge, capacity write-back, removal, or drain), and Len always matches.
 func TestAlignedConservationProperty(t *testing.T) {
 	f := func(ops []struct {
 		LSN    uint8
@@ -135,9 +193,8 @@ func TestAlignedConservationProperty(t *testing.T) {
 				b.Remove([]int64{lsn})
 				delete(inBuf, lsn)
 			} else {
-				full, ev := b.Stage([]int64{lsn})
 				inBuf[lsn] = true
-				for _, lpn := range full {
+				for _, lpn := range stageAll(b, []int64{lsn}) {
 					for s := int64(0); s < 4; s++ {
 						if !inBuf[lpn*4+s] {
 							return false // merged a sector never staged
@@ -145,7 +202,7 @@ func TestAlignedConservationProperty(t *testing.T) {
 						delete(inBuf, lpn*4+s)
 					}
 				}
-				for _, grp := range ev {
+				for _, grp := range writeBackAligned(b, false) {
 					for _, l := range grp {
 						if !inBuf[l] {
 							return false
@@ -154,7 +211,7 @@ func TestAlignedConservationProperty(t *testing.T) {
 					}
 				}
 			}
-			if b.Len() != len(inBuf) {
+			if b.Len() != len(inBuf) || b.Over() {
 				return false
 			}
 			for l := range inBuf {
@@ -164,7 +221,7 @@ func TestAlignedConservationProperty(t *testing.T) {
 			}
 		}
 		rest := 0
-		for _, grp := range b.Drain() {
+		for _, grp := range writeBackAligned(b, true) {
 			rest += len(grp)
 		}
 		return rest == len(inBuf) && b.Len() == 0

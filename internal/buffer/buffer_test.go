@@ -6,62 +6,63 @@ import (
 	"testing/quick"
 )
 
+// writeBack mimics the FGM owner's write-back: while at least threshold
+// sectors are staged, take the oldest page's worth, "land" it, then pop it.
+func writeBack(b *Buffer, threshold, pageSecs int) [][]int64 {
+	var out [][]int64
+	for b.Len() >= threshold {
+		grp := b.Oldest(pageSecs)
+		out = append(out, append([]int64(nil), grp...))
+		b.Pop(len(grp))
+	}
+	return out
+}
+
 func TestAsyncMergesToFullGroups(t *testing.T) {
-	b := New(4)
-	if got := b.Write([]int64{1}, false); got != nil {
-		t.Fatalf("first sector flushed early: %v", got)
+	b := New()
+	b.Stage([]int64{1})
+	b.Stage([]int64{2, 3})
+	if b.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", b.Len())
 	}
-	if got := b.Write([]int64{2, 3}, false); got != nil {
-		t.Fatalf("three sectors flushed early: %v", got)
-	}
-	got := b.Write([]int64{4}, false)
-	if len(got) != 1 || got[0].Sync || !reflect.DeepEqual(got[0].LSNs, []int64{1, 2, 3, 4}) {
-		t.Fatalf("full flush = %+v", got)
+	b.Stage([]int64{4})
+	got := writeBack(b, 4, 4)
+	if !reflect.DeepEqual(got, [][]int64{{1, 2, 3, 4}}) {
+		t.Fatalf("full write-back = %v", got)
 	}
 	if b.Len() != 0 {
-		t.Fatalf("buffer not empty after full flush: %d", b.Len())
-	}
-	if b.FlushedFull() != 1 || b.FlushedPartial() != 0 {
-		t.Fatalf("counters: full=%d part=%d", b.FlushedFull(), b.FlushedPartial())
+		t.Fatalf("buffer not empty after full write-back: %d", b.Len())
 	}
 }
 
-func TestSyncBypassesMerging(t *testing.T) {
-	b := New(4)
-	b.Write([]int64{1, 2}, false)
-	got := b.Write([]int64{100}, true)
-	if len(got) != 1 || !got[0].Sync || !reflect.DeepEqual(got[0].LSNs, []int64{100}) {
-		t.Fatalf("sync flush = %+v", got)
+// A group stays staged, and readable, until its owner pops it: reading
+// the oldest group does not remove it, so a failed write-back loses
+// nothing.
+func TestStagedUntilPopped(t *testing.T) {
+	b := New()
+	b.Stage([]int64{1, 2, 3, 4, 5})
+	for i := 0; i < 2; i++ {
+		if got := b.Oldest(4); !reflect.DeepEqual(got, []int64{1, 2, 3, 4}) {
+			t.Fatalf("Oldest = %v", got)
+		}
 	}
-	// Async residents stay put.
-	if b.Len() != 2 || !b.Contains(1) || !b.Contains(2) {
-		t.Fatalf("async residents disturbed: len=%d", b.Len())
+	if b.Len() != 5 || !b.Contains(1) || !b.Contains(4) {
+		t.Fatalf("Oldest removed sectors: len=%d", b.Len())
 	}
-	if b.FlushedPartial() != 1 {
-		t.Fatalf("partial count = %d", b.FlushedPartial())
+	b.Pop(4)
+	if b.Len() != 1 || b.Contains(1) || !b.Contains(5) {
+		t.Fatalf("after Pop: len=%d", b.Len())
 	}
-}
-
-func TestSyncSupersedesBufferedCopy(t *testing.T) {
-	b := New(4)
-	b.Write([]int64{7, 8}, false)
-	got := b.Write([]int64{7}, true)
-	if len(got) != 1 || !reflect.DeepEqual(got[0].LSNs, []int64{7}) {
-		t.Fatalf("sync flush = %+v", got)
-	}
-	if b.Contains(7) {
-		t.Fatal("stale async copy of 7 still buffered")
-	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", b.Len())
+	if got := b.Oldest(4); !reflect.DeepEqual(got, []int64{5}) {
+		t.Fatalf("partial Oldest = %v", got)
 	}
 }
 
 func TestDuplicateAsyncAbsorbed(t *testing.T) {
-	b := New(4)
-	b.Write([]int64{5}, false)
-	b.Write([]int64{5}, false)
-	b.Write([]int64{5}, false)
+	b := New()
+	b.Stage([]int64{5})
+	b.Stage([]int64{5})
+	b.Stage([]int64{5})
 	if b.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (duplicates absorbed)", b.Len())
 	}
@@ -71,35 +72,20 @@ func TestDuplicateAsyncAbsorbed(t *testing.T) {
 }
 
 func TestLargeAsyncWriteMultipleGroups(t *testing.T) {
-	b := New(4)
-	lsns := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	got := b.Write(lsns, false)
-	if len(got) != 2 {
-		t.Fatalf("groups = %d, want 2", len(got))
-	}
-	if !reflect.DeepEqual(got[0].LSNs, []int64{0, 1, 2, 3}) || !reflect.DeepEqual(got[1].LSNs, []int64{4, 5, 6, 7}) {
-		t.Fatalf("groups = %+v", got)
+	b := New()
+	b.Stage([]int64{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	got := writeBack(b, 4, 4)
+	if !reflect.DeepEqual(got, [][]int64{{0, 1, 2, 3}, {4, 5, 6, 7}}) {
+		t.Fatalf("groups = %v", got)
 	}
 	if b.Len() != 1 || !b.Contains(8) {
 		t.Fatal("tail sector not retained")
 	}
 }
 
-func TestSyncLargeWriteSingleGroup(t *testing.T) {
-	b := New(4)
-	got := b.Write([]int64{0, 1, 2, 3, 4}, true)
-	if len(got) != 1 || len(got[0].LSNs) != 5 || !got[0].Sync {
-		t.Fatalf("sync large flush = %+v", got)
-	}
-	// 5 sectors = 1 full page + partial remainder.
-	if b.FlushedFull() != 1 || b.FlushedPartial() != 1 {
-		t.Fatalf("counters: full=%d part=%d", b.FlushedFull(), b.FlushedPartial())
-	}
-}
-
 func TestTrimRemovesResidents(t *testing.T) {
-	b := New(4)
-	b.Write([]int64{1, 2, 3}, false)
+	b := New()
+	b.Stage([]int64{1, 2, 3})
 	b.Trim([]int64{2, 99})
 	if b.Contains(2) {
 		t.Fatal("trimmed sector still resident")
@@ -107,46 +93,42 @@ func TestTrimRemovesResidents(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
+	if got := b.Oldest(4); !reflect.DeepEqual(got, []int64{1, 3}) {
+		t.Fatalf("FIFO after trim = %v", got)
+	}
 }
 
 func TestDrain(t *testing.T) {
-	b := New(4)
-	if got := b.Drain(); got != nil {
+	b := New()
+	if got := writeBack(b, 1, 4); got != nil {
 		t.Fatalf("empty drain = %v", got)
 	}
-	b.Write([]int64{1, 2, 3, 4, 5, 6}, false) // flushes {1..4}, retains {5,6}
-	got := b.Drain()
-	if len(got) != 1 || !reflect.DeepEqual(got[0].LSNs, []int64{5, 6}) {
-		t.Fatalf("drain = %+v", got)
+	b.Stage([]int64{1, 2, 3, 4, 5, 6})
+	writeBack(b, 4, 4) // lands {1..4}, retains {5,6}
+	got := writeBack(b, 1, 4)
+	if !reflect.DeepEqual(got, [][]int64{{5, 6}}) {
+		t.Fatalf("drain = %v", got)
 	}
 	if b.Len() != 0 {
 		t.Fatal("buffer not empty after drain")
 	}
 }
 
-func TestNewPanicsOnBadPageSectors(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0)
-}
-
-// Property: no sector is ever lost or duplicated — every written LSN is,
-// at any point, either exactly once in the buffer or has appeared in
-// exactly as many flush groups as droppable versions demand; and drain
-// leaves the buffer empty with every resident flushed once.
+// Property: no sector is ever lost or duplicated — every staged LSN is,
+// at any point, either exactly once in the buffer or has been written
+// back, never more often than it was staged; and a final drain leaves the
+// buffer empty with every resident written back once. A sync write is the
+// owner's Trim followed by its own flush.
 func TestBufferConservationProperty(t *testing.T) {
 	f := func(ops []struct {
 		LSN  uint8
 		Sync bool
 	}) bool {
-		b := New(4)
+		b := New()
 		flushed := make(map[int64]int)
-		record := func(gs []Group) {
+		record := func(gs [][]int64) {
 			for _, g := range gs {
-				for _, lsn := range g.LSNs {
+				for _, lsn := range g {
 					flushed[lsn]++
 				}
 			}
@@ -155,9 +137,15 @@ func TestBufferConservationProperty(t *testing.T) {
 		for _, op := range ops {
 			lsn := int64(op.LSN % 32)
 			written[lsn]++
-			record(b.Write([]int64{lsn}, op.Sync))
+			if op.Sync {
+				b.Trim([]int64{lsn})
+				record([][]int64{{lsn}})
+			} else {
+				b.Stage([]int64{lsn})
+				record(writeBack(b, 4, 4))
+			}
 		}
-		record(b.Drain())
+		record(writeBack(b, 1, 4))
 		if b.Len() != 0 {
 			return false
 		}

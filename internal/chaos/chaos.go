@@ -832,11 +832,11 @@ func loopTenant(t tenant, stop <-chan struct{}, next func(batch uint64) ([]workl
 // 0: writes touching one of its stripes (stripe si of a "*" namespace is
 // one page on shard si%shards), and FLUSHes, which a striped namespace
 // turns into a barrier over every shard. Reads still reach every shard.
-// Shard 0's media storm fails its write-back, and subFTL then loses
-// acknowledged data — buffered sectors, and subpage survivors that
-// relocation drops at the capacity floor, whichever tenant wrote them —
-// so wide data there could not pass the model check.
-// TODO(ROADMAP item 2): delete offShard0 with the write-back fix.
+// Shard 0's storms fail writes after admission has bumped their
+// sectors' versions, so a later read of the older copy still on flash
+// fails stamp verification and the wide tenant would see ERROR.
+// TODO(ROADMAP item 2(c)): delete offShard0 once a failed write leaves
+// its sectors' versions as they were.
 func offShard0(reqs []workload.Request, ps, shards int) []workload.Request {
 	su, k := int64(ps), int64(shards)
 	out := reqs[:0]

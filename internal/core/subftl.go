@@ -421,18 +421,43 @@ func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 		return f.subWriteSteered(lsns, int64(g.SubpageBytes))
 	}
 
-	fullPages, evicted := f.buf.Stage(lsns)
-	for _, lpn := range fullPages {
+	// Stage up to each sector that completes a logical page and write that
+	// page before staging the rest. A failed page stays staged, and so does
+	// the rest of the write.
+	var err error
+	for len(lsns) > 0 {
+		n, full := f.buf.Stage(lsns)
+		lpn := lsns[n-1] / int64(f.PageSecs)
+		lsns = lsns[n:]
+		if !full || err != nil {
+			continue
+		}
 		// Every sector of a merged page came from small requests; each is
 		// charged its exact share (S_sub), i.e. request WAF 1.
-		if err := f.writeFullAligned(lpn, f.smallAttrForPage(lpn)); err != nil {
-			return err
+		if err = f.writeFullAligned(lpn, f.smallAttrForPage(lpn)); err == nil {
+			f.buf.Drop(lpn)
 		}
 	}
-	for _, group := range evicted {
-		if err := f.subWriteSteered(group, int64(g.SubpageBytes)); err != nil {
+	if err != nil {
+		return err
+	}
+	return f.writeBack(false)
+}
+
+// writeBack writes the buffer's oldest page groups to the subpage region
+// while it is over capacity, or until it is empty when all is set,
+// dropping each group only once it has landed. A read-only device refuses
+// write-back.
+func (f *FTL) writeBack(all bool) error {
+	for f.buf.Over() || all && f.buf.Len() > 0 {
+		if f.ReadOnly() {
+			return ftl.ErrReadOnly
+		}
+		lpn, lsns, _ := f.buf.Oldest()
+		if err := f.subWriteSteered(lsns, int64(f.Dev.Geometry().SubpageBytes)); err != nil {
 			return err
 		}
+		f.buf.Drop(lpn)
 	}
 	return nil
 }
@@ -569,11 +594,8 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 // Flush implements ftl.FTL: unmerged staged sectors go to the subpage
 // region, exactly as if their page never completed.
 func (f *FTL) Flush() error {
-	g := f.Dev.Geometry()
-	for _, group := range f.buf.Drain() {
-		if err := f.subWriteSteered(group, int64(g.SubpageBytes)); err != nil {
-			return err
-		}
+	if err := f.writeBack(true); err != nil {
+		return err
 	}
 	return f.payGC()
 }

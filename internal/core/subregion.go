@@ -363,17 +363,26 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) {
 			return 0, err
 		}
 		// The pass aborted: its fresh copies and the shifted survivors'
 		// old cells are gone, but every payload is still in RAM (stamps).
-		// Retire the block and replay the whole pass at round 0 of a fresh
-		// write block.
-		p, mb, pi, r, err = f.relocateFailedPass(p)
+		// Retire the write block (grown bad) so no later pass retries the
+		// spent page; unless the replays are used up, replay the whole
+		// pass at round 0 of a fresh write block on the same slot's chip.
+		f.wbSet = false
+		f.Man.Retire(g.BlockOfPage(p))
+		if attempt >= ftl.MaxProgramReplays {
+			return 0, err
+		}
+		f.Counters.ProgramFailMoves++
+		nb, err := f.growSub(f.slotChip(f.wbSlot))
 		if err != nil {
 			return 0, err
 		}
+		f.wb, f.wbSet = nb, true
+		p, mb, pi, r = g.PageOf(nb, 0), &f.meta[nb], 0, 0
 	}
 	// Remap the shifted survivors. After a replay on a fresh block the
 	// survivors changed blocks, so their valid counts move too.
@@ -407,24 +416,6 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 	mb.nextIdx[pi] = uint8(r + len(stamps))
 	mb.cursor++
 	return n, nil
-}
-
-// relocateFailedPass recovers from an injected program failure on page p
-// of the write block (nextEligible hands out no other pages): the block is
-// retired (grown bad) and a fresh subpage-region block, on the same slot's
-// chip, becomes the write block. It returns the replay target — page 0 of
-// the fresh block at round 0.
-func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, int, error) {
-	g := f.Dev.Geometry()
-	f.wbSet = false
-	f.Man.Retire(g.BlockOfPage(p))
-	f.Counters.ProgramFailMoves++
-	nb, err := f.growSub(f.slotChip(f.wbSlot))
-	if err != nil {
-		return 0, nil, 0, 0, err
-	}
-	f.wb, f.wbSet = nb, true
-	return g.PageOf(nb, 0), &f.meta[nb], 0, 0, nil
 }
 
 // growSub waits at the pool's gate for a block and brings it into the
@@ -492,18 +483,20 @@ func (f *FTL) subPlace(lsn, spn int64) error {
 }
 
 // evictSector moves lsn's (already read and verified) subpage-region data
-// into the full-page region: drop the region copy and rewrite the sector
-// there, a read-modify-write on the receiving page.
+// into the full-page region: rewrite the sector there, a read-modify-write
+// on the receiving page, and only once it has landed drop the region copy.
 func (f *FTL) evictSector(lsn int64) error {
-	f.dropSubCopy(lsn)
-	g := f.Dev.Geometry()
 	ps := int64(f.PageSecs)
 	var attr int64
 	if f.Ver.SmallOrigin(lsn) {
-		attr = int64(g.SubpageBytes)
+		attr = int64(f.Dev.Geometry().SubpageBytes)
 	}
 	f.slot1[0] = int(lsn % ps)
-	return f.full.WriteSectors(lsn/ps, f.slot1[:], attr)
+	if err := f.full.WriteSectors(lsn/ps, f.slot1[:], attr); err != nil {
+		return err
+	}
+	f.dropSubCopy(lsn)
+	return nil
 }
 
 // evictToFull reads, verifies and evicts one subpage-region sector; used

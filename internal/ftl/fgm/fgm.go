@@ -91,7 +91,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		Front: fe,
 		table: mapping.NewFineTable(cfg.LogicalSectors),
 		rmap:  make([]int64, g.TotalSubpages()),
-		buf:   buffer.New(g.SubpagesPerPage),
+		buf:   buffer.New(),
 	}
 	for i := range f.rmap {
 		f.rmap[i] = mapping.None
@@ -169,15 +169,13 @@ func (f *FTL) vote(lsns []int64) lifetime.Class {
 	return lifetime.ClassUnknown
 }
 
-// flushGroup writes one buffer flush group to flash, splitting it into
-// page-sized chunks and attributing flash bytes to small-origin sectors.
+// flushGroup writes a sync write or one written-back page to flash,
+// splitting it into page-sized chunks and attributing flash bytes to
+// small-origin sectors.
 func (f *FTL) flushGroup(lsns []int64) error {
 	g := f.Dev.Geometry()
 	for len(lsns) > 0 {
-		n := f.PageSecs
-		if n > len(lsns) {
-			n = len(lsns)
-		}
+		n := min(f.PageSecs, len(lsns))
 		chunk := lsns[:n]
 		lsns = lsns[n:]
 		if err := f.programPacked(chunk, ftl.StreamHost); err != nil {
@@ -195,23 +193,50 @@ func (f *FTL) flushGroup(lsns []int64) error {
 	return nil
 }
 
-// Write implements ftl.FTL.
+// Write implements ftl.FTL. A synchronous write supersedes any buffered
+// copies and flushes on its own (padding its last page); an asynchronous
+// one is staged, and every full page's worth of staged sectors is written
+// back.
 func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 	if err := f.Admit(workload.OpWrite, lsn, sectors); err != nil {
 		return err
 	}
 	lifetime.ObserveWrite(f.Place, lsn, sectors, f.PageSecs)
-	before := f.buf.Absorbed()
-	groups := f.buf.Write(f.SectorRun(lsn, sectors), sync)
-	f.Counters.BufferAbsorbed += f.buf.Absorbed() - before
-	for _, grp := range groups {
-		if err := f.flushGroup(grp.LSNs); err != nil {
-			return err
-		}
+	lsns := f.SectorRun(lsn, sectors)
+	var err error
+	if sync {
+		f.buf.Trim(lsns)
+		err = f.flushGroup(lsns)
+	} else {
+		before := f.buf.Absorbed()
+		f.buf.Stage(lsns)
+		f.Counters.BufferAbsorbed += f.buf.Absorbed() - before
+		err = f.writeBack(f.PageSecs)
+	}
+	if err != nil {
+		return err
 	}
 	// Incremental write tax: one bounded collection step while the pool
 	// is in debt (no-op for an unbudgeted collector).
 	return f.log.Pay()
+}
+
+// writeBack writes the buffer's oldest sectors to flash, a page at a
+// time, while at least threshold (one or more) are staged, dropping each
+// page's sectors only once they have landed. A read-only device refuses
+// write-back.
+func (f *FTL) writeBack(threshold int) error {
+	for f.buf.Len() >= threshold {
+		if f.ReadOnly() {
+			return ftl.ErrReadOnly
+		}
+		grp := f.buf.Oldest(f.PageSecs)
+		if err := f.flushGroup(grp); err != nil {
+			return err
+		}
+		f.buf.Pop(len(grp))
+	}
+	return nil
 }
 
 // Read implements ftl.FTL. Sectors resident in the write buffer are
@@ -259,15 +284,8 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 	return nil
 }
 
-// Flush implements ftl.FTL: drain the write buffer.
-func (f *FTL) Flush() error {
-	for _, grp := range f.buf.Drain() {
-		if err := f.flushGroup(grp.LSNs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush implements ftl.FTL: write back everything staged.
+func (f *FTL) Flush() error { return f.writeBack(1) }
 
 // Tick implements ftl.FTL: the log's background collection step.
 func (f *FTL) Tick() error { return f.log.Tick() }

@@ -126,3 +126,60 @@ func TestMappingFootprintFine(t *testing.T) {
 		t.Fatalf("MappingBytes = %d, want %d", s.MappingBytes, 512*8)
 	}
 }
+
+// A sync write flushes on its own and leaves the async residents staged.
+func TestSyncBypassesMerging(t *testing.T) {
+	env := newEnv(t)
+	f := env.FTL.(*FTL)
+	for _, lsn := range []int64{1, 2} {
+		if err := f.Write(lsn, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Write(100, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.Dev.Counters().PagePrograms; got != 1 {
+		t.Fatalf("sync write programmed %d pages, want 1", got)
+	}
+	if f.buf.Len() != 2 || !f.buf.Contains(1) || !f.buf.Contains(2) || f.buf.Contains(100) {
+		t.Fatalf("async residents disturbed: len=%d", f.buf.Len())
+	}
+}
+
+// A sync write supersedes the buffered copy of its sector.
+func TestSyncSupersedesBufferedCopy(t *testing.T) {
+	env := newEnv(t)
+	f := env.FTL.(*FTL)
+	if err := f.Write(7, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(7, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if f.buf.Contains(7) {
+		t.Fatal("stale async copy of 7 still buffered")
+	}
+	if f.buf.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", f.buf.Len())
+	}
+	if err := f.Read(7, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A sync write longer than a page flushes as one run: a full page plus a
+// padded partial one, nothing staged.
+func TestSyncLargeWriteSingleGroup(t *testing.T) {
+	env := newEnv(t)
+	f := env.FTL.(*FTL)
+	if err := f.Write(0, 5, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.Dev.Counters().PagePrograms; got != 2 {
+		t.Fatalf("5-sector sync write programmed %d pages, want 2", got)
+	}
+	if f.buf.Len() != 0 {
+		t.Fatalf("sync write staged %d sectors", f.buf.Len())
+	}
+}

@@ -192,9 +192,16 @@ func (s *Store) WriteSectors(lpn int64, slots []int, attrSmallBytes int64) error
 		}
 		s.stats.RMWOps++
 	}
+	// A failed program leaves the page's live sectors as they were: the
+	// new ones never landed.
+	prev := s.masks[lpn]
 	s.masks[lpn] |= newMask
 	s.stats.SmallFlashBytes += attrSmallBytes
-	return s.programPage(lpn, ftl.StreamHost)
+	if err := s.programPage(lpn, ftl.StreamHost); err != nil {
+		s.masks[lpn] = prev
+		return err
+	}
+	return nil
 }
 
 // ReadSectors services a host read of the given sector slots within lpn.
