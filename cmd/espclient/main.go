@@ -36,7 +36,7 @@ func main() {
 	profile := flag.String("profile", "varmail", "workload profile: sysbench, varmail, postmark, ycsb, tpc-c")
 	rsmall := flag.Float64("rsmall", -1, "use the sweep profile with this r_small (overrides -profile)")
 	rsynch := flag.Float64("rsynch", 1.0, "r_synch for the sweep profile")
-	tracePath := flag.String("trace", "", "replay this trace file (binary, text or wire format) instead of a profile")
+	tracePath := flag.String("trace", "", "replay this trace file (binary or text) instead of a profile")
 	n := flag.Int("n", 50000, "request count (profiles only)")
 	qd := flag.Int("qd", 8, "closed-loop queue depth per connection")
 	conns := flag.Int("conns", 1, "parallel connections splitting the request budget")

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"espftl/internal/core"
-	"espftl/internal/ecc"
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
 	"espftl/internal/ftltest"
@@ -122,8 +121,7 @@ func buildStack(prof fault.Profile) (*nand.Device, *fault.Injector, *ftltest.Sta
 	cfg := nand.DefaultConfig()
 	cfg.Geometry = geometry()
 	cfg.Fault = inj
-	rm := ecc.DefaultRetry
-	cfg.Retry = &rm
+	cfg.Retry = true
 	dev, err := nand.NewDevice(cfg, sim.NewClock(0))
 	if err != nil {
 		return nil, nil, nil, err

@@ -2,23 +2,32 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
 
+const (
+	// retentionThreshold is the age at which the retention manager evicts
+	// a subpage to the full-page region (paper §4.3: 15 days).
+	retentionThreshold = 15 * 24 * time.Hour
+	// scrubInterval is how often the retention manager scans (the paper
+	// checks continuously; a daily scan is equivalent at these scales).
+	scrubInterval = 24 * time.Hour
+)
+
 // scrubRetention evicts subpages whose data has stayed in the subpage
-// region longer than the configured threshold (paper §4.3): ESP-written
+// region longer than retentionThreshold (paper §4.3): ESP-written
 // subpages hold data reliably for one month only, so subFTL moves anything
 // older than 15 days to the full-page region, whose N⁰pp pages meet the
 // commercial retention requirement.
 func (f *FTL) scrubRetention(now sim.Time) error {
 	type entry struct{ lsn, spn int64 }
 	var old []entry
-	threshold := f.cfg.RetentionThreshold
 	f.hash.Range(func(lsn, spn int64) bool {
-		if nand.AgeOf(f.writtenAt[spn], now) > threshold || f.nearExpiry(spn, now) {
+		if nand.AgeOf(f.writtenAt[spn], now) > retentionThreshold || f.nearExpiry(spn, now) {
 			old = append(old, entry{lsn, spn})
 		}
 		return true
@@ -29,7 +38,7 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 		if !ok || spn != e.spn {
 			continue
 		}
-		overThreshold := nand.AgeOf(f.writtenAt[spn], now) > threshold
+		overThreshold := nand.AgeOf(f.writtenAt[spn], now) > retentionThreshold
 		if !overThreshold && !f.nearExpiry(spn, now) {
 			continue
 		}
@@ -64,7 +73,7 @@ func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
 	// count: a shallow-erased block ages its data faster than its count
 	// suggests, and the scrub must rewrite before that earlier expiry.
 	capability := f.Dev.Retention().RetentionCapabilityAt(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
-	return nand.AgeOf(f.writtenAt[spn], now)+2*f.cfg.ScrubInterval > capability
+	return nand.AgeOf(f.writtenAt[spn], now)+2*scrubInterval > capability
 }
 
 // Check implements ftl.FTL: it verifies the full-page region's invariants

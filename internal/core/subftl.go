@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"espftl/internal/buffer"
 	"espftl/internal/ftl"
@@ -45,12 +44,6 @@ type Config struct {
 	GCReserveBlocks int
 	// BufferSectors bounds the aligned write buffer (staged sectors).
 	BufferSectors int
-	// RetentionThreshold is the age at which the retention manager evicts
-	// a subpage to the full-page region (paper: 15 days).
-	RetentionThreshold time.Duration
-	// ScrubInterval is how often the retention manager scans (paper
-	// checks continuously; a daily scan is equivalent at these scales).
-	ScrubInterval time.Duration
 	// DisableHotColdGC turns off the hot/cold split in subpage-region GC:
 	// every valid subpage is treated as cold and evicted to the full-page
 	// region, so hot data loses its in-region residency. Used by the
@@ -78,12 +71,10 @@ type Config struct {
 // DefaultConfig fills in the paper's parameters for a given logical space.
 func DefaultConfig(logicalSectors int64) Config {
 	return Config{
-		LogicalSectors:     logicalSectors,
-		SubRegionFrac:      0.20,
-		GCReserveBlocks:    4,
-		BufferSectors:      256,
-		RetentionThreshold: 15 * 24 * time.Hour,
-		ScrubInterval:      24 * time.Hour,
+		LogicalSectors:  logicalSectors,
+		SubRegionFrac:   0.20,
+		GCReserveBlocks: 4,
+		BufferSectors:   256,
 	}
 }
 
@@ -217,12 +208,6 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	}
 	if cfg.BufferSectors < g.SubpagesPerPage {
 		cfg.BufferSectors = g.SubpagesPerPage
-	}
-	if cfg.RetentionThreshold <= 0 {
-		cfg.RetentionThreshold = 15 * 24 * time.Hour
-	}
-	if cfg.ScrubInterval <= 0 {
-		cfg.ScrubInterval = 24 * time.Hour
 	}
 	subQuota := int(float64(g.TotalBlocks()) * cfg.SubRegionFrac)
 	subQuota = max(subQuota, minRegionBlocks)
@@ -636,7 +621,7 @@ func (f *FTL) payGC() error {
 func (f *FTL) Tick() error {
 	if !f.cfg.DisableRetention {
 		now := f.Dev.Clock().Now()
-		if now.Sub(f.lastScrub) >= f.cfg.ScrubInterval {
+		if now.Sub(f.lastScrub) >= scrubInterval {
 			f.lastScrub = now
 			if err := f.scrubRetention(now); err != nil {
 				return err

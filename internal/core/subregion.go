@@ -549,13 +549,17 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) {
 			return err
 		}
 		// The source copies on the victim are untouched; retire the
-		// destination (grown bad) and replay onto a fresh one.
+		// destination (grown bad) and, unless the replays are used up,
+		// replay onto a fresh one.
 		f.Man.Retire(f.gcDest)
 		f.gcDestSet = false
+		if attempt >= ftl.MaxProgramReplays {
+			return err
+		}
 		f.Counters.ProgramFailMoves++
 	}
 	mb.nextIdx[pi] = uint8(len(stamps))

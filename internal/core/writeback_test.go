@@ -141,6 +141,51 @@ func TestFinalProgramFailureRetiresWriteBlock(t *testing.T) {
 	}
 }
 
+// A GC relocation that exhausts its program replays retires its last
+// destination too, so the next relocation opens a fresh block instead of
+// programming past a destroyed page. The move is driven directly: inside
+// a whole collection, the victim's cold survivors would take the scripted
+// failures on their way to the full-page region first.
+func TestFinalGCMoveFailureRetiresDestination(t *testing.T) {
+	f, inj := newFaultyFTL(t)
+	if err := f.Write(5, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	spn, ok := f.hash.Get(5)
+	if !ok {
+		t.Fatal("a small sync write missed the subpage region")
+	}
+	g := f.Dev.Geometry()
+	p := g.PageOfSubpage(nand.SubpageID(spn))
+	move := func() error {
+		survs := f.survivorsIn(p, f.PageSecs)
+		stamps, err := f.readPageVerified(p, survs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.gcMoveGroup(survs, stamps)
+	}
+	failEveryProgram(inj, ftl.MaxProgramReplays+1)
+	if err := move(); !errors.Is(err, nand.ErrProgramFail) {
+		t.Fatalf("move with every program failing = %v, want ErrProgramFail", err)
+	}
+	if f.gcDestSet {
+		t.Fatalf("GC destination %d kept after its program failed", f.gcDest)
+	}
+	if got, want := f.Stats().GrownBadBlocks, int64(ftl.MaxProgramReplays+1); got != want {
+		t.Fatalf("grown bad blocks = %d, want %d", got, want)
+	}
+	if err := move(); err != nil {
+		t.Fatalf("move after the faults stopped: %v", err)
+	}
+	if err := f.Read(5, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A retention eviction lands its full-page copy before dropping the
 // subpage one: when that write fails the tick reports it and the sector
 // keeps its subpage copy, still mapped and readable.

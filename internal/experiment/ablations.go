@@ -90,9 +90,9 @@ func AblationHotCold(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationRetention sweeps the retention-scrub threshold on a workload
-// with long idle periods, counting both the scrub traffic and (in
-// bookkeeping mode) how often data would have expired.
+// AblationRetention runs subFTL with its retention manager (the paper's
+// 15-day scrub) on and off on a workload with long idle periods: the
+// managed run counts its scrub traffic, the unmanaged one must lose data.
 func AblationRetention(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := &Table{

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"espftl/internal/core"
-	"espftl/internal/ecc"
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
 	"espftl/internal/ftl/cgm"
@@ -39,17 +38,11 @@ const (
 )
 
 // ExperimentGeometry is the full-size device for `espbench`: the paper's
-// 8-channel x 4-chip fabric at 2 GiB raw capacity (the paper itself scales
-// its 512 GB platform to 16 GB for run time; we scale once more because
-// FTL behaviour is utilization- not capacity-determined).
-var ExperimentGeometry = nand.Geometry{
-	Channels:        8,
-	ChipsPerChannel: 4,
-	BlocksPerChip:   64,
-	PagesPerBlock:   64,
-	SubpagesPerPage: 4,
-	SubpageBytes:    4096,
-}
+// 8-channel x 4-chip fabric at 2 GiB raw capacity, nand.DefaultGeometry
+// (the paper itself scales its 512 GB platform to 16 GB for run time; we
+// scale once more because FTL behaviour is utilization- not
+// capacity-determined).
+var ExperimentGeometry = nand.DefaultGeometry
 
 // QuickGeometry is the reduced device used by `go test -bench` so the
 // whole suite runs in minutes.
@@ -312,10 +305,7 @@ func assemble(cfg RunConfig, inj *fault.Injector, logicalSectors int64) (*nand.D
 	devCfg.Geometry = cfg.Geometry
 	devCfg.EnableSubpageRead = cfg.EnableSubpageRead
 	devCfg.Fault = inj
-	if cfg.FaultProfile != nil {
-		rm := ecc.DefaultRetry
-		devCfg.Retry = &rm
-	}
+	devCfg.Retry = cfg.FaultProfile != nil
 	dev, err := nand.NewDevice(devCfg, sim.NewClock(0))
 	if err != nil {
 		return nil, nil, 0, err

@@ -52,8 +52,7 @@ func (k Kind) String() string {
 // probabilities are per operation; a zero value injects nothing of that
 // kind. Wear scaling multiplies the program/erase/read-disturb
 // probabilities by (1 + WearSlope*pe/RatedPE), modeling the P/E-cycle
-// growth of media failures, and ChipScale (optional, indexed by chip)
-// models chip-to-chip process variation.
+// growth of media failures; every chip draws from the same probabilities.
 type Profile struct {
 	// Seed drives every probabilistic draw and the factory-bad hash.
 	Seed uint64
@@ -74,9 +73,6 @@ type Profile struct {
 	// WearSlope 0 disables it, RatedPE 0 defaults to 1000 cycles.
 	WearSlope float64
 	RatedPE   int
-	// ChipScale optionally multiplies probabilities per chip (missing
-	// entries scale by 1).
-	ChipScale []float64
 }
 
 // DefaultProfile returns a moderate fault environment: rare disturbs that
@@ -116,11 +112,6 @@ func (p Profile) Validate() error {
 	}
 	if p.WearSlope < 0 {
 		return fmt.Errorf("fault: WearSlope = %v must be non-negative", p.WearSlope)
-	}
-	for i, s := range p.ChipScale {
-		if s < 0 {
-			return fmt.Errorf("fault: ChipScale[%d] = %v must be non-negative", i, s)
-		}
 	}
 	return nil
 }
@@ -194,14 +185,11 @@ func (inj *Injector) Script(ev Event) {
 	inj.campaign = append(inj.campaign, &e)
 }
 
-// scale is the wear/chip multiplier applied to a base probability.
-func (inj *Injector) scale(chip, pe int) float64 {
+// scale is the wear multiplier applied to a base probability.
+func (inj *Injector) scale(pe int) float64 {
 	s := 1.0
 	if inj.prof.WearSlope > 0 && pe > 0 {
 		s += inj.prof.WearSlope * float64(pe) / float64(inj.prof.RatedPE)
-	}
-	if chip >= 0 && chip < len(inj.prof.ChipScale) {
-		s *= inj.prof.ChipScale[chip]
 	}
 	return s
 }
@@ -245,7 +233,7 @@ func (inj *Injector) ReadDisturb(chip, block, pe int) float64 {
 		}
 		return inj.prof.ReadDisturbBER
 	}
-	if inj.rng.Bool(inj.prof.ReadDisturbProb * inj.scale(chip, pe)) {
+	if inj.rng.Bool(inj.prof.ReadDisturbProb * inj.scale(pe)) {
 		inj.counts.ReadDisturbs++
 		return inj.prof.ReadDisturbBER
 	}
@@ -258,7 +246,7 @@ func (inj *Injector) ProgramFail(chip, block, pe int) bool {
 		inj.counts.ProgramFails++
 		return true
 	}
-	if inj.rng.Bool(inj.prof.ProgramFailProb * inj.scale(chip, pe)) {
+	if inj.rng.Bool(inj.prof.ProgramFailProb * inj.scale(pe)) {
 		inj.counts.ProgramFails++
 		return true
 	}
@@ -271,7 +259,7 @@ func (inj *Injector) EraseFail(chip, block, pe int) bool {
 		inj.counts.EraseFails++
 		return true
 	}
-	if inj.rng.Bool(inj.prof.EraseFailProb * inj.scale(chip, pe)) {
+	if inj.rng.Bool(inj.prof.EraseFailProb * inj.scale(pe)) {
 		inj.counts.EraseFails++
 		return true
 	}

@@ -17,7 +17,6 @@ func TestValidateRejects(t *testing.T) {
 		{"factory frac", func(p *Profile) { p.FactoryBadFrac = -1 }, "FactoryBadFrac"},
 		{"ber", func(p *Profile) { p.ReadDisturbBER = -0.5 }, "ReadDisturbBER"},
 		{"wear slope", func(p *Profile) { p.WearSlope = -1 }, "WearSlope"},
-		{"chip scale", func(p *Profile) { p.ChipScale = []float64{1, -2} }, "ChipScale[1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,16 +188,11 @@ func TestFactoryBadOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestWearAndChipScaling(t *testing.T) {
-	// ChipScale 0 silences a chip entirely; a wear multiplier that pushes
-	// the probability past 1 makes every draw fail.
-	p := Profile{Seed: 2, ProgramFailProb: 0.5, WearSlope: 1, RatedPE: 1000, ChipScale: []float64{0, 1}}
+func TestWearScaling(t *testing.T) {
+	// A wear multiplier that pushes the probability past 1 makes every
+	// draw fail.
+	p := Profile{Seed: 2, ProgramFailProb: 0.5, WearSlope: 1, RatedPE: 1000}
 	inj, _ := NewInjector(p)
-	for i := 0; i < 300; i++ {
-		if inj.ProgramFail(0, i, 2000) {
-			t.Fatal("chip with scale 0 produced a fault")
-		}
-	}
 	// pe=2000 at slope 1/rated 1000 scales 0.5 to 1.5 >= 1: certain failure.
 	for i := 0; i < 50; i++ {
 		if !inj.ProgramFail(1, i, 2000) {

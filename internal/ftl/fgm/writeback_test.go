@@ -99,3 +99,34 @@ func TestReadOnlyRefusesWriteBack(t *testing.T) {
 		}
 	}
 }
+
+// A write that exhausts its program replays retires the block of its last
+// attempt like the ones before it, so later writes take a fresh block
+// instead of filling one whose page is destroyed.
+func TestFinalProgramFailureRetiresBlock(t *testing.T) {
+	g := ftltest.TinyGeometry()
+	g.BlocksPerChip = 32 // room for the blocks the failure storm retires
+	dev, inj := ftltest.CrashEnv{Geometry: g}.NewDevice(t)
+	f, err := New(dev, Config{LogicalSectors: 512, GCReserveBlocks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Script(fault.Event{Kind: fault.KindProgram, Chip: -1, Block: -1, Count: ftl.MaxProgramReplays + 1})
+	if err := f.Write(5, 1, true); !errors.Is(err, nand.ErrProgramFail) {
+		t.Fatalf("write with every program failing = %v, want ErrProgramFail", err)
+	}
+	for i := int64(0); i < 8; i++ {
+		if err := f.Write(5+4*i, 1, true); err != nil {
+			t.Fatalf("write %d after the faults stopped: %v", i, err)
+		}
+	}
+	if got, want := f.Stats().GrownBadBlocks, int64(ftl.MaxProgramReplays+1); got != want {
+		t.Fatalf("grown bad blocks = %d, want %d", got, want)
+	}
+	if err := f.Read(5, 29); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

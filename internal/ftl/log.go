@@ -185,8 +185,9 @@ func (l *Log) Stamps() []nand.Stamp {
 // Append programs stamps (taken with Stamps) to the stream's next page and
 // returns where they landed; the owner then remaps. A program failure
 // destroys only the fresh copy — the owner's mapping still points at the
-// old one — so the append replays on a fresh block and the failed one is
-// retired (grown bad).
+// old one — so every failed block is retired (grown bad) and the append
+// replays on a fresh one, surfacing the error once MaxProgramReplays
+// replays have failed too.
 func (l *Log) Append(stream Stream, stamps []nand.Stamp) (nand.PageID, error) {
 	if stream == StreamCold {
 		l.stats.LifetimeSegregated++
@@ -203,12 +204,15 @@ func (l *Log) program(st *stripe, forGC bool, stamps []nand.Stamp) (nand.PageID,
 			return 0, err
 		}
 		if _, err := l.dev.ProgramPageTag(p, stamps, l.cfg.Tag); err != nil {
-			if errors.Is(err, nand.ErrProgramFail) && attempt < MaxProgramReplays {
-				l.retireFailed(l.dev.Geometry().BlockOfPage(p), st)
-				l.stats.ProgramFailMoves++
-				continue
+			if !errors.Is(err, nand.ErrProgramFail) {
+				return 0, err
 			}
-			return 0, err
+			l.retireFailed(l.dev.Geometry().BlockOfPage(p), st)
+			if attempt >= MaxProgramReplays {
+				return 0, err
+			}
+			l.stats.ProgramFailMoves++
+			continue
 		}
 		return p, nil
 	}

@@ -171,8 +171,10 @@ func TestLogAppend(t *testing.T) {
 			if !errors.Is(err, nand.ErrProgramFail) {
 				t.Fatalf("err = %v, want ErrProgramFail", err)
 			}
-			if stats.ProgramFailMoves != MaxProgramReplays || m.BadCount() != MaxProgramReplays {
-				t.Errorf("moves %d, bad %d, want %d each", stats.ProgramFailMoves, m.BadCount(), MaxProgramReplays)
+			// Every failed block retires, the last one included; only
+			// the first MaxProgramReplays failures replay.
+			if stats.ProgramFailMoves != MaxProgramReplays || m.BadCount() != MaxProgramReplays+1 {
+				t.Errorf("moves %d, bad %d, want %d and %d", stats.ProgramFailMoves, m.BadCount(), MaxProgramReplays, MaxProgramReplays+1)
 			}
 		}},
 		{name: "one gate attempt frees at most one block and reports the pool", run: func(t *testing.T, l *Log, m *Manager, dev *nand.Device, stats *Stats) {

@@ -3,7 +3,6 @@ package ftltest
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"espftl/internal/core"
 	"espftl/internal/ftl"
@@ -70,7 +69,6 @@ func gcEnvs(shape gcShape, opts gc.Options) []struct {
 			cfg := core.DefaultConfig(sectors)
 			cfg.GCReserveBlocks = reserve
 			cfg.BufferSectors = 32
-			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			cfg.GC = opts
 			return core.New(dev, cfg)
 		})},

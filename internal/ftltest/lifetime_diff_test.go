@@ -3,7 +3,6 @@ package ftltest
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"espftl/internal/core"
 	"espftl/internal/ftl"
@@ -57,7 +56,6 @@ func lifetimeEnvs(policy string, placement bool) []struct {
 			cfg := core.DefaultConfig(sectors)
 			cfg.GCReserveBlocks = 3
 			cfg.BufferSectors = 32
-			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			cfg.ErasePolicy = pol
 			cfg.Lifetime = placement
 			return core.New(dev, cfg)

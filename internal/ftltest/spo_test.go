@@ -2,7 +2,6 @@ package ftltest
 
 import (
 	"testing"
-	"time"
 
 	"espftl/internal/core"
 	"espftl/internal/ftl"
@@ -38,7 +37,6 @@ func crashEnvs() []struct {
 			cfg := core.DefaultConfig(sectors)
 			cfg.GCReserveBlocks = 3
 			cfg.BufferSectors = 32
-			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			return core.New(dev, cfg)
 		})},
 	}

@@ -224,9 +224,9 @@ func NewPolicy(opts Options) (Policy, error) {
 	switch opts.Policy {
 	case "", "greedy":
 		return Greedy{}, nil
-	case "cost-benefit", "costbenefit", "cb":
+	case "cost-benefit":
 		return CostBenefit{}, nil
-	case "windowed", "windowed-greedy":
+	case "windowed":
 		return WindowedGreedy{}, nil
 	}
 	return nil, fmt.Errorf("gc: unknown policy %q (greedy, cost-benefit, windowed)", opts.Policy)

@@ -190,23 +190,24 @@ func TestPoliciesDeterministic(t *testing.T) {
 	}
 }
 
+// Every policy resolves by exactly the name its Name method reports (plus
+// "" for greedy); no other spelling is accepted.
 func TestNewPolicyResolver(t *testing.T) {
-	for name, want := range map[string]string{
-		"":             "greedy",
-		"greedy":       "greedy",
-		"cost-benefit": "cost-benefit",
-		"cb":           "cost-benefit",
-		"windowed":     "windowed",
-	} {
-		p, err := NewPolicy(Options{Policy: name})
+	if p, err := NewPolicy(Options{}); err != nil || p.Name() != "greedy" {
+		t.Fatalf("NewPolicy(\"\") = %v, %v; want greedy", p, err)
+	}
+	for _, want := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{}} {
+		p, err := NewPolicy(Options{Policy: want.Name()})
 		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
+			t.Fatalf("NewPolicy(%q): %v", want.Name(), err)
 		}
-		if p.Name() != want {
-			t.Fatalf("NewPolicy(%q) = %s, want %s", name, p.Name(), want)
+		if p.Name() != want.Name() {
+			t.Fatalf("NewPolicy(%q) = %s", want.Name(), p.Name())
 		}
 	}
-	if _, err := NewPolicy(Options{Policy: "lru"}); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"costbenefit", "cb", "windowed-greedy", "lru"} {
+		if _, err := NewPolicy(Options{Policy: name}); err == nil {
+			t.Errorf("NewPolicy(%q) accepted", name)
+		}
 	}
 }

@@ -17,13 +17,13 @@ type Arbiter interface {
 	Pick(heads []*Command, dispatchable func(*Command) bool) int
 }
 
-// NewArbiter resolves an arbitration policy by name: "fifo" or
-// "read-priority".
+// NewArbiter resolves an arbitration policy by its Name: "fifo" (also
+// the empty default) or "read-priority".
 func NewArbiter(name string) (Arbiter, error) {
 	switch name {
 	case "", "fifo":
 		return FIFO{}, nil
-	case "read-priority", "readpriority", "rp":
+	case "read-priority":
 		return &ReadPriority{}, nil
 	}
 	return nil, fmt.Errorf("host: unknown arbitration policy %q (want fifo or read-priority)", name)
@@ -56,23 +56,19 @@ func (FIFO) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 // once the oldest write has been bypassed starvationLimit times it is
 // promoted ahead of further reads.
 type ReadPriority struct {
-	// StarvationLimit bounds how many times the oldest pending write may
-	// be bypassed by younger reads; 0 means the default of 256.
-	StarvationLimit int
-
 	bypassed int64 // times the current oldest write was bypassed
 	oldest   int64 // Seq of the write being tracked
 }
+
+// starvationLimit bounds how many times the oldest pending write may be
+// bypassed by younger reads.
+const starvationLimit = 256
 
 // Name implements Arbiter.
 func (*ReadPriority) Name() string { return "read-priority" }
 
 // Pick implements Arbiter.
 func (a *ReadPriority) Pick(heads []*Command, dispatchable func(*Command) bool) int {
-	limit := a.StarvationLimit
-	if limit <= 0 {
-		limit = 256
-	}
 	bestRead, bestOther := -1, -1
 	for i, c := range heads {
 		if c == nil || !dispatchable(c) {
@@ -93,7 +89,7 @@ func (a *ReadPriority) Pick(heads []*Command, dispatchable func(*Command) bool) 
 			a.bypassed = 0
 		}
 		if bestRead >= 0 && heads[bestRead].Seq > heads[bestOther].Seq {
-			if a.bypassed >= int64(limit) {
+			if a.bypassed >= starvationLimit {
 				return bestOther
 			}
 			a.bypassed++

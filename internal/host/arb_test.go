@@ -7,23 +7,25 @@ func none(*Command) bool { return false }
 
 func cmd(seq int64, class Class) *Command { return &Command{Seq: seq, Class: class} }
 
+// Every arbiter resolves by exactly the name its Name method reports
+// (plus "" for FIFO); no other spelling is accepted.
 func TestNewArbiter(t *testing.T) {
-	for name, want := range map[string]string{
-		"":              "fifo",
-		"fifo":          "fifo",
-		"read-priority": "read-priority",
-		"rp":            "read-priority",
-	} {
-		a, err := NewArbiter(name)
+	if a, err := NewArbiter(""); err != nil || a.Name() != "fifo" {
+		t.Errorf(`NewArbiter("") = %v, %v; want fifo`, a, err)
+	}
+	for _, want := range []Arbiter{FIFO{}, &ReadPriority{}} {
+		a, err := NewArbiter(want.Name())
 		if err != nil {
-			t.Fatalf("%q: %v", name, err)
+			t.Fatalf("%q: %v", want.Name(), err)
 		}
-		if a.Name() != want {
-			t.Errorf("%q resolved to %q, want %q", name, a.Name(), want)
+		if a.Name() != want.Name() {
+			t.Errorf("%q resolved to %q", want.Name(), a.Name())
 		}
 	}
-	if _, err := NewArbiter("round-robin"); err == nil {
-		t.Error("unknown policy accepted")
+	for _, name := range []string{"readpriority", "rp", "round-robin"} {
+		if _, err := NewArbiter(name); err == nil {
+			t.Errorf("NewArbiter(%q) accepted", name)
+		}
 	}
 }
 
@@ -55,16 +57,16 @@ func TestReadPriorityPrefersReads(t *testing.T) {
 }
 
 func TestReadPriorityStarvationPromotion(t *testing.T) {
-	a := &ReadPriority{StarvationLimit: 3}
+	a := &ReadPriority{}
 	write := cmd(1, ClassWrite)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < starvationLimit; i++ {
 		heads := []*Command{write, cmd(int64(10+i), ClassRead)}
 		if got := a.Pick(heads, all); got != 1 {
 			t.Fatalf("bypass %d: Pick = %d, want the read", i, got)
 		}
 	}
-	heads := []*Command{write, cmd(20, ClassRead)}
+	heads := []*Command{write, cmd(10+starvationLimit, ClassRead)}
 	if got := a.Pick(heads, all); got != 0 {
-		t.Errorf("Pick = %d, want 0: write promoted after %d bypasses", got, 3)
+		t.Errorf("Pick = %d, want 0: write promoted after %d bypasses", got, starvationLimit)
 	}
 }

@@ -36,13 +36,6 @@ func (FixedDeep) Name() string { return "fixed-deep" }
 // Depth implements ErasePolicy.
 func (FixedDeep) Depth(float64) nand.EraseDepth { return nand.DepthFull }
 
-// Requirement is one retention obligation an adaptive erase must preserve:
-// data of the given subpage type must stay correctable for the horizon.
-type Requirement struct {
-	Npp     nand.NppType
-	Horizon time.Duration
-}
-
 // AERO is the adaptive policy: it erases as shallowly as the block's wear
 // allows while analytically guaranteeing every retention requirement. The
 // shallow-erase BER factor S(d) = 1 + penalty*(1-d) must stay under the
@@ -54,31 +47,31 @@ type AERO struct {
 	// Model is the retention model the guarantee is computed against; it
 	// must be the device's.
 	Model nand.RetentionModel
-	// Require lists the retention obligations. The zero value is filled
-	// by NewAERO with the repository's operating envelope: worst-case
-	// N³pp subpage data for the paper's 1-month subpage horizon, and
-	// N⁰pp full-page data for the JEDEC-style 12-month requirement.
-	Require []Requirement
-	// Margin derates the analytic bound (a bound of S must be met at
-	// Margin*S) so model noise never lands data exactly on the ECC limit.
-	Margin float64
-	// Floor is the shallowest depth the policy will ever pick.
-	Floor nand.EraseDepth
 }
 
-// NewAERO returns the adaptive policy with the default operating envelope
-// for the given retention model.
-func NewAERO(model nand.RetentionModel) *AERO {
-	return &AERO{
-		Model: model,
-		Require: []Requirement{
-			{Npp: 3, Horizon: nand.Month},
-			{Npp: 0, Horizon: 12 * nand.Month},
-		},
-		Margin: 0.90,
-		Floor:  nand.MinEraseDepth,
-	}
+// aeroRequire is AERO's operating envelope, the retention obligations
+// every depth it picks must preserve: worst-case N³pp subpage data for
+// the paper's 1-month subpage horizon, and N⁰pp full-page data for the
+// JEDEC-style 12-month requirement.
+var aeroRequire = [...]struct {
+	npp     nand.NppType
+	horizon time.Duration
+}{
+	{npp: 3, horizon: nand.Month},
+	{npp: 0, horizon: 12 * nand.Month},
 }
+
+const (
+	// aeroMargin derates the analytic bound (a bound of S must be met at
+	// aeroMargin*S) so model noise never lands data exactly on the ECC
+	// limit.
+	aeroMargin = 0.90
+	// aeroFloor is the shallowest depth the policy will ever pick.
+	aeroFloor = nand.MinEraseDepth
+)
+
+// NewAERO returns the adaptive policy for the given retention model.
+func NewAERO(model nand.RetentionModel) *AERO { return &AERO{Model: model} }
 
 // Name implements ErasePolicy.
 func (a *AERO) Name() string { return "aero" }
@@ -92,14 +85,14 @@ func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 	if a.Model.ShallowPenalty <= 0 {
 		// Without a modelled penalty a shallow erase is retention-free;
 		// the floor is the only constraint left.
-		return a.Floor
+		return aeroFloor
 	}
 	// Worst-case post-erase wear: the erase about to happen adds at most
 	// one deep-erase equivalent.
 	wear := effWear + 1
 	sAllow := 0.0
-	for i, r := range a.Require {
-		s := a.Model.MaxShallowFactor(r.Npp, r.Horizon, wear) * a.Margin
+	for i, r := range aeroRequire {
+		s := a.Model.MaxShallowFactor(r.npp, r.horizon, wear) * aeroMargin
 		if i == 0 || s < sAllow {
 			sAllow = s
 		}
@@ -110,8 +103,8 @@ func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 	// Invert S(d) = 1 + penalty*(1-d) <= sAllow for the shallowest
 	// admissible depth, then round deeper onto the pulse-train grid.
 	d := 1 - (sAllow-1)/a.Model.ShallowPenalty
-	if d < float64(a.Floor) {
-		d = float64(a.Floor)
+	if d < float64(aeroFloor) {
+		d = float64(aeroFloor)
 	}
 	steps := float64(int(d*depthSteps)) / depthSteps
 	if steps < d {
@@ -123,12 +116,11 @@ func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 	return nand.EraseDepth(steps)
 }
 
-// NewErasePolicy resolves a policy by its flag name ("fixed-deep" or
-// "fixed", "aero"; empty picks the fixed-deep baseline) against the given
-// retention model.
+// NewErasePolicy resolves a policy by its Name ("fixed-deep" or "aero";
+// empty picks the fixed-deep baseline) against the given retention model.
 func NewErasePolicy(name string, model nand.RetentionModel) (ErasePolicy, error) {
 	switch name {
-	case "", "fixed", "fixed-deep":
+	case "", "fixed-deep":
 		return FixedDeep{}, nil
 	case "aero":
 		return NewAERO(model), nil

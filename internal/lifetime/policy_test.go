@@ -58,9 +58,9 @@ func TestAERODepthPreservesRetention(t *testing.T) {
 	for wear := 0.0; wear < rated; wear += rated / 40 {
 		d := p.Depth(wear)
 		post := wear + float64(d)
-		for _, r := range p.Require {
-			if !m.CorrectableAt(r.Npp, r.Horizon, post, d) {
-				t.Fatalf("depth %v at wear %v breaks %v over %v", d, wear, r.Npp, r.Horizon)
+		for _, r := range aeroRequire {
+			if !m.CorrectableAt(r.npp, r.horizon, post, d) {
+				t.Fatalf("depth %v at wear %v breaks %v over %v", d, wear, r.npp, r.horizon)
 			}
 		}
 	}
@@ -73,8 +73,8 @@ func TestAEROZeroPenaltyPinsFloor(t *testing.T) {
 	m.ShallowPenalty = 0
 	p := NewAERO(m)
 	for _, wear := range []float64{0, 500, 2000} {
-		if d := p.Depth(wear); d != p.Floor {
-			t.Errorf("Depth(wear=%v) = %v, want floor %v", wear, d, p.Floor)
+		if d := p.Depth(wear); d != aeroFloor {
+			t.Errorf("Depth(wear=%v) = %v, want floor %v", wear, d, aeroFloor)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestAEROQuantizedToGrid(t *testing.T) {
 	rated := float64(nand.DefaultRetention.RatedPE)
 	for wear := 0.0; wear < rated; wear += rated / 100 {
 		d := p.Depth(wear)
-		if d == nand.DepthFull || d == p.Floor {
+		if d == nand.DepthFull || d == aeroFloor {
 			continue
 		}
 		steps := float64(d) * depthSteps
@@ -96,25 +96,29 @@ func TestAEROQuantizedToGrid(t *testing.T) {
 	}
 }
 
+// Every policy resolves by exactly the name its Name method reports (plus
+// "" for the fixed-deep default); no other spelling is accepted.
 func TestNewErasePolicy(t *testing.T) {
 	m := nand.DefaultRetention
-	for _, name := range []string{"", "fixed", "fixed-deep"} {
-		p, err := NewErasePolicy(name, m)
-		if err != nil {
-			t.Fatalf("NewErasePolicy(%q): %v", name, err)
-		}
-		if _, ok := p.(FixedDeep); !ok {
-			t.Errorf("NewErasePolicy(%q) = %T, want FixedDeep", name, p)
-		}
-	}
-	p, err := NewErasePolicy("aero", m)
+	p, err := NewErasePolicy("", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(*AERO); !ok {
-		t.Errorf("NewErasePolicy(aero) = %T", p)
+	if _, ok := p.(FixedDeep); !ok {
+		t.Errorf("NewErasePolicy(\"\") = %T, want FixedDeep", p)
 	}
-	if _, err := NewErasePolicy("bogus", m); err == nil {
-		t.Error("unknown policy name accepted")
+	for _, want := range []ErasePolicy{FixedDeep{}, NewAERO(m)} {
+		p, err := NewErasePolicy(want.Name(), m)
+		if err != nil {
+			t.Fatalf("NewErasePolicy(%q): %v", want.Name(), err)
+		}
+		if p.Name() != want.Name() {
+			t.Errorf("NewErasePolicy(%q).Name() = %q", want.Name(), p.Name())
+		}
+	}
+	for _, name := range []string{"fixed", "bogus"} {
+		if _, err := NewErasePolicy(name, m); err == nil {
+			t.Errorf("NewErasePolicy(%q) accepted", name)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func NewPlacement(predict bool, pages int64) (Placement, error) {
 	if !predict {
 		return SizeRouted{}, nil
 	}
-	return NewPredictor(pages, PredictorConfig{})
+	return NewPredictor(pages)
 }
 
 // ObserveWrite records a host write of [lsn, lsn+sectors) with p: one
@@ -82,43 +82,21 @@ func ObserveWrite(p Placement, lsn int64, sectors, pageSecs int) {
 	}
 }
 
-// PredictorConfig tunes the update-interval predictor. The zero value is
-// usable: every field falls back to the documented default.
-type PredictorConfig struct {
-	// Alpha is the EWMA weight of the newest observed interval (0,1];
-	// default 0.5.
-	Alpha float64
-	// HotFrac and ColdFrac set the class thresholds as fractions of the
-	// tracked page count: a page whose predicted rewrite interval is
-	// under HotFrac passes of the logical space (in page-writes) is hot,
-	// over ColdFrac passes is cold, in between unknown. Defaults 1.0 and
-	// 2.0: data not refreshed within two full passes of the logical
-	// space is long-lived for placement purposes.
-	HotFrac, ColdFrac float64
-	// MinSamples is how many observations a page needs before its EWMA is
-	// trusted (a long-silent page classifies cold on staleness alone
-	// earlier). Default 2.
-	MinSamples uint8
-}
-
-func (c PredictorConfig) withDefaults() PredictorConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	if c.HotFrac <= 0 {
-		c.HotFrac = 1.0
-	}
-	if c.ColdFrac <= 0 {
-		c.ColdFrac = 2.0
-	}
-	if c.ColdFrac < c.HotFrac {
-		c.ColdFrac = c.HotFrac
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 2
-	}
-	return c
-}
+// The predictor's envelope, fixed at this repository's operating point. A
+// page whose predicted rewrite interval is under predHotFrac passes of the
+// logical space (in page-writes) is hot, over predColdFrac passes is cold,
+// in between unknown: data not refreshed within two full passes of the
+// logical space is long-lived for placement purposes.
+const (
+	// predAlpha is the EWMA weight of the newest observed interval.
+	predAlpha    = 0.5
+	predHotFrac  = 1.0
+	predColdFrac = 2.0
+	// predMinSamples is how many observations a page needs before its
+	// EWMA is trusted (a long-silent page classifies cold on staleness
+	// alone earlier).
+	predMinSamples = 2
+)
 
 // Predictor estimates per-logical-page update intervals with a bounded-
 // memory EWMA (Choi & Jung, arXiv 1704.05138): three flat arrays over the
@@ -132,7 +110,6 @@ func (c PredictorConfig) withDefaults() PredictorConfig {
 // exactly the quantity placement cares about — how much other data lands
 // between two updates of the same page.
 type Predictor struct {
-	cfg                   PredictorConfig
 	hotThresh, coldThresh float64
 	lastOp                []int64   // write-clock stamp of the last observation; 0 = never
 	ewma                  []float64 // predicted rewrite interval, in page-writes
@@ -142,15 +119,13 @@ type Predictor struct {
 }
 
 // NewPredictor builds a predictor over a logical space of pages pages.
-func NewPredictor(pages int64, cfg PredictorConfig) (*Predictor, error) {
+func NewPredictor(pages int64) (*Predictor, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("lifetime: predictor over %d pages", pages)
 	}
-	cfg = cfg.withDefaults()
 	return &Predictor{
-		cfg:        cfg,
-		hotThresh:  cfg.HotFrac * float64(pages),
-		coldThresh: cfg.ColdFrac * float64(pages),
+		hotThresh:  predHotFrac * float64(pages),
+		coldThresh: predColdFrac * float64(pages),
 		lastOp:     make([]int64, pages),
 		ewma:       make([]float64, pages),
 		samples:    make([]uint8, pages),
@@ -183,7 +158,7 @@ func (p *Predictor) Observe(lpn int64) {
 	if n == 1 {
 		p.ewma[lpn] = iv
 	} else {
-		p.ewma[lpn] += p.cfg.Alpha * (iv - p.ewma[lpn])
+		p.ewma[lpn] += predAlpha * (iv - p.ewma[lpn])
 	}
 	if n < ^uint8(0) {
 		p.samples[lpn] = n + 1
@@ -200,7 +175,7 @@ func (p *Predictor) Class(lpn int64) Class {
 		return ClassUnknown
 	}
 	sinceLast := float64(p.op - p.lastOp[lpn])
-	if n < p.cfg.MinSamples {
+	if n < predMinSamples {
 		if sinceLast >= p.coldThresh {
 			return ClassCold
 		}

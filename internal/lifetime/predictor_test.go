@@ -6,21 +6,9 @@ import (
 
 func TestNewPredictorRejectsEmptySpace(t *testing.T) {
 	for _, pages := range []int64{0, -1} {
-		if _, err := NewPredictor(pages, PredictorConfig{}); err == nil {
+		if _, err := NewPredictor(pages); err == nil {
 			t.Errorf("NewPredictor(%d) accepted", pages)
 		}
-	}
-}
-
-func TestPredictorConfigDefaults(t *testing.T) {
-	c := PredictorConfig{}.withDefaults()
-	if c.Alpha != 0.5 || c.HotFrac != 1.0 || c.ColdFrac != 2.0 || c.MinSamples != 2 {
-		t.Fatalf("defaults = %+v", c)
-	}
-	// ColdFrac can never undercut HotFrac: the class bands must not invert.
-	c = PredictorConfig{HotFrac: 3, ColdFrac: 1}.withDefaults()
-	if c.ColdFrac < c.HotFrac {
-		t.Fatalf("inverted bands survived: %+v", c)
 	}
 }
 
@@ -29,7 +17,7 @@ func TestPredictorConfigDefaults(t *testing.T) {
 // never-seen page stays unknown.
 func TestPredictorClasses(t *testing.T) {
 	const pages = 100
-	p, err := NewPredictor(pages, PredictorConfig{})
+	p, err := NewPredictor(pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +57,7 @@ func TestPredictorClasses(t *testing.T) {
 // raw staleness, never hot.
 func TestPredictorMinSamplesGate(t *testing.T) {
 	const pages = 50
-	p, err := NewPredictor(pages, PredictorConfig{})
+	p, err := NewPredictor(pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +78,7 @@ func TestPredictorMinSamplesGate(t *testing.T) {
 // dead-hot page to the subpage region forever.
 func TestPredictorStalenessOverridesHotHistory(t *testing.T) {
 	const pages = 50
-	p, err := NewPredictor(pages, PredictorConfig{})
+	p, err := NewPredictor(pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +97,7 @@ func TestPredictorStalenessOverridesHotHistory(t *testing.T) {
 }
 
 func TestPredictorReset(t *testing.T) {
-	p, err := NewPredictor(16, PredictorConfig{})
+	p, err := NewPredictor(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +128,7 @@ func TestClassString(t *testing.T) {
 // allocations: it sits on the FTL write hot path, which the repo-wide
 // alloc guards require to stay off the heap.
 func TestPredictorObserveAllocs(t *testing.T) {
-	p, err := NewPredictor(4096, PredictorConfig{})
+	p, err := NewPredictor(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +153,7 @@ func TestPredictorObserveAllocs(t *testing.T) {
 // one Observe plus the Class consult every small write pays.
 func BenchmarkLifetimePredict(b *testing.B) {
 	const pages = 1 << 16
-	p, err := NewPredictor(pages, PredictorConfig{})
+	p, err := NewPredictor(pages)
 	if err != nil {
 		b.Fatal(err)
 	}

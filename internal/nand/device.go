@@ -26,14 +26,14 @@ type Config struct {
 	DisableRetentionErrors bool
 	// Fault, when non-nil, is consulted on every operation to inject
 	// transient read disturbs, program/erase failures and factory bad
-	// blocks. With Fault and Retry both nil the device takes the exact
+	// blocks. With Fault nil and Retry off the device takes the exact
 	// fault-free code path, bit-identical to a build without them.
 	Fault *fault.Injector
-	// Retry, when non-nil, enables stepped read-retry: a sense whose BER
-	// exceeds the ECC limit is re-read up to MaxRetries times, each step
-	// relieving part of the raw BER and charging one more cell sense to
-	// the chip timeline.
-	Retry *ecc.RetryModel
+	// Retry enables stepped read-retry: a sense whose BER exceeds the ECC
+	// limit is re-read up to ecc.MaxRetries times, each step relieving
+	// part of the raw BER (ecc.RetryBER) and charging one more cell sense
+	// to the chip timeline.
+	Retry bool
 }
 
 // DefaultConfig returns the paper-calibrated device configuration.
@@ -125,19 +125,10 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	if err := cfg.Retention.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Retry != nil {
-		if err := cfg.Retry.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if clock == nil {
 		clock = sim.NewClock(0)
 	}
-	buckets := 8
-	if cfg.Retry != nil && cfg.Retry.MaxRetries >= buckets {
-		buckets = cfg.Retry.MaxRetries + 1
-	}
-	d := &Device{cfg: cfg, clock: clock, retryHist: metrics.NewIntHistogram(buckets)}
+	d := &Device{cfg: cfg, clock: clock, retryHist: metrics.NewIntHistogram(max(8, ecc.MaxRetries+1))}
 	n := cfg.Geometry.Chips()
 	d.chips = make([]*chip, n)
 	d.chipTL = make([]*sim.Timeline, n)
@@ -478,12 +469,12 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 // distinction DisableRetentionErrors bookkeeping needs. Retry steps are
 // charged to the chip timeline at one stepCost each.
 //
-// With Fault and Retry both nil this delegates to the plain chip read,
+// With Fault nil and Retry off this delegates to the plain chip read,
 // keeping the fault-free path bit-identical to a device without recovery.
 func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.Time, chipTL *sim.Timeline, stepCost sim.Duration) (Stamp, bool, error) {
 	g := d.cfg.Geometry
 	lb, pi := g.LocalBlock(b), g.PageIndex(p)
-	if d.cfg.Fault == nil && d.cfg.Retry == nil {
+	if d.cfg.Fault == nil && !d.cfg.Retry {
 		st, _, err := ch.readSubpage(lb, pi, sub, start, &d.cfg.Retention)
 		return st, true, err
 	}
@@ -508,11 +499,11 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 	// until the effective BER decodes or the budget runs out. Each step
 	// occupies the chip for one more cell sense.
 	steps := 0
-	if rm := d.cfg.Retry; rm != nil {
+	if d.cfg.Retry {
 		eff := ber
-		for steps < rm.MaxRetries && eff > limit {
+		for steps < ecc.MaxRetries && eff > limit {
 			steps++
-			eff = rm.Effective(ber, steps)
+			eff = ecc.RetryBER(ber, steps)
 		}
 		if steps > 0 {
 			chipTL.Reserve(start, stepCost*sim.Duration(steps))

@@ -133,9 +133,8 @@ type RetryPolicy struct {
 	// delivers the first reply.
 	MaxAttempts int
 	// BaseBackoff is the first retry's backoff; it doubles per attempt
-	// up to MaxBackoff, with seeded jitter (defaults 10ms, 1s).
+	// up to maxBackoff, with seeded jitter (default 10ms).
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// MaxReconnects bounds re-dials across the whole run; exhausting it
 	// (immediately, at 0) fails the run with the pending requests
 	// unresolved.
@@ -156,18 +155,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseBackoff == 0 {
 		p.BaseBackoff = 10 * time.Millisecond
 	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = time.Second
-	}
 	return p
 }
+
+// maxBackoff caps RetryPolicy's exponential backoff.
+const maxBackoff = time.Second
 
 // backoff returns the jittered exponential delay for the given attempt
 // (1-based): full jitter over [d/2, d] so synchronized clients spread.
 func (p RetryPolicy) backoff(rng *sim.RNG, attempt int) time.Duration {
 	d := p.BaseBackoff << uint(attempt-1)
-	if d <= 0 || d > p.MaxBackoff {
-		d = p.MaxBackoff
+	if d <= 0 || d > maxBackoff {
+		d = maxBackoff
 	}
 	half := d / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))

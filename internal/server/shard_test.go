@@ -166,7 +166,6 @@ func crashEnv(seed uint64) ftltest.CrashEnv {
 			cfg := core.DefaultConfig(512)
 			cfg.GCReserveBlocks = 3
 			cfg.BufferSectors = 32
-			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			return core.New(dev, cfg)
 		},
 	}

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"testing"
-	"time"
 
 	"espftl/internal/core"
 	"espftl/internal/ftl"
@@ -27,7 +26,6 @@ func TestServedCrashRecovery(t *testing.T) {
 			cfg := core.DefaultConfig(sectors)
 			cfg.GCReserveBlocks = 3
 			cfg.BufferSectors = 32
-			cfg.RetentionThreshold = 15 * 24 * time.Hour
 			return core.New(dev, cfg)
 		},
 	}
