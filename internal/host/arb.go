@@ -2,16 +2,16 @@ package host
 
 import "fmt"
 
-// Arbiter picks the next command to dispatch from the heads of the
-// per-chip command queues. heads is indexed by chip queue (the last entry
-// is the unrouted queue) and contains nil for empty queues; dispatchable
-// reports whether the scheduler's structural constraints — the ordering
-// barrier, chip occupancy, background yielding — currently allow a head
-// to issue. Pick returns the chosen queue index, or -1 to wait for the
-// next event.
+// Arbiter picks the next command to dispatch from the heads of the ready
+// command queues: those that are non-empty and whose chip is idle (the
+// unrouted queue always counts as idle). heads holds one command per
+// ready queue, in queue order, and no nil entries; dispatchable reports
+// whether the ordering barrier currently lets a head issue. Pick returns
+// the chosen index into heads, or -1 to wait for the next event.
 //
 // Arbiters must be deterministic: decisions may depend only on the
-// commands themselves, in fixed scan order.
+// commands themselves. Seq is unique, so choosing by Seq picks the same
+// command whatever the order of heads.
 type Arbiter interface {
 	Name() string
 	Pick(heads []*Command, dispatchable func(*Command) bool) int
@@ -40,7 +40,7 @@ func (FIFO) Name() string { return "fifo" }
 func (FIFO) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 	best := -1
 	for i, c := range heads {
-		if c == nil || !dispatchable(c) {
+		if !dispatchable(c) {
 			continue
 		}
 		if best < 0 || c.Seq < heads[best].Seq {
@@ -71,7 +71,7 @@ func (*ReadPriority) Name() string { return "read-priority" }
 func (a *ReadPriority) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 	bestRead, bestOther := -1, -1
 	for i, c := range heads {
-		if c == nil || !dispatchable(c) {
+		if !dispatchable(c) {
 			continue
 		}
 		if c.Class == ClassRead {

@@ -30,9 +30,9 @@ func TestNewArbiter(t *testing.T) {
 }
 
 func TestFIFOPicksOldestDispatchable(t *testing.T) {
-	heads := []*Command{cmd(5, ClassWrite), nil, cmd(2, ClassRead), cmd(9, ClassWrite)}
-	if got := (FIFO{}).Pick(heads, all); got != 2 {
-		t.Errorf("Pick = %d, want 2 (seq 2)", got)
+	heads := []*Command{cmd(5, ClassWrite), cmd(2, ClassRead), cmd(9, ClassWrite)}
+	if got := (FIFO{}).Pick(heads, all); got != 1 {
+		t.Errorf("Pick = %d, want 1 (seq 2)", got)
 	}
 	blocked := func(c *Command) bool { return c.Seq != 2 }
 	if got := (FIFO{}).Pick(heads, blocked); got != 0 {

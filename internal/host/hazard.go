@@ -102,9 +102,9 @@ type secNode struct {
 // randomized map order.
 type hazards struct {
 	sectors map[int64]*sector
-	// writes holds every pending write-class command (writes, trims,
-	// flushes), flushes the pending flushes alone.
-	writes, flushes list
+	// all holds every pending command, writes every pending write-class
+	// command (writes, trims, flushes), flushes the pending flushes alone.
+	all, writes, flushes list
 
 	freeNodes *secNode
 	freeSecs  *sector
@@ -142,9 +142,12 @@ func (h *hazards) sectorOf(lsn int64) *sector {
 	return sec
 }
 
-// add links a newly queued command: once per sector it covers, or into
-// the flush list (a flush covers no sectors and orders against everything).
+// add links a newly queued command into the pending list, then once per
+// sector it covers, or into the flush list (a flush covers no sectors and
+// orders against everything).
 func (h *hazards) add(c *Command) {
+	c.und.seq = c.Seq
+	h.all.pushBack(&c.und)
 	if c.Class == ClassWrite {
 		c.wr.seq = c.Seq
 		h.writes.pushBack(&c.wr)
@@ -169,6 +172,7 @@ func (h *hazards) add(c *Command) {
 // remove unlinks a command leaving its chip queue for dispatch and
 // returns its nodes, and any sector record they emptied, to the pools.
 func (h *hazards) remove(c *Command) {
+	h.all.remove(&c.und)
 	if c.Class == ClassWrite {
 		h.writes.remove(&c.wr)
 	}

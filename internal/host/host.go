@@ -15,12 +15,14 @@
 // loop — a priority queue keyed on sim.Time with a submission-sequence
 // tie-break — pops completion (and, open loop, arrival) events; after
 // every event a pluggable arbiter picks the next dispatchable command
-// from the chip-queue heads. Dispatch issues the command to the FTL via
-// its non-blocking Submit path (every ftl.FTL offers both it and ChipOf);
-// the command's completion time is recovered by diffing the device's per-resource FreeAt snapshots around
-// the call, so a request that fans out across several chips and channel
-// buses completes when its slowest fragment drains, independent of every
-// other in-flight request.
+// from the heads of the ready chip queues (non-empty, chip idle; a
+// bitmask tracks them). Dispatch issues the command to the FTL via its
+// non-blocking Submit path (every ftl.FTL offers both it and ChipOf)
+// inside a device transaction, whose journal of touched resources gives
+// the command's completion time: a request that fans out across several
+// chips and channel buses completes when its slowest fragment drains,
+// independent of every other in-flight request. No per-dispatch cost
+// depends on the chip count.
 //
 // Maintenance traffic (FTL.Tick: retention scrubbing) is admitted as a
 // background-class command that yields to pending host reads, up to a
@@ -135,10 +137,10 @@ type Command struct {
 	comp Completion
 
 	// out links the command into the scheduler's list of incomplete host
-	// commands; wr, fl and haz link it into the hazard index for as long
-	// as it is undispatched (see hazards).
-	out, wr, fl node
-	haz         *secNode
+	// commands; und, wr, fl and haz link it into the hazard index for as
+	// long as it is undispatched (see hazards).
+	out, und, wr, fl node
+	haz              *secNode
 }
 
 // latency is the command's completion minus arrival; by construction it

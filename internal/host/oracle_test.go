@@ -9,8 +9,9 @@ import (
 // This file keeps the scheduler's original linear scans as reference
 // implementations and attaches them to a live Scheduler, so the tests in
 // differential_test.go can assert at every single decision that the hazard
-// index, the pending-write list and the outstanding list answer exactly
-// what the scans over the live queues answer.
+// index, the pending-write list, the outstanding list, the ready mask and
+// the undispatched list answer exactly what the scans over the live
+// queues answer.
 
 // at returns the i-th queued command, oldest first.
 func (q *cmdQueue) at(i int) *Command { return q.buf[(q.head+i)&(len(q.buf)-1)] }
@@ -85,9 +86,9 @@ type Oracle struct {
 
 	promoted, outOfOrder int64 // report counters at the last observation
 
-	// Barrier counts dispatchable calls, Blocked those a hazard (not a
-	// busy chip) refused, Promoted and OutOfOrder the positive answers of
-	// the other two decisions.
+	// Barrier counts dispatchable calls, Blocked those a hazard refused,
+	// Promoted and OutOfOrder the positive answers of the other two
+	// decisions.
 	Barrier, Blocked, Promoted, OutOfOrder int
 	// MaxBacklog is the most undispatched host commands seen at once, and
 	// MaxContended the most commands of the scarcer kind (readers against
@@ -110,16 +111,27 @@ func AttachOracle(t testing.TB, s *Scheduler) *Oracle {
 func (o *Oracle) Name() string { return o.inner.Name() }
 
 // Pick implements Arbiter: the wrapped policy decides, over a barrier
-// predicate that is checked on every call.
+// predicate that is checked on every call. Before it does, the ready mask
+// and the heads it produced are checked against every queue, and a copy
+// of the policy picks from the heads of all non-empty queues, busy chips
+// included, under the reference barrier: the real pick must choose the
+// same command.
 func (o *Oracle) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 	o.MaxBacklog = max(o.MaxBacklog, o.s.pendingHost)
-	return o.inner.Pick(heads, func(c *Command) bool {
+	o.checkReady(heads)
+	want := o.refPick()
+	i := o.inner.Pick(heads, func(c *Command) bool {
 		got, want := dispatchable(c), o.s.refDispatchable(c)
 		if got != want {
 			o.t.Fatalf("dispatchable(seq %d %v) = %v, reference scan says %v", c.Seq, c.Req, got, want)
 		}
+		if c.Req.Op == workload.OpFlush {
+			if got, want := !o.s.hz.all.before(c.Seq), o.s.refOldestFront(c.Seq); got != want {
+				o.t.Fatalf("flush seq %d oldest undispatched: list says %v, queue fronts say %v", c.Seq, got, want)
+			}
+		}
 		o.Barrier++
-		if !got && !(c.Chip < o.s.chips && o.s.chipBusy[c.Chip]) {
+		if !got {
 			o.Blocked++
 		}
 		for n := c.haz; n != nil; n = n.sib {
@@ -127,6 +139,77 @@ func (o *Oracle) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 		}
 		return got
 	})
+	var got *Command
+	if i >= 0 {
+		got = heads[i]
+	}
+	if got != want {
+		o.t.Fatalf("%s picked %v from the ready heads, %v from every queue head", o.inner.Name(), got, want)
+	}
+	return i
+}
+
+// checkReady asserts that the ready mask is exactly the set of non-empty
+// queues whose chip is idle (or that are the unrouted queue), and that
+// heads holds their fronts in queue order.
+func (o *Oracle) checkReady(heads []*Command) {
+	s := o.s
+	k := 0
+	for q := range s.cq {
+		want := s.cq[q].n > 0 && (q == s.chips || !s.chipBusy[q])
+		if got := s.ready[q>>6]>>(q&63)&1 == 1; got != want {
+			o.t.Fatalf("queue %d ready bit %v, want %v (%d queued, chip busy %v)", q, got, want, s.cq[q].n, q < s.chips && s.chipBusy[q])
+		}
+		if !want {
+			continue
+		}
+		if k >= len(heads) || heads[k] != s.cq[q].front() {
+			o.t.Fatalf("heads[%d] is not the front of ready queue %d", k, q)
+		}
+		k++
+	}
+	if k != len(heads) {
+		o.t.Fatalf("%d heads handed to Pick, %d queues ready", len(heads), k)
+	}
+}
+
+// refPick is what the wrapped policy, from its current state, picks among
+// the fronts of every non-empty queue under the reference barrier (which
+// refuses a busy chip). It runs on a copy, so the policy's own state —
+// read-priority's bypass counter — is left to the real pick.
+func (o *Oracle) refPick() *Command {
+	var a Arbiter
+	switch in := o.inner.(type) {
+	case FIFO:
+		a = in
+	case *ReadPriority:
+		cp := *in
+		a = &cp
+	default:
+		o.t.Fatalf("oracle cannot copy arbiter %T", in)
+	}
+	var all []*Command
+	for q := range o.s.cq {
+		if c := o.s.cq[q].front(); c != nil {
+			all = append(all, c)
+		}
+	}
+	if i := a.Pick(all, o.s.refDispatchable); i >= 0 {
+		return all[i]
+	}
+	return nil
+}
+
+// refOldestFront reports whether no queue front was submitted before seq:
+// the queues are Seq-ordered, so their fronts hold the oldest
+// undispatched command.
+func (s *Scheduler) refOldestFront(seq int64) bool {
+	for i := range s.cq {
+		if h := s.cq[i].front(); h != nil && h.Seq < seq {
+			return false
+		}
+	}
+	return true
 }
 
 func (l *list) len() (n int) {
@@ -188,7 +271,7 @@ func (s *Scheduler) Retained() (n int) {
 			n++
 		}
 	}
-	if s.outstanding.head != nil || s.hz.writes.head != nil || s.hz.flushes.head != nil {
+	if s.outstanding.head != nil || s.hz.all.head != nil || s.hz.writes.head != nil || s.hz.flushes.head != nil {
 		n++
 	}
 	return n + len(s.hz.sectors)

@@ -46,10 +46,15 @@ func (o *orderHash) flush() {
 // quickSubRig is the benchmark's host-workload stack in miniature:
 // QuickGeometry, subFTL with incremental background GC, preconditioned.
 func quickSubRig(t testing.TB) (*nand.Device, ftl.FTL, *workload.Synthetic) {
+	return subRig(t, experiment.QuickGeometry)
+}
+
+// subRig is quickSubRig on another geometry.
+func subRig(t testing.TB, geo nand.Geometry) (*nand.Device, ftl.FTL, *workload.Synthetic) {
 	t.Helper()
 	dev, f, logical, err := experiment.Build(experiment.RunConfig{
 		Kind:              experiment.KindSub,
-		Geometry:          experiment.QuickGeometry,
+		Geometry:          geo,
 		GCStepPages:       8,
 		GCBackgroundSlack: 8,
 	})

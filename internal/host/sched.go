@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"math/bits"
 
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
@@ -42,6 +43,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BackgroundDeferLimit == 0 {
 		c.BackgroundDeferLimit = 512
+	}
+	if c.BackgroundDeferLimit < 0 {
+		return c, fmt.Errorf("host: negative background deferral limit %d", c.BackgroundDeferLimit)
 	}
 	return c, nil
 }
@@ -126,9 +130,14 @@ type Scheduler struct {
 	chips    int
 	cq       []cmdQueue // per-chip FIFO queues; index chips = unrouted
 	chipBusy []bool
-	heads    []*Command
-	bg       *Command // at most one pending background command
-	hz       hazards  // the undispatched host commands, indexed for the barrier
+	// ready has one bit per command queue, set while the queue is
+	// non-empty and its chip idle (the unrouted queue counts as idle):
+	// exactly the queues whose head the arbiter may consider. heads is
+	// the scratch those heads are gathered into.
+	ready []uint64
+	heads []*Command
+	bg    *Command // at most one pending background command
+	hz    hazards  // the undispatched host commands, indexed for the barrier
 
 	outstanding  list // submitted, incomplete host commands, in Seq order
 	pendingHost  int  // undispatched host commands
@@ -137,8 +146,6 @@ type Scheduler struct {
 
 	hostDispatched int64
 	wrRR           int
-	scratchA       []sim.Time
-	scratchB       []sim.Time
 	busy0          sim.Duration
 	drain0         sim.Time
 
@@ -186,7 +193,8 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	s.cq = make([]cmdQueue, s.chips+1)
 	s.hz.sectors = make(map[int64]*sector)
 	s.chipBusy = make([]bool, s.chips)
-	s.heads = make([]*Command, s.chips+1)
+	s.ready = make([]uint64, (s.chips+64)/64)
+	s.heads = make([]*Command, 0, s.chips+1)
 	s.now = s.clock.Now()
 	s.issueCB = func(e error) { s.issueErr = e }
 	s.barrier = s.dispatchable
@@ -293,8 +301,6 @@ func (s *Scheduler) start(depth int) error {
 	}
 	s.ran = true
 	s.rep = newReport(s.cfg.Arbiter.Name(), depth, s.cfg.Queues)
-	s.scratchA = s.dev.ResourceFreeTimes(nil)
-	s.scratchB = s.dev.ResourceFreeTimes(nil)
 	s.busy0 = s.dev.TotalChipBusy()
 	s.drain0 = s.dev.DrainTime()
 	return nil
@@ -375,6 +381,7 @@ func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
 	}
 	c.Chip = s.route(c)
 	s.cq[c.Chip].push(c)
+	s.setReady(c.Chip)
 	s.hz.add(c)
 	c.out.seq = c.Seq
 	s.outstanding.pushBack(&c.out)
@@ -405,29 +412,41 @@ func (s *Scheduler) route(c *Command) int {
 	return ch
 }
 
-// dispatchable applies the scheduler's structural constraints to a
-// command-queue head: its chip must be idle and no earlier-submitted
-// undispatched command may conflict with it (the ordering barrier). Two
-// commands conflict when their sector ranges overlap and at least one of
-// them mutates (write or trim); the hazard index answers that. A flush is
-// a full barrier both ways: it must observe every earlier write, and later
-// writes must not be reordered ahead of the durability point it
-// acknowledges. So it conflicts with every earlier command and waits for
-// the oldest undispatched one of all — the chip queues are Seq-ordered,
-// so that command is one of their heads.
-func (s *Scheduler) dispatchable(c *Command) bool {
-	if c.Chip < s.chips && s.chipBusy[c.Chip] {
-		return false
+// setReady recomputes queue q's bit in the ready mask.
+func (s *Scheduler) setReady(q int) {
+	bit := uint64(1) << (q & 63)
+	if s.cq[q].n > 0 && (q == s.chips || !s.chipBusy[q]) {
+		s.ready[q>>6] |= bit
+	} else {
+		s.ready[q>>6] &^= bit
 	}
+}
+
+// readyHeads gathers the heads of the ready queues, in queue order.
+func (s *Scheduler) readyHeads() []*Command {
+	h := s.heads[:0]
+	for w, word := range s.ready {
+		for ; word != 0; word &= word - 1 {
+			h = append(h, s.cq[w<<6|bits.TrailingZeros64(word)].front())
+		}
+	}
+	return h
+}
+
+// dispatchable applies the ordering barrier to a ready queue head (its
+// chip is idle by construction): no earlier-submitted undispatched
+// command may conflict with it. Two commands conflict when their sector
+// ranges overlap and at least one of them mutates (write or trim); the
+// hazard index answers that. A flush is a full barrier both ways: it must
+// observe every earlier write, and later writes must not be reordered
+// ahead of the durability point it acknowledges. So it conflicts with
+// every earlier command and waits until it is the oldest undispatched
+// one of all.
+func (s *Scheduler) dispatchable(c *Command) bool {
 	if c.Req.Op != workload.OpFlush {
 		return !s.hz.blocked(c)
 	}
-	for i := range s.cq {
-		if h := s.cq[i].front(); h != nil && h.Seq < c.Seq {
-			return false
-		}
-	}
-	return true
+	return !s.hz.all.before(c.Seq)
 }
 
 // dispatchRound issues every currently dispatchable command: host
@@ -436,13 +455,14 @@ func (s *Scheduler) dispatchable(c *Command) bool {
 // background deferral budget ran out).
 func (s *Scheduler) dispatchRound() error {
 	for {
-		for i := range s.cq {
-			s.heads[i] = s.cq[i].front()
-		}
-		if i := s.cfg.Arbiter.Pick(s.heads, s.barrier); i >= 0 {
-			c := s.cq[i].pop()
+		heads := s.readyHeads()
+		if i := s.cfg.Arbiter.Pick(heads, s.barrier); i >= 0 {
+			q := heads[i].Chip
+			c := s.cq[q].pop()
 			s.hz.remove(c)
-			if err := s.dispatchHost(c); err != nil {
+			err := s.dispatchHost(c)
+			s.setReady(q)
+			if err != nil {
 				return err
 			}
 			continue
@@ -498,9 +518,9 @@ func (s *Scheduler) dispatchHost(c *Command) error {
 // smaller sequence number exists — i.e. dispatching seq now overtakes it.
 func (s *Scheduler) olderWritePending(seq int64) bool { return s.hz.writes.before(seq) }
 
-// dispatch issues a command to the FTL and derives its completion time
-// from the device's per-resource FreeAt deltas: the command completes
-// when the last resource its transaction occupied drains. A command that
+// dispatch issues a command to the FTL inside a device transaction and
+// takes its completion time from the transaction's journal: the command
+// completes when the last resource it occupied drains. A command that
 // touched no resource (a buffer-absorbed write, a buffered or unmapped
 // read) completes instantly.
 func (s *Scheduler) dispatch(c *Command) error {
@@ -512,25 +532,17 @@ func (s *Scheduler) dispatch(c *Command) error {
 	if c.Chip < s.chips {
 		s.chipBusy[c.Chip] = true
 	}
-	s.scratchA = s.dev.ResourceFreeTimes(s.scratchA)
 	var bytes0 int64
 	if s.external {
 		bytes0 = s.dev.Counters().BytesWritten
 	}
+	s.dev.BeginTxn()
 	err := s.issue(c)
+	fanout, end := s.dev.EndTxn()
 	if s.external {
 		c.FlashBytes = s.dev.Counters().BytesWritten - bytes0
 	}
-	s.scratchB = s.dev.ResourceFreeTimes(s.scratchB)
-	end := sim.Time(0)
-	for i := range s.scratchB {
-		if s.scratchB[i] != s.scratchA[i] {
-			c.Fanout++
-			if s.scratchB[i] > end {
-				end = s.scratchB[i]
-			}
-		}
-	}
+	c.Fanout = fanout
 	if end < c.Arrival {
 		// The work packed before the arrival axis (an idle resource) or
 		// there was none: the command completes upon arrival.
@@ -589,6 +601,7 @@ func (s *Scheduler) complete(c *Command) {
 	}
 	if c.Chip < s.chips {
 		s.chipBusy[c.Chip] = false
+		s.setReady(c.Chip)
 	}
 	s.inflight--
 	s.outstanding.remove(&c.out)

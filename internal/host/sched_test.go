@@ -1,6 +1,7 @@
 package host_test
 
 import (
+	"strings"
 	"testing"
 
 	"espftl/internal/core"
@@ -327,5 +328,25 @@ func TestSchedulerSingleUse(t *testing.T) {
 	}
 	if _, err := s.RunClosedLoop(newGen(t, fill, 0, 1), 50, 2); err == nil {
 		t.Fatal("second run accepted")
+	}
+}
+
+// New refuses negative sizes with a "host:" error. A negative background
+// deferral limit would never let background work yield to host reads.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	dev, f, _ := newRig(t, "cgmFTL")
+	for name, cfg := range map[string]host.Config{
+		"Queues":               {Queues: -1},
+		"TickEvery":            {TickEvery: -1},
+		"BackgroundDeferLimit": {BackgroundDeferLimit: -1},
+	} {
+		_, err := host.New(dev, f, cfg)
+		if err == nil {
+			t.Errorf("negative %s accepted", name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "host: ") {
+			t.Errorf("negative %s: error %q, want a host: error", name, err)
+		}
 	}
 }

@@ -81,11 +81,19 @@ type Counters struct {
 // Device is not safe for concurrent use; the simulator is single-threaded
 // by design so that runs are exactly reproducible.
 type Device struct {
-	cfg      Config
-	clock    *sim.Clock
-	chips    []*chip
-	chipTL   []*sim.Timeline
-	chanTL   []*sim.Timeline
+	cfg   Config
+	clock *sim.Clock
+	chips []*chip
+	// tl holds every resource timeline, one per chip (same index as
+	// chips) and then one per channel bus. Every reservation goes through
+	// reserve, which keeps the running totals and the journal.
+	tl []*sim.Timeline
+	// drainAt is the latest FreeAt of any resource and chipBusy the busy
+	// time summed over the chips. Timelines only ever move forward, so
+	// both are exact running totals.
+	drainAt  sim.Time
+	chipBusy sim.Duration
+	txn      txn
 	counters Counters
 	// retryHist records read-retry steps per recovered/attempted read
 	// (populated only on the recovery read path).
@@ -131,15 +139,16 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	d := &Device{cfg: cfg, clock: clock, retryHist: metrics.NewIntHistogram(max(8, ecc.MaxRetries+1))}
 	n := cfg.Geometry.Chips()
 	d.chips = make([]*chip, n)
-	d.chipTL = make([]*sim.Timeline, n)
-	for i := 0; i < n; i++ {
-		d.chips[i] = newChip(cfg.Geometry)
-		d.chipTL[i] = sim.NewTimeline(fmt.Sprintf("chip%d", i))
+	d.tl = make([]*sim.Timeline, n+cfg.Geometry.Channels)
+	for i := range d.tl {
+		if i < n {
+			d.chips[i] = newChip(cfg.Geometry)
+			d.tl[i] = sim.NewTimeline(fmt.Sprintf("chip%d", i))
+		} else {
+			d.tl[i] = sim.NewTimeline(fmt.Sprintf("chan%d", i-n))
+		}
 	}
-	d.chanTL = make([]*sim.Timeline, cfg.Geometry.Channels)
-	for i := range d.chanTL {
-		d.chanTL[i] = sim.NewTimeline(fmt.Sprintf("chan%d", i))
-	}
+	d.txn = txn{touched: make([]touch, 0, len(d.tl)), seen: make([]bool, len(d.tl))}
 	sp := cfg.Geometry.SubpagesPerPage
 	d.allSubs = make([]int, sp)
 	for i := range d.allSubs {
@@ -184,16 +193,7 @@ func (d *Device) FactoryBad(b BlockID) bool {
 // DrainTime returns the virtual time at which every chip and channel has
 // finished all admitted work — the completion horizon used to compute
 // throughput.
-func (d *Device) DrainTime() sim.Time {
-	t := sim.MaxFree(d.chipTL)
-	if c := sim.MaxFree(d.chanTL); c > t {
-		t = c
-	}
-	if now := d.clock.Now(); now > t {
-		t = now
-	}
-	return t
-}
+func (d *Device) DrainTime() sim.Time { return max(d.drainAt, d.clock.Now()) }
 
 // OpCount returns how many device operations have been admitted so far —
 // the index space ArmSPO addresses. A dry run of a workload yields the op
@@ -231,10 +231,65 @@ func (d *Device) beginOp(isProgram bool) (tear bool, err error) {
 	return false, nil
 }
 
-// chipFor resolves a block to its chip and channel timelines.
-func (d *Device) chipFor(b BlockID) (*chip, *sim.Timeline, *sim.Timeline) {
+// chipFor resolves a block to its chip and to the resource indices (see
+// Device.tl) of its chip and channel timelines.
+func (d *Device) chipFor(b BlockID) (ch *chip, chipRes, chanRes int) {
 	ci := d.cfg.Geometry.ChipOf(b)
-	return d.chips[ci], d.chipTL[ci], d.chanTL[d.cfg.Geometry.ChannelOf(b)]
+	return d.chips[ci], ci, len(d.chips) + d.cfg.Geometry.ChannelOf(b)
+}
+
+// touch is one journal entry: a resource and its FreeAt before the
+// transaction first reserved it.
+type touch struct {
+	res    int
+	before sim.Time
+}
+
+// txn is the journal of the open transaction (BeginTxn). Both slices are
+// sized at construction, one entry per resource, so journaling never
+// allocates.
+type txn struct {
+	open    bool
+	touched []touch
+	seen    []bool // per resource: already in touched
+}
+
+// reserve books resource res (an index into tl) and keeps the drain
+// horizon, the chip busy total and the open journal up to date.
+func (d *Device) reserve(res int, earliest sim.Time, dur sim.Duration) (start, end sim.Time) {
+	tl := d.tl[res]
+	if d.txn.open && !d.txn.seen[res] {
+		d.txn.seen[res] = true
+		d.txn.touched = append(d.txn.touched, touch{res, tl.FreeAt()})
+	}
+	start, end = tl.Reserve(earliest, dur)
+	d.drainAt = max(d.drainAt, end)
+	if res < len(d.chips) {
+		d.chipBusy += dur
+	}
+	return start, end
+}
+
+// BeginTxn opens a transaction: from now until EndTxn the device journals
+// every resource an operation reserves.
+func (d *Device) BeginTxn() { d.txn.open = true }
+
+// EndTxn closes the transaction opened by BeginTxn. It reports how many
+// resources (chips and channel buses) the transaction's operations moved
+// the FreeAt of, and the latest FreeAt among them — the instant the
+// transaction's slowest fragment drains, zero if it moved none. Its cost
+// is the number of resources touched, not the device size.
+func (d *Device) EndTxn() (fanout int, end sim.Time) {
+	for _, t := range d.txn.touched {
+		d.txn.seen[t.res] = false
+		if f := d.tl[t.res].FreeAt(); f != t.before {
+			fanout++
+			end = max(end, f)
+		}
+	}
+	d.txn.touched = d.txn.touched[:0]
+	d.txn.open = false
+	return fanout, end
 }
 
 // admitWrite reserves the channel bus (for xfer) and the chip (for cell
@@ -246,11 +301,9 @@ func (d *Device) chipFor(b BlockID) (*chip, *sim.Timeline, *sim.Timeline) {
 // per-resource timelines. Ops admitted while the clock stands still pack
 // the timelines back-to-back, which is exactly the throughput (saturated
 // queue) operating point the paper's IOPS experiments measure.
-func (d *Device) admitWrite(chTL, chipTL *sim.Timeline, xfer, cell sim.Duration) (start, end sim.Time) {
-	now := d.clock.Now()
-	_, xEnd := chTL.Reserve(now, xfer)
-	cStart, cEnd := chipTL.Reserve(xEnd, cell)
-	return cStart, cEnd
+func (d *Device) admitWrite(chanRes, chipRes int, xfer, cell sim.Duration) (start, end sim.Time) {
+	_, xEnd := d.reserve(chanRes, d.clock.Now(), xfer)
+	return d.reserve(chipRes, xEnd, cell)
 }
 
 // admitRead reserves the chip for the cell sensing plus the outbound data
@@ -261,11 +314,8 @@ func (d *Device) admitWrite(chTL, chipTL *sim.Timeline, xfer, cell sim.Duration)
 // The approximation costs the channel model a few percent of idle
 // over-accounting and nothing else — the chip, not the bus, is the
 // bottleneck at these latencies.
-func (d *Device) admitRead(chTL, chipTL *sim.Timeline, cell, xfer sim.Duration) (start, end sim.Time) {
-	_ = chTL
-	now := d.clock.Now()
-	cStart, cEnd := chipTL.Reserve(now, cell+xfer)
-	return cStart, cEnd
+func (d *Device) admitRead(chipRes int, cell, xfer sim.Duration) (start, end sim.Time) {
+	return d.reserve(chipRes, d.clock.Now(), cell+xfer)
 }
 
 func (d *Device) checkPage(p PageID) error {
@@ -295,9 +345,8 @@ func (d *Device) EraseAt(b BlockID, depth EraseDepth) (sim.Time, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return 0, &OpError{Op: "erase", Block: b, Sub: -1, Err: err}
 	}
-	ch, chipTL, _ := d.chipFor(b)
-	now := d.clock.Now()
-	_, end := chipTL.Reserve(now, d.cfg.Latency.EraseAtDepth(depth))
+	ch, chipRes, _ := d.chipFor(b)
+	_, end := d.reserve(chipRes, d.clock.Now(), d.cfg.Latency.EraseAtDepth(depth))
 	lb := d.cfg.Geometry.LocalBlock(b)
 	if inj := d.cfg.Fault; inj != nil && inj.EraseFail(d.cfg.Geometry.ChipOf(b), int(b), ch.blocks[lb].eraseCount) {
 		// The erase aborted: the block keeps its (now untrustworthy)
@@ -330,7 +379,7 @@ func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, 
 	}
 	g := d.cfg.Geometry
 	b := g.BlockOfPage(p)
-	ch, chipTL, chanTL := d.chipFor(b)
+	ch, chipRes, chanRes := d.chipFor(b)
 	tear, err := d.beginOp(true)
 	if err != nil {
 		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
@@ -341,7 +390,7 @@ func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, 
 		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
 	xfer := d.cfg.Latency.Transfer(g.PageBytes())
-	start, end := d.admitWrite(chanTL, chipTL, xfer, d.cfg.Latency.ProgramPage)
+	start, end := d.admitWrite(chanRes, chipRes, xfer, d.cfg.Latency.ProgramPage)
 	d.seq++
 	if err := ch.programPage(g.LocalBlock(b), g.PageIndex(p), stamps, start, d.seq, tag); err != nil {
 		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
@@ -382,7 +431,7 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 		return 0, &OpError{Op: "subprogram", Block: g.BlockOfPage(p), Page: g.PageIndex(p), Sub: firstSub, Err: ErrBadAddress}
 	}
 	b := g.BlockOfPage(p)
-	ch, chipTL, chanTL := d.chipFor(b)
+	ch, chipRes, chanRes := d.chipFor(b)
 	// Reusable scratch: neither the chip's program path nor its tear/fail
 	// paths retain the slice past the call.
 	subs := d.subsBuf[:k]
@@ -400,7 +449,7 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 	}
 	xfer := d.cfg.Latency.Transfer(k * g.SubpageBytes)
 	cell := d.cfg.Latency.ProgramSubpages(k, g.SubpagesPerPage)
-	start, end := d.admitWrite(chanTL, chipTL, xfer, cell)
+	start, end := d.admitWrite(chanRes, chipRes, xfer, cell)
 	d.seq++
 	if err := ch.programSubpages(g.LocalBlock(b), g.PageIndex(p), subs, stamps, start, d.seq, tag); err != nil {
 		return 0, &OpError{Op: "subprogram", Block: b, Page: g.PageIndex(p), Sub: firstSub, Err: err}
@@ -426,7 +475,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 	p := g.PageOfSubpage(s)
 	sub := g.SubIndex(s)
 	b := g.BlockOfPage(p)
-	ch, chipTL, chanTL := d.chipFor(b)
+	ch, chipRes, _ := d.chipFor(b)
 	if _, err := d.beginOp(false); err != nil {
 		return Stamp{}, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: sub, Err: err}
 	}
@@ -437,7 +486,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 		cell = d.cfg.Latency.ReadSubpage
 		bytes = g.SubpageBytes
 	}
-	start, _ := d.admitRead(chanTL, chipTL, cell, d.cfg.Latency.Transfer(bytes))
+	start, _ := d.admitRead(chipRes, cell, d.cfg.Latency.Transfer(bytes))
 	d.counters.BytesRead += int64(bytes)
 	if d.cfg.EnableSubpageRead {
 		d.counters.SubpageReads++
@@ -445,7 +494,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 		d.counters.PageReads++
 	}
 
-	stamp, retention, err := d.senseSubpage(ch, b, p, sub, start, chipTL, cell)
+	stamp, retention, err := d.senseSubpage(ch, b, p, sub, start, chipRes, cell)
 	if err != nil {
 		if d.cfg.DisableRetentionErrors && retention && errors.Is(err, ErrUncorrectable) {
 			d.counters.RetentionHits++
@@ -471,7 +520,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 //
 // With Fault nil and Retry off this delegates to the plain chip read,
 // keeping the fault-free path bit-identical to a device without recovery.
-func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.Time, chipTL *sim.Timeline, stepCost sim.Duration) (Stamp, bool, error) {
+func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.Time, chipRes int, stepCost sim.Duration) (Stamp, bool, error) {
 	g := d.cfg.Geometry
 	lb, pi := g.LocalBlock(b), g.PageIndex(p)
 	if d.cfg.Fault == nil && !d.cfg.Retry {
@@ -506,7 +555,7 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 			eff = ecc.RetryBER(ber, steps)
 		}
 		if steps > 0 {
-			chipTL.Reserve(start, stepCost*sim.Duration(steps))
+			d.reserve(chipRes, start, stepCost*sim.Duration(steps))
 			d.counters.ReadRetries += int64(steps)
 		}
 		d.retryHist.Record(steps)
@@ -538,11 +587,11 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 		return nil, nil, &OpError{Op: "read", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: err}
 	}
 	b := g.BlockOfPage(p)
-	ch, chipTL, chanTL := d.chipFor(b)
+	ch, chipRes, _ := d.chipFor(b)
 	if _, err := d.beginOp(false); err != nil {
 		return nil, nil, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
 	}
-	start, _ := d.admitRead(chanTL, chipTL, d.cfg.Latency.ReadPage, d.cfg.Latency.Transfer(g.PageBytes()))
+	start, _ := d.admitRead(chipRes, d.cfg.Latency.ReadPage, d.cfg.Latency.Transfer(g.PageBytes()))
 	d.counters.PageReads++
 	d.counters.BytesRead += int64(g.PageBytes())
 
@@ -553,7 +602,7 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 	}
 	lb, pi := g.LocalBlock(b), g.PageIndex(p)
 	for sub := 0; sub < g.SubpagesPerPage; sub++ {
-		st, retention, err := d.senseSubpage(ch, b, p, sub, start, chipTL, d.cfg.Latency.ReadPage)
+		st, retention, err := d.senseSubpage(ch, b, p, sub, start, chipRes, d.cfg.Latency.ReadPage)
 		// senseSubpage returns the slot-state sentinels bare, so the states
 		// a partially-valid page is made of classify by identity.
 		switch err {
@@ -600,11 +649,11 @@ func (d *Device) ScanPageOOB(p PageID) ([]SubpageOOB, error) {
 		return nil, &OpError{Op: "oobscan", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: err}
 	}
 	b := g.BlockOfPage(p)
-	ch, chipTL, _ := d.chipFor(b)
+	ch, chipRes, _ := d.chipFor(b)
 	if _, err := d.beginOp(false); err != nil {
 		return nil, &OpError{Op: "oobscan", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
 	}
-	chipTL.Reserve(d.clock.Now(), d.cfg.Latency.ReadPage)
+	d.reserve(chipRes, d.clock.Now(), d.cfg.Latency.ReadPage)
 	d.counters.OOBScans++
 	return ch.pageOOB(g.LocalBlock(b), g.PageIndex(p), d.oobBuf[:g.SubpagesPerPage]), nil
 }
@@ -664,49 +713,23 @@ func (d *Device) SubpageInfo(s SubpageID) SubpageInfo {
 
 // ChipOps returns per-chip operation counts, for load-balance diagnostics.
 func (d *Device) ChipOps() []int64 {
-	out := make([]int64, len(d.chipTL))
-	for i, tl := range d.chipTL {
+	out := make([]int64, len(d.chips))
+	for i, tl := range d.tl[:len(d.chips)] {
 		out[i] = tl.Ops()
 	}
 	return out
 }
 
-// ResourceFreeTimes snapshots the FreeAt of every device resource —
-// chips first, then channel buses — into buf (grown as needed) and
-// returns it. The host scheduler diffs snapshots taken around an FTL
-// call to recover which resources a request's transaction touched and
-// when its slowest fragment drains.
-func (d *Device) ResourceFreeTimes(buf []sim.Time) []sim.Time {
-	n := len(d.chipTL) + len(d.chanTL)
-	if cap(buf) < n {
-		buf = make([]sim.Time, n)
-	}
-	buf = buf[:n]
-	for i, tl := range d.chipTL {
-		buf[i] = tl.FreeAt()
-	}
-	for i, tl := range d.chanTL {
-		buf[len(d.chipTL)+i] = tl.FreeAt()
-	}
-	return buf
-}
-
 // TotalChipBusy returns the cumulative busy time summed over all chips,
 // the numerator of the device-wide utilization time series.
-func (d *Device) TotalChipBusy() sim.Duration {
-	var sum sim.Duration
-	for _, tl := range d.chipTL {
-		sum += tl.Busy()
-	}
-	return sum
-}
+func (d *Device) TotalChipBusy() sim.Duration { return d.chipBusy }
 
 // ChipUtilization returns per-chip busy fractions over the horizon ending
 // at DrainTime, for parallelism diagnostics.
 func (d *Device) ChipUtilization() []float64 {
 	horizon := d.DrainTime()
-	out := make([]float64, len(d.chipTL))
-	for i, tl := range d.chipTL {
+	out := make([]float64, len(d.chips))
+	for i, tl := range d.tl[:len(d.chips)] {
 		out[i] = tl.Utilization(horizon)
 	}
 	return out

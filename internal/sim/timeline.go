@@ -73,15 +73,3 @@ func (tl *Timeline) Reset() {
 	tl.busy = 0
 	tl.ops = 0
 }
-
-// MaxFree returns the latest FreeAt across the given timelines, i.e. the
-// time at which all of them have drained. A nil or empty slice yields zero.
-func MaxFree(tls []*Timeline) Time {
-	var m Time
-	for _, tl := range tls {
-		if tl.FreeAt() > m {
-			m = tl.FreeAt()
-		}
-	}
-	return m
-}

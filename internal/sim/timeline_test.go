@@ -60,19 +60,6 @@ func TestTimelineNegativeReservePanics(t *testing.T) {
 	NewTimeline("x").Reserve(0, -time.Nanosecond)
 }
 
-func TestMaxFree(t *testing.T) {
-	a, b, c := NewTimeline("a"), NewTimeline("b"), NewTimeline("c")
-	a.Reserve(0, 10*time.Nanosecond)
-	b.Reserve(0, 30*time.Nanosecond)
-	c.Reserve(0, 20*time.Nanosecond)
-	if got := MaxFree([]*Timeline{a, b, c}); got != 30 {
-		t.Fatalf("MaxFree = %v, want 30", got)
-	}
-	if got := MaxFree(nil); got != 0 {
-		t.Fatalf("MaxFree(nil) = %v, want 0", got)
-	}
-}
-
 // Regression for the granted-start contract under concurrent issue: when
 // several overlapping requests are issued against the same resource at
 // the same earliest time — exactly what the host scheduler does when it
