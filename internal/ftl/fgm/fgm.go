@@ -142,11 +142,14 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 		spn := int64(g.SubpageOf(p, slot))
 		old := f.table.Update(lsn, spn)
 		f.rmap[spn] = lsn
-		f.Man.AddValid(blk, 1)
 		if old != mapping.None {
 			f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
 		}
 	}
+	// The page's sectors are distinct, so every decrement above drops a
+	// copy already counted; adding the page's own once moves blk in the
+	// valid index once instead of once per sector.
+	f.Man.AddValid(blk, len(lsns))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"math/rand"
 	"testing"
 
 	"espftl/internal/sim"
@@ -179,6 +180,80 @@ func BenchmarkDeviceRead(b *testing.B) {
 		if _, _, err := d.ReadPage(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// slot addresses one subpage slot of a page.
+type slot struct {
+	p   PageID
+	sub int
+}
+
+// randomDevice builds a DefaultGeometry device and a seeded random order
+// of its subpage slots, the access pattern of the simulators: consecutive
+// operations land on unrelated chips, blocks and pages.
+func randomDevice(b *testing.B) (*Device, []slot) {
+	d, err := NewDevice(DefaultConfig(), sim.NewClock(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Geometry()
+	order := make([]slot, g.TotalSubpages())
+	for i, s := range rand.New(rand.NewSource(1)).Perm(len(order)) {
+		order[i] = slot{g.PageOfSubpage(SubpageID(s)), g.SubIndex(SubpageID(s))}
+	}
+	return d, order
+}
+
+// programSlot writes one slot in its own ESP pass.
+func programSlot(b *testing.B, d *Device, s slot) {
+	if _, err := d.ProgramSubpage(s.p, s.sub, Stamp{LSN: int64(s.p), Version: 1}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkDeviceReadRandom measures one full-page read of a random page
+// of a full DefaultGeometry device whose pages took one ESP pass per slot
+// in random slot order.
+func BenchmarkDeviceReadRandom(b *testing.B) {
+	d, order := randomDevice(b)
+	for _, s := range order {
+		programSlot(b, d, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.ReadPage(order[i%len(order)].p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeviceProgramRandom measures one single-subpage ESP pass on a
+// DefaultGeometry device, visiting every slot once in random order; the
+// device is filled once before timing and erased whenever the order wraps.
+func BenchmarkDeviceProgramRandom(b *testing.B) {
+	d, order := randomDevice(b)
+	eraseAll := func() {
+		for blk := 0; blk < d.Geometry().TotalBlocks(); blk++ {
+			if _, err := d.Erase(BlockID(blk)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, s := range order {
+		programSlot(b, d, s)
+	}
+	eraseAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(order) == 0 {
+			b.StopTimer()
+			eraseAll()
+			b.StartTimer()
+		}
+		programSlot(b, d, order[i%len(order)])
 	}
 }
 

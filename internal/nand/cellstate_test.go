@@ -124,23 +124,23 @@ func TestEraseTouchesOnlyItsBlock(t *testing.T) {
 // reach reads back the same through SubpageInfo, the read path and the OOB
 // scan.
 func TestSubpageFlagStatesRoundTrip(t *testing.T) {
-	c := newChip(oddGeometry)
+	c := newChip(oddGeometry, 0)
 	model := DefaultRetention
 	const blk, pg = 2, 5
 	at := sim.Time(1000)
 	// Slot 0: torn by a power cut (pass 0). Slot 1: programmed in pass 1 —
 	// which destroys slot 0's torn cells too — then failed. Slot 2: erased.
-	c.tornProgram(blk, pg, []int{0}, at)
-	if err := c.programSubpages(blk, pg, []int{1}, []Stamp{{LSN: 7, Version: 3}}, at, 9, 2); err != nil {
+	c.tornProgram(blk, pg, 0, 1, at)
+	if err := c.programSubpages(blk, pg, 1, []Stamp{{LSN: 7, Version: 3}}, at, 9, 2); err != nil {
 		t.Fatal(err)
 	}
-	c.failProgram(blk, pg, []int{1})
+	c.failProgram(blk, pg, 1, 1)
 	// A clean page beside it: slot 0 destroyed by the pass that wrote slot
 	// 1, slot 1 live, slot 2 erased.
-	if err := c.programSubpages(blk, pg-1, []int{0}, []Stamp{{LSN: 5, Version: 1}}, at, 10, 2); err != nil {
+	if err := c.programSubpages(blk, pg-1, 0, []Stamp{{LSN: 5, Version: 1}}, at, 10, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.programSubpages(blk, pg-1, []int{1}, []Stamp{{LSN: 6, Version: 4}}, at, 11, 2); err != nil {
+	if err := c.programSubpages(blk, pg-1, 1, []Stamp{{LSN: 6, Version: 4}}, at, 11, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -160,7 +160,7 @@ func TestSubpageFlagStatesRoundTrip(t *testing.T) {
 		if got := c.subpageInfo(blk, tc.page, tc.sub); got != tc.info {
 			t.Errorf("%s: SubpageInfo = %+v, want %+v", tc.name, got, tc.info)
 		}
-		st, _, err := c.readSubpage(blk, tc.page, tc.sub, at, &model)
+		st, err := refReadSlot(c, blk, tc.page, tc.sub, at, &model)
 		if !errors.Is(err, tc.readErr) || (tc.readErr == nil && (err != nil || st != tc.info.Stamp)) {
 			t.Errorf("%s: read = %v, %v; want %v, %v", tc.name, st, err, tc.info.Stamp, tc.readErr)
 		}

@@ -41,6 +41,16 @@ const (
 
 func (sp *subpage) stamp() Stamp { return Stamp{LSN: sp.lsn, Version: sp.version} }
 
+// program records a program of the slot. It sets every field, as a
+// composite literal would, but store by store: the compiler builds a
+// literal on the stack and copies it in wider loads than its stores,
+// which stalls on every slot written.
+func (sp *subpage) program(st Stamp, npp NppType, at sim.Time, seq uint64, tag uint8) {
+	sp.programmedAt, sp.seq = at, seq
+	sp.lsn, sp.version = st.LSN, st.Version
+	sp.flags, sp.npp, sp.tag = subProgrammed, npp, tag
+}
+
 // block is the persistent per-block wear state.
 type block struct {
 	eraseCount int
@@ -58,8 +68,12 @@ type block struct {
 // chip models one NAND die: an array of blocks with ESP-aware program
 // semantics. The chip is purely functional state; timing lives in Device.
 type chip struct {
-	geo    Geometry
-	blocks []block
+	// index is the chip's position in Device.chips, which is also its
+	// timeline's in Device.tl, and bus the index there of its channel
+	// bus's timeline.
+	index, bus int
+	geo        Geometry
+	blocks     []block
 	// subs is the cell state of every subpage of the die in one flat array,
 	// indexed (localBlock*PagesPerBlock+page)*SubpagesPerPage+sub, so a
 	// page's slots are adjacent and a block's are one contiguous run.
@@ -68,20 +82,18 @@ type chip struct {
 	// operations since the last erase. A full-page program counts as one
 	// pass; each ESP subpage program is one pass.
 	passes []uint8
-	// inPass is per-call scratch for programSubpages (which subpage slots
-	// the current ESP pass writes); entries are reset before each use so
-	// the steady-state program path allocates nothing.
-	inPass []bool
 }
 
-func newChip(geo Geometry) *chip {
+// newChip builds chip index of a device of geometry geo.
+func newChip(geo Geometry, index int) *chip {
 	pages := geo.BlocksPerChip * geo.PagesPerBlock
 	return &chip{
+		index:  index,
+		bus:    geo.Chips() + index%geo.Channels,
 		geo:    geo,
 		blocks: make([]block, geo.BlocksPerChip),
 		subs:   make([]subpage, pages*geo.SubpagesPerPage),
 		passes: make([]uint8, pages),
-		inPass: make([]bool, geo.SubpagesPerPage),
 	}
 }
 
@@ -118,82 +130,59 @@ func (c *chip) programPage(localBlock, pageIdx int, stamps []Stamp, at sim.Time,
 		if s < len(stamps) {
 			st = stamps[s]
 		}
-		subs[s] = subpage{
-			flags:        subProgrammed,
-			npp:          0,
-			programmedAt: at,
-			lsn:          st.LSN,
-			version:      st.Version,
-			seq:          seq,
-			tag:          tag,
-		}
+		subs[s].program(st, 0, at, seq, tag)
 	}
 	return nil
 }
 
-// programSubpages performs one ESP pass: it writes the given set of
-// not-yet-programmed subpages (the SBPI scheme selects bit lines
-// individually, so a pass can carry any subset) and destroys the content
-// of every previously programmed subpage of the page (cell-to-cell
-// coupling and program disturbance, paper §3.2). Every subpage written in
-// the pass gets the same N^k_pp type: the number of passes that preceded
-// this one.
-func (c *chip) programSubpages(localBlock, pageIdx int, subs []int, stamps []Stamp, at sim.Time, seq uint64, tag uint8) error {
+// programSubpages performs one ESP pass: it writes len(stamps)
+// not-yet-programmed subpages starting at slot first (the SBPI scheme
+// selects bit lines individually, so a pass can carry several) and
+// destroys the content of every previously programmed subpage of the page
+// (cell-to-cell coupling and program disturbance, paper §3.2). Every
+// subpage written in the pass gets the same N^k_pp type: the number of
+// passes that preceded this one.
+func (c *chip) programSubpages(localBlock, pageIdx, first int, stamps []Stamp, at sim.Time, seq uint64, tag uint8) error {
 	slots, passes := c.page(localBlock, pageIdx)
-	for _, sub := range subs {
-		if slots[sub].flags&subProgrammed != 0 {
+	run := slots[first : first+len(stamps)]
+	for i := range run {
+		if run[i].flags&subProgrammed != 0 {
 			return ErrReprogram
 		}
 	}
-	inPass := c.inPass
-	for i := range inPass {
-		inPass[i] = false
-	}
-	for _, sub := range subs {
-		inPass[sub] = true
-	}
+	// The run is unprogrammed, so these are exactly the slots outside it.
 	for s := range slots {
-		if !inPass[s] && slots[s].flags&subProgrammed != 0 {
+		if slots[s].flags&subProgrammed != 0 {
 			slots[s].flags |= subDestroyed
 		}
 	}
-	for i, sub := range subs {
-		st := Padding
-		if i < len(stamps) {
-			st = stamps[i]
-		}
-		slots[sub] = subpage{
-			flags:        subProgrammed,
-			npp:          NppType(*passes),
-			programmedAt: at,
-			lsn:          st.LSN,
-			version:      st.Version,
-			seq:          seq,
-			tag:          tag,
-		}
+	for i := range run {
+		run[i].program(stamps[i], NppType(*passes), at, seq, tag)
 	}
 	*passes++
 	return nil
 }
 
-// tornProgram models a program operation interrupted by power loss: the
-// target slots were partially written and come back torn (unreadable, with
-// a detectable open-page signature). Previously programmed neighbours are
-// NOT destroyed — the interrupted pass never finished the voltage ramps
-// that cause cross-coupling beyond the ECC margin — which is what lets an
-// in-place ESP shift survive a crash without losing its source copies. The
-// pass still counts toward N^k_pp bookkeeping. A target that was already
-// programmed (a would-be ErrReprogram) is left untouched: the op was
-// invalid and changed nothing before power died.
-func (c *chip) tornProgram(localBlock, pageIdx int, subs []int, at sim.Time) {
+// tornProgram models a program operation interrupted by power loss: the n
+// target slots from first were partially written and come back torn
+// (unreadable, with a detectable open-page signature). Previously
+// programmed neighbours are NOT destroyed — the interrupted pass never
+// finished the voltage ramps that cause cross-coupling beyond the ECC
+// margin — which is what lets an in-place ESP shift survive a crash
+// without losing its source copies. The pass still counts toward N^k_pp
+// bookkeeping. A target that was already programmed (a would-be
+// ErrReprogram) is left untouched: the op was invalid and changed nothing
+// before power died.
+func (c *chip) tornProgram(localBlock, pageIdx, first, n int, at sim.Time) {
 	slots, passes := c.page(localBlock, pageIdx)
-	for _, sub := range subs {
-		if slots[sub].flags&subProgrammed != 0 {
+	run := slots[first : first+n]
+	for i := range run {
+		if run[i].flags&subProgrammed != 0 {
 			return
 		}
 	}
-	for _, sub := range subs {
-		slots[sub] = subpage{
+	for i := range run {
+		run[i] = subpage{
 			flags:        subProgrammed | subTorn,
 			npp:          NppType(*passes),
 			programmedAt: at,
@@ -202,14 +191,15 @@ func (c *chip) tornProgram(localBlock, pageIdx int, subs []int, at sim.Time) {
 	*passes++
 }
 
-// failProgram models an aborted program operation on the given subpage
-// slots: the cells were partially written, so their content (and nothing
-// else's) is unreadable. The slots keep their programmed/pass bookkeeping —
-// the physical pass did happen — but read back as destroyed.
-func (c *chip) failProgram(localBlock, pageIdx int, subs []int) {
+// failProgram models an aborted program operation on the n subpage slots
+// from first: the cells were partially written, so their content (and
+// nothing else's) is unreadable. The slots keep their programmed/pass
+// bookkeeping — the physical pass did happen — but read back as destroyed.
+func (c *chip) failProgram(localBlock, pageIdx, first, n int) {
 	slots, _ := c.page(localBlock, pageIdx)
-	for _, sub := range subs {
-		slots[sub].flags |= subDestroyed
+	run := slots[first : first+n]
+	for i := range run {
+		run[i].flags |= subDestroyed
 	}
 }
 
@@ -225,24 +215,6 @@ func (sp *subpage) unreadable() error {
 		return ErrDestroyed
 	}
 	return nil
-}
-
-// readSubpage returns the stamp stored in a subpage, enforcing the
-// reliability model: erased and ESP-destroyed subpages are unreadable, and
-// data older than its Npp-type retention capability (on this block's wear)
-// fails with an uncorrectable ECC error.
-func (c *chip) readSubpage(localBlock, pageIdx, sub int, now sim.Time, model *RetentionModel) (Stamp, NppType, error) {
-	blk := &c.blocks[localBlock]
-	slots, _ := c.page(localBlock, pageIdx)
-	sp := &slots[sub]
-	if err := sp.unreadable(); err != nil {
-		return Stamp{}, sp.npp, err
-	}
-	age := AgeOf(sp.programmedAt, now)
-	if !model.CorrectableAt(sp.npp, age, blk.effWear, blk.lastDepth) {
-		return Stamp{}, sp.npp, ErrUncorrectable
-	}
-	return sp.stamp(), sp.npp, nil
 }
 
 // SubpageInfo is a read-only snapshot of device-side subpage state, used by

@@ -84,6 +84,14 @@ type Device struct {
 	cfg   Config
 	clock *sim.Clock
 	chips []*chip
+	// dec resolves an operation's address once, without dividing (see
+	// decode.go).
+	dec decoder
+	// xfer[k] is the bus time of k subpages' data and passCell[k] the cell
+	// time of a program pass of k subpages, for k up to SubpagesPerPage:
+	// precomputed, like dec, so that no operation divides.
+	xfer     []sim.Duration
+	passCell []sim.Duration
 	// tl holds every resource timeline, one per chip (same index as
 	// chips) and then one per channel bus. Every reservation goes through
 	// reserve, which keeps the running totals and the journal.
@@ -109,12 +117,9 @@ type Device struct {
 	dead bool
 
 	// Per-op scratch, sized once at construction so the steady-state
-	// program/read/scan paths allocate nothing (guarded by AllocsPerRun
-	// tests). allSubs is the constant identity run [0, SubpagesPerPage);
-	// the rest are reused between calls — see the borrow contract on
-	// ReadPage and ScanPageOOB.
-	allSubs    []int
-	subsBuf    []int
+	// read and scan paths allocate nothing (guarded by AllocsPerRun
+	// tests); reused between calls — see the borrow contract on ReadPage
+	// and ScanPageOOB.
 	readStamps []Stamp
 	readErrs   []error
 	readErrOps []OpError
@@ -136,13 +141,13 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	if clock == nil {
 		clock = sim.NewClock(0)
 	}
-	d := &Device{cfg: cfg, clock: clock, retryHist: metrics.NewIntHistogram(max(8, ecc.MaxRetries+1))}
+	d := &Device{cfg: cfg, clock: clock, dec: newDecoder(cfg.Geometry), retryHist: metrics.NewIntHistogram(max(8, ecc.MaxRetries+1))}
 	n := cfg.Geometry.Chips()
 	d.chips = make([]*chip, n)
 	d.tl = make([]*sim.Timeline, n+cfg.Geometry.Channels)
 	for i := range d.tl {
 		if i < n {
-			d.chips[i] = newChip(cfg.Geometry)
+			d.chips[i] = newChip(cfg.Geometry, i)
 			d.tl[i] = sim.NewTimeline(fmt.Sprintf("chip%d", i))
 		} else {
 			d.tl[i] = sim.NewTimeline(fmt.Sprintf("chan%d", i-n))
@@ -150,15 +155,16 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	}
 	d.txn = txn{touched: make([]touch, 0, len(d.tl)), seen: make([]bool, len(d.tl))}
 	sp := cfg.Geometry.SubpagesPerPage
-	d.allSubs = make([]int, sp)
-	for i := range d.allSubs {
-		d.allSubs[i] = i
-	}
-	d.subsBuf = make([]int, sp)
 	d.readStamps = make([]Stamp, sp)
 	d.readErrs = make([]error, sp)
 	d.readErrOps = make([]OpError, sp)
 	d.oobBuf = make([]SubpageOOB, sp)
+	d.xfer = make([]sim.Duration, sp+1)
+	d.passCell = make([]sim.Duration, sp+1)
+	for k := range d.xfer {
+		d.xfer[k] = cfg.Latency.Transfer(k * cfg.Geometry.SubpageBytes)
+		d.passCell[k] = cfg.Latency.ProgramSubpages(k, sp)
+	}
 	return d, nil
 }
 
@@ -229,13 +235,6 @@ func (d *Device) beginOp(isProgram bool) (tear bool, err error) {
 		}
 	}
 	return false, nil
-}
-
-// chipFor resolves a block to its chip and to the resource indices (see
-// Device.tl) of its chip and channel timelines.
-func (d *Device) chipFor(b BlockID) (ch *chip, chipRes, chanRes int) {
-	ci := d.cfg.Geometry.ChipOf(b)
-	return d.chips[ci], ci, len(d.chips) + d.cfg.Geometry.ChannelOf(b)
 }
 
 // touch is one journal entry: a resource and its FreeAt before the
@@ -318,13 +317,6 @@ func (d *Device) admitRead(chipRes int, cell, xfer sim.Duration) (start, end sim
 	return d.reserve(chipRes, d.clock.Now(), cell+xfer)
 }
 
-func (d *Device) checkPage(p PageID) error {
-	if !d.cfg.Geometry.ValidPage(p) {
-		return ErrBadAddress
-	}
-	return nil
-}
-
 // Erase erases block b at full depth. It returns the admission-to-
 // completion interval of the operation on the chip timeline.
 func (d *Device) Erase(b BlockID) (sim.Time, error) {
@@ -345,16 +337,15 @@ func (d *Device) EraseAt(b BlockID, depth EraseDepth) (sim.Time, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return 0, &OpError{Op: "erase", Block: b, Sub: -1, Err: err}
 	}
-	ch, chipRes, _ := d.chipFor(b)
-	_, end := d.reserve(chipRes, d.clock.Now(), d.cfg.Latency.EraseAtDepth(depth))
-	lb := d.cfg.Geometry.LocalBlock(b)
-	if inj := d.cfg.Fault; inj != nil && inj.EraseFail(d.cfg.Geometry.ChipOf(b), int(b), ch.blocks[lb].eraseCount) {
+	l := d.blockLoc(b)
+	_, end := d.reserve(l.ch.index, d.clock.Now(), d.cfg.Latency.EraseAtDepth(depth))
+	if inj := d.cfg.Fault; inj != nil && inj.EraseFail(l.ch.index, int(b), l.block().eraseCount) {
 		// The erase aborted: the block keeps its (now untrustworthy)
 		// content and wear count; the FTL retires it as grown bad.
 		d.counters.EraseFailures++
 		return end, &OpError{Op: "erase", Block: b, Sub: -1, Err: ErrEraseFail, Detail: "injected"}
 	}
-	ch.erase(lb, depth)
+	l.ch.erase(l.lb, depth)
 	d.counters.Erases++
 	d.counters.WearUnits += float64(depth)
 	if depth < DepthFull {
@@ -374,33 +365,31 @@ func (d *Device) ProgramPage(p PageID, stamps []Stamp) (sim.Time, error) {
 // slot's OOB, so a mount-time scan can dispatch the block to the right
 // mapping table.
 func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, error) {
-	if err := d.checkPage(p); err != nil {
-		return 0, &OpError{Op: "program", Block: d.cfg.Geometry.BlockOfPage(p), Page: d.cfg.Geometry.PageIndex(p), Sub: -1, Err: err}
+	g := &d.cfg.Geometry
+	if !g.ValidPage(p) {
+		return 0, &OpError{Op: "program", Block: g.BlockOfPage(p), Page: g.PageIndex(p), Sub: -1, Err: ErrBadAddress}
 	}
-	g := d.cfg.Geometry
-	b := g.BlockOfPage(p)
-	ch, chipRes, chanRes := d.chipFor(b)
+	l := d.pageLoc(p)
 	tear, err := d.beginOp(true)
 	if err != nil {
-		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
+		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
 	if tear {
-		ch.tornProgram(g.LocalBlock(b), g.PageIndex(p), d.allSubs, d.clock.Now())
+		l.ch.tornProgram(l.lb, l.pi, 0, g.SubpagesPerPage, d.clock.Now())
 		d.counters.TornPrograms++
-		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: ErrPowerLoss, Detail: "torn mid-program"}
+		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
-	xfer := d.cfg.Latency.Transfer(g.PageBytes())
-	start, end := d.admitWrite(chanRes, chipRes, xfer, d.cfg.Latency.ProgramPage)
+	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[g.SubpagesPerPage], d.cfg.Latency.ProgramPage)
 	d.seq++
-	if err := ch.programPage(g.LocalBlock(b), g.PageIndex(p), stamps, start, d.seq, tag); err != nil {
-		return 0, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
+	if err := l.ch.programPage(l.lb, l.pi, stamps, start, d.seq, tag); err != nil {
+		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
 	d.counters.PagePrograms++
 	d.counters.BytesWritten += int64(g.PageBytes())
-	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(g.ChipOf(b), int(b), d.EraseCount(b)) {
-		ch.failProgram(g.LocalBlock(b), g.PageIndex(p), d.allSubs)
+	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().eraseCount) {
+		l.ch.failProgram(l.lb, l.pi, 0, g.SubpagesPerPage)
 		d.counters.ProgramFailures++
-		return end, &OpError{Op: "program", Block: b, Page: g.PageIndex(p), Sub: -1, Err: ErrProgramFail, Detail: "injected"}
+		return end, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrProgramFail, Detail: "injected"}
 	}
 	return end, nil
 }
@@ -425,41 +414,32 @@ func (d *Device) ProgramSubpageRun(p PageID, firstSub int, stamps []Stamp) (sim.
 // ProgramSubpageRunTag is ProgramSubpageRun with an FTL region tag recorded
 // in every written slot's OOB.
 func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, tag uint8) (sim.Time, error) {
-	g := d.cfg.Geometry
+	g := &d.cfg.Geometry
 	k := len(stamps)
-	if err := d.checkPage(p); err != nil || firstSub < 0 || k < 1 || firstSub+k > g.SubpagesPerPage {
+	if !g.ValidPage(p) || firstSub < 0 || k < 1 || firstSub+k > g.SubpagesPerPage {
 		return 0, &OpError{Op: "subprogram", Block: g.BlockOfPage(p), Page: g.PageIndex(p), Sub: firstSub, Err: ErrBadAddress}
 	}
-	b := g.BlockOfPage(p)
-	ch, chipRes, chanRes := d.chipFor(b)
-	// Reusable scratch: neither the chip's program path nor its tear/fail
-	// paths retain the slice past the call.
-	subs := d.subsBuf[:k]
-	for i := range subs {
-		subs[i] = firstSub + i
-	}
+	l := d.pageLoc(p)
 	tear, err := d.beginOp(true)
 	if err != nil {
-		return 0, &OpError{Op: "subprogram", Block: b, Page: g.PageIndex(p), Sub: firstSub, Err: err}
+		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: err}
 	}
 	if tear {
-		ch.tornProgram(g.LocalBlock(b), g.PageIndex(p), subs, d.clock.Now())
+		l.ch.tornProgram(l.lb, l.pi, firstSub, k, d.clock.Now())
 		d.counters.TornPrograms++
-		return 0, &OpError{Op: "subprogram", Block: b, Page: g.PageIndex(p), Sub: firstSub, Err: ErrPowerLoss, Detail: "torn mid-program"}
+		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
-	xfer := d.cfg.Latency.Transfer(k * g.SubpageBytes)
-	cell := d.cfg.Latency.ProgramSubpages(k, g.SubpagesPerPage)
-	start, end := d.admitWrite(chanRes, chipRes, xfer, cell)
+	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[k], d.passCell[k])
 	d.seq++
-	if err := ch.programSubpages(g.LocalBlock(b), g.PageIndex(p), subs, stamps, start, d.seq, tag); err != nil {
-		return 0, &OpError{Op: "subprogram", Block: b, Page: g.PageIndex(p), Sub: firstSub, Err: err}
+	if err := l.ch.programSubpages(l.lb, l.pi, firstSub, stamps, start, d.seq, tag); err != nil {
+		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: err}
 	}
 	d.counters.SubPrograms++
 	d.counters.BytesWritten += int64(k) * int64(g.SubpageBytes)
-	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(g.ChipOf(b), int(b), d.EraseCount(b)) {
-		ch.failProgram(g.LocalBlock(b), g.PageIndex(p), subs)
+	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().eraseCount) {
+		l.ch.failProgram(l.lb, l.pi, firstSub, k)
 		d.counters.ProgramFailures++
-		return end, &OpError{Op: "subprogram", Block: b, Page: g.PageIndex(p), Sub: firstSub, Err: ErrProgramFail, Detail: "injected"}
+		return end, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: ErrProgramFail, Detail: "injected"}
 	}
 	return end, nil
 }
@@ -468,81 +448,86 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 // Without the subpage-read extension the full page is sensed (page read
 // latency and full-page transfer); with it, only the subpage's share moves.
 func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
-	g := d.cfg.Geometry
+	g := &d.cfg.Geometry
 	if !g.ValidSubpage(s) {
 		return Stamp{}, &OpError{Op: "read", Block: -1, Sub: g.SubIndex(s), Err: ErrBadAddress}
 	}
-	p := g.PageOfSubpage(s)
-	sub := g.SubIndex(s)
-	b := g.BlockOfPage(p)
-	ch, chipRes, _ := d.chipFor(b)
+	p, sub := d.dec.subs.divmod(int64(s))
+	l := d.pageLoc(PageID(p))
 	if _, err := d.beginOp(false); err != nil {
-		return Stamp{}, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: sub, Err: err}
+		return Stamp{}, &OpError{Op: "read", Block: l.b, Page: l.pi, Sub: sub, Err: err}
 	}
 
-	cell := d.cfg.Latency.ReadPage
-	bytes := g.PageBytes()
+	cell, k := d.cfg.Latency.ReadPage, g.SubpagesPerPage
 	if d.cfg.EnableSubpageRead {
-		cell = d.cfg.Latency.ReadSubpage
-		bytes = g.SubpageBytes
+		cell, k = d.cfg.Latency.ReadSubpage, 1
 	}
-	start, _ := d.admitRead(chipRes, cell, d.cfg.Latency.Transfer(bytes))
-	d.counters.BytesRead += int64(bytes)
+	start, _ := d.admitRead(l.ch.index, cell, d.xfer[k])
+	d.counters.BytesRead += int64(k) * int64(g.SubpageBytes)
 	if d.cfg.EnableSubpageRead {
 		d.counters.SubpageReads++
 	} else {
 		d.counters.PageReads++
 	}
 
-	stamp, retention, err := d.senseSubpage(ch, b, p, sub, start, chipRes, cell)
+	slots, _ := l.slots()
+	sp := &slots[sub]
+	blk := l.block()
+	m := &d.cfg.Retention
+	retention, err := d.senseSlot(l, sp, m.WearFactorF(blk.effWear), m.ShallowFactor(blk.lastDepth), start, cell)
 	if err != nil {
 		if d.cfg.DisableRetentionErrors && retention && errors.Is(err, ErrUncorrectable) {
 			d.counters.RetentionHits++
 			// Bookkeeping mode: surface the data anyway.
-			info := ch.subpageInfo(g.LocalBlock(b), g.PageIndex(p), sub)
-			return info.Stamp, nil
+			return sp.stamp(), nil
 		}
 		d.counters.ReadFailures++
 		if retention && errors.Is(err, ErrUncorrectable) {
 			d.counters.RetentionHits++
 		}
-		return Stamp{}, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: sub, Err: err}
+		return Stamp{}, &OpError{Op: "read", Block: l.b, Page: l.pi, Sub: sub, Err: err}
 	}
-	return stamp, nil
+	return sp.stamp(), nil
 }
 
-// senseSubpage performs one subpage sense admitted at start, applying the
-// reliability model, injected read disturbs, and stepped read-retry. The
-// retention result reports whether a returned ErrUncorrectable was caused
-// by the retention model itself (as opposed to an injected disturb) — the
-// distinction DisableRetentionErrors bookkeeping needs. Retry steps are
-// charged to the chip timeline at one stepCost each.
+// senseSlot applies the reliability model to slot sp of the page at l,
+// sensed at start on a block whose wear and shallow-erase BER factors are
+// wf and sf. The slot-state sentinels come back bare. retention reports
+// whether the retention model by itself puts the slot past the ECC limit
+// (as opposed to an injected disturb) — the distinction
+// DisableRetentionErrors bookkeeping needs.
 //
-// With Fault nil and Retry off this delegates to the plain chip read,
-// keeping the fault-free path bit-identical to a device without recovery.
-func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.Time, chipRes int, stepCost sim.Duration) (Stamp, bool, error) {
-	g := d.cfg.Geometry
-	lb, pi := g.LocalBlock(b), g.PageIndex(p)
-	if d.cfg.Fault == nil && !d.cfg.Retry {
-		st, _, err := ch.readSubpage(lb, pi, sub, start, &d.cfg.Retention)
-		return st, true, err
-	}
-	blk := &ch.blocks[lb]
-	slots, _ := ch.page(lb, pi)
-	sp := &slots[sub]
+// With Fault nil and Retry off the decision is the retention model's
+// alone; otherwise the slot goes through injected read disturbs and
+// stepped read-retry (senseRetry).
+func (d *Device) senseSlot(l loc, sp *subpage, wf, sf float64, start sim.Time, stepCost sim.Duration) (retention bool, err error) {
 	if err := sp.unreadable(); err != nil {
-		return Stamp{}, false, err
+		return false, err
 	}
 	m := &d.cfg.Retention
-	limit := m.NormalizedECCLimit
-	ber := m.NormalizedBERAt(sp.npp, AgeOf(sp.programmedAt, start), blk.effWear, blk.lastDepth)
-	retention := ber > limit
+	// NormalizedBERAt's expression, in its operand order.
+	ber := m.ageBER(sp.npp, AgeOf(sp.programmedAt, start)) * wf * sf
+	retention = ber > m.NormalizedECCLimit
+	if d.cfg.Fault == nil && !d.cfg.Retry {
+		if retention {
+			return true, ErrUncorrectable
+		}
+		return false, nil
+	}
+	return retention, d.senseRetry(l, ber, start, stepCost)
+}
+
+// senseRetry finishes a slot's sense on the recovery path: it adds the
+// injected read disturb to the retention BER and, with Retry on, re-senses
+// in steps charged to the chip timeline at one stepCost each.
+func (d *Device) senseRetry(l loc, ber float64, start sim.Time, stepCost sim.Duration) error {
+	limit := d.cfg.Retention.NormalizedECCLimit
 	if inj := d.cfg.Fault; inj != nil {
-		ber += inj.ReadDisturb(g.ChipOf(b), int(b), blk.eraseCount)
+		ber += inj.ReadDisturb(l.ch.index, int(l.b), l.block().eraseCount)
 	}
 	if ber <= limit {
 		d.retryHist.Record(0)
-		return sp.stamp(), retention, nil
+		return nil
 	}
 	// Stepped read-retry: re-sense with shifted read reference voltages
 	// until the effective BER decodes or the budget runs out. Each step
@@ -555,19 +540,19 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 			eff = ecc.RetryBER(ber, steps)
 		}
 		if steps > 0 {
-			d.reserve(chipRes, start, stepCost*sim.Duration(steps))
+			d.reserve(l.ch.index, start, stepCost*sim.Duration(steps))
 			d.counters.ReadRetries += int64(steps)
 		}
 		d.retryHist.Record(steps)
 		if eff <= limit {
 			d.counters.RetriedReads++
-			return sp.stamp(), retention, nil
+			return nil
 		}
 		d.counters.RetryFailures++
 	} else {
 		d.retryHist.Record(0)
 	}
-	return Stamp{}, retention, fmt.Errorf("nand: %d read retries exhausted (normalized BER %.2f, limit %.2f): %w", steps, ber, limit, ErrUncorrectable)
+	return fmt.Errorf("nand: %d read retries exhausted (normalized BER %.2f, limit %.2f): %w", steps, ber, limit, ErrUncorrectable)
 }
 
 // ReadPage reads all subpages of a page. Slots that are erased, destroyed
@@ -576,38 +561,42 @@ func (d *Device) senseSubpage(ch *chip, b BlockID, p PageID, sub int, start sim.
 // errs slice (index-aligned), since an FTL doing a read-modify-write needs
 // the readable slots even when others are gone.
 //
+// The page is sensed in one pass over its slots, in slot order, with the
+// block's wear and shallow-erase factors computed once.
+//
 // Borrow contract: the returned slices are device-owned scratch, valid
 // only until the next ReadPage or ScanPageOOB call on this device. A
 // caller that issues further device operations while still holding the
 // result (or stores it) must copy first. This keeps the steady-state read
 // path allocation-free (see TestReadPageAllocs).
 func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
-	g := d.cfg.Geometry
-	if err := d.checkPage(p); err != nil {
-		return nil, nil, &OpError{Op: "read", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: err}
+	g := &d.cfg.Geometry
+	if !g.ValidPage(p) {
+		return nil, nil, &OpError{Op: "read", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: ErrBadAddress}
 	}
-	b := g.BlockOfPage(p)
-	ch, chipRes, _ := d.chipFor(b)
+	l := d.pageLoc(p)
 	if _, err := d.beginOp(false); err != nil {
-		return nil, nil, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
+		return nil, nil, &OpError{Op: "read", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
-	start, _ := d.admitRead(chipRes, d.cfg.Latency.ReadPage, d.cfg.Latency.Transfer(g.PageBytes()))
+	cell := d.cfg.Latency.ReadPage
+	start, _ := d.admitRead(l.ch.index, cell, d.xfer[g.SubpagesPerPage])
 	d.counters.PageReads++
 	d.counters.BytesRead += int64(g.PageBytes())
 
-	stamps := d.readStamps[:g.SubpagesPerPage]
-	errs := d.readErrs[:g.SubpagesPerPage]
-	for i := range errs {
-		errs[i] = nil
-	}
-	lb, pi := g.LocalBlock(b), g.PageIndex(p)
-	for sub := 0; sub < g.SubpagesPerPage; sub++ {
-		st, retention, err := d.senseSubpage(ch, b, p, sub, start, chipRes, d.cfg.Latency.ReadPage)
-		// senseSubpage returns the slot-state sentinels bare, so the states
-		// a partially-valid page is made of classify by identity.
+	slots, _ := l.slots()
+	blk := l.block()
+	m := &d.cfg.Retention
+	wf, sf := m.WearFactorF(blk.effWear), m.ShallowFactor(blk.lastDepth)
+	stamps := d.readStamps[:len(slots)]
+	errs := d.readErrs[:len(slots)]
+	for sub := range slots {
+		sp := &slots[sub]
+		retention, err := d.senseSlot(l, sp, wf, sf, start, cell)
+		// senseSlot returns the slot-state sentinels bare, so the states a
+		// partially-valid page is made of classify by identity.
 		switch err {
 		case nil:
-			stamps[sub] = st
+			stamps[sub], errs[sub] = sp.stamp(), nil
 			continue
 		case ErrNotProgrammed, ErrDestroyed:
 			// Erased and ESP-destroyed slots are expected states of a
@@ -618,7 +607,7 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 				d.counters.RetentionHits++
 				if d.cfg.DisableRetentionErrors {
 					// Bookkeeping mode: surface the data anyway.
-					stamps[sub] = ch.subpageInfo(lb, pi, sub).Stamp
+					stamps[sub], errs[sub] = sp.stamp(), nil
 					continue
 				}
 			}
@@ -626,9 +615,11 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 		}
 		stamps[sub] = Padding
 		// The error values share the borrow contract of the stamp and
-		// error slices: device-owned scratch, reused by the next read.
-		d.readErrOps[sub] = OpError{Op: "read", Block: b, Page: pi, Sub: sub, Err: err}
-		errs[sub] = &d.readErrOps[sub]
+		// error slices: device-owned scratch, reused by the next read. As
+		// in subpage.program, every field is stored on its own.
+		e := &d.readErrOps[sub]
+		e.Op, e.Block, e.Page, e.Sub, e.Err, e.Detail = "read", l.b, l.pi, sub, err, ""
+		errs[sub] = e
 	}
 	return stamps, errs, nil
 }
@@ -644,33 +635,28 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 // until the next ScanPageOOB or ReadPage call on this device; a retaining
 // caller must copy (the FTLs' mount scan does).
 func (d *Device) ScanPageOOB(p PageID) ([]SubpageOOB, error) {
-	g := d.cfg.Geometry
-	if err := d.checkPage(p); err != nil {
-		return nil, &OpError{Op: "oobscan", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: err}
+	g := &d.cfg.Geometry
+	if !g.ValidPage(p) {
+		return nil, &OpError{Op: "oobscan", Block: g.BlockOfPage(p), Page: 0, Sub: -1, Err: ErrBadAddress}
 	}
-	b := g.BlockOfPage(p)
-	ch, chipRes, _ := d.chipFor(b)
+	l := d.pageLoc(p)
 	if _, err := d.beginOp(false); err != nil {
-		return nil, &OpError{Op: "oobscan", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
+		return nil, &OpError{Op: "oobscan", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
-	d.reserve(chipRes, d.clock.Now(), d.cfg.Latency.ReadPage)
+	d.reserve(l.ch.index, d.clock.Now(), d.cfg.Latency.ReadPage)
 	d.counters.OOBScans++
-	return ch.pageOOB(g.LocalBlock(b), g.PageIndex(p), d.oobBuf[:g.SubpagesPerPage]), nil
+	return l.ch.pageOOB(l.lb, l.pi, d.oobBuf[:g.SubpagesPerPage]), nil
 }
 
 // EraseCount returns the wear (erase cycles) of block b.
-func (d *Device) EraseCount(b BlockID) int {
-	ch, _, _ := d.chipFor(b)
-	return ch.blocks[d.cfg.Geometry.LocalBlock(b)].eraseCount
-}
+func (d *Device) EraseCount(b BlockID) int { return d.wear(b).eraseCount }
 
 // SetEraseCount force-sets the wear of block b: a hook for end-of-life
 // experiments and tests that would otherwise need thousands of simulated
 // erase cycles to reach the interesting wear region. Effective wear is
 // pinned to the same value, as n full-depth cycles would have left it.
 func (d *Device) SetEraseCount(b BlockID, n int) {
-	ch, _, _ := d.chipFor(b)
-	blk := &ch.blocks[d.cfg.Geometry.LocalBlock(b)]
+	blk := d.wear(b)
 	blk.eraseCount = n
 	blk.effWear = float64(n)
 }
@@ -678,37 +664,33 @@ func (d *Device) SetEraseCount(b BlockID, n int) {
 // EffectiveWear returns block b's effective wear in deep-erase
 // equivalents: the sum of the depths of every erase it has received. It
 // equals float64(EraseCount(b)) on a device that only ever erased deep.
-func (d *Device) EffectiveWear(b BlockID) float64 {
-	ch, _, _ := d.chipFor(b)
-	return ch.blocks[d.cfg.Geometry.LocalBlock(b)].effWear
-}
+func (d *Device) EffectiveWear(b BlockID) float64 { return d.wear(b).effWear }
 
 // LastEraseDepth returns the depth of block b's most recent erase (zero if
 // the block was never erased; the retention model reads that as full
 // depth).
-func (d *Device) LastEraseDepth(b BlockID) EraseDepth {
-	ch, _, _ := d.chipFor(b)
-	return ch.blocks[d.cfg.Geometry.LocalBlock(b)].lastDepth
-}
+func (d *Device) LastEraseDepth(b BlockID) EraseDepth { return d.wear(b).lastDepth }
 
 // PagePasses returns how many program passes page p has received since its
 // block's last erase.
 func (d *Device) PagePasses(p PageID) int {
-	g := d.cfg.Geometry
-	b := g.BlockOfPage(p)
-	ch, _, _ := d.chipFor(b)
-	_, passes := ch.page(g.LocalBlock(b), g.PageIndex(p))
+	if !d.cfg.Geometry.ValidPage(p) {
+		panic(fmt.Sprintf("nand: page %d outside the device", p))
+	}
+	l := d.pageLoc(p)
+	_, passes := l.slots()
 	return int(*passes)
 }
 
 // SubpageInfo returns a read-only snapshot of device-side subpage state.
 // It is an introspection hook for tests and tools, not a data-path API.
 func (d *Device) SubpageInfo(s SubpageID) SubpageInfo {
-	g := d.cfg.Geometry
-	p := g.PageOfSubpage(s)
-	b := g.BlockOfPage(p)
-	ch, _, _ := d.chipFor(b)
-	return ch.subpageInfo(g.LocalBlock(b), g.PageIndex(p), g.SubIndex(s))
+	if !d.cfg.Geometry.ValidSubpage(s) {
+		panic(fmt.Sprintf("nand: subpage %d outside the device", s))
+	}
+	p, sub := d.dec.subs.divmod(int64(s))
+	l := d.pageLoc(PageID(p))
+	return l.ch.subpageInfo(l.lb, l.pi, sub)
 }
 
 // ChipOps returns per-chip operation counts, for load-balance diagnostics.

@@ -437,6 +437,70 @@ func TestBadAddresses(t *testing.T) {
 	if !errors.As(err, &opErr) || opErr.Op != "erase" {
 		t.Errorf("error type = %T %v", err, err)
 	}
+
+	// Field for field, at every entry point, negative and past-the-end
+	// IDs: the tiny device has 16 blocks of 8 pages of 4 subpages, and a
+	// refused address admits no operation.
+	stamp := []Stamp{{LSN: 1}}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want OpError
+	}{
+		{"EraseAt(16)", func() error { _, err := d.EraseAt(16, DepthFull); return err }, OpError{Op: "erase", Block: 16, Sub: -1}},
+		{"EraseAt(-1)", func() error { _, err := d.EraseAt(-1, 0.5); return err }, OpError{Op: "erase", Block: -1, Sub: -1}},
+		{"ProgramPageTag(128)", func() error { _, err := d.ProgramPageTag(128, stamp, 1); return err }, OpError{Op: "program", Block: 16, Sub: -1}},
+		{"ProgramPageTag(-1)", func() error { _, err := d.ProgramPageTag(-1, stamp, 1); return err }, OpError{Op: "program", Page: -1, Sub: -1}},
+		{"ProgramPageTag(-9)", func() error { _, err := d.ProgramPageTag(-9, stamp, 1); return err }, OpError{Op: "program", Block: -1, Page: -1, Sub: -1}},
+		{"ProgramSubpageRunTag(131, 0)", func() error { _, err := d.ProgramSubpageRunTag(131, 0, stamp, 1); return err }, OpError{Op: "subprogram", Block: 16, Page: 3}},
+		{"ProgramSubpageRunTag(-1, 0)", func() error { _, err := d.ProgramSubpageRunTag(-1, 0, stamp, 1); return err }, OpError{Op: "subprogram", Page: -1}},
+		{"ProgramSubpageRunTag(13, 4)", func() error { _, err := d.ProgramSubpageRunTag(13, 4, stamp, 1); return err }, OpError{Op: "subprogram", Block: 1, Page: 5, Sub: 4}},
+		{"ProgramSubpageRunTag(13, -1)", func() error { _, err := d.ProgramSubpageRunTag(13, -1, stamp, 1); return err }, OpError{Op: "subprogram", Block: 1, Page: 5, Sub: -1}},
+		{"ProgramSubpageRunTag(13, 3, 2 stamps)", func() error { _, err := d.ProgramSubpageRunTag(13, 3, make([]Stamp, 2), 1); return err }, OpError{Op: "subprogram", Block: 1, Page: 5, Sub: 3}},
+		{"ProgramSubpageRunTag(13, 0, no stamps)", func() error { _, err := d.ProgramSubpageRunTag(13, 0, nil, 1); return err }, OpError{Op: "subprogram", Block: 1, Page: 5}},
+		{"ReadPage(128)", func() error { _, _, err := d.ReadPage(128); return err }, OpError{Op: "read", Block: 16, Sub: -1}},
+		{"ReadPage(-1)", func() error { _, _, err := d.ReadPage(-1); return err }, OpError{Op: "read", Sub: -1}},
+		{"ReadSubpage(514)", func() error { _, err := d.ReadSubpage(514); return err }, OpError{Op: "read", Block: -1, Sub: 2}},
+		{"ReadSubpage(-1)", func() error { _, err := d.ReadSubpage(-1); return err }, OpError{Op: "read", Block: -1, Sub: -1}},
+		{"ScanPageOOB(129)", func() error { _, err := d.ScanPageOOB(129); return err }, OpError{Op: "oobscan", Block: 16, Sub: -1}},
+		{"ScanPageOOB(-1)", func() error { _, err := d.ScanPageOOB(-1); return err }, OpError{Op: "oobscan", Sub: -1}},
+	} {
+		ops := d.OpCount()
+		tc.want.Err = ErrBadAddress
+		var got *OpError
+		if err := tc.op(); !errors.As(err, &got) || *got != tc.want {
+			t.Errorf("%s = %#v, want %#v", tc.name, err, &tc.want)
+		}
+		if d.OpCount() != ops {
+			t.Errorf("%s admitted an operation", tc.name)
+		}
+	}
+
+	// The block and page accessors have no error return: a bad address
+	// panics.
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"EraseCount(16)", func() { d.EraseCount(16) }},
+		{"EraseCount(-1)", func() { d.EraseCount(-1) }},
+		{"SetEraseCount(-1)", func() { d.SetEraseCount(-1, 3) }},
+		{"EffectiveWear(16)", func() { d.EffectiveWear(16) }},
+		{"LastEraseDepth(-1)", func() { d.LastEraseDepth(-1) }},
+		{"PagePasses(128)", func() { d.PagePasses(128) }},
+		{"PagePasses(-1)", func() { d.PagePasses(-1) }},
+		{"SubpageInfo(512)", func() { d.SubpageInfo(512) }},
+		{"SubpageInfo(-1)", func() { d.SubpageInfo(-1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.op()
+		}()
+	}
 }
 
 func TestChipUtilizationBalanced(t *testing.T) {

@@ -87,6 +87,15 @@ func (g Geometry) Validate() error {
 	if g.SubpagesPerPage > 255 {
 		return fmt.Errorf("nand: SubpagesPerPage = %d exceeds 255", g.SubpagesPerPage)
 	}
+	// The device decodes addresses by reciprocal multiplication, exact
+	// below 2³¹ (decode.go). Capping each factor keeps the product from
+	// overflowing on the way.
+	n := int64(1)
+	for _, v := range []int{g.Channels, g.ChipsPerChannel, g.BlocksPerChip, g.PagesPerBlock, g.SubpagesPerPage} {
+		if n *= int64(min(v, maxAddress)); n >= maxAddress {
+			return fmt.Errorf("nand: geometry has 2^31 or more subpages (8 TiB at 4 KiB subpages)")
+		}
+	}
 	return nil
 }
 

@@ -31,6 +31,21 @@ func TestGeometryValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("oversized SubpagesPerPage accepted")
 	}
+	// Addresses must stay below 2^31 subpages: 2 channels × 2 chips × 8
+	// pages × 4 subpages = 2^7 per block-per-chip, so 2^24 blocks per chip
+	// is exactly the limit and one fewer fits; a field that would overflow
+	// the product is refused too.
+	big := tinyGeometry()
+	big.BlocksPerChip = 1<<24 - 1
+	if err := big.Validate(); err != nil {
+		t.Fatalf("geometry just under 2^31 subpages refused: %v", err)
+	}
+	for _, blocks := range []int{1 << 24, 1 << 62} {
+		big.BlocksPerChip = blocks
+		if err := big.Validate(); err == nil || !strings.Contains(err.Error(), "2^31") {
+			t.Fatalf("%d blocks per chip accepted: %v", blocks, err)
+		}
+	}
 }
 
 func TestGeometryDerivedCounts(t *testing.T) {

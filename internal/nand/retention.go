@@ -153,12 +153,19 @@ func (m RetentionModel) NormalizedBER(k NppType, age time.Duration, pe int) floa
 // fractional effective wear and the depth of the block's last erase. At
 // wear == float64(pe) and full depth it is bit-identical to NormalizedBER.
 func (m RetentionModel) NormalizedBERAt(k NppType, age time.Duration, wear float64, depth EraseDepth) float64 {
+	return m.ageBER(k, age) * m.WearFactorF(wear) * m.ShallowFactor(depth)
+}
+
+// ageBER is the first factor of NormalizedBERAt, the only one that varies
+// between the slots of a block: a page read multiplies it by the block's
+// WearFactorF and ShallowFactor, computed once, in the same order.
+func (m RetentionModel) ageBER(k NppType, age time.Duration) float64 {
 	i := clampNpp(k)
 	months := float64(age) / float64(Month)
 	if months < 0 {
 		months = 0
 	}
-	return (m.Base[i] + m.SlopePerMonth[i]*months) * m.WearFactorF(wear) * m.ShallowFactor(depth)
+	return m.Base[i] + m.SlopePerMonth[i]*months
 }
 
 // Correctable reports whether data of the given type, age and wear is still
