@@ -1,6 +1,7 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 
 	"espftl/internal/ftl"
@@ -29,40 +30,54 @@ func (f nopFTL) Submit(r workload.Request, done ftl.CompletionFunc) {
 	ftl.SubmitSync(f, r, done)
 }
 
-// A command's whole life in the scheduler — submitCmd, the dispatch round
-// that indexes and unindexes it, complete, and the record's return to the
-// freelist — allocates nothing once the pools are warm, with a standing
-// backlog so the hazard index is populated throughout.
-func TestSchedulerSteadyStateAllocs(t *testing.T) {
+// mixGen is an allocation-free stream of overlapping reads, writes and
+// trims over 96 sectors, with a flush every 101 requests.
+type mixGen struct{ i int }
+
+func (g *mixGen) Name() string { return "mix" }
+
+func (g *mixGen) Next() workload.Request {
+	g.i++
+	i := g.i
+	r := workload.Request{Op: workload.OpWrite, LSN: int64(i*7) % 96, Sectors: 1 + i%5}
+	switch {
+	case i%3 == 0:
+		r.Op = workload.OpRead
+	case i%17 == 0:
+		r.Op = workload.OpTrim
+	case i%101 == 0:
+		r = workload.Request{Op: workload.OpFlush}
+	}
+	return r
+}
+
+// allocDevice is a small device for schedulers over nopFTL.
+func allocDevice(t *testing.T) *nand.Device {
+	t.Helper()
 	cfg := nand.DefaultConfig()
 	cfg.Geometry = nand.Geometry{Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 4, PagesPerBlock: 4, SubpagesPerPage: 4, SubpageBytes: 4096}
 	dev, err := nand.NewDevice(cfg, sim.NewClock(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(dev, nopFTL{}, Config{Queues: 4, Arbiter: &ReadPriority{}, TickEvery: 64})
+	return dev
+}
+
+// A command's whole life in the scheduler — submitCmd, the dispatch round
+// that indexes and unindexes it, complete, and the record's return to the
+// freelist — allocates nothing once the pools are warm, with a standing
+// backlog so the hazard index is populated throughout.
+func TestSchedulerSteadyStateAllocs(t *testing.T) {
+	s, err := New(allocDevice(t), nopFTL{}, Config{Queues: 4, Arbiter: &ReadPriority{}, TickEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.start(0); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	next := func() workload.Request {
-		i++
-		r := workload.Request{Op: workload.OpWrite, LSN: int64(i*7) % 96, Sectors: 1 + i%5}
-		switch {
-		case i%3 == 0:
-			r.Op = workload.OpRead
-		case i%17 == 0:
-			r.Op = workload.OpTrim
-		case i%101 == 0:
-			r = workload.Request{Op: workload.OpFlush}
-		}
-		return r
-	}
+	gen := &mixGen{}
 	cycle := func() {
-		if _, err := s.submitCmd(next()); err != nil {
+		if _, err := s.submitCmd(gen.Next()); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.dispatchRound(); err != nil {
@@ -76,7 +91,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for s.pendingHost < 512 {
-		if _, err := s.submitCmd(next()); err != nil {
+		if _, err := s.submitCmd(gen.Next()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,5 +103,45 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 	if s.pendingHost == 0 || len(s.hz.sectors) == 0 {
 		t.Errorf("backlog drained (%d pending, %d indexed sectors): the cycle measured an empty index", s.pendingHost, len(s.hz.sectors))
+	}
+}
+
+// The loop drivers take their Command records from the scheduler's slab,
+// one allocation per cmdsPerSlab records, even with a dispatch hook
+// retaining the last command dispatched, so a whole closed- or open-loop
+// run stays under one allocation per 16 requests, its one-off set-up
+// included.
+func TestLoopDriverAllocs(t *testing.T) {
+	const n = 16 << 10
+	for _, tc := range []struct {
+		name string
+		run  func(*Scheduler, workload.Generator) (*Report, error)
+	}{
+		{"closed-qd32", func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunClosedLoop(g, n, 32) }},
+		{"open", func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunOpenLoop(g, n, 1e6) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(allocDevice(t), nopFTL{}, Config{Queues: 4, Arbiter: &ReadPriority{}, TickEvery: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last *Command
+			s.SetDispatchHook(func(c *Command) { last = c })
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := tc.run(s, &mixGen{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed != n || last == nil {
+				t.Fatalf("completed %d of %d", rep.Completed, n)
+			}
+			perReq := float64(after.Mallocs-before.Mallocs) / n
+			t.Logf("%.4f allocations per request", perReq)
+			if perReq > 1.0/16 {
+				t.Errorf("%.4f allocations per request, want <= 1/16", perReq)
+			}
+		})
 	}
 }

@@ -3,11 +3,14 @@ package host
 import "fmt"
 
 // Arbiter picks the next command to dispatch from the heads of the ready
-// command queues: those that are non-empty and whose chip is idle (the
-// unrouted queue always counts as idle). heads holds one command per
-// ready queue, in queue order, and no nil entries; dispatchable reports
-// whether the ordering barrier currently lets a head issue. Pick returns
-// the chosen index into heads, or -1 to wait for the next event.
+// command queues: those that are non-empty, whose chip is idle (the
+// unrouted queue always counts as idle) and whose head is not known to be
+// blocked. heads holds one command per ready queue, in queue order, and
+// no nil entries; dispatchable reports whether the ordering barrier
+// currently lets a head issue. A head it refuses leaves the ready set
+// until the command blocking it dispatches, so it may still be in heads
+// but is not handed to a later Pick meanwhile. Pick returns the index of
+// a head dispatchable accepted, or -1 to wait for the next event.
 //
 // Arbiters must be deterministic: decisions may depend only on the
 // commands themselves. Seq is unique, so choosing by Seq picks the same

@@ -10,16 +10,18 @@ import "espftl/internal/workload"
 
 // node is one link of an intrusive, submission-ordered list. Commands are
 // only ever appended in Seq order, so a list's head is its minimum Seq,
-// which is all any scheduling decision needs to read.
+// which is all any scheduling decision needs to read. cmd is the linked
+// command: its Seq orders the list, and the barrier names it as the
+// blocker a refused queue head waits for.
 type node struct {
 	prev, next *node
-	seq        int64
+	cmd        *Command
 }
 
 type list struct{ head, tail *node }
 
-func (l *list) pushBack(n *node) {
-	n.prev, n.next = l.tail, nil
+func (l *list) pushBack(n *node, c *Command) {
+	n.prev, n.next, n.cmd = l.tail, nil, c
 	if l.tail != nil {
 		l.tail.next = n
 	} else {
@@ -39,17 +41,31 @@ func (l *list) remove(n *node) {
 	} else {
 		l.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
+	n.prev, n.next, n.cmd = nil, nil, nil
+}
+
+// oldestBefore returns the list's oldest command if it was submitted
+// before seq, else nil.
+func (l *list) oldestBefore(seq int64) *Command {
+	if l.head != nil && l.head.cmd.Seq < seq {
+		return l.head.cmd
+	}
+	return nil
 }
 
 // before reports whether the list holds an entry submitted before seq.
-func (l *list) before(seq int64) bool { return l.head != nil && l.head.seq < seq }
+func (l *list) before(seq int64) bool { return l.oldestBefore(seq) != nil }
 
 // cmdQueue is a FIFO ring of commands. A popped slot is set to nil, so
 // the backing array never keeps a retired command reachable.
 type cmdQueue struct {
 	buf     []*Command // len is zero or a power of two
 	head, n int
+	// parked is set while the barrier is known to refuse the queue's
+	// head: the queue waits on a blocking command's waiters chain, and
+	// nextWaiter links it to the next queue there (index + 1, 0 ends it).
+	parked     bool
+	nextWaiter int32
 }
 
 func (q *cmdQueue) front() *Command {
@@ -146,24 +162,21 @@ func (h *hazards) sectorOf(lsn int64) *sector {
 // sector it covers, or into the flush list (a flush covers no sectors and
 // orders against everything).
 func (h *hazards) add(c *Command) {
-	c.und.seq = c.Seq
-	h.all.pushBack(&c.und)
+	h.all.pushBack(&c.und, c)
 	if c.Class == ClassWrite {
-		c.wr.seq = c.Seq
-		h.writes.pushBack(&c.wr)
+		h.writes.pushBack(&c.wr, c)
 	}
 	if c.Req.Op == workload.OpFlush {
-		c.fl.seq = c.Seq
-		h.flushes.pushBack(&c.fl)
+		h.flushes.pushBack(&c.fl, c)
 		return
 	}
 	for i := 0; i < c.Req.Sectors; i++ {
 		n := h.newNode()
-		n.seq, n.sec = c.Seq, h.sectorOf(c.Req.LSN+int64(i))
+		n.sec = h.sectorOf(c.Req.LSN + int64(i))
 		if c.Class == ClassRead {
-			n.sec.readers.pushBack(&n.node)
+			n.sec.readers.pushBack(&n.node, c)
 		} else {
-			n.sec.writers.pushBack(&n.node)
+			n.sec.writers.pushBack(&n.node, c)
 		}
 		n.sib, c.haz = c.haz, n
 	}
@@ -197,22 +210,29 @@ func (h *hazards) remove(c *Command) {
 	c.haz = nil
 }
 
-// blocked reports whether an earlier-submitted undispatched command
-// conflicts with the read, write or trim c: an earlier flush, or on any
-// sector c covers an earlier writer — and, when c itself mutates, an
-// earlier reader. Sector granularity makes sharing a record the same
-// thing as overlapping, so the list heads decide exactly.
-func (h *hazards) blocked(c *Command) bool {
-	if h.flushes.before(c.Seq) {
-		return true
+// blocker returns an earlier-submitted undispatched command that
+// conflicts with c, or nil when the barrier lets c dispatch. A flush
+// conflicts with every earlier command, so its blocker is the oldest
+// undispatched one. A read, write or trim is blocked by an earlier flush,
+// or, on any sector it covers, by an earlier writer — and, when c itself
+// mutates, an earlier reader. Sector granularity makes sharing a record
+// the same thing as overlapping, so the list heads decide exactly.
+func (h *hazards) blocker(c *Command) *Command {
+	if c.Req.Op == workload.OpFlush {
+		return h.all.oldestBefore(c.Seq)
+	}
+	if b := h.flushes.oldestBefore(c.Seq); b != nil {
+		return b
 	}
 	for n := c.haz; n != nil; n = n.sib {
-		if n.sec.writers.before(c.Seq) {
-			return true
+		if b := n.sec.writers.oldestBefore(c.Seq); b != nil {
+			return b
 		}
-		if c.Class != ClassRead && n.sec.readers.before(c.Seq) {
-			return true
+		if c.Class != ClassRead {
+			if b := n.sec.readers.oldestBefore(c.Seq); b != nil {
+				return b
+			}
 		}
 	}
-	return false
+	return nil
 }

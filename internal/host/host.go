@@ -15,14 +15,14 @@
 // loop — a priority queue keyed on sim.Time with a submission-sequence
 // tie-break — pops completion (and, open loop, arrival) events; after
 // every event a pluggable arbiter picks the next dispatchable command
-// from the heads of the ready chip queues (non-empty, chip idle; a
-// bitmask tracks them). Dispatch issues the command to the FTL via its
-// non-blocking Submit path (every ftl.FTL offers both it and ChipOf)
-// inside a device transaction, whose journal of touched resources gives
-// the command's completion time: a request that fans out across several
-// chips and channel buses completes when its slowest fragment drains,
-// independent of every other in-flight request. No per-dispatch cost
-// depends on the chip count.
+// from the heads of the ready chip queues (non-empty, chip idle, head not
+// known to be blocked; a bitmask tracks them). Dispatch issues the
+// command to the FTL via its non-blocking Submit path (every ftl.FTL
+// offers both it and ChipOf) inside a device transaction, whose journal
+// of touched resources gives the command's completion time: a request
+// that fans out across several chips and channel buses completes when its
+// slowest fragment drains, independent of every other in-flight request.
+// No per-dispatch cost depends on the chip count.
 //
 // Maintenance traffic (FTL.Tick: retention scrubbing) is admitted as a
 // background-class command that yields to pending host reads, up to a
@@ -45,9 +45,11 @@
 // blocked iff some covered sector's earliest pending writer was submitted
 // before it, a write or trim iff the earliest pending reader or writer
 // was. Submission, dispatch and the test cost O(sectors of the command),
-// completion and the queue pop O(1) — nothing grows with the backlog, so
-// an open-loop run with tens of thousands of queued commands schedules as
-// cheaply as queue depth 1.
+// completion and the queue pop O(1). A head the barrier refuses parks its
+// queue on the command that blocks it, out of the ready mask, until that
+// command dispatches, so a blocked head is tested again only when its
+// answer may have changed: an open-loop run with tens of thousands of
+// queued commands schedules as cheaply as queue depth 1.
 //
 // # Determinism
 //
@@ -104,6 +106,11 @@ type Command struct {
 	Queue int
 	// Class drives arbitration and latency accounting.
 	Class Class
+	// waiters chains the command queues parked on this command: their
+	// heads wait for it to dispatch (see Scheduler.park). It holds the
+	// first queue's index plus one, 0 for none, and sits in Class's
+	// padding.
+	waiters int32
 	// Req is the host request (zero for background commands).
 	Req workload.Request
 	// Chip is the command-queue index the command was routed to; the

@@ -149,16 +149,23 @@ func (o *Oracle) Pick(heads []*Command, dispatchable func(*Command) bool) int {
 	return i
 }
 
-// checkReady asserts that the ready mask is exactly the set of non-empty
-// queues whose chip is idle (or that are the unrouted queue), and that
-// heads holds their fronts in queue order.
+// checkReady asserts that the ready mask is exactly the set of non-empty,
+// unparked queues whose chip is idle (or that are the unrouted queue),
+// that heads holds their fronts in queue order, and that the reference
+// barrier refuses the head of every parked queue: a queue still parked
+// after its head became dispatchable is a lost wakeup.
 func (o *Oracle) checkReady(heads []*Command) {
 	s := o.s
 	k := 0
 	for q := range s.cq {
-		want := s.cq[q].n > 0 && (q == s.chips || !s.chipBusy[q])
+		cq := &s.cq[q]
+		idle := q == s.chips || !s.chipBusy[q]
+		if cq.parked && (cq.n == 0 || !idle || s.refDispatchable(cq.front())) {
+			o.t.Fatalf("queue %d is parked with %d queued, chip idle %v: its head must be queued and blocked", q, cq.n, idle)
+		}
+		want := cq.n > 0 && idle && !cq.parked
 		if got := s.ready[q>>6]>>(q&63)&1 == 1; got != want {
-			o.t.Fatalf("queue %d ready bit %v, want %v (%d queued, chip busy %v)", q, got, want, s.cq[q].n, q < s.chips && s.chipBusy[q])
+			o.t.Fatalf("queue %d ready bit %v, want %v (%d queued, chip busy %v, parked %v)", q, got, want, cq.n, !idle, cq.parked)
 		}
 		if !want {
 			continue
@@ -245,15 +252,20 @@ func (o *Oracle) retired(c *Command) {
 }
 
 // Retained counts the ways a finished scheduler still reaches commands it
-// has retired: non-nil slots anywhere in a chip queue's, the event heap's
-// or the freelist's backing array beyond the live elements, links left in
-// the hazard index, and parked records that were not cleared.
+// has retired: non-nil slots anywhere in a chip queue's, the event heap's,
+// the freelist's or the heads scratch's backing array beyond the live
+// elements, links left in the hazard index, a queue still parked or
+// chained to a waiters list, and links left in a record on the freelist,
+// in a handed-out slab record or in a pooled index node.
 func (s *Scheduler) Retained() (n int) {
 	for i := range s.cq {
 		for _, c := range s.cq[i].buf[:cap(s.cq[i].buf)] {
 			if c != nil {
 				n++
 			}
+		}
+		if s.cq[i].parked || s.cq[i].nextWaiter != 0 {
+			n++
 		}
 	}
 	for _, ev := range s.events[:cap(s.events)] {
@@ -266,8 +278,23 @@ func (s *Scheduler) Retained() (n int) {
 			n++
 		}
 	}
+	for _, c := range s.heads[:cap(s.heads)] {
+		if c != nil {
+			n++
+		}
+	}
 	for _, c := range s.cmdFree {
-		if c.comp != nil || c.Err != nil || c.haz != nil {
+		if c.linked() {
+			n++
+		}
+	}
+	for i := range s.cmdSlab[:s.slabNext] {
+		if s.cmdSlab[i].linked() {
+			n++
+		}
+	}
+	for sn := s.hz.freeNodes; sn != nil; sn = sn.sib {
+		if sn.prev != nil || sn.next != nil || sn.cmd != nil {
 			n++
 		}
 	}
@@ -275,4 +302,18 @@ func (s *Scheduler) Retained() (n int) {
 		n++
 	}
 	return n + len(s.hz.sectors)
+}
+
+// linked reports whether a command that should be retired still holds a
+// completion, an error, hazard nodes, parked waiters or a list link.
+func (c *Command) linked() bool {
+	if c.comp != nil || c.Err != nil || c.haz != nil || c.waiters != 0 {
+		return true
+	}
+	for _, l := range []*node{&c.out, &c.und, &c.wr, &c.fl} {
+		if l.prev != nil || l.next != nil || l.cmd != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -131,9 +131,11 @@ type Scheduler struct {
 	cq       []cmdQueue // per-chip FIFO queues; index chips = unrouted
 	chipBusy []bool
 	// ready has one bit per command queue, set while the queue is
-	// non-empty and its chip idle (the unrouted queue counts as idle):
-	// exactly the queues whose head the arbiter may consider. heads is
-	// the scratch those heads are gathered into.
+	// non-empty, its chip idle (the unrouted queue counts as idle) and it
+	// is not parked: exactly the queues whose head the arbiter may
+	// consider and the barrier is not known to refuse. heads is the
+	// scratch those heads are gathered into; it is cleared after every
+	// Pick, so it never keeps a retired command reachable.
 	ready []uint64
 	heads []*Command
 	bg    *Command // at most one pending background command
@@ -158,8 +160,12 @@ type Scheduler struct {
 	onRetire func(*Command)
 
 	// cmdFree recycles Command records of external submissions and
-	// background ticks; see freeCmd for the retention rules.
-	cmdFree []*Command
+	// background ticks; see freeCmd for the retention rules. When it is
+	// empty, records come from cmdSlab, whose first slabNext are handed
+	// out.
+	cmdFree  []*Command
+	cmdSlab  []Command
+	slabNext int
 	// issueErr and issueCB are the reusable Submit callback, and barrier
 	// the dispatchable method value handed to the arbiter: allocating a
 	// fresh closure per dispatch would put one heap object on every
@@ -201,7 +207,14 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// newCmd takes a zeroed Command from the freelist, or allocates one.
+// cmdsPerSlab is how many Command records one slab refill allocates.
+const cmdsPerSlab = 32
+
+// newCmd takes a zeroed Command from the freelist, or else the next record
+// of the slab, refilling it when it is used up. Slab records are never
+// returned to the slab: a record a dispatch hook retains keeps its whole
+// slab alive, which is what makes one allocation per cmdsPerSlab commands
+// safe for the loop drivers' records, which are never recycled.
 func (s *Scheduler) newCmd() *Command {
 	if n := len(s.cmdFree); n > 0 {
 		c := s.cmdFree[n-1]
@@ -209,7 +222,12 @@ func (s *Scheduler) newCmd() *Command {
 		s.cmdFree = s.cmdFree[:n-1]
 		return c
 	}
-	return &Command{}
+	if s.slabNext == len(s.cmdSlab) {
+		s.cmdSlab, s.slabNext = make([]Command, cmdsPerSlab), 0
+	}
+	c := &s.cmdSlab[s.slabNext]
+	s.slabNext++
+	return c
 }
 
 // freeCmd returns a command to the freelist. Only commands nothing can
@@ -383,8 +401,7 @@ func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
 	s.cq[c.Chip].push(c)
 	s.setReady(c.Chip)
 	s.hz.add(c)
-	c.out.seq = c.Seq
-	s.outstanding.pushBack(&c.out)
+	s.outstanding.pushBack(&c.out, c)
 	s.pendingHost++
 	s.rep.Submitted++
 	s.rep.PerQueue[c.Queue]++
@@ -415,7 +432,7 @@ func (s *Scheduler) route(c *Command) int {
 // setReady recomputes queue q's bit in the ready mask.
 func (s *Scheduler) setReady(q int) {
 	bit := uint64(1) << (q & 63)
-	if s.cq[q].n > 0 && (q == s.chips || !s.chipBusy[q]) {
+	if s.cq[q].n > 0 && (q == s.chips || !s.chipBusy[q]) && !s.cq[q].parked {
 		s.ready[q>>6] |= bit
 	} else {
 		s.ready[q>>6] &^= bit
@@ -441,12 +458,44 @@ func (s *Scheduler) readyHeads() []*Command {
 // observe every earlier write, and later writes must not be reordered
 // ahead of the durability point it acknowledges. So it conflicts with
 // every earlier command and waits until it is the oldest undispatched
-// one of all.
+// one of all. A refused head's queue parks on the command that blocks it.
 func (s *Scheduler) dispatchable(c *Command) bool {
-	if c.Req.Op != workload.OpFlush {
-		return !s.hz.blocked(c)
+	b := s.hz.blocker(c)
+	if b == nil {
+		return true
 	}
-	return !s.hz.all.before(c.Seq)
+	s.park(c.Chip, b)
+	return false
+}
+
+// park takes queue q, whose head b blocks, out of the ready mask until b
+// dispatches. This loses no wakeup: only an earlier-submitted command can
+// block a head, so b stays undispatched and the head stays blocked until
+// b leaves the index, and the head cannot change meanwhile, because a
+// parked queue is never picked. So every Pick sees exactly the
+// dispatchable heads it would see if each ready head were tested anew.
+// An arbiter may test a head twice; the second park is a no-op.
+func (s *Scheduler) park(q int, b *Command) {
+	cq := &s.cq[q]
+	if cq.parked {
+		return
+	}
+	cq.parked = true
+	cq.nextWaiter, b.waiters = b.waiters, int32(q+1)
+	s.ready[q>>6] &^= 1 << (q & 63)
+}
+
+// wake returns the queues parked on c, which has just left the index for
+// dispatch, to the ready mask; the next Pick tests their heads again, and
+// one still blocked parks on its next blocker.
+func (s *Scheduler) wake(c *Command) {
+	for w := c.waiters; w != 0; {
+		q := int(w - 1)
+		cq := &s.cq[q]
+		w, cq.nextWaiter, cq.parked = cq.nextWaiter, 0, false
+		s.setReady(q)
+	}
+	c.waiters = 0
 }
 
 // dispatchRound issues every currently dispatchable command: host
@@ -456,12 +505,16 @@ func (s *Scheduler) dispatchable(c *Command) bool {
 func (s *Scheduler) dispatchRound() error {
 	for {
 		heads := s.readyHeads()
+		var c *Command
 		if i := s.cfg.Arbiter.Pick(heads, s.barrier); i >= 0 {
-			q := heads[i].Chip
-			c := s.cq[q].pop()
+			c = s.cq[heads[i].Chip].pop()
+		}
+		clear(heads)
+		if c != nil {
 			s.hz.remove(c)
+			s.wake(c)
 			err := s.dispatchHost(c)
-			s.setReady(q)
+			s.setReady(c.Chip)
 			if err != nil {
 				return err
 			}
@@ -473,8 +526,7 @@ func (s *Scheduler) dispatchRound() error {
 				s.rep.BackgroundDeferred++
 				return nil
 			}
-			c := s.bg
-			s.bg = nil
+			c, s.bg = s.bg, nil
 			if err := s.dispatch(c); err != nil {
 				return err
 			}

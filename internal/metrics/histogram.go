@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -43,20 +44,52 @@ func NewHistogram() *Histogram {
 	}
 }
 
-// bucketOf maps a duration to its bucket index.
+// bucketOf maps a duration to its bucket index: ⌊log2(d/histBase)·
+// bucketsPerOctave⌋, clamped to the buckets. It reads the tables below
+// instead of taking a logarithm, so recording costs a bit-length and at
+// most four comparisons.
 func bucketOf(d time.Duration) int {
 	if d < histBase {
 		return 0
 	}
-	// log2(d/base) * bucketsPerOctave
+	i := int(octaveBucket[bits.Len64(uint64(d))])
+	for i+1 < histBuckets && d >= bucketStart[i+1] {
+		i++
+	}
+	return i
+}
+
+// bucketStart[i] is the shortest duration in bucket i (i ≥ 1), and
+// octaveBucket[k] the bucket of the shortest duration of at least histBase
+// with bit length k. Both are derived from logBucket, the floating-point
+// definition, by binary search, so bucketOf agrees with it exactly,
+// rounding at the boundaries included.
+var bucketStart, octaveBucket = bucketTables()
+
+func bucketTables() (start [histBuckets]time.Duration, octave [64]uint8) {
+	for i := 1; i < histBuckets; i++ {
+		lo, hi := histBase, time.Duration(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		start[i] = lo
+	}
+	for k := 1; k < len(octave); k++ {
+		octave[k] = uint8(logBucket(max(histBase, time.Duration(1)<<(k-1))))
+	}
+	return start, octave
+}
+
+// logBucket is the bucket of a duration of at least histBase by its
+// floating-point definition.
+func logBucket(d time.Duration) int {
 	idx := int(math.Log2(float64(d)/float64(histBase)) * bucketsPerOctave)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
-	return idx
+	return min(max(idx, 0), histBuckets-1)
 }
 
 // bucketLow returns the lower bound of bucket i.

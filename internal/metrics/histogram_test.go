@@ -220,3 +220,58 @@ func TestHistogramCacheInvalidation(t *testing.T) {
 		t.Fatalf("summaries diverge on warm cache: %+v vs %+v", s1, s2)
 	}
 }
+
+// refBucketOf is bucketOf as it was before the lookup tables: the
+// floating-point logarithm on every record.
+func refBucketOf(d time.Duration) int {
+	if d < histBase {
+		return 0
+	}
+	idx := int(math.Log2(float64(d)/float64(histBase)) * bucketsPerOctave)
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= histBuckets {
+		idx = histBuckets - 1
+	}
+	return idx
+}
+
+// The table lookup puts every duration in the bucket the logarithm does:
+// within 1000 ns of every bucket and octave boundary, and over 10^7
+// durations spread log-uniformly across the whole int64 range. The octave
+// table leaves at most four boundaries to step over.
+func TestBucketOfMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := bucketOf(d), refBucketOf(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, logarithm says %d", d, got, want)
+		}
+	}
+	var edges []time.Duration
+	for i := 1; i < histBuckets; i++ {
+		edges = append(edges, bucketStart[i])
+	}
+	for k := 1; k < 63; k++ {
+		edges = append(edges, time.Duration(1)<<k)
+	}
+	edges = append(edges, math.MaxInt64-1000)
+	for _, e := range edges {
+		for d := e - 1000; d <= e+1000 && d >= e-1000; d++ { // d++ wraps past MaxInt64
+			check(d)
+		}
+	}
+	rng := sim.NewRNG(7)
+	for range 10_000_000 {
+		shift := rng.Int63n(63)
+		check(time.Duration(rng.Uint64() >> 1 >> shift))
+	}
+	for k := 10; k < len(octaveBucket); k++ {
+		last := refBucketOf(time.Duration(1)<<k - 1)
+		if k == 63 {
+			last = refBucketOf(math.MaxInt64)
+		}
+		if steps := last - int(octaveBucket[k]); steps > 4 {
+			t.Errorf("bit length %d spans %d bucket boundaries", k, steps)
+		}
+	}
+}
