@@ -215,7 +215,7 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 
 // The write path must not allocate across region collections: the
 // collector's target and view are built once in New, and a block entering
-// the region takes its nextIdx array from the slab. Each counted run is a
+// the region takes a slot New provisioned. Each counted run is a
 // batch long enough to collect, because AllocsPerRun truncates its average
 // and one allocation per collection (one in ~120 writes) would read as 0.
 func TestRegionCollectionAllocs(t *testing.T) {

@@ -65,10 +65,8 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 	}
 	win := make(map[int64]subWinner)
 	for _, blk := range subBlocks {
-		mb := subBlock{
-			nextIdx: f.freshNextIdx(blk.Block),
-			inUse:   true,
-		}
+		mb := subBlock{slot: f.slots.take(blk.Block), inUse: true}
+		idx := f.slots.pageIdx(mb.slot)
 		round := f.PageSecs
 		for pi, slots := range blk.Pages {
 			p := g.PageOf(blk.Block, pi)
@@ -106,7 +104,7 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 				// a future pass into silent corruption.
 				programmed = f.PageSecs
 			}
-			mb.nextIdx[pi] = uint8(programmed)
+			idx[pi] = uint8(programmed)
 			if programmed < round {
 				round = programmed
 			}
@@ -124,10 +122,12 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 		if err := f.hash.Put(lsn, w.spn); err != nil {
 			return fmt.Errorf("core: recovering lsn %d: %w", lsn, err)
 		}
-		f.rmapSub[w.spn] = lsn
-		f.verAt[w.spn] = w.oob.Stamp.Version
-		f.writtenAt[w.spn] = w.oob.ProgrammedAt
-		perBlock[g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(w.spn)))]++
+		b, off := f.Dev.BlockOfSubpage(nand.SubpageID(w.spn))
+		i := f.base(b) + off
+		f.slots.rmap[i] = int32(lsn)
+		f.slots.verAt[i] = w.oob.Stamp.Version
+		f.slots.writtenAt[i] = w.oob.ProgrammedAt
+		perBlock[b]++
 		rep.LiveSectors++
 	}
 	for _, blk := range subBlocks {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"espftl/internal/ftl"
+	"espftl/internal/mapping"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
@@ -27,7 +28,7 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 	type entry struct{ lsn, spn int64 }
 	var old []entry
 	f.hash.Range(func(lsn, spn int64) bool {
-		if nand.AgeOf(f.writtenAt[spn], now) > retentionThreshold || f.nearExpiry(spn, now) {
+		if nand.AgeOf(f.slots.writtenAt[f.at(spn)], now) > retentionThreshold || f.nearExpiry(spn, now) {
 			old = append(old, entry{lsn, spn})
 		}
 		return true
@@ -38,7 +39,7 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 		if !ok || spn != e.spn {
 			continue
 		}
-		overThreshold := nand.AgeOf(f.writtenAt[spn], now) > retentionThreshold
+		overThreshold := nand.AgeOf(f.slots.writtenAt[f.at(spn)], now) > retentionThreshold
 		if !overThreshold && !f.nearExpiry(spn, now) {
 			continue
 		}
@@ -66,14 +67,13 @@ func (f *FTL) scrubRetention(now sim.Time) error {
 // On lightly worn blocks the capability comfortably exceeds the 15-day
 // threshold, so this only fires ahead of the threshold near end of life.
 func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
-	g := f.Dev.Geometry()
 	info := f.Dev.SubpageInfo(nand.SubpageID(spn))
-	blk := g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn)))
+	blk, off := f.Dev.BlockOfSubpage(nand.SubpageID(spn))
 	// Effective wear and the block's last erase depth, not the raw erase
 	// count: a shallow-erased block ages its data faster than its count
 	// suggests, and the scrub must rewrite before that earlier expiry.
 	capability := f.Dev.Retention().RetentionCapabilityAt(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
-	return nand.AgeOf(f.writtenAt[spn], now)+2*scrubInterval > capability
+	return nand.AgeOf(f.slots.writtenAt[f.base(blk)+off], now)+2*scrubInterval > capability
 }
 
 // Check implements ftl.FTL: it verifies the full-page region's invariants
@@ -86,15 +86,14 @@ func (f *FTL) Check() error {
 	perBlock := make(map[nand.BlockID]int)
 	var checkErr error
 	f.hash.Range(func(lsn, spn int64) bool {
-		if f.rmapSub[spn] != lsn {
-			checkErr = fmt.Errorf("core: rmapSub[%d] = %d, want %d", spn, f.rmapSub[spn], lsn)
+		b, off := f.Dev.BlockOfSubpage(nand.SubpageID(spn))
+		perBlock[b]++
+		if f.Man.Role(b) != ftl.RoleSub || !f.meta[b].inUse {
+			checkErr = fmt.Errorf("core: live subpage on block %d with role %v outside the region", b, f.Man.Role(b))
 			return false
 		}
-		p := g.PageOfSubpage(nand.SubpageID(spn))
-		b := g.BlockOfPage(p)
-		perBlock[b]++
-		if f.Man.Role(b) != ftl.RoleSub {
-			checkErr = fmt.Errorf("core: live subpage on block %d with role %v", b, f.Man.Role(b))
+		if got := int64(f.slots.rmap[f.base(b)+off]); got != lsn {
+			checkErr = fmt.Errorf("core: reverse entry of spn %d = %d, want %d", spn, got, lsn)
 			return false
 		}
 		// The device must agree the subpage is readable (not destroyed by
@@ -133,9 +132,14 @@ func (f *FTL) Check() error {
 			if !mb.inUse {
 				return fmt.Errorf("core: live sub block %d has no metadata", id)
 			}
-			for pi, ni := range mb.nextIdx {
+			for pi, ni := range f.slots.pageIdx(mb.slot) {
 				if int(ni) < mb.round || int(ni) > f.PageSecs {
 					return fmt.Errorf("core: sub block %d page %d nextIdx %d outside [round %d, %d]", id, pi, ni, mb.round, f.PageSecs)
+				}
+				// A page the region has programmed is one the device has,
+				// unless its block was retired mid-pass.
+				if passes := f.Dev.PagePasses(g.PageOf(id, pi)); (passes == 0) != (ni == 0) && !f.Man.Bad(id) {
+					return fmt.Errorf("core: sub block %d page %d has nextIdx %d after %d program passes", id, pi, ni, passes)
 				}
 			}
 		} else if perBlock[id] != 0 {
@@ -144,6 +148,9 @@ func (f *FTL) Check() error {
 	}
 	if subCount != f.subBlocks {
 		return fmt.Errorf("core: subBlocks = %d, found %d", f.subBlocks, subCount)
+	}
+	if err := f.checkSlots(); err != nil {
+		return err
 	}
 	if f.wbSet {
 		if !f.meta[f.wb].inUse || f.Man.Role(f.wb) != ftl.RoleSub || f.Man.State(f.wb) != ftl.StateOpen {
@@ -158,6 +165,54 @@ func (f *FTL) Check() error {
 	// subpages in one page until its next pass).
 	if f.hash.Len() > f.subBlocks*g.SubpagesPerBlock() {
 		return fmt.Errorf("core: %d hash entries exceed %d region slots", f.hash.Len(), f.subBlocks*g.SubpagesPerBlock())
+	}
+	return nil
+}
+
+// checkSlots verifies the region slot table: every region block holds
+// exactly one slot, no two blocks share a slot, and a free slot holds no
+// block and no reverse entry.
+func (f *FTL) checkSlots() error {
+	r := &f.slots
+	inUse := 0
+	for b := range f.meta {
+		mb := &f.meta[b]
+		if !mb.inUse {
+			continue
+		}
+		inUse++
+		// Two blocks claiming one slot cannot both be its owner.
+		if mb.slot < 0 || int(mb.slot) >= len(r.owner) || r.owner[mb.slot] != nand.BlockID(b) {
+			return fmt.Errorf("core: region block %d claims slot %d it does not hold", b, mb.slot)
+		}
+	}
+	if inUse != f.subBlocks {
+		return fmt.Errorf("core: %d region blocks in the metadata, want %d", inUse, f.subBlocks)
+	}
+	held := 0
+	for s, b := range r.owner {
+		if b < 0 {
+			continue
+		}
+		held++
+		if mb := &f.meta[b]; !mb.inUse || int(mb.slot) != s {
+			return fmt.Errorf("core: slot %d held by block %d, which is not in the region at that slot", s, b)
+		}
+	}
+	if held+len(r.free) != len(r.owner) {
+		return fmt.Errorf("core: %d slots held and %d free of %d", held, len(r.free), len(r.owner))
+	}
+	seen := make([]bool, len(r.owner))
+	for _, s := range r.free {
+		if r.owner[s] >= 0 || seen[s] {
+			return fmt.Errorf("core: free slot %d is held by block %d or stacked twice", s, r.owner[s])
+		}
+		seen[s] = true
+		for i, l := range r.rmap[int(s)*r.perBlock : int(s+1)*r.perBlock] {
+			if int64(l) != mapping.None {
+				return fmt.Errorf("core: free slot %d keeps lsn %d at offset %d", s, l, i)
+			}
+		}
 	}
 	return nil
 }

@@ -89,10 +89,12 @@ type subBlock struct {
 	round int
 	// cursor is the next page to consider at this round.
 	cursor int
-	// nextIdx is, per page, the next unprogrammed subpage index. A page
-	// is eligible for a pass when nextIdx == round; multi-subpage passes
-	// may leave it ahead of the round (invariant: round <= nextIdx <= N_sub).
-	nextIdx []uint8
+	// slot is the block's row in the region slabs (regionSlots). Its
+	// nextIdx entries are, per page, the next unprogrammed subpage index.
+	// A page is eligible for a pass when nextIdx == round; multi-subpage
+	// passes may leave it ahead of the round (invariant: round <= nextIdx
+	// <= N_sub).
+	slot int32
 	// inUse marks the entry as belonging to a live subpage-region block.
 	inUse bool
 }
@@ -106,17 +108,14 @@ type FTL struct {
 
 	full *fullpage.Store // the CGM-managed full-page region
 
-	// Subpage region state.
+	// Subpage region state. The hash table maps to device-wide SPNs; the
+	// region's per-subpage state lives in slots, one per region block.
 	hash      *mapping.HashTable // LSN -> SPN
-	rmapSub   []int64            // SPN -> LSN
-	verAt     []uint32           // SPN -> host version stored there
-	writtenAt []sim.Time         // SPN -> program time (retention aging)
-	updated   []bool             // LSN: overwritten since entering the region?
-	meta      []subBlock         // per-block, indexed by BlockID
-	// nextIdxSlab backs every subBlock.nextIdx (see freshNextIdx).
-	nextIdxSlab []uint8
-	subBlocks   int // blocks currently in the subpage region
-	subQuota    int
+	slots     regionSlots
+	updated   ftl.Bitset // LSN: overwritten since entering the region?
+	meta      []subBlock // per-block, indexed by BlockID
+	subBlocks int        // blocks currently in the subpage region
+	subQuota  int
 
 	// wb is the region's one open write block, taken at refill for slot
 	// wbSlot of a rotation width slots wide (one per chip, up to a third
@@ -218,19 +217,18 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
+	width := max(min(g.Chips(), subQuota/3), 1)
 	f := &FTL{
-		Front:       fe,
-		cfg:         cfg,
-		hash:        mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
-		rmapSub:     make([]int64, g.TotalSubpages()),
-		verAt:       make([]uint32, g.TotalSubpages()),
-		writtenAt:   make([]sim.Time, g.TotalSubpages()),
-		updated:     make([]bool, cfg.LogicalSectors),
-		meta:        make([]subBlock, g.TotalBlocks()),
-		nextIdxSlab: make([]uint8, g.TotalBlocks()*g.PagesPerBlock),
-		subQuota:    subQuota,
-		buf:         buffer.NewAligned(g.SubpagesPerPage, cfg.BufferSectors),
-		gcSlack:     cfg.GC.BackgroundSlack,
+		Front:    fe,
+		cfg:      cfg,
+		hash:     mapping.NewHashTable(subQuota * g.SubpagesPerBlock()),
+		slots:    newRegionSlots(subQuota+width+slotMargin, g.PagesPerBlock, g.SubpagesPerPage),
+		updated:  ftl.NewBitset(cfg.LogicalSectors),
+		meta:     make([]subBlock, g.TotalBlocks()),
+		subQuota: subQuota,
+		width:    width,
+		buf:      buffer.NewAligned(g.SubpagesPerPage, cfg.BufferSectors),
+		gcSlack:  cfg.GC.BackgroundSlack,
 	}
 	pol, err := gc.NewPolicy(cfg.GC)
 	if err != nil {
@@ -239,13 +237,9 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	f.subCol = gc.NewCollector(pol, cfg.GC.StepPages)
 	f.subTarget = &subTarget{f}
 	f.subView = f.Man.GCView(ftl.RoleSub, g.SubpagesPerBlock(), f.subCol.InFlight)
-	f.width = max(min(g.Chips(), subQuota/3), 1)
 	f.identSlots = make([]int, g.SubpagesPerPage)
 	for i := range f.identSlots {
 		f.identSlots[i] = i
-	}
-	for i := range f.rmapSub {
-		f.rmapSub[i] = mapping.None
 	}
 	// The full-page region is uncapped: block roles are assigned at
 	// program time (paper §4.2), so full-page data may spread over idle
@@ -336,10 +330,10 @@ func (f *FTL) dropSubCopy(lsn int64) {
 	if !ok {
 		return
 	}
-	g := f.Dev.Geometry()
-	f.rmapSub[spn] = mapping.None
-	f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), -1)
-	f.updated[lsn] = false
+	b, off := f.Dev.BlockOfSubpage(nand.SubpageID(spn))
+	f.slots.rmap[f.base(b)+off] = int32(mapping.None)
+	f.Man.AddValid(b, -1)
+	f.updated.Set(lsn, false)
 }
 
 // dropFullCopy invalidates lsn's full-region copy, if any.

@@ -11,36 +11,31 @@ import (
 )
 
 // initSubBlock prepares bookkeeping for a block entering the subpage
-// region at round 0.
+// region at round 0: it takes a region slot.
 func (f *FTL) initSubBlock(b nand.BlockID) {
-	f.meta[b] = subBlock{
-		round:   0,
-		cursor:  0,
-		nextIdx: f.freshNextIdx(b),
-		inUse:   true,
-	}
+	f.meta[b] = subBlock{slot: f.slots.take(b), inUse: true}
 	f.subBlocks++
 }
 
-// recycleSub erases region block b and takes it out of the region.
+// recycleSub erases region block b and takes it out of the region,
+// returning its slot.
 func (f *FTL) recycleSub(b nand.BlockID) error {
 	if err := f.Man.Recycle(b); err != nil {
 		return err
 	}
+	f.slots.release(f.meta[b].slot)
 	f.meta[b] = subBlock{}
 	f.subBlocks--
 	return nil
 }
 
-// freshNextIdx returns block b's zeroed per-page nextIdx array. The arrays
-// of all blocks are one slab: any block may enter the region (roles are
-// assigned at program time), one does on every region collection, and a
-// per-entry allocation would sit on the write path.
-func (f *FTL) freshNextIdx(b nand.BlockID) []uint8 {
-	n := f.Dev.Geometry().PagesPerBlock
-	idx := f.nextIdxSlab[int(b)*n : (int(b)+1)*n : (int(b)+1)*n]
-	clear(idx)
-	return idx
+// base returns the slab index of region block b's first subpage.
+func (f *FTL) base(b nand.BlockID) int { return int(f.meta[b].slot) * f.slots.perBlock }
+
+// at returns the slab index of region subpage spn.
+func (f *FTL) at(spn int64) int {
+	b, off := f.Dev.BlockOfSubpage(nand.SubpageID(spn))
+	return f.base(b) + off
 }
 
 // slotChip is the chip a rotation slot takes its blocks from.
@@ -48,8 +43,8 @@ func (f *FTL) slotChip(slot int) int {
 	return slot * f.Dev.Geometry().Chips() / f.width
 }
 
-// stale reports whether the flash copy at spn no longer carries lsn's
-// newest version — a fresher copy is staged in the write buffer or is the
+// stale reports whether survivor sv's flash copy no longer carries its
+// sector's newest version — a fresher copy is staged in the write buffer or is the
 // in-flight write that triggered this relocation. A stale copy must NOT be
 // dropped: the newer data lives only in controller RAM, so until it reaches
 // flash this copy is the sector's newest durable incarnation — destroying
@@ -60,44 +55,35 @@ func (f *FTL) slotChip(slot int) int {
 // accepted imprecision as full-page GC over buffered data — so the sector
 // keeps an on-flash incarnation at an acknowledged version until the
 // buffer's own flush path supersedes it.
-func (f *FTL) stale(lsn, spn int64) bool {
-	return f.verAt[spn] != f.Ver.Current(lsn)
+func (f *FTL) stale(sv survivor) bool {
+	return f.slots.verAt[sv.at] != f.Ver.Current(sv.lsn)
 }
 
-// liveAt returns the live logical sector stored in slot sub of page p, if
-// any.
-func (f *FTL) liveAt(p nand.PageID, sub int) (lsn, spn int64, ok bool) {
-	g := f.Dev.Geometry()
-	cand := int64(g.SubpageOf(p, sub))
-	l := f.rmapSub[cand]
-	if l == mapping.None {
-		return 0, 0, false
-	}
-	if got, live := f.hash.Get(l); live && got == cand {
-		return l, cand, true
-	}
-	return 0, 0, false
-}
-
-// survivor is a live subpage encountered during relocation.
+// survivor is a live subpage encountered during relocation: its sector,
+// its slot within the page and its slab index.
 type survivor struct {
-	lsn, spn int64
-	slot     int
+	lsn      int64
+	slot, at int
 }
 
-// survivorsIn returns the live subpages of page p in slots [0, limit).
-// Stale copies are survivors too (see stale): until their volatile
-// successor lands on flash they carry the sector's durable state. The
-// result is FTL-owned scratch, valid until the next survivorsIn call;
+// survivorsIn returns the live subpages of region page p in slots
+// [0, limit). Stale copies are survivors too (see stale): until their
+// volatile successor lands on flash they carry the sector's durable state.
+// The result is FTL-owned scratch, valid until the next survivorsIn call;
 // both callers consume it before anything downstream can re-enter.
 func (f *FTL) survivorsIn(p nand.PageID, limit int) []survivor {
+	b, pi := f.Dev.BlockOfPage(p)
+	first := f.base(b) + pi*f.PageSecs
+	spn0 := int64(p) * int64(f.PageSecs)
 	out := f.survivorsBuf[:0]
 	for s := 0; s < limit; s++ {
-		lsn, spn, ok := f.liveAt(p, s)
-		if !ok {
+		lsn := int64(f.slots.rmap[first+s])
+		if lsn == mapping.None {
 			continue
 		}
-		out = append(out, survivor{lsn: lsn, spn: spn, slot: s})
+		if got, live := f.hash.Get(lsn); live && got == spn0+int64(s) {
+			out = append(out, survivor{lsn: lsn, slot: s, at: first + s})
+		}
 	}
 	f.survivorsBuf = out
 	return out
@@ -109,7 +95,7 @@ func (f *FTL) survivorsIn(p nand.PageID, limit int) []survivor {
 // heuristic), only with the split enabled, and never a stale one (see
 // stale).
 func (f *FTL) keepsHot(sv survivor) bool {
-	return !f.stale(sv.lsn, sv.spn) && f.updated[sv.lsn] && !f.cfg.DisableHotColdGC
+	return !f.stale(sv) && f.updated.Get(sv.lsn) && !f.cfg.DisableHotColdGC
 }
 
 // nextEligible returns the next page of the writing policy that can take
@@ -123,9 +109,10 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if f.wbSet {
 			mb := &f.meta[f.wb]
+			idx := f.slots.pageIdx(mb.slot)
 			for mb.cursor < g.PagesPerBlock {
 				pi := mb.cursor
-				if int(mb.nextIdx[pi]) == mb.round {
+				if int(idx[pi]) == mb.round {
 					f.rr = (f.wbSlot + 1) % f.width
 					return g.PageOf(f.wb, pi), mb, pi, nil
 				}
@@ -271,7 +258,7 @@ func (f *FTL) readPageVerified(p nand.PageID, survs []survivor) ([]nand.Stamp, e
 		if errs[sv.slot] != nil {
 			return nil, fmt.Errorf("core: relocating lsn %d: %w", sv.lsn, errs[sv.slot])
 		}
-		want := nand.Stamp{LSN: sv.lsn, Version: f.verAt[sv.spn]}
+		want := nand.Stamp{LSN: sv.lsn, Version: f.slots.verAt[sv.at]}
 		if stamps[sv.slot] != want {
 			return nil, fmt.Errorf("core: relocation integrity violation at lsn %d: got %v, want %v", sv.lsn, stamps[sv.slot], want)
 		}
@@ -358,6 +345,8 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		mb.cursor++
 		return n, nil
 	}
+	src, _ := f.Dev.BlockOfPage(p)
+	blk := src
 	for attempt := 0; ; attempt++ {
 		_, err := f.Dev.ProgramSubpageRunTag(p, r, stamps, ftl.TagSub)
 		if err == nil {
@@ -372,7 +361,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		// spent page; unless the replays are used up, replay the whole
 		// pass at round 0 of a fresh write block on the same slot's chip.
 		f.wbSet = false
-		f.Man.Retire(g.BlockOfPage(p))
+		f.Man.Retire(blk)
 		if attempt >= ftl.MaxProgramReplays {
 			return 0, err
 		}
@@ -382,38 +371,40 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 			return 0, err
 		}
 		f.wb, f.wbSet = nb, true
-		p, mb, pi, r = g.PageOf(nb, 0), &f.meta[nb], 0, 0
+		p, mb, pi, r, blk = g.PageOf(nb, 0), &f.meta[nb], 0, 0, nb
 	}
 	// Remap the shifted survivors. After a replay on a fresh block the
 	// survivors changed blocks, so their valid counts move too.
-	newBlk := g.BlockOfPage(p)
+	first := f.base(blk) + pi*f.PageSecs + r
+	now := f.Dev.Clock().Now()
 	for i, sv := range shift {
 		newSpn := int64(g.SubpageOf(p, r+i))
-		if oldBlk := g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(sv.spn))); oldBlk != newBlk {
-			f.Man.AddValid(oldBlk, -1)
-			f.Man.AddValid(newBlk, 1)
+		if src != blk {
+			f.Man.AddValid(src, -1)
+			f.Man.AddValid(blk, 1)
 		}
-		f.rmapSub[sv.spn] = mapping.None
-		f.rmapSub[newSpn] = sv.lsn
+		f.slots.rmap[sv.at] = int32(mapping.None)
+		f.slots.rmap[first+i] = int32(sv.lsn)
 		if err := f.hash.Put(sv.lsn, newSpn); err != nil {
 			return 0, fmt.Errorf("core: shifting lsn %d: %w", sv.lsn, err)
 		}
-		f.verAt[newSpn] = pageStamps[sv.slot].Version
-		f.writtenAt[newSpn] = f.Dev.Clock().Now()
+		f.slots.verAt[first+i] = pageStamps[sv.slot].Version
+		f.slots.writtenAt[first+i] = now
 		f.Counters.SubShifts++
 		if f.Ver.SmallOrigin(sv.lsn) {
 			f.Counters.SmallFlashBytes += int64(g.SubpageBytes)
 		}
 	}
 	// Map the new sectors.
+	first += len(shift)
 	for i, lsn := range lsns[:n] {
 		spn := int64(g.SubpageOf(p, r+len(shift)+i))
-		if err := f.subPlace(lsn, spn); err != nil {
+		if err := f.subPlace(lsn, spn, blk, first+i); err != nil {
 			return 0, err
 		}
 		f.Counters.SmallFlashBytes += attrPerSector
 	}
-	mb.nextIdx[pi] = uint8(r + len(stamps))
+	f.slots.pageIdx(mb.slot)[pi] = uint8(r + len(stamps))
 	mb.cursor++
 	return n, nil
 }
@@ -460,25 +451,25 @@ func (f *FTL) subWriteRun(lsns []int64, attrPerSector int64) error {
 }
 
 // subPlace records the mapping updates shared by every new subpage
-// program: invalidate the previous locations of lsn, map it to spn, and
-// bump the valid count of spn's block.
-func (f *FTL) subPlace(lsn, spn int64) error {
-	g := f.Dev.Geometry()
+// program: invalidate the previous locations of lsn, map it to spn (slab
+// index at, on region block b), and bump the valid count of b.
+func (f *FTL) subPlace(lsn, spn int64, b nand.BlockID, at int) error {
 	if old, ok := f.hash.Get(lsn); ok {
-		f.rmapSub[old] = mapping.None
-		f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
-		f.updated[lsn] = true
+		ob, off := f.Dev.BlockOfSubpage(nand.SubpageID(old))
+		f.slots.rmap[f.base(ob)+off] = int32(mapping.None)
+		f.Man.AddValid(ob, -1)
+		f.updated.Set(lsn, true)
 	} else {
-		f.updated[lsn] = false
+		f.updated.Set(lsn, false)
 	}
 	f.dropFullCopy(lsn)
 	if err := f.hash.Put(lsn, spn); err != nil {
 		return fmt.Errorf("core: mapping lsn %d: %w", lsn, err)
 	}
-	f.rmapSub[spn] = lsn
-	f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn))), 1)
-	f.verAt[spn] = f.Ver.Current(lsn)
-	f.writtenAt[spn] = f.Dev.Clock().Now()
+	f.slots.rmap[at] = int32(lsn)
+	f.Man.AddValid(b, 1)
+	f.slots.verAt[at] = f.Ver.Current(lsn)
+	f.slots.writtenAt[at] = f.Dev.Clock().Now()
 	return nil
 }
 
@@ -506,7 +497,7 @@ func (f *FTL) evictToFull(lsn, spn int64) error {
 	if err != nil {
 		return fmt.Errorf("core: evicting lsn %d: %w", lsn, err)
 	}
-	want := nand.Stamp{LSN: lsn, Version: f.verAt[spn]}
+	want := nand.Stamp{LSN: lsn, Version: f.slots.verAt[f.at(spn)]}
 	if stamp != want {
 		return fmt.Errorf("core: eviction integrity violation at lsn %d: got %v, want %v", lsn, stamp, want)
 	}
@@ -527,6 +518,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 	var mb *subBlock
 	var pi int
 	var dp nand.PageID
+	var dest nand.BlockID
 	for attempt := 0; ; attempt++ {
 		if f.gcDestSet && f.meta[f.gcDest].cursor >= g.PagesPerBlock {
 			// Destination filled its round 0: it rejoins the region as a
@@ -541,10 +533,11 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 			f.initSubBlock(b)
 			f.gcDest, f.gcDestSet = b, true
 		}
-		mb = &f.meta[f.gcDest]
+		dest = f.gcDest
+		mb = &f.meta[dest]
 		pi = mb.cursor
 		mb.cursor++
-		dp = g.PageOf(f.gcDest, pi)
+		dp = g.PageOf(dest, pi)
 		_, err := f.Dev.ProgramSubpageRunTag(dp, 0, stamps, ftl.TagSub)
 		if err == nil {
 			break
@@ -562,23 +555,24 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		}
 		f.Counters.ProgramFailMoves++
 	}
-	mb.nextIdx[pi] = uint8(len(stamps))
+	f.slots.pageIdx(mb.slot)[pi] = uint8(len(stamps))
+	first := f.base(dest) + pi*f.PageSecs
 	for i, sv := range survs {
 		spn := int64(g.SubpageOf(dp, i))
-		if err := f.subPlace(sv.lsn, spn); err != nil {
+		if err := f.subPlace(sv.lsn, spn, dest, first+i); err != nil {
 			return err
 		}
 		// Relocation preserves the on-flash stamp. For a stale survivor
 		// (newest version still in the write buffer) that stamp is older
 		// than the host version subPlace assumed, and the read path
 		// verifies against what is physically there.
-		f.verAt[spn] = stamps[i].Version
+		f.slots.verAt[first+i] = stamps[i].Version
 		// Demote: surviving one GC without a host refresh costs the hot
 		// verdict, so even a region saturated with once-hot data
 		// converges — the next encounter evicts anything the host has
 		// not re-updated. Genuinely hot data is re-updated (restoring
 		// the verdict) long before its next GC.
-		f.updated[sv.lsn] = false
+		f.updated.Set(sv.lsn, false)
 		f.Counters.GCMovedSectors++
 		if f.Ver.SmallOrigin(sv.lsn) {
 			f.Counters.SmallFlashBytes += int64(g.SubpageBytes)

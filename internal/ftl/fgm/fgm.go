@@ -42,7 +42,7 @@ type FTL struct {
 	ftl.Front
 
 	table *mapping.FineTable
-	rmap  []int64 // SPN -> LSN
+	rmap  []int32 // SPN -> LSN, None as -1
 	buf   *buffer.Buffer
 
 	// log is the page-append log: allocation, program-failure replay and
@@ -90,11 +90,11 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	f := &FTL{
 		Front: fe,
 		table: mapping.NewFineTable(cfg.LogicalSectors),
-		rmap:  make([]int64, g.TotalSubpages()),
+		rmap:  make([]int32, g.TotalSubpages()),
 		buf:   buffer.New(),
 	}
 	for i := range f.rmap {
-		f.rmap[i] = mapping.None
+		f.rmap[i] = int32(mapping.None)
 	}
 	f.log, err = ftl.NewLog(dev, f.Man, &f.Counters, ftl.LogConfig{
 		Reserve:       cfg.GCReserveBlocks,
@@ -137,13 +137,14 @@ func (f *FTL) programPacked(lsns []int64, stream ftl.Stream) error {
 	if err != nil {
 		return err
 	}
-	blk := g.BlockOfPage(p)
+	blk, _ := f.Dev.BlockOfPage(p)
 	for slot, lsn := range lsns {
 		spn := int64(g.SubpageOf(p, slot))
 		old := f.table.Update(lsn, spn)
-		f.rmap[spn] = lsn
+		f.rmap[spn] = int32(lsn)
 		if old != mapping.None {
-			f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+			ob, _ := f.Dev.BlockOfSubpage(nand.SubpageID(old))
+			f.Man.AddValid(ob, -1)
 		}
 	}
 	// The page's sectors are distinct, so every decrement above drops a
@@ -278,10 +279,10 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 	}
 	lsns := f.SectorRun(lsn, sectors)
 	f.buf.Trim(lsns)
-	g := f.Dev.Geometry()
 	for _, cur := range lsns {
 		if old := f.table.Invalidate(cur); old != mapping.None {
-			f.Man.AddValid(g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(old))), -1)
+			ob, _ := f.Dev.BlockOfSubpage(nand.SubpageID(old))
+			f.Man.AddValid(ob, -1)
 		}
 	}
 	return nil
@@ -327,7 +328,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 		liveSlots := f.liveBuf[:0]
 		for slot := 0; slot < f.PageSecs; slot++ {
 			spn := int64(g.SubpageOf(p, slot))
-			lsn := f.rmap[spn]
+			lsn := int64(f.rmap[spn])
 			if lsn != mapping.None && f.table.Lookup(lsn) == spn {
 				liveSlots = append(liveSlots, slot)
 			}
@@ -354,7 +355,7 @@ func (o *fgmOwner) Work(victim nand.BlockID) (int, bool, error) {
 	for f.gcHead < len(f.gcStaged) && len(chunk) < f.PageSecs {
 		st := f.gcStaged[f.gcHead]
 		f.gcHead++
-		if f.rmap[st.spn] != st.lsn || f.table.Lookup(st.lsn) != st.spn {
+		if int64(f.rmap[st.spn]) != st.lsn || f.table.Lookup(st.lsn) != st.spn {
 			continue
 		}
 		chunk = append(chunk, st.lsn)
@@ -391,7 +392,7 @@ func (f *FTL) Check() error {
 			continue
 		}
 		mapped++
-		if f.rmap[spn] != lsn {
+		if int64(f.rmap[spn]) != lsn {
 			return fmt.Errorf("fgm: rmap[%d] = %d, want %d", spn, f.rmap[spn], lsn)
 		}
 		perBlock[g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(spn)))]++
@@ -461,7 +462,7 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 		// path verifies stamps against ver.Current.
 		f.Ver.Restore(lsn, w.ver)
 		f.table.Update(lsn, w.spn)
-		f.rmap[w.spn] = lsn
+		f.rmap[w.spn] = int32(lsn)
 		perBlock[g.BlockOfPage(g.PageOfSubpage(nand.SubpageID(w.spn)))]++
 		rep.LiveSectors++
 	}

@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"fmt"
+
 	"espftl/internal/gc"
 	"espftl/internal/lifetime"
 	"espftl/internal/nand"
@@ -33,6 +35,10 @@ type Front struct {
 // lifetime.FixedDeep); predict turns on longevity-aware placement over the
 // logical pages the space touches, a partial last page included.
 func NewFront(dev *nand.Device, logicalSectors int64, erase lifetime.ErasePolicy, predict bool) (Front, error) {
+	// Every LSN must fit a NAND cell and the FTLs' 32-bit reverse maps.
+	if logicalSectors > 1<<31 {
+		return Front{}, fmt.Errorf("ftl: logical space of %d sectors exceeds 2^31", logicalSectors)
+	}
 	ps := int64(dev.Geometry().SubpagesPerPage)
 	place, err := lifetime.NewPlacement(predict, (logicalSectors+ps-1)/ps)
 	if err != nil {

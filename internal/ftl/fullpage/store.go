@@ -46,7 +46,7 @@ type Store struct {
 	place lifetime.Placement
 
 	table *mapping.CoarseTable
-	rmap  []int64  // PPN -> LPN (valid only if table agrees)
+	rmap  []int32  // PPN -> LPN, None as -1 (valid only if table agrees)
 	masks []uint64 // LPN -> bitmask of live sectors within the page
 
 	pageSecs int
@@ -80,12 +80,12 @@ func New(fe *ftl.Front, cfg Config) (*Store, error) {
 		stats:    &fe.Counters,
 		place:    fe.Place,
 		table:    mapping.NewCoarseTable(cfg.LogicalPages),
-		rmap:     make([]int64, g.TotalPages()),
+		rmap:     make([]int32, g.TotalPages()),
 		masks:    make([]uint64, cfg.LogicalPages),
 		pageSecs: g.SubpagesPerPage,
 	}
 	for i := range s.rmap {
-		s.rmap[i] = mapping.None
+		s.rmap[i] = int32(mapping.None)
 	}
 	log, err := ftl.NewLog(dev, fe.Man, &fe.Counters, ftl.LogConfig{
 		Reserve:       cfg.Reserve,
@@ -132,7 +132,6 @@ func (s *Store) ChipOf(lpn int64) int {
 // programPage writes the live sectors of lpn (per its mask) to a fresh
 // physical page at their current host versions and updates the mapping.
 func (s *Store) programPage(lpn int64, stream ftl.Stream) error {
-	g := s.dev.Geometry()
 	stamps := s.Stamps()
 	mask := s.masks[lpn]
 	for slot := 0; slot < s.pageSecs; slot++ {
@@ -151,10 +150,12 @@ func (s *Store) programPage(lpn int64, stream ftl.Stream) error {
 		return err
 	}
 	old := s.table.Update(lpn, int64(p))
-	s.rmap[p] = lpn
-	s.man.AddValid(g.BlockOfPage(p), 1)
+	s.rmap[p] = int32(lpn)
+	b, _ := s.dev.BlockOfPage(p)
+	s.man.AddValid(b, 1)
 	if old != mapping.None {
-		s.man.AddValid(g.BlockOfPage(nand.PageID(old)), -1)
+		ob, _ := s.dev.BlockOfPage(nand.PageID(old))
+		s.man.AddValid(ob, -1)
 	}
 	return nil
 }
@@ -280,7 +281,7 @@ func (o *storeOwner) Work(victim nand.BlockID) (int, bool, error) {
 		}
 		p := g.PageOf(victim, s.gcCursor)
 		s.gcCursor++
-		lpn := s.rmap[p]
+		lpn := int64(s.rmap[p])
 		if lpn == mapping.None || s.table.Lookup(lpn) != int64(p) {
 			continue // stale copy
 		}
@@ -376,7 +377,7 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 	}
 	for lpn, w := range win {
 		s.table.Update(lpn, w.ppn)
-		s.rmap[w.ppn] = lpn
+		s.rmap[w.ppn] = int32(lpn)
 		s.masks[lpn] = w.mask
 		rep.LiveSectors += int64(bits.OnesCount64(w.mask))
 		// Only the winning copy re-seeds the version tracker: a stale copy
@@ -418,7 +419,7 @@ func (s *Store) Check() error {
 		if s.masks[lpn] == 0 {
 			return fmt.Errorf("fullpage: lpn %d mapped with empty mask", lpn)
 		}
-		if s.rmap[ppn] != lpn {
+		if int64(s.rmap[ppn]) != lpn {
 			return fmt.Errorf("fullpage: rmap[%d] = %d, want %d", ppn, s.rmap[ppn], lpn)
 		}
 		perBlock[g.BlockOfPage(nand.PageID(ppn))]++

@@ -8,13 +8,13 @@ import "fmt"
 // origin bit feeds the paper's small-write request-WAF attribution.
 type Versions struct {
 	version []uint32
-	small   []bool
+	small   Bitset
 }
 
 // NewVersions returns a tracker for n logical sectors, all at version 0
 // (never written).
 func NewVersions(n int64) *Versions {
-	return &Versions{version: make([]uint32, n), small: make([]bool, n)}
+	return &Versions{version: make([]uint32, n), small: NewBitset(n)}
 }
 
 // Size returns the number of tracked sectors.
@@ -24,7 +24,7 @@ func (v *Versions) Size() int64 { return int64(len(v.version)) }
 // records whether the write belonged to a small request.
 func (v *Versions) Bump(lsn int64, smallReq bool) uint32 {
 	v.version[lsn]++
-	v.small[lsn] = smallReq
+	v.small.Set(lsn, smallReq)
 	return v.version[lsn]
 }
 
@@ -32,7 +32,7 @@ func (v *Versions) Bump(lsn int64, smallReq bool) uint32 {
 func (v *Versions) Current(lsn int64) uint32 { return v.version[lsn] }
 
 // SmallOrigin reports whether lsn's latest data came from a small request.
-func (v *Versions) SmallOrigin(lsn int64) bool { return v.small[lsn] }
+func (v *Versions) SmallOrigin(lsn int64) bool { return v.small.Get(lsn) }
 
 // Restore raises lsn's version to at least ver, used by mount-time
 // recovery to re-seed the tracker from on-flash stamps. Callers pass only
@@ -52,7 +52,7 @@ func (v *Versions) Restore(lsn int64, ver uint32) {
 // Clear resets lsn to never-written (after a trim).
 func (v *Versions) Clear(lsn int64) {
 	v.version[lsn] = 0
-	v.small[lsn] = false
+	v.small.Set(lsn, false)
 }
 
 // CheckRange validates a host-addressed range against the tracker size.

@@ -3,6 +3,7 @@ package host
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
@@ -144,4 +145,15 @@ func TestLoopDriverAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A Command slab fills the allocator's 8 KiB size class: it fits, and one
+// more record would not, so no slab is rounded up with padding behind its
+// last record.
+func TestCommandSlabFitsSizeClass(t *testing.T) {
+	size := unsafe.Sizeof(Command{})
+	if cmdsPerSlab*size > 8192 || (cmdsPerSlab+1)*size <= 8192 {
+		t.Fatalf("%d records of %d B take %d B of 8192", cmdsPerSlab, size, cmdsPerSlab*size)
+	}
+	t.Logf("Command is %d B: %d records, %d B per slab", size, cmdsPerSlab, cmdsPerSlab*size)
 }

@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"espftl/internal/ftl"
 	"espftl/internal/nand"
@@ -207,8 +208,10 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// cmdsPerSlab is how many Command records one slab refill allocates.
-const cmdsPerSlab = 32
+// cmdsPerSlab is how many Command records one slab refill allocates: as
+// many as fit 8 KiB, one of the allocator's size classes, so no slab is
+// rounded up to the next class with padding behind its last record.
+const cmdsPerSlab = 8192 / unsafe.Sizeof(Command{})
 
 // newCmd takes a zeroed Command from the freelist, or else the next record
 // of the slab, refilling it when it is used up. Slab records are never

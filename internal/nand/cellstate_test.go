@@ -2,17 +2,82 @@ package nand
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"unsafe"
 
 	"espftl/internal/sim"
 )
 
-// Cell state is most of a device's memory: one subpage must stay 32 bytes.
-func TestSubpageIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(subpage{}); got != 32 {
-		t.Fatalf("subpage is %d bytes, want 32", got)
+// Cell state is most of a device's memory: one subpage must stay 24 bytes.
+func TestSubpageIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(subpage{}); got != 24 {
+		t.Fatalf("subpage is %d bytes, want 24", got)
 	}
+}
+
+// A stamp whose LSN a cell cannot hold is refused before the operation is
+// admitted, like a bad address; the bounds themselves program and read
+// back exactly.
+func TestProgramRefusesLSNOutsideCell(t *testing.T) {
+	d, err := NewDevice(DefaultConfig(), sim.NewClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Geometry()
+	for i, lsn := range []int64{-2, maxAddress, math.MaxInt64, math.MinInt64} {
+		p := g.PageOf(0, i)
+		if _, err := d.ProgramPage(p, []Stamp{{LSN: 1}, {LSN: lsn}}); !errors.Is(err, ErrBadLSN) {
+			t.Errorf("ProgramPage with lsn %d: %v, want ErrBadLSN", lsn, err)
+		}
+		_, err := d.ProgramSubpageRun(p, 1, []Stamp{{LSN: 1}, {LSN: lsn}})
+		if !errors.Is(err, ErrBadLSN) {
+			t.Errorf("ProgramSubpageRun with lsn %d: %v, want ErrBadLSN", lsn, err)
+		}
+		var oe *OpError
+		if !errors.As(err, &oe) || oe.Block != 0 || oe.Page != i {
+			t.Errorf("lsn %d: refusal %v does not locate the page", lsn, err)
+		}
+	}
+	if d.OpCount() != 0 || d.PagePasses(g.PageOf(0, 0)) != 0 {
+		t.Fatalf("refused programs admitted %d ops", d.OpCount())
+	}
+	p := g.PageOf(1, 0)
+	if _, err := d.ProgramPage(p, []Stamp{{LSN: maxAddress - 1, Version: math.MaxUint32}, Padding}); err != nil {
+		t.Fatal(err)
+	}
+	for sub, want := range []Stamp{{LSN: maxAddress - 1, Version: math.MaxUint32}, Padding} {
+		if got := d.SubpageInfo(g.SubpageOf(p, sub)).Stamp; got != want {
+			t.Errorf("slot %d holds %v, want %v", sub, got, want)
+		}
+	}
+}
+
+// The program sequence keeps all 40 of its bits in a cell, and the device
+// stops rather than let it wrap.
+func TestProgramSequenceBound(t *testing.T) {
+	d, err := NewDevice(DefaultConfig(), sim.NewClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Geometry()
+	d.seq = maxSeq - 1
+	if _, err := d.ProgramPage(g.PageOf(0, 0), []Stamp{{LSN: 3, Version: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.SubpageInfo(g.SubpageOf(g.PageOf(0, 0), 0)).Seq; got != maxSeq {
+		t.Fatalf("cell holds seq %#x, want %#x", got, uint64(maxSeq))
+	}
+	oob, err := d.ScanPageOOB(g.PageOf(0, 0))
+	if err != nil || oob[0].OOB.Seq != maxSeq {
+		t.Fatalf("scan reads seq %#x (%v), want %#x", oob[0].OOB.Seq, err, uint64(maxSeq))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("program past the 40-bit sequence did not panic")
+		}
+	}()
+	d.ProgramSubpage(g.PageOf(0, 1), 0, Stamp{LSN: 4})
 }
 
 // oddGeometry has no power-of-two dimension, so an off-by-one in the flat

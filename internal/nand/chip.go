@@ -5,19 +5,25 @@ import (
 )
 
 // subpage is the persistent state of one subpage since the last erase of
-// its block, packed to 32 bytes: cell state is most of a device's memory
-// and every program, read and erase streams through it.
+// its block, packed to 24 bytes: cell state is most of a device's memory
+// and every program, read and erase streams through it. Each field is as
+// wide as its values: the program entry points refuse an LSN outside
+// [PaddingLSN, maxAddress) and the device stops before its program
+// sequence needs more than 40 bits.
 type subpage struct {
 	// programmedAt is the virtual time of the program, for retention aging.
 	programmedAt sim.Time
-	// seq is the device-global sequence number of the program operation
-	// that wrote this subpage; all slots of one op share it.
-	seq uint64
 	// lsn and version are the stored payload's integrity fingerprint (its
 	// Stamp).
-	lsn     int64
+	lsn     int32
 	version uint32
-	// flags holds the subProgrammed, subDestroyed and subTorn bits.
+	// seqLo and seqHi are the low 32 and high 8 bits of the device-global
+	// sequence number of the program operation that wrote this subpage;
+	// all slots of one op share it.
+	seqLo uint32
+	seqHi uint8
+	// flags holds the subProgrammed, subDestroyed and subTorn bits; the
+	// other five are free.
 	flags uint8
 	// npp is the subpage's N^k_pp type: the number of program passes the
 	// page had received before this subpage was programmed.
@@ -25,6 +31,10 @@ type subpage struct {
 	// tag is the FTL region tag recorded in the OOB at program time.
 	tag uint8
 }
+
+// maxSeq bounds the device's program sequence: subpage keeps 40 bits of
+// it, room for 10^12 program operations.
+const maxSeq = 1<<40 - 1
 
 // subpage.flags bits.
 const (
@@ -39,15 +49,17 @@ const (
 	subTorn
 )
 
-func (sp *subpage) stamp() Stamp { return Stamp{LSN: sp.lsn, Version: sp.version} }
+func (sp *subpage) stamp() Stamp { return Stamp{LSN: int64(sp.lsn), Version: sp.version} }
+
+func (sp *subpage) seq() uint64 { return uint64(sp.seqHi)<<32 | uint64(sp.seqLo) }
 
 // program records a program of the slot. It sets every field, as a
 // composite literal would, but store by store: the compiler builds a
 // literal on the stack and copies it in wider loads than its stores,
 // which stalls on every slot written.
 func (sp *subpage) program(st Stamp, npp NppType, at sim.Time, seq uint64, tag uint8) {
-	sp.programmedAt, sp.seq = at, seq
-	sp.lsn, sp.version = st.LSN, st.Version
+	sp.programmedAt, sp.seqLo, sp.seqHi = at, uint32(seq), uint8(seq>>32)
+	sp.lsn, sp.version = int32(st.LSN), st.Version
 	sp.flags, sp.npp, sp.tag = subProgrammed, npp, tag
 }
 
@@ -241,7 +253,7 @@ func (c *chip) subpageInfo(localBlock, pageIdx, sub int) SubpageInfo {
 		Npp:          sp.npp,
 		ProgrammedAt: sp.programmedAt,
 		Stamp:        sp.stamp(),
-		Seq:          sp.seq,
+		Seq:          sp.seq(),
 		Tag:          sp.tag,
 	}
 }
@@ -292,7 +304,7 @@ func (c *chip) pageOOB(localBlock, pageIdx int, out []SubpageOOB) []SubpageOOB {
 		default:
 			enc := EncodeOOB(OOB{
 				Stamp:        sp.stamp(),
-				Seq:          sp.seq,
+				Seq:          sp.seq(),
 				Npp:          sp.npp,
 				ProgrammedAt: sp.programmedAt,
 				Tag:          sp.tag,

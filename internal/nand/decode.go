@@ -30,17 +30,35 @@ func (v divisor) divmod(x int64) (q, r int) {
 
 // decoder holds the geometry's divisors, built once by NewDevice.
 type decoder struct {
-	pages divisor // PagesPerBlock: page → (block, page index)
-	chips divisor // Chips: block → (local block, chip)
-	subs  divisor // SubpagesPerPage: subpage → (page, slot)
+	pages  divisor // PagesPerBlock: page → (block, page index)
+	chips  divisor // Chips: block → (local block, chip)
+	subs   divisor // SubpagesPerPage: subpage → (page, slot)
+	blkSub divisor // SubpagesPerBlock: subpage → (block, offset in block)
 }
 
 func newDecoder(g Geometry) decoder {
 	return decoder{
-		pages: newDivisor(g.PagesPerBlock),
-		chips: newDivisor(g.Chips()),
-		subs:  newDivisor(g.SubpagesPerPage),
+		pages:  newDivisor(g.PagesPerBlock),
+		chips:  newDivisor(g.Chips()),
+		subs:   newDivisor(g.SubpagesPerPage),
+		blkSub: newDivisor(g.SubpagesPerBlock()),
 	}
+}
+
+// BlockOfPage returns the block holding page p and p's index within it,
+// without dividing: the FTLs' hot paths decode through it. p must be a
+// page of the device; Geometry.BlockOfPage serves unchecked addresses.
+func (d *Device) BlockOfPage(p PageID) (BlockID, int) {
+	b, pi := d.dec.pages.divmod(int64(p))
+	return BlockID(b), pi
+}
+
+// BlockOfSubpage returns the block holding subpage s and s's offset
+// within it (page index × SubpagesPerPage + slot), without dividing. s
+// must be a subpage of the device.
+func (d *Device) BlockOfSubpage(s SubpageID) (BlockID, int) {
+	b, off := d.dec.blkSub.divmod(int64(s))
+	return BlockID(b), off
 }
 
 // loc is an address decoded once per operation; every later step of the

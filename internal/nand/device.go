@@ -354,6 +354,27 @@ func (d *Device) EraseAt(b BlockID, depth EraseDepth) (sim.Time, error) {
 	return end, nil
 }
 
+// lsnsFit reports whether every stamp's LSN fits a cell: PaddingLSN or in
+// [0, maxAddress).
+func lsnsFit(stamps []Stamp) bool {
+	for i := range stamps {
+		if uint64(stamps[i].LSN+1) > maxAddress {
+			return false
+		}
+	}
+	return true
+}
+
+// nextSeq advances the program sequence. A cell keeps 40 bits of it, so
+// the device stops rather than wrap.
+func (d *Device) nextSeq() uint64 {
+	if d.seq >= maxSeq {
+		panic("nand: program sequence exhausted (2^40 program operations)")
+	}
+	d.seq++
+	return d.seq
+}
+
 // ProgramPage writes a full page in one pass. stamps supplies one stamp
 // per subpage slot; missing entries are padding. The page must be fully
 // erased.
@@ -370,6 +391,9 @@ func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, 
 		return 0, &OpError{Op: "program", Block: g.BlockOfPage(p), Page: g.PageIndex(p), Sub: -1, Err: ErrBadAddress}
 	}
 	l := d.pageLoc(p)
+	if !lsnsFit(stamps[:min(len(stamps), g.SubpagesPerPage)]) {
+		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrBadLSN}
+	}
 	tear, err := d.beginOp(true)
 	if err != nil {
 		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: err}
@@ -380,8 +404,7 @@ func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, 
 		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
 	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[g.SubpagesPerPage], d.cfg.Latency.ProgramPage)
-	d.seq++
-	if err := l.ch.programPage(l.lb, l.pi, stamps, start, d.seq, tag); err != nil {
+	if err := l.ch.programPage(l.lb, l.pi, stamps, start, d.nextSeq(), tag); err != nil {
 		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
 	d.counters.PagePrograms++
@@ -420,6 +443,9 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 		return 0, &OpError{Op: "subprogram", Block: g.BlockOfPage(p), Page: g.PageIndex(p), Sub: firstSub, Err: ErrBadAddress}
 	}
 	l := d.pageLoc(p)
+	if !lsnsFit(stamps) {
+		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: ErrBadLSN}
+	}
 	tear, err := d.beginOp(true)
 	if err != nil {
 		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: err}
@@ -430,8 +456,7 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
 	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[k], d.passCell[k])
-	d.seq++
-	if err := l.ch.programSubpages(l.lb, l.pi, firstSub, stamps, start, d.seq, tag); err != nil {
+	if err := l.ch.programSubpages(l.lb, l.pi, firstSub, stamps, start, d.nextSeq(), tag); err != nil {
 		return 0, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: err}
 	}
 	d.counters.SubPrograms++

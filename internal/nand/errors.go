@@ -45,6 +45,10 @@ var (
 	// power loss: the cells hold a partial charge distribution that no
 	// read-retry level can decode.
 	ErrTorn = errors.New("nand: subpage torn by interrupted program")
+	// ErrBadLSN reports a program whose stamp names an LSN a cell cannot
+	// hold: below PaddingLSN, or 2^31 or above (no device address, and so
+	// no logical sector of a device-sized space, reaches it).
+	ErrBadLSN = errors.New("nand: stamp lsn outside [-1, 2^31)")
 	// ErrBadOOB reports an out-of-band record that failed to decode
 	// (truncated, wrong magic, or checksum mismatch).
 	ErrBadOOB = errors.New("nand: malformed oob record")

@@ -398,10 +398,18 @@ func TestDecodeMatchesGeometry(t *testing.T) {
 		}
 		for p := PageID(0); int64(p) < g.TotalPages(); p++ {
 			check(fmt.Sprintf("page %d", p), d.pageLoc(p), g.BlockOfPage(p), g.PageIndex(p))
+			if b, pi := d.BlockOfPage(p); b != g.BlockOfPage(p) || pi != g.PageIndex(p) {
+				t.Fatalf("%v: BlockOfPage(%d) = (%d, %d)", g, p, b, pi)
+			}
 		}
 		for s := int64(0); s < g.TotalSubpages(); s++ {
 			if p, sub := d.dec.subs.divmod(s); PageID(p) != g.PageOfSubpage(SubpageID(s)) || sub != g.SubIndex(SubpageID(s)) {
 				t.Fatalf("%v: subpage %d decodes to (%d, %d)", g, s, p, sub)
+			}
+			p := g.PageOfSubpage(SubpageID(s))
+			wantOff := g.PageIndex(p)*g.SubpagesPerPage + g.SubIndex(SubpageID(s))
+			if b, off := d.BlockOfSubpage(SubpageID(s)); b != g.BlockOfPage(p) || off != wantOff {
+				t.Fatalf("%v: BlockOfSubpage(%d) = (%d, %d), want (%d, %d)", g, s, b, off, g.BlockOfPage(p), wantOff)
 			}
 		}
 	}
