@@ -7,7 +7,7 @@
 // Examples:
 //
 //	espclient -addr 127.0.0.1:9750 -profile varmail -n 50000 -qd 8
-//	espclient -trace workload.bin -qd 16 -ns tenant-a
+//	espclient -trace workload.trace -qd 16 -ns tenant-a
 //	espclient -profile ycsb -n 10000 -stat
 //	espclient -conns 4 -qd 8 -n 100000
 //
@@ -36,7 +36,7 @@ func main() {
 	profile := flag.String("profile", "varmail", "workload profile: sysbench, varmail, postmark, ycsb, tpc-c")
 	rsmall := flag.Float64("rsmall", -1, "use the sweep profile with this r_small (overrides -profile)")
 	rsynch := flag.Float64("rsynch", 1.0, "r_synch for the sweep profile")
-	tracePath := flag.String("trace", "", "replay this trace file (binary or text) instead of a profile")
+	tracePath := flag.String("trace", "", "replay this text trace file instead of a profile")
 	n := flag.Int("n", 50000, "request count (profiles only)")
 	qd := flag.Int("qd", 8, "closed-loop queue depth per connection")
 	conns := flag.Int("conns", 1, "parallel connections splitting the request budget")
@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		reqs, err := trace.ReadAny(f)
+		reqs, err := trace.ReadText(f)
 		f.Close()
 		if err != nil {
 			fatal(err)

@@ -5,7 +5,7 @@
 //
 //	espsim -ftl subFTL -profile varmail -requests 50000
 //	espsim -ftl fgmFTL -rsmall 0.8 -rsynch 1.0
-//	espsim -ftl subFTL -trace workload.bin
+//	espsim -ftl subFTL -trace workload.trace
 //	espsim -ftl subFTL -profile ycsb -qd 16 -arb read-priority
 //	espsim -ftl subFTL -profile varmail -rate 80000
 //	espsim -ftl subFTL -spo 5000 -spo-torn
@@ -42,7 +42,7 @@ func main() {
 	profile := flag.String("profile", "varmail", "workload profile: sysbench, varmail, postmark, ycsb, tpc-c")
 	rsmall := flag.Float64("rsmall", -1, "use the synthetic sweep profile with this r_small (overrides -profile)")
 	rsynch := flag.Float64("rsynch", 1.0, "r_synch for the sweep profile")
-	tracePath := flag.String("trace", "", "replay this trace file (binary or text) instead of a profile")
+	tracePath := flag.String("trace", "", "replay this text trace file instead of a profile")
 	requests := flag.Int("requests", 50000, "measured request count (profiles only)")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	subFrac := flag.Float64("subregion", 0.20, "subFTL subpage-region fraction")
@@ -105,7 +105,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		reqs, err := trace.ReadAny(f)
+		reqs, err := trace.ReadText(f)
 		if err != nil {
 			fatal(fmt.Errorf("trace %s: %w", *tracePath, err))
 		}

@@ -1,12 +1,12 @@
 // Command tracegen writes synthetic I/O traces for the five benchmark
-// profiles (or a parameterized sweep) in the binary or text trace format.
-// Both are accepted back by espsim and espclient through trace.ReadAny;
-// espclient replays either over the wire protocol.
+// profiles (or a parameterized sweep) in the text trace format, which
+// espsim replays against a simulated drive and espclient over the wire
+// protocol.
 //
 // Example:
 //
-//	tracegen -profile varmail -n 100000 -o varmail.bin
-//	tracegen -rsmall 0.8 -rsynch 1 -n 50000 -format text -o sweep.trace
+//	tracegen -profile varmail -n 100000 -o varmail.trace
+//	tracegen -rsmall 0.8 -rsynch 1 -n 50000 -o sweep.trace
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 	n := flag.Int("n", 100000, "number of requests")
 	sectors := flag.Int64("sectors", 1<<20, "logical space in 4-KB sectors")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	format := flag.String("format", "binary", "output format: binary or text")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
@@ -60,18 +59,10 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "binary":
-		err = trace.WriteBinary(w, reqs)
-	case "text":
-		err = trace.WriteText(w, reqs)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := trace.WriteText(w, reqs); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d requests (%s, %s)\n", len(reqs), prof.Name, *format)
+	fmt.Fprintf(os.Stderr, "tracegen: wrote %d requests (%s)\n", len(reqs), prof.Name)
 }
 
 func fatal(err error) {

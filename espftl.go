@@ -76,11 +76,6 @@ type Config struct {
 	// SubRegionFrac is subFTL's subpage-region share of blocks, in (0,1);
 	// 0 picks the paper's 0.20. Ignored by the baselines.
 	SubRegionFrac float64
-	// EnableSubpageRead turns on the paper's §7 future-work extension.
-	EnableSubpageRead bool
-	// DisableRetention disables subFTL's retention manager (dangerous;
-	// for experiments only).
-	DisableRetention bool
 	// Fault, when non-nil, arms the device's deterministic fault injector
 	// with this profile and enables the read-retry recovery path. Nil
 	// keeps the fault-free device, bit-identical to earlier releases.
@@ -103,12 +98,10 @@ func New(cfg Config) (*SSD, error) {
 		cfg.Geometry = nand.DefaultGeometry
 	}
 	dev, f, logical, err := experiment.BuildSized(experiment.RunConfig{
-		Kind:              experiment.Kind(cfg.FTL),
-		Geometry:          cfg.Geometry,
-		SubRegionFrac:     cfg.SubRegionFrac,
-		DisableRetention:  cfg.DisableRetention,
-		EnableSubpageRead: cfg.EnableSubpageRead,
-		FaultProfile:      cfg.Fault,
+		Kind:          experiment.Kind(cfg.FTL),
+		Geometry:      cfg.Geometry,
+		SubRegionFrac: cfg.SubRegionFrac,
+		FaultProfile:  cfg.Fault,
 	}, cfg.LogicalSectors)
 	if err != nil {
 		return nil, err

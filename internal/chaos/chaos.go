@@ -188,7 +188,6 @@ func Run(cfg Config) (*Result, error) {
 				ProgramFailProb: 5e-4,
 				EraseFailProb:   1e-4,
 				WearSlope:       1.0,
-				RatedPE:         1000,
 			}
 		}
 		dev, in, st, err := buildStack(prof)

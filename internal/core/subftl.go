@@ -307,12 +307,6 @@ func (f *FTL) SubRegionBlocks() int { return f.subBlocks }
 // RegionValid returns the number of live subpages in the subpage region.
 func (f *FTL) RegionValid() int { return f.Man.TotalValid(ftl.RoleSub) }
 
-// HashLoad returns the subpage-mapping hash table's live entries and
-// average probe length, for the paper's mapping-memory discussion.
-func (f *FTL) HashLoad() (entries int, avgProbes float64) {
-	return f.hash.Len(), f.hash.AverageProbes()
-}
-
 // writeFullAligned routes a complete aligned logical page to the full-page
 // region, retiring any stale copies its sectors have elsewhere.
 func (f *FTL) writeFullAligned(lpn int64, attrSmall int64) error {

@@ -377,8 +377,7 @@ func TestMappingMemoryBelowFGM(t *testing.T) {
 		t.Fatalf("subFTL mapping = %d B, not small vs fine-grained %d B", s.MappingBytes, fineBytes)
 	}
 	f := env.FTL.(*FTL)
-	entries, _ := f.HashLoad()
-	if entries != 0 {
+	if entries := f.hash.Len(); entries != 0 {
 		t.Fatalf("fresh FTL has %d hash entries", entries)
 	}
 }

@@ -51,7 +51,7 @@ func (k Kind) String() string {
 // Profile describes the stochastic fault environment of one device. All
 // probabilities are per operation; a zero value injects nothing of that
 // kind. Wear scaling multiplies the program/erase/read-disturb
-// probabilities by (1 + WearSlope*pe/RatedPE), modeling the P/E-cycle
+// probabilities by (1 + WearSlope*pe/ratedPE), modeling the P/E-cycle
 // growth of media failures; every chip draws from the same probabilities.
 type Profile struct {
 	// Seed drives every probabilistic draw and the factory-bad hash.
@@ -69,11 +69,13 @@ type Profile struct {
 	EraseFailProb float64
 	// FactoryBadFrac is the fraction of blocks bad from the factory.
 	FactoryBadFrac float64
-	// WearSlope and RatedPE control wear scaling of the probabilities;
-	// WearSlope 0 disables it, RatedPE 0 defaults to 1000 cycles.
+	// WearSlope controls wear scaling of the probabilities; 0 disables it.
 	WearSlope float64
-	RatedPE   int
 }
+
+// ratedPE is the P/E-cycle count at which wear scaling adds WearSlope
+// times each base probability.
+const ratedPE = 1000
 
 // DefaultProfile returns a moderate fault environment: rare disturbs that
 // a couple of read-retry steps clear, program/erase failure rates in the
@@ -87,7 +89,6 @@ func DefaultProfile(seed uint64) Profile {
 		EraseFailProb:   5e-5,
 		FactoryBadFrac:  0.005,
 		WearSlope:       1.0,
-		RatedPE:         1000,
 	}
 }
 
@@ -166,14 +167,8 @@ func NewInjector(p Profile) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.RatedPE <= 0 {
-		p.RatedPE = 1000
-	}
 	return &Injector{prof: p, rng: sim.NewRNG(p.Seed)}, nil
 }
-
-// Profile returns the injector's (validated) profile.
-func (inj *Injector) Profile() Profile { return inj.prof }
 
 // Counts returns a snapshot of the delivered-fault counters.
 func (inj *Injector) Counts() Counts { return inj.counts }
@@ -189,7 +184,7 @@ func (inj *Injector) Script(ev Event) {
 func (inj *Injector) scale(pe int) float64 {
 	s := 1.0
 	if inj.prof.WearSlope > 0 && pe > 0 {
-		s += inj.prof.WearSlope * float64(pe) / float64(inj.prof.RatedPE)
+		s += inj.prof.WearSlope * float64(pe) / ratedPE
 	}
 	return s
 }

@@ -191,7 +191,7 @@ func TestFactoryBadOrderIndependent(t *testing.T) {
 func TestWearScaling(t *testing.T) {
 	// A wear multiplier that pushes the probability past 1 makes every
 	// draw fail.
-	p := Profile{Seed: 2, ProgramFailProb: 0.5, WearSlope: 1, RatedPE: 1000}
+	p := Profile{Seed: 2, ProgramFailProb: 0.5, WearSlope: 1}
 	inj, _ := NewInjector(p)
 	// pe=2000 at slope 1/rated 1000 scales 0.5 to 1.5 >= 1: certain failure.
 	for i := 0; i < 50; i++ {

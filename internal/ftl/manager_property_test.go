@@ -47,7 +47,7 @@ func (v scanOrderView) Next(b nand.BlockID) (nand.BlockID, bool) {
 // excluded in-flight block, the index-backed view walks the same block
 // sequence as the scan and every policy picks the same victim from both.
 func indexMatchesScan(m *Manager, units int) error {
-	policies := []gc.Policy{gc.Greedy{}, gc.CostBenefit{}, gc.WindowedGreedy{W: 3}}
+	policies := []gc.Policy{gc.Greedy{}, gc.CostBenefit{}, gc.WindowedGreedy{}}
 	for _, role := range []Role{RoleFull, RoleSub} {
 		var exclude func(nand.BlockID) bool
 		for pass := 0; pass < 2; pass++ {

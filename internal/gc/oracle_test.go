@@ -91,10 +91,7 @@ func oracleCostBenefit(v scanView) (nand.BlockID, bool) {
 	return best, found
 }
 
-func oracleWindowed(v scanView, w int) (nand.BlockID, bool) {
-	if w <= 0 {
-		w = DefaultWindow
-	}
+func oracleWindowed(v scanView) (nand.BlockID, bool) {
 	cutoff, ok := oracleReclaimCutoff(v)
 	if !ok {
 		return 0, false
@@ -115,8 +112,8 @@ func oracleWindowed(v scanView, w int) (nand.BlockID, bool) {
 		}
 		return cands[i] < cands[j]
 	})
-	if len(cands) > w {
-		cands = cands[:w]
+	if len(cands) > DefaultWindow {
+		cands = cands[:DefaultWindow]
 	}
 	best, bestValid := cands[0], v.Valid(cands[0])
 	for _, b := range cands[1:] {
@@ -170,12 +167,9 @@ func TestPoliciesMatchLinearOracles(t *testing.T) {
 		c, cOK := CostBenefit{}.SelectVictim(v)
 		wc, wcOK := oracleCostBenefit(v)
 		check("cost-benefit", c, cOK, wc, wcOK)
-		// 40 exceeds the window the policy keeps on the stack.
-		for _, w := range []int{0, 1, 3, 40} {
-			b, bOK := WindowedGreedy{W: w}.SelectVictim(v)
-			wb, wbOK := oracleWindowed(v, w)
-			check("windowed", b, bOK, wb, wbOK)
-		}
+		b, bOK := WindowedGreedy{}.SelectVictim(v)
+		wb, wbOK := oracleWindowed(v)
+		check("windowed", b, bOK, wb, wbOK)
 	}
 }
 
@@ -200,7 +194,7 @@ func sizedView(blocks int) *fakeView {
 // view only up to its cutoff, so the number of view calls it makes is the
 // same at 512 and 8,192 blocks (and greedy makes exactly one).
 func TestSelectionViewCallsIndependentOfDeviceSize(t *testing.T) {
-	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{W: 4}} {
+	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{}} {
 		var calls [2]int
 		for i, blocks := range []int{512, 8192} {
 			v := sizedView(blocks)
@@ -220,9 +214,9 @@ func TestSelectionViewCallsIndependentOfDeviceSize(t *testing.T) {
 
 func TestSelectVictimAllocs(t *testing.T) {
 	v := sizedView(512)
-	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{}, WindowedGreedy{W: 4 * DefaultWindow}} {
+	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{}} {
 		if n := testing.AllocsPerRun(100, func() { p.SelectVictim(v) }); n != 0 {
-			t.Errorf("%s (W=%+v): %v allocs per selection, want 0", p.Name(), p, n)
+			t.Errorf("%s: %v allocs per selection, want 0", p.Name(), n)
 		}
 	}
 }

@@ -137,20 +137,17 @@ func (CostBenefit) SelectVictim(v View) (nand.BlockID, bool) {
 	return best, found
 }
 
-// WindowedGreedy restricts greedy selection to the W oldest candidates
-// by last-invalidate time. The window makes selection age-aware (hot
-// blocks still being invalidated get time to bleed out before they are
-// cleaned) without the float scoring of cost-benefit. Like cost-benefit,
-// the candidate set is bounded by the reclaim cutoff so the oldest-first
-// window cannot fill up with near-full cold blocks. Equal valid counts
-// inside the window resolve to the older block, then the lower BlockID.
-type WindowedGreedy struct {
-	// W is the window size; <= 0 means DefaultWindow.
-	W int
-}
+// WindowedGreedy restricts greedy selection to the DefaultWindow oldest
+// candidates by last-invalidate time. The window makes selection age-aware
+// (hot blocks still being invalidated get time to bleed out before they
+// are cleaned) without the float scoring of cost-benefit. Like
+// cost-benefit, the candidate set is bounded by the reclaim cutoff so the
+// oldest-first window cannot fill up with near-full cold blocks. Equal
+// valid counts inside the window resolve to the older block, then the
+// lower BlockID.
+type WindowedGreedy struct{}
 
-// DefaultWindow is the windowed-greedy candidate window when none is
-// configured.
+// DefaultWindow is the windowed-greedy candidate window.
 const DefaultWindow = 8
 
 // Name implements Policy.
@@ -158,24 +155,19 @@ func (p WindowedGreedy) Name() string { return "windowed" }
 
 // SelectVictim implements Policy.
 func (p WindowedGreedy) SelectVictim(v View) (nand.BlockID, bool) {
-	w := p.W
-	if w <= 0 {
-		w = DefaultWindow
-	}
 	b, ok := v.First()
 	if !ok {
 		return 0, false
 	}
 	cutoff := reclaimCutoff(v, b)
-	// window holds the (up to) w oldest candidates seen so far, oldest
-	// first; block ID breaks last-invalidate ties so the window — and
-	// therefore the selection — is fully deterministic. Windows up to four
-	// times the default live on the stack.
+	// window holds the (up to) DefaultWindow oldest candidates seen so
+	// far, oldest first; block ID breaks last-invalidate ties so the
+	// window — and therefore the selection — is fully deterministic.
 	type aged struct {
 		b nand.BlockID
 		t sim.Time
 	}
-	var stack [4 * DefaultWindow]aged
+	var stack [DefaultWindow]aged
 	window := stack[:0]
 	for ; ok && v.Valid(b) <= cutoff; b, ok = v.Next(b) {
 		c := aged{b, v.LastInvalidate(b)}
@@ -183,10 +175,10 @@ func (p WindowedGreedy) SelectVictim(v View) (nand.BlockID, bool) {
 		for i > 0 && (c.t < window[i-1].t || (c.t == window[i-1].t && c.b < window[i-1].b)) {
 			i--
 		}
-		if i == w {
+		if i == DefaultWindow {
 			continue
 		}
-		if len(window) < w {
+		if len(window) < DefaultWindow {
 			window = append(window, aged{})
 		}
 		copy(window[i+1:], window[i:])

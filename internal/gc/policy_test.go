@@ -114,22 +114,23 @@ func TestCostBenefitTieKeepsLowestID(t *testing.T) {
 }
 
 func TestWindowedGreedyRestrictsToOldest(t *testing.T) {
-	// Block 3 has the global minimum valid count but is the youngest;
-	// with W=2 only blocks 1 and 2 (the oldest) are in the window, and
-	// the min-valid of those is block 2.
-	valid := []int{6, 5, 4, 1}
-	inval := []sim.Time{30, 10, 20, 40}
-	// units = 16 keeps every block within the reclaim cutoff (1 + 15/2 = 8)
+	// Block 8 has the global minimum valid count but is the youngest;
+	// only the eight oldest (blocks 0..7) are in the window, and the min
+	// valid of those is block 7.
+	valid := []int{9, 9, 9, 9, 9, 9, 9, 5, 1}
+	inval := []sim.Time{10, 11, 12, 13, 14, 15, 16, 17, 40}
+	// units = 32 keeps every block within the reclaim cutoff (1 + 31/2 = 16)
 	// so this test isolates the window restriction.
-	v := newFakeView(valid, inval, 16, 100)
-	b, ok := WindowedGreedy{W: 2}.SelectVictim(v)
-	if !ok || b != 2 {
-		t.Fatalf("windowed picked %d ok=%v, want 2 (min valid inside 2-oldest window)", b, ok)
+	v := newFakeView(valid, inval, 32, 100)
+	b, ok := WindowedGreedy{}.SelectVictim(v)
+	if !ok || b != 7 {
+		t.Fatalf("windowed picked %d ok=%v, want 7 (min valid inside 8-oldest window)", b, ok)
 	}
-	// A window covering everything degenerates to plain greedy.
-	b, ok = WindowedGreedy{W: 16}.SelectVictim(v)
-	if !ok || b != 3 {
-		t.Fatalf("wide window picked %d ok=%v, want greedy answer 3", b, ok)
+	// A window covering every candidate degenerates to plain greedy.
+	v = newFakeView(valid[1:], inval[1:], 32, 100)
+	b, ok = WindowedGreedy{}.SelectVictim(v)
+	if !ok || b != 7 {
+		t.Fatalf("window over all 8 candidates picked %d ok=%v, want greedy answer 7", b, ok)
 	}
 }
 
@@ -161,8 +162,11 @@ func TestReclaimCutoffExcludesNearFullColdBlocks(t *testing.T) {
 	if b, ok := (CostBenefit{}).SelectVictim(v); !ok || b == 1 {
 		t.Fatalf("cost-benefit picked %d ok=%v, want a block under the reclaim cutoff", b, ok)
 	}
-	if b, ok := (WindowedGreedy{W: 1}).SelectVictim(v); !ok || b != 2 {
-		t.Fatalf("windowed picked %d ok=%v, want 2 (oldest eligible)", b, ok)
+	// Eight ancient near-full blocks would fill the window ahead of the
+	// two eligible ones, 8 and 9; the cutoff keeps them out of it.
+	v = newFakeView([]int{7, 7, 7, 7, 7, 7, 7, 7, 2, 4}, []sim.Time{0, 1, 2, 3, 4, 5, 6, 7, 900, 10}, 8, 1000)
+	if b, ok := (WindowedGreedy{}).SelectVictim(v); !ok || b != 8 {
+		t.Fatalf("windowed picked %d ok=%v, want 8 (min valid under the reclaim cutoff)", b, ok)
 	}
 	// When every candidate is near-full (a freshly filled device) the
 	// cutoff must not empty the candidate set.
@@ -177,7 +181,7 @@ func TestReclaimCutoffExcludesNearFullColdBlocks(t *testing.T) {
 
 func TestPoliciesDeterministic(t *testing.T) {
 	v := newFakeView([]int{4, 2, 7, 2, 0, -1, 3}, []sim.Time{9, 3, 7, 3, 2, 0, 5}, 8, 50)
-	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{W: 3}} {
+	for _, p := range []Policy{Greedy{}, CostBenefit{}, WindowedGreedy{}} {
 		first, ok := p.SelectVictim(v)
 		if !ok {
 			t.Fatalf("%s found no victim", p.Name())

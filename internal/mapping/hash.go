@@ -10,17 +10,17 @@ import "fmt"
 // device, so fine-grained mapping memory stays far below a full FGM table.
 //
 // The implementation is linear probing with tombstone deletion and an
-// occupancy cap; Put fails when the table is genuinely full, which subFTL
-// treats as a signal to garbage-collect. Probe statistics are exposed so
-// the experiments can show collisions stay modest at the paper's sizing.
+// occupancy cap; Put fails with ErrHashFull when the table is genuinely
+// full. subFTL does not recover from that: it surfaces as a failed write
+// after the subpage is already programmed, and it cannot happen today only
+// because subFTL sizes the table for every subpage of its region quota
+// (ROADMAP item 16 makes fullness a checked bound).
 type HashTable struct {
-	keys    []int64
-	vals    []int64
-	state   []uint8 // 0 empty, 1 occupied, 2 tombstone
-	live    int
-	used    int // occupied + tombstones
-	probes  int64
-	lookups int64
+	keys  []int64
+	vals  []int64
+	state []uint8 // 0 empty, 1 occupied, 2 tombstone
+	live  int
+	used  int // occupied + tombstones
 }
 
 const (
@@ -48,27 +48,12 @@ func NewHashTable(n int) *HashTable {
 	}
 }
 
-// Cap returns the slot capacity.
-func (h *HashTable) Cap() int { return len(h.keys) }
-
 // Len returns the number of live entries.
 func (h *HashTable) Len() int { return h.live }
-
-// LoadFactor returns live entries over capacity.
-func (h *HashTable) LoadFactor() float64 { return float64(h.live) / float64(len(h.keys)) }
 
 // MemoryBytes reports the table's footprint: 8-byte key, 8-byte value and
 // a state byte per slot.
 func (h *HashTable) MemoryBytes() int64 { return int64(len(h.keys)) * 17 }
-
-// AverageProbes returns the mean probe count per lookup/insert since
-// construction (1.0 is a perfect hash).
-func (h *HashTable) AverageProbes() float64 {
-	if h.lookups == 0 {
-		return 0
-	}
-	return float64(h.probes) / float64(h.lookups)
-}
 
 func (h *HashTable) slot(key int64) uint64 {
 	// Fibonacci hashing on the key; capacity is a power of two.
@@ -80,9 +65,7 @@ func (h *HashTable) slot(key int64) uint64 {
 func (h *HashTable) Get(key int64) (int64, bool) {
 	mask := uint64(len(h.keys) - 1)
 	i := h.slot(key)
-	h.lookups++
 	for n := 0; n < len(h.keys); n++ {
-		h.probes++
 		switch h.state[i] {
 		case slotEmpty:
 			return 0, false
@@ -112,8 +95,8 @@ func (h *HashTable) compact() {
 }
 
 // reinsert places a key known to be absent into the tombstone-free table
-// compact is rebuilding. It bypasses Put so maintenance traffic does not
-// distort the probe statistics the experiments report, and cannot fail:
+// compact is rebuilding. It skips Put's key comparison, tombstone tracking
+// and compaction trigger, none of which can apply here, and cannot fail:
 // live entries always fit (capacity was sized for them plus headroom).
 func (h *HashTable) reinsert(key, val int64) {
 	mask := uint64(len(h.keys) - 1)
@@ -140,10 +123,8 @@ func (h *HashTable) Put(key, val int64) error {
 	}
 	mask := uint64(len(h.keys) - 1)
 	i := h.slot(key)
-	h.lookups++
 	firstTomb := -1
 	for n := 0; n < len(h.keys); n++ {
-		h.probes++
 		switch h.state[i] {
 		case slotEmpty:
 			if firstTomb >= 0 {
@@ -186,9 +167,7 @@ func (h *HashTable) Put(key, val int64) error {
 func (h *HashTable) Delete(key int64) (int64, bool) {
 	mask := uint64(len(h.keys) - 1)
 	i := h.slot(key)
-	h.lookups++
 	for n := 0; n < len(h.keys); n++ {
-		h.probes++
 		switch h.state[i] {
 		case slotEmpty:
 			return 0, false

@@ -45,12 +45,12 @@ func TestHashTableBasics(t *testing.T) {
 func TestHashTableCapacityPow2(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 1000} {
 		h := NewHashTable(n)
-		c := h.Cap()
+		c := len(h.keys)
 		if c&(c-1) != 0 {
-			t.Fatalf("Cap(%d) = %d not a power of two", n, c)
+			t.Fatalf("capacity(%d) = %d not a power of two", n, c)
 		}
 		if c < n {
-			t.Fatalf("Cap(%d) = %d below requested", n, c)
+			t.Fatalf("capacity(%d) = %d below requested", n, c)
 		}
 	}
 }
@@ -68,8 +68,8 @@ func TestHashTableFull(t *testing.T) {
 	if !errors.Is(err, ErrHashFull) {
 		t.Fatalf("table never filled: err=%v", err)
 	}
-	if inserted != h.Cap()-1 {
-		t.Fatalf("inserted %d, want %d (one slot kept empty)", inserted, h.Cap()-1)
+	if inserted != len(h.keys)-1 {
+		t.Fatalf("inserted %d, want %d (one slot kept empty)", inserted, len(h.keys)-1)
 	}
 	// All inserted keys still readable at full occupancy.
 	for k := int64(0); k < int64(inserted); k++ {
@@ -142,31 +142,10 @@ func TestHashTableRange(t *testing.T) {
 	}
 }
 
-func TestHashTableProbeStats(t *testing.T) {
-	h := NewHashTable(1000)
-	for k := int64(0); k < 800; k++ {
-		if err := h.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := int64(0); k < 800; k++ {
-		h.Get(k)
-	}
-	if ap := h.AverageProbes(); ap < 1 || ap > 3 {
-		t.Fatalf("AverageProbes = %v, want small (1..3) at this load", ap)
-	}
-	if lf := h.LoadFactor(); lf <= 0 || lf >= 1 {
-		t.Fatalf("LoadFactor = %v", lf)
-	}
-	if NewHashTable(8).AverageProbes() != 0 {
-		t.Fatal("fresh table AverageProbes != 0")
-	}
-}
-
 func TestHashTableMemoryBytes(t *testing.T) {
 	h := NewHashTable(100)
-	if got := h.MemoryBytes(); got != int64(h.Cap())*17 {
-		t.Fatalf("MemoryBytes = %d, want %d", got, h.Cap()*17)
+	if got := h.MemoryBytes(); got != int64(len(h.keys))*17 {
+		t.Fatalf("MemoryBytes = %d, want %d", got, len(h.keys)*17)
 	}
 }
 
@@ -219,43 +198,70 @@ func TestHashTableModelProperty(t *testing.T) {
 // half the live headroom (Put compacts past that point), and probe chains
 // must stay short instead of degrading toward full-table scans.
 func TestHashTableCompaction(t *testing.T) {
-	h := NewHashTable(1000)
-	for i := int64(0); i < 1000; i++ {
-		if err := h.Put(i, i); err != nil {
+	const n = 1000
+	h := NewHashTable(n)
+	rng := uint64(7)
+	fresh := func() int64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int64(rng >> 20)
+	}
+	// Scattered keys collide, so a Put can reuse a tombstone on its chain
+	// and the table outlives its empty slots long enough for the chain
+	// check below to see poisoning (sequential keys hash collision-free).
+	live := make([]int64, n)
+	for i := range live {
+		live[i] = fresh()
+		if err := h.Put(live[i], live[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Churn: delete one key, insert a fresh one, many times over — the
 	// live count never moves but every cycle mints a tombstone.
-	next := int64(1000)
 	for cycle := 0; cycle < 20000; cycle++ {
-		victim := next - 1000
-		if _, ok := h.Delete(victim); !ok {
-			t.Fatalf("cycle %d: victim %d missing", cycle, victim)
+		victim := &live[cycle%n]
+		if _, ok := h.Delete(*victim); !ok {
+			t.Fatalf("cycle %d: victim %d missing", cycle, *victim)
 		}
-		if err := h.Put(next, next); err != nil {
+		*victim = fresh()
+		if err := h.Put(*victim, *victim); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
-		next++
-		if tombs, headroom := h.used-h.live, h.Cap()-h.live; tombs > headroom/2+1 {
+		if tombs, headroom := h.used-h.live, len(h.keys)-h.live; tombs > headroom/2+1 {
 			t.Fatalf("cycle %d: %d tombstones exceed half the headroom (%d/2)", cycle, tombs, headroom)
 		}
+		// Linear probing at the 3/4 occupancy compaction permits takes
+		// about 8 probes per miss; without compaction this churn drives
+		// it past 18 by cycle 2000 and to half the table by cycle 6000.
+		if cycle%100 == 0 {
+			if m := meanMissProbes(h); m > 12 {
+				t.Fatalf("cycle %d: a miss probes %.1f slots on average, want <= 12 (tombstone poisoning)", cycle, m)
+			}
+		}
 	}
-	if h.Len() != 1000 {
-		t.Fatalf("live entries: got %d, want 1000", h.Len())
+	if h.Len() != n {
+		t.Fatalf("live entries: got %d, want %d", h.Len(), n)
 	}
 	// All current keys must still resolve after the compactions.
-	for k := next - 1000; k < next; k++ {
+	for _, k := range live {
 		if v, ok := h.Get(k); !ok || v != k {
 			t.Fatalf("key %d: got %d %v", k, v, ok)
 		}
 	}
-	// Probe-length regression: with tombstones bounded, the mean probe
-	// chain stays near the load-factor ideal. Without compaction this
-	// churn drives the average toward the table capacity.
-	if avg := h.AverageProbes(); avg > 8 {
-		t.Fatalf("average probes %.2f, want <= 8 (tombstone poisoning)", avg)
+}
+
+// meanMissProbes is the mean number of slots a Get of an absent key
+// probes, over every home slot: the run of occupied slots and tombstones
+// up to and including the next empty one.
+func meanMissProbes(h *HashTable) float64 {
+	mask := len(h.state) - 1
+	sum := 0
+	for home := range h.state {
+		for i := home; h.state[i] != slotEmpty; i = (i + 1) & mask {
+			sum++
+		}
+		sum++
 	}
+	return float64(sum) / float64(len(h.state))
 }
 
 // TestHashTableCompactionPreservesEntries drives churn across the exact

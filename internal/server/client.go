@@ -130,11 +130,9 @@ type RetryPolicy struct {
 	RequestTimeout time.Duration
 	// MaxAttempts bounds how often one request is sent while its replies
 	// come back RETRYABLE; the last reply is delivered as final. 0 or 1
-	// delivers the first reply.
+	// delivers the first reply. Retries and reconnects back off from
+	// 10ms, doubling per attempt up to 1s, with seeded jitter.
 	MaxAttempts int
-	// BaseBackoff is the first retry's backoff; it doubles per attempt
-	// up to maxBackoff, with seeded jitter (default 10ms).
-	BaseBackoff time.Duration
 	// MaxReconnects bounds re-dials across the whole run; exhausting it
 	// (immediately, at 0) fails the run with the pending requests
 	// unresolved.
@@ -152,19 +150,20 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.ConnectTimeout == 0 {
 		p.ConnectTimeout = 2 * time.Second
 	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
 	return p
 }
 
-// maxBackoff caps RetryPolicy's exponential backoff.
-const maxBackoff = time.Second
+// RetryPolicy's exponential backoff starts at baseBackoff and doubles per
+// attempt up to maxBackoff.
+const (
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = time.Second
+)
 
 // backoff returns the jittered exponential delay for the given attempt
 // (1-based): full jitter over [d/2, d] so synchronized clients spread.
-func (p RetryPolicy) backoff(rng *sim.RNG, attempt int) time.Duration {
-	d := p.BaseBackoff << uint(attempt-1)
+func backoff(rng *sim.RNG, attempt int) time.Duration {
+	d := baseBackoff << uint(attempt-1)
 	if d <= 0 || d > maxBackoff {
 		d = maxBackoff
 	}
@@ -253,7 +252,7 @@ func (c *Client) Run(next func() (workload.Request, bool), depth int, policy Ret
 			}
 			reconnects++
 			c.conn.Close()
-			time.Sleep(policy.backoff(rng, reconnects))
+			time.Sleep(backoff(rng, reconnects))
 			nc, err := DialTimeout(c.addr, c.ns, policy.ConnectTimeout)
 			if err != nil {
 				continue
@@ -359,7 +358,7 @@ func (c *Client) Run(next func() (workload.Request, bool), depth int, policy Ret
 			p.attempts++
 			if p.attempts < policy.MaxAttempts {
 				rep.Retries++
-				p.notBefore = time.Now().Add(policy.backoff(rng, p.attempts))
+				p.notBefore = time.Now().Add(backoff(rng, p.attempts))
 				sendQ = append(sendQ, p)
 				continue
 			}

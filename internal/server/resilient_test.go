@@ -193,7 +193,6 @@ func TestResilientRetryBackoff(t *testing.T) {
 		i++
 		return r, true
 	}, 1, server.RetryPolicy{
-		BaseBackoff: 20 * time.Millisecond,
 		MaxAttempts: 20,
 		Seed:        3,
 	}, nil)

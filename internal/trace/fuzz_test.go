@@ -31,32 +31,3 @@ func FuzzReadText(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary: arbitrary bytes must never panic or over-allocate, and
-// valid parses must round-trip.
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, sampleReqs()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte("ESP1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		reqs, err := ReadBinary(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, reqs); err != nil {
-			t.Fatalf("parsed requests failed to encode: %v", err)
-		}
-		again, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(reqs) != 0 && !reflect.DeepEqual(reqs, again) {
-			t.Fatalf("round trip changed: %d vs %d requests", len(reqs), len(again))
-		}
-	})
-}

@@ -1,7 +1,7 @@
 // Package wire defines the length-prefixed TCP protocol the espserved
 // block-device service speaks. Request traces on disk are internal/trace's
-// text and binary formats; a client replays one by encoding each request
-// as a command frame (CmdOf).
+// text format; a client replays one by encoding each request as a command
+// frame (CmdOf).
 //
 // Every frame on the wire is a big-endian uint32 body length followed by
 // the body. A connection opens with one handshake exchange — the client's
