@@ -212,7 +212,7 @@ func BenchmarkRetentionModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := nand.NppType(i % 4)
-		if !m.Correctable(k, nand.Month/2, m.RatedPE) {
+		if !m.Correctable(k, nand.Month/2, float64(m.RatedPE), nand.DepthFull) {
 			b.Fatal("half-month data must be correctable")
 		}
 	}

@@ -72,7 +72,7 @@ func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
 	// Effective wear and the block's last erase depth, not the raw erase
 	// count: a shallow-erased block ages its data faster than its count
 	// suggests, and the scrub must rewrite before that earlier expiry.
-	capability := f.Dev.Retention().RetentionCapabilityAt(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
+	capability := f.Dev.Retention().RetentionCapability(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
 	return nand.AgeOf(f.slots.writtenAt[f.base(blk)+off], now)+2*scrubInterval > capability
 }
 

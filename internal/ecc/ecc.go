@@ -108,32 +108,3 @@ func (c Code) SampleErrors(r *sim.RNG, ber float64) int {
 	}
 	return n
 }
-
-// SampleCorrectable reports whether a stochastic read of one codeword at
-// rate ber decodes, using SampleErrors.
-func (c Code) SampleCorrectable(r *sim.RNG, ber float64) bool {
-	return c.SampleErrors(r, ber) <= c.CorrectBits
-}
-
-// PageFailureProb returns the probability that at least one of n codewords
-// fails to decode at rate ber, under the Poisson model. Used by the
-// reliability experiments to convert per-codeword behaviour to page-level
-// failure rates.
-func (c Code) PageFailureProb(ber float64, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	lambda := c.ExpectedErrors(ber)
-	// P(codeword fails) = P(Poisson(lambda) > t) = 1 - CDF(t).
-	cdf := 0.0
-	term := math.Exp(-lambda)
-	for k := 0; k <= c.CorrectBits; k++ {
-		cdf += term
-		term *= lambda / float64(k+1)
-	}
-	if cdf > 1 {
-		cdf = 1
-	}
-	pFail := 1 - cdf
-	return 1 - math.Pow(1-pFail, float64(n))
-}

@@ -101,50 +101,6 @@ func TestSampleErrorsLargeLambdaMean(t *testing.T) {
 	}
 }
 
-func TestPageFailureProbMonotoneInBER(t *testing.T) {
-	c := DefaultTLC
-	prev := -1.0
-	for _, ber := range []float64{1e-4, 1e-3, 3e-3, 5e-3, 7e-3, 1e-2} {
-		p := c.PageFailureProb(ber, 8)
-		if p < prev {
-			t.Fatalf("PageFailureProb not monotone at ber=%v: %v < %v", ber, p, prev)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("PageFailureProb out of [0,1]: %v", p)
-		}
-		prev = p
-	}
-}
-
-func TestPageFailureProbEdges(t *testing.T) {
-	c := DefaultTLC
-	if p := c.PageFailureProb(1e-3, 0); p != 0 {
-		t.Fatalf("n=0 gives %v, want 0", p)
-	}
-	if p := c.PageFailureProb(0, 8); p > 1e-12 {
-		t.Fatalf("ber=0 gives %v, want ~0", p)
-	}
-	// Far above the limit the page practically always fails.
-	if p := c.PageFailureProb(0.05, 8); p < 0.999 {
-		t.Fatalf("huge ber gives %v, want ~1", p)
-	}
-}
-
-// Property: sampled correctability agrees with the deterministic decision
-// in the strong regimes (ber far below or far above the limit).
-func TestSampleCorrectableExtremes(t *testing.T) {
-	r := sim.NewRNG(4)
-	c := DefaultTLC
-	for i := 0; i < 200; i++ {
-		if !c.SampleCorrectable(r, c.MaxBER()/10) {
-			t.Fatal("low-BER sample uncorrectable")
-		}
-		if c.SampleCorrectable(r, c.MaxBER()*4) {
-			t.Fatal("high-BER sample correctable")
-		}
-	}
-}
-
 // Property: MaxBER * Bits == CorrectBits for any valid code.
 func TestMaxBERConsistencyProperty(t *testing.T) {
 	f := func(cw, tbits uint8) bool {

@@ -171,16 +171,16 @@ func Fig5(o Options) (*Table, error) {
 		Title:   "Normalized retention BER vs N^k_pp type (at rated 1K P/E)",
 		Columns: []string{"type", "after 1K P/E", "1-month", "2-month", "within ECC @1mo", "within ECC @2mo", "capability"},
 	}
-	pe := m.RatedPE
+	pe := float64(m.RatedPE)
 	for k := nand.NppType(0); k <= 3; k++ {
-		capability := m.RetentionCapability(k, pe)
+		capability := m.RetentionCapability(k, pe, nand.DepthFull)
 		t.AddRow(
 			k.String(),
-			f3(m.NormalizedBER(k, 0, pe)),
-			f3(m.NormalizedBER(k, nand.Month, pe)),
-			f3(m.NormalizedBER(k, 2*nand.Month, pe)),
-			fmt.Sprintf("%v", m.Correctable(k, nand.Month, pe)),
-			fmt.Sprintf("%v", m.Correctable(k, 2*nand.Month, pe)),
+			f3(m.NormalizedBER(k, 0, pe, nand.DepthFull)),
+			f3(m.NormalizedBER(k, nand.Month, pe, nand.DepthFull)),
+			f3(m.NormalizedBER(k, 2*nand.Month, pe, nand.DepthFull)),
+			fmt.Sprintf("%v", m.Correctable(k, nand.Month, pe, nand.DepthFull)),
+			fmt.Sprintf("%v", m.Correctable(k, 2*nand.Month, pe, nand.DepthFull)),
 			fmt.Sprintf("%.1f days", float64(capability)/float64(24*time.Hour)),
 		)
 	}

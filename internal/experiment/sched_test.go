@@ -68,8 +68,8 @@ func TestSchedulerQD8TailLatency(t *testing.T) {
 	if !(h.P99 > h.P50) {
 		t.Errorf("p99 %v not above p50 %v at QD8", h.P99, h.P50)
 	}
-	if res.Sched.QueueDepth.Len() == 0 || res.Sched.ChipUtil.Len() == 0 {
-		t.Error("queue-depth / chip-utilization series empty")
+	if res.Sched.QueueDepth.Count() == 0 || res.Sched.ChipUtil.Count() == 0 {
+		t.Error("queue-depth / chip-utilization summaries empty")
 	}
 }
 

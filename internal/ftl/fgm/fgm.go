@@ -41,7 +41,7 @@ type Config struct {
 type FTL struct {
 	ftl.Front
 
-	table *mapping.FineTable
+	table *mapping.Table
 	rmap  []int32 // SPN -> LSN, None as -1
 	buf   *buffer.Buffer
 
@@ -89,7 +89,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 	}
 	f := &FTL{
 		Front: fe,
-		table: mapping.NewFineTable(cfg.LogicalSectors),
+		table: mapping.NewTable(cfg.LogicalSectors),
 		rmap:  make([]int32, g.TotalSubpages()),
 		buf:   buffer.New(),
 	}

@@ -45,7 +45,7 @@ type Store struct {
 	stats *ftl.Stats
 	place lifetime.Placement
 
-	table *mapping.CoarseTable
+	table *mapping.Table
 	rmap  []int32  // PPN -> LPN, None as -1 (valid only if table agrees)
 	masks []uint64 // LPN -> bitmask of live sectors within the page
 
@@ -79,7 +79,7 @@ func New(fe *ftl.Front, cfg Config) (*Store, error) {
 		ver:      ver,
 		stats:    &fe.Counters,
 		place:    fe.Place,
-		table:    mapping.NewCoarseTable(cfg.LogicalPages),
+		table:    mapping.NewTable(cfg.LogicalPages),
 		rmap:     make([]int32, g.TotalPages()),
 		masks:    make([]uint64, cfg.LogicalPages),
 		pageSecs: g.SubpagesPerPage,

@@ -387,39 +387,6 @@ func (m *Manager) AddValid(b nand.BlockID, delta int) {
 // was sealed, for blocks untouched since MarkFull/Adopt).
 func (m *Manager) LastInvalidate(b nand.BlockID) sim.Time { return m.meta[b].lastInval }
 
-// CountByRole returns how many non-free blocks currently carry each role,
-// for region-occupancy accounting.
-func (m *Manager) CountByRole() map[Role]int {
-	out := make(map[Role]int)
-	for b := range m.meta {
-		if m.meta[b].state != StateFree {
-			out[m.meta[b].role]++
-		}
-	}
-	return out
-}
-
-// WearSpread returns the min and max erase counts across all blocks, the
-// wear-leveling quality metric.
-func (m *Manager) WearSpread() (min, max int) {
-	n := m.dev.Geometry().TotalBlocks()
-	if n == 0 {
-		return 0, 0
-	}
-	min = m.dev.EraseCount(0)
-	max = min
-	for b := 1; b < n; b++ {
-		e := m.dev.EraseCount(nand.BlockID(b))
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	return min, max
-}
-
 // WearDist snapshots the device-wide block wear distribution: erase
 // counts through an exact integer histogram, effective wear through a
 // deci-wear histogram (0.1 deep-erase-equivalent resolution for the p99;

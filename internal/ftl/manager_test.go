@@ -136,12 +136,12 @@ func TestManagerWearAwareAlloc(t *testing.T) {
 		// Keep cycling whatever we got.
 		x = got
 	}
-	min, max := m.WearSpread()
-	if max-min > 1 {
-		t.Fatalf("wear spread [%d,%d] too wide under wear-aware allocation", min, max)
+	if w := m.WearDist(); w.EraseMax-w.EraseMin > 1 {
+		t.Fatalf("wear spread [%d,%d] too wide under wear-aware allocation", w.EraseMin, w.EraseMax)
 	}
 }
 
+// TotalValid counts valid units by role: blocks of another role do not add.
 func TestManagerCountByRoleAndTotalValid(t *testing.T) {
 	dev := testDevice(t)
 	m := NewManager(dev, nil)
@@ -151,10 +151,6 @@ func TestManagerCountByRoleAndTotalValid(t *testing.T) {
 	m.AddValid(a, 4)
 	m.AddValid(b, 2)
 	m.AddValid(c, 1)
-	counts := m.CountByRole()
-	if counts[RoleFull] != 1 || counts[RoleSub] != 2 {
-		t.Fatalf("CountByRole = %v", counts)
-	}
 	if got := m.TotalValid(RoleSub); got != 3 {
 		t.Fatalf("TotalValid(sub) = %d, want 3", got)
 	}

@@ -64,7 +64,7 @@ func allocDevice(t *testing.T) *nand.Device {
 	return dev
 }
 
-// A command's whole life in the scheduler — submitCmd, the dispatch round
+// A command's whole life in the scheduler — submit, the dispatch round
 // that indexes and unindexes it, complete, and the record's return to the
 // freelist — allocates nothing once the pools are warm, with a standing
 // backlog so the hazard index is populated throughout.
@@ -78,21 +78,16 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 	gen := &mixGen{}
 	cycle := func() {
-		if _, err := s.submitCmd(gen.Next()); err != nil {
+		if _, err := s.submit(gen.Next()); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.dispatchRound(); err != nil {
-			t.Fatal(err)
-		}
+		s.dispatchRound()
 		c := s.events.pop().cmd
-		host := c.Class != ClassBackground // complete recycles a background tick itself
 		s.complete(c)
-		if host {
-			s.freeCmd(c)
-		}
+		s.freeCmd(c)
 	}
 	for s.pendingHost < 512 {
-		if _, err := s.submitCmd(gen.Next()); err != nil {
+		if _, err := s.submit(gen.Next()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,41 +102,71 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The loop drivers take their Command records from the scheduler's slab,
-// one allocation per cmdsPerSlab records, even with a dispatch hook
-// retaining the last command dispatched, so a whole closed- or open-loop
-// run stays under one allocation per 16 requests, its one-off set-up
-// included.
+// A run recycles every Command record once its completion has been
+// counted, so a closed loop at QD32 without a dispatch hook allocates its
+// few slabs up front: under one allocation per 128 requests, set-up
+// included. A dispatch hook keeps records from being recycled — it may
+// retain what it observed, and this one reads the previous command's
+// times at the next dispatch, as a latency tap does — so hooked runs take
+// a fresh slab record per command, one allocation per cmdsPerSlab, and
+// stay under one per 16 requests.
 func TestLoopDriverAllocs(t *testing.T) {
 	const n = 16 << 10
 	for _, tc := range []struct {
-		name string
-		run  func(*Scheduler, workload.Generator) (*Report, error)
+		name   string
+		hooked bool
+		limit  float64
+		run    func(*Scheduler, workload.Generator) (*Report, error)
 	}{
-		{"closed-qd32", func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunClosedLoop(g, n, 32) }},
-		{"open", func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunOpenLoop(g, n, 1e6) }},
+		{"closed-qd32", false, 1.0 / 128, func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunClosedLoop(g, n, 32) }},
+		{"closed-qd32-hooked", true, 1.0 / 16, func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunClosedLoop(g, n, 32) }},
+		{"open", true, 1.0 / 16, func(s *Scheduler, g workload.Generator) (*Report, error) { return s.RunOpenLoop(g, n, 1e6) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// The hook sees a command before its completion time is
+			// stamped, so it checks the previous one at the next dispatch:
+			// still the same command, completed no earlier than it arrived.
+			// At the end every record it saw must still be the command it
+			// saw. Its logs are allocated before the count starts.
+			seen, idx := make([]*Command, 0, 2*n), make([]int64, 0, 2*n)
+			var prevArrival sim.Time
+			mangled := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			s, err := New(allocDevice(t), nopFTL{}, Config{Queues: 4, Arbiter: &ReadPriority{}, TickEvery: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var last *Command
-			s.SetDispatchHook(func(c *Command) { last = c })
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+			if tc.hooked {
+				s.SetDispatchHook(func(c *Command) {
+					if k := len(seen) - 1; k >= 0 {
+						if p := seen[k]; p.DispatchIdx != idx[k] || p.Arrival != prevArrival || p.Complete < p.Arrival {
+							mangled++
+						}
+					}
+					seen, idx, prevArrival = append(seen, c), append(idx, c.DispatchIdx), c.Arrival
+				})
+			}
 			rep, err := tc.run(s, &mixGen{})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Completed != n || last == nil {
+			if rep.Completed != n {
 				t.Fatalf("completed %d of %d", rep.Completed, n)
+			}
+			for k, c := range seen {
+				if c.DispatchIdx != idx[k] {
+					mangled++
+				}
+			}
+			if tc.hooked && (len(seen) < n || mangled != 0) {
+				t.Fatalf("hook saw %d dispatches and %d reused records", len(seen), mangled)
 			}
 			perReq := float64(after.Mallocs-before.Mallocs) / n
 			t.Logf("%.4f allocations per request", perReq)
-			if perReq > 1.0/16 {
-				t.Errorf("%.4f allocations per request, want <= 1/16", perReq)
+			if perReq > tc.limit {
+				t.Errorf("%.4f allocations per request, want <= %.4f", perReq, tc.limit)
 			}
 		})
 	}

@@ -1,15 +1,14 @@
 package host
 
 import (
-	"fmt"
 	"time"
 
 	"espftl/internal/sim"
 	"espftl/internal/workload"
 )
 
-// This file is the scheduler's external-submission mode: instead of a
-// generator-driven closed/open loop, requests arrive on a channel from
+// This file is the scheduler's external-submission driver: the same event
+// loop as the closed and open loops, but requests arrive on a channel from
 // concurrent producers (the network service's connection readers) and
 // every completion is delivered back through the submission's Completion,
 // the one delivery path. The scheduler remains single-threaded — the
@@ -56,83 +55,77 @@ type ExtSubmission struct {
 // commands the scheduler sees queued together, and so dispatch order,
 // Report.OutOfOrder and latencies, may differ between runs.
 //
-// Unlike the loop drivers, a command's FTL error does not abort the run:
-// the command completes carrying the error (Command.Err), because one
-// tenant's failure — or even a dead device, which fails every
-// subsequent command — must drain through the protocol, not collapse it.
+// A command's FTL error does not end the run: the command completes
+// carrying it (Command.Err), because one tenant's failure — or even a dead
+// device, which fails every subsequent command — must drain through the
+// protocol, not collapse it. A background tick's error is dropped.
 func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Report, error) {
 	if err := s.start(0); err != nil {
 		return nil, err
 	}
-	s.external = true
 	var timer *time.Timer
 	open := true
-	for {
-		if err := s.dispatchRound(); err != nil {
-			return s.finish(err)
-		}
-		if len(s.events) == 0 {
+	// wait blocks until the next event is due or submissions arrive, and
+	// reports whether it admitted any.
+	wait := func() bool {
+		var due <-chan time.Time // nil while no event is pending
+		if len(s.events) > 0 {
+			next := s.events[0].at
 			if !open {
-				if s.pendingHost > 0 || s.bg != nil {
-					return s.finish(fmt.Errorf("host: external run stalled with %d pending commands and no events", s.pendingHost))
+				if gate.Realtime() {
+					// Draining: no new arrivals, but in-flight completions
+					// keep their paced delivery times.
+					gate.Wait(next)
 				}
-				return s.finish(nil)
+				return false
 			}
-			r, ok := <-sub
-			open = s.admit(r, ok, sub, gate)
-			continue
-		}
-		next := s.events[0].at
-		if open {
-			if wait := gateWait(gate, next); wait > 0 {
-				// The next completion lies in the wall-clock future: wait
-				// for it, but wake immediately for new submissions.
-				if timer == nil {
-					timer = time.NewTimer(wait)
-				} else {
-					timer.Reset(wait)
-				}
-				select {
-				case r, ok := <-sub:
-					if !timer.Stop() {
-						select {
-						case <-timer.C:
-						default:
-						}
-					}
-					open = s.admit(r, ok, sub, gate)
-					continue
-				case <-timer.C:
-				}
-			} else {
+			d := gateWait(gate, next)
+			if d <= 0 {
 				// The completion is already due; still drain any queued
 				// submissions first so arrivals are not starved by a
 				// backlog of ready events.
 				select {
 				case r, ok := <-sub:
 					open = s.admit(r, ok, sub, gate)
-					continue
+					return true
+				default:
+					return false
+				}
+			}
+			// The next completion lies in the wall-clock future: wait for
+			// it, but wake immediately for new submissions.
+			if timer == nil {
+				timer = time.NewTimer(d)
+			} else {
+				timer.Reset(d)
+			}
+			due = timer.C
+		} else if !open {
+			return false
+		}
+		select {
+		case r, ok := <-sub:
+			if due != nil && !timer.Stop() {
+				select {
+				case <-timer.C:
 				default:
 				}
 			}
-		} else if gate.Realtime() {
-			// Draining: no new arrivals, but in-flight completions keep
-			// their paced delivery times.
-			gate.Wait(next)
+			open = s.admit(r, ok, sub, gate)
+			return true
+		case <-due:
+			return false
 		}
-		ev := s.events.pop()
-		if ev.at > s.now {
-			s.now = ev.at
-		}
-		c := ev.cmd
-		host := c.Class != ClassBackground // complete recycles (and clears) a background tick
-		s.complete(c)
-		if host && c.comp != nil {
-			c.comp.Complete(c)
-			s.freeCmd(c)
-		}
-		s.sampleSeries()
 	}
+	return s.finish(s.loop(wait, deliver, nil))
+}
+
+// deliver hands a completed host command to its submitter's Completion.
+func deliver(c *Command) error {
+	if c.comp != nil {
+		c.comp.Complete(c)
+	}
+	return nil
 }
 
 // admit takes what a receive on sub returned — a submission, or the
@@ -171,7 +164,7 @@ func (s *Scheduler) acceptExt(r ExtSubmission, gate *sim.Gate) {
 			s.now = v
 		}
 	}
-	c, err := s.submitCmd(r.Req)
+	c, err := s.submit(r.Req)
 	if err != nil {
 		s.rep.Rejected++
 		if r.Complete == nil {

@@ -126,15 +126,14 @@ type Command struct {
 	// Fanout is how many device resources (chips and channel buses) the
 	// command's FTL call occupied — the transaction-split width.
 	Fanout int
-	// Err is the FTL error the command's dispatch produced. It is only
-	// populated in external-submission mode (RunExternal), where a failed
-	// command still completes and reports its error to the submitter; the
-	// run-to-completion drivers abort on the first error instead.
+	// Err is the FTL error the command's dispatch produced. Every driver
+	// handles it when the command completes: RunExternal delivers it with
+	// the command to the submitter, and the generator loops end the run
+	// with it.
 	Err error
 	// FlashBytes is how many device bytes were programmed while servicing
-	// this command (host data plus any GC/relocation work it triggered).
-	// Only accounted in external-submission mode, where the service
-	// attributes write amplification to tenant namespaces.
+	// this command (host data plus any GC/relocation work it triggered),
+	// which the service attributes to tenant namespaces.
 	FlashBytes int64
 
 	// deferred counts events a background command yielded to host reads.
@@ -154,6 +153,15 @@ type Command struct {
 // is never negative (completion events are clamped to the arrival).
 func (c *Command) latency() sim.Duration { return c.Complete.Sub(c.Arrival) }
 
+// failure is the error a generator loop ends its run with when c completes
+// carrying an FTL error, nil when it does not.
+func (c *Command) failure() error {
+	if c.Err == nil {
+		return nil
+	}
+	return fmt.Errorf("host: %s command seq %d (%v): %w", c.Class, c.Seq, c.Req, c.Err)
+}
+
 // Report aggregates everything one scheduler run measured.
 type Report struct {
 	// Arbiter, Depth and Queues echo the configuration.
@@ -166,8 +174,8 @@ type Report struct {
 	Submitted, Dispatched, Completed int64
 	Background                       int64
 
-	// Errors counts host commands that completed with an FTL error
-	// (external-submission mode only; the loop drivers abort instead).
+	// Errors counts host commands that completed with an FTL error (a
+	// generator loop ends at the first).
 	Errors int64
 	// Rejected counts external submissions refused before queueing
 	// (validation failures); they are not part of Submitted/Completed.
@@ -194,13 +202,9 @@ type Report struct {
 	// how widely transactions split across the device.
 	Fanout *metrics.IntHistogram
 
-	// QueueDepth samples outstanding host commands over event time, and
-	// ChipUtil samples the device's mean chip busy fraction.
-	QueueDepth *metrics.Series
-	ChipUtil   *metrics.Series
-
-	// PerQueue counts submissions per submission-queue lane.
-	PerQueue []int64
+	// QueueDepth summarizes the outstanding host commands after every
+	// event, and ChipUtil the device's mean chip busy fraction so far.
+	QueueDepth, ChipUtil metrics.Running
 }
 
 func newReport(arb string, depth, queues int) *Report {
@@ -215,12 +219,42 @@ func newReport(arb string, depth, queues int) *Report {
 		ReadWait:  metrics.NewHistogram(),
 		WriteWait: metrics.NewHistogram(),
 		Fanout:    metrics.NewIntHistogram(64),
-		// 512 retained samples keep the series readable in reports while
-		// the deterministic decimation bounds memory on long runs.
-		QueueDepth: metrics.NewSeries(512),
-		ChipUtil:   metrics.NewSeries(512),
-		PerQueue:   make([]int64, queues),
 	}
+}
+
+// MergeReports folds several schedulers' reports (a server's shards) into
+// one: counters add up, and histograms and summaries merge. The result
+// shares nothing with its inputs, which stay as they were; nil entries are
+// skipped, and the configuration echo is the first report's.
+func MergeReports(reps []*Report) *Report {
+	var out *Report
+	for _, r := range reps {
+		if r == nil {
+			continue
+		}
+		if out == nil {
+			out = newReport(r.Arbiter, r.Depth, r.Queues)
+		}
+		out.Submitted += r.Submitted
+		out.Dispatched += r.Dispatched
+		out.Completed += r.Completed
+		out.Background += r.Background
+		out.Errors += r.Errors
+		out.Rejected += r.Rejected
+		out.OutOfOrder += r.OutOfOrder
+		out.ReadsPromoted += r.ReadsPromoted
+		out.BackgroundDeferred += r.BackgroundDeferred
+		out.HostLat.Merge(r.HostLat)
+		out.ReadLat.Merge(r.ReadLat)
+		out.WriteLat.Merge(r.WriteLat)
+		out.BackLat.Merge(r.BackLat)
+		out.ReadWait.Merge(r.ReadWait)
+		out.WriteWait.Merge(r.WriteWait)
+		out.Fanout.Merge(r.Fanout)
+		out.QueueDepth.Merge(r.QueueDepth)
+		out.ChipUtil.Merge(r.ChipUtil)
+	}
+	return out
 }
 
 // String renders the headline numbers of the report.

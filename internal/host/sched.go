@@ -113,10 +113,10 @@ func (h *eventHeap) pop() event {
 }
 
 // Scheduler is the event-driven host interface over one device and FTL.
-// A Scheduler runs one workload (RunClosedLoop or RunOpenLoop) and is
-// then spent; build a new one per run. It is not safe for concurrent
-// use — like the rest of the simulator it is single-threaded so that
-// runs are exactly reproducible.
+// A Scheduler runs one workload (RunClosedLoop, RunOpenLoop or
+// RunExternal) and is then spent; build a new one per run. It is not safe
+// for concurrent use — like the rest of the simulator it is
+// single-threaded so that runs are exactly reproducible.
 type Scheduler struct {
 	cfg   Config
 	dev   *nand.Device
@@ -154,16 +154,16 @@ type Scheduler struct {
 
 	rep        *Report
 	ran        bool
-	external   bool // RunExternal: per-command error delivery, byte attribution
 	onDispatch func(*Command)
-	// onRetire is the package tests' seam into complete: it observes every
-	// host command just after its retirement was accounted.
-	onRetire func(*Command)
+	// onRetire and onObserve are the package tests' seams: onRetire sees
+	// every host command just after its retirement was accounted, and
+	// onObserve runs after every sample of the report's summaries.
+	onRetire  func(*Command)
+	onObserve func()
 
-	// cmdFree recycles Command records of external submissions and
-	// background ticks; see freeCmd for the retention rules. When it is
-	// empty, records come from cmdSlab, whose first slabNext are handed
-	// out.
+	// cmdFree recycles retired Command records; see freeCmd for the rule.
+	// When it is empty, records come from cmdSlab, whose first slabNext are
+	// handed out.
 	cmdFree  []*Command
 	cmdSlab  []Command
 	slabNext int
@@ -179,7 +179,9 @@ type Scheduler struct {
 // SetDispatchHook installs a callback observing every command at the
 // moment it is issued to the FTL, in dispatch order. Tests use it to
 // assert ordering properties (e.g. that the barrier kept a read behind
-// an earlier overlapping write); it must not mutate the command.
+// an earlier overlapping write); it must not mutate the command. While a
+// hook is installed no command record is recycled, so the hook may keep
+// the commands it saw and read their completion times later.
 func (s *Scheduler) SetDispatchHook(fn func(*Command)) { s.onDispatch = fn }
 
 // New builds a scheduler over the device's clock. Host commands issue
@@ -217,7 +219,7 @@ const cmdsPerSlab = 8192 / unsafe.Sizeof(Command{})
 // of the slab, refilling it when it is used up. Slab records are never
 // returned to the slab: a record a dispatch hook retains keeps its whole
 // slab alive, which is what makes one allocation per cmdsPerSlab commands
-// safe for the loop drivers' records, which are never recycled.
+// safe when a hook keeps records from being recycled.
 func (s *Scheduler) newCmd() *Command {
 	if n := len(s.cmdFree); n > 0 {
 		c := s.cmdFree[n-1]
@@ -233,13 +235,12 @@ func (s *Scheduler) newCmd() *Command {
 	return c
 }
 
-// freeCmd returns a command to the freelist. Only commands nothing can
-// still hold come back here: those delivered through a Completion (which
-// promises not to retain the pointer) and internally generated background
-// ticks. Commands run by the closed/open-loop drivers stay live because a
-// dispatch hook may retain them. The record is cleared here, not on reuse,
-// so a parked record keeps nothing alive (the submitter's Completion, the
-// request's error).
+// freeCmd returns a command to the freelist. The loop recycles every
+// command once its completion has been counted and delivered, since a
+// Completion promises not to retain the pointer — unless a dispatch hook
+// is installed, which may retain what it observed. The record is cleared
+// here, not on reuse, so a parked record keeps nothing alive (the
+// submitter's Completion, the request's error).
 func (s *Scheduler) freeCmd(c *Command) {
 	*c = Command{}
 	s.cmdFree = append(s.cmdFree, c)
@@ -257,20 +258,25 @@ func (s *Scheduler) RunClosedLoop(gen workload.Generator, n, depth int) (*Report
 		return nil, err
 	}
 	submitted := 0
-	for submitted < depth && submitted < n {
-		if err := s.submit(gen.Next()); err != nil {
-			return s.rep, err
-		}
-		submitted++
-	}
-	err := s.loop(func() error {
+	next := func() error {
 		if submitted >= n {
 			return nil
 		}
 		submitted++
-		return s.submit(gen.Next())
-	}, nil)
-	return s.finish(err)
+		_, err := s.submit(gen.Next())
+		return err
+	}
+	for range depth {
+		if err := next(); err != nil {
+			return s.finish(err)
+		}
+	}
+	return s.finish(s.loop(nil, func(c *Command) error {
+		if err := c.failure(); err != nil || c.Class == ClassBackground {
+			return err
+		}
+		return next()
+	}, nil))
 }
 
 // RunOpenLoop drives n generated requests at a fixed arrival rate
@@ -290,17 +296,16 @@ func (s *Scheduler) RunOpenLoop(gen workload.Generator, n int, rate float64) (*R
 	if n > 0 {
 		s.pushArrival(start, 0)
 	}
-	err = s.loop(nil, func(idx int64, at sim.Time) error {
+	return s.finish(s.loop(nil, (*Command).failure, func(idx int64, at sim.Time) error {
 		s.clock.AdvanceTo(at)
-		if err := s.submit(gen.Next()); err != nil {
+		if _, err := s.submit(gen.Next()); err != nil {
 			return err
 		}
 		if idx+1 < int64(n) {
 			s.pushArrival(start.Add(sim.Duration(idx+1)*interarrival), idx+1)
 		}
 		return nil
-	})
-	return s.finish(err)
+	}))
 }
 
 // arrivalInterval validates an open-loop rate and converts it to the
@@ -328,16 +333,23 @@ func (s *Scheduler) start(depth int) error {
 }
 
 func (s *Scheduler) finish(err error) (*Report, error) {
-	s.sampleSeries()
+	s.observe()
 	return s.rep, err
 }
 
-// loop is the central event loop. onHostComplete (closed loop) runs after
-// every host completion; onArrive (open loop) runs for each arrival event.
-func (s *Scheduler) loop(onHostComplete func() error, onArrive func(idx int64, at sim.Time) error) error {
+// loop is the one event loop of every driver; the drivers differ only in
+// where host requests come from. Each turn dispatches whatever can go.
+// Then wait, RunExternal's and nil for the generator loops, blocks until
+// the earliest event falls due or submissions arrive, and reports whether
+// it admitted any; it is the only step of any driver that may block. Then
+// the earliest event is taken: a completion is counted and passed to done,
+// after which its record is recycled, and an arrival (open loop) is passed
+// to arrive. A non-nil error from done or arrive ends the run.
+func (s *Scheduler) loop(wait func() bool, done func(*Command) error, arrive func(idx int64, at sim.Time) error) error {
 	for {
-		if err := s.dispatchRound(); err != nil {
-			return err
+		s.dispatchRound()
+		if wait != nil && wait() {
+			continue
 		}
 		if len(s.events) == 0 {
 			if s.pendingHost > 0 || s.bg != nil {
@@ -349,20 +361,19 @@ func (s *Scheduler) loop(onHostComplete func() error, onArrive func(idx int64, a
 		if ev.at > s.now {
 			s.now = ev.at
 		}
-		if ev.cmd != nil {
-			host := ev.cmd.Class != ClassBackground
-			s.complete(ev.cmd)
-			if host && onHostComplete != nil {
-				if err := onHostComplete(); err != nil {
-					return err
-				}
+		var err error
+		if c := ev.cmd; c != nil {
+			s.complete(c)
+			if err = done(c); err == nil && s.onDispatch == nil {
+				s.freeCmd(c)
 			}
-		} else if onArrive != nil {
-			if err := onArrive(ev.arrive, ev.at); err != nil {
-				return err
-			}
+		} else {
+			err = arrive(ev.arrive, ev.at)
 		}
-		s.sampleSeries()
+		if err != nil {
+			return err
+		}
+		s.observe()
 	}
 }
 
@@ -373,14 +384,7 @@ func (s *Scheduler) pushArrival(at sim.Time, idx int64) {
 
 // submit accepts one host request: it is sequenced, classified, tagged
 // with its submission-queue lane, and routed to a per-chip command queue.
-func (s *Scheduler) submit(r workload.Request) error {
-	_, err := s.submitCmd(r)
-	return err
-}
-
-// submitCmd is submit exposed for the external path, which needs the
-// command back to attach its completion callback.
-func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
+func (s *Scheduler) submit(r workload.Request) (*Command, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -407,7 +411,6 @@ func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
 	s.outstanding.pushBack(&c.out, c)
 	s.pendingHost++
 	s.rep.Submitted++
-	s.rep.PerQueue[c.Queue]++
 	return c, nil
 }
 
@@ -505,7 +508,7 @@ func (s *Scheduler) wake(c *Command) {
 // commands first via the arbiter, then at most the pending background
 // command if no host work can go and no host read is waiting (or the
 // background deferral budget ran out).
-func (s *Scheduler) dispatchRound() error {
+func (s *Scheduler) dispatchRound() {
 	for {
 		heads := s.readyHeads()
 		var c *Command
@@ -516,32 +519,27 @@ func (s *Scheduler) dispatchRound() error {
 		if c != nil {
 			s.hz.remove(c)
 			s.wake(c)
-			err := s.dispatchHost(c)
+			s.dispatchHost(c)
 			s.setReady(c.Chip)
-			if err != nil {
-				return err
-			}
 			continue
 		}
 		if s.bg != nil {
 			if s.pendingReads > 0 && s.bg.deferred < s.cfg.BackgroundDeferLimit {
 				s.bg.deferred++
 				s.rep.BackgroundDeferred++
-				return nil
+				return
 			}
 			c, s.bg = s.bg, nil
-			if err := s.dispatch(c); err != nil {
-				return err
-			}
+			s.dispatch(c)
 			continue
 		}
-		return nil
+		return
 	}
 }
 
 // dispatchHost issues one host command and enqueues the maintenance tick
 // its cadence position owes, mirroring the classic replay's tick points.
-func (s *Scheduler) dispatchHost(c *Command) error {
+func (s *Scheduler) dispatchHost(c *Command) {
 	s.pendingHost--
 	if c.Class == ClassRead {
 		s.pendingReads--
@@ -550,9 +548,7 @@ func (s *Scheduler) dispatchHost(c *Command) error {
 		}
 	}
 	s.inflight++
-	if err := s.dispatch(c); err != nil {
-		return err
-	}
+	s.dispatch(c)
 	i := s.hostDispatched
 	s.hostDispatched++
 	s.rep.Dispatched++
@@ -566,7 +562,6 @@ func (s *Scheduler) dispatchHost(c *Command) error {
 		s.bg = bg
 		s.seq++
 	}
-	return nil
 }
 
 // olderWritePending reports whether an undispatched write or trim with a
@@ -577,8 +572,9 @@ func (s *Scheduler) olderWritePending(seq int64) bool { return s.hz.writes.befor
 // takes its completion time from the transaction's journal: the command
 // completes when the last resource it occupied drains. A command that
 // touched no resource (a buffer-absorbed write, a buffered or unmapped
-// read) completes instantly.
-func (s *Scheduler) dispatch(c *Command) error {
+// read) completes instantly. The FTL's error, if any, stays with the
+// command until it completes.
+func (s *Scheduler) dispatch(c *Command) {
 	c.Dispatch = s.now
 	c.DispatchIdx = s.hostDispatched + s.rep.Background // total issue order
 	if s.onDispatch != nil {
@@ -587,16 +583,11 @@ func (s *Scheduler) dispatch(c *Command) error {
 	if c.Chip < s.chips {
 		s.chipBusy[c.Chip] = true
 	}
-	var bytes0 int64
-	if s.external {
-		bytes0 = s.dev.Counters().BytesWritten
-	}
+	bytes0 := s.dev.BytesWritten()
 	s.dev.BeginTxn()
-	err := s.issue(c)
+	c.Err = s.issue(c)
 	fanout, end := s.dev.EndTxn()
-	if s.external {
-		c.FlashBytes = s.dev.Counters().BytesWritten - bytes0
-	}
+	c.FlashBytes = s.dev.BytesWritten() - bytes0
 	c.Fanout = fanout
 	if end < c.Arrival {
 		// The work packed before the arrival axis (an idle resource) or
@@ -604,15 +595,6 @@ func (s *Scheduler) dispatch(c *Command) error {
 		end = c.Arrival
 	}
 	c.Complete = end
-	if err != nil {
-		if !s.external {
-			return fmt.Errorf("host: %s command seq %d (%v): %w", c.Class, c.Seq, c.Req, err)
-		}
-		// External mode: a failed command still completes and carries its
-		// error back to the submitter — one tenant's bad request (or a
-		// dead device) must not tear down the whole service loop.
-		c.Err = err
-	}
 	s.events.push(event{at: end, ord: s.evOrd, cmd: c})
 	s.evOrd++
 	if c.Class != ClassBackground {
@@ -629,7 +611,6 @@ func (s *Scheduler) dispatch(c *Command) error {
 	} else {
 		s.rep.Background++
 	}
-	return nil
 }
 
 // issue performs the FTL call: the non-blocking Submit path for host
@@ -647,11 +628,6 @@ func (s *Scheduler) issue(c *Command) error {
 func (s *Scheduler) complete(c *Command) {
 	if c.Class == ClassBackground {
 		s.rep.BackLat.Record(c.latency())
-		if s.onDispatch == nil {
-			// Background ticks are purely internal; nothing can retain one
-			// unless a dispatch hook observed it (tests may keep pointers).
-			s.freeCmd(c)
-		}
 		return
 	}
 	if c.Chip < s.chips {
@@ -679,13 +655,15 @@ func (s *Scheduler) complete(c *Command) {
 	}
 }
 
-// sampleSeries records the queue-depth and chip-utilization time series
-// at the current event time.
-func (s *Scheduler) sampleSeries() {
-	s.rep.QueueDepth.Record(int64(s.now), float64(s.pendingHost+s.inflight))
-	horizon := s.dev.DrainTime().Sub(s.drain0)
-	if horizon > 0 {
+// observe samples the queue depth and chip utilization into the report's
+// summaries at the current event time.
+func (s *Scheduler) observe() {
+	s.rep.QueueDepth.Record(float64(s.pendingHost + s.inflight))
+	if horizon := s.dev.DrainTime().Sub(s.drain0); horizon > 0 {
 		busy := s.dev.TotalChipBusy() - s.busy0
-		s.rep.ChipUtil.Record(int64(s.now), float64(busy)/(float64(horizon)*float64(s.chips)))
+		s.rep.ChipUtil.Record(float64(busy) / (float64(horizon) * float64(s.chips)))
+	}
+	if s.onObserve != nil {
+		s.onObserve()
 	}
 }

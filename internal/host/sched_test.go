@@ -9,6 +9,7 @@ import (
 	"espftl/internal/ftl/cgm"
 	"espftl/internal/ftl/fgm"
 	"espftl/internal/host"
+	"espftl/internal/metrics"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 	"espftl/internal/workload"
@@ -347,6 +348,44 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 		}
 		if !strings.HasPrefix(err.Error(), "host: ") {
 			t.Errorf("negative %s: error %q, want a host: error", name, err)
+		}
+	}
+}
+
+// The report's queue-depth and chip-utilization summaries are exact: over
+// one closed-loop run they equal the mean and max of every value the loop
+// sampled, many more than the 512 a decimated series would have retained.
+func TestSummariesMatchEverySample(t *testing.T) {
+	dev, f, fill := newRig(t, "subFTL")
+	s, err := host.New(dev, f, host.Config{Queues: 4, Arbiter: &host.ReadPriority{}, TickEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := host.AttachSampleLog(s)
+	rep, err := s.RunClosedLoop(newGen(t, fill, 0.4, 3), 3000, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		got     metrics.Running
+		samples []float64
+	}{
+		{"queue depth", rep.QueueDepth, log.Depths},
+		{"chip utilization", rep.ChipUtil, log.Utils},
+	} {
+		if len(tc.samples) <= 2*512 {
+			t.Fatalf("%s: only %d samples", tc.name, len(tc.samples))
+		}
+		sum, peak := 0.0, tc.samples[0]
+		for _, v := range tc.samples {
+			sum += v
+			peak = max(peak, v)
+		}
+		mean := sum / float64(len(tc.samples))
+		if tc.got.Count() != int64(len(tc.samples)) || tc.got.MeanValue() != mean || tc.got.MaxValue() != peak {
+			t.Errorf("%s: summary n=%d mean=%v max=%v, samples n=%d mean=%v max=%v",
+				tc.name, tc.got.Count(), tc.got.MeanValue(), tc.got.MaxValue(), len(tc.samples), mean, peak)
 		}
 	}
 }

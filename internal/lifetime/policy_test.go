@@ -59,7 +59,7 @@ func TestAERODepthPreservesRetention(t *testing.T) {
 		d := p.Depth(wear)
 		post := wear + float64(d)
 		for _, r := range aeroRequire {
-			if !m.CorrectableAt(r.npp, r.horizon, post, d) {
+			if !m.Correctable(r.npp, r.horizon, post, d) {
 				t.Fatalf("depth %v at wear %v breaks %v over %v", d, wear, r.npp, r.horizon)
 			}
 		}

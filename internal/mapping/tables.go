@@ -1,114 +1,58 @@
 // Package mapping provides the logical-to-physical translation structures
-// used by the FTLs: a dense coarse-grained page table (CGM), a dense
-// fine-grained sector table (FGM), and the compact open-addressing hash
-// table subFTL uses for its subpage region.
+// used by the FTLs: a dense table (the CGM scheme's page map and the FGM
+// scheme's sector map), and the compact open-addressing hash table subFTL
+// uses for its subpage region.
 //
 // Every structure reports its memory footprint, because the mapping-memory
 // comparison between the FGM scheme and subFTL's hybrid scheme is one of
 // the paper's claims (§1, §4.2).
 package mapping
 
-import "fmt"
-
 // None marks an unmapped translation entry.
 const None int64 = -1
 
-// CoarseTable is a dense logical-page → physical-page table (the CGM
-// scheme's L2P table). Entries are 64-bit physical page numbers; unmapped
-// entries hold None.
-type CoarseTable struct {
+// Table is a dense logical → physical table: logical pages to physical
+// pages in the CGM scheme, logical sectors to physical subpages in the FGM
+// scheme. Entries are 64-bit physical addresses; unmapped entries hold
+// None.
+type Table struct {
 	entries []int64
 	mapped  int
 }
 
-// NewCoarseTable returns a table for n logical pages, all unmapped.
-func NewCoarseTable(n int64) *CoarseTable {
-	t := &CoarseTable{entries: make([]int64, n)}
+// NewTable returns a table for n logical units, all unmapped.
+func NewTable(n int64) *Table {
+	t := &Table{entries: make([]int64, n)}
 	for i := range t.entries {
 		t.entries[i] = None
 	}
 	return t
 }
 
-// Size returns the number of logical pages the table covers.
-func (t *CoarseTable) Size() int64 { return int64(len(t.entries)) }
+// Size returns the number of logical units the table covers.
+func (t *Table) Size() int64 { return int64(len(t.entries)) }
 
-// Mapped returns the number of currently mapped logical pages.
-func (t *CoarseTable) Mapped() int { return t.mapped }
+// Mapped returns the number of currently mapped logical units.
+func (t *Table) Mapped() int { return t.mapped }
 
-// Lookup returns the physical page for lpn, or None.
-func (t *CoarseTable) Lookup(lpn int64) int64 {
-	return t.entries[lpn]
-}
+// Lookup returns the physical address for l, or None.
+func (t *Table) Lookup(l int64) int64 { return t.entries[l] }
 
-// Update maps lpn to ppn and returns the previous mapping (None if new).
-func (t *CoarseTable) Update(lpn, ppn int64) int64 {
-	old := t.entries[lpn]
-	if old == None && ppn != None {
+// Update maps l to p and returns the previous mapping (None if new).
+func (t *Table) Update(l, p int64) int64 {
+	old := t.entries[l]
+	if old == None && p != None {
 		t.mapped++
 	}
-	if old != None && ppn == None {
+	if old != None && p == None {
 		t.mapped--
 	}
-	t.entries[lpn] = ppn
+	t.entries[l] = p
 	return old
 }
 
-// Invalidate unmaps lpn and returns the previous mapping.
-func (t *CoarseTable) Invalidate(lpn int64) int64 {
-	return t.Update(lpn, None)
-}
+// Invalidate unmaps l and returns the previous mapping.
+func (t *Table) Invalidate(l int64) int64 { return t.Update(l, None) }
 
 // MemoryBytes reports the table's translation-state footprint.
-func (t *CoarseTable) MemoryBytes() int64 { return int64(len(t.entries)) * 8 }
-
-// FineTable is a dense logical-sector → physical-subpage table (the FGM
-// scheme's L2P table). Identical mechanics to CoarseTable at sector
-// granularity; it exists as its own type so FTL code reads unambiguously
-// and the two footprints are reported under their own names.
-type FineTable struct {
-	entries []int64
-	mapped  int
-}
-
-// NewFineTable returns a table for n logical sectors, all unmapped.
-func NewFineTable(n int64) *FineTable {
-	t := &FineTable{entries: make([]int64, n)}
-	for i := range t.entries {
-		t.entries[i] = None
-	}
-	return t
-}
-
-// Size returns the number of logical sectors the table covers.
-func (t *FineTable) Size() int64 { return int64(len(t.entries)) }
-
-// Mapped returns the number of currently mapped sectors.
-func (t *FineTable) Mapped() int { return t.mapped }
-
-// Lookup returns the physical subpage for lsn, or None.
-func (t *FineTable) Lookup(lsn int64) int64 { return t.entries[lsn] }
-
-// Update maps lsn to spn and returns the previous mapping (None if new).
-func (t *FineTable) Update(lsn, spn int64) int64 {
-	old := t.entries[lsn]
-	if old == None && spn != None {
-		t.mapped++
-	}
-	if old != None && spn == None {
-		t.mapped--
-	}
-	t.entries[lsn] = spn
-	return old
-}
-
-// Invalidate unmaps lsn and returns the previous mapping.
-func (t *FineTable) Invalidate(lsn int64) int64 { return t.Update(lsn, None) }
-
-// MemoryBytes reports the table's translation-state footprint.
-func (t *FineTable) MemoryBytes() int64 { return int64(len(t.entries)) * 8 }
-
-// String summarizes occupancy for diagnostics.
-func (t *FineTable) String() string {
-	return fmt.Sprintf("fine table: %d/%d mapped", t.mapped, len(t.entries))
-}
+func (t *Table) MemoryBytes() int64 { return int64(len(t.entries)) * 8 }

@@ -1,13 +1,12 @@
 package mapping
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestCoarseTableBasics(t *testing.T) {
-	tbl := NewCoarseTable(16)
+func TestTableBasics(t *testing.T) {
+	tbl := NewTable(16)
 	if tbl.Size() != 16 || tbl.Mapped() != 0 {
 		t.Fatalf("fresh table size=%d mapped=%d", tbl.Size(), tbl.Mapped())
 	}
@@ -44,44 +43,27 @@ func TestCoarseTableBasics(t *testing.T) {
 	}
 }
 
-func TestCoarseTableMemory(t *testing.T) {
-	if got := NewCoarseTable(1024).MemoryBytes(); got != 8192 {
+// One table serves both schemes: 8 B per entry whether an entry maps a
+// logical page (CGM) or a logical sector (FGM).
+func TestTableMemory(t *testing.T) {
+	if got := NewTable(1024).MemoryBytes(); got != 8192 {
 		t.Fatalf("MemoryBytes = %d, want 8192", got)
 	}
-}
-
-func TestFineTableBasics(t *testing.T) {
-	tbl := NewFineTable(8)
-	tbl.Update(0, 5)
-	tbl.Update(7, 6)
-	if tbl.Mapped() != 2 {
-		t.Fatalf("Mapped = %d, want 2", tbl.Mapped())
-	}
-	if got := tbl.Lookup(7); got != 6 {
-		t.Fatalf("Lookup = %d", got)
-	}
-	tbl.Invalidate(0)
-	if tbl.Mapped() != 1 {
-		t.Fatalf("Mapped = %d, want 1", tbl.Mapped())
-	}
-	if !strings.Contains(tbl.String(), "1/8") {
-		t.Fatalf("String = %q", tbl.String())
-	}
-	if got := tbl.MemoryBytes(); got != 64 {
+	if got := NewTable(8).MemoryBytes(); got != 64 {
 		t.Fatalf("MemoryBytes = %d, want 64", got)
 	}
 }
 
-// Property: a fine table behaves exactly like a map[int64]int64 under a
+// Property: a table behaves exactly like a map[int64]int64 under a
 // random workload of updates, invalidates and lookups.
-func TestFineTableModelProperty(t *testing.T) {
+func TestTableModelProperty(t *testing.T) {
 	const n = 64
 	f := func(ops []struct {
 		LSN uint8
 		SPN uint16
 		Del bool
 	}) bool {
-		tbl := NewFineTable(n)
+		tbl := NewTable(n)
 		model := make(map[int64]int64)
 		for _, op := range ops {
 			lsn := int64(op.LSN) % n

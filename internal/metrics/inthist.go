@@ -46,26 +46,15 @@ func (h *IntHistogram) Record(v int) {
 // Count returns the number of observations.
 func (h *IntHistogram) Count() uint64 { return h.total }
 
-// CountOf returns how many observations had value v exactly (values in
-// the overflow bucket are reported together under the first overflowed
-// value).
-func (h *IntHistogram) CountOf(v int) uint64 {
-	if v < 0 || v >= len(h.counts) {
-		return 0
+// Merge adds o's observations to h. Both must have the same bucket count.
+func (h *IntHistogram) Merge(o *IntHistogram) {
+	for i, c := range o.counts {
+		h.counts[i] += c
 	}
-	return h.counts[v]
+	h.total += o.total
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
 }
-
-// NonZero returns how many observations were greater than zero.
-func (h *IntHistogram) NonZero() uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.total - h.counts[0]
-}
-
-// Sum returns the sum of all observations.
-func (h *IntHistogram) Sum() uint64 { return h.sum }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *IntHistogram) Mean() float64 {

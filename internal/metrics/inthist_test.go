@@ -10,17 +10,14 @@ func TestIntHistogramCounts(t *testing.T) {
 	if h.Count() != 7 {
 		t.Fatalf("Count = %d, want 7", h.Count())
 	}
-	if h.CountOf(0) != 3 { // two zeros plus the clamped -2
-		t.Errorf("CountOf(0) = %d, want 3", h.CountOf(0))
-	}
-	if h.NonZero() != 4 {
-		t.Errorf("NonZero = %d, want 4", h.NonZero())
+	if q := h.Quantile(3.0 / 7); q != 0 { // two zeros plus the clamped -2
+		t.Errorf("Quantile(3/7) = %d, want 0", q)
 	}
 	if h.Max() != 7 {
 		t.Errorf("Max = %d, want 7", h.Max())
 	}
-	if h.Sum() != 13 {
-		t.Errorf("Sum = %d, want 13", h.Sum())
+	if h.Mean() != 13.0/7 {
+		t.Errorf("Mean = %v, want 13/7", h.Mean())
 	}
 }
 

@@ -283,14 +283,14 @@ func TestRetentionModelAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		k := NppType(i % 4)
 		i++
-		if ber := m.NormalizedBERAt(k, Month/2, float64(m.RatedPE)/2, MinEraseDepth); ber <= 0 {
-			t.Fatalf("NormalizedBERAt(%v) = %v", k, ber)
+		if ber := m.NormalizedBER(k, Month/2, float64(m.RatedPE)/2, MinEraseDepth); ber <= 0 {
+			t.Fatalf("NormalizedBER(%v) = %v", k, ber)
 		}
-		if !m.CorrectableAt(k, Month/2, float64(m.RatedPE)/2, DepthFull) {
+		if !m.Correctable(k, Month/2, float64(m.RatedPE)/2, DepthFull) {
 			t.Fatalf("half-month %v data at half wear must be correctable", k)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("NormalizedBERAt+CorrectableAt allocate %.1f objects per call, want 0", avg)
+		t.Errorf("NormalizedBER+Correctable allocate %.1f objects per call, want 0", avg)
 	}
 }

@@ -183,6 +183,9 @@ func (d *Device) Clock() *sim.Clock { return d.clock }
 // Counters returns a snapshot of the operation counters.
 func (d *Device) Counters() Counters { return d.counters }
 
+// BytesWritten is Counters().BytesWritten without copying the counters.
+func (d *Device) BytesWritten() int64 { return d.counters.BytesWritten }
+
 // RetryHistogram returns the distribution of read-retry steps per read.
 // It is only populated on the recovery read path (Fault or Retry set).
 func (d *Device) RetryHistogram() *metrics.IntHistogram { return d.retryHist }
@@ -499,7 +502,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 	sp := &slots[sub]
 	blk := l.block()
 	m := &d.cfg.Retention
-	retention, err := d.senseSlot(l, sp, m.WearFactorF(blk.effWear), m.ShallowFactor(blk.lastDepth), start, cell)
+	retention, err := d.senseSlot(l, sp, m.WearFactor(blk.effWear), m.ShallowFactor(blk.lastDepth), start, cell)
 	if err != nil {
 		if d.cfg.DisableRetentionErrors && retention && errors.Is(err, ErrUncorrectable) {
 			d.counters.RetentionHits++
@@ -530,7 +533,7 @@ func (d *Device) senseSlot(l loc, sp *subpage, wf, sf float64, start sim.Time, s
 		return false, err
 	}
 	m := &d.cfg.Retention
-	// NormalizedBERAt's expression, in its operand order.
+	// NormalizedBER's expression, in its operand order.
 	ber := m.ageBER(sp.npp, AgeOf(sp.programmedAt, start)) * wf * sf
 	retention = ber > m.NormalizedECCLimit
 	if d.cfg.Fault == nil && !d.cfg.Retry {
@@ -611,7 +614,7 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 	slots, _ := l.slots()
 	blk := l.block()
 	m := &d.cfg.Retention
-	wf, sf := m.WearFactorF(blk.effWear), m.ShallowFactor(blk.lastDepth)
+	wf, sf := m.WearFactor(blk.effWear), m.ShallowFactor(blk.lastDepth)
 	stamps := d.readStamps[:len(slots)]
 	errs := d.readErrs[:len(slots)]
 	for sub := range slots {

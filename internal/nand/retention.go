@@ -110,20 +110,14 @@ func clampNpp(k NppType) int {
 	return int(k)
 }
 
-// WearFactor scales the normalized BER for a block with pe erase cycles.
-// The normalization anchor is RatedPE (factor 1.0); fresh blocks are more
-// reliable and worn blocks less so. The linear form is a first-order fit of
-// the endurance curves in the DEVTS work the paper cites for its BER
-// metric.
-func (m RetentionModel) WearFactor(pe int) float64 {
-	return m.WearFactorF(float64(pe))
-}
-
-// WearFactorF is WearFactor on fractional wear: with adaptive erase a
-// block's stress is the sum of its erase depths (deep-erase equivalents),
-// not an integer cycle count. WearFactorF(float64(pe)) is bit-identical to
-// WearFactor(pe).
-func (m RetentionModel) WearFactorF(wear float64) float64 {
+// WearFactor scales the normalized BER for a block of the given effective
+// wear: with adaptive erase a block's stress is the sum of its erase depths
+// (deep-erase equivalents), so a block erased pe times at full depth has
+// wear float64(pe). The normalization anchor is RatedPE (factor 1.0);
+// fresh blocks are more reliable and worn blocks less so. The linear form
+// is a first-order fit of the endurance curves in the DEVTS work the paper
+// cites for its BER metric.
+func (m RetentionModel) WearFactor(wear float64) float64 {
 	f := 0.5 + 0.5*wear/float64(m.RatedPE)
 	if f < 0.5 {
 		f = 0.5
@@ -143,22 +137,16 @@ func (m RetentionModel) ShallowFactor(d EraseDepth) float64 {
 }
 
 // NormalizedBER returns the retention BER of an N^k_pp subpage after age of
-// retention on a block with pe erase cycles, in units of the endurance BER
-// of an N⁰pp subpage at RatedPE cycles.
-func (m RetentionModel) NormalizedBER(k NppType, age time.Duration, pe int) float64 {
-	return m.NormalizedBERAt(k, age, float64(pe), DepthFull)
+// retention on a block of the given effective wear whose last erase had the
+// given depth, in units of the endurance BER of an N⁰pp subpage at RatedPE
+// full-depth cycles.
+func (m RetentionModel) NormalizedBER(k NppType, age time.Duration, wear float64, depth EraseDepth) float64 {
+	return m.ageBER(k, age) * m.WearFactor(wear) * m.ShallowFactor(depth)
 }
 
-// NormalizedBERAt is NormalizedBER on the adaptive-erase state of a block:
-// fractional effective wear and the depth of the block's last erase. At
-// wear == float64(pe) and full depth it is bit-identical to NormalizedBER.
-func (m RetentionModel) NormalizedBERAt(k NppType, age time.Duration, wear float64, depth EraseDepth) float64 {
-	return m.ageBER(k, age) * m.WearFactorF(wear) * m.ShallowFactor(depth)
-}
-
-// ageBER is the first factor of NormalizedBERAt, the only one that varies
+// ageBER is the first factor of NormalizedBER, the only one that varies
 // between the slots of a block: a page read multiplies it by the block's
-// WearFactorF and ShallowFactor, computed once, in the same order.
+// WearFactor and ShallowFactor, computed once, in the same order.
 func (m RetentionModel) ageBER(k NppType, age time.Duration) float64 {
 	i := clampNpp(k)
 	months := float64(age) / float64(Month)
@@ -168,32 +156,20 @@ func (m RetentionModel) ageBER(k NppType, age time.Duration) float64 {
 	return m.Base[i] + m.SlopePerMonth[i]*months
 }
 
-// Correctable reports whether data of the given type, age and wear is still
-// within the ECC limit (the deterministic decision the simulator uses).
-func (m RetentionModel) Correctable(k NppType, age time.Duration, pe int) bool {
-	return m.NormalizedBER(k, age, pe) <= m.NormalizedECCLimit
+// Correctable reports whether data of the given type and age, on a block of
+// the given effective wear and last erase depth, is still within the ECC
+// limit (the deterministic decision the simulator uses).
+func (m RetentionModel) Correctable(k NppType, age time.Duration, wear float64, depth EraseDepth) bool {
+	return m.NormalizedBER(k, age, wear, depth) <= m.NormalizedECCLimit
 }
 
-// CorrectableAt is Correctable on fractional effective wear and the
-// block's last erase depth.
-func (m RetentionModel) CorrectableAt(k NppType, age time.Duration, wear float64, depth EraseDepth) bool {
-	return m.NormalizedBERAt(k, age, wear, depth) <= m.NormalizedECCLimit
-}
-
-// RetentionCapability returns how long an N^k_pp subpage on a block with pe
-// erase cycles can hold data before crossing the ECC limit. A zero return
-// means data is unreadable immediately (e.g. a destroyed subpage or an
-// extremely worn block).
-func (m RetentionModel) RetentionCapability(k NppType, pe int) time.Duration {
-	return m.RetentionCapabilityAt(k, float64(pe), DepthFull)
-}
-
-// RetentionCapabilityAt is RetentionCapability on fractional effective wear
-// and the block's last erase depth. At wear == float64(pe) and full depth
-// it is bit-identical to RetentionCapability.
-func (m RetentionModel) RetentionCapabilityAt(k NppType, wear float64, depth EraseDepth) time.Duration {
+// RetentionCapability returns how long an N^k_pp subpage on a block of the
+// given effective wear and last erase depth can hold data before crossing
+// the ECC limit. A zero return means data is unreadable immediately (e.g. a
+// destroyed subpage or an extremely worn block).
+func (m RetentionModel) RetentionCapability(k NppType, wear float64, depth EraseDepth) time.Duration {
 	i := clampNpp(k)
-	w := m.WearFactorF(wear) * m.ShallowFactor(depth)
+	w := m.WearFactor(wear) * m.ShallowFactor(depth)
 	budget := m.NormalizedECCLimit/w - m.Base[i]
 	if budget <= 0 {
 		return 0
@@ -207,7 +183,7 @@ func (m RetentionModel) RetentionCapabilityAt(k NppType, wear float64, depth Era
 
 // MaxShallowFactor returns the largest shallow-erase BER factor under which
 // an N^k_pp subpage programmed onto a block at the given effective wear
-// still meets the horizon retention requirement. It inverts NormalizedBERAt
+// still meets the horizon retention requirement. It inverts NormalizedBER
 // for the depth policy: a depth d is admissible iff ShallowFactor(d) stays
 // at or below this bound. A return below 1 means even a full-depth erase
 // cannot meet the requirement (the block is past its retention life for
@@ -218,7 +194,7 @@ func (m RetentionModel) MaxShallowFactor(k NppType, horizon time.Duration, wear 
 	if months < 0 {
 		months = 0
 	}
-	need := (m.Base[i] + m.SlopePerMonth[i]*months) * m.WearFactorF(wear)
+	need := (m.Base[i] + m.SlopePerMonth[i]*months) * m.WearFactor(wear)
 	if need <= 0 {
 		return 1
 	}

@@ -5,33 +5,6 @@ import (
 	"time"
 )
 
-// The adaptive-erase compatibility contract: at full depth and integer
-// wear, the *At variants are bit-identical to the legacy methods — not
-// merely close, the same float64s — so installing no erase policy changes
-// nothing.
-func TestRetentionAtFullDepthBitIdentical(t *testing.T) {
-	m := DefaultRetention
-	ages := []time.Duration{0, Month / 2, Month, 2 * Month, 12 * Month}
-	wears := []int{0, 1, 250, m.RatedPE, 2 * m.RatedPE}
-	for k := NppType(0); k <= 3; k++ {
-		for _, age := range ages {
-			for _, pe := range wears {
-				if got, want := m.NormalizedBERAt(k, age, float64(pe), DepthFull), m.NormalizedBER(k, age, pe); got != want {
-					t.Fatalf("NormalizedBERAt(%v,%v,%d,full) = %v != %v", k, age, pe, got, want)
-				}
-				if got, want := m.CorrectableAt(k, age, float64(pe), DepthFull), m.Correctable(k, age, pe); got != want {
-					t.Fatalf("CorrectableAt(%v,%v,%d,full) = %v != %v", k, age, pe, got, want)
-				}
-			}
-		}
-		for _, pe := range wears {
-			if got, want := m.RetentionCapabilityAt(k, float64(pe), DepthFull), m.RetentionCapability(k, pe); got != want {
-				t.Fatalf("RetentionCapabilityAt(%v,%d,full) = %v != %v", k, pe, got, want)
-			}
-		}
-	}
-}
-
 func TestShallowFactor(t *testing.T) {
 	m := DefaultRetention
 	// Full depth and the never-erased zero value cost exactly factor 1.
@@ -73,7 +46,7 @@ func TestCorrectableAtBoundaryEdges(t *testing.T) {
 				flips := 0
 				prevOK := false
 				for i, d := range depths {
-					ok := m.CorrectableAt(k, age, wear, d)
+					ok := m.Correctable(k, age, wear, d)
 					// BER monotone: shallower depth is never better.
 					if i > 0 && prevOK && !ok {
 						t.Fatalf("%v at wear %v age %v: depth %v correctable but deeper %v not",
@@ -93,13 +66,13 @@ func TestCorrectableAtBoundaryEdges(t *testing.T) {
 	// A concrete boundary from the calibrated model: N3pp month-old data
 	// on a fresh block survives the shallowest erase, but the same data on
 	// a block at rated wear needs full depth.
-	if !m.CorrectableAt(3, Month, 0, MinEraseDepth) {
+	if !m.Correctable(3, Month, 0, MinEraseDepth) {
 		t.Error("fresh block cannot host N3pp 1-month data after the shallowest erase")
 	}
-	if m.CorrectableAt(3, Month, rated, MinEraseDepth) {
+	if m.Correctable(3, Month, rated, MinEraseDepth) {
 		t.Error("rated-wear block accepts N3pp 1-month data after a min-depth erase; the margin should be gone")
 	}
-	if !m.CorrectableAt(3, Month, rated, DepthFull) {
+	if !m.Correctable(3, Month, rated, DepthFull) {
 		t.Error("rated-wear block at full depth must still meet the paper's 1-month N3pp requirement")
 	}
 }
@@ -114,7 +87,7 @@ func TestRetentionCapabilityAtDepth(t *testing.T) {
 		for _, wear := range []float64{0, rated / 2, rated} {
 			prev := time.Duration(1<<62 - 1)
 			for _, d := range []EraseDepth{DepthFull, 0.75, 0.5, MinEraseDepth} {
-				c := m.RetentionCapabilityAt(k, wear, d)
+				c := m.RetentionCapability(k, wear, d)
 				if c > prev {
 					t.Fatalf("%v wear %v: capability grew as depth shallowed (%v at depth %v, was %v)", k, wear, c, d, prev)
 				}
@@ -122,14 +95,14 @@ func TestRetentionCapabilityAtDepth(t *testing.T) {
 			}
 		}
 	}
-	deep := m.RetentionCapabilityAt(3, rated, DepthFull)
-	shallow := m.RetentionCapabilityAt(3, rated, MinEraseDepth)
+	deep := m.RetentionCapability(3, rated, DepthFull)
+	shallow := m.RetentionCapability(3, rated, MinEraseDepth)
 	if deep < Month || shallow >= Month {
 		t.Fatalf("N3pp at rated wear: capability deep=%v shallow=%v, want the 1-month line crossed between them", deep, shallow)
 	}
 }
 
-// MaxShallowFactor inverts NormalizedBERAt: any depth whose ShallowFactor
+// MaxShallowFactor inverts NormalizedBER: any depth whose ShallowFactor
 // stays at or below the bound keeps the data correctable through the
 // horizon, and any factor above it does not.
 func TestMaxShallowFactorInversion(t *testing.T) {
@@ -139,13 +112,13 @@ func TestMaxShallowFactorInversion(t *testing.T) {
 		for _, horizon := range []time.Duration{Month, 12 * Month} {
 			for _, wear := range []float64{0, rated / 2, rated, 2 * rated} {
 				bound := m.MaxShallowFactor(k, horizon, wear)
-				base := (m.Base[clampNpp(k)] + m.SlopePerMonth[clampNpp(k)]*float64(horizon)/float64(Month)) * m.WearFactorF(wear)
+				base := (m.Base[clampNpp(k)] + m.SlopePerMonth[clampNpp(k)]*float64(horizon)/float64(Month)) * m.WearFactor(wear)
 				if base*bound > m.NormalizedECCLimit*(1+1e-12) {
 					t.Fatalf("%v horizon %v wear %v: bound %v overshoots the ECC limit", k, horizon, wear, bound)
 				}
 				if bound < 1 {
 					// Even full depth fails: the model must agree.
-					if m.CorrectableAt(k, horizon, wear, DepthFull) {
+					if m.Correctable(k, horizon, wear, DepthFull) {
 						t.Fatalf("%v horizon %v wear %v: bound %v < 1 but full depth correctable", k, horizon, wear, bound)
 					}
 				}

@@ -33,8 +33,8 @@ func TestRetentionModelValidate(t *testing.T) {
 // retention BER of an N3pp subpage is 41% higher than an N0pp subpage.
 func TestRetentionN3ppIs41PercentWorse(t *testing.T) {
 	m := DefaultRetention
-	n0 := m.NormalizedBER(0, 0, m.RatedPE)
-	n3 := m.NormalizedBER(3, 0, m.RatedPE)
+	n0 := m.NormalizedBER(0, 0, float64(m.RatedPE), DepthFull)
+	n3 := m.NormalizedBER(3, 0, float64(m.RatedPE), DepthFull)
 	if math.Abs(n3/n0-1.41) > 1e-9 {
 		t.Fatalf("N3pp/N0pp = %v, want 1.41", n3/n0)
 	}
@@ -49,7 +49,7 @@ func TestRetentionMonotone(t *testing.T) {
 	for _, age := range []time.Duration{0, Month, 2 * Month} {
 		prev := 0.0
 		for k := NppType(0); k <= 3; k++ {
-			b := m.NormalizedBER(k, age, m.RatedPE)
+			b := m.NormalizedBER(k, age, float64(m.RatedPE), DepthFull)
 			if b <= prev {
 				t.Fatalf("BER not increasing in k at age %v: N%dpp=%v prev=%v", age, k, b, prev)
 			}
@@ -57,7 +57,7 @@ func TestRetentionMonotone(t *testing.T) {
 		}
 	}
 	for k := NppType(0); k <= 3; k++ {
-		if m.NormalizedBER(k, 2*Month, m.RatedPE) <= m.NormalizedBER(k, Month, m.RatedPE) {
+		if m.NormalizedBER(k, 2*Month, float64(m.RatedPE), DepthFull) <= m.NormalizedBER(k, Month, float64(m.RatedPE), DepthFull) {
 			t.Fatalf("BER not increasing in age for %v", k)
 		}
 	}
@@ -68,51 +68,51 @@ func TestRetentionMonotone(t *testing.T) {
 // months; N0pp full-page data survives a commercial year.
 func TestRetentionPassFailMatrix(t *testing.T) {
 	m := DefaultRetention
-	pe := m.RatedPE
+	pe := float64(m.RatedPE)
 	for k := NppType(0); k <= 3; k++ {
-		if !m.Correctable(k, Month, pe) {
+		if !m.Correctable(k, Month, pe, DepthFull) {
 			t.Errorf("%v fails 1-month requirement, paper says it passes", k)
 		}
 	}
 	for k := NppType(1); k <= 3; k++ {
-		if m.Correctable(k, 2*Month, pe) {
+		if m.Correctable(k, 2*Month, pe, DepthFull) {
 			t.Errorf("%v passes 2-month requirement, conservative model says it fails", k)
 		}
 	}
-	if !m.Correctable(0, 12*Month, pe) {
+	if !m.Correctable(0, 12*Month, pe, DepthFull) {
 		t.Error("N0pp fails the 1-year JEDEC requirement")
 	}
-	if m.Correctable(0, 14*Month, pe) {
+	if m.Correctable(0, 14*Month, pe, DepthFull) {
 		t.Error("N0pp has unbounded retention; model should cross the limit just past a year")
 	}
 }
 
 func TestRetentionCapability(t *testing.T) {
 	m := DefaultRetention
-	pe := m.RatedPE
+	pe := float64(m.RatedPE)
 	for k := NppType(1); k <= 3; k++ {
-		cap := m.RetentionCapability(k, pe)
+		cap := m.RetentionCapability(k, pe, DepthFull)
 		if cap < Month || cap >= 2*Month {
 			t.Errorf("%v capability = %v, want within [1,2) months", k, cap)
 		}
 	}
-	cap0 := m.RetentionCapability(0, pe)
+	cap0 := m.RetentionCapability(0, pe, DepthFull)
 	if cap0 < 12*Month {
 		t.Errorf("N0pp capability = %v, want >= 1 year", cap0)
 	}
 	// Capability shrinks with wear.
-	if m.RetentionCapability(3, 2*pe) >= m.RetentionCapability(3, pe) {
+	if m.RetentionCapability(3, 2*pe, DepthFull) >= m.RetentionCapability(3, pe, DepthFull) {
 		t.Error("capability did not shrink with wear")
 	}
 	// Fresh blocks have more margin.
-	if m.RetentionCapability(3, 0) <= m.RetentionCapability(3, pe) {
+	if m.RetentionCapability(3, 0, DepthFull) <= m.RetentionCapability(3, pe, DepthFull) {
 		t.Error("capability did not grow for a fresh block")
 	}
 }
 
 func TestRetentionWearFactor(t *testing.T) {
 	m := DefaultRetention
-	if f := m.WearFactor(m.RatedPE); math.Abs(f-1.0) > 1e-9 {
+	if f := m.WearFactor(float64(m.RatedPE)); math.Abs(f-1.0) > 1e-9 {
 		t.Errorf("WearFactor(rated) = %v, want 1.0", f)
 	}
 	if f := m.WearFactor(0); f != 0.5 {
@@ -125,7 +125,7 @@ func TestRetentionWearFactor(t *testing.T) {
 
 func TestRetentionClampNpp(t *testing.T) {
 	m := DefaultRetention
-	if m.NormalizedBER(9, 0, m.RatedPE) != m.NormalizedBER(3, 0, m.RatedPE) {
+	if m.NormalizedBER(9, 0, float64(m.RatedPE), DepthFull) != m.NormalizedBER(3, 0, float64(m.RatedPE), DepthFull) {
 		t.Error("Npp beyond 3 not clamped to the worst characterized type")
 	}
 }
@@ -133,7 +133,7 @@ func TestRetentionClampNpp(t *testing.T) {
 func TestRetentionZeroSlopeUnlimited(t *testing.T) {
 	m := DefaultRetention
 	m.SlopePerMonth[0] = 0
-	if cap := m.RetentionCapability(0, m.RatedPE); cap < 1000*Month {
+	if cap := m.RetentionCapability(0, float64(m.RatedPE), DepthFull); cap < 1000*Month {
 		t.Errorf("zero-slope capability = %v, want effectively unlimited", cap)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // The device decodes each address once and senses a page in one pass over
 // its slots. What it replaced is kept here as the reference: a per-slot
 // sense that decodes through Geometry's helpers and decides through
-// RetentionModel.CorrectableAt / NormalizedBERAt, as ReadPage and
+// RetentionModel.Correctable / NormalizedBER, as ReadPage and
 // ReadSubpage did before.
 
 // refReadSlot is the chip-level read of one slot: erased, torn and
@@ -28,7 +28,7 @@ func refReadSlot(c *chip, lb, pi, sub int, now sim.Time, m *RetentionModel) (Sta
 	if err := sp.unreadable(); err != nil {
 		return Stamp{}, err
 	}
-	if !m.CorrectableAt(sp.npp, AgeOf(sp.programmedAt, now), blk.effWear, blk.lastDepth) {
+	if !m.Correctable(sp.npp, AgeOf(sp.programmedAt, now), blk.effWear, blk.lastDepth) {
 		return Stamp{}, ErrUncorrectable
 	}
 	return sp.stamp(), nil
@@ -52,7 +52,7 @@ func refSenseSubpage(d *Device, b BlockID, p PageID, sub int, start sim.Time, st
 	}
 	m := &d.cfg.Retention
 	limit := m.NormalizedECCLimit
-	ber := m.NormalizedBERAt(sp.npp, AgeOf(sp.programmedAt, start), blk.effWear, blk.lastDepth)
+	ber := m.NormalizedBER(sp.npp, AgeOf(sp.programmedAt, start), blk.effWear, blk.lastDepth)
 	retention := ber > limit
 	if inj := d.cfg.Fault; inj != nil {
 		ber += inj.ReadDisturb(g.ChipOf(b), int(b), blk.eraseCount)

@@ -400,7 +400,12 @@ func (s *Server) Shutdown() (*host.Report, error) {
 			s.engineErr = fmt.Errorf("server: shard %d: %w", sh.idx, sh.engineErr)
 		}
 	}
-	s.rep = mergeReports(reps)
+	// One shard's report is the fleet's; more merge into a fresh one, so
+	// each shard's report stays as its engine left it.
+	s.rep = reps[0]
+	if len(reps) > 1 {
+		s.rep = host.MergeReports(reps)
+	}
 	if s.httpSv != nil {
 		// Graceful HTTP teardown: in-flight /stats and /metrics requests
 		// (a drain-watcher polling for Draining:true, say) finish before

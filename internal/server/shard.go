@@ -8,7 +8,6 @@ import (
 	"espftl/internal/experiment"
 	"espftl/internal/ftl"
 	"espftl/internal/host"
-	"espftl/internal/metrics"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 )
@@ -247,50 +246,4 @@ func (sh *shard) gcSnapshot() GCStats {
 		return v.(GCStats)
 	}
 	return GCStats{}
-}
-
-// mergeReports folds per-shard engine reports into one fleet view:
-// counters sum, histograms merge bucket-by-bucket. Configuration echoes
-// (arbiter, queues) come from the first report — shards are
-// homogeneously configured. A single report passes through untouched.
-func mergeReports(reps []*host.Report) *host.Report {
-	if len(reps) == 0 {
-		return nil
-	}
-	if len(reps) == 1 {
-		return reps[0]
-	}
-	out := *reps[0]
-	// Fresh histograms: merging must not mutate the per-shard reports,
-	// which stay independently inspectable after shutdown.
-	out.HostLat = metrics.NewHistogram()
-	out.ReadLat = metrics.NewHistogram()
-	out.WriteLat = metrics.NewHistogram()
-	out.BackLat = metrics.NewHistogram()
-	out.ReadWait = metrics.NewHistogram()
-	out.WriteWait = metrics.NewHistogram()
-	out.Submitted, out.Dispatched, out.Completed, out.Background = 0, 0, 0, 0
-	out.Errors, out.Rejected = 0, 0
-	out.OutOfOrder, out.ReadsPromoted, out.BackgroundDeferred = 0, 0, 0
-	for _, r := range reps {
-		if r == nil {
-			continue
-		}
-		out.Submitted += r.Submitted
-		out.Dispatched += r.Dispatched
-		out.Completed += r.Completed
-		out.Background += r.Background
-		out.Errors += r.Errors
-		out.Rejected += r.Rejected
-		out.OutOfOrder += r.OutOfOrder
-		out.ReadsPromoted += r.ReadsPromoted
-		out.BackgroundDeferred += r.BackgroundDeferred
-		out.HostLat.Merge(r.HostLat)
-		out.ReadLat.Merge(r.ReadLat)
-		out.WriteLat.Merge(r.WriteLat)
-		out.BackLat.Merge(r.BackLat)
-		out.ReadWait.Merge(r.ReadWait)
-		out.WriteWait.Merge(r.WriteWait)
-	}
-	return &out
 }

@@ -14,6 +14,7 @@ import (
 	"espftl/internal/fault"
 	"espftl/internal/ftl"
 	"espftl/internal/ftltest"
+	"espftl/internal/host"
 	"espftl/internal/nand"
 	"espftl/internal/server"
 	"espftl/internal/wire"
@@ -720,5 +721,69 @@ func TestMetricsMergedAcrossShards(t *testing.T) {
 	}
 	if lo, hi := min(wa.EraseMean, wb.EraseMean), max(wa.EraseMean, wb.EraseMean); w.EraseMean < lo || w.EraseMean > hi {
 		t.Errorf("merged EraseMean %v outside the shard means [%v,%v]", w.EraseMean, lo, hi)
+	}
+}
+
+// The fleet report Shutdown returns merges every shard's report: its
+// counts are the sums of the shards' counts, its fan-out histogram and
+// queue-depth and chip-utilization summaries included, and merging leaves
+// each shard's own report as its engine left it.
+func TestFleetReportMergesShards(t *testing.T) {
+	srv, err := server.New(server.Config{
+		Shards: 2,
+		Stack: experiment.RunConfig{
+			Kind:        experiment.KindFGM,
+			Geometry:    ftltest.TinyGeometry(),
+			LogicalFrac: 0.35,
+		},
+		PreconditionFrac: 0.9,
+		Namespaces: []server.NamespaceSpec{
+			{Name: "busy", Placement: "0"},
+			{Name: "calm", Placement: "1"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"busy": 3000, "calm": 800} {
+		c, err := server.Dial(srv.Addr(), name)
+		if err != nil {
+			t.Fatalf("dial %s: %v", name, err)
+		}
+		stream := mixedStream(t, int64(c.Welcome.Sectors), int(c.Welcome.PageSectors), n, 7)
+		if cr, err := c.RunRequests(stream, 8, nil); err != nil || cr.Errors != 0 {
+			t.Fatalf("%s load: %+v, %v", name, cr, err)
+		}
+		c.Close()
+	}
+	fleet, err := srv.Shutdown()
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	r0, r1 := srv.ShardReport(0), srv.ShardReport(1)
+	counts := func(r *host.Report) [5]float64 {
+		return [5]float64{float64(r.Completed), float64(r.Fanout.Count()), float64(r.QueueDepth.Count()), float64(r.ChipUtil.Count()), r.QueueDepth.MaxValue()}
+	}
+	c0, c1, cf := counts(r0), counts(r1), counts(fleet)
+	if c0 == c1 {
+		t.Fatalf("shards indistinguishable (%v); the checks below would be vacuous", c0)
+	}
+	for i, name := range []string{"completed", "fan-out samples", "queue-depth samples", "chip-utilization samples"} {
+		if cf[i] != c0[i]+c1[i] {
+			t.Errorf("fleet %s %v, want %v + %v", name, cf[i], c0[i], c1[i])
+		}
+	}
+	if cf[4] != max(c0[4], c1[4]) {
+		t.Errorf("fleet queue-depth peak %v, want the larger of %v and %v", cf[4], c0[4], c1[4])
+	}
+	if fleet.Fanout == r0.Fanout || fleet.HostLat == r0.HostLat {
+		t.Error("fleet report shares histograms with shard 0's")
+	}
+	host.MergeReports([]*host.Report{r0, r1})
+	if got := counts(r0); got != c0 || r0.Fanout.Count() != uint64(r0.Dispatched) {
+		t.Errorf("merging changed shard 0's report: %v, was %v (%d dispatched)", got, c0, r0.Dispatched)
 	}
 }

@@ -52,11 +52,3 @@ func (r *RNG) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -100,16 +100,3 @@ func TestRNGBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) frequency = %v", p)
 	}
 }
-
-func TestRNGShufflePermutation(t *testing.T) {
-	r := NewRNG(8)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if v < 0 || v >= 8 || seen[v] {
-			t.Fatalf("shuffle result not a permutation: %v", xs)
-		}
-		seen[v] = true
-	}
-}
