@@ -208,11 +208,9 @@ func BenchmarkWorkloadGenerator(b *testing.B) {
 
 // BenchmarkRetentionModel measures the per-read reliability decision.
 func BenchmarkRetentionModel(b *testing.B) {
-	m := nand.DefaultRetention
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := nand.NppType(i % 4)
-		if !m.Correctable(k, nand.Month/2, float64(m.RatedPE), nand.DepthFull) {
+		if !nand.Correctable(k, nand.Month/2, nand.RatedPE, nand.DepthFull) {
 			b.Fatal("half-month data must be correctable")
 		}
 	}

@@ -46,7 +46,6 @@ func main() {
 	nsSpec := flag.String("ns", "default", "namespaces: comma-separated name[=sectors][@shard|@*]; unsized names split the remainder equally, @* stripes across all shards")
 	connInflight := flag.Int("conn-inflight", 32, "per-connection in-flight command cap")
 	maxInflight := flag.Int("max-inflight", 256, "global in-flight budget across connections")
-	tick := flag.Int("tick", 64, "host-scheduler event-loop tick granularity")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-flush reply deadline before a client is declared dead")
 	admitTimeout := flag.Duration("admit-timeout", 0, "admission wait before a command is refused RETRYABLE (0 = wait forever)")
 	watchdog := flag.Duration("watchdog", time.Second, "engine watchdog sampling interval (negative = off)")
@@ -71,7 +70,6 @@ func main() {
 		Namespaces:       specs,
 		PerConnInflight:  *connInflight,
 		MaxInflight:      *maxInflight,
-		TickEvery:        *tick,
 		WriteTimeout:     *writeTimeout,
 		AdmitTimeout:     *admitTimeout,
 		WatchdogInterval: *watchdog,

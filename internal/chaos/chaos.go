@@ -187,7 +187,6 @@ func Run(cfg Config) (*Result, error) {
 				ReadDisturbBER:  1.6,
 				ProgramFailProb: 5e-4,
 				EraseFailProb:   1e-4,
-				WearSlope:       1.0,
 			}
 		}
 		dev, in, st, err := buildStack(prof)

@@ -145,14 +145,19 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 	}, rep)
 }
 
-// VersionOf implements ftl.VersionProber: the version a read of lsn would
-// return, 0 when no live copy exists in the buffer or either region.
+// VersionOf implements ftl.VersionProber: the version of the copy a read
+// of lsn returns, the host's newest for a staged sector and else the one
+// its region slot or the full-page store recorded, 0 when no live copy
+// exists in the buffer or either region.
 func (f *FTL) VersionOf(lsn int64) uint32 {
 	if lsn < 0 || lsn >= f.Ver.Size() {
 		return 0
 	}
-	if _, ok := f.hash.Get(lsn); ok || f.buf.Contains(lsn) || f.full.Holds(lsn) {
+	if f.buf.Contains(lsn) {
 		return f.Ver.Current(lsn)
 	}
-	return 0
+	if spn, ok := f.hash.Get(lsn); ok {
+		return f.slots.verAt[f.at(spn)]
+	}
+	return f.full.StoredVersion(lsn)
 }

@@ -72,7 +72,7 @@ func (f *FTL) nearExpiry(spn int64, now sim.Time) bool {
 	// Effective wear and the block's last erase depth, not the raw erase
 	// count: a shallow-erased block ages its data faster than its count
 	// suggests, and the scrub must rewrite before that earlier expiry.
-	capability := f.Dev.Retention().RetentionCapability(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
+	capability := nand.RetentionCapability(info.Npp, f.Dev.EffectiveWear(blk), f.Dev.LastEraseDepth(blk))
 	return nand.AgeOf(f.slots.writtenAt[f.base(blk)+off], now)+2*scrubInterval > capability
 }
 
@@ -170,8 +170,9 @@ func (f *FTL) Check() error {
 }
 
 // checkSlots verifies the region slot table: every region block holds
-// exactly one slot, no two blocks share a slot, and a free slot holds no
-// block and no reverse entry.
+// exactly one slot, no two blocks share a slot, a held slot's reverse
+// entries are the hash's mappings (survivorsIn reads liveness off them
+// alone), and a free slot holds no block and no reverse entry.
 func (f *FTL) checkSlots() error {
 	r := &f.slots
 	inUse := 0
@@ -197,6 +198,13 @@ func (f *FTL) checkSlots() error {
 		held++
 		if mb := &f.meta[b]; !mb.inUse || int(mb.slot) != s {
 			return fmt.Errorf("core: slot %d held by block %d, which is not in the region at that slot", s, b)
+		}
+		for i, l := range r.rmap[s*r.perBlock : (s+1)*r.perBlock] {
+			if lsn := int64(l); lsn != mapping.None {
+				if spn, ok := f.hash.Get(lsn); !ok || spn != int64(b)*int64(r.perBlock)+int64(i) {
+					return fmt.Errorf("core: block %d offset %d keeps lsn %d, which the hash maps to %d (live %v)", b, i, lsn, spn, ok)
+				}
+			}
 		}
 	}
 	if held+len(r.free) != len(r.owner) {

@@ -345,16 +345,16 @@ func (f *FTL) dropFullCopy(lsn int64) {
 // writes go straight to the subpage region; small async writes stage in
 // the aligned buffer hoping to merge into full pages.
 func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
-	if err := f.write(lsn, sectors, sync); err != nil {
-		return err
-	}
-	return f.payGC()
-}
-
-func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 	if err := f.Admit(workload.OpWrite, lsn, sectors); err != nil {
 		return err
 	}
+	if err := f.write(lsn, sectors, sync); err != nil {
+		return f.Unwind(lsn, sectors, f.VersionOf, err)
+	}
+	return ftl.Landed(f.payGC())
+}
+
+func (f *FTL) write(lsn int64, sectors int, sync bool) error {
 	g := f.Dev.Geometry()
 	small := sectors < f.PageSecs
 	lsns := f.SectorRun(lsn, sectors)

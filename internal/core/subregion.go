@@ -67,21 +67,19 @@ type survivor struct {
 }
 
 // survivorsIn returns the live subpages of region page p in slots
-// [0, limit). Stale copies are survivors too (see stale): until their
+// [0, limit). The reverse map alone decides liveness: every path that moves
+// or drops a region copy (subPlace, dropSubCopy, the shift in subPass)
+// resets its entry, and Check asserts that a held entry is the hash's
+// mapping. Stale copies are survivors too (see stale): until their
 // volatile successor lands on flash they carry the sector's durable state.
 // The result is FTL-owned scratch, valid until the next survivorsIn call;
 // both callers consume it before anything downstream can re-enter.
 func (f *FTL) survivorsIn(p nand.PageID, limit int) []survivor {
 	b, pi := f.Dev.BlockOfPage(p)
 	first := f.base(b) + pi*f.PageSecs
-	spn0 := int64(p) * int64(f.PageSecs)
 	out := f.survivorsBuf[:0]
 	for s := 0; s < limit; s++ {
-		lsn := int64(f.slots.rmap[first+s])
-		if lsn == mapping.None {
-			continue
-		}
-		if got, live := f.hash.Get(lsn); live && got == spn0+int64(s) {
+		if lsn := int64(f.slots.rmap[first+s]); lsn != mapping.None {
 			out = append(out, survivor{lsn: lsn, slot: s, at: first + s})
 		}
 	}
@@ -420,6 +418,9 @@ func (f *FTL) growSub(chip int) (nand.BlockID, error) {
 	}
 	b, ok := f.Man.AllocOnChip(ftl.RoleSub, chip)
 	if !ok {
+		if f.ReadOnly() {
+			return 0, ftl.ErrReadOnly
+		}
 		return 0, fmt.Errorf("core: free pool exhausted growing the subpage region: %s", f.debugState())
 	}
 	f.initSubBlock(b)
@@ -528,6 +529,9 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		if !f.gcDestSet {
 			b, ok := f.Man.Alloc(ftl.RoleSub)
 			if !ok {
+				if f.ReadOnly() {
+					return ftl.ErrReadOnly
+				}
 				return fmt.Errorf("core: no free block for subpage GC destination")
 			}
 			f.initSubBlock(b)

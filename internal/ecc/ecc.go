@@ -7,18 +7,11 @@
 // pushes the expected error count past that capability the read fails
 // uncorrectably.
 //
-// The package supports both a deterministic decision (expected-value
-// threshold, used by the simulator so runs are reproducible) and a
-// stochastic decision (Poisson-sampled error counts, used by the
-// reliability experiments).
+// The decision is deterministic (an expected-value threshold), so runs are
+// reproducible.
 package ecc
 
-import (
-	"fmt"
-	"math"
-
-	"espftl/internal/sim"
-)
+import "fmt"
 
 // Code describes an ECC configuration: the codeword payload size and the
 // number of bit errors correctable per codeword.
@@ -71,40 +64,4 @@ func (c Code) ExpectedErrors(ber float64) float64 {
 // expected to decode successfully (deterministic expected-value decision).
 func (c Code) Correctable(ber float64) bool {
 	return c.ExpectedErrors(ber) <= float64(c.CorrectBits)
-}
-
-// SampleErrors draws a random per-codeword error count at rate ber using a
-// Poisson approximation to the binomial (appropriate because bit errors are
-// rare and bits per codeword are many). The draw is deterministic given the
-// RNG state.
-func (c Code) SampleErrors(r *sim.RNG, ber float64) int {
-	lambda := c.ExpectedErrors(ber)
-	if lambda <= 0 {
-		return 0
-	}
-	// Knuth's algorithm is fine for the small lambdas we see (< ~100);
-	// for larger lambdas fall back to a normal approximation.
-	if lambda < 64 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction.
-	u1, u2 := r.Float64(), r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	n := int(math.Round(lambda + z*math.Sqrt(lambda)))
-	if n < 0 {
-		n = 0
-	}
-	return n
 }

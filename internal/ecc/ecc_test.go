@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"espftl/internal/sim"
 )
 
 func TestValidate(t *testing.T) {
@@ -55,49 +53,6 @@ func TestExpectedErrors(t *testing.T) {
 	}
 	if got := c.ExpectedErrors(-1); got != 0 {
 		t.Fatalf("negative BER clamps to 0, got %v", got)
-	}
-}
-
-func TestSampleErrorsZero(t *testing.T) {
-	r := sim.NewRNG(1)
-	if got := DefaultTLC.SampleErrors(r, 0); got != 0 {
-		t.Fatalf("SampleErrors(0) = %d, want 0", got)
-	}
-}
-
-func TestSampleErrorsMean(t *testing.T) {
-	r := sim.NewRNG(2)
-	c := DefaultTLC
-	const ber = 2e-3 // lambda = 16.384
-	lambda := c.ExpectedErrors(ber)
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += float64(c.SampleErrors(r, ber))
-	}
-	mean := sum / n
-	if math.Abs(mean-lambda) > 0.25 {
-		t.Fatalf("sample mean = %v, want ~%v", mean, lambda)
-	}
-}
-
-func TestSampleErrorsLargeLambdaMean(t *testing.T) {
-	r := sim.NewRNG(3)
-	c := DefaultTLC
-	const ber = 0.02 // lambda = 163.84, normal path
-	lambda := c.ExpectedErrors(ber)
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := c.SampleErrors(r, ber)
-		if v < 0 {
-			t.Fatal("negative sample")
-		}
-		sum += float64(v)
-	}
-	mean := sum / n
-	if math.Abs(mean-lambda)/lambda > 0.02 {
-		t.Fatalf("sample mean = %v, want ~%v", mean, lambda)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"espftl/internal/fault"
+	"espftl/internal/nand"
 	"espftl/internal/workload"
 )
 
@@ -419,8 +420,7 @@ func ExtSubpageRead(o Options) (*Table, error) {
 }
 
 // ExtLifetime projects device lifetime from measured erase rates: host
-// bytes writable before the rated endurance (1K P/E on the paper's TLC
-// parts) is exhausted, per FTL, on a sync-small-heavy workload. This is
+// bytes writable before the rated endurance (nand.RatedPE) is exhausted, per FTL, on a sync-small-heavy workload. This is
 // the paper's title claim ("improving ... lifetime") made explicit.
 func ExtLifetime(o Options) (*Table, error) {
 	o = o.withDefaults()
@@ -458,7 +458,7 @@ func ExtLifetime(o Options) (*Table, error) {
 		// Total erase budget = rated P/E x block count; lifetime in host
 		// bytes = budget / (erases per host byte).
 		g := o.Geometry
-		budget := 1000.0 * float64(g.TotalBlocks())
+		budget := float64(nand.RatedPE) * float64(g.TotalBlocks())
 		tbw := budget / perGiB / 1024 // GiB -> TiB
 		rows = append(rows, row{kind, tbw})
 		t.AddRow(string(kind), fmt.Sprintf("%.0f", erases), f2(perGiB), f2(tbw), "")

@@ -164,28 +164,27 @@ func Fig2b(o Options) (*Table, error) {
 // subpages right after 1K P/E cycles and after 1- and 2-month retention,
 // against the maximum ECC limit.
 func Fig5(o Options) (*Table, error) {
-	m := nand.DefaultRetention
 	code := ecc.DefaultTLC
 	t := &Table{
 		ID:      "fig5",
 		Title:   "Normalized retention BER vs N^k_pp type (at rated 1K P/E)",
 		Columns: []string{"type", "after 1K P/E", "1-month", "2-month", "within ECC @1mo", "within ECC @2mo", "capability"},
 	}
-	pe := float64(m.RatedPE)
+	pe := float64(nand.RatedPE)
 	for k := nand.NppType(0); k <= 3; k++ {
-		capability := m.RetentionCapability(k, pe, nand.DepthFull)
+		capability := nand.RetentionCapability(k, pe, nand.DepthFull)
 		t.AddRow(
 			k.String(),
-			f3(m.NormalizedBER(k, 0, pe, nand.DepthFull)),
-			f3(m.NormalizedBER(k, nand.Month, pe, nand.DepthFull)),
-			f3(m.NormalizedBER(k, 2*nand.Month, pe, nand.DepthFull)),
-			fmt.Sprintf("%v", m.Correctable(k, nand.Month, pe, nand.DepthFull)),
-			fmt.Sprintf("%v", m.Correctable(k, 2*nand.Month, pe, nand.DepthFull)),
+			f3(nand.NormalizedBER(k, 0, pe, nand.DepthFull)),
+			f3(nand.NormalizedBER(k, nand.Month, pe, nand.DepthFull)),
+			f3(nand.NormalizedBER(k, 2*nand.Month, pe, nand.DepthFull)),
+			fmt.Sprintf("%v", nand.Correctable(k, nand.Month, pe, nand.DepthFull)),
+			fmt.Sprintf("%v", nand.Correctable(k, 2*nand.Month, pe, nand.DepthFull)),
 			fmt.Sprintf("%.1f days", float64(capability)/float64(24*time.Hour)),
 		)
 	}
 	t.Note("maximum ECC limit (normalized): %.2f = raw BER %.2e at %d bits / %d B codeword",
-		m.NormalizedECCLimit, m.RawBER(code, m.NormalizedECCLimit), code.CorrectBits, code.CodewordBytes)
+		nand.NormalizedECCLimit(), nand.RawBER(code, nand.NormalizedECCLimit()), code.CorrectBits, code.CodewordBytes)
 	t.Note("paper calibration: N3pp is 41%% above N0pp right after 1K P/E; every type passes 1 month; N1..3pp fail 2 months; N0pp holds ~1 year")
 	return t, nil
 }

@@ -221,7 +221,7 @@ func buildFTL(kind Kind, dev *nand.Device, cfg RunConfig, logicalSectors int64) 
 		StepPages:       cfg.GCStepPages,
 		BackgroundSlack: cfg.GCBackgroundSlack,
 	}
-	erasePol, err := lifetime.NewErasePolicy(cfg.ErasePolicy, *dev.Retention())
+	erasePol, err := lifetime.NewErasePolicy(cfg.ErasePolicy)
 	if err != nil {
 		return nil, err
 	}

@@ -51,15 +51,16 @@ func (k Kind) String() string {
 // Profile describes the stochastic fault environment of one device. All
 // probabilities are per operation; a zero value injects nothing of that
 // kind. Wear scaling multiplies the program/erase/read-disturb
-// probabilities by (1 + WearSlope*pe/ratedPE), modeling the P/E-cycle
-// growth of media failures; every chip draws from the same probabilities.
+// probabilities by (1 + wear), where wear is the block's P/E cycles as a
+// fraction of its rated endurance, modeling the P/E-cycle growth of media
+// failures; every chip draws from the same probabilities.
 type Profile struct {
 	// Seed drives every probabilistic draw and the factory-bad hash.
 	Seed uint64
 	// ReadDisturbProb is the chance one subpage sense is disturbed.
 	ReadDisturbProb float64
 	// ReadDisturbBER is the normalized-BER delta a disturb adds to the
-	// sense (same unit as nand.RetentionModel.NormalizedECCLimit).
+	// sense (same unit as nand.NormalizedECCLimit).
 	ReadDisturbBER float64
 	// ProgramFailProb is the chance one program (full-page or ESP pass)
 	// fails, destroying the page's content.
@@ -69,13 +70,7 @@ type Profile struct {
 	EraseFailProb float64
 	// FactoryBadFrac is the fraction of blocks bad from the factory.
 	FactoryBadFrac float64
-	// WearSlope controls wear scaling of the probabilities; 0 disables it.
-	WearSlope float64
 }
-
-// ratedPE is the P/E-cycle count at which wear scaling adds WearSlope
-// times each base probability.
-const ratedPE = 1000
 
 // DefaultProfile returns a moderate fault environment: rare disturbs that
 // a couple of read-retry steps clear, program/erase failure rates in the
@@ -88,7 +83,6 @@ func DefaultProfile(seed uint64) Profile {
 		ProgramFailProb: 2e-4,
 		EraseFailProb:   5e-5,
 		FactoryBadFrac:  0.005,
-		WearSlope:       1.0,
 	}
 }
 
@@ -110,9 +104,6 @@ func (p Profile) Validate() error {
 	}
 	if p.ReadDisturbBER < 0 {
 		return fmt.Errorf("fault: ReadDisturbBER = %v must be non-negative", p.ReadDisturbBER)
-	}
-	if p.WearSlope < 0 {
-		return fmt.Errorf("fault: WearSlope = %v must be non-negative", p.WearSlope)
 	}
 	return nil
 }
@@ -180,15 +171,6 @@ func (inj *Injector) Script(ev Event) {
 	inj.campaign = append(inj.campaign, &e)
 }
 
-// scale is the wear multiplier applied to a base probability.
-func (inj *Injector) scale(pe int) float64 {
-	s := 1.0
-	if inj.prof.WearSlope > 0 && pe > 0 {
-		s += inj.prof.WearSlope * float64(pe) / ratedPE
-	}
-	return s
-}
-
 // campaignHit finds and consumes the first matching campaign event.
 func (inj *Injector) campaignHit(k Kind, chip, block int) (*Event, bool) {
 	for _, ev := range inj.campaign {
@@ -219,8 +201,9 @@ func (inj *Injector) campaignHit(k Kind, chip, block int) (*Event, bool) {
 }
 
 // ReadDisturb returns the normalized-BER delta to add to one subpage
-// sense on the given chip/block at wear pe; 0 means a clean read.
-func (inj *Injector) ReadDisturb(chip, block, pe int) float64 {
+// sense on the given chip/block at the given wear (P/E cycles as a
+// fraction of the rated endurance); 0 means a clean read.
+func (inj *Injector) ReadDisturb(chip, block int, wear float64) float64 {
 	if ev, ok := inj.campaignHit(KindRead, chip, block); ok {
 		inj.counts.ReadDisturbs++
 		if ev.BER > 0 {
@@ -228,7 +211,7 @@ func (inj *Injector) ReadDisturb(chip, block, pe int) float64 {
 		}
 		return inj.prof.ReadDisturbBER
 	}
-	if inj.rng.Bool(inj.prof.ReadDisturbProb * inj.scale(pe)) {
+	if inj.rng.Bool(inj.prof.ReadDisturbProb * (1 + wear)) {
 		inj.counts.ReadDisturbs++
 		return inj.prof.ReadDisturbBER
 	}
@@ -236,12 +219,12 @@ func (inj *Injector) ReadDisturb(chip, block, pe int) float64 {
 }
 
 // ProgramFail reports whether the program on the given chip/block fails.
-func (inj *Injector) ProgramFail(chip, block, pe int) bool {
+func (inj *Injector) ProgramFail(chip, block int, wear float64) bool {
 	if _, ok := inj.campaignHit(KindProgram, chip, block); ok {
 		inj.counts.ProgramFails++
 		return true
 	}
-	if inj.rng.Bool(inj.prof.ProgramFailProb * inj.scale(pe)) {
+	if inj.rng.Bool(inj.prof.ProgramFailProb * (1 + wear)) {
 		inj.counts.ProgramFails++
 		return true
 	}
@@ -249,12 +232,12 @@ func (inj *Injector) ProgramFail(chip, block, pe int) bool {
 }
 
 // EraseFail reports whether the erase of the given block fails.
-func (inj *Injector) EraseFail(chip, block, pe int) bool {
+func (inj *Injector) EraseFail(chip, block int, wear float64) bool {
 	if _, ok := inj.campaignHit(KindErase, chip, block); ok {
 		inj.counts.EraseFails++
 		return true
 	}
-	if inj.rng.Bool(inj.prof.EraseFailProb * inj.scale(pe)) {
+	if inj.rng.Bool(inj.prof.EraseFailProb * (1 + wear)) {
 		inj.counts.EraseFails++
 		return true
 	}

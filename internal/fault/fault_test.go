@@ -16,7 +16,6 @@ func TestValidateRejects(t *testing.T) {
 		{"erase prob", func(p *Profile) { p.EraseFailProb = 2 }, "EraseFailProb"},
 		{"factory frac", func(p *Profile) { p.FactoryBadFrac = -1 }, "FactoryBadFrac"},
 		{"ber", func(p *Profile) { p.ReadDisturbBER = -0.5 }, "ReadDisturbBER"},
-		{"wear slope", func(p *Profile) { p.WearSlope = -1 }, "WearSlope"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,18 +56,18 @@ func TestDeterminism(t *testing.T) {
 	}
 	b, _ := NewInjector(p)
 	for i := 0; i < 5000; i++ {
-		chip, blk, pe := i%4, i%64, i%2000
+		chip, blk, wear := i%4, i%64, float64(i%41)/20 // up to twice the rated endurance
 		switch i % 3 {
 		case 0:
-			if a.ReadDisturb(chip, blk, pe) != b.ReadDisturb(chip, blk, pe) {
+			if a.ReadDisturb(chip, blk, wear) != b.ReadDisturb(chip, blk, wear) {
 				t.Fatalf("ReadDisturb diverged at call %d", i)
 			}
 		case 1:
-			if a.ProgramFail(chip, blk, pe) != b.ProgramFail(chip, blk, pe) {
+			if a.ProgramFail(chip, blk, wear) != b.ProgramFail(chip, blk, wear) {
 				t.Fatalf("ProgramFail diverged at call %d", i)
 			}
 		case 2:
-			if a.EraseFail(chip, blk, pe) != b.EraseFail(chip, blk, pe) {
+			if a.EraseFail(chip, blk, wear) != b.EraseFail(chip, blk, wear) {
 				t.Fatalf("EraseFail diverged at call %d", i)
 			}
 		}
@@ -88,7 +87,7 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		if inj.ReadDisturb(0, i, i) != 0 || inj.ProgramFail(0, i, i) || inj.EraseFail(0, i, i) || inj.FactoryBad(i) {
+		if inj.ReadDisturb(0, i, float64(i)) != 0 || inj.ProgramFail(0, i, float64(i)) || inj.EraseFail(0, i, float64(i)) || inj.FactoryBad(i) {
 			t.Fatalf("zero profile injected a fault at call %d", i)
 		}
 	}
@@ -191,11 +190,12 @@ func TestFactoryBadOrderIndependent(t *testing.T) {
 func TestWearScaling(t *testing.T) {
 	// A wear multiplier that pushes the probability past 1 makes every
 	// draw fail.
-	p := Profile{Seed: 2, ProgramFailProb: 0.5, WearSlope: 1}
+	p := Profile{Seed: 2, ProgramFailProb: 0.5}
 	inj, _ := NewInjector(p)
-	// pe=2000 at slope 1/rated 1000 scales 0.5 to 1.5 >= 1: certain failure.
+	// Wear at twice the rated endurance scales 0.5 to 1.5 >= 1: certain
+	// failure.
 	for i := 0; i < 50; i++ {
-		if !inj.ProgramFail(1, i, 2000) {
+		if !inj.ProgramFail(1, i, 2) {
 			t.Fatal("probability >= 1 did not fail")
 		}
 	}

@@ -122,11 +122,11 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 		f.Place.Observe(lpn)
 		return f.store.WriteSectors(lpn, slots, attr)
 	}); err != nil {
-		return err
+		return f.Unwind(lsn, sectors, f.VersionOf, err)
 	}
 	// Incremental write tax: one bounded collection step while the pool
 	// is in debt (no-op for an unbudgeted collector).
-	return f.store.Pay()
+	return ftl.Landed(f.store.Pay())
 }
 
 // Read implements ftl.FTL.
@@ -172,13 +172,13 @@ func (f *FTL) Recover() (ftl.MountReport, error) {
 	})
 }
 
-// VersionOf implements ftl.VersionProber: the version a read of lsn would
-// return, 0 when the sector holds no live data.
+// VersionOf implements ftl.VersionProber: the version stamped on the copy
+// a read of lsn returns, 0 when the sector holds no live data.
 func (f *FTL) VersionOf(lsn int64) uint32 {
-	if lsn < 0 || lsn >= f.Ver.Size() || !f.store.Holds(lsn) {
+	if lsn < 0 || lsn >= f.Ver.Size() {
 		return 0
 	}
-	return f.Ver.Current(lsn)
+	return f.store.StoredVersion(lsn)
 }
 
 // Submit implements ftl.Submitter, the host scheduler's non-blocking

@@ -218,11 +218,11 @@ func (f *FTL) Write(lsn int64, sectors int, sync bool) error {
 		err = f.writeBack(f.PageSecs)
 	}
 	if err != nil {
-		return err
+		return f.Unwind(lsn, sectors, f.VersionOf, err)
 	}
 	// Incremental write tax: one bounded collection step while the pool
 	// is in debt (no-op for an unbudgeted collector).
-	return f.log.Pay()
+	return ftl.Landed(f.log.Pay())
 }
 
 // writeBack writes the buffer's oldest sectors to flash, a page at a
@@ -475,14 +475,18 @@ func (f *FTL) rebuild(blocks []ftl.ScannedBlock, rep *ftl.MountReport) error {
 	return nil
 }
 
-// VersionOf implements ftl.VersionProber: the version a read of lsn would
-// return, 0 when the sector holds no live data.
+// VersionOf implements ftl.VersionProber: the version of the copy a read
+// of lsn returns, the host's newest for a staged sector and else the one
+// stamped on its subpage, 0 when the sector holds no live data.
 func (f *FTL) VersionOf(lsn int64) uint32 {
 	if lsn < 0 || lsn >= f.table.Size() {
 		return 0
 	}
-	if f.buf.Contains(lsn) || f.table.Lookup(lsn) != mapping.None {
+	if f.buf.Contains(lsn) {
 		return f.Ver.Current(lsn)
+	}
+	if spn := f.table.Lookup(lsn); spn != mapping.None {
+		return f.Dev.SubpageInfo(nand.SubpageID(spn)).Stamp.Version
 	}
 	return 0
 }

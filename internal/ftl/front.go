@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
 
 	"espftl/internal/gc"
@@ -88,6 +89,36 @@ func (f *Front) Admit(op workload.Op, lsn int64, sectors int) error {
 		}
 	}
 	return nil
+}
+
+// Unwind re-seeds the version tracker after the host write of
+// [lsn, lsn+sectors) failed with err, and returns the error to report.
+// Admit bumped every version before the write could fail; each goes back
+// to stored(lsn), the FTL's VersionOf: a sector that landed or was staged
+// keeps its new version, the rest get their old one back (the small-origin
+// bits keep the failed request's). If any sector is not back at its old
+// version, the error is wrapped in ErrPartialWrite.
+func (f *Front) Unwind(lsn int64, sectors int, stored func(lsn int64) uint32, err error) error {
+	partial := false
+	for l := lsn; l < lsn+int64(sectors); l++ {
+		v := stored(l)
+		partial = partial || v != f.Ver.version[l]-1
+		f.Ver.version[l] = v
+	}
+	if partial {
+		return fmt.Errorf("%w: %w", ErrPartialWrite, err)
+	}
+	return err
+}
+
+// Landed is the error of a host write that landed, given that of the
+// write-tax step after it: ErrReadOnly from a write means it changed
+// nothing, so a step that finds the device read-only returns nil.
+func Landed(payErr error) error {
+	if errors.Is(payErr, ErrReadOnly) {
+		return nil
+	}
+	return payErr
 }
 
 // ReadOnly implements HealthProber: grown-bad blocks have eaten the spare

@@ -20,6 +20,11 @@ import (
 // rather than wedging inside garbage collection.
 var ErrReadOnly = errors.New("ftl: device degraded to read-only (spare capacity exhausted by bad blocks)")
 
+// ErrPartialWrite wraps the error of a host write that changed some of its
+// sectors before it failed. Without it, a failed write changed nothing; in
+// particular ErrReadOnly alone means the write was refused whole.
+var ErrPartialWrite = errors.New("ftl: write partly applied")
+
 // FTL is the host-facing interface of a flash translation layer. All
 // addresses are logical sectors of S_sub bytes. Implementations are
 // single-threaded, matching the deterministic simulator. It is one

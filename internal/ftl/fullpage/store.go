@@ -114,6 +114,17 @@ func (s *Store) Holds(lsn int64) bool {
 	return s.table.Lookup(lpn) != mapping.None && s.masks[lpn]&(1<<(lsn%int64(s.pageSecs))) != 0
 }
 
+// StoredVersion returns the version stamped on lsn's live copy in the
+// store, 0 when it holds none.
+func (s *Store) StoredVersion(lsn int64) uint32 {
+	if !s.Holds(lsn) {
+		return 0
+	}
+	lpn, slot := lsn/int64(s.pageSecs), int(lsn%int64(s.pageSecs))
+	p := nand.PageID(s.table.Lookup(lpn))
+	return s.dev.SubpageInfo(s.dev.Geometry().SubpageOf(p, slot)).Stamp.Version
+}
+
 // ChipOf returns the chip currently holding logical page lpn, or -1 when
 // lpn is out of range or unmapped. It is the store's half of the host
 // scheduler's read-routing probe and must stay side-effect free.

@@ -251,6 +251,10 @@ func (l *Log) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
 	if !ap.set {
 		b, ok := l.man.AllocOnChip(RoleFull, ap.chip)
 		if !ok {
+			if l.man.ReadOnly() {
+				// Bad blocks took the spare capacity the pool needed.
+				return 0, ErrReadOnly
+			}
 			return 0, fmt.Errorf("ftl: free pool exhausted")
 		}
 		ap.block, ap.set, ap.cursor = b, true, 0

@@ -383,10 +383,6 @@ func (m *Manager) AddValid(b nand.BlockID, delta int) {
 	}
 }
 
-// LastInvalidate returns the virtual time b last lost a valid unit (or
-// was sealed, for blocks untouched since MarkFull/Adopt).
-func (m *Manager) LastInvalidate(b nand.BlockID) sim.Time { return m.meta[b].lastInval }
-
 // WearDist snapshots the device-wide block wear distribution: erase
 // counts through an exact integer histogram, effective wear through a
 // deci-wear histogram (0.1 deep-erase-equivalent resolution for the p99;
@@ -536,7 +532,5 @@ func (v *gcView) seek(valid int, from nand.BlockID) (nand.BlockID, bool) {
 
 func (v *gcView) Valid(b nand.BlockID) int               { return v.m.meta[b].valid }
 func (v *gcView) UnitsPerBlock() int                     { return v.units }
-func (v *gcView) EraseCount(b nand.BlockID) int          { return v.m.dev.EraseCount(b) }
-func (v *gcView) EffectiveWear(b nand.BlockID) float64   { return v.m.dev.EffectiveWear(b) }
 func (v *gcView) LastInvalidate(b nand.BlockID) sim.Time { return v.m.meta[b].lastInval }
 func (v *gcView) Now() sim.Time                          { return v.m.dev.Clock().Now() }

@@ -104,7 +104,7 @@ func TestRecycleErasesAtPolicyDepth(t *testing.T) {
 	}
 
 	dev = testDevice(t)
-	aero := lifetime.NewAERO(*dev.Retention())
+	aero := lifetime.NewAERO()
 	m := NewManager(dev, aero)
 	fresh := aero.Depth(0)
 	if fresh >= nand.DepthFull {
@@ -113,8 +113,7 @@ func TestRecycleErasesAtPolicyDepth(t *testing.T) {
 	if b := recycle(m, dev, 0); dev.LastEraseDepth(b) != fresh {
 		t.Fatalf("fresh block erased at %v, policy says %v", dev.LastEraseDepth(b), fresh)
 	}
-	rated := dev.Retention().RatedPE
-	if b := recycle(m, dev, rated); dev.LastEraseDepth(b) != nand.DepthFull || aero.Depth(float64(rated)) != nand.DepthFull {
+	if b := recycle(m, dev, nand.RatedPE); dev.LastEraseDepth(b) != nand.DepthFull || aero.Depth(nand.RatedPE) != nand.DepthFull {
 		t.Fatalf("block at rated wear erased at %v, want full depth", dev.LastEraseDepth(b))
 	}
 }

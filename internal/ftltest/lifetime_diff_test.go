@@ -13,8 +13,7 @@ import (
 )
 
 // lifetimeEnvs returns one CrashEnv per FTL with the lifetime subsystem's
-// operating point wired through: the named erase-depth policy (resolved
-// against the device's own retention model at factory time) and the
+// operating point wired through: the named erase-depth policy and the
 // longevity-placement switch.
 func lifetimeEnvs(policy string, placement bool) []struct {
 	name string
@@ -22,8 +21,8 @@ func lifetimeEnvs(policy string, placement bool) []struct {
 } {
 	const sectors = 512
 	base := CrashEnv{Geometry: TinyGeometry(), Sectors: sectors, Seed: 42}
-	resolve := func(dev *nand.Device) (lifetime.ErasePolicy, error) {
-		return lifetime.NewErasePolicy(policy, *dev.Retention())
+	resolve := func(*nand.Device) (lifetime.ErasePolicy, error) {
+		return lifetime.NewErasePolicy(policy)
 	}
 	mk := func(factory func(dev *nand.Device) (ftl.FTL, error)) CrashEnv {
 		e := base

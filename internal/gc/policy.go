@@ -40,15 +40,6 @@ type View interface {
 	// UnitsPerBlock is the capacity of a block in the same units Valid
 	// counts — the u = Valid/UnitsPerBlock utilisation denominator.
 	UnitsPerBlock() int
-	// EraseCount is b's lifetime erase count (wear input).
-	EraseCount(b nand.BlockID) int
-	// EffectiveWear is b's effective wear in deep-erase equivalents: with
-	// adaptive erase (internal/lifetime) shallow erases stress a block by
-	// their depth rather than a whole cycle, so two blocks with equal
-	// EraseCount can differ in remaining life. Policies that weigh wear
-	// should prefer this over EraseCount; on a device that only erases
-	// deep it equals float64(EraseCount(b)).
-	EffectiveWear(b nand.BlockID) float64
 	// LastInvalidate is the virtual time b last lost a valid unit (or
 	// was sealed, whichever is later) — the "age" input of cost-benefit.
 	LastInvalidate(b nand.BlockID) sim.Time

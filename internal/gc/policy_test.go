@@ -14,7 +14,6 @@ import (
 type fakeView struct {
 	valid   []int // -1 marks a non-candidate
 	inval   []sim.Time
-	erases  []int
 	units   int
 	now     sim.Time
 	exclude func(nand.BlockID) bool // optional veto, as the FTL views take
@@ -48,21 +47,16 @@ func (v *fakeView) Next(b nand.BlockID) (nand.BlockID, bool) {
 	v.calls++
 	return v.after(v.valid[b], b+1)
 }
-func (v *fakeView) Valid(b nand.BlockID) int      { v.calls++; return v.valid[b] }
-func (v *fakeView) UnitsPerBlock() int            { v.calls++; return v.units }
-func (v *fakeView) EraseCount(b nand.BlockID) int { v.calls++; return v.erases[b] }
-func (v *fakeView) EffectiveWear(b nand.BlockID) float64 {
-	v.calls++
-	return float64(v.erases[b])
-}
-func (v *fakeView) Now() sim.Time { v.calls++; return v.now }
+func (v *fakeView) Valid(b nand.BlockID) int { v.calls++; return v.valid[b] }
+func (v *fakeView) UnitsPerBlock() int       { v.calls++; return v.units }
+func (v *fakeView) Now() sim.Time            { v.calls++; return v.now }
 func (v *fakeView) LastInvalidate(b nand.BlockID) sim.Time {
 	v.calls++
 	return v.inval[b]
 }
 
 func newFakeView(valid []int, inval []sim.Time, units int, now sim.Time) *fakeView {
-	return &fakeView{valid: valid, inval: inval, erases: make([]int, len(valid)), units: units, now: now}
+	return &fakeView{valid: valid, inval: inval, units: units, now: now}
 }
 
 func TestGreedyMinValidLowestID(t *testing.T) {

@@ -42,12 +42,9 @@ func (FixedDeep) Depth(float64) nand.EraseDepth { return nand.DepthFull }
 // tightest MaxShallowFactor bound across the requirements, evaluated at
 // the block's post-erase wear; as effective wear approaches the rated
 // life the bound collapses to 1 and the policy converges to full-depth
-// erases by itself.
-type AERO struct {
-	// Model is the retention model the guarantee is computed against; it
-	// must be the device's.
-	Model nand.RetentionModel
-}
+// erases by itself. The guarantee is computed against the device's fixed
+// retention model, so AERO carries no state.
+type AERO struct{}
 
 // aeroRequire is AERO's operating envelope, the retention obligations
 // every depth it picks must preserve: worst-case N³pp subpage data for
@@ -70,29 +67,24 @@ const (
 	aeroFloor = nand.MinEraseDepth
 )
 
-// NewAERO returns the adaptive policy for the given retention model.
-func NewAERO(model nand.RetentionModel) *AERO { return &AERO{Model: model} }
+// NewAERO returns the adaptive policy.
+func NewAERO() *AERO { return &AERO{} }
 
 // Name implements ErasePolicy.
-func (a *AERO) Name() string { return "aero" }
+func (*AERO) Name() string { return "aero" }
 
 // depthSteps quantizes chosen depths to 1/16ths (rounding deeper), the
 // granularity a real pulse-train controller would expose.
 const depthSteps = 16
 
 // Depth implements ErasePolicy.
-func (a *AERO) Depth(effWear float64) nand.EraseDepth {
-	if a.Model.ShallowPenalty <= 0 {
-		// Without a modelled penalty a shallow erase is retention-free;
-		// the floor is the only constraint left.
-		return aeroFloor
-	}
+func (*AERO) Depth(effWear float64) nand.EraseDepth {
 	// Worst-case post-erase wear: the erase about to happen adds at most
 	// one deep-erase equivalent.
 	wear := effWear + 1
 	sAllow := 0.0
 	for i, r := range aeroRequire {
-		s := a.Model.MaxShallowFactor(r.npp, r.horizon, wear) * aeroMargin
+		s := nand.MaxShallowFactor(r.npp, r.horizon, wear) * aeroMargin
 		if i == 0 || s < sAllow {
 			sAllow = s
 		}
@@ -102,7 +94,7 @@ func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 	}
 	// Invert S(d) = 1 + penalty*(1-d) <= sAllow for the shallowest
 	// admissible depth, then round deeper onto the pulse-train grid.
-	d := 1 - (sAllow-1)/a.Model.ShallowPenalty
+	d := nand.ShallowDepth(sAllow)
 	if d < float64(aeroFloor) {
 		d = float64(aeroFloor)
 	}
@@ -117,13 +109,13 @@ func (a *AERO) Depth(effWear float64) nand.EraseDepth {
 }
 
 // NewErasePolicy resolves a policy by its Name ("fixed-deep" or "aero";
-// empty picks the fixed-deep baseline) against the given retention model.
-func NewErasePolicy(name string, model nand.RetentionModel) (ErasePolicy, error) {
+// empty picks the fixed-deep baseline).
+func NewErasePolicy(name string) (ErasePolicy, error) {
 	switch name {
 	case "", "fixed-deep":
 		return FixedDeep{}, nil
 	case "aero":
-		return NewAERO(model), nil
+		return NewAERO(), nil
 	}
 	return nil, fmt.Errorf("lifetime: unknown erase policy %q (want fixed-deep or aero)", name)
 }

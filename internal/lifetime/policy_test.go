@@ -23,14 +23,14 @@ func TestFixedDeepIsFullDepth(t *testing.T) {
 // accumulates, and at the rated life the policy converges to full-depth
 // erases on its own.
 func TestAEROMonotoneDeepening(t *testing.T) {
-	p := NewAERO(nand.DefaultRetention)
+	p := NewAERO()
 	if p.Name() != "aero" {
 		t.Errorf("name = %q", p.Name())
 	}
 	if d := p.Depth(0); d != nand.MinEraseDepth {
 		t.Errorf("fresh-block depth = %v, want the floor %v", d, nand.MinEraseDepth)
 	}
-	rated := float64(nand.DefaultRetention.RatedPE)
+	rated := float64(nand.RatedPE)
 	prev := nand.EraseDepth(0)
 	for wear := 0.0; wear <= 2*rated; wear += rated / 50 {
 		d := p.Depth(wear)
@@ -52,29 +52,15 @@ func TestAEROMonotoneDeepening(t *testing.T) {
 // that then carries the post-erase wear, stays correctable through each
 // requirement's horizon.
 func TestAERODepthPreservesRetention(t *testing.T) {
-	m := nand.DefaultRetention
-	p := NewAERO(m)
-	rated := float64(m.RatedPE)
+	p := NewAERO()
+	rated := float64(nand.RatedPE)
 	for wear := 0.0; wear < rated; wear += rated / 40 {
 		d := p.Depth(wear)
 		post := wear + float64(d)
 		for _, r := range aeroRequire {
-			if !m.Correctable(r.npp, r.horizon, post, d) {
+			if !nand.Correctable(r.npp, r.horizon, post, d) {
 				t.Fatalf("depth %v at wear %v breaks %v over %v", d, wear, r.npp, r.horizon)
 			}
-		}
-	}
-}
-
-// Zero shallow penalty makes shallow erases retention-free; the floor is
-// then the only constraint and the policy pins to it at any wear.
-func TestAEROZeroPenaltyPinsFloor(t *testing.T) {
-	m := nand.DefaultRetention
-	m.ShallowPenalty = 0
-	p := NewAERO(m)
-	for _, wear := range []float64{0, 500, 2000} {
-		if d := p.Depth(wear); d != aeroFloor {
-			t.Errorf("Depth(wear=%v) = %v, want floor %v", wear, d, aeroFloor)
 		}
 	}
 }
@@ -82,8 +68,8 @@ func TestAEROZeroPenaltyPinsFloor(t *testing.T) {
 // Depths land on the 1/16th pulse-train grid, rounded deeper, never
 // shallower, than the analytic bound.
 func TestAEROQuantizedToGrid(t *testing.T) {
-	p := NewAERO(nand.DefaultRetention)
-	rated := float64(nand.DefaultRetention.RatedPE)
+	p := NewAERO()
+	rated := float64(nand.RatedPE)
 	for wear := 0.0; wear < rated; wear += rated / 100 {
 		d := p.Depth(wear)
 		if d == nand.DepthFull || d == aeroFloor {
@@ -99,16 +85,15 @@ func TestAEROQuantizedToGrid(t *testing.T) {
 // Every policy resolves by exactly the name its Name method reports (plus
 // "" for the fixed-deep default); no other spelling is accepted.
 func TestNewErasePolicy(t *testing.T) {
-	m := nand.DefaultRetention
-	p, err := NewErasePolicy("", m)
+	p, err := NewErasePolicy("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.(FixedDeep); !ok {
 		t.Errorf("NewErasePolicy(\"\") = %T, want FixedDeep", p)
 	}
-	for _, want := range []ErasePolicy{FixedDeep{}, NewAERO(m)} {
-		p, err := NewErasePolicy(want.Name(), m)
+	for _, want := range []ErasePolicy{FixedDeep{}, NewAERO()} {
+		p, err := NewErasePolicy(want.Name())
 		if err != nil {
 			t.Fatalf("NewErasePolicy(%q): %v", want.Name(), err)
 		}
@@ -117,7 +102,7 @@ func TestNewErasePolicy(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"fixed", "bogus"} {
-		if _, err := NewErasePolicy(name, m); err == nil {
+		if _, err := NewErasePolicy(name); err == nil {
 			t.Errorf("NewErasePolicy(%q) accepted", name)
 		}
 	}

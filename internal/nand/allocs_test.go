@@ -275,18 +275,17 @@ func BenchmarkDeviceScanOOB(b *testing.B) {
 }
 
 // TestRetentionModelAllocs: the reliability decision runs on every
-// subpage sense and every scrub check; the model is a value type and its
-// wear- and depth-aware forms must stay pure arithmetic.
+// subpage sense and every scrub check; its wear- and depth-aware forms
+// must stay pure arithmetic.
 func TestRetentionModelAllocs(t *testing.T) {
-	m := DefaultRetention
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		k := NppType(i % 4)
 		i++
-		if ber := m.NormalizedBER(k, Month/2, float64(m.RatedPE)/2, MinEraseDepth); ber <= 0 {
+		if ber := NormalizedBER(k, Month/2, float64(RatedPE)/2, MinEraseDepth); ber <= 0 {
 			t.Fatalf("NormalizedBER(%v) = %v", k, ber)
 		}
-		if !m.Correctable(k, Month/2, float64(m.RatedPE)/2, DepthFull) {
+		if !Correctable(k, Month/2, float64(RatedPE)/2, DepthFull) {
 			t.Fatalf("half-month %v data at half wear must be correctable", k)
 		}
 	})

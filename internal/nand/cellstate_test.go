@@ -190,7 +190,6 @@ func TestEraseTouchesOnlyItsBlock(t *testing.T) {
 // scan.
 func TestSubpageFlagStatesRoundTrip(t *testing.T) {
 	c := newChip(oddGeometry, 0)
-	model := DefaultRetention
 	const blk, pg = 2, 5
 	at := sim.Time(1000)
 	// Slot 0: torn by a power cut (pass 0). Slot 1: programmed in pass 1 —
@@ -225,7 +224,7 @@ func TestSubpageFlagStatesRoundTrip(t *testing.T) {
 		if got := c.subpageInfo(blk, tc.page, tc.sub); got != tc.info {
 			t.Errorf("%s: SubpageInfo = %+v, want %+v", tc.name, got, tc.info)
 		}
-		st, err := refReadSlot(c, blk, tc.page, tc.sub, at, &model)
+		st, err := refReadSlot(c, blk, tc.page, tc.sub, at)
 		if !errors.Is(err, tc.readErr) || (tc.readErr == nil && (err != nil || st != tc.info.Stamp)) {
 			t.Errorf("%s: read = %v, %v; want %v, %v", tc.name, st, err, tc.info.Stamp, tc.readErr)
 		}

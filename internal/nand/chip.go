@@ -77,6 +77,10 @@ type block struct {
 	lastDepth EraseDepth
 }
 
+// ratedWear is the block's erase count as a fraction of RatedPE, the wear
+// the fault injector scales its failure probabilities by.
+func (b *block) ratedWear() float64 { return float64(b.eraseCount) / RatedPE }
+
 // chip models one NAND die: an array of blocks with ESP-aware program
 // semantics. The chip is purely functional state; timing lives in Device.
 type chip struct {

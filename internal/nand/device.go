@@ -12,11 +12,9 @@ import (
 
 // Config assembles a Device.
 type Config struct {
-	Geometry  Geometry
-	Latency   LatencyModel
-	Retention RetentionModel
+	Geometry Geometry
 	// EnableSubpageRead turns on the paper's §7 future-work extension:
-	// reads of a single subpage at the (faster) ReadSubpage latency.
+	// reads of a single subpage at the (faster) tReadSubpage latency.
 	// When off, every read senses the full page.
 	EnableSubpageRead bool
 	// DisableRetentionErrors turns the retention model into pure
@@ -36,13 +34,10 @@ type Config struct {
 	Retry bool
 }
 
-// DefaultConfig returns the paper-calibrated device configuration.
+// DefaultConfig returns the paper's device configuration. The latency and
+// retention calibration is fixed (latency.go, retention.go).
 func DefaultConfig() Config {
-	return Config{
-		Geometry:  DefaultGeometry,
-		Latency:   DefaultLatency,
-		Retention: DefaultRetention,
-	}
+	return Config{Geometry: DefaultGeometry}
 }
 
 // Counters aggregates device-level operation counts, the raw material for
@@ -132,12 +127,6 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Latency.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Retention.Validate(); err != nil {
-		return nil, err
-	}
 	if clock == nil {
 		clock = sim.NewClock(0)
 	}
@@ -162,20 +151,14 @@ func NewDevice(cfg Config, clock *sim.Clock) (*Device, error) {
 	d.xfer = make([]sim.Duration, sp+1)
 	d.passCell = make([]sim.Duration, sp+1)
 	for k := range d.xfer {
-		d.xfer[k] = cfg.Latency.Transfer(k * cfg.Geometry.SubpageBytes)
-		d.passCell[k] = cfg.Latency.ProgramSubpages(k, sp)
+		d.xfer[k] = transferTime(k * cfg.Geometry.SubpageBytes)
+		d.passCell[k] = programTime(k, sp)
 	}
 	return d, nil
 }
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.cfg.Geometry }
-
-// Retention returns the device's retention model.
-func (d *Device) Retention() *RetentionModel { return &d.cfg.Retention }
-
-// Latency returns the device's latency model.
-func (d *Device) Latency() LatencyModel { return d.cfg.Latency }
 
 // Clock returns the shared virtual clock.
 func (d *Device) Clock() *sim.Clock { return d.clock }
@@ -341,8 +324,8 @@ func (d *Device) EraseAt(b BlockID, depth EraseDepth) (sim.Time, error) {
 		return 0, &OpError{Op: "erase", Block: b, Sub: -1, Err: err}
 	}
 	l := d.blockLoc(b)
-	_, end := d.reserve(l.ch.index, d.clock.Now(), d.cfg.Latency.EraseAtDepth(depth))
-	if inj := d.cfg.Fault; inj != nil && inj.EraseFail(l.ch.index, int(b), l.block().eraseCount) {
+	_, end := d.reserve(l.ch.index, d.clock.Now(), eraseTime(depth))
+	if inj := d.cfg.Fault; inj != nil && inj.EraseFail(l.ch.index, int(b), l.block().ratedWear()) {
 		// The erase aborted: the block keeps its (now untrustworthy)
 		// content and wear count; the FTL retires it as grown bad.
 		d.counters.EraseFailures++
@@ -406,13 +389,13 @@ func (d *Device) ProgramPageTag(p PageID, stamps []Stamp, tag uint8) (sim.Time, 
 		d.counters.TornPrograms++
 		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrPowerLoss, Detail: "torn mid-program"}
 	}
-	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[g.SubpagesPerPage], d.cfg.Latency.ProgramPage)
+	start, end := d.admitWrite(l.ch.bus, l.ch.index, d.xfer[g.SubpagesPerPage], tProgPage)
 	if err := l.ch.programPage(l.lb, l.pi, stamps, start, d.nextSeq(), tag); err != nil {
 		return 0, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
 	d.counters.PagePrograms++
 	d.counters.BytesWritten += int64(g.PageBytes())
-	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().eraseCount) {
+	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().ratedWear()) {
 		l.ch.failProgram(l.lb, l.pi, 0, g.SubpagesPerPage)
 		d.counters.ProgramFailures++
 		return end, &OpError{Op: "program", Block: l.b, Page: l.pi, Sub: -1, Err: ErrProgramFail, Detail: "injected"}
@@ -464,7 +447,7 @@ func (d *Device) ProgramSubpageRunTag(p PageID, firstSub int, stamps []Stamp, ta
 	}
 	d.counters.SubPrograms++
 	d.counters.BytesWritten += int64(k) * int64(g.SubpageBytes)
-	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().eraseCount) {
+	if inj := d.cfg.Fault; inj != nil && inj.ProgramFail(l.ch.index, int(l.b), l.block().ratedWear()) {
 		l.ch.failProgram(l.lb, l.pi, firstSub, k)
 		d.counters.ProgramFailures++
 		return end, &OpError{Op: "subprogram", Block: l.b, Page: l.pi, Sub: firstSub, Err: ErrProgramFail, Detail: "injected"}
@@ -486,9 +469,9 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 		return Stamp{}, &OpError{Op: "read", Block: l.b, Page: l.pi, Sub: sub, Err: err}
 	}
 
-	cell, k := d.cfg.Latency.ReadPage, g.SubpagesPerPage
+	cell, k := tReadPage, g.SubpagesPerPage
 	if d.cfg.EnableSubpageRead {
-		cell, k = d.cfg.Latency.ReadSubpage, 1
+		cell, k = tReadSubpage, 1
 	}
 	start, _ := d.admitRead(l.ch.index, cell, d.xfer[k])
 	d.counters.BytesRead += int64(k) * int64(g.SubpageBytes)
@@ -501,8 +484,7 @@ func (d *Device) ReadSubpage(s SubpageID) (Stamp, error) {
 	slots, _ := l.slots()
 	sp := &slots[sub]
 	blk := l.block()
-	m := &d.cfg.Retention
-	retention, err := d.senseSlot(l, sp, m.WearFactor(blk.effWear), m.ShallowFactor(blk.lastDepth), start, cell)
+	retention, err := d.senseSlot(l, sp, wearFactor(blk.effWear), shallowFactor(blk.lastDepth), start, cell)
 	if err != nil {
 		if d.cfg.DisableRetentionErrors && retention && errors.Is(err, ErrUncorrectable) {
 			d.counters.RetentionHits++
@@ -532,10 +514,9 @@ func (d *Device) senseSlot(l loc, sp *subpage, wf, sf float64, start sim.Time, s
 	if err := sp.unreadable(); err != nil {
 		return false, err
 	}
-	m := &d.cfg.Retention
 	// NormalizedBER's expression, in its operand order.
-	ber := m.ageBER(sp.npp, AgeOf(sp.programmedAt, start)) * wf * sf
-	retention = ber > m.NormalizedECCLimit
+	ber := ageBER(sp.npp, AgeOf(sp.programmedAt, start)) * wf * sf
+	retention = ber > model.NormalizedECCLimit
 	if d.cfg.Fault == nil && !d.cfg.Retry {
 		if retention {
 			return true, ErrUncorrectable
@@ -549,9 +530,9 @@ func (d *Device) senseSlot(l loc, sp *subpage, wf, sf float64, start sim.Time, s
 // injected read disturb to the retention BER and, with Retry on, re-senses
 // in steps charged to the chip timeline at one stepCost each.
 func (d *Device) senseRetry(l loc, ber float64, start sim.Time, stepCost sim.Duration) error {
-	limit := d.cfg.Retention.NormalizedECCLimit
+	limit := model.NormalizedECCLimit
 	if inj := d.cfg.Fault; inj != nil {
-		ber += inj.ReadDisturb(l.ch.index, int(l.b), l.block().eraseCount)
+		ber += inj.ReadDisturb(l.ch.index, int(l.b), l.block().ratedWear())
 	}
 	if ber <= limit {
 		d.retryHist.Record(0)
@@ -606,15 +587,14 @@ func (d *Device) ReadPage(p PageID) ([]Stamp, []error, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return nil, nil, &OpError{Op: "read", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
-	cell := d.cfg.Latency.ReadPage
+	cell := tReadPage
 	start, _ := d.admitRead(l.ch.index, cell, d.xfer[g.SubpagesPerPage])
 	d.counters.PageReads++
 	d.counters.BytesRead += int64(g.PageBytes())
 
 	slots, _ := l.slots()
 	blk := l.block()
-	m := &d.cfg.Retention
-	wf, sf := m.WearFactor(blk.effWear), m.ShallowFactor(blk.lastDepth)
+	wf, sf := wearFactor(blk.effWear), shallowFactor(blk.lastDepth)
 	stamps := d.readStamps[:len(slots)]
 	errs := d.readErrs[:len(slots)]
 	for sub := range slots {
@@ -671,7 +651,7 @@ func (d *Device) ScanPageOOB(p PageID) ([]SubpageOOB, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return nil, &OpError{Op: "oobscan", Block: l.b, Page: l.pi, Sub: -1, Err: err}
 	}
-	d.reserve(l.ch.index, d.clock.Now(), d.cfg.Latency.ReadPage)
+	d.reserve(l.ch.index, d.clock.Now(), tReadPage)
 	d.counters.OOBScans++
 	return l.ch.pageOOB(l.lb, l.pi, d.oobBuf[:g.SubpagesPerPage]), nil
 }

@@ -26,16 +26,6 @@ func TestNewDeviceRejectsBadConfig(t *testing.T) {
 	if _, err := NewDevice(cfg, nil); err == nil {
 		t.Error("bad geometry accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.Latency.ProgramPage = 0
-	if _, err := NewDevice(cfg, nil); err == nil {
-		t.Error("bad latency accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Retention.RatedPE = 0
-	if _, err := NewDevice(cfg, nil); err == nil {
-		t.Error("bad retention model accepted")
-	}
 }
 
 func TestNewDeviceNilClock(t *testing.T) {
@@ -238,7 +228,7 @@ func TestRetentionExpiryAtRatedWear(t *testing.T) {
 	g := d.Geometry()
 	b := BlockID(0)
 	// Wear the block to its rating.
-	for i := 0; i < cfg.Retention.RatedPE; i++ {
+	for i := 0; i < RatedPE; i++ {
 		if _, err := d.Erase(b); err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +318,7 @@ func TestTimingParallelChipsOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain := d.DrainTime()
-	one := d.Latency().ProgramPage
+	one := tProgPage
 	if drain > sim.Time(0).Add(one+one/2) {
 		t.Fatalf("two-chip drain = %v, want ~%v (parallel)", drain, one)
 	}
@@ -602,12 +592,11 @@ func TestDrainMonotoneProperty(t *testing.T) {
 }
 
 func TestLatencyTransfer(t *testing.T) {
-	m := DefaultLatency
-	if got := m.Transfer(0); got != 0 {
+	if got := transferTime(0); got != 0 {
 		t.Errorf("Transfer(0) = %v", got)
 	}
 	// 400 MiB/s: 4096 bytes should take ~9.77 µs.
-	got := m.Transfer(4096)
+	got := transferTime(4096)
 	if got < 9*time.Microsecond || got > 11*time.Microsecond {
 		t.Errorf("Transfer(4096) = %v, want ~9.8µs", got)
 	}

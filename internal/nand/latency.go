@@ -1,96 +1,60 @@
 package nand
 
-import (
-	"fmt"
-	"time"
+import "time"
+
+// The timing of the flash subsystem. The program latencies are the paper's
+// measured values (§5): programming a 4-KB subpage is faster than a full
+// 16-KB page because fewer bit lines are precharged during verify-read and
+// a shorter word-line segment is driven to the high program voltage. The
+// read and erase latencies are typical 2x-nm TLC datasheet values.
+const (
+	// tReadPage is the array-to-page-buffer sensing time for a full page.
+	tReadPage time.Duration = 220 * time.Microsecond
+	// tReadSubpage is the sensing time for a single subpage, used only
+	// when Config.EnableSubpageRead is set (the paper's §7 future-work
+	// extension).
+	tReadSubpage time.Duration = 90 * time.Microsecond
+	// tProgPage is tPROG for a full-page program.
+	tProgPage time.Duration = 1600 * time.Microsecond
+	// tProgSubpage is tPROG for an ESP subpage program.
+	tProgSubpage time.Duration = 1300 * time.Microsecond
+	// tErase is tBERS for a full-depth block erase.
+	tErase time.Duration = 5 * time.Millisecond
+	// busBytesPerSec is the channel transfer rate between the controller
+	// and the page buffer (an ONFI-class bus).
+	busBytesPerSec int64 = 400 << 20
 )
 
-// LatencyModel holds the timing parameters of the flash subsystem. The
-// program latencies are the paper's measured values (§5): programming a
-// 4-KB subpage is faster than a full 16-KB page because fewer bit lines are
-// precharged during verify-read and a shorter word-line segment is driven
-// to the high program voltage.
-type LatencyModel struct {
-	// ReadPage is the array-to-page-buffer sensing time for a full page.
-	ReadPage time.Duration
-	// ReadSubpage is the sensing time for a single subpage when the device
-	// supports subpage reads (the paper's §7 future-work extension). It is
-	// only used when Device.EnableSubpageRead is set.
-	ReadSubpage time.Duration
-	// ProgramPage is tPROG for a full-page program (1600 µs in the paper).
-	ProgramPage time.Duration
-	// ProgramSubpage is tPROG for an ESP subpage program (1300 µs).
-	ProgramSubpage time.Duration
-	// EraseBlock is tBERS for a block erase.
-	EraseBlock time.Duration
-	// BusBytesPerSec is the channel transfer rate used to compute data
-	// transfer time between the controller and the page buffer.
-	BusBytesPerSec int64
-}
-
-// DefaultLatency reproduces the paper's §5 configuration, with the read and
-// erase latencies filled in from typical 2x-nm TLC datasheet values.
-var DefaultLatency = LatencyModel{
-	ReadPage:       220 * time.Microsecond,
-	ReadSubpage:    90 * time.Microsecond,
-	ProgramPage:    1600 * time.Microsecond,
-	ProgramSubpage: 1300 * time.Microsecond,
-	EraseBlock:     5 * time.Millisecond,
-	BusBytesPerSec: 400 << 20, // 400 MB/s ONFI-class bus
-}
-
-// Validate reports a descriptive error for non-positive parameters.
-func (m LatencyModel) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"ReadPage", m.ReadPage},
-		{"ReadSubpage", m.ReadSubpage},
-		{"ProgramPage", m.ProgramPage},
-		{"ProgramSubpage", m.ProgramSubpage},
-		{"EraseBlock", m.EraseBlock},
-	} {
-		if f.v <= 0 {
-			return fmt.Errorf("nand: latency %s = %v, must be positive", f.name, f.v)
-		}
-	}
-	if m.BusBytesPerSec <= 0 {
-		return fmt.Errorf("nand: BusBytesPerSec = %d, must be positive", m.BusBytesPerSec)
-	}
-	return nil
-}
-
-// EraseAtDepth returns tBERS for an erase of the given depth. The erase
-// pulse train is cut proportionally short, so latency scales linearly with
-// depth; a full-depth erase costs exactly EraseBlock.
-func (m LatencyModel) EraseAtDepth(d EraseDepth) time.Duration {
+// eraseTime returns tBERS for an erase of the given depth. The erase pulse
+// train is cut proportionally short, so latency scales linearly with depth;
+// a full-depth erase costs exactly tErase.
+func eraseTime(d EraseDepth) time.Duration {
 	if d >= DepthFull {
-		return m.EraseBlock
+		return tErase
 	}
-	return time.Duration(float64(m.EraseBlock) * float64(d))
+	return time.Duration(float64(tErase) * float64(d))
 }
 
-// Transfer returns the channel bus time for moving n bytes.
-func (m LatencyModel) Transfer(n int) time.Duration {
+// transferTime returns the channel bus time for moving n bytes.
+func transferTime(n int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return time.Duration(int64(n) * int64(time.Second) / m.BusBytesPerSec)
+	return time.Duration(int64(n) * int64(time.Second) / busBytesPerSec)
 }
 
-// ProgramSubpages returns tPROG for one pass that programs k of the nsub
+// programTime returns tPROG for one pass that programs k of the nsub
 // subpages of a page. The paper explains why a 1-subpage pass is faster
 // than a full-page program (fewer bit lines precharged in verify-reads,
 // a shorter word-line segment driven to Vpgm); the cost interpolates
 // linearly in the subpage count up to the full-page latency.
-func (m LatencyModel) ProgramSubpages(k, nsub int) time.Duration {
+func programTime(k, nsub int) time.Duration {
 	if k <= 1 || nsub <= 1 {
-		return m.ProgramSubpage
+		return tProgSubpage
 	}
 	if k >= nsub {
-		return m.ProgramPage
+		return tProgPage
 	}
-	span := m.ProgramPage - m.ProgramSubpage
-	return m.ProgramSubpage + span*time.Duration(k-1)/time.Duration(nsub-1)
+	span := tProgPage - tProgSubpage
+	return tProgSubpage + span*time.Duration(k-1)/time.Duration(nsub-1)
 }

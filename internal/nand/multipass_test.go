@@ -9,16 +9,24 @@ import (
 )
 
 func TestProgramSubpagesLatencyInterpolation(t *testing.T) {
-	m := DefaultLatency
-	if got := m.ProgramSubpages(1, 4); got != m.ProgramSubpage {
-		t.Fatalf("k=1: %v, want %v", got, m.ProgramSubpage)
+	// The calibration itself: every latency and the bus rate positive.
+	for _, lat := range []time.Duration{tReadPage, tReadSubpage, tProgPage, tProgSubpage, tErase} {
+		if lat <= 0 {
+			t.Fatalf("latency %v must be positive", lat)
+		}
 	}
-	if got := m.ProgramSubpages(4, 4); got != m.ProgramPage {
-		t.Fatalf("k=4: %v, want %v", got, m.ProgramPage)
+	if busBytesPerSec <= 0 {
+		t.Fatalf("bus rate %d must be positive", busBytesPerSec)
 	}
-	k2 := m.ProgramSubpages(2, 4)
-	k3 := m.ProgramSubpages(3, 4)
-	if !(m.ProgramSubpage < k2 && k2 < k3 && k3 < m.ProgramPage) {
+	if got := programTime(1, 4); got != tProgSubpage {
+		t.Fatalf("k=1: %v, want %v", got, tProgSubpage)
+	}
+	if got := programTime(4, 4); got != tProgPage {
+		t.Fatalf("k=4: %v, want %v", got, tProgPage)
+	}
+	k2 := programTime(2, 4)
+	k3 := programTime(3, 4)
+	if !(tProgSubpage < k2 && k2 < k3 && k3 < tProgPage) {
 		t.Fatalf("interpolation not monotone: %v %v", k2, k3)
 	}
 	// Exact linear points for the default 1300/1600 µs pair.
@@ -26,10 +34,10 @@ func TestProgramSubpagesLatencyInterpolation(t *testing.T) {
 		t.Fatalf("k2=%v k3=%v, want 1.4ms/1.5ms", k2, k3)
 	}
 	// Degenerate geometries clamp sanely.
-	if got := m.ProgramSubpages(0, 4); got != m.ProgramSubpage {
+	if got := programTime(0, 4); got != tProgSubpage {
 		t.Fatalf("k=0: %v", got)
 	}
-	if got := m.ProgramSubpages(9, 4); got != m.ProgramPage {
+	if got := programTime(9, 4); got != tProgPage {
 		t.Fatalf("k>nsub: %v", got)
 	}
 }

@@ -15,20 +15,20 @@ import (
 // The device decodes each address once and senses a page in one pass over
 // its slots. What it replaced is kept here as the reference: a per-slot
 // sense that decodes through Geometry's helpers and decides through
-// RetentionModel.Correctable / NormalizedBER, as ReadPage and
+// Correctable / NormalizedBER, as ReadPage and
 // ReadSubpage did before.
 
 // refReadSlot is the chip-level read of one slot: erased, torn and
 // destroyed slots are unreadable, and data past its retention capability
 // on this block fails uncorrectable.
-func refReadSlot(c *chip, lb, pi, sub int, now sim.Time, m *RetentionModel) (Stamp, error) {
+func refReadSlot(c *chip, lb, pi, sub int, now sim.Time) (Stamp, error) {
 	blk := &c.blocks[lb]
 	slots, _ := c.page(lb, pi)
 	sp := &slots[sub]
 	if err := sp.unreadable(); err != nil {
 		return Stamp{}, err
 	}
-	if !m.Correctable(sp.npp, AgeOf(sp.programmedAt, now), blk.effWear, blk.lastDepth) {
+	if !Correctable(sp.npp, AgeOf(sp.programmedAt, now), blk.effWear, blk.lastDepth) {
 		return Stamp{}, ErrUncorrectable
 	}
 	return sp.stamp(), nil
@@ -41,7 +41,7 @@ func refSenseSubpage(d *Device, b BlockID, p PageID, sub int, start sim.Time, st
 	ch, chipRes := d.chips[g.ChipOf(b)], g.ChipOf(b)
 	lb, pi := g.LocalBlock(b), g.PageIndex(p)
 	if d.cfg.Fault == nil && !d.cfg.Retry {
-		st, err := refReadSlot(ch, lb, pi, sub, start, &d.cfg.Retention)
+		st, err := refReadSlot(ch, lb, pi, sub, start)
 		return st, true, err
 	}
 	blk := &ch.blocks[lb]
@@ -50,12 +50,11 @@ func refSenseSubpage(d *Device, b BlockID, p PageID, sub int, start sim.Time, st
 	if err := sp.unreadable(); err != nil {
 		return Stamp{}, false, err
 	}
-	m := &d.cfg.Retention
-	limit := m.NormalizedECCLimit
-	ber := m.NormalizedBER(sp.npp, AgeOf(sp.programmedAt, start), blk.effWear, blk.lastDepth)
+	limit := model.NormalizedECCLimit
+	ber := NormalizedBER(sp.npp, AgeOf(sp.programmedAt, start), blk.effWear, blk.lastDepth)
 	retention := ber > limit
 	if inj := d.cfg.Fault; inj != nil {
-		ber += inj.ReadDisturb(g.ChipOf(b), int(b), blk.eraseCount)
+		ber += inj.ReadDisturb(g.ChipOf(b), int(b), float64(blk.eraseCount)/RatedPE)
 	}
 	if ber <= limit {
 		d.retryHist.Record(0)
@@ -94,13 +93,13 @@ func refReadPage(d *Device, p PageID) ([]Stamp, []error, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return nil, nil, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: -1, Err: err}
 	}
-	start, _ := d.admitRead(g.ChipOf(b), d.cfg.Latency.ReadPage, d.cfg.Latency.Transfer(g.PageBytes()))
+	start, _ := d.admitRead(g.ChipOf(b), tReadPage, transferTime(g.PageBytes()))
 	d.counters.PageReads++
 	d.counters.BytesRead += int64(g.PageBytes())
 	stamps := make([]Stamp, g.SubpagesPerPage)
 	errs := make([]error, g.SubpagesPerPage)
 	for sub := range stamps {
-		st, retention, err := refSenseSubpage(d, b, p, sub, start, d.cfg.Latency.ReadPage)
+		st, retention, err := refSenseSubpage(d, b, p, sub, start, tReadPage)
 		switch err {
 		case nil:
 			stamps[sub] = st
@@ -133,11 +132,11 @@ func refReadSubpage(d *Device, s SubpageID) (Stamp, error) {
 	if _, err := d.beginOp(false); err != nil {
 		return Stamp{}, &OpError{Op: "read", Block: b, Page: g.PageIndex(p), Sub: sub, Err: err}
 	}
-	cell, bytes := d.cfg.Latency.ReadPage, g.PageBytes()
+	cell, bytes := tReadPage, g.PageBytes()
 	if d.cfg.EnableSubpageRead {
-		cell, bytes = d.cfg.Latency.ReadSubpage, g.SubpageBytes
+		cell, bytes = tReadSubpage, g.SubpageBytes
 	}
-	start, _ := d.admitRead(g.ChipOf(b), cell, d.cfg.Latency.Transfer(bytes))
+	start, _ := d.admitRead(g.ChipOf(b), cell, transferTime(bytes))
 	d.counters.BytesRead += int64(bytes)
 	if d.cfg.EnableSubpageRead {
 		d.counters.SubpageReads++
@@ -280,7 +279,7 @@ func (w *senseTwin) step() {
 		depth := senseDepths[rng.Intn(len(senseDepths))]
 		w.both("erase", func(d *Device) (sim.Time, error) { return d.EraseAt(b, depth) })
 	case r < 56:
-		n := rng.Intn(w.ref.Retention().RatedPE + 1)
+		n := rng.Intn(RatedPE + 1)
 		w.dut.SetEraseCount(b, n)
 		w.ref.SetEraseCount(b, n)
 	case r < 60:
@@ -376,7 +375,7 @@ var decodeGeometries = []Geometry{
 // helpers for every block, page and subpage.
 func TestDecodeMatchesGeometry(t *testing.T) {
 	for _, g := range decodeGeometries {
-		d, err := NewDevice(Config{Geometry: g, Latency: DefaultLatency, Retention: DefaultRetention}, sim.NewClock(0))
+		d, err := NewDevice(Config{Geometry: g}, sim.NewClock(0))
 		if err != nil {
 			t.Fatal(err)
 		}

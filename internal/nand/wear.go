@@ -8,7 +8,7 @@ package nand
 // proportionally less oxide stress — the block's *effective wear* grows by
 // the depth, not by a whole cycle — but they leave the erased distribution
 // wider, which costs retention margin on the data programmed afterwards
-// (see RetentionModel.ShallowFactor).
+// (see shallowFactor).
 type EraseDepth float64
 
 const (

@@ -85,6 +85,12 @@ func classify(err error) (status uint8, target Health) {
 		return wire.StatusOK, Healthy
 	case errors.Is(err, errEngineStopped):
 		return wire.StatusShutdown, Healthy
+	case errors.Is(err, ftl.ErrPartialWrite):
+		// Not a refusal: what the write changed is undefined.
+		if errors.Is(err, ftl.ErrReadOnly) {
+			return wire.StatusErr, ReadOnly
+		}
+		return wire.StatusErr, Degraded
 	case errors.Is(err, ftl.ErrReadOnly):
 		return wire.StatusReadOnly, ReadOnly
 	case errors.Is(err, nand.ErrUncorrectable):

@@ -102,9 +102,6 @@ type Config struct {
 	PerConnInflight int
 	MaxInflight     int
 
-	// TickEvery is the host schedulers' maintenance cadence (default 64).
-	TickEvery int
-
 	// WriteTimeout bounds one reply flush to a client socket; a
 	// connection that cannot absorb its replies within it is declared
 	// dead and drained without blocking the engines (default 5s).
@@ -146,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 256
-	}
-	if c.TickEvery == 0 {
-		c.TickEvery = 64
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 5 * time.Second
@@ -203,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 		{"Shards", cfg.Shards},
 		{"PerConnInflight", cfg.PerConnInflight},
 		{"MaxInflight", cfg.MaxInflight},
-		{"TickEvery", cfg.TickEvery},
 		{"WatchdogStalls", cfg.WatchdogStalls},
 	} {
 		if v.n < 1 {

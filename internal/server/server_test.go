@@ -524,7 +524,6 @@ func TestNewRejectsBadSizes(t *testing.T) {
 		"Shards":          {Shards: -1},
 		"MaxInflight":     {MaxInflight: -1},
 		"PerConnInflight": {PerConnInflight: -1},
-		"TickEvery":       {TickEvery: -1},
 		"WatchdogStalls":  {WatchdogStalls: -1},
 	} {
 		_, err := server.New(cfg)

@@ -22,6 +22,10 @@ type ShardStack struct {
 	LogicalSectors int64
 }
 
+// tickEvery is the host schedulers' maintenance cadence (one FTL tick per
+// 64 host dispatches), the experiment runner's default.
+const tickEvery = 64
+
 // shard is one independent simulation world: its own NAND device, FTL,
 // virtual clock, host scheduler, and — once Serve starts — its own
 // engine goroutine, admission budget, and stall watchdog. Shards share
@@ -106,7 +110,7 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		return nil, err
 	}
 	guard := ftl.NewGuard(f)
-	sched, err := host.New(dev, guard, host.Config{Arbiter: arb, TickEvery: cfg.TickEvery})
+	sched, err := host.New(dev, guard, host.Config{Arbiter: arb, TickEvery: tickEvery})
 	if err != nil {
 		return nil, err
 	}
