@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -66,12 +65,7 @@ func main() {
 		kind    string
 	)
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		reqs, err := trace.ReadText(f)
-		f.Close()
+		reqs, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -102,20 +96,9 @@ func main() {
 			}
 		}()
 	} else {
-		var prof workload.Profile
-		if *rsmall >= 0 {
-			prof = workload.SweepProfile(*rsmall, *rsynch)
-		} else {
-			found := false
-			for _, p := range workload.Benchmarks() {
-				if strings.EqualFold(p.Name, *profile) {
-					prof, found = p, true
-					break
-				}
-			}
-			if !found {
-				fatal(fmt.Errorf("unknown profile %q", *profile))
-			}
+		prof, err := workload.Select(*profile, *rsmall, *rsynch)
+		if err != nil {
+			fatal(err)
 		}
 		ps := int64(wl.PageSectors)
 		sectors := int64(float64(wl.Sectors)**span) / ps * ps

@@ -59,12 +59,25 @@ func main() {
 	if *pprofFlag && *httpAddr == "" {
 		fatal(fmt.Errorf("-pprof requires -http"))
 	}
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards must be positive, got %d", *shards))
+	}
+	// Every shard is the device espsim simulates with the same policy
+	// flags: experiment.Build is the call experiment.Run makes.
+	stacks := make([]server.ShardStack, *shards)
+	for i := range stacks {
+		dev, f, logical, err := experiment.Build(*policy)
+		if err != nil {
+			fatal(err)
+		}
+		stacks[i] = server.ShardStack{Device: dev, FTL: f, LogicalSectors: logical}
+	}
 	cfg := server.Config{
 		Addr:             *addr,
 		HTTPAddr:         *httpAddr,
 		EnablePprof:      *pprofFlag,
-		Shards:           *shards,
-		Stack:            *policy,
+		Stacks:           stacks,
+		Arbitration:      policy.Arbitration,
 		PreconditionFrac: *precondition,
 		Speedup:          *speedup,
 		Namespaces:       specs,

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"espftl/internal/experiment"
@@ -27,15 +26,6 @@ import (
 	"espftl/internal/trace"
 	"espftl/internal/workload"
 )
-
-func profileByName(name string) (workload.Profile, bool) {
-	for _, p := range workload.Benchmarks() {
-		if strings.EqualFold(p.Name, name) {
-			return p, true
-		}
-	}
-	return workload.Profile{}, false
-}
 
 func main() {
 	policy := experiment.BindPolicyFlags(flag.CommandLine, "FTL under test: cgmFTL, fgmFTL or subFTL", "use the full-size device")
@@ -101,15 +91,10 @@ func main() {
 	}
 	switch {
 	case *tracePath != "":
-		f, err := os.Open(*tracePath)
+		reqs, err := trace.ReadFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
-		reqs, err := trace.ReadText(f)
-		if err != nil {
-			fatal(fmt.Errorf("trace %s: %w", *tracePath, err))
-		}
-		f.Close()
 		// Fail early with guidance when the trace addresses more space
 		// than the simulated drive exports.
 		var maxEnd int64
@@ -126,12 +111,10 @@ func main() {
 		if maxEnd > space {
 			fatal(fmt.Errorf("trace addresses %d sectors but the drive exports %d; rerun tracegen with -sectors <= %d or use -full", maxEnd, space, space))
 		}
-	case *rsmall >= 0:
-		cfg.Profile = workload.SweepProfile(*rsmall, *rsynch)
 	default:
-		p, ok := profileByName(*profile)
-		if !ok {
-			fatal(fmt.Errorf("unknown profile %q", *profile))
+		p, err := workload.Select(*profile, *rsmall, *rsynch)
+		if err != nil {
+			fatal(err)
 		}
 		cfg.Profile = p
 	}

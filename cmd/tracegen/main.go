@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"espftl/internal/trace"
 	"espftl/internal/workload"
@@ -29,20 +28,9 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	var prof workload.Profile
-	if *rsmall >= 0 {
-		prof = workload.SweepProfile(*rsmall, *rsynch)
-	} else {
-		found := false
-		for _, p := range workload.Benchmarks() {
-			if strings.EqualFold(p.Name, *profile) {
-				prof, found = p, true
-				break
-			}
-		}
-		if !found {
-			fatal(fmt.Errorf("unknown profile %q", *profile))
-		}
+	prof, err := workload.Select(*profile, *rsmall, *rsynch)
+	if err != nil {
+		fatal(err)
 	}
 	gen, err := workload.NewSynthetic(prof, *sectors, 4, *seed)
 	if err != nil {

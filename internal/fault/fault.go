@@ -125,21 +125,12 @@ type Event struct {
 	fired int
 }
 
-// Counts aggregates how many faults the injector has delivered.
-type Counts struct {
-	ReadDisturbs int64
-	ProgramFails int64
-	EraseFails   int64
-	PowerLosses  int64
-}
-
 // Injector is the device-facing fault source. It is not safe for
 // concurrent use, matching the single-threaded simulator.
 type Injector struct {
 	prof     Profile
 	rng      *sim.RNG
 	campaign []*Event
-	counts   Counts
 	spo      spoPlan
 }
 
@@ -160,9 +151,6 @@ func NewInjector(p Profile) (*Injector, error) {
 	}
 	return &Injector{prof: p, rng: sim.NewRNG(p.Seed)}, nil
 }
-
-// Counts returns a snapshot of the delivered-fault counters.
-func (inj *Injector) Counts() Counts { return inj.counts }
 
 // Script registers a campaign event. Events are matched in registration
 // order, each consumed independently.
@@ -204,15 +192,11 @@ func (inj *Injector) campaignHit(k Kind, chip, block int) (*Event, bool) {
 // sense on the given chip/block at the given wear (P/E cycles as a
 // fraction of the rated endurance); 0 means a clean read.
 func (inj *Injector) ReadDisturb(chip, block int, wear float64) float64 {
-	if ev, ok := inj.campaignHit(KindRead, chip, block); ok {
-		inj.counts.ReadDisturbs++
-		if ev.BER > 0 {
-			return ev.BER
-		}
-		return inj.prof.ReadDisturbBER
-	}
-	if inj.rng.Bool(inj.prof.ReadDisturbProb * (1 + wear)) {
-		inj.counts.ReadDisturbs++
+	ev, hit := inj.campaignHit(KindRead, chip, block)
+	switch {
+	case hit && ev.BER > 0:
+		return ev.BER
+	case hit || inj.rng.Bool(inj.prof.ReadDisturbProb*(1+wear)):
 		return inj.prof.ReadDisturbBER
 	}
 	return 0
@@ -220,28 +204,14 @@ func (inj *Injector) ReadDisturb(chip, block int, wear float64) float64 {
 
 // ProgramFail reports whether the program on the given chip/block fails.
 func (inj *Injector) ProgramFail(chip, block int, wear float64) bool {
-	if _, ok := inj.campaignHit(KindProgram, chip, block); ok {
-		inj.counts.ProgramFails++
-		return true
-	}
-	if inj.rng.Bool(inj.prof.ProgramFailProb * (1 + wear)) {
-		inj.counts.ProgramFails++
-		return true
-	}
-	return false
+	_, hit := inj.campaignHit(KindProgram, chip, block)
+	return hit || inj.rng.Bool(inj.prof.ProgramFailProb*(1+wear))
 }
 
 // EraseFail reports whether the erase of the given block fails.
 func (inj *Injector) EraseFail(chip, block int, wear float64) bool {
-	if _, ok := inj.campaignHit(KindErase, chip, block); ok {
-		inj.counts.EraseFails++
-		return true
-	}
-	if inj.rng.Bool(inj.prof.EraseFailProb * (1 + wear)) {
-		inj.counts.EraseFails++
-		return true
-	}
-	return false
+	_, hit := inj.campaignHit(KindErase, chip, block)
+	return hit || inj.rng.Bool(inj.prof.EraseFailProb*(1+wear))
 }
 
 // ArmSPO schedules a sudden power-off at device operation index opIndex
@@ -266,7 +236,6 @@ func (inj *Injector) SPO(opIndex int64) (fire, torn bool) {
 		return false, false
 	}
 	inj.spo.fired = true
-	inj.counts.PowerLosses++
 	return true, inj.spo.torn
 }
 

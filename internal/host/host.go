@@ -8,10 +8,11 @@
 //
 // # Model
 //
-// Host requests are submitted into N submission-queue lanes and routed
-// into per-chip command queues (reads by their current mapping, obtained
-// through the FTL's ChipOf probe; writes round-robin across chips, a
-// proxy for the FTLs' striped wear-leveled allocation). A central event
+// Host requests are routed into per-chip command queues (reads by their
+// current mapping, obtained through the FTL's ChipOf probe; writes
+// round-robin across chips, a proxy for the FTLs' striped wear-leveled
+// allocation); Config.Queues, the number of submission-queue lanes, routes
+// nothing and is only echoed in the Report. A central event
 // loop — a priority queue keyed on sim.Time with a submission-sequence
 // tie-break — pops completion (and, open loop, arrival) events; after
 // every event a pluggable arbiter picks the next dispatchable command
@@ -102,8 +103,6 @@ type Command struct {
 	// Seq is the global submission order, the identity used by the
 	// ordering barrier and all deterministic tie-breaks.
 	Seq int64
-	// Queue is the submission-queue lane the command arrived on.
-	Queue int
 	// Class drives arbitration and latency accounting.
 	Class Class
 	// waiters chains the command queues parked on this command: their

@@ -13,7 +13,8 @@ import (
 
 // Config parameterizes a Scheduler.
 type Config struct {
-	// Queues is the number of submission-queue lanes (default 1).
+	// Queues is the number of submission-queue lanes (default 1). No
+	// dispatch decision reads it: it is only echoed in Report.Queues.
 	Queues int
 	// Arbiter is the dispatch policy over the per-chip command queues
 	// (default FIFO).
@@ -382,8 +383,8 @@ func (s *Scheduler) pushArrival(at sim.Time, idx int64) {
 	s.evOrd++
 }
 
-// submit accepts one host request: it is sequenced, classified, tagged
-// with its submission-queue lane, and routed to a per-chip command queue.
+// submit accepts one host request: it is sequenced, classified, and
+// routed to a per-chip command queue.
 func (s *Scheduler) submit(r workload.Request) (*Command, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -393,7 +394,6 @@ func (s *Scheduler) submit(r workload.Request) (*Command, error) {
 	}
 	c := s.newCmd()
 	c.Seq = s.seq
-	c.Queue = int(s.seq % int64(s.cfg.Queues))
 	c.Req = r
 	c.Arrival = s.now
 	c.DispatchIdx = -1

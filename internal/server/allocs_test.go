@@ -20,7 +20,7 @@ import (
 // (a frame buffer, a completion record, a join), which shows up as
 // dozens per op, not single digits.
 func TestServeLoopAllocs(t *testing.T) {
-	srv, err := server.New(server.Config{})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"espftl/internal/ftl"
@@ -164,8 +165,8 @@ func (s *Server) Recover(name string) (Health, error) {
 
 type errStillStalled struct{ shard int }
 
-func (errStillStalled) Error() string {
-	return "server: engine still stalled; cannot recover namespace"
+func (e errStillStalled) Error() string {
+	return fmt.Sprintf("server: shard %d engine still stalled; cannot recover namespace", e.shard)
 }
 
 func errUnknownNamespace(name string) error {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,6 +104,8 @@ func TestWatchdogFencesAndRecovers(t *testing.T) {
 	// Recovery against a still-wedged engine must refuse, not deadlock.
 	if _, err := srv.Recover("default"); err == nil {
 		t.Fatal("Recover succeeded while the engine was still stalled")
+	} else if want := "server: shard 0 engine still stalled"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Recover error %q, want prefix %q", err, want)
 	}
 
 	// Release the stall: the wedged write completes and reaches its

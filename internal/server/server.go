@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"espftl/internal/experiment"
 	"espftl/internal/ftl"
 	"espftl/internal/host"
 	"espftl/internal/nand"
@@ -69,20 +68,16 @@ type Config struct {
 	// CPU while sampling.
 	EnablePprof bool
 
-	// Shards is the number of independent device shards (default 1).
-	// Every shard gets an identically configured device stack; each
-	// runs its own FTL, virtual clock, and engine goroutine.
-	Shards int
-
-	// Stack describes the device stack every shard assembles, in the
-	// simulator's own terms: it goes to experiment.Build as is, so a
-	// served shard and an espsim run with the same policy flags are the
-	// same device. The server reads what Build reads (Kind, default
-	// subFTL; Geometry; LogicalFrac; the GC, erase-policy, lifetime and
-	// fault knobs) plus Arbitration for the shard's host scheduler; the
-	// workload and replay fields have no meaning here. Ignored, except
-	// for Arbitration, when Stacks supplies pre-built stacks.
-	Stack experiment.RunConfig
+	// Stacks are the device stacks the server serves, one per shard;
+	// there must be at least one. Each shard runs its own FTL, virtual
+	// clock, and engine goroutine around its stack. The server builds
+	// nothing: espserved assembles its stacks with experiment.Build, and
+	// tests hand in devices with armed fault injectors or crash
+	// survivors the same way.
+	Stacks []ShardStack
+	// Arbitration names each shard's host-scheduler arbiter ("fifo", the
+	// default when empty, or "read-priority").
+	Arbitration string
 	// PreconditionFrac sequentially prefills this fraction of each
 	// shard's logical space before serving, bringing the FTLs to steady
 	// state.
@@ -120,23 +115,11 @@ type Config struct {
 	// must complete within Interval×Stalls of wall time.
 	WatchdogInterval time.Duration
 	WatchdogStalls   int
-
-	// Stacks, when non-empty, serves these pre-built device stacks —
-	// one per shard — instead of assembling them; Shards must be unset
-	// or equal to len(Stacks). The one hook for serving devices with
-	// armed fault injectors or crash survivors, single-shard included.
-	Stacks []ShardStack
 }
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Stack.Kind == "" {
-		c.Stack.Kind = experiment.KindSub
 	}
 	if c.PerConnInflight == 0 {
 		c.PerConnInflight = 32
@@ -184,17 +167,19 @@ type Server struct {
 	engineErr error
 }
 
-// New assembles the shard device stacks and carves the namespaces;
-// Serve starts them.
+// New mounts the shard device stacks and carves the namespaces; Serve
+// starts them.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if len(cfg.Stacks) == 0 {
+		return nil, fmt.Errorf("server: Stacks must hold at least one shard stack")
+	}
 	// The sizes below become slice and channel capacities; they arrive
 	// from command-line flags, so a bad one is an error, not a panic.
 	for _, v := range []struct {
 		name string
 		n    int
 	}{
-		{"Shards", cfg.Shards},
 		{"PerConnInflight", cfg.PerConnInflight},
 		{"MaxInflight", cfg.MaxInflight},
 		{"WatchdogStalls", cfg.WatchdogStalls},
@@ -203,19 +188,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %s must be positive, got %d", v.name, v.n)
 		}
 	}
-	stacks := cfg.Stacks
-	if len(stacks) > 0 {
-		if cfg.Shards != 1 && cfg.Shards != len(stacks) {
-			return nil, fmt.Errorf("server: Shards=%d but %d stacks supplied", cfg.Shards, len(stacks))
-		}
-		cfg.Shards = len(stacks)
-	}
-	shards := make([]*shard, cfg.Shards)
-	for i := range shards {
-		var stack *ShardStack
-		if len(stacks) > 0 {
-			stack = &stacks[i]
-		}
+	shards := make([]*shard, len(cfg.Stacks))
+	for i, stack := range cfg.Stacks {
 		sh, err := buildShard(i, cfg, stack)
 		if err != nil {
 			return nil, err

@@ -84,6 +84,7 @@ func (f completeFunc) Complete(c *host.Command) { f(c) }
 func TestLoopbackDifferential(t *testing.T) {
 	const perNS = 5200
 	srv, err := server.New(server.Config{
+		Stacks:           buildStacks(t, 1, subStack),
 		PreconditionFrac: 0.4,
 		Namespaces:       []server.NamespaceSpec{{Name: "a"}, {Name: "b"}},
 	})
@@ -231,6 +232,7 @@ func TestLoopbackDifferential(t *testing.T) {
 // endpoints plus the in-band STAT command report coherent numbers.
 func TestIntrospection(t *testing.T) {
 	srv, err := server.New(server.Config{
+		Stacks:     buildStacks(t, 1, subStack),
 		HTTPAddr:   "127.0.0.1:0",
 		Namespaces: []server.NamespaceSpec{{Name: "a"}, {Name: "b"}},
 	})
@@ -317,7 +319,7 @@ func TestIntrospection(t *testing.T) {
 // accepted command must still complete (none dropped), and later
 // submissions are refused, not lost.
 func TestShutdownDrainsUnderLoad(t *testing.T) {
-	srv, err := server.New(server.Config{})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 // TestUnknownNamespaceRefused: the handshake rejects a namespace the
 // server does not export, without disturbing the engine.
 func TestUnknownNamespaceRefused(t *testing.T) {
-	srv, err := server.New(server.Config{Namespaces: []server.NamespaceSpec{{Name: "only"}}})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack), Namespaces: []server.NamespaceSpec{{Name: "only"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +408,7 @@ func TestUnknownNamespaceRefused(t *testing.T) {
 // TestOutOfRangeRejected: per-namespace bounds are enforced at the
 // server, with the error delivered on the offending tag only.
 func TestOutOfRangeRejected(t *testing.T) {
-	srv, err := server.New(server.Config{Namespaces: []server.NamespaceSpec{{Name: "a"}, {Name: "b"}}})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack), Namespaces: []server.NamespaceSpec{{Name: "a"}, {Name: "b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +448,7 @@ func TestOutOfRangeRejected(t *testing.T) {
 // stream and reports wall latencies at least as large as the virtual
 // ones the gate maps them from.
 func TestPacedServe(t *testing.T) {
-	srv, err := server.New(server.Config{Speedup: 5e5})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack), Speedup: 5e5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,6 +477,7 @@ func TestPacedServe(t *testing.T) {
 // geometry advertisements.
 func TestCarve(t *testing.T) {
 	srv, err := server.New(server.Config{
+		Stacks: buildStacks(t, 1, subStack),
 		Namespaces: []server.NamespaceSpec{
 			{Name: "fixed", Sectors: 4096},
 			{Name: "restA"},
@@ -505,11 +508,13 @@ func TestCarve(t *testing.T) {
 	}
 
 	if _, err := server.New(server.Config{
+		Stacks:     buildStacks(t, 1, subStack),
 		Namespaces: []server.NamespaceSpec{{Name: "x", Sectors: 1 << 40}},
 	}); err == nil {
 		t.Fatal("oversubscribed namespace accepted")
 	}
 	if _, err := server.New(server.Config{
+		Stacks:     buildStacks(t, 1, subStack),
 		Namespaces: []server.NamespaceSpec{{Name: "x"}, {Name: "x"}},
 	}); err == nil {
 		t.Fatal("duplicate namespace accepted")
@@ -519,22 +524,42 @@ func TestCarve(t *testing.T) {
 // TestNewRejectsBadSizes: the sizes in Config become slice and channel
 // capacities and arrive from espserved's flags; a negative one must come
 // back as a "server:" error from New, never as a makeslice/makechan panic.
+// A server with no stacks has no shard to serve and is refused too.
 func TestNewRejectsBadSizes(t *testing.T) {
+	stacks := buildStacks(t, 1, subStack)
 	for name, cfg := range map[string]server.Config{
-		"Shards":          {Shards: -1},
-		"MaxInflight":     {MaxInflight: -1},
-		"PerConnInflight": {PerConnInflight: -1},
-		"WatchdogStalls":  {WatchdogStalls: -1},
+		"Stacks":          {},
+		"MaxInflight":     {Stacks: stacks, MaxInflight: -1},
+		"PerConnInflight": {Stacks: stacks, PerConnInflight: -1},
+		"WatchdogStalls":  {Stacks: stacks, WatchdogStalls: -1},
 	} {
 		_, err := server.New(cfg)
 		if err == nil {
-			t.Errorf("negative %s accepted", name)
+			t.Errorf("bad %s accepted", name)
 			continue
 		}
 		if want := "server: " + name; !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("negative %s: error %q, want prefix %q", name, err, want)
+			t.Errorf("bad %s: error %q, want prefix %q", name, err, want)
 		}
 	}
+}
+
+// subStack is the default served device: subFTL on the quick geometry,
+// which is what espserved builds without policy flags.
+var subStack = experiment.RunConfig{Kind: experiment.KindSub}
+
+// buildStacks builds n identical device stacks of rc, one per shard.
+func buildStacks(t testing.TB, n int, rc experiment.RunConfig) []server.ShardStack {
+	t.Helper()
+	stacks := make([]server.ShardStack, n)
+	for i := range stacks {
+		dev, f, logical, err := experiment.Build(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[i] = server.ShardStack{Device: dev, FTL: f, LogicalSectors: logical}
+	}
+	return stacks
 }
 
 // waitFor polls until cond holds or the deadline passes.

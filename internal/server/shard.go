@@ -12,10 +12,9 @@ import (
 	"espftl/internal/sim"
 )
 
-// ShardStack is one pre-built device stack handed to the server instead
-// of letting it assemble its own — the hook tests use to serve devices
-// with armed fault injectors or crash survivors. The FTL must be freshly
-// constructed: the server performs the mount (Recover) itself.
+// ShardStack is one shard's device stack: the NAND device, a freshly
+// constructed FTL on it, and the logical space it exports. The server
+// performs the mount (Recover) itself.
 type ShardStack struct {
 	Device         *nand.Device
 	FTL            ftl.FTL
@@ -70,26 +69,13 @@ type shard struct {
 	lastGC atomic.Value
 }
 
-// buildShard assembles (or adopts, when stack is non-nil) one shard's
-// device world: mount, optional preconditioning, concurrency guard, and
-// host scheduler. No goroutines start here; Serve owns the lifecycle.
-func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
-	var (
-		dev     *nand.Device
-		f       ftl.FTL
-		logical int64
-		err     error
-	)
-	if stack != nil {
-		if stack.FTL == nil || stack.Device == nil || stack.LogicalSectors == 0 {
-			return nil, fmt.Errorf("server: shard %d stack requires Device, FTL and LogicalSectors", idx)
-		}
-		dev, f, logical = stack.Device, stack.FTL, stack.LogicalSectors
-	} else {
-		dev, f, logical, err = experiment.Build(cfg.Stack)
-		if err != nil {
-			return nil, err
-		}
+// buildShard adopts one shard's device stack: mount, optional
+// preconditioning, concurrency guard, and host scheduler. No goroutines
+// start here; Serve owns the lifecycle.
+func buildShard(idx int, cfg Config, stack ShardStack) (*shard, error) {
+	dev, f, logical := stack.Device, stack.FTL, stack.LogicalSectors
+	if f == nil || dev == nil || logical == 0 {
+		return nil, fmt.Errorf("server: shard %d stack requires Device, FTL and LogicalSectors", idx)
 	}
 	// Mount before any I/O: on a blank device this is an empty scan; on
 	// a crash survivor it is the real OOB recovery of PR 3.
@@ -105,7 +91,7 @@ func buildShard(idx int, cfg Config, stack *ShardStack) (*shard, error) {
 		}
 		dev.Clock().AdvanceTo(dev.DrainTime())
 	}
-	arb, err := host.NewArbiter(cfg.Stack.Arbitration)
+	arb, err := host.NewArbiter(cfg.Arbitration)
 	if err != nil {
 		return nil, err
 	}

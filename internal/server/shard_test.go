@@ -37,7 +37,7 @@ var shardDiffSpecs = []server.NamespaceSpec{
 func runShardedDifferential(t *testing.T, shards int, streams map[string][]workload.Request) map[string][]uint32 {
 	t.Helper()
 	srv, err := server.New(server.Config{
-		Shards:     shards,
+		Stacks:     buildStacks(t, shards, subStack),
 		Namespaces: shardDiffSpecs,
 	})
 	if err != nil {
@@ -458,7 +458,7 @@ func TestFlushBarrierOrdering(t *testing.T) {
 // drain cleanly.
 func TestTornMidBarrier(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Shards:       4,
+		Stacks:       buildStacks(t, 4, subStack),
 		Namespaces:   []server.NamespaceSpec{{Name: "s", Placement: "*"}},
 		WriteTimeout: 200 * time.Millisecond,
 	})
@@ -552,7 +552,7 @@ func TestTornMidBarrier(t *testing.T) {
 // shard-smoke job).
 func TestStatsHammerShardedDrain(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Shards:   3,
+		Stacks:   buildStacks(t, 3, subStack),
 		HTTPAddr: "127.0.0.1:0",
 		Namespaces: []server.NamespaceSpec{
 			{Name: "a", Sectors: 4096},
@@ -645,12 +645,11 @@ func TestStatsHammerShardedDrain(t *testing.T) {
 // merge that kept shard 0's value, or summed the extremes, shows.
 func TestMetricsMergedAcrossShards(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Shards: 2,
-		Stack: experiment.RunConfig{
+		Stacks: buildStacks(t, 2, experiment.RunConfig{
 			Kind:        experiment.KindFGM,
 			Geometry:    ftltest.TinyGeometry(),
 			LogicalFrac: 0.35, // the tiny device needs the spare blocks
-		},
+		}),
 		PreconditionFrac: 0.9,
 		HTTPAddr:         "127.0.0.1:0",
 		Namespaces: []server.NamespaceSpec{
@@ -730,12 +729,11 @@ func TestMetricsMergedAcrossShards(t *testing.T) {
 // each shard's own report as its engine left it.
 func TestFleetReportMergesShards(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Shards: 2,
-		Stack: experiment.RunConfig{
+		Stacks: buildStacks(t, 2, experiment.RunConfig{
 			Kind:        experiment.KindFGM,
 			Geometry:    ftltest.TinyGeometry(),
 			LogicalFrac: 0.35,
-		},
+		}),
 		PreconditionFrac: 0.9,
 		Namespaces: []server.NamespaceSpec{
 			{Name: "busy", Placement: "0"},

@@ -15,7 +15,7 @@ import (
 // to reclaim every in-flight slot, keep serving other clients, and drain
 // cleanly.
 func TestTornConnection(t *testing.T) {
-	srv, err := server.New(server.Config{WriteTimeout: 200 * time.Millisecond})
+	srv, err := server.New(server.Config{Stacks: buildStacks(t, 1, subStack), WriteTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

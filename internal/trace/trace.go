@@ -10,7 +10,7 @@
 //	F                         flush (cache barrier)
 //	A <nanoseconds>           advance virtual time (idle gap)
 //
-// The served-device client (cmd/espclient) reads traces through ReadText
+// The served-device client (cmd/espclient) reads traces through ReadFile
 // too and encodes each request as a wire command frame itself.
 package trace
 
@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -37,6 +38,20 @@ func WriteText(w io.Writer, reqs []workload.Request) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadFile parses the text trace at path; its errors name the path.
+func ReadFile(path string) ([]workload.Request, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	reqs, err := ReadText(f)
+	if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", path, err)
+	}
+	return reqs, nil
 }
 
 // ReadText parses the text format.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,5 +187,31 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadFile: a file reads as ReadText reads its bytes, and a parse
+// error names the file.
+func TestReadFile(t *testing.T) {
+	dir := t.TempDir()
+	good, bad := dir+"/good.trace", dir+"/bad.trace"
+	var buf bytes.Buffer
+	if err := WriteText(&buf, sampleReqs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(good, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte("W 0 1 S\nX 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFile(good); err != nil || !reflect.DeepEqual(got, sampleReqs()) {
+		t.Fatalf("ReadFile(good) = %v, %v", got, err)
+	}
+	if _, err := ReadFile(bad); err == nil || !strings.HasPrefix(err.Error(), "trace "+bad+": trace: line 2") {
+		t.Fatalf("ReadFile(bad) error %v, want it to name the file and line", err)
+	}
+	if _, err := ReadFile(dir + "/missing.trace"); err == nil || !strings.Contains(err.Error(), "missing.trace") {
+		t.Fatalf("ReadFile(missing) error %v, want it to name the file", err)
 	}
 }

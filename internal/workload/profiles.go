@@ -1,5 +1,10 @@
 package workload
 
+import (
+	"fmt"
+	"strings"
+)
+
 // The five benchmark profiles of the paper's evaluation (§5), calibrated
 // so that the workload statistics the paper reports emerge from the
 // generator:
@@ -111,4 +116,19 @@ func TPCC() Profile {
 // order.
 func Benchmarks() []Profile {
 	return []Profile{Sysbench(), Varmail(), Postmark(), YCSB(), TPCC()}
+}
+
+// Select resolves the tools' -profile/-rsmall/-rsynch flags: with rSmall
+// >= 0 the sweep profile, otherwise the benchmark profile whose name
+// matches name case-insensitively.
+func Select(name string, rSmall, rSynch float64) (Profile, error) {
+	if rSmall >= 0 {
+		return SweepProfile(rSmall, rSynch), nil
+	}
+	for _, p := range Benchmarks() {
+		if strings.EqualFold(p.Name, name) {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q", name)
 }

@@ -401,3 +401,18 @@ func TestSyntheticNextAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSelect: -rsmall >= 0 picks the sweep profile whatever the name, a
+// benchmark name matches case-insensitively, and an unknown one is an
+// error naming it.
+func TestSelect(t *testing.T) {
+	if p, err := Select("nope", 0.8, 1); err != nil || p.Name != SweepProfile(0.8, 1).Name {
+		t.Fatalf("sweep: %q, %v", p.Name, err)
+	}
+	if p, err := Select("TPC-c", -1, 1); err != nil || p.Name != TPCC().Name {
+		t.Fatalf("tpc-c: %q, %v", p.Name, err)
+	}
+	if _, err := Select("nope", -1, 1); err == nil || err.Error() != `unknown profile "nope"` {
+		t.Fatalf("unknown profile: %v", err)
+	}
+}
