@@ -10,10 +10,14 @@
 // (2 GiB, 8 channels x 4 chips) and a larger request count; expect a few
 // minutes of wall time.
 //
-// Independent experiment cells fan out over a worker pool (GOMAXPROCS
-// workers; override with -workers). Output is byte-identical at any worker
-// count. The "regenerated in" lines are a progress indication, not a
-// measurement: benchmark/ is the repository's performance harness.
+// The selected tables are one grid: each distinct run they read runs once
+// per invocation, on a worker pool (GOMAXPROCS workers; override with
+// -workers), and then the tables render in presentation order. Output is
+// byte-identical at any worker count, and a table prints the same bytes
+// alone or among others. A "regenerated in" line is the wall time from the
+// start of the grid to its table, so it includes every run of the
+// selection; benchmark/ is the repository's performance harness. If a
+// table fails to render, the tables before it print and espbench exits 1.
 package main
 
 import (
@@ -70,19 +74,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, e := range all {
-		if !want[e.ID] {
-			continue
-		}
-		start := time.Now()
-		table, err := e.Fn(opts)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+	selected := slices.DeleteFunc(all, func(e experiment.Experiment) bool { return !want[e.ID] })
+	start := time.Now()
+	tables, errs := experiment.Regenerate(selected, opts)
+	for i, e := range selected {
+		if errs[i] != nil {
+			fatal(errs[i])
 		}
 		if *markdown {
-			fmt.Println(table.Markdown())
+			fmt.Println(tables[i].Markdown())
 		} else {
-			fmt.Println(table.String())
+			fmt.Println(tables[i].String())
 		}
 		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}

@@ -36,11 +36,11 @@ func renderTable(t *testing.T, id string) string {
 		if e.ID != id {
 			continue
 		}
-		tbl, err := e.Fn(goldenOptions)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+		tables, errs := experiment.Regenerate([]experiment.Experiment{e}, goldenOptions)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
-		return tbl.Markdown()
+		return tables[0].Markdown()
 	}
 	t.Fatalf("no experiment with id %q", id)
 	return ""

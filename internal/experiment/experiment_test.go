@@ -166,7 +166,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig1Static(t *testing.T) {
-	tbl, err := Fig1(Options{})
+	tbl, err := tableByID(t, "fig1", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFig1Static(t *testing.T) {
 }
 
 func TestFig5Calibration(t *testing.T) {
-	tbl, err := Fig5(tinyOpts())
+	tbl, err := tableByID(t, "fig5", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +190,26 @@ func TestFig5Calibration(t *testing.T) {
 	}
 }
 
-// TestFiguresSmoke exercises every dynamic regenerator end-to-end at tiny
-// scale, asserting only structural health (row counts, no errors) — the
-// numeric shapes are recorded in EXPERIMENTS.md from full runs.
+// TestFiguresSmoke exercises every regenerator end-to-end at tiny scale,
+// asserting structural health (row counts, no errors) — the numeric shapes
+// are recorded in EXPERIMENTS.md from full runs — and that sharing runs
+// never changes a table: each id rendered alone prints the same bytes as
+// inside one all-ids grid.
 func TestFiguresSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	o := tinyOpts()
 	o.Requests = 4000 // enough churn that every scheme GCs
-	for _, e := range All() {
-		e := e
+	tables, errs := Regenerate(All(), o)
+	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			tbl, err := e.Fn(o)
+			if errs[i] != nil {
+				t.Fatalf("in the all-ids grid: %v", errs[i])
+			}
+			tbl, err := regenerateOne(e, o)
 			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+				t.Fatalf("alone: %v", err)
 			}
 			if len(tbl.Rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
@@ -212,8 +217,23 @@ func TestFiguresSmoke(t *testing.T) {
 			if tbl.ID != e.ID {
 				t.Fatalf("table id %q != %q", tbl.ID, e.ID)
 			}
+			if alone, shared := tbl.String(), tables[i].String(); alone != shared {
+				t.Errorf("alone and in the all-ids grid differ\n--- alone ---\n%s\n--- all ids ---\n%s", alone, shared)
+			}
 		})
 	}
+}
+
+// tableByID renders the experiment named id alone.
+func tableByID(t *testing.T, id string, o Options) (*Table, error) {
+	t.Helper()
+	for _, e := range All() {
+		if e.ID == id {
+			return regenerateOne(e, o)
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil, nil
 }
 
 func TestAllIndexIsComplete(t *testing.T) {

@@ -94,7 +94,7 @@ func TestExtLifetime2Table(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	table, err := ExtLifetime2(Options{Requests: 6000, Seed: 1})
+	table, err := tableByID(t, "ext-lifetime2", Options{Requests: 6000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,33 +12,32 @@ func errAt(i int) error { return fmt.Errorf("cell %d failed", i) }
 
 // TestParallelMatchesSerial is the determinism contract for the worker
 // pool: every figure, benchmark table and ablation must render to the
-// exact same bytes whether the grid ran on one worker (the serial path)
-// or fanned out. Workers is pinned to 8 regardless of GOMAXPROCS so the
-// concurrent claiming/collection machinery is exercised — and racing is
-// visible to -race — even on a single-core host.
+// exact same bytes whether the all-ids grid ran on one worker (the serial
+// path) or fanned out. Workers is pinned to 8 regardless of GOMAXPROCS so
+// the concurrent claiming/collection machinery is exercised — and racing
+// is visible to -race — even on a single-core host.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure regeneration; skipped in -short")
 	}
 	o := tinyOpts()
-	for _, e := range All() {
-		e := e
+	SetWorkers(1)
+	serial, serialErrs := Regenerate(All(), o)
+	SetWorkers(8)
+	parallel, parallelErrs := Regenerate(All(), o)
+	SetWorkers(0)
+	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			SetWorkers(1)
-			serial, serialErr := e.Fn(o)
-			SetWorkers(8)
-			parallel, parallelErr := e.Fn(o)
-			SetWorkers(0)
 			// Some figures refuse to render at the tiny smoke sizing
 			// (fig2b needs enough load to trigger GC); the contract then
 			// is that both paths report the identical refusal.
-			if serialErr != nil || parallelErr != nil {
+			if serialErr, parallelErr := serialErrs[i], parallelErrs[i]; serialErr != nil || parallelErr != nil {
 				if serialErr == nil || parallelErr == nil || serialErr.Error() != parallelErr.Error() {
 					t.Fatalf("error mismatch: serial=%v parallel=%v", serialErr, parallelErr)
 				}
 				return
 			}
-			if got, want := parallel.String(), serial.String(); got != want {
+			if got, want := parallel[i].String(), serial[i].String(); got != want {
 				t.Errorf("parallel output diverges from serial\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 			}
 		})

@@ -87,36 +87,3 @@ func forEach(n int, fn func(i int) error) error {
 	wg.Wait()
 	return firstErr
 }
-
-// runGrid executes every RunConfig cell concurrently and returns the
-// results in cell order. On failure the error of the lowest-index failing
-// cell is returned (results are then incomplete and must be discarded).
-func runGrid(cells []RunConfig) ([]*Result, error) {
-	out := make([]*Result, len(cells))
-	err := forEach(len(cells), func(i int) error {
-		r, e := Run(cells[i])
-		if e != nil {
-			return e
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runGridSettled executes every cell concurrently and returns per-cell
-// results and errors, index-aligned, never failing as a whole. Ablations
-// whose interesting outcome IS a failing run (retention management off
-// loses data) use this instead of runGrid.
-func runGridSettled(cells []RunConfig) ([]*Result, []error) {
-	out := make([]*Result, len(cells))
-	errs := make([]error, len(cells))
-	_ = forEach(len(cells), func(i int) error {
-		out[i], errs[i] = Run(cells[i])
-		return nil
-	})
-	return out, errs
-}

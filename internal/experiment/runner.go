@@ -2,9 +2,9 @@
 // figure of the paper's evaluation: it assembles a device and an FTL,
 // preconditions the SSD to steady state (the paper fills 10 GB of its
 // 16 GB device before measuring), replays a workload, and reports the
-// stats delta of the measured phase. One function per paper artifact
-// lives in figures.go and ablations.go; cmd/espbench and the repository's
-// benchmarks both call through here.
+// stats delta of the measured phase. One Experiment per paper artifact
+// lives in figures.go and ablations.go, and grid.go runs their cells;
+// cmd/espbench and the repository's benchmarks both call through here.
 package experiment
 
 import (

@@ -9,18 +9,6 @@ import (
 	"espftl/internal/workload"
 )
 
-func mixedZipf() workload.Profile {
-	return workload.Profile{
-		Name:       "mixed-zipf",
-		SmallRatio: 0.6,
-		SyncRatio:  0.5,
-		ReadRatio:  0.4,
-		SmallSizes: []int{1, 2, 3},
-		LargeSizes: []int{4, 8},
-		Zipf:       0.8,
-	}
-}
-
 // Acceptance: at queue depth 1 with FIFO arbitration the scheduler path
 // reports the same IOPS and GC counts as the synchronous path,
 // bit-for-bit, for all three FTLs.
@@ -155,7 +143,7 @@ func TestAblationSchedulerSmoke(t *testing.T) {
 	}
 	o := tinyOpts()
 	o.Requests = 800
-	tbl, err := AblationScheduler(o)
+	tbl, err := tableByID(t, "abl-sched", o)
 	if err != nil {
 		t.Fatal(err)
 	}
